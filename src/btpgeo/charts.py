@@ -29,6 +29,10 @@ from .scalars import (EC, ExactComplex, conj, is_exact, is_zero, scalar_abs,
 
 FLOAT_TOL = 1e-9
 
+# Planes drawn per block by random_planes; bounds the memory of the stacked
+# sectional and Ricci evaluation whatever the sample count.
+SAMPLE_BLOCK = 1024
+
 
 class BaseMetricError(ValueError):
     """The operation needs the metric to be the identity at the base point."""
@@ -531,12 +535,39 @@ def _as_vec(X, n, exact):
     return out
 
 
-def _re(c, exact):
-    if exact:
-        if c.im != 0:
-            raise ArithmeticError("expected a real exact value")
-        return c.re
-    return complex(c).real
+def _float_stack(X, n):
+    """A float direction or stack of directions as an (N, n) complex array,
+    and whether it was a single direction."""
+    arr = np.asarray(X, dtype=complex)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+        raise ValueError(f"direction must have {n} components")
+    return arr.reshape(-1, n), arr.ndim == 1
+
+
+def _pairs(A, B):
+    """Row-wise outer products A_a B_b, flattened to shape (N, n^2)."""
+    return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
+
+
+def _sectional_stack(pc: PointCurvature, X, Y):
+    """Float sectional numerators of the planes spanned by the rows of X, Y.
+
+    With each curvature table flattened to an (n^2, n^2) matrix over its
+    first and last index pairs, every term of the expansion is a bilinear
+    pairing (A (x) B) R (C (x) D) of two row-wise outer products, so the
+    whole stack is contracted at once.
+    """
+    n = pc.n
+    r11 = np.array(pc.r11, dtype=complex).reshape(n * n, n * n)
+    r20 = np.array(pc.r20, dtype=complex).reshape(n * n, n * n)
+    Xb, Yb = X.conj(), Y.conj()
+    XYb, YXb = _pairs(X, Yb), _pairs(Y, Xb)
+    left = XYb @ r11
+    t1 = np.einsum("mq,mq->m", _pairs(X, Xb) @ r11, _pairs(Y, Yb))
+    t2 = np.einsum("mq,mq->m", left, YXb)
+    t3 = np.einsum("mq,mq->m", left, XYb)
+    e = np.einsum("mq,mq->m", _pairs(X, Y) @ r20, XYb - YXb)
+    return (-2 * t1 + 4 * t2).real - 2 * t3.real - 4 * e.real
 
 
 def sectional_numerator(pc: PointCurvature, X, Y):
@@ -546,15 +577,27 @@ def sectional_numerator(pc: PointCurvature, X, Y):
     -2 R_{X Xb Y Yb} + 4 R_{X Yb Y Xb} - 2 Re R_{X Yb X Yb}
     - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ); the last group vanishes whenever
     the (2,0)-type components do.
+
+    For float curvature data X and Y may also be stacks of directions of
+    shape (N, n); the result is then a length-N float array, and a single
+    pair of directions gives a float.  Exact data takes one pair of exact
+    directions and gives a Fraction.
     """
     if pc.r11 is None:
         raise UnsupportedMetricError("Levi-Civita components missing")
     n = pc.n
-    X = _as_vec(X, n, pc.exact)
-    Y = _as_vec(Y, n, pc.exact)
+    if not pc.exact:
+        X, single = _float_stack(X, n)
+        Y, _ = _float_stack(Y, n)
+        if X.shape != Y.shape:
+            raise ValueError("X and Y must hold the same number of directions")
+        vals = _sectional_stack(pc, X, Y)
+        return float(vals[0]) if single else vals
+    X = _as_vec(X, n, True)
+    Y = _as_vec(Y, n, True)
     Xb = [conj(x) for x in X]
     Yb = [conj(y) for y in Y]
-    zero = EC.zero() if pc.exact else 0j
+    zero = EC.zero()
 
     def c11(A, B, C, D):
         acc = zero
@@ -588,17 +631,11 @@ def sectional_numerator(pc: PointCurvature, X, Y):
     t2 = c11(X, Yb, Y, Xb)
     t3 = c11(X, Yb, X, Yb)
     e = c20(X, Y, X, Yb) - c20(X, Y, Y, Xb)
-    two = EC(2) if pc.exact else 2.0
-    four = EC(4) if pc.exact else 4.0
-    total = -two * t1 + four * t2 - two * _real_part(t3, pc.exact) \
-        - four * _real_part(e, pc.exact)
-    return _re(total, pc.exact)
-
-
-def _real_part(c, exact):
-    if exact:
-        return EC(c.re, 0)
-    return complex(c).real + 0j
+    two, four = EC(2), EC(4)
+    total = -two * t1 + four * t2 - two * EC(t3.re, 0) - four * EC(e.re, 0)
+    if total.im != 0:
+        raise ArithmeticError("expected a real exact value")
+    return total.re
 
 
 def sectional_curvature(pc: PointCurvature, X, Y, normalized: bool = False):
@@ -622,29 +659,48 @@ def sectional_curvature(pc: PointCurvature, X, Y, normalized: bool = False):
     return num / den
 
 
+def random_planes(rng: np.random.Generator, count: int, n: int):
+    """Yield stacks (X, Y) of random complex n-vectors, count planes in all.
+
+    A block of b planes is one normal draw of shape (b, 4, n) holding X.re,
+    X.im, Y.re and Y.im of each plane, which consumes the generator's stream
+    in the same order as drawing those four n-vectors plane by plane.
+    """
+    for start in range(0, count, SAMPLE_BLOCK):
+        d = rng.normal(size=(min(SAMPLE_BLOCK, count - start), 4, n))
+        yield d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
+
+
 def ricci_curvature(pc: PointCurvature, X):
     """Ricci curvature of the real direction x = X + conj(X).
 
     Traces the sectional numerators over the orthonormal frame built from
-    the unitary base frame and divides by |x|^2.
+    the unitary base frame and divides by |x|^2.  For float curvature data
+    X may also be a stack of directions of shape (N, n), giving a length-N
+    float array; each frame direction is paired with the whole stack in one
+    sectional_numerator call.
     """
     n = pc.n
-    X = _as_vec(X, n, pc.exact)
+    if not pc.exact:
+        X, single = _float_stack(X, n)
+        if not X.any(axis=1).all():
+            raise DegeneratePlaneError("zero direction")
+        x2 = 2 * np.sum(np.abs(X) ** 2, axis=1)
+        total = np.zeros(len(X))
+        for Y in np.stack([np.eye(n), 1j * np.eye(n)], axis=1).reshape(2 * n, n):
+            total = total + sectional_numerator(pc, X, np.broadcast_to(Y, X.shape))
+        # each frame vector has squared length 2
+        vals = total / 2 / x2
+        return float(vals[0]) if single else vals
+    X = _as_vec(X, n, True)
     if all(is_zero(x) for x in X):
         raise DegeneratePlaneError("zero direction")
-    if pc.exact:
-        x2 = 2 * sum((v.abs2() for v in X), Fraction(0))
-        total = Fraction(0)
-    else:
-        x2 = 2 * sum(abs(v) ** 2 for v in X)
-        total = 0.0
+    x2 = 2 * sum((v.abs2() for v in X), Fraction(0))
+    total = Fraction(0)
     for i in range(n):
         for unit in (False, True):
-            Y = [EC.zero() if pc.exact else 0j] * n
-            if pc.exact:
-                Y[i] = EC.i() if unit else EC.one()
-            else:
-                Y[i] = 1j if unit else 1 + 0j
+            Y = [EC.zero()] * n
+            Y[i] = EC.i() if unit else EC.one()
             total = total + sectional_numerator(pc, X, Y)
     # each frame vector above has squared length 2
     return total / 2 / x2

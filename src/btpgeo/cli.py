@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wallach(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}", EXIT_USAGE)
     exact = not args.float_mode
     m = charts.wallach_metric(exact=exact)
     pc = charts.riemannian_curvature_at(m)
@@ -175,12 +177,10 @@ def cmd_wallach(args) -> int:
         pcf = pc if not exact else charts.riemannian_curvature_at(mf)
         min_sec = float("inf")
         ric_lo, ric_hi = float("inf"), -float("inf")
-        for _ in range(args.samples):
-            X = rng.normal(size=3) + 1j * rng.normal(size=3)
-            Y = rng.normal(size=3) + 1j * rng.normal(size=3)
-            min_sec = min(min_sec, charts.sectional_numerator(pcf, X, Y))
+        for X, Y in charts.random_planes(rng, args.samples, pcf.n):
+            min_sec = min(min_sec, float(charts.sectional_numerator(pcf, X, Y).min()))
             r = charts.ricci_curvature(pcf, X)
-            ric_lo, ric_hi = min(ric_lo, r), max(ric_hi, r)
+            ric_lo, ric_hi = min(ric_lo, float(r.min())), max(ric_hi, float(r.max()))
         report["sampling"] = {"seed": args.seed, "samples": args.samples,
                               "min_sectional_numerator": min_sec,
                               "ricci_range": [ric_lo, ric_hi]}

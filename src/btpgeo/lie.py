@@ -564,15 +564,18 @@ def _row_basis(vectors, exact: bool, tol: float = 1e-10):
     if exact:
         rows = [list(v) for v in vectors if any(not c.is_zero() for c in v)]
         basis = []
+        reducers = []       # (pivot, nonzero (index, entry) pairs) per basis row
         for v in rows:
             v = list(v)
-            for b in basis:
-                piv = next(i for i, c in enumerate(b) if not c.is_zero())
+            for piv, b_nz in reducers:
                 if not v[piv].is_zero():
-                    f = v[piv] / b[piv]
-                    v = [x - f * y for x, y in zip(v, b)]
-            if any(not c.is_zero() for c in v):
+                    f = v[piv] / b_nz[0][1]
+                    for i, y in b_nz:
+                        v[i] = v[i] - f * y
+            nz = [(i, c) for i, c in enumerate(v) if not c.is_zero()]
+            if nz:
                 basis.append(v)
+                reducers.append((nz[0][0], nz))
         return basis
     arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
     if arr.size == 0:
@@ -586,20 +589,25 @@ def _bracket_span(table, U, V, exact):
     """Basis of span{ [u, v] : u in U, v in V }."""
     dim = len(table)
     zero = EC.zero() if exact else 0j
+    # Structure constants are sparse: keep only the nonzero (m, t_m) entries
+    # of each bracket, so zero terms are never multiplied and added.
+    sparse = [[[(m, c) for m, c in enumerate(table[x][y]) if not is_zero(c)]
+               for y in range(dim)] for x in range(dim)]
     prods = []
     for u in U:
+        u_nz = [(x, ux) for x, ux in enumerate(u) if not is_zero(ux)]
         for v in V:
+            v_nz = [(y, vy) for y, vy in enumerate(v) if not is_zero(vy)]
             w = [zero] * dim
-            for x in range(dim):
-                if is_zero(u[x]):
-                    continue
-                for y in range(dim):
-                    if is_zero(v[y]):
+            for x, ux in u_nz:
+                row = sparse[x]
+                for y, vy in v_nz:
+                    t = row[y]
+                    if not t:
                         continue
-                    c = u[x] * v[y]
-                    t = table[x][y]
-                    for m in range(dim):
-                        w[m] = w[m] + c * t[m]
+                    c = ux * vy
+                    for m, tm in t:
+                        w[m] = w[m] + c * tm
             prods.append(w)
     return _row_basis(prods, exact)
 

@@ -5,33 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import sectional_closed_form, wirtinger_fd
 from btpgeo import charts
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.scalars import EC
-
-
-def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
-    """Central finite differences in Wirtinger variables (supports order <= 2)."""
-    if not holo and not anti:
-        return fn(z0)
-    if holo:
-        k, rest_h, rest_a = holo[0], holo[1:], anti
-        def d(z, sign_axis):
-            zp = list(z)
-            zp[k] += sign_axis
-            return wirtinger_fd(fn, zp, rest_h, rest_a, h)
-        # d/dz = (d/dx - i d/dy)/2
-        ddx = (d(z0, h) - d(z0, -h)) / (2 * h)
-        ddy = (d(z0, 1j * h) - d(z0, -1j * h)) / (2 * h)
-        return (ddx - 1j * ddy) / 2
-    k, rest = anti[0], anti[1:]
-    def d(z, sign_axis):
-        zp = list(z)
-        zp[k] += sign_axis
-        return wirtinger_fd(fn, zp, (), rest, h)
-    ddx = (d(z0, h) - d(z0, -h)) / (2 * h)
-    ddy = (d(z0, 1j * h) - d(z0, -1j * h)) / (2 * h)
-    return (ddx + 1j * ddy) / 2
 
 
 # ---- golden metric jets -------------------------------------------------------
@@ -259,20 +236,20 @@ def test_pair_relations(wallach_pc):
 
 
 def test_sectional_tensor_vs_closed_form(wallach_float_pc):
-    # the appendix-style sum of squares is an independent oracle for R(x,y,y,x)
+    # the appendix-style sum of squares is an independent oracle for R(x,y,y,x),
+    # checked row by row against stacked evaluations of several sizes
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        X = rng.normal(size=3) + 1j * rng.normal(size=3)
-        Y = rng.normal(size=3) + 1j * rng.normal(size=3)
-        num = charts.sectional_numerator(wallach_float_pc, X, Y)
-        I = [np.imag(X[i] * np.conj(Y[i])) for i in range(3)]
-        closed = (4 * (I[0] + I[1]) ** 2 + 4 * (I[1] + I[2]) ** 2
-                  + 4 * (I[0] - I[2]) ** 2
-                  + 0.5 * abs(X[0] * np.conj(Y[1]) - Y[0] * np.conj(X[1])) ** 2
-                  + 0.5 * abs(X[1] * np.conj(Y[2]) - Y[1] * np.conj(X[2])) ** 2
-                  + 0.5 * abs(X[0] * Y[2] - Y[0] * X[2]) ** 2)
-        assert abs(num - closed) < 1e-9
-        assert num >= -1e-12
+    for count in (1, 7, 500):
+        X = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+        Y = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+        nums = charts.sectional_numerator(wallach_float_pc, X, Y)
+        assert nums.shape == (count,)
+        for x, y, num in zip(X, Y, nums):
+            closed = sectional_closed_form(x, y)
+            assert abs(num - closed) <= 1e-12 * max(1.0, closed)
+            assert num >= -1e-12
+        single = charts.sectional_numerator(wallach_float_pc, X[-1], Y[-1])
+        assert single == pytest.approx(nums[-1], rel=1e-14)
 
 
 def test_sectional_exact_base_plane(wallach_pc):
@@ -289,16 +266,62 @@ def closed_form_exact(X, Y):
             + Fraction(1, 2) * sq(X[0] * Y[2] - Y[0] * X[2]))
 
 
+RATIONAL_PLANES = [
+    ((EC(1), EC(0), EC(0)), (EC(0), EC(1), EC(0))),
+    ((EC(1), EC(1), EC(1)), (EC(0, 1), EC(0, -1), EC(0, 1))),
+    ((EC(1, 2), EC(Fraction(1, 2)), EC(0, -1)), (EC(3), EC(0, 1), EC(1, 1))),
+    ((EC(Fraction(2, 3)), EC(-1, 1), EC(5)), (EC(0), EC(Fraction(1, 7), 2), EC(1))),
+]
+
+
 def test_sectional_matches_closed_form_exactly(wallach_pc):
-    samples = [
-        ((EC(1), EC(0), EC(0)), (EC(0), EC(1), EC(0))),
-        ((EC(1), EC(1), EC(1)), (EC(0, 1), EC(0, -1), EC(0, 1))),
-        ((EC(1, 2), EC(Fraction(1, 2)), EC(0, -1)), (EC(3), EC(0, 1), EC(1, 1))),
-        ((EC(Fraction(2, 3)), EC(-1, 1), EC(5)), (EC(0), EC(Fraction(1, 7), 2), EC(1))),
-    ]
-    for X, Y in samples:
+    for X, Y in RATIONAL_PLANES:
         num = charts.sectional_numerator(wallach_pc, X, Y)
         assert num == closed_form_exact(X, Y)
+
+
+def test_float_stack_matches_exact_kind(wallach_pc, wallach_float_pc):
+    X = np.array([[complex(c) for c in x] for x, _ in RATIONAL_PLANES])
+    Y = np.array([[complex(c) for c in y] for _, y in RATIONAL_PLANES])
+    nums = charts.sectional_numerator(wallach_float_pc, X, Y)
+    rics = charts.ricci_curvature(wallach_float_pc, X)
+    for (x, y), num, ric in zip(RATIONAL_PLANES, nums, rics):
+        assert abs(num - float(charts.sectional_numerator(wallach_pc, x, y))) < 1e-12
+        assert abs(ric - float(charts.ricci_curvature(wallach_pc, x))) < 1e-12
+
+
+def test_single_direction_return_types(wallach_pc, wallach_float_pc):
+    X, Y = (1, 1j, 0), (0.5, 0, 2 - 1j)
+    assert type(charts.sectional_numerator(wallach_float_pc, X, Y)) is float
+    assert type(charts.ricci_curvature(wallach_float_pc, X)) is float
+    x, y = RATIONAL_PLANES[2]
+    assert type(charts.sectional_numerator(wallach_pc, x, y)) is Fraction
+    assert type(charts.ricci_curvature(wallach_pc, x)) is Fraction
+
+
+def test_float_stack_rejects_malformed_directions(wallach_float_pc):
+    pc = wallach_float_pc
+    with pytest.raises(ValueError):
+        charts.sectional_numerator(pc, np.ones((4, 2)), np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        charts.sectional_numerator(pc, np.ones((4, 3)), np.ones((5, 3)))
+    with pytest.raises(charts.DegeneratePlaneError):
+        charts.ricci_curvature(pc, [[1, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123456])
+def test_random_planes_match_per_plane_draws(monkeypatch, seed):
+    # blocks of 7 over 20 planes: two full blocks and a partial one
+    monkeypatch.setattr(charts, "SAMPLE_BLOCK", 7)
+    blocks = list(charts.random_planes(np.random.default_rng(seed), 20, 3))
+    assert [len(X) for X, _ in blocks] == [7, 7, 6]
+    X = np.concatenate([X for X, _ in blocks])
+    Y = np.concatenate([Y for _, Y in blocks])
+    rng = np.random.default_rng(seed)
+    for k in range(20):
+        x = rng.normal(size=3) + 1j * rng.normal(size=3)
+        y = rng.normal(size=3) + 1j * rng.normal(size=3)
+        assert np.array_equal(X[k], x) and np.array_equal(Y[k], y)
 
 
 def test_sectional_flat_plane_exact(wallach_pc):

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from btpgeo.cli import main
 
@@ -71,6 +74,16 @@ def test_verify_wallach_reports_known_red_check(capsys):
     rep = json.loads(out)
     failed = [c for c in rep["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["ricci.einstein_constant"]
+
+
+def test_verify_wallach_seeded_sampling(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--example", "wallach", "--seed", "3")
+    assert code == 1
+    rep = json.loads(out)
+    failed = [c for c in rep["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["ricci.einstein_constant"]
+    sampled = [c for c in rep["checks"] if c["name"] == "sectional.nonnegative_sample"]
+    assert [c["passed"] for c in sampled] == [True]
 
 
 def test_verify_n3_with_torsion_flag(capsys):
@@ -167,6 +180,33 @@ def test_wallach_float_with_sampling(capsys):
     assert samp["min_sectional_numerator"] >= -1e-12
     lo, hi = samp["ricci_range"]
     assert abs(hi - lo) < 1e-9
+    # recorded from the per-plane sampling loop that the stacked one replaced
+    assert abs(samp["min_sectional_numerator"] - 0.5931961644224222) < 1e-12
+    assert abs(lo - 2.499999999999999) < 1e-12 and abs(hi - 2.500000000000001) < 1e-12
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_wallach_rejects_nonpositive_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "wallach", "--float", "--seed", "1",
+                             "--samples", samples)
+    assert code == 3
+    assert out == ""
+    assert "--samples" in err
+
+
+# sha256 of the stdout of exact reports, recorded before the float sampling
+# path was batched; exact reports are promised to be byte-stable
+EXACT_REPORT_SHA256 = {
+    ("wallach",): "3a646c1f6e46ec196a1f46a29bbb1a956f88376ec8ea11d1d42946e5ca717cab",
+    ("verify", "--example", "wallach"):
+        "fe3ed450f05cfa08add284834678135d5ecb7f0f69e3e3b36290596ed9c60861",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT_REPORT_SHA256))
+def test_exact_reports_are_byte_identical(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_REPORT_SHA256[argv]
 
 
 def test_usage_error_exit_code():

@@ -201,7 +201,7 @@ def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
         rng = np.random.default_rng(seed)
         mf = charts.wallach_metric(exact=False)
         pcf = charts.riemannian_curvature_at(mf)
-        worst = 0.0
+        worst = float("inf")
         for X, Y in charts.random_planes(rng, 2000, pcf.n):
             worst = min(worst, float(charts.sectional_numerator(pcf, X, Y).min()))
         _chk(out, "sectional.nonnegative_sample",

@@ -19,8 +19,8 @@ import numpy as np
 from .forms import (CoframeContext, InvariantForm, d_squared_residual,
                     dolbeault_split, exterior_d)
 from .linalg import CMatrix, hermitian_rank
-from .scalars import (EC, ExactComplex, Scalar, conj, is_exact, is_zero,
-                      scalar_abs, scalar_from_json, scalar_to_json)
+from .scalars import (EC, ExactComplex, Scalar, SchemaError, conj, is_exact,
+                      is_zero, scalar_abs, scalar_from_json, scalar_to_json)
 
 FLOAT_TOL = 1e-9
 
@@ -35,10 +35,6 @@ class SwapError(ValueError):
 
 class PatternError(ValueError):
     """Torsion does not match the pattern required by an operation."""
-
-
-class SchemaError(ValueError):
-    """Malformed algebra JSON."""
 
 
 def _zeros3(n, exact):
@@ -108,30 +104,36 @@ class HermitianLieAlgebra:
         if not isinstance(obj, dict) or "n" not in obj:
             raise SchemaError("algebra JSON must be an object with an 'n' field")
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise SchemaError("'n' must be a positive integer")
-        entries = list(obj.get("C", [])) + list(obj.get("D", []))
+        c_in, d_in = obj.get("C", []), obj.get("D", [])
+        if not (isinstance(c_in, list) and isinstance(d_in, list)):
+            raise SchemaError("'C' and 'D' must be lists of entries")
+        entries = c_in + d_in
         exact = True
         parsed = []
         for e in entries:
             try:
-                j, i, k = e["j"] - 1, e["i"] - 1, e["k"] - 1
+                idx = (e["j"], e["i"], e["k"])
                 c = scalar_from_json(e["coef"])
-            except (KeyError, TypeError) as exc:
-                raise SchemaError(f"bad structure-constant entry {e!r}") from exc
+            except (KeyError, TypeError, SchemaError) as exc:
+                raise SchemaError(f"bad structure-constant entry {e!r}: {exc}") from exc
+            if not all(type(v) is int for v in idx):
+                raise SchemaError(f"indices must be integers in {e!r}")
+            j, i, k = (v - 1 for v in idx)
             if not all(0 <= v < n for v in (j, i, k)):
                 raise SchemaError(f"index out of range in {e!r}")
             parsed.append((j, i, k, c))
             exact = exact and is_exact(c)
         C = _zeros3(n, exact)
         D = _zeros3(n, exact)
-        ncr = len(obj.get("C", []))
+        ncr = len(c_in)
         for pos, (j, i, k, c) in enumerate(parsed):
             c = c if exact else complex(c)
             if pos < ncr:
                 if i >= k:
                     raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
-                                      f"{obj['C'][pos]!r}")
+                                      f"{c_in[pos]!r}")
                 C[j][i][k] = C[j][i][k] + c
                 C[j][k][i] = C[j][k][i] - c
             else:

@@ -49,6 +49,45 @@ def test_classify_schema_error(tmp_path, capsys):
     assert "i < k" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coef", {"re": "1/0"}),
+    ("coef", {"re": "abc"}),
+    ("coef", "x/y"),
+    ("coef", {"re": "1", "im": "2/0"}),
+    ("coef", {"re": 1e400}),
+    ("coef", {"re": 1.0, "im": float("nan")}),
+    ("coef", 1e400),
+    ("coef", {"re": True}),
+    ("coef", [1]),
+    ("j", 1.5),
+    ("k", "3"),
+    ("i", True),
+])
+def test_classify_malformed_entry_exits_3(tmp_path, capsys, field, value):
+    entry = {"j": 1, "i": 3, "k": 1, "coef": {"re": "1", "im": "0"}, field: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "C": [], "D": [entry]}))
+    code, out, err = run_cli(capsys, "classify", "--input", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "C": 5, "D": []},
+    {"n": 3, "C": [], "D": {"j": 1}},
+    {"n": True, "C": [], "D": []},
+    {"n": 3, "C": [[1, 2, 3]], "D": []},
+])
+def test_classify_malformed_document_exits_3(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "classify", "--input", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classify_missing_file(capsys):
     code, _, err = run_cli(capsys, "classify", "--input", "/nonexistent.json")
     assert code == 3
@@ -84,6 +123,8 @@ def test_verify_wallach_seeded_sampling(capsys):
     assert [c["name"] for c in failed] == ["ricci.einstein_constant"]
     sampled = [c for c in rep["checks"] if c["name"] == "sectional.nonnegative_sample"]
     assert [c["passed"] for c in sampled] == [True]
+    # the true minimum over the 2000 seed-3 planes, not a 0.0 starting value
+    assert [c["detail"] for c in sampled] == ["min 3.852e-01"]
 
 
 def test_verify_n3_with_torsion_flag(capsys):
@@ -195,11 +236,34 @@ def test_wallach_rejects_nonpositive_samples(capsys, samples):
 
 
 # sha256 of the stdout of exact reports, recorded before the float sampling
-# path was batched; exact reports are promised to be byte-stable
+# path was batched (wallach) and before ExactComplex became an integer triple
+# (the rest); exact reports are promised to be byte-stable
 EXACT_REPORT_SHA256 = {
     ("wallach",): "3a646c1f6e46ec196a1f46a29bbb1a956f88376ec8ea11d1d42946e5ca717cab",
     ("verify", "--example", "wallach"):
         "fe3ed450f05cfa08add284834678135d5ecb7f0f69e3e3b36290596ed9c60861",
+    ("classify", "--input", str(DATA / "n3.json")):
+        "e5ab18b0b6785fb5051f009f23ca5c8374ee73c9dcc399dc309369feae4cacc0",
+    ("classify", "--input", str(DATA / "sl2c.json")):
+        "64b954740d92784a3ca10bee793aa4bc66539e5976a77de92909a39d700a8831",
+    ("verify", "--example", "n3"):
+        "64c4e698b65c960294b3392f5be32c34b5111b22c81f856b74bd31edcd07e066",
+    ("verify", "--example", "vaisman54"):
+        "6aa366f25a167848857d3fae07e09381f89d1e3205da7ff279d51c7f6569a13e",
+    ("verify", "--example", "a_st"):
+        "ba2abad65bcd8c4a69fd0652e7cddba7a71bdcf15c7f69b98748dd595dd54611",
+    ("verify", "--example", "b_zt"):
+        "aa31dab8d73adbf6914915c1da4a1fb31a92f930aa6d82571c357aab8ecfd2a5",
+    ("verify", "--example", "sl2c"):
+        "6bd91ee068f2638e7553f0a4896a0b123e24c9dedca26c00b57a6a7275b87a13",
+    # the verify report does not echo a, so it matches the a = 1 report
+    ("verify", "--example", "n3", "--torsion-a", "38029750/1000001"):
+        "64c4e698b65c960294b3392f5be32c34b5111b22c81f856b74bd31edcd07e066",
+    ("companion", "--example", "n3", "--swap", "2"):
+        "5524add6773a13afe59c1a512f60cb7c8e39c67d5a6240d0e0b9098fe98dbde6",
+    # the = form: argparse reads "--grid -1,..." as a missing argument
+    ("sweep", "--grid=-1,0,1/2"):
+        "8613221ac0b0ef27320f5b4926e9957d5e016fd8924a320a56474234ec0a5b2d",
 }
 
 

@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -73,3 +75,135 @@ def test_json_roundtrip_float():
 def test_is_zero():
     assert is_zero(EC.zero()) and not is_zero(EC(0, 1))
     assert is_zero(0j) and not is_zero(1e-300 + 0j)
+
+
+# ---- the integer-triple scalar against an independent model ---------------
+# The reference is a plain pair of Fractions (re, im) with the textbook
+# formulas, written here without touching ExactComplex arithmetic.
+
+big = st.integers(-10**12, 10**12)
+big_rationals = st.builds(Fraction, big, st.integers(1, 10**12))
+big_exacts = st.builds(EC, big_rationals, big_rationals)
+operands = st.one_of(big_exacts, big, big_rationals)
+
+
+def ref(x):
+    if isinstance(x, EC):
+        return Fraction(x.re), Fraction(x.im)
+    return Fraction(x), Fraction(0)
+
+
+def ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def ref_sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def ref_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def assert_canonical(c):
+    assert type(c) is EC
+    assert c._d > 0 and math.gcd(c._r, c._i, c._d) == 1
+    assert type(c.re) is Fraction and type(c.im) is Fraction
+
+
+OPS = [(operator.add, ref_add), (operator.sub, ref_sub), (operator.mul, ref_mul)]
+
+
+@pytest.mark.parametrize("op, model", OPS, ids=["add", "sub", "mul"])
+@given(a=big_exacts, b=operands)
+def test_ring_ops_match_fraction_model(op, model, a, b):
+    for x, y in ((a, b), (b, a)):
+        got = op(x, y)
+        assert_canonical(got)
+        assert (got.re, got.im) == model(ref(x), ref(y))
+
+
+@given(big_exacts, operands)
+def test_division_matches_fraction_model(a, b):
+    for x, y in ((a, b), (b, a)):
+        if ref(y) == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        got = x / y
+        assert_canonical(got)
+        assert (got.re, got.im) == ref_div(ref(x), ref(y))
+
+
+@given(big_exacts)
+def test_unary_ops_match_fraction_model(c):
+    re, im = ref(c)
+    assert_canonical(c)
+    for got, want in ((c.conjugate(), (re, -im)), (conj(c), (re, -im)),
+                      (-c, (-re, -im)), (+c, (re, im))):
+        assert_canonical(got)
+        assert (got.re, got.im) == want
+    assert c.abs2() == re * re + im * im and type(c.abs2()) is Fraction
+    assert complex(c) == complex(float(re), float(im))
+    assert c.is_zero() == is_zero(c) == (not c) == (re == 0 and im == 0)
+
+
+@given(big_exacts, operands)
+def test_equality_and_hash_match_fraction_model(a, b):
+    assert (a == b) == (ref(a) == ref(b))
+    assert (b == a) == (ref(a) == ref(b))
+    assert a == EC(*ref(a))
+    assert hash(a) == hash(ref(a)) == hash(EC(*ref(a)))
+
+
+@given(big_rationals, big_rationals)
+def test_constructor_from_reduced_and_unreduced_parts(re, im):
+    k = 6
+    c = EC(Fraction(re.numerator * k, re.denominator * k), im)
+    assert_canonical(c)
+    assert c == EC(re, im) and hash(c) == hash(EC(re, im))
+    assert (c.re, c.im) == (re, im)
+
+
+def test_equal_values_are_equal_with_equal_hashes():
+    a, b = EC(Fraction(2, 4), 1), EC(Fraction(1, 2), 1)
+    assert a == b and hash(a) == hash(b)
+    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert EC(4, 0) == 4 and EC(Fraction(3, 6)) == Fraction(1, 2)
+    assert EC(0, 1) != 0 and EC(1, 0) != 1.0
+
+
+@pytest.mark.parametrize("zero", [EC.zero(), EC(0, 0), 0, Fraction(0)])
+def test_division_by_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        EC(1, 2) / zero
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 3) / EC.zero()
+
+
+@pytest.mark.parametrize("other", [0.5, 2.0, 1 + 2j, 0j])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_float_and_complex_operands_raise(op, other):
+    with pytest.raises(TypeError):
+        op(EC(1, 2), other)
+    with pytest.raises(TypeError):
+        op(other, EC(1, 2))
+
+
+def test_scalars_are_immutable():
+    c = EC(1, 2)
+    for attr in ("re", "im", "_r", "_i", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, 3)
+    assert c == EC(1, 2)
+
+
+def test_repr_is_unchanged():
+    assert repr(EC(Fraction(-3, 4))) == "EC(-3/4)"
+    assert repr(EC(1, Fraction(1, 2))) == "EC(1, 1/2)"

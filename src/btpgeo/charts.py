@@ -6,6 +6,17 @@ Ricci tensors, parallel-torsion residuals, and (for parallel-torsion metrics
 with unitary base frame) the Levi-Civita curvature and its sectional/Ricci
 traces are all extracted from jet coefficients.
 
+The coefficients are read once into arrays of the metric's scalar kind
+(complex128, or object arrays of ExactComplex, whose sums do not depend on
+their order) and every table is an einsum contraction of them; the public
+functions return nested lists.  The derivative of the torsion
+T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is taken in
+closed form:
+partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
+    + sum_l (g_{k lbar, i} - g_{i lbar, k}) partial_m g^{lbar j},
+with partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}, and likewise along
+zbar_m.
+
 The built-in metric is the homogeneous metric on the flag threefold sitting
 inside P^2 x P^2: with alpha = 1 + |z1|^2 + |z2|^2, f = z2 + z1 z3,
 beta = 1 + |z3|^2 + |f|^2, the Kaehler-Einstein part is
@@ -18,14 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .jets import Jet2, jet_matrix_inverse
+from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import exact_solve_identity
-from .scalars import (EC, ExactComplex, conj, is_exact, is_zero, scalar_abs,
-                      scalar_to_json)
+from .scalars import (EC, ExactComplex, as_scalar, conj, is_exact, is_zero,
+                      scalar_abs, scalar_to_json)
 
 FLOAT_TOL = 1e-9
 
@@ -93,15 +104,10 @@ class ChartMetric:
         return [[complex(inv[i, j]) for j in range(self.n)] for i in range(self.n)]
 
     def has_identity_base(self, tol: float = FLOAT_TOL) -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                want = (EC.one() if self.exact else 1 + 0j) if i == j else \
-                    (EC.zero() if self.exact else 0j)
-                d = self.g[i][j].value() - want
-                if self.exact:
-                    if not d.is_zero():
-                        return False
-                elif scalar_abs(d) > tol:
+        for i, row in enumerate(self.value_matrix()):
+            for j, v in enumerate(row):
+                d = v - (1 if i == j else 0)
+                if (not is_zero(d)) if self.exact else scalar_abs(d) > tol:
                     return False
         return True
 
@@ -280,7 +286,7 @@ def orthonormalize_base(m: ChartMetric) -> ChartMetric:
         raise ValueError("orthonormalization requires the float scalar kind")
     g0 = np.array([[complex(e) for e in r] for r in m.value_matrix()])
     L = np.linalg.cholesky(g0)
-    A = np.linalg.inv(L).conj().T      # A^H g0 A = identity
+    A = np.linalg.inv(L).T      # A^T g0 conj(A) = identity, as change_frame applies it
     return change_frame(m, [[A[a, i] for i in range(m.n)] for a in range(m.n)])
 
 
@@ -288,69 +294,93 @@ def orthonormalize_base(m: ChartMetric) -> ChartMetric:
 # pointwise extraction
 # --------------------------------------------------------------------------
 
-def _cv(x, exact: bool):
-    """Coerce a value extracted from a possibly-empty jet to the metric kind."""
-    if exact:
-        return x
-    return complex(x)
+class _Jets(NamedTuple):
+    """Jet coefficients of the metric components g_{i jbar} at the base."""
+    dg: np.ndarray      # dg[i,j,k] = partial_k g_{i jbar}
+    dgb: np.ndarray     # dgb[i,j,k] = partial_kbar g_{i jbar}
+    hh: np.ndarray      # hh[i,j,k,m] = partial_k partial_m g_{i jbar}
+    ha: np.ndarray      # ha[i,j,k,l] = partial_k partial_lbar g_{i jbar}
+    ginv: np.ndarray    # ginv[l,j] = g^{lbar j}
+
+
+def _dtype(m: ChartMetric):
+    return object if m.exact else complex
+
+
+def _jet_arrays(m: ChartMetric) -> _Jets:
+    n = m.n
+    zero = as_scalar(0, m.exact)
+    dg, dgb, hh, ha = (np.full((n,) * r, zero, _dtype(m)) for r in (3, 3, 4, 4))
+    for i in range(n):
+        for j in range(n):
+            for mono, c in m.g[i][j].coeffs.items():
+                if len(mono) == 1:
+                    v = mono[0]
+                    if v < n:
+                        dg[i, j, v] = c
+                    else:
+                        dgb[i, j, v - n] = c
+                elif mono:
+                    v, w = mono                  # v <= w
+                    if w < n:                    # doubled on the diagonal, as Jet2.deriv
+                        hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
+                    elif v < n:
+                        ha[i, j, v, w - n] = c
+    return _Jets(dg, dgb, hh, ha, np.array(m.inverse_value_matrix(), _dtype(m)))
 
 
 def _first_derivs(m: ChartMetric):
     """dg[i][j][k] = partial_k g_{i jbar} at the base point."""
-    n = m.n
-    return [[[_cv(m.g[i][j].deriv(holo=(k,)), m.exact) for k in range(n)]
-             for j in range(n)] for i in range(n)]
+    return _jet_arrays(m).dg.tolist()
+
+
+def _skew(d):
+    """S[i,k,l,...] = d[k,l,i,...] - d[i,l,k,...]."""
+    rest = range(3, d.ndim)
+    return d.transpose(2, 0, 1, *rest) - d.transpose(0, 2, 1, *rest)
+
+
+def _torsion(J: _Jets):
+    """T[j,i,k] = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
+    return np.einsum("ikl,lj->jik", _skew(J.dg), J.ginv)
+
+
+def _torsion_derivative(J: _Jets, d, h):
+    """D[j,i,k,m] = partial_m T^j_{ik} in closed form.
+
+    With d[i,j,m] the derivative of g_{i jbar} along the variable m and
+    h[i,j,k,m] the derivative of g_{i jbar, k} along it (hh and dg for z_m,
+    ha and dgb for zbar_m):
+    D = sum_l ( h_{k l i m} - h_{i l k m} ) g^{lbar j}
+        + sum_l ( g_{k lbar, i} - g_{i lbar, k} ) partial_m g^{lbar j},
+    where partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}.
+    """
+    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", J.ginv, d), J.ginv)
+    return (np.einsum("iklm,lj->jikm", _skew(h), J.ginv)
+            + np.einsum("ikl,ljm->jikm", _skew(J.dg), dginv))
+
+
+def _chern(J: _Jets):
+    """Rc[k,l,i,j] = -g_{i jbar, k lbar}
+    + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
+    w = np.einsum("ipk,pq->iqk", J.dg, J.ginv)
+    return np.einsum("iqk,jql->klij", w, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1)
+
+
+def _ricci(Rc):
+    return (np.einsum("klii->kl", Rc), np.einsum("kkij->ij", Rc),
+            np.einsum("kiij->kj", Rc))
 
 
 def chern_torsion_at(m: ChartMetric):
     """T^j_{ik} = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    n = m.n
-    dg = _first_derivs(m)
-    ginv = m.inverse_value_matrix()
-    T = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                acc = EC.zero() if m.exact else 0j
-                for l in range(n):
-                    acc = acc + (dg[k][l][i] - dg[i][l][k]) * ginv[l][j]
-                T[j][i][k] = acc
-    return T
-
-
-def torsion_jets(m: ChartMetric):
-    """The torsion components as degree-1 jets (enough for one derivative)."""
-    n = m.n
-    G = [[m.g[i][j] for j in range(n)] for i in range(n)]
-    Ginv = jet_matrix_inverse(G)
-    tj = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                acc = Jet2(n)
-                for l in range(n):
-                    acc = acc + (G[k][l].partial_z(i) - G[i][l].partial_z(k)) * Ginv[l][j]
-                tj[j][i][k] = acc.truncate(1)
-    return tj
+    return _torsion(_jet_arrays(m)).tolist()
 
 
 def chern_curvature_at(m: ChartMetric):
     """R^c_{k lbar i jbar} = -g_{i jbar, k lbar}
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
-    n = m.n
-    dg = _first_derivs(m)
-    ginv = m.inverse_value_matrix()
-    Rc = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = -_cv(m.g[i][j].deriv(holo=(k,), anti=(l,)), m.exact)
-                    for p in range(n):
-                        for q in range(n):
-                            acc = acc + dg[i][p][k] * conj(dg[j][q][l]) * ginv[p][q]
-                    Rc[k][l][i][j] = acc
-    return Rc
+    return _chern(_jet_arrays(m)).tolist()
 
 
 def ricci_forms_at(m: ChartMetric, Rc=None):
@@ -361,17 +391,9 @@ def ricci_forms_at(m: ChartMetric, Rc=None):
     ric1[k][l] = sum_i Rc[k][l][i][i], ric2[i][j] = sum_k Rc[k][k][i][j],
     ric3[k][j] = sum_i Rc[k][i][i][j].
     """
-    n = m.n
     if Rc is None:
         Rc = chern_curvature_at(m)
-    zero = EC.zero() if m.exact else 0j
-    ric1 = [[sum((Rc[k][l][i][i] for i in range(n)), zero) for l in range(n)]
-            for k in range(n)]
-    ric2 = [[sum((Rc[k][k][i][j] for k in range(n)), zero) for j in range(n)]
-            for i in range(n)]
-    ric3 = [[sum((Rc[k][i][i][j] for i in range(n)), zero) for j in range(n)]
-            for k in range(n)]
-    return ric1, ric2, ric3
+    return tuple(r.tolist() for r in _ricci(np.array(Rc, _dtype(m))))
 
 
 def btp_residual_at(m: ChartMetric):
@@ -384,35 +406,21 @@ def btp_residual_at(m: ChartMetric):
         - sum_r ( T^j_{ir} conj(T^k_{lr}) - T^j_{kr} conj(T^i_{lr})
                   + T^r_{ik} conj(T^r_{jl}) ).
     Both vanish identically iff the Bismut torsion is parallel at the point.
+    res_h and res_a are indexed [l][i][j][k].
     """
     if not m.has_identity_base():
         raise BaseMetricError("parallel-torsion residuals need g = identity "
                               "at the base point; orthonormalize first")
-    n = m.n
-    dg = _first_derivs(m)
-    tj = torsion_jets(m)
-    T = [[[_cv(tj[j][i][k].value(), m.exact) for k in range(n)]
-          for i in range(n)] for j in range(n)]
-    zero = EC.zero() if m.exact else 0j
-    res_h = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    res_a = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    rhs = zero
-                    for r in range(n):
-                        rhs = rhs + dg[l][r][i] * T[j][r][k] \
-                            + dg[l][r][k] * T[j][i][r] \
-                            - dg[l][j][r] * T[r][i][k]
-                    res_h[l][i][j][k] = _cv(tj[j][i][k].deriv(holo=(l,)), m.exact) - rhs
-                    rhs = zero
-                    for r in range(n):
-                        rhs = rhs + T[j][i][r] * conj(T[k][l][r]) \
-                            - T[j][k][r] * conj(T[i][l][r]) \
-                            + T[r][i][k] * conj(T[r][j][l])
-                    res_a[l][i][j][k] = _cv(tj[j][i][k].deriv(anti=(l,)), m.exact) - rhs
-    return res_h, res_a
+    J = _jet_arrays(m)
+    T = _torsion(J)
+    Tc = np.conj(T)
+    res_h = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dg, J.hh))
+             - np.einsum("lri,jrk->lijk", J.dg, T) - np.einsum("lrk,jir->lijk", J.dg, T)
+             + np.einsum("ljr,rik->lijk", J.dg, T))
+    res_a = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dgb, J.ha))
+             - np.einsum("jir,klr->lijk", T, Tc) + np.einsum("jkr,ilr->lijk", T, Tc)
+             - np.einsum("rik,rjl->lijk", T, Tc))
+    return res_h.tolist(), res_a.tolist()
 
 
 def _max_abs4(arr) -> float:
@@ -473,36 +481,20 @@ def riemannian_curvature_at(m: ChartMetric, tol: float = FLOAT_TOL) -> PointCurv
         raise UnsupportedMetricError(
             f"torsion is not parallel at the base point (residual {resid:.3e}); "
             "the covariant-derivative term of the (2,0) curvature is not supported")
-    n = m.n
-    T = chern_torsion_at(m)
-    Rc = chern_curvature_at(m)
-    ric1, ric2, ric3 = ricci_forms_at(m, Rc)
-    quarter = EC(Fraction(1, 4), 0) if m.exact else 0.25
-    half = EC(Fraction(1, 2), 0) if m.exact else 0.5
-    zero = EC.zero() if m.exact else 0j
-    r20 = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    r11 = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = zero
-                    for r in range(n):
-                        acc = acc + T[l][r][i] * T[r][j][k] - T[l][r][j] * T[r][i][k]
-                    r20[i][j][k][l] = quarter * acc
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = half * (Rc[i][l][k][j] + Rc[k][j][i][l])
-                    tacc = zero
-                    for r in range(n):
-                        tacc = tacc + T[r][i][k] * conj(T[r][j][l]) \
-                            - T[j][k][r] * conj(T[i][l][r]) \
-                            - T[l][i][r] * conj(T[k][j][r])
-                    r11[k][l][i][j] = acc + quarter * tacc
-    return PointCurvature(n=n, exact=m.exact, torsion=T, rc=Rc,
-                          ric1=ric1, ric2=ric2, ric3=ric3, r11=r11, r20=r20)
+    J = _jet_arrays(m)
+    T = _torsion(J)
+    Tc = np.conj(T)
+    Rc = np.array(chern_curvature_at(m), _dtype(m))
+    quarter = as_scalar(Fraction(1, 4), m.exact)
+    half = as_scalar(Fraction(1, 2), m.exact)
+    r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter
+    r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
+           + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
+              - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
+    ric1, ric2, ric3 = (r.tolist() for r in _ricci(Rc))
+    return PointCurvature(n=m.n, exact=m.exact, torsion=T.tolist(), rc=Rc.tolist(),
+                          ric1=ric1, ric2=ric2, ric3=ric3, r11=r11.tolist(),
+                          r20=r20.tolist())
 
 
 def chern_point_curvature(m: ChartMetric) -> PointCurvature:

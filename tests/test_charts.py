@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import sectional_closed_form, wirtinger_fd
+from _oracles import (btp_residual_loop, chern_curvature_loop, random_chart_metric,
+                      sectional_closed_form, torsion_loop, wirtinger_fd)
 from btpgeo import charts
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.scalars import EC
@@ -196,6 +197,65 @@ def test_identity_base_precondition():
     mf = charts.wallach_metric(exact=False, point=[0.2, 0.1j, -0.3])
     with pytest.raises(charts.BaseMetricError):
         charts.btp_residual_at(mf)
+
+
+@pytest.mark.parametrize("point", [[0.2, 0.1j, -0.3], [0.3 + 0.1j, -0.2, 0.5j],
+                                   [1.5 - 2j, 0.7j, -0.4 + 0.9j]])
+def test_orthonormalize_at_non_real_points(point):
+    # the metric is homogeneous, so every chart point gives the same geometry
+    m = charts.orthonormalize_base(charts.wallach_metric(exact=False, point=point))
+    assert m.has_identity_base(tol=1e-12)
+    pc = charts.riemannian_curvature_at(m)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+    assert np.max(np.abs(charts.ricci_curvature(pc, X) - 2.5)) < 1e-9
+
+
+# ---- the jet route as an independent oracle ----------------------------------------
+
+# a positive definite base value for the routes that do not need g(0) = I
+EXACT_BASE = [[EC(2), EC(Fraction(1, 2), Fraction(1, 3)), EC(0)],
+              [EC(Fraction(1, 2), Fraction(-1, 3)), EC(3), EC(Fraction(1, 4))],
+              [EC(0), EC(Fraction(1, 4)), EC(1)]]
+FLOAT_BASE = [[complex(c) for c in row] for row in EXACT_BASE]
+
+
+def _assert_close(got, want, rel=1e-12):
+    got, want = np.array(got), np.array(want, dtype=complex)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float_extraction_matches_jet_route(seed):
+    rng = np.random.default_rng(seed)
+    m = random_chart_metric(rng, exact=False)
+    _assert_close(charts.chern_torsion_at(m), torsion_loop(m))
+    _assert_close(charts.chern_curvature_at(m), chern_curvature_loop(m))
+    want = btp_residual_loop(m)
+    # a generic metric: the residuals are far from zero
+    assert min(charts._max_abs4(w) for w in want) > 0.1
+    for got, w in zip(charts.btp_residual_at(m), want):
+        _assert_close(got, w)
+    m = random_chart_metric(rng, exact=False, base=FLOAT_BASE)
+    _assert_close(charts.chern_torsion_at(m), torsion_loop(m))
+    _assert_close(charts.chern_curvature_at(m), chern_curvature_loop(m))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_extraction_matches_jet_route(seed):
+    rng = np.random.default_rng(seed)
+    m = random_chart_metric(rng, exact=True)
+    T = charts.chern_torsion_at(m)
+    assert all(type(c) is EC for a in T for b in a for c in b)
+    assert T == torsion_loop(m)
+    assert charts.chern_curvature_at(m) == chern_curvature_loop(m)
+    res_h, res_a = btp_residual_loop(m)
+    assert charts._max_abs4(res_h) > 0 and charts._max_abs4(res_a) > 0
+    assert charts.btp_residual_at(m) == (res_h, res_a)
+    m = random_chart_metric(rng, exact=True, base=EXACT_BASE)
+    assert charts.chern_torsion_at(m) == torsion_loop(m)
+    assert charts.chern_curvature_at(m) == chern_curvature_loop(m)
 
 
 # ---- Levi-Civita side ---------------------------------------------------------------
@@ -394,14 +454,14 @@ def test_float_metric_at_chart_point_matches_direct_values():
 
 
 def test_float_curvature_matches_exact(wallach_pc, wallach_float_pc):
-    for k in range(3):
-        for l in range(3):
-            for i in range(3):
-                for j in range(3):
-                    assert abs(complex(wallach_float_pc.rc[k][l][i][j])
-                               - complex(wallach_pc.rc[k][l][i][j])) < 1e-12
-                    assert abs(complex(wallach_float_pc.r11[k][l][i][j])
-                               - complex(wallach_pc.r11[k][l][i][j])) < 1e-12
+    # every table of the two scalar kinds, entry by entry
+    for name in ("torsion", "rc", "ric1", "ric2", "ric3", "r11", "r20"):
+        exact = np.array(getattr(wallach_pc, name), dtype=object)
+        flt = np.array(getattr(wallach_float_pc, name), dtype=object)
+        assert all(type(c) is EC for c in exact.flat), name
+        assert all(type(c) is complex for c in flt.flat), name
+        diff = flt.astype(complex) - exact.astype(complex)
+        assert np.max(np.abs(diff)) <= 1e-14, name
 
 
 def test_exact_mode_rejects_off_origin():

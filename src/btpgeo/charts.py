@@ -17,6 +17,15 @@ partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
 with partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}, and likewise along
 zbar_m.
 
+Sectional numerators and Ricci curvature run through the same contractions
+for both scalar kinds.  The Ricci curvature of x = X + conj(X) traces the
+sectional numerator over the orthonormal frame {e_i, i e_i}.  Over each pair
+e_i, i e_i the R_{X Yb X Yb} term and the Y (x) Y half of the (2,0) term
+cancel, which leaves the closed form
+    num(X) = Re sum_{a,d} X_a Xb_d (8 sum_i r11[a,i,i,d] - 4 sum_i r11[a,d,i,i])
+             - 8 Re sum_{a,c} X_a X_c sum_i r20[a,i,c,i],
+and Ricci(x) = num / 2 / |x|^2 with |x|^2 = 2 |X|^2.
+
 The built-in metric is the homogeneous metric on the flag threefold sitting
 inside P^2 x P^2: with alpha = 1 + |z1|^2 + |z2|^2, f = z2 + z1 z3,
 beta = 1 + |z3|^2 + |f|^2, the Kaehler-Einstein part is
@@ -510,30 +519,58 @@ def chern_point_curvature(m: ChartMetric) -> PointCurvature:
 # sectional and Ricci curvature
 # --------------------------------------------------------------------------
 
-def _as_vec(X, n, exact):
-    out = []
-    for x in X:
-        if exact:
-            if isinstance(x, ExactComplex):
-                out.append(x)
-            elif isinstance(x, (int, Fraction)):
-                out.append(EC(Fraction(x), 0))
-            else:
-                raise TypeError("exact curvature data needs exact vectors")
-        else:
-            out.append(complex(x))
-    if len(out) != n:
-        raise ValueError(f"direction must have {n} components")
-    return out
+def _tables(pc: PointCurvature):
+    """r11 and r20 as arrays of the data's scalar kind."""
+    if pc.r11 is None:
+        raise UnsupportedMetricError("Levi-Civita components missing")
+    return np.array(pc.r11, _dtype(pc)), np.array(pc.r20, _dtype(pc))
 
 
-def _float_stack(X, n):
-    """A float direction or stack of directions as an (N, n) complex array,
-    and whether it was a single direction."""
-    arr = np.asarray(X, dtype=complex)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
-        raise ValueError(f"direction must have {n} components")
-    return arr.reshape(-1, n), arr.ndim == 1
+_to_exact = np.frompyfunc(lambda v: as_scalar(v, True), 1, 1)
+
+
+def _directions(pc: PointCurvature, X):
+    """A direction or stack of directions as an (N, n) array of the data's
+    scalar kind, and whether it was a single direction.
+
+    Exact data takes ExactComplex, int and Fraction components; anything
+    else raises TypeError.
+    """
+    arr = np.asarray(X, _dtype(pc))
+    if arr.ndim not in (1, 2) or arr.shape[-1] != pc.n:
+        raise ValueError(f"direction must have {pc.n} components")
+    if pc.exact:
+        arr = _to_exact(arr)
+    return arr.reshape(-1, pc.n), arr.ndim == 1
+
+
+def _planes(pc: PointCurvature, X, Y):
+    X, single = _directions(pc, X)
+    Y, _ = _directions(pc, Y)
+    if X.shape != Y.shape:
+        raise ValueError("X and Y must hold the same number of directions")
+    return X, Y, single
+
+
+def _real(a):
+    """The real values of a 1-d array whose entries are real: floats from
+    complex128, where the imaginary part is rounding residue, and Fractions
+    from ExactComplex, where a nonzero imaginary part raises ArithmeticError."""
+    if a.dtype != object:
+        return a.real
+    if any(v.im for v in a):
+        raise ArithmeticError("expected a real exact value")
+    return np.array([v.re for v in a], object)
+
+
+def _result(vals, single: bool):
+    """One Python float or Fraction for a single direction, else the array."""
+    return vals.tolist()[0] if single else vals
+
+
+def _norm2(X):
+    """|X|^2 of each row, as real values."""
+    return _real(np.einsum("ma,ma->m", X, X.conj()))
 
 
 def _pairs(A, B):
@@ -542,16 +579,15 @@ def _pairs(A, B):
 
 
 def _sectional_stack(pc: PointCurvature, X, Y):
-    """Float sectional numerators of the planes spanned by the rows of X, Y.
+    """Sectional numerators of the planes spanned by the rows of X, Y.
 
-    With each curvature table flattened to an (n^2, n^2) matrix over its
-    first and last index pairs, every term of the expansion is a bilinear
-    pairing (A (x) B) R (C (x) D) of two row-wise outer products, so the
-    whole stack is contracted at once.
+    With each curvature table flattened to an (n^2, n^2) matrix, every term
+    of the expansion is a bilinear pairing (A (x) B) R (C (x) D) of two
+    row-wise outer products, so the whole stack is contracted at once.  The
+    real parts 2 Re z are taken as z + conj(z), in the data's scalar kind.
     """
-    n = pc.n
-    r11 = np.array(pc.r11, dtype=complex).reshape(n * n, n * n)
-    r20 = np.array(pc.r20, dtype=complex).reshape(n * n, n * n)
+    nn = pc.n * pc.n
+    r11, r20 = (t.reshape(nn, nn) for t in _tables(pc))
     Xb, Yb = X.conj(), Y.conj()
     XYb, YXb = _pairs(X, Yb), _pairs(Y, Xb)
     left = XYb @ r11
@@ -559,7 +595,7 @@ def _sectional_stack(pc: PointCurvature, X, Y):
     t2 = np.einsum("mq,mq->m", left, YXb)
     t3 = np.einsum("mq,mq->m", left, XYb)
     e = np.einsum("mq,mq->m", _pairs(X, Y) @ r20, XYb - YXb)
-    return (-2 * t1 + 4 * t2).real - 2 * t3.real - 4 * e.real
+    return _real(-2 * t1 + 4 * t2 - (t3 + t3.conj()) - 2 * (e + e.conj()))
 
 
 def sectional_numerator(pc: PointCurvature, X, Y):
@@ -570,85 +606,33 @@ def sectional_numerator(pc: PointCurvature, X, Y):
     - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ); the last group vanishes whenever
     the (2,0)-type components do.
 
-    For float curvature data X and Y may also be stacks of directions of
-    shape (N, n); the result is then a length-N float array, and a single
-    pair of directions gives a float.  Exact data takes one pair of exact
-    directions and gives a Fraction.
+    X and Y are single directions or stacks of directions of shape (N, n).
+    A single pair gives a float (float data) or a Fraction (exact data), a
+    stack gives a length-N array of them.  An exact value that is not real
+    raises ArithmeticError.
     """
-    if pc.r11 is None:
-        raise UnsupportedMetricError("Levi-Civita components missing")
-    n = pc.n
-    if not pc.exact:
-        X, single = _float_stack(X, n)
-        Y, _ = _float_stack(Y, n)
-        if X.shape != Y.shape:
-            raise ValueError("X and Y must hold the same number of directions")
-        vals = _sectional_stack(pc, X, Y)
-        return float(vals[0]) if single else vals
-    X = _as_vec(X, n, True)
-    Y = _as_vec(Y, n, True)
-    Xb = [conj(x) for x in X]
-    Yb = [conj(y) for y in Y]
-    zero = EC.zero()
-
-    def c11(A, B, C, D):
-        acc = zero
-        for a in range(n):
-            if is_zero(A[a]):
-                continue
-            for b in range(n):
-                if is_zero(B[b]):
-                    continue
-                for c in range(n):
-                    if is_zero(C[c]):
-                        continue
-                    for d in range(n):
-                        v = pc.r11[a][b][c][d]
-                        if not is_zero(v):
-                            acc = acc + A[a] * B[b] * C[c] * D[d] * v
-        return acc
-
-    def c20(A, B, C, D):
-        acc = zero
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        v = pc.r20[a][b][c][d]
-                        if not is_zero(v):
-                            acc = acc + A[a] * B[b] * C[c] * D[d] * v
-        return acc
-
-    t1 = c11(X, Xb, Y, Yb)
-    t2 = c11(X, Yb, Y, Xb)
-    t3 = c11(X, Yb, X, Yb)
-    e = c20(X, Y, X, Yb) - c20(X, Y, Y, Xb)
-    two, four = EC(2), EC(4)
-    total = -two * t1 + four * t2 - two * EC(t3.re, 0) - four * EC(e.re, 0)
-    if total.im != 0:
-        raise ArithmeticError("expected a real exact value")
-    return total.re
+    X, Y, single = _planes(pc, X, Y)
+    return _result(_sectional_stack(pc, X, Y), single)
 
 
 def sectional_curvature(pc: PointCurvature, X, Y, normalized: bool = False):
-    """Sectional numerator R_{xyyx}, optionally normalized by |x ^ y|^2."""
-    num = sectional_numerator(pc, X, Y)
-    if not normalized:
-        return num
-    X = _as_vec(X, pc.n, pc.exact)
-    Y = _as_vec(Y, pc.n, pc.exact)
-    if pc.exact:
-        x2 = 2 * sum((v.abs2() for v in X), Fraction(0))
-        y2 = 2 * sum((v.abs2() for v in Y), Fraction(0))
-        xy = sum(((v * conj(w)).re for v, w in zip(X, Y)), Fraction(0)) * 2
-    else:
-        x2 = 2 * sum(abs(v) ** 2 for v in X)
-        y2 = 2 * sum(abs(v) ** 2 for v in Y)
-        xy = 2 * sum((v * w.conjugate()).real for v, w in zip(X, Y))
-    den = x2 * y2 - xy * xy
-    if (den == 0) if pc.exact else abs(den) < 1e-14 * max(1.0, x2 * y2):
-        raise DegeneratePlaneError("x and y span a degenerate plane")
-    return num / den
+    """Sectional numerator R_{xyyx}, optionally normalized by |x ^ y|^2.
+
+    A plane is degenerate when |x ^ y|^2 is zero (exact data) or at most
+    1e-14 |x|^2 |y|^2 (float data), a bound that does not depend on the
+    scale of x and y.
+    """
+    X, Y, single = _planes(pc, X, Y)
+    vals = _sectional_stack(pc, X, Y)
+    if normalized:
+        x2, y2 = 2 * _norm2(X), 2 * _norm2(Y)
+        w = np.einsum("ma,ma->m", X, Y.conj())
+        xy = _real(w + w.conj())
+        den = x2 * y2 - xy * xy
+        if (abs(den) <= (0 if pc.exact else 1e-14) * x2 * y2).any():
+            raise DegeneratePlaneError("x and y span a degenerate plane")
+        vals = vals / den
+    return _result(vals, single)
 
 
 def random_planes(rng: np.random.Generator, count: int, n: int):
@@ -666,33 +650,18 @@ def random_planes(rng: np.random.Generator, count: int, n: int):
 def ricci_curvature(pc: PointCurvature, X):
     """Ricci curvature of the real direction x = X + conj(X).
 
-    Traces the sectional numerators over the orthonormal frame built from
-    the unitary base frame and divides by |x|^2.  For float curvature data
-    X may also be a stack of directions of shape (N, n), giving a length-N
-    float array; each frame direction is paired with the whole stack in one
-    sectional_numerator call.
+    The trace of the sectional numerators over the orthonormal frame
+    {e_i, i e_i}, divided by |x|^2, in closed form (see the module
+    docstring).  X is a single direction or a stack of shape (N, n); a
+    single direction gives a float or a Fraction, a stack an array.
     """
-    n = pc.n
-    if not pc.exact:
-        X, single = _float_stack(X, n)
-        if not X.any(axis=1).all():
-            raise DegeneratePlaneError("zero direction")
-        x2 = 2 * np.sum(np.abs(X) ** 2, axis=1)
-        total = np.zeros(len(X))
-        for Y in np.stack([np.eye(n), 1j * np.eye(n)], axis=1).reshape(2 * n, n):
-            total = total + sectional_numerator(pc, X, np.broadcast_to(Y, X.shape))
-        # each frame vector has squared length 2
-        vals = total / 2 / x2
-        return float(vals[0]) if single else vals
-    X = _as_vec(X, n, True)
-    if all(is_zero(x) for x in X):
+    r11, r20 = _tables(pc)
+    X, single = _directions(pc, X)
+    x2 = _norm2(X)
+    if (x2 == 0).any():
         raise DegeneratePlaneError("zero direction")
-    x2 = 2 * sum((v.abs2() for v in X), Fraction(0))
-    total = Fraction(0)
-    for i in range(n):
-        for unit in (False, True):
-            Y = [EC.zero()] * n
-            Y[i] = EC.i() if unit else EC.one()
-            total = total + sectional_numerator(pc, X, Y)
-    # each frame vector above has squared length 2
-    return total / 2 / x2
+    # a quarter of num(X) of the module docstring, over |X|^2 = |x|^2 / 2
+    H = 2 * np.einsum("aiid->ad", r11) - np.einsum("adii->ad", r11)
+    s = np.einsum("ma,ac,mc->m", X, np.einsum("aici->ac", r20), X)
+    num = np.einsum("ma,ad,md->m", X, H, X.conj()) - (s + s.conj())
+    return _result(_real(num) / x2, single)

@@ -137,7 +137,14 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(args) -> None:
+    # numpy's generator rejects a negative seed with a ValueError traceback
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}", EXIT_USAGE)
+
+
 def cmd_verify(args) -> int:
+    _check_seed(args)
     suite = goldens.SUITES.get(args.example)
     if suite is None:
         raise CliError(f"unknown example {args.example!r}; choose from "
@@ -162,6 +169,7 @@ def cmd_verify(args) -> int:
 def cmd_wallach(args) -> int:
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}", EXIT_USAGE)
+    _check_seed(args)
     exact = not args.float_mode
     m = charts.wallach_metric(exact=exact)
     pc = charts.riemannian_curvature_at(m)

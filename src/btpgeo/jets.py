@@ -66,28 +66,38 @@ class Jet2:
         t = dict(self.coeffs)
         for m, c in other.coeffs.items():
             t[m] = t[m] + c if m in t else c
-        return Jet2(self.n, t)
+        return _jet(self.n, t)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        return self + (-other)
+        self._check(other)
+        t = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            t[m] = t[m] - c if m in t else -c
+        return _jet(self.n, t)
 
     def __neg__(self) -> "Jet2":
-        return Jet2(self.n, {m: -c for m, c in self.coeffs.items()})
+        return _jet(self.n, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, c: Scalar) -> "Jet2":
-        return Jet2(self.n, {m: v * c for m, v in self.coeffs.items()})
+        return _jet(self.n, {m: v * c for m, v in self.coeffs.items()})
 
     def __mul__(self, other: "Jet2") -> "Jet2":
         self._check(other)
         acc: Dict[Mono, Scalar] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                if len(m1) + len(m2) > 2:
+                if not m1:
+                    m = m2
+                elif not m2:
+                    m = m1
+                elif len(m1) + len(m2) > 2:
                     continue
-                m = tuple(sorted(m1 + m2))
+                else:
+                    v, w = m1[0], m2[0]
+                    m = (v, w) if v <= w else (w, v)
                 c = c1 * c2
                 acc[m] = acc[m] + c if m in acc else c
-        return Jet2(self.n, acc)
+        return _jet(self.n, acc)
 
     def reciprocal(self) -> "Jet2":
         """1/f by the geometric series; needs a nonzero constant term."""
@@ -105,9 +115,13 @@ class Jet2:
 
     def conj(self) -> "Jet2":
         n = self.n
-        swap = lambda v: v + n if v < n else v - n
-        return Jet2(n, {tuple(sorted(swap(v) for v in m)): conj(c)
-                        for m, c in self.coeffs.items()})
+        out: Dict[Mono, Scalar] = {}
+        for m, c in self.coeffs.items():
+            m = tuple(v + n if v < n else v - n for v in m)
+            if len(m) == 2 and m[0] > m[1]:      # only a z zbar pair swaps order
+                m = (m[1], m[0])
+            out[m] = conj(c)
+        return _jet(n, out)
 
     # ---- coefficient extraction ----------------------------------------------
     def value(self) -> Scalar:
@@ -218,6 +232,19 @@ class Jet2:
         bits = [f"({c!r})" + "".join("*" + vname(v) for v in m)
                 for m, c in sorted(self.coeffs.items())]
         return " + ".join(bits)
+
+
+_set_n = Jet2.n.__set__
+_set_coeffs = Jet2.coeffs.__set__
+
+
+def _jet(n: int, coeffs: Dict[Mono, Scalar]) -> Jet2:
+    """A Jet2 from monomials that are already canonical (sorted, in range,
+    one entry each); zero coefficients are dropped, nothing else is checked."""
+    j = object.__new__(Jet2)
+    _set_n(j, n)
+    _set_coeffs(j, {m: c for m, c in coeffs.items() if c})
+    return j
 
 
 def jet_matrix_inverse(g):

@@ -1,11 +1,12 @@
 """Independent oracles shared by the test modules: finite differences, closed
-forms, and the jet route to point curvature."""
+forms, the jet route to point curvature, and sectional and Ricci curvature
+by explicit sums."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from btpgeo.charts import ChartMetric
+from btpgeo.charts import ChartMetric, PointCurvature
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.scalars import EC, conj
 
@@ -171,3 +172,82 @@ def random_chart_metric(rng, exact, base=None, n=3):
             g[i][j] = jet + Jet2.constant(n, c)
             g[j][i] = g[i][j].conj()
     return ChartMetric(n, g, label="random")
+
+
+# ---- sectional and Ricci curvature by explicit sums ----------------------------
+# The library contracts whole stacks of directions with the flattened r11 and
+# r20 tables and takes the Ricci curvature as a closed-form trace.  The
+# functions below take one pair of directions, sum the sectional expansion
+# entry by entry, and sum the Ricci curvature over the frame {e_i, i e_i}.
+
+def _contract(table, A, B, C, D):
+    """sum_{a,b,c,d} A_a B_b C_c D_d table[a][b][c][d], entry by entry."""
+    n = len(A)
+    acc = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    acc = acc + A[a] * B[b] * C[c] * D[d] * table[a][b][c][d]
+    return acc
+
+
+def sectional_numerator_loop(pc, X, Y):
+    """-2 R_{X Xb Y Yb} + 4 R_{X Yb Y Xb} - 2 Re R_{X Yb X Yb}
+    - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ) for one pair of directions given as
+    scalars of the data's kind: a float, or a Fraction, where an exact value
+    that is not real raises ArithmeticError."""
+    Xb = [conj(x) for x in X]
+    Yb = [conj(y) for y in Y]
+    t1 = _contract(pc.r11, X, Xb, Y, Yb)
+    t2 = _contract(pc.r11, X, Yb, Y, Xb)
+    t3 = _contract(pc.r11, X, Yb, X, Yb)
+    e = _contract(pc.r20, X, Y, X, Yb) - _contract(pc.r20, X, Y, Y, Xb)
+    if not pc.exact:
+        return (-2 * t1 + 4 * t2).real - 2 * t3.real - 4 * e.real
+    total = -2 * t1 + 4 * t2 - 2 * EC(t3.re) - 4 * EC(e.re)
+    if total.im != 0:
+        raise ArithmeticError("expected a real exact value")
+    return total.re
+
+
+def ricci_frame_sum(pc, X):
+    """Ricci curvature of x = X + conj(X): the sectional numerators of x with
+    each of the 2n frame directions e_i, i e_i (squared length 2), summed and
+    divided by |x|^2 = 2 |X|^2."""
+    n = pc.n
+    zero, one, i = (EC.zero(), EC.one(), EC.i()) if pc.exact else (0j, 1 + 0j, 1j)
+    total = 0
+    for k in range(n):
+        for unit in (one, i):
+            Y = [zero] * n
+            Y[k] = unit
+            total = total + sectional_numerator_loop(pc, X, Y)
+    x2 = 2 * sum((x * conj(x)).re if pc.exact else abs(x) ** 2 for x in X)
+    return total / 2 / x2
+
+
+def random_curvature_tables(rng, exact, hermitian, n=3):
+    """Random r11 and r20 tables as nested lists, in a PointCurvature.
+
+    Entries are complex Gaussians (float kind) or small rationals (exact
+    kind), so no index symmetry relates them.  ``hermitian`` symmetrizes r11
+    over r11[a,b,c,d] = conj(r11[b,a,d,c]) = conj(r11[d,c,b,a]) = r11[c,d,a,b],
+    the symmetries of a curvature table that make every sectional numerator
+    real; without them an exact numerator is not real.
+    """
+    def draw():
+        if exact:
+            part = lambda: Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+            return EC(part(), part())
+        return complex(rng.normal(), rng.normal())
+
+    dtype = object if exact else complex
+    shape = (n,) * 4
+    r11 = np.array([draw() for _ in range(n ** 4)], dtype).reshape(shape)
+    r20 = np.array([draw() for _ in range(n ** 4)], dtype).reshape(shape)
+    if hermitian:
+        r11 = (r11 + r11.transpose(1, 0, 3, 2).conj() + r11.transpose(3, 2, 1, 0).conj()
+               + r11.transpose(2, 3, 0, 1))
+    return PointCurvature(n=n, exact=exact, torsion=None, rc=None, ric1=None, ric2=None,
+                          ric3=None, r11=r11.tolist(), r20=r20.tolist())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from _oracles import (btp_residual_loop, chern_curvature_loop, random_chart_metric,
-                      sectional_closed_form, torsion_loop, wirtinger_fd)
+                      random_curvature_tables, ricci_frame_sum, sectional_closed_form,
+                      sectional_numerator_loop, torsion_loop, wirtinger_fd)
 from btpgeo import charts
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.scalars import EC
@@ -412,6 +413,101 @@ def test_ricci_constant_exact(wallach_pc):
 def test_ricci_euclidean_zero():
     pc = charts.riemannian_curvature_at(charts.euclidean_metric(3))
     assert charts.ricci_curvature(pc, (1, 0, 0)) == 0
+
+
+# ---- explicit sums as oracles on generic tables --------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float_sectional_and_ricci_match_explicit_sums(seed):
+    # generic tables: no index symmetry can hide a wrong index
+    rng = np.random.default_rng(seed)
+    pc = random_curvature_tables(rng, exact=False, hermitian=False)
+    X = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+    Y = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+    _assert_close(charts.sectional_numerator(pc, X, Y) + 0j,
+                  [sectional_numerator_loop(pc, x, y) for x, y in zip(X, Y)])
+    _assert_close(charts.ricci_curvature(pc, X) + 0j, [ricci_frame_sum(pc, x) for x in X])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_sectional_and_ricci_match_explicit_sums(seed):
+    rng = np.random.default_rng(seed)
+    pc = random_curvature_tables(rng, exact=True, hermitian=True)
+    nums = charts.sectional_numerator(pc, [x for x, _ in RATIONAL_PLANES],
+                                      [y for _, y in RATIONAL_PLANES])
+    rics = charts.ricci_curvature(pc, [x for x, _ in RATIONAL_PLANES])
+    for (x, y), num, ric in zip(RATIONAL_PLANES, nums, rics):
+        assert type(num) is Fraction and num == sectional_numerator_loop(pc, x, y)
+        assert charts.sectional_numerator(pc, x, y) == num
+        assert type(ric) is Fraction and ric == ricci_frame_sum(pc, x)
+        assert charts.ricci_curvature(pc, x) == ric
+
+
+def test_exact_non_real_sectional_value_raises():
+    pc = random_curvature_tables(np.random.default_rng(3), exact=True, hermitian=False)
+    x, y = RATIONAL_PLANES[2]
+    with pytest.raises(ArithmeticError):
+        sectional_numerator_loop(pc, x, y)
+    with pytest.raises(ArithmeticError):
+        charts.sectional_numerator(pc, x, y)
+    with pytest.raises(ArithmeticError):
+        charts.ricci_curvature(pc, x)
+
+
+def test_exact_directions_reject_float_components(wallach_pc):
+    with pytest.raises(TypeError):
+        charts.sectional_numerator(wallach_pc, (1.0, 0, 0), (0, 1, 0))
+    with pytest.raises(TypeError):
+        charts.ricci_curvature(wallach_pc, (1j, 0, 0))
+
+
+# ---- normalized sectional curvature ----------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_normalized_sectional_does_not_depend_on_scale(wallach_float_pc, scale):
+    pc = wallach_float_pc
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    Y = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    X = np.vstack([X, [1, 1, 1]])
+    Y = np.vstack([Y, [0, 1, 0]])
+    want = charts.sectional_curvature(pc, X, Y, normalized=True)
+    assert want[-1] == pytest.approx(0.125, rel=1e-12)
+    for got in (charts.sectional_curvature(pc, scale * X, Y, normalized=True),
+                charts.sectional_curvature(pc, X, scale * Y, normalized=True),
+                charts.sectional_curvature(pc, scale * X, scale * Y, normalized=True)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_normalized_sectional_stack_matches_single_planes(wallach_pc, wallach_float_pc):
+    # the second rational plane has a zero numerator, which a relative
+    # tolerance cannot compare in float
+    planes = RATIONAL_PLANES[:1] + RATIONAL_PLANES[2:]
+    X, Y = [x for x, _ in planes], [y for _, y in planes]
+    vals = charts.sectional_curvature(wallach_pc, X, Y, normalized=True)
+    assert vals[0] == Fraction(1, 8)
+    for x, y, v in zip(X, Y, vals):
+        assert charts.sectional_curvature(wallach_pc, x, y, normalized=True) == v
+    Xf = np.array([[complex(c) for c in x] for x in X])
+    Yf = np.array([[complex(c) for c in y] for y in Y])
+    fvals = charts.sectional_curvature(wallach_float_pc, Xf, Yf, normalized=True)
+    assert fvals.shape == (len(planes),)
+    for x, y, fv, v in zip(Xf, Yf, fvals, vals):
+        single = charts.sectional_curvature(wallach_float_pc, x, y, normalized=True)
+        assert type(single) is float and single == pytest.approx(fv, rel=1e-14)
+        assert fv == pytest.approx(float(v), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_normalized_sectional_rejects_parallel_directions(wallach_float_pc, scale):
+    X = scale * np.array([1 + 2j, -0.5, 3j])
+    with pytest.raises(charts.DegeneratePlaneError):
+        charts.sectional_curvature(wallach_float_pc, X, -2.5 * X, normalized=True)
+    # one degenerate row in a stack is enough
+    for Y in (3 * X, -0.5 * X):
+        with pytest.raises(charts.DegeneratePlaneError):
+            charts.sectional_curvature(wallach_float_pc, [[1, 0, 0], X], [[0, 1, 0], Y],
+                                       normalized=True)
 
 
 # ---- float path and the finite-difference oracle -------------------------------------

@@ -235,6 +235,20 @@ def test_wallach_rejects_nonpositive_samples(capsys, samples):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("wallach", "--float", "--seed", "-1"),
+    ("wallach", "--seed", "-3", "--samples", "10"),
+    ("verify", "--example", "wallach", "--seed", "-2"),
+    ("verify", "--example", "sl2c", "--seed", "-1"),
+])
+def test_negative_seed_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--seed" in err
+
+
 # sha256 of the stdout of exact reports, recorded before the float sampling
 # path was batched (wallach) and before ExactComplex became an integer triple
 # (the rest); exact reports are promised to be byte-stable
@@ -264,6 +278,10 @@ EXACT_REPORT_SHA256 = {
     # the = form: argparse reads "--grid -1,..." as a missing argument
     ("sweep", "--grid=-1,0,1/2"):
         "8613221ac0b0ef27320f5b4926e9957d5e016fd8924a320a56474234ec0a5b2d",
+    # the exact suite with a float sampled minimum, recorded before the exact
+    # sectional and Ricci curvature moved onto the shared contractions
+    ("verify", "--example", "wallach", "--seed", "3"):
+        "5787f9dd15281a1a3d30bb07175ae3e26b9c0facee71906f8e67d86d13f51563",
 }
 
 

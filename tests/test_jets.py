@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
-from btpgeo.scalars import EC
+from btpgeo.scalars import EC, is_zero
 
 
 def z(i):
@@ -80,6 +80,58 @@ def test_ring_commutativity(entries):
     assert a * b == b * a
     assert (a + b).conj() == a.conj() + b.conj()
     assert (a * b).conj() == a.conj() * b.conj()
+
+
+# ---- ring results are canonical jets --------------------------------------------
+
+N = 3
+mono = st.one_of(st.just(()), st.tuples(st.integers(0, 2 * N - 1)),
+                 st.tuples(st.integers(0, 2 * N - 1), st.integers(0, 2 * N - 1)))
+small = st.integers(-2, 2)
+exact_coef = st.tuples(small, small).map(lambda p: EC(*p))
+float_coef = st.tuples(small, small).map(lambda p: complex(*p))
+
+
+def jets(coef):
+    # monomials in any order, so the public constructor sorts and merges them
+    return st.lists(st.tuples(mono, coef), max_size=6).map(
+        lambda items: Jet2(N, {m: c for m, c in items}))
+
+
+def assert_canonical(j):
+    assert j == Jet2(N, j.coeffs)
+    for m, c in j.coeffs.items():
+        assert type(m) is tuple and len(m) <= 2 and list(m) == sorted(m)
+        assert all(0 <= v < 2 * N for v in m)
+        assert not is_zero(c)
+
+
+def product_by_sorting(a, b):
+    acc = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            if len(m1) + len(m2) <= 2:
+                m = tuple(sorted(m1 + m2))
+                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+    return Jet2(N, acc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(jets(exact_coef), jets(exact_coef), exact_coef),
+                 st.tuples(jets(float_coef), jets(float_coef), float_coef)))
+def test_ring_results_are_canonical(case):
+    a, b, c = case
+    for r in (a + b, a - b, a * b, a.scale(c), -a, a.conj(), a - a, a.scale(c * 0)):
+        assert_canonical(r)
+    assert a * b == product_by_sorting(a, b)
+    assert (a - b) + b == a
+    assert a.conj().conj() == a
+
+
+@pytest.mark.parametrize("bad", [(6,), (-1,), (0, 1, 2), (3, 7)])
+def test_public_constructor_rejects_bad_monomials(bad):
+    with pytest.raises(ValueError):
+        Jet2(N, {bad: EC(1)})
 
 
 def test_jet_matrix_inverse_exact():

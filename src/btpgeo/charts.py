@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
-from .linalg import exact_solve_identity
+from .linalg import exact_solve_identity, row_basis
 from .scalars import (EC, ExactComplex, as_scalar, conj, is_exact, is_zero,
                       scalar_abs, scalar_to_json)
 
@@ -73,7 +73,8 @@ class ChartMetric:
 
     def __init__(self, n: int, g, label: str = ""):
         g = tuple(tuple(r) for r in g)
-        exact = is_exact(next(iter(g[0][0].coeffs.values()), EC.zero()))
+        exact = is_exact(next((c for row in g for f in row for c in f.coeffs.values()),
+                              EC.zero()))
         for i in range(n):
             for j in range(n):
                 d = g[i][j] - g[j][i].conj()
@@ -84,12 +85,13 @@ class ChartMetric:
                     raise ValueError("metric jets must be hermitian within tolerance")
         g0 = [[g[i][j].value() for j in range(n)] for i in range(n)]
         if exact:
-            # Sylvester: leading principal minors positive
-            for k in range(1, n + 1):
-                sub = [row[:k] for row in g0[:k]]
-                det = _exact_det(sub)
-                if not (det.im == 0 and det.re > 0):
-                    raise ValueError("metric must be positive definite at the base point")
+            # Sylvester: every leading principal minor D_k is positive iff row
+            # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
+            # column k (then, row by row, that entry is its pivot)
+            rows = row_basis(g0, exact=True)
+            if not (len(rows) == n and all(r[k].im == 0 and r[k].re > 0
+                                           for k, r in enumerate(rows))):
+                raise ValueError("metric must be positive definite at the base point")
         else:
             ev = np.linalg.eigvalsh(np.array([[complex(e) for e in r] for r in g0]))
             if np.min(ev) <= 0:
@@ -119,18 +121,6 @@ class ChartMetric:
                 if (not is_zero(d)) if self.exact else scalar_abs(d) > tol:
                     return False
         return True
-
-
-def _exact_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = EC.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _exact_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 # --------------------------------------------------------------------------
@@ -504,15 +494,6 @@ def riemannian_curvature_at(m: ChartMetric, tol: float = FLOAT_TOL) -> PointCurv
     return PointCurvature(n=m.n, exact=m.exact, torsion=T.tolist(), rc=Rc.tolist(),
                           ric1=ric1, ric2=ric2, ric3=ric3, r11=r11.tolist(),
                           r20=r20.tolist())
-
-
-def chern_point_curvature(m: ChartMetric) -> PointCurvature:
-    """Chern-side data only (no parallel-torsion requirement)."""
-    T = chern_torsion_at(m)
-    Rc = chern_curvature_at(m)
-    ric1, ric2, ric3 = ricci_forms_at(m, Rc)
-    return PointCurvature(n=m.n, exact=m.exact, torsion=T, rc=Rc,
-                          ric1=ric1, ric2=ric2, ric3=ric3, r11=None, r20=None)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ schema error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -150,10 +151,14 @@ def cmd_verify(args) -> int:
         raise CliError(f"unknown example {args.example!r}; choose from "
                        f"{sorted(goldens.SUITES)}", EXIT_USAGE)
     kwargs = {}
-    if args.example == "wallach" and args.seed is not None:
+    if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.example in ("n3", "vaisman54") and args.torsion_a:
+    if args.torsion_a is not None:
         kwargs["a"] = _parse_rational(args.torsion_a)
+    takes = inspect.signature(suite).parameters
+    for name, flag in (("seed", "--seed"), ("a", "--torsion-a")):
+        if name in kwargs and name not in takes:
+            raise CliError(f"{flag} does not apply to --example {args.example}", EXIT_USAGE)
     checks = suite(**kwargs)
     ok = all(c.passed for c in checks)
     report = {
@@ -162,6 +167,8 @@ def cmd_verify(args) -> int:
         "checks": [c.to_json() for c in checks],
         "refs": [c.ref for c in checks],
     }
+    if "a" in kwargs:
+        report["torsion_a"] = str(kwargs["a"])
     _emit(report, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 

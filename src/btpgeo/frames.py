@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import CMatrix, DimensionError, takagi_factorize
-from .scalars import EC, ExactComplex, conj, is_exact, is_zero
+from .scalars import EC, ExactComplex, is_exact
 
 
 class NotBalancedError(ValueError):
@@ -41,45 +41,28 @@ def _as_array(T) -> np.ndarray:
                     dtype=complex)
 
 
+_LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
+
+
 def transform_torsion(T, P, tol: float = 1e-10):
     """Torsion under the frame change e'_i = sum_s P_{is} e_s (P unitary):
 
         T'^i_{jk} = sum conj(P_{i a}) P_{j b} P_{k c} T^a_{bc}.
 
-    Exact inputs (with an exact unitary P) stay exact; otherwise numpy.
+    Exact T with an exact P runs on ExactComplex object arrays, needs P
+    exactly unitary and returns nested lists.  Anything else runs on
+    complex128, needs P unitary within ``tol`` and returns an ndarray.
     """
-    exactP = not isinstance(P, (np.ndarray,)) and is_exact(
-        (P.entries if isinstance(P, CMatrix) else P)[0][0])
-    exactT = not isinstance(T, np.ndarray) and is_exact(T[0][0][0])
-    if exactP and exactT:
-        rows = (P.entries if isinstance(P, CMatrix) else [list(r) for r in P])
-        n = len(rows)
-        for i in range(n):
-            for j in range(n):
-                acc = EC.zero()
-                for k in range(n):
-                    acc = acc + rows[i][k] * conj(rows[j][k])
-                if acc != (EC.one() if i == j else EC.zero()):
-                    raise ValueError("P must be exactly unitary on the exact path")
-        out = [[[EC.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = EC.zero()
-                    for a in range(n):
-                        for b in range(n):
-                            for c in range(n):
-                                t = T[a][b][c]
-                                if not is_zero(t):
-                                    acc = acc + conj(rows[i][a]) * rows[j][b] * rows[k][c] * t
-                    out[i][j][k] = acc
-        return out
-    arrT = _as_array(T)
-    arrP = P.to_numpy() if isinstance(P, CMatrix) else np.asarray(P, dtype=complex)
-    n = arrP.shape[0]
-    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(n))) > tol:
+    arrT = np.asarray(T)
+    arrP = np.asarray(P.entries if isinstance(P, CMatrix) else P)
+    if arrT.dtype == arrP.dtype == object:
+        if (arrP @ arrP.conj().T - np.identity(len(arrP), dtype=object)).any():
+            raise ValueError("P must be exactly unitary")
+        return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT).tolist()
+    arrT, arrP = arrT.astype(complex), arrP.astype(complex)
+    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > tol:
         raise ValueError("P must be unitary within tolerance")
-    return np.einsum('ia,jb,kc,abc->ijk', arrP.conj(), arrP, arrP, arrT)
+    return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
 
 
 def gauduchon_components(T) -> np.ndarray:

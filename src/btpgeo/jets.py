@@ -32,7 +32,12 @@ class Jet2:
                 m = tuple(sorted(m))
                 if len(m) > 2 or any(not 0 <= v < 2 * n for v in m):
                     raise ValueError(f"bad monomial {m} for n={n}")
-                clean[m] = clean[m] + c if m in clean else c
+                if m in clean:
+                    c = clean[m] + c
+                    if is_zero(c):      # two spellings of one monomial cancel
+                        del clean[m]
+                        continue
+                clean[m] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", clean)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .forms import (CoframeContext, InvariantForm, d_squared_residual,
                     dolbeault_split, exterior_d)
-from .linalg import CMatrix, hermitian_rank
+from .frames import transform_torsion
+from .linalg import CMatrix, hermitian_rank, row_basis
 from .scalars import (EC, ExactComplex, Scalar, SchemaError, conj, is_exact,
                       is_zero, scalar_abs, scalar_from_json, scalar_to_json)
 
@@ -561,32 +562,6 @@ def real_bracket_table(g: HermitianLieAlgebra):
     return table
 
 
-def _row_basis(vectors, exact: bool, tol: float = 1e-10):
-    """Independent spanning subset (row-reduced) of a list of vectors."""
-    if exact:
-        rows = [list(v) for v in vectors if any(not c.is_zero() for c in v)]
-        basis = []
-        reducers = []       # (pivot, nonzero (index, entry) pairs) per basis row
-        for v in rows:
-            v = list(v)
-            for piv, b_nz in reducers:
-                if not v[piv].is_zero():
-                    f = v[piv] / b_nz[0][1]
-                    for i, y in b_nz:
-                        v[i] = v[i] - f * y
-            nz = [(i, c) for i, c in enumerate(v) if not c.is_zero()]
-            if nz:
-                basis.append(v)
-                reducers.append((nz[0][0], nz))
-        return basis
-    arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
-    if arr.size == 0:
-        return []
-    u, s, vh = np.linalg.svd(arr)
-    rank = int(np.sum(s > max(s[0], 1.0) * tol)) if len(s) else 0
-    return [list(vh[r]) for r in range(rank)]
-
-
 def _bracket_span(table, U, V, exact):
     """Basis of span{ [u, v] : u in U, v in V }."""
     dim = len(table)
@@ -611,7 +586,7 @@ def _bracket_span(table, U, V, exact):
                     for m, tm in t:
                         w[m] = w[m] + c * tm
             prods.append(w)
-    return _row_basis(prods, exact)
+    return row_basis(prods, exact)
 
 
 def solvability_profile(g: HermitianLieAlgebra):
@@ -748,45 +723,17 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
 
 
 def transform_frame(g: HermitianLieAlgebra, P, tol: float = 1e-10) -> HermitianLieAlgebra:
-    """Structure constants under the new unitary frame e'_i = sum_s P_{is} e_s."""
+    """Structure constants under the new unitary frame e'_i = sum_s P_{is} e_s.
+
+    C and D follow the torsion law of ``frames.transform_torsion``:
+    C'^j_{ik} = sum conj(P_{jt}) P_{ib} P_{kc} C^t_{bc}, and likewise D.
+    """
     n = g.n
-    if isinstance(P, CMatrix):
-        P = P.entries
-    P = [list(r) for r in P]
-    exact = is_exact(P[0][0])
-    # unitarity
-    for i in range(n):
-        for j in range(n):
-            acc = EC.zero() if exact else 0j
-            for k in range(n):
-                acc = acc + P[i][k] * conj(P[j][k])
-            want = (EC.one() if exact else 1 + 0j) if i == j else (EC.zero() if exact else 0j)
-            d = acc - want
-            if exact:
-                if not d.is_zero():
-                    raise ValueError("frame change must be unitary")
-            elif scalar_abs(d) > tol:
-                raise ValueError("frame change must be unitary within tolerance")
-    zero = EC.zero() if g.exact else 0j
-    C = _zeros3(n, g.exact)
-    D = _zeros3(n, g.exact)
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                accC = zero
-                accD = zero
-                for t in range(n):
-                    for b in range(n):
-                        for c in range(n):
-                            if not is_zero(g.C[t][b][c]):
-                                accC = accC + conj(P[j][t]) * P[i][b] * P[k][c] * g.C[t][b][c]
-                            if not is_zero(g.D[b][t][c]):
-                                accD = accD + P[i][t] * conj(P[j][b]) * P[k][c] * g.D[b][t][c]
-                if i < k:
-                    # exact antisymmetrization guards against roundoff
-                    C[j][i][k] = accC
-                    C[j][k][i] = -accC
-                D[j][i][k] = accD
+    C, D = (np.asarray(transform_torsion(X, P, tol)).tolist() for X in (g.C, g.D))
+    # mirror the upper triangle: exact antisymmetry guards against roundoff
+    # (x * 0 is the zero of x's scalar kind)
+    C = [[[C[j][i][k] if i < k else -C[j][k][i] if i > k else C[j][i][i] * 0
+           for k in range(n)] for i in range(n)] for j in range(n)]
     return HermitianLieAlgebra(n, C, D, label=f"{g.label}~frame")
 
 

@@ -1,10 +1,12 @@
-"""Dense complex matrices, exact rank, and Takagi factorization.
+"""Dense complex matrices, row reduction, and Takagi factorization.
 
-Matrices come in the same two scalar kinds as everything else.  The exact
-kind supports fraction-free rank computation (used for the B-tensor rank and
-for span arithmetic in solvability profiles); the float kind is backed by
-numpy.  Takagi factorization is float-only: the inputs that need it are
-generic unitary-scrambled torsion data, never golden rational values.
+Matrices come in the same two scalar kinds as everything else.  One row
+reduction, ``row_basis``, serves every exact rank question: the rank of the
+B tensor, the spans of the lower central and derived series in solvability
+profiles, and the Sylvester positivity test of chart metrics, which reads
+its pivots.  Its float branch ranks by singular values.  Takagi
+factorization is float-only: the inputs that need it are generic
+unitary-scrambled torsion data, never golden rational values.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ class CMatrix:
     def to_numpy(self) -> np.ndarray:
         return np.array([[complex(e) for e in r] for r in self.entries], dtype=complex)
 
-    def conj_transpose(self) -> "CMatrix":
-        return CMatrix([[conj(self.entries[j][i]) for j in range(self.rows)]
-                        for i in range(self.cols)])
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         if self.rows != self.cols:
             return False
@@ -129,42 +127,46 @@ class CMatrix:
 
 
 # --------------------------------------------------------------------------
-# exact elimination helpers
+# row reduction and exact inverse
 # --------------------------------------------------------------------------
 
-def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
-    """Rank of a matrix of exact scalars by fraction-free elimination.
+def row_basis(vectors, exact: bool, tol: float = 1e-10) -> list:
+    """Independent spanning rows of a list of vectors, by row reduction.
 
-    Denominators are cleared row by row, then Bareiss-style elimination runs
-    on Gaussian-integer-like entries; only exactness of the zero test
-    matters, so the divisions stay exact by construction.
+    Exact vectors are eliminated in input order without row exchanges: each
+    row is reduced by the basis rows before it and kept if anything is left,
+    with its first nonzero entry as its pivot.  Every basis row is
+    zero at the pivots of the rows before it, and for a matrix whose leading
+    principal minors D_k are nonzero, basis row k pivots at column k on
+    D_k / D_(k-1).  Float vectors are ranked by singular values above
+    ``max(s[0], 1) * tol`` and the leading right singular vectors returned.
     """
-    m = [list(r) for r in rows]
-    nrow = len(m)
-    if nrow == 0:
-        return 0
-    ncol = len(m[0])
-    rank = 0
-    prev = EC.one()
-    for col in range(ncol):
-        piv = None
-        for r in range(rank, nrow):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrow):
-            for c in range(col + 1, ncol):
-                m[r][c] = (p * m[r][c] - m[r][col] * m[rank][c]) / prev
-            m[r][col] = EC.zero()
-        prev = p
-        rank += 1
-        if rank == nrow:
-            break
-    return rank
+    if exact:
+        basis = []
+        reducers = []       # (pivot, nonzero (index, entry) pairs) per basis row
+        for v in vectors:
+            v = list(v)
+            for piv, b_nz in reducers:
+                if not v[piv].is_zero():
+                    f = v[piv] / b_nz[0][1]
+                    for i, y in b_nz:
+                        v[i] = v[i] - f * y
+            nz = [(i, c) for i, c in enumerate(v) if not c.is_zero()]
+            if nz:
+                basis.append(v)
+                reducers.append((nz[0][0], nz))
+        return basis
+    arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
+    if arr.size == 0:
+        return []
+    u, s, vh = np.linalg.svd(arr)
+    rank = int(np.sum(s > max(s[0], 1.0) * tol)) if len(s) else 0
+    return [list(vh[r]) for r in range(rank)]
+
+
+def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
+    """Rank of a matrix of exact scalars: the length of its row basis."""
+    return len(row_basis(rows, exact=True))
 
 
 def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComplex]]:
@@ -189,8 +191,8 @@ def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComple
 def hermitian_rank(B: CMatrix) -> int:
     """Rank of a hermitian matrix.
 
-    Exact entries are eliminated fraction-free; float entries are ranked by
-    counting eigenvalues above ``n * max|B| * 1e-12``.
+    Exact entries are row-reduced by ``row_basis``; float entries are ranked
+    by counting eigenvalues above ``n * max|B| * 1e-12``.
     """
     if B.rows != B.cols:
         raise DimensionError("hermitian_rank needs a square matrix")

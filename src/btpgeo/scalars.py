@@ -66,10 +66,6 @@ class ExactComplex:
     def i() -> "ExactComplex":
         return _raw(0, 1, 1)
 
-    @staticmethod
-    def from_rational(re: Rat, im: Rat = 0) -> "ExactComplex":
-        return ExactComplex(re, im)
-
     # ---- ring operations ----------------------------------------------
     # A zero operand returns the other operand (or the zero itself, for a
     # product) instead of building a new scalar: sums that start from zero
@@ -266,14 +262,6 @@ def scalar_abs(c: Scalar) -> float:
     if isinstance(c, ExactComplex):
         return float(c.abs2()) ** 0.5
     return abs(c)
-
-
-def zero_like(c: Scalar) -> Scalar:
-    return ExactComplex.zero() if isinstance(c, ExactComplex) else 0j
-
-
-def imag_unit(exact: bool) -> Scalar:
-    return ExactComplex.i() if exact else 1j
 
 
 def as_scalar(value, exact: bool) -> Scalar:

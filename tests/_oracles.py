@@ -251,3 +251,80 @@ def random_curvature_tables(rng, exact, hermitian, n=3):
                + r11.transpose(2, 3, 0, 1))
     return PointCurvature(n=n, exact=exact, torsion=None, rc=None, ric1=None, ric2=None,
                           ric3=None, r11=r11.tolist(), r20=r20.tolist())
+
+
+# ---- exact rank, positivity and the frame-change law by explicit loops -------
+# The library answers all three with one row reduction (linalg.row_basis) and
+# one einsum (frames.transform_torsion).  The routes below are the ones those
+# replaced: fraction-free elimination, cofactor determinants and the
+# transformation law summed entry by entry.
+
+def bareiss_rank(rows):
+    """Rank of an exact matrix by Bareiss fraction-free elimination."""
+    m = [list(r) for r in rows]
+    nrow = len(m)
+    if nrow == 0:
+        return 0
+    ncol = len(m[0])
+    rank = 0
+    prev = EC.one()
+    for col in range(ncol):
+        piv = next((r for r in range(rank, nrow) if not m[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, nrow):
+            for c in range(col + 1, ncol):
+                m[r][c] = (p * m[r][c] - m[r][col] * m[rank][c]) / prev
+            m[r][col] = EC.zero()
+        prev = p
+        rank += 1
+        if rank == nrow:
+            break
+    return rank
+
+
+def cofactor_det(rows):
+    """Determinant of an exact square matrix by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = EC.zero()
+    for j in range(len(rows)):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * cofactor_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def sylvester_positive_definite(rows):
+    """Sylvester's criterion: every leading principal minor is real and positive."""
+    for k in range(1, len(rows) + 1):
+        det = cofactor_det([r[:k] for r in rows[:k]])
+        if not (det.im == 0 and det.re > 0):
+            return False
+    return True
+
+
+def transform_frame_loop(g, P):
+    """(C', D') of the unitary frame e'_i = sum_s P_{is} e_s, summed entry by
+    entry: C'^j_{ik} = sum conj(P_{jt}) P_{ib} P_{kc} C^t_{bc} over i < k,
+    mirrored below, and D'^j_{ik} = sum P_{it} conj(P_{jb}) P_{kc} D^b_{tc}."""
+    n = g.n
+    zero = EC.zero() if g.exact else 0j
+    C = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    D = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                acc_c = acc_d = zero
+                for t in range(n):
+                    for b in range(n):
+                        for c in range(n):
+                            acc_c = acc_c + conj(P[j][t]) * P[i][b] * P[k][c] * g.C[t][b][c]
+                            acc_d = acc_d + P[i][t] * conj(P[j][b]) * P[k][c] * g.D[b][t][c]
+                if i < k:
+                    C[j][i][k] = acc_c
+                    C[j][k][i] = -acc_c
+                D[j][i][k] = acc_d
+    return C, D

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (btp_residual_loop, chern_curvature_loop, random_chart_metric,
                       random_curvature_tables, ricci_frame_sum, sectional_closed_form,
-                      sectional_numerator_loop, torsion_loop, wirtinger_fd)
+                      sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
+                      wirtinger_fd)
 from btpgeo import charts
+from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.scalars import EC
 
@@ -566,7 +569,6 @@ def test_exact_mode_rejects_off_origin():
 
 
 def test_chart_metric_validation():
-    from btpgeo.jets import Jet2
     one = Jet2.constant(2, EC(1))
     zero = Jet2(2)
     # non-hermitian off-diagonal pair
@@ -576,3 +578,47 @@ def test_chart_metric_validation():
     neg = Jet2.constant(2, EC(-1))
     with pytest.raises(ValueError):
         charts.ChartMetric(2, [[one, zero], [zero, neg]])
+    # float, with a zero jet where the kind used to be read
+    fone = Jet2.constant(2, 1 + 0j)
+    with pytest.raises(ValueError):
+        charts.ChartMetric(2, [[zero, fone], [fone, fone]])
+    assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).exact
+
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_exact = st.builds(EC, small_rational, small_rational)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """n <= 3, drawn entry by entry or as a Gram matrix B^H B of k <= n rows,
+    which is singular for k < n; both give zero leading minors often."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        H = [[EC.zero()] * n for _ in range(n)]
+        for i in range(n):
+            H[i][i] = EC(draw(small_rational))
+            for j in range(i + 1, n):
+                H[i][j] = draw(small_exact)
+                H[j][i] = H[i][j].conjugate()
+        return H
+    k = draw(st.integers(0, n))
+    B = draw(st.lists(st.lists(small_exact, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum((B[t][i].conjugate() * B[t][j] for t in range(k)), EC.zero())
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_matrices())
+@example([[EC(0), EC(0)], [EC(0), EC(1)]])
+@example([[EC(1), EC(1)], [EC(1), EC(1)]])
+@example([[EC(1), EC(0), EC(0)], [EC(0), EC(0), EC(1)], [EC(0), EC(1), EC(2)]])
+def test_exact_positivity_matches_sylvester_cofactors(H):
+    n = len(H)
+    g = [[Jet2.constant(n, c) for c in row] for row in H]
+    try:
+        charts.ChartMetric(n, g)
+        definite = True
+    except ValueError:
+        definite = False
+    assert definite == sylvester_positive_definite(H)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from btpgeo import goldens
 from btpgeo.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -128,8 +130,32 @@ def test_verify_wallach_seeded_sampling(capsys):
 
 
 def test_verify_n3_with_torsion_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--example", "n3", "--torsion-a", "1/2")
+    # the report echoes a; vaisman54 takes the flag the same way
+    for example in ("n3", "vaisman54"):
+        code, out, _ = run_cli(capsys, "verify", "--example", example, "--torsion-a", "1/2")
+        assert code == 0
+        assert json.loads(out)["torsion_a"] == "1/2"
+
+
+def test_verify_seed_reaches_sl2c(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--example", "sl2c", "--seed", "5")
     assert code == 0
+    assert json.loads(out)["checks"] == [c.to_json() for c in goldens.sl2c_suite(5)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("a_st", "--seed", "1"),
+    ("n3", "--seed", "1"),
+    ("b_zt", "--torsion-a", "2"),
+    ("sl2c", "--torsion-a", "1/2"),
+    ("wallach", "--torsion-a", "2"),
+])
+def test_verify_rejects_flags_the_example_ignores(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--example", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert argv[1] in err
 
 
 def test_companion_n3(capsys):
@@ -270,9 +296,9 @@ EXACT_REPORT_SHA256 = {
         "aa31dab8d73adbf6914915c1da4a1fb31a92f930aa6d82571c357aab8ecfd2a5",
     ("verify", "--example", "sl2c"):
         "6bd91ee068f2638e7553f0a4896a0b123e24c9dedca26c00b57a6a7275b87a13",
-    # the verify report does not echo a, so it matches the a = 1 report
+    # the a = 1 report plus a "torsion_a" field that echoes a
     ("verify", "--example", "n3", "--torsion-a", "38029750/1000001"):
-        "64c4e698b65c960294b3392f5be32c34b5111b22c81f856b74bd31edcd07e066",
+        "9e68ec78f1c04f5a479afdbc7d1c3addb1f186cac6de0c7b4640a40f3f8707d2",
     ("companion", "--example", "n3", "--swap", "2"):
         "5524add6773a13afe59c1a512f60cb7c8e39c67d5a6240d0e0b9098fe98dbde6",
     # the = form: argparse reads "--grid -1,..." as a missing argument
@@ -291,13 +317,18 @@ def test_exact_reports_are_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_REPORT_SHA256[argv]
 
 
+# the module run from the source tree, as the in-process tests import it
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+SOURCE_ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "classify"],
-                          capture_output=True)
+                          capture_output=True, env=SOURCE_ENV)
     assert proc.returncode == 3
 
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "verify",
-                           "--example", "n3"], capture_output=True)
+                           "--example", "n3"], capture_output=True, env=SOURCE_ENV)
     assert proc.returncode == 0

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
 from btpgeo.scalars import EC, is_zero
@@ -119,6 +119,7 @@ def product_by_sorting(a, b):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.tuples(jets(exact_coef), jets(exact_coef), exact_coef),
                  st.tuples(jets(float_coef), jets(float_coef), float_coef)))
+@example((Jet2(N, {(0, 1): EC(1), (1, 0): EC(-1)}), Jet2(N), EC(0)))
 def test_ring_results_are_canonical(case):
     a, b, c = case
     for r in (a + b, a - b, a * b, a.scale(c), -a, a.conj(), a - a, a.scale(c * 0)):
@@ -126,6 +127,14 @@ def test_ring_results_are_canonical(case):
     assert a * b == product_by_sorting(a, b)
     assert (a - b) + b == a
     assert a.conj().conj() == a
+
+
+@pytest.mark.parametrize("one", [EC(1), 1 + 0j])
+def test_public_constructor_drops_cancelled_spellings(one):
+    j = Jet2(N, {(0, 1): one, (1, 0): -one, (2,): one})
+    assert j.coeffs == {(2,): one}
+    assert Jet2(N, {(0, 1): one, (1, 0): -one}) == Jet2(N)
+    assert Jet2(N, {(0, 1): one, (1, 0): -one}).is_zero()
 
 
 @pytest.mark.parametrize("bad", [(6,), (-1,), (0, 1, 2), (3, 7)])

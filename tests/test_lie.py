@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import transform_frame_loop
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
 from btpgeo.linalg import hermitian_rank
@@ -296,6 +298,42 @@ def test_classify_invariant_under_frame_change():
                                                     for i in range(3)]))
         assert (rep.balanced, rep.btp, rep.b_rank, rep.cyt, rep.type_label) == \
             (base.balanced, base.btp, base.b_rank, base.cyt, base.type_label)
+
+
+FRAME_ALGEBRAS = [lie.nilmanifold_n3(2), lie.family_a(Fraction(1, 2), Fraction(1, 3)),
+                  lie.family_b(EC(1, -1), 2), lie.sl2c(1), lie.vaisman_nilmanifold(1)]
+EXACT_UNITARIES = [
+    [[EC(0), EC(1), EC(0)], [EC(1), EC(0), EC(0)], [EC(0), EC(0), EC(0, 1)]],
+    [[EC(Fraction(3, 5)), EC(0, Fraction(4, 5)), EC(0)],
+     [EC(0, Fraction(4, 5)), EC(Fraction(3, 5)), EC(0)], [EC(0), EC(0), EC(1)]],
+]
+
+
+def _float_algebra(g):
+    to_float = lambda T: [[[complex(c) for c in r] for r in layer] for layer in T]
+    return lie.HermitianLieAlgebra(g.n, to_float(g.C), to_float(g.D), label=g.label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(FRAME_ALGEBRAS), st.sampled_from(EXACT_UNITARIES))
+def test_transform_frame_matches_loop_law_exactly(g, P):
+    gP = lie.transform_frame(g, P)
+    C, D = transform_frame_loop(g, P)
+    assert gP.exact
+    assert [[list(r) for r in layer] for layer in gP.C] == C
+    assert [[list(r) for r in layer] for layer in gP.D] == D
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FRAME_ALGEBRAS), st.integers(0, 2**32 - 1))
+def test_transform_frame_matches_loop_law_in_float(g, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    gf = _float_algebra(g)
+    gP = lie.transform_frame(gf, Q)
+    C, D = transform_frame_loop(gf, Q.tolist())
+    assert np.max(np.abs(np.array(gP.C) - np.array(C))) <= 1e-12
+    assert np.max(np.abs(np.array(gP.D) - np.array(D))) <= 1e-12
 
 
 def test_transform_frame_requires_unitary():

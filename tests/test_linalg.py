@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import bareiss_rank
 from btpgeo.linalg import (CMatrix, DimensionError, NumericError, ShapeError,
                            exact_rank, exact_solve_identity, hermitian_rank,
-                           takagi_factorize)
+                           row_basis, takagi_factorize)
 from btpgeo.scalars import EC
 
 
@@ -48,6 +50,32 @@ def test_rank_float_unitary_conjugation_invariant():
 
 def test_exact_rank_rectangular():
     assert exact_rank([[EC(1), EC(2), EC(3)], [EC(2), EC(4), EC(6)]]) == 1
+
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_exact = st.builds(EC, small_rational, small_rational)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 4 x 5, either drawn entry by entry or as a product A B through an
+    inner dimension r, which caps the rank at r and makes deficient ones common."""
+    nrow, ncol = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = lambda h, w: draw(st.lists(st.lists(small_exact, min_size=w, max_size=w),
+                                         min_size=h, max_size=h))
+    if draw(st.booleans()):
+        return entries(nrow, ncol)
+    r = draw(st.integers(0, min(nrow, ncol)))
+    A, B = entries(nrow, r), entries(r, ncol)
+    return [[sum((A[i][t] * B[t][j] for t in range(r)), EC.zero()) for j in range(ncol)]
+            for i in range(nrow)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_exact_rank_matches_bareiss(rows):
+    assert exact_rank(rows) == bareiss_rank(rows)
+    assert len(row_basis(rows, exact=True)) == bareiss_rank(rows)
 
 
 def test_exact_inverse():

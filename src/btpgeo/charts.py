@@ -43,11 +43,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
-from .linalg import exact_solve_identity, row_basis
-from .scalars import (EC, ExactComplex, as_scalar, conj, is_exact, is_zero,
+from .linalg import matrix_inverse, row_basis
+from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, Kind, conj, is_zero, kind_of,
                       scalar_abs, scalar_to_json)
-
-FLOAT_TOL = 1e-9
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -69,22 +67,22 @@ class DegeneratePlaneError(ValueError):
 class ChartMetric:
     """Hermitian metric components g_{i jbar} as 2-jets at a base point."""
 
-    __slots__ = ("n", "g", "label", "exact")
+    __slots__ = ("n", "g", "label", "kind")
 
     def __init__(self, n: int, g, label: str = ""):
         g = tuple(tuple(r) for r in g)
-        exact = is_exact(next((c for row in g for f in row for c in f.coeffs.values()),
-                              EC.zero()))
+        kind = kind_of(next((c for row in g for f in row for c in f.coeffs.values()),
+                            EC.zero()))
         for i in range(n):
             for j in range(n):
                 d = g[i][j] - g[j][i].conj()
-                if exact:
-                    if not d.is_zero():
-                        raise ValueError("metric jets must be hermitian")
-                elif d.norm_inf() > 1e-10 * max(g[i][j].norm_inf(), 1.0):
-                    raise ValueError("metric jets must be hermitian within tolerance")
+                if d.is_zero():
+                    continue
+                tol = 1e-10 * max(g[i][j].norm_inf(), 1.0)
+                if not all(kind.negligible(c, tol) for c in d.coeffs.values()):
+                    raise ValueError("metric jets must be hermitian")
         g0 = [[g[i][j].value() for j in range(n)] for i in range(n)]
-        if exact:
+        if kind.exact:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
             # column k (then, row by row, that entry is its pivot)
@@ -99,50 +97,42 @@ class ChartMetric:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
+
+    @property
+    def exact(self) -> bool:
+        return self.kind.exact
 
     def value_matrix(self):
         return [[self.g[i][j].value() for j in range(self.n)] for i in range(self.n)]
 
     def inverse_value_matrix(self):
-        g0 = self.value_matrix()
-        if self.exact:
-            return exact_solve_identity([list(r) for r in g0])
-        inv = np.linalg.inv(np.array([[complex(e) for e in r] for r in g0]))
-        return [[complex(inv[i, j]) for j in range(self.n)] for i in range(self.n)]
+        return matrix_inverse(self.value_matrix(), self.kind)
 
     def has_identity_base(self, tol: float = FLOAT_TOL) -> bool:
-        for i, row in enumerate(self.value_matrix()):
-            for j, v in enumerate(row):
-                d = v - (1 if i == j else 0)
-                if (not is_zero(d)) if self.exact else scalar_abs(d) > tol:
-                    return False
-        return True
+        return all(self.kind.negligible(v - (1 if i == j else 0), tol)
+                   for i, row in enumerate(self.value_matrix()) for j, v in enumerate(row))
 
 
 # --------------------------------------------------------------------------
 # metric builders
 # --------------------------------------------------------------------------
 
-def _coords(n: int, point, exact: bool):
+def _coords(n: int, point, kind: Kind):
     """Coordinate jets Z_i = p_i + w_i and their conjugates."""
     Z, Zb = [], []
     for i in range(n):
-        p = point[i]
-        if exact:
-            base = Jet2.constant(n, p if isinstance(p, ExactComplex) else EC(Fraction(p), 0))
-        else:
-            base = Jet2.constant(n, complex(p))
-        Z.append(base + Jet2.z(n, i, exact))
-        Zb.append(base.conj() + Jet2.zbar(n, i, exact))
+        base = Jet2.constant(n, kind.scalar(point[i]))
+        Z.append(base + Jet2.z(n, i, kind.exact))
+        Zb.append(base.conj() + Jet2.zbar(n, i, kind.exact))
     return Z, Zb
 
 
 def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
-    one = EC.one() if exact else 1 + 0j
+    one = (EXACT if exact else FLOAT).one
     g = [[Jet2.constant(n, one) if i == j else Jet2(n) for j in range(n)]
          for i in range(n)]
     return ChartMetric(n, g, label="euclidean")
@@ -151,8 +141,9 @@ def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
 def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetric:
     """g = Hess log(1 + |z|^2): the Kaehler reference case (zero torsion)."""
     point = point or [0] * n
-    Z, Zb = _coords(n, point, exact)
-    one = EC.one() if exact else 1 + 0j
+    kind = EXACT if exact else FLOAT
+    Z, Zb = _coords(n, point, kind)
+    one = kind.one
     al = Jet2.constant(n, one)
     for k in range(n):
         al = al + Z[k] * Zb[k]
@@ -172,15 +163,14 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
     n = 3
     if point is None:
         point = [0, 0, 0]
-    if exact and any(not is_zero(p if isinstance(p, ExactComplex) else EC(Fraction(p), 0))
-                     for p in point):
+    kind = EXACT if exact else FLOAT
+    if kind.exact and any(kind.scalar(p) for p in point):
         raise ValueError("exact jets are expanded at the chart origin only")
-    Z, Zb = _coords(n, point, exact)
-    one = EC.one() if exact else 1 + 0j
+    Z, Zb = _coords(n, point, kind)
+    one = kind.one
     zero = Jet2(n)
     const = lambda c: Jet2.constant(n, c)
-    sscale = (EC(Fraction(sigma_scale), 0) if not isinstance(sigma_scale, ExactComplex)
-              else sigma_scale) if exact else complex(sigma_scale)
+    sscale = kind.scalar(sigma_scale)
 
     al = const(one) + Z[0] * Zb[0] + Z[1] * Zb[1]
     al_d = [Zb[0], Zb[1], zero]                      # partial_i alpha
@@ -302,14 +292,9 @@ class _Jets(NamedTuple):
     ginv: np.ndarray    # ginv[l,j] = g^{lbar j}
 
 
-def _dtype(m: ChartMetric):
-    return object if m.exact else complex
-
-
 def _jet_arrays(m: ChartMetric) -> _Jets:
     n = m.n
-    zero = as_scalar(0, m.exact)
-    dg, dgb, hh, ha = (np.full((n,) * r, zero, _dtype(m)) for r in (3, 3, 4, 4))
+    dg, dgb, hh, ha = (np.full((n,) * r, m.kind.zero, m.kind.dtype) for r in (3, 3, 4, 4))
     for i in range(n):
         for j in range(n):
             for mono, c in m.g[i][j].coeffs.items():
@@ -325,7 +310,7 @@ def _jet_arrays(m: ChartMetric) -> _Jets:
                         hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
                     elif v < n:
                         ha[i, j, v, w - n] = c
-    return _Jets(dg, dgb, hh, ha, np.array(m.inverse_value_matrix(), _dtype(m)))
+    return _Jets(dg, dgb, hh, ha, np.array(m.inverse_value_matrix(), m.kind.dtype))
 
 
 def _first_derivs(m: ChartMetric):
@@ -392,7 +377,7 @@ def ricci_forms_at(m: ChartMetric, Rc=None):
     """
     if Rc is None:
         Rc = chern_curvature_at(m)
-    return tuple(r.tolist() for r in _ricci(np.array(Rc, _dtype(m))))
+    return tuple(r.tolist() for r in _ricci(np.array(Rc, m.kind.dtype)))
 
 
 def btp_residual_at(m: ChartMetric):
@@ -440,9 +425,13 @@ class PointCurvature:
     r11: Optional[list]      # r11[k][l][i][j] = R_{k lbar i jbar}
     r20: Optional[list]      # r20[i][j][k][l] = R_{i j k lbar}
 
+    @property
+    def kind(self) -> Kind:
+        return EXACT if self.exact else FLOAT
+
     def to_json(self):
         dump = lambda a: _nested_json(a)
-        out = {"n": self.n, "scalar_kind": "exact" if self.exact else "float",
+        out = {"n": self.n, "scalar_kind": self.kind.name,
                "torsion": dump(self.torsion), "chern_curvature": dump(self.rc),
                "chern_ricci_1": dump(self.ric1), "chern_ricci_2": dump(self.ric2),
                "chern_ricci_3": dump(self.ric3)}
@@ -458,7 +447,7 @@ def _nested_json(a):
     return scalar_to_json(a)
 
 
-def riemannian_curvature_at(m: ChartMetric, tol: float = FLOAT_TOL) -> PointCurvature:
+def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     """Levi-Civita curvature at a unitary base point of a parallel-torsion
     metric.
 
@@ -471,21 +460,21 @@ def riemannian_curvature_at(m: ChartMetric, tol: float = FLOAT_TOL) -> PointCurv
             + 1/4 sum_r ( T^r_{ik} conj(T^r_{jl}) - T^j_{kr} conj(T^i_{lr})
                           - T^l_{ir} conj(T^k_{jr}) ).
     """
-    if not m.has_identity_base(tol):
+    if not m.has_identity_base():
         raise BaseMetricError("Levi-Civita extraction needs g = identity at "
                               "the base point")
-    res_h, res_a = btp_residual_at(m)
-    resid = max(_max_abs4(res_h), _max_abs4(res_a))
-    if resid > (0.0 if m.exact else tol):
+    res = btp_residual_at(m)
+    if not m.kind.negligible(np.array(res, m.kind.dtype)).all():
+        resid = max(map(_max_abs4, res))
         raise UnsupportedMetricError(
             f"torsion is not parallel at the base point (residual {resid:.3e}); "
             "the covariant-derivative term of the (2,0) curvature is not supported")
     J = _jet_arrays(m)
     T = _torsion(J)
     Tc = np.conj(T)
-    Rc = np.array(chern_curvature_at(m), _dtype(m))
-    quarter = as_scalar(Fraction(1, 4), m.exact)
-    half = as_scalar(Fraction(1, 2), m.exact)
+    Rc = np.array(chern_curvature_at(m), m.kind.dtype)
+    quarter = m.kind.scalar(Fraction(1, 4))
+    half = m.kind.scalar(Fraction(1, 2))
     r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter
     r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
            + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
@@ -504,10 +493,10 @@ def _tables(pc: PointCurvature):
     """r11 and r20 as arrays of the data's scalar kind."""
     if pc.r11 is None:
         raise UnsupportedMetricError("Levi-Civita components missing")
-    return np.array(pc.r11, _dtype(pc)), np.array(pc.r20, _dtype(pc))
+    return np.array(pc.r11, pc.kind.dtype), np.array(pc.r20, pc.kind.dtype)
 
 
-_to_exact = np.frompyfunc(lambda v: as_scalar(v, True), 1, 1)
+_to_exact = np.frompyfunc(EXACT.scalar, 1, 1)
 
 
 def _directions(pc: PointCurvature, X):
@@ -517,10 +506,10 @@ def _directions(pc: PointCurvature, X):
     Exact data takes ExactComplex, int and Fraction components; anything
     else raises TypeError.
     """
-    arr = np.asarray(X, _dtype(pc))
+    arr = np.asarray(X, pc.kind.dtype)
     if arr.ndim not in (1, 2) or arr.shape[-1] != pc.n:
         raise ValueError(f"direction must have {pc.n} components")
-    if pc.exact:
+    if pc.kind.exact:
         arr = _to_exact(arr)
     return arr.reshape(-1, pc.n), arr.ndim == 1
 
@@ -610,7 +599,7 @@ def sectional_curvature(pc: PointCurvature, X, Y, normalized: bool = False):
         w = np.einsum("ma,ma->m", X, Y.conj())
         xy = _real(w + w.conj())
         den = x2 * y2 - xy * xy
-        if (abs(den) <= (0 if pc.exact else 1e-14) * x2 * y2).any():
+        if pc.kind.negligible(den, 1e-14 * x2 * y2).any():
             raise DegeneratePlaneError("x and y span a degenerate plane")
         vals = vals / den
     return _result(vals, single)

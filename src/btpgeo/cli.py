@@ -206,7 +206,7 @@ def cmd_wallach(args) -> int:
 def cmd_sweep(args) -> int:
     grid = [_parse_rational(v) for v in args.grid.split(",")] if args.grid else \
         [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
-    a = _parse_rational(args.torsion_a) if args.torsion_a else Fraction(1)
+    a = Fraction(1) if args.torsion_a is None else _parse_rational(args.torsion_a)
     rows = []
     claims_ok = True
     for fam, mk in (("a_st", lambda p, q: lie.family_a(p, q, a)),
@@ -244,7 +244,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_companion(args) -> int:
-    a = _parse_rational(args.torsion_a) if args.torsion_a else Fraction(1)
+    a = Fraction(1) if args.torsion_a is None else _parse_rational(args.torsion_a)
     g = _example_algebra(args.example, a)
     swap = set()
     if args.swap.strip():

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import (EC, Scalar, conj, is_exact, is_zero, scalar_abs,
+from .scalars import (EC, Kind, Scalar, conj, is_zero, kind_of, scalar_abs,
                       scalar_from_json, scalar_to_json)
 
 
@@ -166,9 +166,8 @@ class InvariantForm:
 
     def coeff(self, I: Sequence[int], J: Sequence[int]) -> Scalar:
         c = self.terms.get((tuple(I), tuple(J)))
-        if c is None:
-            some = next(iter(self.terms.values()), None)
-            return EC.zero() if some is None or is_exact(some) else 0j
+        if c is None:       # the zero of the form's kind; exact for an empty form
+            return kind_of(next(iter(self.terms.values()), EC.zero())).zero
         return c
 
     def degrees(self) -> set:
@@ -251,6 +250,14 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return a.wedge(b)
 
 
+def lower_antisymmetric(T, kind: Kind) -> bool:
+    """Whether T[j][i][k] + T[j][k][i] is negligible (within 1e-12 for
+    float data) for every j, i, k."""
+    n = len(T)
+    return all(kind.negligible(T[j][i][k] + T[j][k][i], 1e-12)
+               for j in range(n) for i in range(n) for k in range(i, n))
+
+
 class CoframeContext:
     """Structure constants C^j_{ik}, D^j_{ik} driving the exterior derivative.
 
@@ -259,7 +266,7 @@ class CoframeContext:
     [j][i][k], 0-based.
     """
 
-    __slots__ = ("n", "C", "D", "exact", "_dphi", "_dphibar")
+    __slots__ = ("n", "C", "D", "kind", "_dphi", "_dphibar")
 
     def __init__(self, n: int, C, D):
         C = tuple(tuple(tuple(r) for r in layer) for layer in C)
@@ -267,19 +274,13 @@ class CoframeContext:
         for T, name in ((C, "C"), (D, "D")):
             if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
                 raise FormDimensionError(f"{name} must be n x n x n")
-        exact_kind = is_exact(C[0][0][0])
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    d = C[j][i][k] + C[j][k][i]
-                    if is_zero(d):
-                        continue
-                    if exact_kind or scalar_abs(d) > 1e-12:
-                        raise ValueError("C must be antisymmetric in its lower indices")
+        kind = kind_of(C[0][0][0])
+        if not lower_antisymmetric(C, kind):
+            raise ValueError("C must be antisymmetric in its lower indices")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "exact", is_exact(C[0][0][0]))
+        object.__setattr__(self, "kind", kind)
         dphi = []
         for i in range(n):
             f = InvariantForm.zero(n)
@@ -296,6 +297,10 @@ class CoframeContext:
 
     def __setattr__(self, *_):
         raise AttributeError("CoframeContext is immutable")
+
+    @property
+    def exact(self) -> bool:
+        return self.kind.exact
 
     def d_phi(self, i: int) -> InvariantForm:
         return self._dphi[i]
@@ -320,10 +325,10 @@ def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:
             after = factors[t + 1:]
             pre = InvariantForm.monomial(
                 n, [i for k, i in before if k == 0], [i for k, i in before if k == 1],
-                EC.one() if is_exact(c) else 1 + 0j)
+                ctx.kind.one)
             post = InvariantForm.monomial(
                 n, [i for k, i in after if k == 0], [i for k, i in after if k == 1],
-                EC.one() if is_exact(c) else 1 + 0j)
+                ctx.kind.one)
             term = pre.wedge(dfac).wedge(post)
             cc = c if t % 2 == 0 else -c
             out = out + term.scale(cc)

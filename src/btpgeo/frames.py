@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import CMatrix, DimensionError, takagi_factorize
-from .scalars import EC, ExactComplex, is_exact
+from .scalars import EC, ExactComplex
 
 
 class NotBalancedError(ValueError):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from .scalars import EC, Scalar, conj, is_exact, is_zero, scalar_abs
+from .linalg import matrix_inverse
+from .scalars import EC, EXACT, FLOAT, Scalar, conj, is_zero, kind_of, scalar_abs
 
 Mono = Tuple[int, ...]   # (), (v,), or (v, w) with v <= w
 
@@ -51,7 +52,7 @@ class Jet2:
 
     @staticmethod
     def variable(n: int, v: int, exact: bool = True) -> "Jet2":
-        return Jet2(n, {(v,): EC.one() if exact else 1 + 0j})
+        return Jet2(n, {(v,): (EXACT if exact else FLOAT).one})
 
     @staticmethod
     def z(n: int, i: int, exact: bool = True) -> "Jet2":
@@ -109,7 +110,7 @@ class Jet2:
         c0 = self.coeffs.get(())
         if c0 is None or is_zero(c0):
             raise JetSingularityError("jet has zero constant term")
-        one = EC.one() if is_exact(c0) else 1 + 0j
+        one = kind_of(c0).one
         u = (self - Jet2.constant(self.n, c0)).scale(one / c0)
         # 1/(c0 (1+u)) = (1 - u + u^2)/c0
         out = Jet2.constant(self.n, one) - u + u * u
@@ -130,17 +131,12 @@ class Jet2:
 
     # ---- coefficient extraction ----------------------------------------------
     def value(self) -> Scalar:
-        c = self.coeffs.get(())
-        if c is None:
-            some = next(iter(self.coeffs.values()), None)
-            return EC.zero() if some is None or is_exact(some) else 0j
-        return c
+        return self.coeff(())
 
     def coeff(self, mono: Sequence[int]) -> Scalar:
         c = self.coeffs.get(tuple(sorted(mono)))
-        if c is None:
-            some = next(iter(self.coeffs.values()), None)
-            return EC.zero() if some is None or is_exact(some) else 0j
+        if c is None:       # the zero of the jet's kind; exact for an empty jet
+            return kind_of(next(iter(self.coeffs.values()), EC.zero())).zero
         return c
 
     def deriv(self, holo: Sequence[int] = (), anti: Sequence[int] = ()) -> Scalar:
@@ -255,24 +251,15 @@ def _jet(n: int, coeffs: Dict[Mono, Scalar]) -> Jet2:
 def jet_matrix_inverse(g):
     """Inverse of a square matrix of jets via the Neumann series.
 
-    The constant part is inverted exactly (exact kind) or with numpy (float
-    kind); the series terminates at second order because jets truncate.
+    The constant part is inverted by ``linalg.matrix_inverse`` in the
+    jets' scalar kind; the series terminates at second order because jets
+    truncate.
     """
-    import numpy as np
-
-    from .linalg import exact_solve_identity
-
     n = len(g)
     jn = g[0][0].n
     c0 = [[gij.value() for gij in row] for row in g]
-    exact = is_exact(c0[0][0])
-    if exact:
-        c0inv = exact_solve_identity(c0)
-        one = EC.one()
-    else:
-        c0inv = np.linalg.inv(np.array([[complex(e) for e in r] for r in c0]))
-        c0inv = [[complex(c0inv[i, j]) for j in range(n)] for i in range(n)]
-        one = 1 + 0j
+    kind = kind_of(c0[0][0])
+    c0inv = matrix_inverse(c0, kind)
     const_inv = [[Jet2.constant(jn, c0inv[i][j]) for j in range(n)] for i in range(n)]
     # E = c0inv @ (g - c0) has no constant term
     higher = [[g[i][j] - Jet2.constant(jn, c0[i][j]) for j in range(n)] for i in range(n)]
@@ -282,7 +269,7 @@ def jet_matrix_inverse(g):
                  for j in range(n)] for i in range(n)]
 
     E = matmul(const_inv, higher)
-    I = [[Jet2.constant(jn, one if i == j else (EC.zero() if exact else 0j))
+    I = [[Jet2.constant(jn, kind.one if i == j else kind.zero)
           for j in range(n)] for i in range(n)]
     EE = matmul(E, E)
     series = [[I[i][j] - E[i][j] + EE[i][j] for j in range(n)] for i in range(n)]

@@ -17,13 +17,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .forms import (CoframeContext, InvariantForm, d_squared_residual,
-                    dolbeault_split, exterior_d)
+                    dolbeault_split, exterior_d, lower_antisymmetric)
 from .frames import transform_torsion
 from .linalg import CMatrix, hermitian_rank, row_basis
-from .scalars import (EC, ExactComplex, Scalar, SchemaError, conj, is_exact,
-                      is_zero, scalar_abs, scalar_from_json, scalar_to_json)
-
-FLOAT_TOL = 1e-9
+from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
+                      conj, is_zero, kind_of, scalar_from_json, scalar_to_json)
 
 
 class IntegrabilityError(ValueError):
@@ -38,13 +36,13 @@ class PatternError(ValueError):
     """Torsion does not match the pattern required by an operation."""
 
 
-def _zeros3(n, exact):
-    z = EC.zero() if exact else 0j
-    return [[[z for _ in range(n)] for _ in range(n)] for _ in range(n)]
+def _zeros3(n, kind: Kind = EXACT):
+    return [[[kind.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
 
-def _form_is_zero(f: InvariantForm, exact: bool, tol: float = FLOAT_TOL) -> bool:
-    return f.is_zero() if exact else f.norm_inf() <= tol
+def _form_is_zero(f: InvariantForm, kind: Kind) -> bool:
+    """Whether every coefficient of f is negligible in the given kind."""
+    return all(map(kind.negligible, f.terms.values()))
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +64,7 @@ class HermitianLieAlgebra:
         if validate:
             residuals = d_squared_residual(ctx)
             bad = [i for i, r in enumerate(residuals)
-                   if not _form_is_zero(r, ctx.exact)]
+                   if not _form_is_zero(r, ctx.kind)]
             if bad:
                 names = ", ".join(f"d^2 phi_{i+1}" for i in bad)
                 raise IntegrabilityError(
@@ -80,6 +78,10 @@ class HermitianLieAlgebra:
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianLieAlgebra is immutable")
+
+    @property
+    def kind(self) -> Kind:
+        return EXACT if self.exact else FLOAT
 
     def __repr__(self):
         return f"HermitianLieAlgebra(n={self.n}, label={self.label!r})"
@@ -111,7 +113,6 @@ class HermitianLieAlgebra:
         if not (isinstance(c_in, list) and isinstance(d_in, list)):
             raise SchemaError("'C' and 'D' must be lists of entries")
         entries = c_in + d_in
-        exact = True
         parsed = []
         for e in entries:
             try:
@@ -125,12 +126,13 @@ class HermitianLieAlgebra:
             if not all(0 <= v < n for v in (j, i, k)):
                 raise SchemaError(f"index out of range in {e!r}")
             parsed.append((j, i, k, c))
-            exact = exact and is_exact(c)
-        C = _zeros3(n, exact)
-        D = _zeros3(n, exact)
+        # one float coefficient makes the whole algebra float
+        kind = FLOAT if any(kind_of(c) is FLOAT for *_, c in parsed) else EXACT
+        C = _zeros3(n, kind)
+        D = _zeros3(n, kind)
         ncr = len(c_in)
         for pos, (j, i, k, c) in enumerate(parsed):
-            c = c if exact else complex(c)
+            c = kind.scalar(c)
             if pos < ncr:
                 if i >= k:
                     raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
@@ -155,14 +157,14 @@ def _ec(x) -> ExactComplex:
 
 
 def abelian(n: int = 3) -> HermitianLieAlgebra:
-    return HermitianLieAlgebra(n, _zeros3(n, True), _zeros3(n, True), label=f"abelian{n}")
+    return HermitianLieAlgebra(n, _zeros3(n), _zeros3(n), label=f"abelian{n}")
 
 
 def nilmanifold_n3(a=1) -> HermitianLieAlgebra:
     """The balanced nilmanifold: d phi_3 = -a phi_{1 1b} + a phi_{2 2b}."""
     a = _ec(a)
-    C = _zeros3(3, True)
-    D = _zeros3(3, True)
+    C = _zeros3(3)
+    D = _zeros3(3)
     D[0][2][0] = a        # D^1_{31} = a
     D[1][2][1] = -a       # D^2_{32} = -a
     return HermitianLieAlgebra(3, C, D, label="n3")
@@ -171,8 +173,8 @@ def nilmanifold_n3(a=1) -> HermitianLieAlgebra:
 def family_a(s, t, a=1) -> HermitianLieAlgebra:
     """The first middle-type family, parameterized by real (s, t)."""
     s, t, a = Fraction(s), Fraction(t), _ec(a)
-    C = _zeros3(3, True)
-    D = _zeros3(3, True)
+    C = _zeros3(3)
+    D = _zeros3(3)
     C[0][0][2] = EC(0, -s); C[0][2][0] = EC(0, s)      # C^1_{13} = -i s
     C[1][1][2] = EC(0, -t); C[1][2][1] = EC(0, t)      # C^2_{23} = -i t
     D[0][0][2] = EC(0, s)                              # D^1_{13} = i s
@@ -184,10 +186,9 @@ def family_a(s, t, a=1) -> HermitianLieAlgebra:
 
 def family_b(z, t, a=1) -> HermitianLieAlgebra:
     """The second middle-type family, parameterized by complex z and real t."""
-    z = _ec(z) if not isinstance(z, ExactComplex) else z
-    t, a = Fraction(t), _ec(a)
-    C = _zeros3(3, True)
-    D = _zeros3(3, True)
+    z, t, a = _ec(z), Fraction(t), _ec(a)
+    C = _zeros3(3)
+    D = _zeros3(3)
     C[1][0][1] = z; C[1][1][0] = -z                    # C^2_{12} = z
     C[1][1][2] = EC(0, -t); C[1][2][1] = EC(0, t)      # C^2_{23} = -i t
     D[1][1][0] = z                                     # D^2_{21} = z
@@ -200,8 +201,8 @@ def family_b(z, t, a=1) -> HermitianLieAlgebra:
 def sl2c(a=1) -> HermitianLieAlgebra:
     """The simple complex Lie algebra with cyclic brackets [e_i, e_j] = -a e_k."""
     a = _ec(a)
-    C = _zeros3(3, True)
-    D = _zeros3(3, True)
+    C = _zeros3(3)
+    D = _zeros3(3)
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         C[k][i][j] = -a
         C[k][j][i] = a
@@ -211,8 +212,8 @@ def sl2c(a=1) -> HermitianLieAlgebra:
 def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
     """Companion nilmanifold: d phi_3 = -a (phi_{1 1b} + phi_{2 2b})."""
     a = _ec(a)
-    C = _zeros3(3, True)
-    D = _zeros3(3, True)
+    C = _zeros3(3)
+    D = _zeros3(3)
     D[0][2][0] = a      # D^1_{31} = a
     D[1][2][1] = a      # D^2_{32} = a
     return HermitianLieAlgebra(3, C, D, label="vaisman54")
@@ -225,22 +226,16 @@ def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
 class TorsionTensor:
     """Chern torsion components T^j_{ik}, antisymmetric in (i, k)."""
 
-    __slots__ = ("n", "T", "exact")
+    __slots__ = ("n", "T", "kind")
 
     def __init__(self, n: int, T):
         T = tuple(tuple(tuple(r) for r in layer) for layer in T)
-        exact_kind = is_exact(T[0][0][0])
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    d = T[j][i][k] + T[j][k][i]
-                    if is_zero(d):
-                        continue
-                    if exact_kind or scalar_abs(d) > 1e-12:
-                        raise ValueError("torsion must be antisymmetric in the lower indices")
+        kind = kind_of(T[0][0][0])
+        if not lower_antisymmetric(T, kind):
+            raise ValueError("torsion must be antisymmetric in the lower indices")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "exact", is_exact(T[0][0][0]))
+        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *_):
         raise AttributeError("TorsionTensor is immutable")
@@ -249,10 +244,8 @@ class TorsionTensor:
         j, i, k = jik
         return self.T[j][i][k]
 
-    def is_zero(self, tol: float = FLOAT_TOL) -> bool:
-        if self.exact:
-            return all(c.is_zero() for l in self.T for r in l for c in r)
-        return all(scalar_abs(c) <= tol for l in self.T for r in l for c in r)
+    def is_zero(self) -> bool:
+        return all(self.kind.negligible(c) for l in self.T for r in l for c in r)
 
     def to_json(self):
         out = []
@@ -268,7 +261,7 @@ class TorsionTensor:
 def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
     """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}."""
     n = g.n
-    T = _zeros3(n, g.exact)
+    T = _zeros3(n, g.kind)
     for j in range(n):
         for i in range(n):
             for k in range(i + 1, n):
@@ -279,17 +272,19 @@ def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
 
 
 class ConnectionMatrix:
-    """n x n grid of invariant 1-forms; chern/bismut/gamma are all
-    skew-hermitian: entry(i,j) = -conj(entry(j,i))."""
+    """n x n grid of invariant 1-forms over the scalar kind of their
+    algebra; chern/bismut/gamma are all skew-hermitian:
+    entry(i,j) = -conj(entry(j,i))."""
 
-    __slots__ = ("n", "entries", "tag")
+    __slots__ = ("n", "entries", "tag", "kind")
 
-    def __init__(self, entries, tag: str):
+    def __init__(self, entries, tag: str, kind: Kind):
         entries = tuple(tuple(r) for r in entries)
         n = len(entries)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *_):
         raise AttributeError("ConnectionMatrix is immutable")
@@ -298,13 +293,9 @@ class ConnectionMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def is_skew_hermitian(self, exact: bool = True, tol: float = FLOAT_TOL) -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                d = self.entries[i][j] + self.entries[j][i].conj()
-                if not _form_is_zero(d, exact, tol):
-                    return False
-        return True
+    def is_skew_hermitian(self) -> bool:
+        return all(_form_is_zero(self.entries[i][j] + self.entries[j][i].conj(), self.kind)
+                   for i in range(self.n) for j in range(self.n))
 
     def trace(self) -> InvariantForm:
         out = InvariantForm.zero(self.n)
@@ -318,7 +309,7 @@ class CurvatureMatrix(ConnectionMatrix):
 
     def component(self, k: int, l: int, i: int, j: int) -> Scalar:
         """R_{k lbar i jbar}: the phi_k ^ phibar_l coefficient of entry (i, j)."""
-        return self.entries[i][j].coeff((k,), (l,))
+        return self.entries[i][j].terms.get(((k,), (l,)), self.kind.zero)
 
 
 def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
@@ -336,7 +327,7 @@ def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
                     f = f + InvariantForm.phibar(n, k, -conj(g.D[i][j][k]))
             row.append(f)
         rows.append(row)
-    return ConnectionMatrix(rows, "chern")
+    return ConnectionMatrix(rows, "chern", g.kind)
 
 
 def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
@@ -354,7 +345,7 @@ def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
                     f = f + InvariantForm.phibar(n, k, -conj(T.T[i][j][k]))
             row.append(f)
         rows.append(row)
-    return ConnectionMatrix(rows, "gamma")
+    return ConnectionMatrix(rows, "gamma", T.kind)
 
 
 def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
@@ -362,7 +353,7 @@ def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     th = chern_connection(g)
     ga = gamma_tensor(chern_torsion(g))
     rows = [[th[i, j] + ga[i, j] for j in range(g.n)] for i in range(g.n)]
-    return ConnectionMatrix(rows, "bismut")
+    return ConnectionMatrix(rows, "bismut", g.kind)
 
 
 def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatrix:
@@ -377,7 +368,7 @@ def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatri
                 f = f - theta[i, k].wedge(theta[k, j])
             row.append(f)
         rows.append(row)
-    return CurvatureMatrix(rows, theta.tag)
+    return CurvatureMatrix(rows, theta.tag, theta.kind)
 
 
 def chern_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
@@ -395,12 +386,11 @@ def bismut_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
 def b_tensor(T: TorsionTensor) -> CMatrix:
     """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}); hermitian nonnegative."""
     n = T.n
-    zero = EC.zero() if T.exact else 0j
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = zero
+            acc = T.kind.zero
             for r in range(n):
                 for s in range(n):
                     acc = acc + T.T[j][r][s] * conj(T.T[i][r][s])
@@ -414,7 +404,7 @@ def gauduchon_eta(T: TorsionTensor) -> InvariantForm:
     n = T.n
     f = InvariantForm.zero(n)
     for i in range(n):
-        acc = EC.zero() if T.exact else 0j
+        acc = T.kind.zero
         for s in range(n):
             acc = acc + T.T[s][s][i]
         if not is_zero(acc):
@@ -450,50 +440,45 @@ def _btp_residuals_from(T: "TorsionTensor", tb: "ConnectionMatrix"):
     return out
 
 
-def check_btp(g: HermitianLieAlgebra, tol: float = FLOAT_TOL):
+def check_btp(g: HermitianLieAlgebra):
     """True iff every parallel-torsion residual vanishes; returns residuals too."""
     res = btp_residuals(g)
-    ok = all(_form_is_zero(f, g.exact, tol) for f in res.values())
+    ok = all(_form_is_zero(f, g.kind) for f in res.values())
     return ok, res
 
 
-def check_unimodular(g: HermitianLieAlgebra, tol: float = FLOAT_TOL) -> bool:
+def check_unimodular(g: HermitianLieAlgebra) -> bool:
     """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i."""
     for i in range(g.n):
-        acc = EC.zero() if g.exact else 0j
+        acc = g.kind.zero
         for k in range(g.n):
             acc = acc + g.C[k][k][i] + g.D[k][k][i]
-        if g.exact:
-            if not acc.is_zero():
-                return False
-        elif scalar_abs(acc) > tol:
+        if not g.kind.negligible(acc):
             return False
     return True
 
 
 def first_bismut_ricci(g: HermitianLieAlgebra) -> InvariantForm:
     """sqrt(-1) tr Theta^b."""
-    i_unit = EC.i() if g.exact else 1j
-    return bismut_curvature(g).trace().scale(i_unit)
+    return bismut_curvature(g).trace().scale(g.kind.i)
 
 
 def first_chern_ricci(g: HermitianLieAlgebra) -> InvariantForm:
     """sqrt(-1) tr Theta (Chern)."""
-    i_unit = EC.i() if g.exact else 1j
-    return chern_curvature(g).trace().scale(i_unit)
+    return chern_curvature(g).trace().scale(g.kind.i)
 
 
-def check_cyt(g: HermitianLieAlgebra, tol: float = FLOAT_TOL) -> bool:
+def check_cyt(g: HermitianLieAlgebra) -> bool:
     """Vanishing first Bismut Ricci curvature."""
-    return _form_is_zero(bismut_curvature(g).trace(), g.exact, tol)
+    return _form_is_zero(bismut_curvature(g).trace(), g.kind)
 
 
-def check_calabi_yau_type(g: HermitianLieAlgebra, tol: float = FLOAT_TOL) -> bool:
+def check_calabi_yau_type(g: HermitianLieAlgebra) -> bool:
     """Invariant trivialization of the canonical bundle: tr theta = 0."""
-    return _form_is_zero(chern_connection(g).trace(), g.exact, tol)
+    return _form_is_zero(chern_connection(g).trace(), g.kind)
 
 
-def vaisman_torsion_pattern(T: TorsionTensor, tol: float = FLOAT_TOL):
+def vaisman_torsion_pattern(T: TorsionTensor):
     """Detect the pattern T^i_{i n} = a > 0 for all i < n, everything else 0.
 
     Returns (matches, a).  This is the torsion shape of the non-balanced
@@ -504,22 +489,16 @@ def vaisman_torsion_pattern(T: TorsionTensor, tol: float = FLOAT_TOL):
     for j in range(n):
         for i in range(n):
             for k in range(n):
-                expected = None
+                expected = T.kind.zero
                 if j == i and k == n - 1 and i < n - 1:
                     expected = a
                 elif j == k and i == n - 1 and k < n - 1:
                     expected = -a
-                d = T.T[j][i][k] - (expected if expected is not None else
-                                    (EC.zero() if T.exact else 0j))
-                if T.exact:
-                    if not d.is_zero():
-                        return False, None
-                elif scalar_abs(d) > tol:
+                if not T.kind.negligible(T.T[j][i][k] - expected):
                     return False, None
-    if T.exact:
-        positive = a.im == 0 and a.re > 0
-    else:
-        positive = abs(complex(a).imag) <= tol and complex(a).real > tol
+    # a is real and positive beyond the zero test
+    positive = (T.kind.negligible(a.imag) and not T.kind.negligible(a.real)
+                and a.real > 0)
     return (positive, a if positive else None)
 
 
@@ -534,11 +513,10 @@ def real_bracket_table(g: HermitianLieAlgebra):
     real algebra leaves nilpotency and solvability steps unchanged.
     """
     n = g.n
-    zero = EC.zero() if g.exact else 0j
     dim = 2 * n
 
     def vec():
-        return [zero] * dim
+        return [g.kind.zero] * dim
 
     table = [[None] * dim for _ in range(dim)]
     for i in range(n):
@@ -562,10 +540,9 @@ def real_bracket_table(g: HermitianLieAlgebra):
     return table
 
 
-def _bracket_span(table, U, V, exact):
+def _bracket_span(table, U, V, kind: Kind):
     """Basis of span{ [u, v] : u in U, v in V }."""
     dim = len(table)
-    zero = EC.zero() if exact else 0j
     # Structure constants are sparse: keep only the nonzero (m, t_m) entries
     # of each bracket, so zero terms are never multiplied and added.
     sparse = [[[(m, c) for m, c in enumerate(table[x][y]) if not is_zero(c)]
@@ -575,7 +552,7 @@ def _bracket_span(table, U, V, exact):
         u_nz = [(x, ux) for x, ux in enumerate(u) if not is_zero(ux)]
         for v in V:
             v_nz = [(y, vy) for y, vy in enumerate(v) if not is_zero(vy)]
-            w = [zero] * dim
+            w = [kind.zero] * dim
             for x, ux in u_nz:
                 row = sparse[x]
                 for y, vy in v_nz:
@@ -586,7 +563,7 @@ def _bracket_span(table, U, V, exact):
                     for m, tm in t:
                         w[m] = w[m] + c * tm
             prods.append(w)
-    return row_basis(prods, exact)
+    return row_basis(prods, kind.exact)
 
 
 def solvability_profile(g: HermitianLieAlgebra):
@@ -597,9 +574,7 @@ def solvability_profile(g: HermitianLieAlgebra):
     """
     table = real_bracket_table(g)
     dim = 2 * g.n
-    one = EC.one() if g.exact else 1 + 0j
-    zero = EC.zero() if g.exact else 0j
-    full = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    full = [[g.kind.one if i == j else g.kind.zero for j in range(dim)] for i in range(dim)]
 
     def series(next_term):
         cur = full
@@ -612,8 +587,8 @@ def solvability_profile(g: HermitianLieAlgebra):
             cur = nxt
         return steps
 
-    nilpotent = series(lambda cur: _bracket_span(table, full, cur, g.exact))
-    solvable = series(lambda cur: _bracket_span(table, cur, cur, g.exact))
+    nilpotent = series(lambda cur: _bracket_span(table, full, cur, g.kind))
+    solvable = series(lambda cur: _bracket_span(table, cur, cur, g.kind))
     return nilpotent, solvable
 
 
@@ -638,8 +613,8 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
     def epsbar(i):
         return i if i in S else i + n
 
-    C = _zeros3(n, g.exact)
-    D = _zeros3(n, g.exact)
+    C = _zeros3(n, g.kind)
+    D = _zeros3(n, g.kind)
     for i in range(n):
         for k in range(n):
             v = table[eps(i)][eps(k)]
@@ -660,7 +635,7 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
     return swapped
 
 
-def bismut_swap_equal(g: HermitianLieAlgebra, S, tol: float = FLOAT_TOL) -> bool:
+def bismut_swap_equal(g: HermitianLieAlgebra, S) -> bool:
     """Check that the swap leaves the Bismut connection unchanged.
 
     Matrix entries of the swapped connection, pulled back along the coframe
@@ -671,18 +646,15 @@ def bismut_swap_equal(g: HermitianLieAlgebra, S, tol: float = FLOAT_TOL) -> bool
     gh = conjugate_swap(g, S)
     tb = bismut_connection(g)
     tbh = bismut_connection(gh)
+    must_vanish = []
     for i in range(g.n):
         for j in range(g.n):
             mapped = tbh[i, j].swap_indices(S)
             if (i in S) == (j in S):
-                want = tb[i, j].conj() if i in S else tb[i, j]
-                if not _form_is_zero(mapped - want, g.exact, tol):
-                    return False
+                must_vanish.append(mapped - (tb[i, j].conj() if i in S else tb[i, j]))
             else:
-                if not (_form_is_zero(mapped, g.exact, tol)
-                        and _form_is_zero(tb[i, j], g.exact, tol)):
-                    return False
-    return True
+                must_vanish += [mapped, tb[i, j]]
+    return all(_form_is_zero(f, g.kind) for f in must_vanish)
 
 
 def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
@@ -702,7 +674,7 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
         for j in range(n):
             for i in range(n):
                 for k in range(n):
-                    expected = EC.zero() if g.exact else 0j
+                    expected = g.kind.zero
                     if (j, i, k) == (0, 0, 2):
                         expected = a
                     elif (j, i, k) == (0, 2, 0):
@@ -715,8 +687,7 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
                         ok = False
         if not ok or is_zero(a):
             raise PatternError("torsion is not in the admissible middle-type pattern")
-    Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,),
-                                 EC.one() if g.exact else 1 + 0j)
+    Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,), g.kind.one)
     split = dolbeault_split(g.ctx, Phi)
     ddbar = exterior_d(g.ctx, split.delbar_part).bidegree_part(2, 2)
     return ddbar
@@ -779,7 +750,7 @@ class ClassificationReport:
         }
 
 
-def classify(g: HermitianLieAlgebra, tol: float = FLOAT_TOL) -> ClassificationReport:
+def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     """Run every predicate and aggregate the type label.
 
     Labels: chern_flat when the Chern curvature vanishes; middle when
@@ -790,26 +761,25 @@ def classify(g: HermitianLieAlgebra, tol: float = FLOAT_TOL) -> ClassificationRe
     n = g.n
     T = chern_torsion(g)
     eta = gauduchon_eta(T)
-    balanced = _form_is_zero(eta, g.exact, tol)
+    balanced = _form_is_zero(eta, g.kind)
     theta = chern_connection(g)
     gamma = gamma_tensor(T)
     theta_b = ConnectionMatrix([[theta[i, j] + gamma[i, j] for j in range(n)]
-                                for i in range(n)], "bismut")
-    btp = all(_form_is_zero(f, g.exact, tol)
+                                for i in range(n)], "bismut", g.kind)
+    btp = all(_form_is_zero(f, g.kind)
               for f in _btp_residuals_from(T, theta_b).values())
-    unimod = check_unimodular(g, tol)
+    unimod = check_unimodular(g)
     b_rank = hermitian_rank(b_tensor(T))
     theta_c = curvature_of(g.ctx, theta)
-    chern_flat = all(_form_is_zero(theta_c[i, j], g.exact, tol)
+    chern_flat = all(_form_is_zero(theta_c[i, j], g.kind)
                      for i in range(n) for j in range(n))
     theta_bc = curvature_of(g.ctx, theta_b)
-    cyt = _form_is_zero(theta_bc.trace(), g.exact, tol)
-    cy_type = _form_is_zero(theta.trace(), g.exact, tol)
+    cyt = _form_is_zero(theta_bc.trace(), g.kind)
+    cy_type = _form_is_zero(theta.trace(), g.kind)
     nil_steps, solv_steps = solvability_profile(g)
-    i_unit = EC.i() if g.exact else 1j
-    chern_ricci = theta_c.trace().scale(i_unit)
-    bismut_ricci = theta_bc.trace().scale(i_unit)
-    vpat, _ = vaisman_torsion_pattern(T, tol)
+    chern_ricci = theta_c.trace().scale(g.kind.i)
+    bismut_ricci = theta_bc.trace().scale(g.kind.i)
+    vpat, _ = vaisman_torsion_pattern(T)
 
     if chern_flat:
         type_label = "chern_flat"

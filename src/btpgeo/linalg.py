@@ -4,7 +4,9 @@ Matrices come in the same two scalar kinds as everything else.  One row
 reduction, ``row_basis``, serves every exact rank question: the rank of the
 B tensor, the spans of the lower central and derived series in solvability
 profiles, and the Sylvester positivity test of chart metrics, which reads
-its pivots.  Its float branch ranks by singular values.  Takagi
+its pivots.  Its float branch ranks by singular values.  One inverse,
+``matrix_inverse``, serves the constant matrices of both kinds (chart
+metrics at their base point, the constant part of jet matrices).  Takagi
 factorization is float-only: the inputs that need it are generic
 unitary-scrambled torsion data, never golden rational values.
 """
@@ -12,12 +14,11 @@ unitary-scrambled torsion data, never golden rational values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
-from .scalars import EC, ExactComplex, conj, is_exact, scalar_abs
+from .scalars import EC, ExactComplex, Kind, conj, kind_of, scalar_abs, scalar_to_json
 
 
 class DimensionError(ValueError):
@@ -35,8 +36,8 @@ class NumericError(RuntimeError):
 class CMatrix:
     """Dense matrix over exact or float complex scalars.
 
-    Entries are stored row-major as nested tuples.  ``kind`` is either
-    ``"exact"`` or ``"float"``, inferred from the entries.
+    Entries are stored row-major as nested tuples.  ``kind`` is the scalar
+    kind of the entries, all of which must share it.
     """
 
     __slots__ = ("rows", "cols", "entries", "kind")
@@ -48,15 +49,13 @@ class CMatrix:
         ncol = len(rows[0])
         if any(len(r) != ncol for r in rows):
             raise DimensionError("ragged rows")
-        exact = is_exact(rows[0][0])
-        for r in rows:
-            for e in r:
-                if is_exact(e) != exact:
-                    raise TypeError("mixed scalar kinds in one matrix")
+        kind = kind_of(rows[0][0])
+        if any(kind_of(e) is not kind for r in rows for e in r):
+            raise TypeError("mixed scalar kinds in one matrix")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncol)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "kind", "exact" if exact else "float")
+        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *_):
         raise AttributeError("CMatrix is immutable")
@@ -66,68 +65,36 @@ class CMatrix:
         return self.entries[i][j]
 
     @staticmethod
-    def from_rows(rows, exact=None) -> "CMatrix":
-        conv = []
-        for r in rows:
-            out = []
-            for e in r:
-                if isinstance(e, ExactComplex) or exact is False:
-                    out.append(complex(e) if exact is False else e)
-                elif isinstance(e, (int, Fraction)) and exact is not False:
-                    out.append(EC(e, 0) if exact else complex(e))
-                else:
-                    out.append(complex(e))
-            conv.append(out)
-        return CMatrix(conv)
-
-    @staticmethod
-    def identity(n: int, exact: bool = True) -> "CMatrix":
-        one = EC.one() if exact else 1 + 0j
-        zero = EC.zero() if exact else 0j
-        return CMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def from_rows(rows) -> "CMatrix":
+        """A matrix from any rows of numbers: ExactComplex entries stay
+        exact, every other entry becomes a float scalar."""
+        return CMatrix([[kind_of(e).scalar(e) for e in r] for r in rows])
 
     def to_numpy(self) -> np.ndarray:
         return np.array([[complex(e) for e in r] for r in self.entries], dtype=complex)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                d = self.entries[i][j] - conj(self.entries[j][i])
-                if self.kind == "exact":
-                    if not d.is_zero():
-                        return False
-                elif abs(d) > tol:
-                    return False
-        return True
+        return self.rows == self.cols and all(
+            self.kind.negligible(self.entries[i][j] - conj(self.entries[j][i]), tol)
+            for i in range(self.rows) for j in range(self.cols))
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                d = self.entries[i][j] - self.entries[j][i]
-                if self.kind == "exact":
-                    if not d.is_zero():
-                        return False
-                elif abs(d) > tol:
-                    return False
-        return True
+        return self.rows == self.cols and all(
+            self.kind.negligible(self.entries[i][j] - self.entries[j][i], tol)
+            for i in range(self.rows) for j in range(self.cols))
 
     def max_abs(self) -> float:
         return max(scalar_abs(e) for r in self.entries for e in r)
 
     def to_json(self):
-        from .scalars import scalar_to_json
         return [[scalar_to_json(e) for e in r] for r in self.entries]
 
     def __repr__(self):
-        return f"CMatrix({self.rows}x{self.cols}, {self.kind})"
+        return f"CMatrix({self.rows}x{self.cols}, {self.kind.name})"
 
 
 # --------------------------------------------------------------------------
-# row reduction and exact inverse
+# row reduction and inverses
 # --------------------------------------------------------------------------
 
 def row_basis(vectors, exact: bool, tol: float = 1e-10) -> list:
@@ -188,6 +155,14 @@ def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComple
     return [row[n:] for row in a]
 
 
+def matrix_inverse(mat, kind: Kind) -> list:
+    """Inverse of a square matrix of scalars of the given kind, as nested
+    lists of that kind: Gauss-Jordan for exact scalars, numpy for floats."""
+    if kind.exact:
+        return exact_solve_identity(mat)
+    return np.linalg.inv(np.array(mat, dtype=complex)).tolist()
+
+
 def hermitian_rank(B: CMatrix) -> int:
     """Rank of a hermitian matrix.
 
@@ -198,7 +173,7 @@ def hermitian_rank(B: CMatrix) -> int:
         raise DimensionError("hermitian_rank needs a square matrix")
     if not B.is_hermitian(tol=1e-12):
         raise ShapeError("matrix is not hermitian")
-    if B.kind == "exact":
+    if B.kind.exact:
         return exact_rank(B.entries)
     arr = B.to_numpy()
     ev = np.linalg.eigvalsh(arr)

@@ -1,14 +1,23 @@
-"""Exact and floating complex scalars.
+"""Exact and floating complex scalars, and the two scalar kinds.
 
 Every quantity in the library is generic over a *scalar kind*: either
 ``ExactComplex`` (a complex number with rational real/imaginary parts, used
 for all golden-value computations) or the builtin ``complex`` (used for
 numerical frame searches, Takagi factorization and sampling-based checks).
 The two kinds are never mixed inside one object.
+
+A ``Kind`` holds what depends on the kind alone: its name, its numpy dtype,
+its zero, one and i, the coercion ``scalar`` and the zero test
+``negligible``, which is exact for ``EXACT`` and ``abs(c) <= tol`` for
+``FLOAT``, with ``FLOAT_TOL`` as the default tolerance.  ``EXACT`` and
+``FLOAT`` are its only instances; ``kind_of`` reads the kind of a scalar.
+Objects built from scalars take their kind once and ask it, so the
+decision of which kind, and what counts as zero, is made here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isfinite
 from typing import Union
@@ -52,6 +61,10 @@ class ExactComplex:
     @property
     def im(self) -> Fraction:
         return Fraction(self._i, self._d)
+
+    # the names ``complex`` uses, so code can read either kind's parts
+    real = re
+    imag = im
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -241,10 +254,6 @@ EC = ExactComplex
 Scalar = Union[ExactComplex, complex]
 
 
-def is_exact(c: Scalar) -> bool:
-    return isinstance(c, ExactComplex)
-
-
 def conj(c: Scalar) -> Scalar:
     if type(c) is ExactComplex:
         return _raw(c._r, -c._i, c._d)
@@ -264,16 +273,48 @@ def scalar_abs(c: Scalar) -> float:
     return abs(c)
 
 
-def as_scalar(value, exact: bool) -> Scalar:
-    """Coerce a Python number (or ExactComplex) to the requested kind."""
-    if exact:
+# The float zero test: an absolute bound, whatever the scale of the data.
+FLOAT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances."""
+    exact: bool
+    name: str             # "exact" or "float", as reports spell it
+    dtype: type           # numpy dtype of arrays of the kind
+    zero: Scalar
+    one: Scalar
+    i: Scalar
+
+    def scalar(self, value) -> Scalar:
+        """Coerce a Python number (or ExactComplex) to this kind.
+
+        The exact kind takes ExactComplex, int and Fraction and raises
+        TypeError on anything else, so that exact data cannot degrade."""
+        if not self.exact:
+            return complex(value)
         if type(value) is ExactComplex:
             return value
         o = _triple(value)
         if o is None:
             raise TypeError(f"cannot build an exact scalar from {value!r}")
         return _raw(*o)
-    return complex(value)
+
+    def negligible(self, c, tol: float = FLOAT_TOL):
+        """Whether c counts as zero: exactly zero for the exact kind,
+        ``abs(c) <= tol`` for the float kind.  Applies elementwise to
+        numpy arrays (tol may then be an array too)."""
+        return c == self.zero if self.exact else abs(c) <= tol
+
+
+EXACT = Kind(True, "exact", object, _raw(0, 0, 1), _raw(1, 0, 1), _raw(0, 1, 1))
+FLOAT = Kind(False, "float", complex, 0j, 1 + 0j, 1j)
+
+
+def kind_of(c: Scalar) -> Kind:
+    """The kind of a scalar: EXACT for ExactComplex, FLOAT otherwise."""
+    return EXACT if isinstance(c, ExactComplex) else FLOAT
 
 
 # ---- JSON wire format ----------------------------------------------------

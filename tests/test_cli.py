@@ -219,6 +219,18 @@ def test_sweep_bad_grid(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--grid=0", "--torsion-a", ""),
+    ("companion", "--example", "n3", "--swap", "2", "--torsion-a", ""),
+])
+def test_empty_torsion_a_is_rejected(capsys, argv):
+    # an empty --torsion-a is a parse error, as in verify, not a = 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_reports_byte_stable(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

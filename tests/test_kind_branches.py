@@ -1,0 +1,95 @@
+"""Ceilings on the exact-or-float branch points of each module.
+
+The scalar kind is decided in ``btpgeo.scalars``; every other module asks
+the kind it holds.  A branch point is counted by ``ast`` as in the ROADMAP
+("Known excess"): each ``if``, ``while``, comprehension filter and
+conditional expression whose test reads the kind (a name or attribute
+containing ``exact``, an attribute ``kind``, or a name ``ExactComplex`` or
+``object``), plus each ``is_exact``, ``kind_of`` or
+``isinstance(..., ExactComplex)`` call outside such a test.  A change that
+adds a branch point has to raise its module's ceiling here, in the open.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "btpgeo"
+
+CEILINGS = {
+    "__init__.py": 0,
+    "charts.py": 12,
+    "cli.py": 2,
+    "forms.py": 2,
+    "frames.py": 7,
+    "goldens.py": 0,
+    "jets.py": 4,
+    "lie.py": 7,
+    "linalg.py": 6,
+    "scalars.py": 13,
+}
+
+
+def _reads_kind(test) -> bool:
+    for n in ast.walk(test):
+        if isinstance(n, ast.Name) and (
+                "exact" in n.id or "ExactComplex" in n.id or n.id == "object"):
+            return True
+        if isinstance(n, ast.Attribute) and (
+                "exact" in n.attr or "ExactComplex" in n.attr or n.attr == "kind"):
+            return True
+    return False
+
+
+def _is_kind_call(n) -> bool:
+    if not isinstance(n, ast.Call):
+        return False
+    f = n.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    if name in ("is_exact", "kind_of"):
+        return True
+    return name == "isinstance" and len(n.args) == 2 and any(
+        "ExactComplex" in (getattr(x, "id", None) or getattr(x, "attr", None) or "")
+        for x in ast.walk(n.args[1]))
+
+
+def branch_points(source: str) -> int:
+    tree = ast.parse(source)
+    tests = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.If, ast.While, ast.IfExp)):
+            tests.append(n.test)
+        elif isinstance(n, ast.comprehension):
+            tests.extend(n.ifs)
+    kind_tests = [t for t in tests if _reads_kind(t)]
+    inside = {id(n) for t in kind_tests for n in ast.walk(t)}
+    calls = [n for n in ast.walk(tree) if _is_kind_call(n) and id(n) not in inside]
+    return len(kind_tests) + len(calls)
+
+
+def test_counter_counts_each_form_once():
+    src = """
+if exact:
+    pass
+x = a if m.kind.exact else b
+y = [c for c in cs if isinstance(c, ExactComplex)]
+k = kind_of(c)
+while arr.dtype == object:
+    pass
+if is_exact(c) and kind_of(c) is EXACT:
+    pass
+if value > 0:
+    pass
+z = is_exact(c)
+"""
+    assert branch_points(src) == 7
+
+
+def test_every_module_has_a_ceiling():
+    assert sorted(p.name for p in SRC.glob("*.py")) == sorted(CEILINGS)
+
+
+@pytest.mark.parametrize("module", sorted(CEILINGS))
+def test_branch_points_within_ceiling(module):
+    assert branch_points((SRC / module).read_text()) <= CEILINGS[module]

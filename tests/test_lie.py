@@ -149,6 +149,21 @@ def test_curvature_skew_hermitian():
         assert lie.chern_curvature(g).is_skew_hermitian()
 
 
+def test_float_curvature_skew_hermitian_after_frame_change():
+    # the matrices test float data with the float zero test, which the
+    # roundoff of the frame change passes
+    g = _float_algebra(lie.family_a(1, -1))
+    Q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))
+    gP = lie.transform_frame(g, Q)
+    assert lie.chern_curvature(gP).is_skew_hermitian()
+    assert lie.bismut_curvature(gP).is_skew_hermitian()
+
+
+def test_float_curvature_component_is_a_float_zero():
+    c = lie.bismut_curvature(_float_algebra(lie.family_a(1, -1))).component(2, 2, 2, 2)
+    assert type(c) is complex and c == 0
+
+
 def test_btp_curvature_pair_symmetry():
     # parallel torsion forces R^b_{i jb k lb} = R^b_{k lb i jb}
     for g in BUILTINS():
@@ -388,6 +403,24 @@ def test_report_invariants():
         assert 0 <= rep.b_rank <= rep.n
         if rep.nilpotent_steps is not None:
             assert rep.solvable_steps is not None
+
+
+AGREEMENT_GRID = (Fraction(-1), Fraction(0), Fraction(1, 2))
+AGREEMENT_ALGEBRAS = (
+    [lie.nilmanifold_n3(), lie.sl2c(), lie.vaisman_nilmanifold(), lie.abelian(3)]
+    + [family(p, q) for family in (lie.family_a, lie.family_b)
+       for p in AGREEMENT_GRID for q in AGREEMENT_GRID])
+
+
+@pytest.mark.parametrize("g", AGREEMENT_ALGEBRAS, ids=lambda g: g.label)
+def test_classify_float_copy_agrees_with_exact(g):
+    # the float path decides every predicate as the exact path does
+    fields = lambda r: (r.balanced, r.btp, r.unimodular, r.cyt, r.calabi_yau_type,
+                        r.vaisman_pattern, r.b_rank, r.nilpotent_steps,
+                        r.solvable_steps, r.type_label)
+    gf = _float_algebra(g)
+    assert not gf.exact
+    assert fields(lie.classify(gf)) == fields(lie.classify(g))
 
 
 # ---- JSON -------------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from _oracles import bareiss_rank
 from btpgeo.linalg import (CMatrix, DimensionError, NumericError, ShapeError,
                            exact_rank, exact_solve_identity, hermitian_rank,
-                           row_basis, takagi_factorize)
-from btpgeo.scalars import EC
+                           matrix_inverse, row_basis, takagi_factorize)
+from btpgeo.scalars import EC, EXACT, FLOAT
 
 
 def ex(rows):
@@ -84,6 +84,15 @@ def test_exact_inverse():
     prod = [[sum((m[i][k] * inv[k][j] for k in range(2)), EC.zero())
              for j in range(2)] for i in range(2)]
     assert prod == [[EC(1), EC(0)], [EC(0), EC(1)]]
+
+
+def test_matrix_inverse_picks_by_kind():
+    m = [[EC(2), EC(1, 1)], [EC(1, -1), EC(3)]]
+    assert matrix_inverse(m, EXACT) == exact_solve_identity(m)
+    f = [[complex(c) for c in r] for r in m]
+    inv = matrix_inverse(f, FLOAT)
+    assert all(type(c) is complex for r in inv for c in r)
+    assert np.allclose(np.array(f) @ np.array(inv), np.eye(2), atol=1e-12)
 
 
 # ---- Takagi ----------------------------------------------------------------

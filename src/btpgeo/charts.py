@@ -44,8 +44,8 @@ import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, Kind, conj, is_zero, kind_of,
-                      scalar_abs, scalar_to_json)
+from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, conj, is_zero,
+                      kind_of, scalar_abs, scalar_to_json)
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -107,7 +107,10 @@ class ChartMetric:
         return self.kind.exact
 
     def value_matrix(self):
-        return [[self.g[i][j].value() for j in range(self.n)] for i in range(self.n)]
+        # an empty jet's value is an exact zero whatever the metric's kind
+        scalar = self.kind.scalar
+        return [[scalar(self.g[i][j].value()) for j in range(self.n)]
+                for i in range(self.n)]
 
     def inverse_value_matrix(self):
         return matrix_inverse(self.value_matrix(), self.kind)
@@ -121,18 +124,30 @@ class ChartMetric:
 # metric builders
 # --------------------------------------------------------------------------
 
+def _builder_kind(exact: bool, values):
+    """The kind an ``exact=`` flag names, and builder arguments as its
+    scalars.  Exact builders read real arguments through ``Fraction``, so
+    0.5 and "1/2" are taken exactly."""
+    if exact:
+        return EXACT, [v if isinstance(v, ExactComplex) else EXACT.scalar(Fraction(v))
+                       for v in values]
+    return FLOAT, [complex(v) for v in values]
+
+
 def _coords(n: int, point, kind: Kind):
-    """Coordinate jets Z_i = p_i + w_i and their conjugates."""
+    """Coordinate jets Z_i = p_i + w_i and their conjugates, for a point
+    of scalars of the kind."""
     Z, Zb = [], []
     for i in range(n):
-        base = Jet2.constant(n, kind.scalar(point[i]))
+        base = Jet2.constant(n, point[i])
         Z.append(base + Jet2.z(n, i, kind.exact))
         Zb.append(base.conj() + Jet2.zbar(n, i, kind.exact))
     return Z, Zb
 
 
 def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
-    one = (EXACT if exact else FLOAT).one
+    kind, _ = _builder_kind(exact, ())
+    one = kind.one
     g = [[Jet2.constant(n, one) if i == j else Jet2(n) for j in range(n)]
          for i in range(n)]
     return ChartMetric(n, g, label="euclidean")
@@ -140,8 +155,7 @@ def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
 
 def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetric:
     """g = Hess log(1 + |z|^2): the Kaehler reference case (zero torsion)."""
-    point = point or [0] * n
-    kind = EXACT if exact else FLOAT
+    kind, point = _builder_kind(exact, point or [0] * n)
     Z, Zb = _coords(n, point, kind)
     one = kind.one
     al = Jet2.constant(n, one)
@@ -163,14 +177,13 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
     n = 3
     if point is None:
         point = [0, 0, 0]
-    kind = EXACT if exact else FLOAT
-    if kind.exact and any(kind.scalar(p) for p in point):
+    kind, (sscale, *point) = _builder_kind(exact, [sigma_scale, *point])
+    if kind.exact and any(point):
         raise ValueError("exact jets are expanded at the chart origin only")
     Z, Zb = _coords(n, point, kind)
     one = kind.one
     zero = Jet2(n)
     const = lambda c: Jet2.constant(n, c)
-    sscale = kind.scalar(sigma_scale)
 
     al = const(one) + Z[0] * Zb[0] + Z[1] * Zb[1]
     al_d = [Zb[0], Zb[1], zero]                      # partial_i alpha
@@ -599,7 +612,9 @@ def sectional_curvature(pc: PointCurvature, X, Y, normalized: bool = False):
         w = np.einsum("ma,ma->m", X, Y.conj())
         xy = _real(w + w.conj())
         den = x2 * y2 - xy * xy
-        if pc.kind.negligible(den, 1e-14 * x2 * y2).any():
+        # the float bound only: exact data stays rational
+        tol = None if pc.kind.exact else 1e-14 * x2 * y2
+        if pc.kind.negligible(den, tol).any():
             raise DegeneratePlaneError("x and y span a degenerate plane")
         vals = vals / den
     return _result(vals, single)

@@ -646,15 +646,17 @@ def bismut_swap_equal(g: HermitianLieAlgebra, S) -> bool:
     gh = conjugate_swap(g, S)
     tb = bismut_connection(g)
     tbh = bismut_connection(gh)
-    must_vanish = []
-    for i in range(g.n):
-        for j in range(g.n):
-            mapped = tbh[i, j].swap_indices(S)
-            if (i in S) == (j in S):
-                must_vanish.append(mapped - (tb[i, j].conj() if i in S else tb[i, j]))
-            else:
-                must_vanish += [mapped, tb[i, j]]
-    return all(_form_is_zero(f, g.kind) for f in must_vanish)
+
+    def must_vanish():      # lazily, so the test stops at the first failure
+        for i in range(g.n):
+            for j in range(g.n):
+                mapped = tbh[i, j].swap_indices(S)
+                if (i in S) == (j in S):
+                    yield mapped - (tb[i, j].conj() if i in S else tb[i, j])
+                else:
+                    yield mapped
+                    yield tb[i, j]
+    return all(_form_is_zero(f, g.kind) for f in must_vanish())
 
 
 def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:

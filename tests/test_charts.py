@@ -125,6 +125,18 @@ def test_euclidean_curvature_zero():
                for i in range(3) for j in range(3))
 
 
+def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
+    # the off-diagonal jets are empty, and an empty jet's value is an exact zero
+    m = charts.euclidean_metric(3, exact=False)
+    assert all(type(v) is complex for row in m.value_matrix() for v in row)
+    assert m.has_identity_base()
+    pc = charts.riemannian_curvature_at(m)
+    assert pc.kind.name == "float"
+    assert charts.sectional_curvature(pc, [1, 0, 0], [0, 1j, 0]) == 0.0
+    res_h, res_a = charts.btp_residual_at(m)
+    assert max(charts._max_abs4(res_h), charts._max_abs4(res_a)) == 0
+
+
 def test_euclidean_ricci_tensors_vanish():
     ric1, ric2, ric3 = charts.ricci_forms_at(charts.euclidean_metric(3))
     for r in (ric1, ric2, ric3):
@@ -564,8 +576,27 @@ def test_float_curvature_matches_exact(wallach_pc, wallach_float_pc):
 
 
 def test_exact_mode_rejects_off_origin():
-    with pytest.raises(ValueError):
-        charts.wallach_metric(point=[1, 0, 0], exact=True)
+    for point in ([1, 0, 0], [1.0, 0, 0], [0, "1/2", 0]):
+        with pytest.raises(ValueError, match="chart origin"):
+            charts.wallach_metric(point=point, exact=True)
+
+
+def test_exact_builders_read_real_arguments_exactly():
+    for m in (charts.wallach_metric(sigma_scale=0.5),
+              charts.wallach_metric(sigma_scale="1/2")):
+        assert m.g == charts.wallach_metric(sigma_scale=Fraction(1, 2)).g
+    fs = charts.fubini_study_metric(point=[0.5, 0, 0])
+    assert fs.g == charts.fubini_study_metric(point=["1/2", 0, 0]).g
+    assert fs.value_matrix()[0][0] == Fraction(16, 25)    # 1 / (1 + 1/4)^2
+
+
+def test_exact_normalized_sectional_stays_rational_at_any_scale():
+    # the float degeneracy bound is never formed from exact data
+    pc = charts.riemannian_curvature_at(charts.euclidean_metric(3))
+    big = Fraction(10 ** 200)
+    assert charts.sectional_curvature(pc, [big, 0, 0], [0, big, 0], normalized=True) == 0
+    with pytest.raises(charts.DegeneratePlaneError):
+        charts.sectional_curvature(pc, [big, 0, 0], [2 * big, 0, 0], normalized=True)
 
 
 def test_chart_metric_validation():

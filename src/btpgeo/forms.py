@@ -1,24 +1,33 @@
 """Left-invariant complex differential forms on a coframe {phi_i, phibar_i}.
 
-Monomials are kept canonical: all phi indices before all phibar indices,
-each list strictly increasing, signs normalized on insertion, zero
-coefficients dropped.  This makes equality of exact forms a dictionary
-comparison.  The exterior derivative on basis 1-forms follows the structure
+A monomial phi_I ^ phibar_J is one integer bit mask: bit i stands for phi_i
+and bit n+i for phibar_i, so canonical order (all phi before all phibar,
+each increasing) is bit order.  ``terms`` maps masks to nonzero
+coefficients, so equality of exact forms is a dictionary comparison.  Only
+this module reads masks; the API speaks of index tuples (I, J), and
+``repr`` and ``to_json`` sort by them.  Every sign comes from one rule,
+``_sign(a, b)``: putting the factors of a before those of b in order costs
+one transposition per pair x in a, y in b with x > y (the basis blades of
+Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, 2007,
+ch. 19).  The exterior derivative on basis 1-forms follows the structure
 equation of a Lie coframe,
 
     d phi_i = -1/2 sum_{j,k} C^i_{jk} phi_j ^ phi_k
               - sum_{j,k} conj(D^j_{ik}) phi_j ^ phibar_k,
 
-and extends by the graded Leibniz rule.  Indices are 0-based in code and
-1-based on the JSON wire.
+and extends by the graded Leibniz rule.  Each d(f_t) is a 2-form, so it
+commutes with the other factors and d(f_1 ^ ... ^ f_k) is the sum of
+(-1)^t d(f_t) ^ (the monomial without f_t).  Indices are 0-based in code
+and 1-based on the JSON wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import index
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .scalars import (EC, Kind, Scalar, conj, is_zero, kind_of, scalar_abs,
+from .scalars import (EC, Kind, Scalar, common_kind, conj, is_zero, kind_of,
                       scalar_from_json, scalar_to_json)
 
 
@@ -30,30 +39,30 @@ class BidegreeError(ValueError):
     pass
 
 
-def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]):
-    """Merge two strictly increasing tuples; return (sign, merged) or None.
+def _sign(a: int, b: int) -> int:
+    """(-1) to the number of pairs x in a, y in b with x > y (bit sets)."""
+    s = 0
+    while a := a >> 1:          # pairs with x = y + 1, y + 2, ...
+        s += (a & b).bit_count()
+    return -1 if s & 1 else 1
 
-    The sign is the parity of the shuffle putting a+b into increasing order;
-    a repeated index collapses the product to zero (returns None).
-    """
-    out: List[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i factors of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+
+def _bits(m: int) -> Iterator[int]:
+    """The set bits of m, increasing."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _encode(n: int, I: Sequence[int], J: Sequence[int]) -> int:
+    """The mask of phi_I ^ phibar_J; raises unless the monomial is canonical."""
+    I, J = tuple(map(index, I)), tuple(map(index, J))
+    if any(not 0 <= v < n for v in I + J):
+        raise FormDimensionError(f"index out of range for n={n}")
+    if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
+        raise ValueError("monomial index lists must be strictly increasing")
+    return sum(1 << i for i in I) | sum(1 << (n + j) for j in J)
 
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -66,19 +75,9 @@ class InvariantForm:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[Dict[Mono, Scalar]] = None):
-        clean: Dict[Mono, Scalar] = {}
-        if terms:
-            for (I, J), c in terms.items():
-                if is_zero(c):
-                    continue
-                I, J = tuple(I), tuple(J)
-                if any(not 0 <= v < n for v in I + J):
-                    raise FormDimensionError(f"index out of range for n={n}")
-                if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
-                    raise ValueError("monomial index lists must be strictly increasing")
-                clean[(I, J)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        _set_n(self, n)
+        _set_terms(self, {_encode(n, I, J): c for (I, J), c in (terms or {}).items()
+                          if not is_zero(c)})
 
     def __setattr__(self, *_):
         raise AttributeError("InvariantForm is immutable")
@@ -86,7 +85,7 @@ class InvariantForm:
     # ---- constructors ---------------------------------------------------
     @staticmethod
     def zero(n: int) -> "InvariantForm":
-        return InvariantForm(n, {})
+        return _form(n, {})
 
     @staticmethod
     def scalar(n: int, c: Scalar) -> "InvariantForm":
@@ -114,78 +113,70 @@ class InvariantForm:
         t = dict(self.terms)
         for m, c in other.terms.items():
             t[m] = t[m] + c if m in t else c
-        return InvariantForm(self.n, t)
+        return _form(self.n, t)
 
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
         return self + (-other)
 
     def __neg__(self) -> "InvariantForm":
-        return InvariantForm(self.n, {m: -c for m, c in self.terms.items()})
+        return _form(self.n, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "InvariantForm":
-        if is_zero(c):
-            return InvariantForm.zero(self.n)
-        return InvariantForm(self.n, {m: v * c for m, v in self.terms.items()})
+        return _form(self.n, {m: v * c for m, v in self.terms.items()})
 
     # ---- algebra ----------------------------------------------------------
     def wedge(self, other: "InvariantForm") -> "InvariantForm":
         self._check(other)
-        acc: Dict[Mono, Scalar] = {}
-        for (I1, J1), c1 in self.terms.items():
-            for (I2, J2), c2 in other.terms.items():
-                mi = _merge_sign(I1, I2)
-                if mi is None:
+        acc: Dict[int, Scalar] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                if m1 & m2:
                     continue
-                mj = _merge_sign(J1, J2)
-                if mj is None:
-                    continue
-                sign = mi[0] * mj[0]
-                if (len(J1) * len(I2)) % 2:
-                    sign = -sign
                 c = c1 * c2
-                if sign < 0:
+                if _sign(m1, m2) < 0:
                     c = -c
-                m = (mi[1], mj[1])
+                m = m1 | m2
                 acc[m] = acc[m] + c if m in acc else c
-        return InvariantForm(self.n, acc)
+        return _form(self.n, acc)
 
     __matmul__ = wedge
 
     def conj(self) -> "InvariantForm":
-        t: Dict[Mono, Scalar] = {}
-        for (I, J), c in self.terms.items():
-            cc = conj(c)
-            if (len(I) * len(J)) % 2:
-                cc = -cc
-            t[(J, I)] = cc
-        return InvariantForm(self.n, t)
+        """phi_I ^ phibar_J goes to phibar_I ^ phi_J = +-phi_J ^ phibar_I."""
+        n = self.n
+        low = (1 << n) - 1
+        t: Dict[int, Scalar] = {}
+        for m, c in self.terms.items():
+            I, J = m & low, m >> n
+            t[J | I << n] = conj(c) if _sign(I << n, J) > 0 else -conj(c)
+        return _form(n, t)
 
     # ---- inspection ---------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, I: Sequence[int], J: Sequence[int]) -> Scalar:
-        c = self.terms.get((tuple(I), tuple(J)))
+        c = self.terms.get(_encode(self.n, I, J))
         if c is None:       # the zero of the form's kind; exact for an empty form
             return kind_of(next(iter(self.terms.values()), EC.zero())).zero
         return c
 
     def degrees(self) -> set:
-        return {len(I) + len(J) for I, J in self.terms}
+        return {m.bit_count() for m in self.terms}
+
+    def _bidegree_of(self, m: int) -> Tuple[int, int]:
+        return (m & ((1 << self.n) - 1)).bit_count(), (m >> self.n).bit_count()
 
     def bidegree(self) -> Tuple[int, int]:
         """The (p, q) bidegree; raises unless the form is pure."""
-        bds = {(len(I), len(J)) for I, J in self.terms}
+        bds = set(map(self._bidegree_of, self.terms))
         if len(bds) != 1:
             raise BidegreeError(f"form has mixed bidegree {sorted(bds)}")
         return bds.pop()
 
     def bidegree_part(self, p: int, q: int) -> "InvariantForm":
-        return InvariantForm(self.n, {m: c for m, c in self.terms.items()
-                                      if (len(m[0]), len(m[1])) == (p, q)})
-
-    def norm_inf(self) -> float:
-        return max((scalar_abs(c) for c in self.terms.values()), default=0.0)
+        return _form(self.n, {m: c for m, c in self.terms.items()
+                              if self._bidegree_of(m) == (p, q)})
 
     def swap_indices(self, S: Iterable[int]) -> "InvariantForm":
         """Substitute phi_i <-> phibar_i for every index i in S.
@@ -193,24 +184,21 @@ class InvariantForm:
         This is the coframe relabeling induced by conjugating part of a
         unitary frame; coefficients are left untouched.
         """
-        S = set(S)
-        out: Dict[Mono, Scalar] = {}
-        for (I, J), c in self.terms.items():
-            factors = [(0, i) for i in I] + [(1, j) for j in J]
-            subbed = [((1 - t, i) if i in S else (t, i)) for t, i in factors]
-            # parity of the sort into canonical order
-            sign = 1
-            key = [t * self.n + i for t, i in subbed]
-            for a in range(len(key)):
-                for b in range(a + 1, len(key)):
-                    if key[a] > key[b]:
-                        sign = -sign
-            newI = tuple(sorted(i for t, i in subbed if t == 0))
-            newJ = tuple(sorted(i for t, i in subbed if t == 1))
+        n = self.n
+        low = (1 << n) - 1
+        s = sum(1 << i for i in set(map(index, S)) if 0 <= i < n)
+        out: Dict[int, Scalar] = {}
+        for m, c in self.terms.items():
+            I, J = m & low, m >> n
+            # phi_I goes to head, phibar_J to tail: put each in order, then
+            # wedge them together
+            head = I & ~s | (I & s) << n
+            tail = J & s | (J & ~s) << n
+            sign = _sign(I & ~s, I & s) * _sign(J & s, J & ~s) * _sign(head, tail)
+            mm = head | tail
             cc = c if sign > 0 else -c
-            m = (newI, newJ)
-            out[m] = out[m] + cc if m in out else cc
-        return InvariantForm(self.n, out)
+            out[mm] = out[mm] + cc if mm in out else cc
+        return _form(n, out)
 
     def __eq__(self, other):
         if not isinstance(other, InvariantForm):
@@ -220,11 +208,16 @@ class InvariantForm:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
+    def _sorted_terms(self) -> List[Tuple[Mono, Scalar]]:
+        low = (1 << self.n) - 1
+        return sorted(((tuple(_bits(m & low)), tuple(_bits(m >> self.n))), c)
+                      for m, c in self.terms.items())
+
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (I, J), c in sorted(self.terms.items()):
+        for (I, J), c in self._sorted_terms():
             mono = "^".join([f"phi{i+1}" for i in I] + [f"phibar{j+1}" for j in J]) or "1"
             bits.append(f"({c!r})*{mono}")
         return " + ".join(bits)
@@ -233,7 +226,7 @@ class InvariantForm:
     def to_json(self):
         return [{"phi": [i + 1 for i in I], "phibar": [j + 1 for j in J],
                  "coef": scalar_to_json(c)}
-                for (I, J), c in sorted(self.terms.items())]
+                for (I, J), c in self._sorted_terms()]
 
     @staticmethod
     def from_json(n: int, items) -> "InvariantForm":
@@ -244,6 +237,18 @@ class InvariantForm:
             c = scalar_from_json(it["coef"])
             t[(I, J)] = t[(I, J)] + c if (I, J) in t else c
         return InvariantForm(n, t)
+
+
+_set_n = InvariantForm.n.__set__
+_set_terms = InvariantForm.terms.__set__
+
+
+def _form(n: int, terms: Dict[int, Scalar]) -> InvariantForm:
+    """A form from mask-keyed terms: zeros are dropped, nothing is checked."""
+    f = object.__new__(InvariantForm)
+    _set_n(f, n)
+    _set_terms(f, {m: c for m, c in terms.items() if c})
+    return f
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -263,10 +268,10 @@ class CoframeContext:
 
     C must be antisymmetric in its lower indices; no integrability condition
     is imposed here (see d_squared_residual).  Entries are indexed
-    [j][i][k], 0-based.
+    [j][i][k], 0-based, and share one scalar kind.
     """
 
-    __slots__ = ("n", "C", "D", "kind", "_dphi", "_dphibar")
+    __slots__ = ("n", "C", "D", "kind", "_d")
 
     def __init__(self, n: int, C, D):
         C = tuple(tuple(tuple(r) for r in layer) for layer in C)
@@ -274,7 +279,7 @@ class CoframeContext:
         for T, name in ((C, "C"), (D, "D")):
             if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
                 raise FormDimensionError(f"{name} must be n x n x n")
-        kind = kind_of(C[0][0][0])
+        kind = common_kind(c for T in (C, D) for l in T for r in l for c in r)
         if not lower_antisymmetric(C, kind):
             raise ValueError("C must be antisymmetric in its lower indices")
         object.__setattr__(self, "n", n)
@@ -283,17 +288,17 @@ class CoframeContext:
         object.__setattr__(self, "kind", kind)
         dphi = []
         for i in range(n):
-            f = InvariantForm.zero(n)
+            t: Dict[int, Scalar] = {}
             for j in range(n):
                 for k in range(n):
                     if j < k and not is_zero(C[i][j][k]):
                         # -1/2 (C^i_{jk} phi_j phi_k + C^i_{kj} phi_k phi_j)
-                        f = f + InvariantForm.monomial(n, (j, k), (), -C[i][j][k])
+                        t[1 << j | 1 << k] = -C[i][j][k]
                     if not is_zero(D[j][i][k]):
-                        f = f + InvariantForm.monomial(n, (j,), (k,), -conj(D[j][i][k]))
-            dphi.append(f)
-        object.__setattr__(self, "_dphi", tuple(dphi))
-        object.__setattr__(self, "_dphibar", tuple(f.conj() for f in dphi))
+                        t[1 << j | 1 << (n + k)] = -conj(D[j][i][k])
+            dphi.append(_form(n, t))
+        # d of the basis 1-form of each bit: phi_i at bit i, phibar_i at n+i
+        object.__setattr__(self, "_d", tuple(dphi) + tuple(f.conj() for f in dphi))
 
     def __setattr__(self, *_):
         raise AttributeError("CoframeContext is immutable")
@@ -303,36 +308,30 @@ class CoframeContext:
         return self.kind.exact
 
     def d_phi(self, i: int) -> InvariantForm:
-        return self._dphi[i]
+        return self._d[i]
 
     def d_phibar(self, i: int) -> InvariantForm:
-        return self._dphibar[i]
+        return self._d[self.n + i]
 
 
 def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:
-    """Exterior derivative by the structure equation and the Leibniz rule."""
+    """Exterior derivative by the structure equation and the Leibniz rule,
+    d(c f_1 ^ ... ^ f_k) = sum_t (-1)^t c d(f_t) ^ (the other factors)."""
     if ctx.n != a.n:
         raise FormDimensionError("form dimension does not match context")
-    n = a.n
-    out = InvariantForm.zero(n)
-    for (I, J), c in a.terms.items():
-        factors = [(0, i) for i in I] + [(1, j) for j in J]
-        for t, (kind, idx) in enumerate(factors):
-            dfac = ctx.d_phi(idx) if kind == 0 else ctx.d_phibar(idx)
-            if dfac.is_zero():
-                continue
-            before = factors[:t]
-            after = factors[t + 1:]
-            pre = InvariantForm.monomial(
-                n, [i for k, i in before if k == 0], [i for k, i in before if k == 1],
-                ctx.kind.one)
-            post = InvariantForm.monomial(
-                n, [i for k, i in after if k == 0], [i for k, i in after if k == 1],
-                ctx.kind.one)
-            term = pre.wedge(dfac).wedge(post)
-            cc = c if t % 2 == 0 else -c
-            out = out + term.scale(cc)
-    return out
+    acc: Dict[int, Scalar] = {}
+    for m, c in a.terms.items():
+        for t, b in enumerate(_bits(m)):
+            rest = m ^ 1 << b
+            for m2, c2 in ctx._d[b].terms.items():
+                if m2 & rest:
+                    continue
+                v = c2 * c
+                if _sign(m2, rest) * (-1) ** t < 0:
+                    v = -v
+                mm = m2 | rest
+                acc[mm] = acc[mm] + v if mm in acc else v
+    return _form(a.n, acc)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from .forms import (CoframeContext, InvariantForm, d_squared_residual,
 from .frames import transform_torsion
 from .linalg import CMatrix, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
-                      conj, is_zero, kind_of, scalar_from_json, scalar_to_json)
+                      common_kind, conj, is_zero, kind_of, scalar_from_json,
+                      scalar_to_json)
 
 
 class IntegrabilityError(ValueError):
@@ -230,7 +231,7 @@ class TorsionTensor:
 
     def __init__(self, n: int, T):
         T = tuple(tuple(tuple(r) for r in layer) for layer in T)
-        kind = kind_of(T[0][0][0])
+        kind = common_kind(c for l in T for r in l for c in r)
         if not lower_antisymmetric(T, kind):
             raise ValueError("torsion must be antisymmetric in the lower indices")
         object.__setattr__(self, "n", n)
@@ -309,43 +310,36 @@ class CurvatureMatrix(ConnectionMatrix):
 
     def component(self, k: int, l: int, i: int, j: int) -> Scalar:
         """R_{k lbar i jbar}: the phi_k ^ phibar_l coefficient of entry (i, j)."""
-        return self.entries[i][j].terms.get(((k,), (l,)), self.kind.zero)
+        e = self.entries[i][j]
+        return self.kind.zero if e.is_zero() else e.coeff((k,), (l,))
+
+
+def _connection_from(X, tag: str, kind: Kind) -> ConnectionMatrix:
+    """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k )."""
+    n = len(X)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            f = InvariantForm.zero(n)
+            for k in range(n):
+                if not is_zero(X[j][i][k]):
+                    f = f + InvariantForm.phi(n, k, X[j][i][k])
+                if not is_zero(X[i][j][k]):
+                    f = f + InvariantForm.phibar(n, k, -conj(X[i][j][k]))
+            row.append(f)
+        rows.append(row)
+    return ConnectionMatrix(rows, tag, kind)
 
 
 def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    n = g.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            f = InvariantForm.zero(n)
-            for k in range(n):
-                if not is_zero(g.D[j][i][k]):
-                    f = f + InvariantForm.phi(n, k, g.D[j][i][k])
-                if not is_zero(g.D[i][j][k]):
-                    f = f + InvariantForm.phibar(n, k, -conj(g.D[i][j][k]))
-            row.append(f)
-        rows.append(row)
-    return ConnectionMatrix(rows, "chern", g.kind)
+    return _connection_from(g.D, "chern", g.kind)
 
 
 def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
     """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    n = T.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            f = InvariantForm.zero(n)
-            for k in range(n):
-                if not is_zero(T.T[j][i][k]):
-                    f = f + InvariantForm.phi(n, k, T.T[j][i][k])
-                if not is_zero(T.T[i][j][k]):
-                    f = f + InvariantForm.phibar(n, k, -conj(T.T[i][j][k]))
-            row.append(f)
-        rows.append(row)
-    return ConnectionMatrix(rows, "gamma", T.kind)
+    return _connection_from(T.T, "gamma", T.kind)
 
 
 def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:

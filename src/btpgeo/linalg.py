@@ -18,7 +18,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .scalars import EC, ExactComplex, Kind, conj, kind_of, scalar_abs, scalar_to_json
+from .scalars import (EC, ExactComplex, Kind, common_kind, conj, kind_of, scalar_abs,
+                      scalar_to_json)
 
 
 class DimensionError(ValueError):
@@ -49,9 +50,7 @@ class CMatrix:
         ncol = len(rows[0])
         if any(len(r) != ncol for r in rows):
             raise DimensionError("ragged rows")
-        kind = kind_of(rows[0][0])
-        if any(kind_of(e) is not kind for r in rows for e in r):
-            raise TypeError("mixed scalar kinds in one matrix")
+        kind = common_kind(e for r in rows for e in r)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncol)
         object.__setattr__(self, "entries", rows)

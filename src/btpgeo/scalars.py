@@ -10,9 +10,9 @@ A ``Kind`` holds what depends on the kind alone: its name, its numpy dtype,
 its zero, one and i, the coercion ``scalar`` and the zero test
 ``negligible``, which is exact for ``EXACT`` and ``abs(c) <= tol`` for
 ``FLOAT``, with ``FLOAT_TOL`` as the default tolerance.  ``EXACT`` and
-``FLOAT`` are its only instances; ``kind_of`` reads the kind of a scalar.
-Objects built from scalars take their kind once and ask it, so the
-decision of which kind, and what counts as zero, is made here.
+``FLOAT`` are its only instances; ``kind_of`` reads the kind of a scalar
+and ``common_kind`` that of a collection.  Objects take their kind once
+and ask it, so which kind, and what counts as zero, is decided here.
 """
 
 from __future__ import annotations
@@ -315,6 +315,14 @@ FLOAT = Kind(False, "float", complex, 0j, 1 + 0j, 1j)
 def kind_of(c: Scalar) -> Kind:
     """The kind of a scalar: EXACT for ExactComplex, FLOAT otherwise."""
     return EXACT if isinstance(c, ExactComplex) else FLOAT
+
+
+def common_kind(values) -> Kind:
+    """The one kind of the scalars in values (not empty); TypeError if they mix."""
+    kinds = [kind_of(c) for c in values]
+    if any(k is not kinds[0] for k in kinds):
+        raise TypeError("mixed scalar kinds in one object")
+    return kinds[0]
 
 
 # ---- JSON wire format ----------------------------------------------------

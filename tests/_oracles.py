@@ -1,14 +1,16 @@
 """Independent oracles shared by the test modules: finite differences, closed
-forms, the jet route to point curvature, and sectional and Ricci curvature
-by explicit sums."""
+forms, the jet route to point curvature, sectional and Ricci curvature by
+explicit sums, and the tuple-keyed form kernel."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from btpgeo.charts import ChartMetric, PointCurvature
+from btpgeo.forms import InvariantForm
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.scalars import EC, conj
+from btpgeo.scalars import EC, conj, is_zero
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -328,3 +330,105 @@ def transform_frame_loop(g, P):
                     C[j][k][i] = -acc_c
                 D[j][i][k] = acc_d
     return C, D
+
+
+# ---- the tuple-keyed form kernel ---------------------------------------------
+# The form layer keys each monomial by a bit mask and takes every sign from
+# one pair-count rule.  The routes below are the ones it replaced: a merge of
+# index tuples with a running sign, an inversion count over the substituted
+# factors, and the Leibniz rule with explicit monomials before and after each
+# differentiated factor.  They read forms through ``coeff`` only.
+
+def form_monomials(f):
+    """((I, J), c) for every nonzero coefficient of f, in (I, J) order."""
+    subsets = [c for k in range(f.n + 1) for c in itertools.combinations(range(f.n), k)]
+    for I in subsets:
+        for J in subsets:
+            c = f.coeff(I, J)
+            if not is_zero(c):
+                yield (I, J), c
+
+
+def merge_sign(a, b):
+    """Merge two strictly increasing tuples; return (sign, merged) or None.
+
+    The sign is the parity of the shuffle putting a+b into increasing order;
+    a repeated index collapses the product to zero (returns None).
+    """
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            # b[j] jumps over the remaining len(a)-i factors of a
+            if (len(a) - i) % 2:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return sign, tuple(out)
+
+
+def wedge_merge(a, b):
+    """a ^ b by merging the phi and the phibar tuples separately; moving
+    phi_I2 over phibar_J1 costs (-1)^(|J1| |I2|)."""
+    acc = {}
+    for (I1, J1), c1 in form_monomials(a):
+        for (I2, J2), c2 in form_monomials(b):
+            mi = merge_sign(I1, I2)
+            mj = merge_sign(J1, J2)
+            if mi is None or mj is None:
+                continue
+            sign = mi[0] * mj[0] * (-1) ** (len(J1) * len(I2))
+            m = (mi[1], mj[1])
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            acc[m] = acc[m] + c if m in acc else c
+    return InvariantForm(a.n, acc)
+
+
+def swap_indices_inversions(f, S):
+    """phi_i <-> phibar_i for i in S, signed by counting the inversions of
+    the substituted factors one pair at a time."""
+    S = set(S)
+    out = {}
+    for (I, J), c in form_monomials(f):
+        factors = [(0, i) for i in I] + [(1, j) for j in J]
+        subbed = [((1 - t, i) if i in S else (t, i)) for t, i in factors]
+        key = [t * f.n + i for t, i in subbed]
+        sign = 1
+        for a in range(len(key)):
+            for b in range(a + 1, len(key)):
+                if key[a] > key[b]:
+                    sign = -sign
+        m = (tuple(sorted(i for t, i in subbed if t == 0)),
+             tuple(sorted(i for t, i in subbed if t == 1)))
+        cc = c if sign > 0 else -c
+        out[m] = out[m] + cc if m in out else cc
+    return InvariantForm(f.n, out)
+
+
+def exterior_d_leibniz(ctx, a):
+    """d(a) by the graded Leibniz rule: for each factor, the monomial before
+    it, its derivative and the monomial after it, wedged by ``wedge_merge``."""
+    n = a.n
+    out = InvariantForm.zero(n)
+    for (I, J), c in form_monomials(a):
+        factors = [(0, i) for i in I] + [(1, j) for j in J]
+        for t, (bar, idx) in enumerate(factors):
+            dfac = ctx.d_phibar(idx) if bar else ctx.d_phi(idx)
+            before, after = factors[:t], factors[t + 1:]
+            pre = InvariantForm.monomial(
+                n, [i for k, i in before if k == 0], [i for k, i in before if k == 1],
+                ctx.kind.one)
+            post = InvariantForm.monomial(
+                n, [i for k, i in after if k == 0], [i for k, i in after if k == 1],
+                ctx.kind.one)
+            term = wedge_merge(wedge_merge(pre, dfac), post)
+            out = out + term.scale(c if t % 2 == 0 else -c)
+    return out

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import exterior_d_leibniz, swap_indices_inversions, wedge_merge
 from btpgeo import lie
 from btpgeo.forms import (BidegreeError, CoframeContext, InvariantForm,
                           d_squared_residual, dolbeault_split, exterior_d)
@@ -61,18 +62,19 @@ forms = st.dictionaries(monos, small_coef, max_size=3).map(
     lambda d: InvariantForm(3, d))
 
 
+def degree_part(f, d):
+    """The homogeneous degree-d part of f, as a sum of its bidegree parts."""
+    return sum((f.bidegree_part(p, d - p) for p in range(d + 1)), InvariantForm.zero(f.n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(forms, forms)
 def test_wedge_graded_anticommutative(a, b):
     # check on homogeneous pieces: a ^ b = (-1)^{|a||b|} b ^ a
     for da in sorted(a.degrees() or {0}):
         for db in sorted(b.degrees() or {0}):
-            ah = sum((InvariantForm.monomial(3, I, J, c)
-                      for (I, J), c in a.terms.items() if len(I) + len(J) == da),
-                     InvariantForm.zero(3))
-            bh = sum((InvariantForm.monomial(3, I, J, c)
-                      for (I, J), c in b.terms.items() if len(I) + len(J) == db),
-                     InvariantForm.zero(3))
+            ah = degree_part(a, da)
+            bh = degree_part(b, db)
             lhs = ah.wedge(bh)
             rhs = bh.wedge(ah)
             if (da * db) % 2:
@@ -133,9 +135,7 @@ def test_leibniz_rule(a, b):
     total_l = exterior_d(ctx, a.wedge(b))
     total_r = InvariantForm.zero(3)
     for deg in range(7):
-        ah = sum((InvariantForm.monomial(3, I, J, c)
-                  for (I, J), c in a.terms.items() if len(I) + len(J) == deg),
-                 InvariantForm.zero(3))
+        ah = degree_part(a, deg)
         if ah.is_zero():
             continue
         term = exterior_d(ctx, ah).wedge(b) + \
@@ -267,3 +267,35 @@ def test_c_antisymmetry_enforced():
 def test_form_json_roundtrip():
     f = phi(0).wedge(phibar(2)).scale(EC(Fraction(3, 7), 1)) + phi(1)
     assert InvariantForm.from_json(3, f.to_json()) == f
+
+
+# ---- the bit-mask kernel against the tuple-keyed oracles ------------------------
+
+subsets3 = st.lists(st.integers(0, 2), max_size=3, unique=True).map(lambda l: tuple(sorted(l)))
+gauss_coef = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda v: EC(Fraction(v[0], 2), v[1]))
+# every bidegree up to (3, 3) at n = 3
+any_forms = st.dictionaries(st.tuples(subsets3, subsets3), gauss_coef, max_size=5).map(
+    lambda d: InvariantForm(3, d))
+family_contexts = st.sampled_from([
+    g.ctx for g in (lie.nilmanifold_n3(2), lie.family_a(Fraction(1, 2), Fraction(1, 3)),
+                    lie.family_b(EC(1, -2), 3, Fraction(1, 2)), lie.sl2c(1),
+                    lie.vaisman_nilmanifold(Fraction(3, 2)))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_forms, any_forms)
+def test_wedge_matches_merge_oracle(a, b):
+    assert a.wedge(b) == wedge_merge(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_forms, st.sets(st.integers(0, 2)))
+def test_swap_indices_matches_inversion_oracle(a, S):
+    assert a.swap_indices(S) == swap_indices_inversions(a, S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_contexts, any_forms)
+def test_exterior_d_matches_leibniz_oracle(ctx, a):
+    assert exterior_d(ctx, a) == exterior_d_leibniz(ctx, a)

@@ -52,6 +52,19 @@ def test_n3_torsion_from_structure_equation():
     assert sorted(nz) == [(0, 0, 2), (0, 2, 0), (1, 1, 2), (1, 2, 1)]
 
 
+def test_mixed_scalar_kinds_are_rejected_on_construction():
+    # exact C with the same D as float scalars used to construct as exact
+    # and fail later, inside classify, on ExactComplex - complex
+    g = lie.nilmanifold_n3()
+    D = [[[complex(c) for c in r] for r in l] for l in g.D]
+    with pytest.raises(TypeError, match="mixed scalar kinds"):
+        lie.HermitianLieAlgebra(3, g.C, D)
+    T = [[list(r) for r in l] for l in lie.chern_torsion(g).T]
+    T[0][0][2], T[0][2][0] = 1 + 0j, -1 + 0j
+    with pytest.raises(TypeError, match="mixed scalar kinds"):
+        lie.TorsionTensor(3, T)
+
+
 # ---- connections -------------------------------------------------------------
 
 def test_sl2c_chern_connection_vanishes():

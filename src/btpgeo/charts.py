@@ -409,7 +409,11 @@ def btp_residual_at(m: ChartMetric):
         raise BaseMetricError("parallel-torsion residuals need g = identity "
                               "at the base point; orthonormalize first")
     J = _jet_arrays(m)
-    T = _torsion(J)
+    return tuple(r.tolist() for r in _btp_residuals(J, _torsion(J)))
+
+
+def _btp_residuals(J: _Jets, T):
+    """The arrays (res_h, res_a) of ``btp_residual_at``, given the torsion T."""
     Tc = np.conj(T)
     res_h = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dg, J.hh))
              - np.einsum("lri,jrk->lijk", J.dg, T) - np.einsum("lrk,jir->lijk", J.dg, T)
@@ -417,7 +421,7 @@ def btp_residual_at(m: ChartMetric):
     res_a = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dgb, J.ha))
              - np.einsum("jir,klr->lijk", T, Tc) + np.einsum("jkr,ilr->lijk", T, Tc)
              - np.einsum("rik,rjl->lijk", T, Tc))
-    return res_h.tolist(), res_a.tolist()
+    return res_h, res_a
 
 
 def _max_abs4(arr) -> float:
@@ -476,16 +480,16 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     if not m.has_identity_base():
         raise BaseMetricError("Levi-Civita extraction needs g = identity at "
                               "the base point")
-    res = btp_residual_at(m)
-    if not m.kind.negligible(np.array(res, m.kind.dtype)).all():
-        resid = max(map(_max_abs4, res))
+    J = _jet_arrays(m)
+    T = _torsion(J)
+    res = np.stack(_btp_residuals(J, T))
+    if not m.kind.negligible(res).all():
+        resid = max(map(scalar_abs, res.flat))
         raise UnsupportedMetricError(
             f"torsion is not parallel at the base point (residual {resid:.3e}); "
             "the covariant-derivative term of the (2,0) curvature is not supported")
-    J = _jet_arrays(m)
-    T = _torsion(J)
     Tc = np.conj(T)
-    Rc = np.array(chern_curvature_at(m), m.kind.dtype)
+    Rc = _chern(J)
     quarter = m.kind.scalar(Fraction(1, 4))
     half = m.kind.scalar(Fraction(1, 2))
     r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter

@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import CMatrix, DimensionError, takagi_factorize
-from .scalars import EC, ExactComplex
+from .scalars import EXACT, FLOAT, ExactComplex, Kind, scalar_abs
 
 
 class NotBalancedError(ValueError):
@@ -34,11 +34,37 @@ class FramePatternError(ValueError):
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+def _kind_of(values) -> Kind:
+    """EXACT when every value is an ExactComplex, int or Fraction, else FLOAT."""
+    return EXACT if all(isinstance(x, (ExactComplex, Fraction, int)) and not isinstance(x, bool)
+                        for x in values) else FLOAT
+
+
+def _antisymmetric(n: int, entries, kind: Kind) -> np.ndarray:
+    """T[i, j, k] = -T[i, k, j] = v for each ((i, j, k), v), zero elsewhere."""
+    T = np.full((n, n, n), kind.zero, kind.dtype)
+    for (i, j, k), v in entries:
+        T[i, j, k], T[i, k, j] = kind.scalar(v), kind.scalar(-v)
+    return T
+
+
+def cyclic_torsion(a) -> np.ndarray:
+    """The special-frame torsion of a triple a: T^i_{jk} = -T^i_{kj} = a_i
+    for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
+    return _antisymmetric(3, zip(_CYCLES, a), _kind_of(a))
+
+
+def diagonal_torsion(n: int, a, signs) -> np.ndarray:
+    """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
+    indices i, zero elsewhere, as an array of a's kind.  Signs (1, -1) give the
+    admissible middle-type torsion, all signs + the Vaisman-type one."""
+    return _antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)],
+                          _kind_of((a,)))
+
+
 def _as_array(T) -> np.ndarray:
-    if isinstance(T, np.ndarray):
-        return T.astype(complex)
-    return np.array([[[complex(c) for c in row] for row in layer] for layer in T],
-                    dtype=complex)
+    """T as a complex128 array (exact entries through ``__complex__``)."""
+    return np.array(T, dtype=complex)
 
 
 _LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
@@ -113,10 +139,7 @@ def build_special_frame(T, tol: float = 1e-9) -> SpecialFrameResult:
         raise NotBalancedError(f"torsion is not balanced: |eta| = {np.max(np.abs(eta)):.3e}")
 
     # A_{i alpha} = T^alpha_{jk}, (i j k) cyclic; balancedness makes A symmetric
-    A = np.zeros((3, 3), dtype=complex)
-    for i, j, k in _CYCLES:
-        for al in range(3):
-            A[i, al] = arr[al][j][k]
+    A = np.array([arr[:, j, k] for _, j, k in _CYCLES])
     tk = takagi_factorize(CMatrix.from_rows(A), tol=max(tol, 1e-10))
     U1 = tk.U.to_numpy()
     cur = transform_torsion(arr, U1)
@@ -124,23 +147,18 @@ def build_special_frame(T, tol: float = 1e-9) -> SpecialFrameResult:
     U2 = _phase_fix(cur)
     cur = transform_torsion(cur, U2)
 
-    cyc = torsion_to_cyclic(cur).real
-    order = np.argsort(-cyc, kind="stable")
-    P = np.zeros((3, 3))
-    for new, old in enumerate(order):
-        P[new, old] = 1.0
+    # the permutation that sorts the cyclic entries in descending order
+    P = np.identity(3)[np.argsort(-torsion_to_cyclic(cur).real, kind="stable")]
     cur = transform_torsion(cur, P)
 
     U4 = _phase_fix(cur)   # an odd permutation flips all cyclic signs
     cur = transform_torsion(cur, U4)
 
     U = U4 @ P @ U2 @ U1
-    a = tuple(float(x) for x in torsion_to_cyclic(cur).real)
+    cyc = torsion_to_cyclic(cur)
+    a = tuple(float(x) for x in cyc.real)
     # invariants of the special frame
-    offpattern = cur.copy()
-    for i, j, k in _CYCLES:
-        offpattern[i][j][k] = 0.0
-        offpattern[i][k][j] = 0.0
+    offpattern = cur - cyclic_torsion(cyc)
     if np.max(np.abs(offpattern)) > tol * scale or min(a) < -tol * scale \
             or not (a[0] >= a[1] - tol * scale >= a[2] - 2 * tol * scale):
         raise RuntimeError("special-frame normalization failed its invariants")
@@ -157,34 +175,18 @@ def special_to_admissible(a):
     """Admissible frame data from middle-type special torsion (a, a, 0).
 
     Returns (U, T') where U is the constant unitary frame change and T' the
-    transformed torsion with only T'^1_{13} = a, T'^2_{23} = -a nonzero.
-    The entries of U are irrational, so on exact inputs T' is produced in
-    closed form (the cubic transformation law cancels the square roots).
+    transformed torsion with only T'^1_{13} = a, T'^2_{23} = -a nonzero, an
+    array of a's kind.  The entries of U are irrational, so T' is produced
+    in closed form (the cubic transformation law cancels the square roots).
     """
-    a1, a2, a3 = a
-    exact = isinstance(a1, (ExactComplex, Fraction, int)) and not isinstance(a1, bool)
-    if exact:
-        vals = [x if isinstance(x, ExactComplex) else EC(Fraction(x), 0) for x in (a1, a2, a3)]
-        if not (vals[0] == vals[1] and not vals[0].is_zero() and vals[2].is_zero()
-                and vals[0].im == 0 and vals[0].re > 0):
-            raise FramePatternError("middle-type pattern needs a_1 = a_2 > 0 = a_3")
-        av = vals[0]
-        T = [[[EC.zero() for _ in range(3)] for _ in range(3)] for _ in range(3)]
-        T[0][0][2] = av
-        T[0][2][0] = -av
-        T[1][1][2] = -av
-        T[1][2][1] = av
-        return CMatrix.from_rows(_ADMISSIBLE_U), T
-    a1, a2, a3 = float(a1), float(a2), float(a3)
-    scale = max(a1, 1.0)
-    if not (abs(a1 - a2) <= 1e-9 * scale and a1 > 1e-9 * scale and abs(a3) <= 1e-9 * scale):
+    kind = _kind_of(a)
+    a1, a2, a3 = (kind.scalar(x) for x in a)
+    bound = 1e-9 * max(scalar_abs(a1), 1.0)
+    if not (kind.negligible(a1 - a2, bound) and kind.negligible(a3, bound)
+            and kind.negligible(a1.imag, bound) and a1.real > 0
+            and not kind.negligible(a1, bound)):
         raise FramePatternError("middle-type pattern needs a_1 = a_2 > 0 = a_3")
-    T = np.zeros((3, 3, 3), dtype=complex)
-    T[0][0][2] = a1
-    T[0][2][0] = -a1
-    T[1][1][2] = -a1
-    T[1][2][1] = a1
-    return CMatrix.from_rows(_ADMISSIBLE_U), T
+    return CMatrix.from_rows(_ADMISSIBLE_U), diagonal_torsion(3, a1, (1, -1))
 
 
 def b_rank_type(a, tol: float = 1e-8) -> str:
@@ -194,23 +196,18 @@ def b_rank_type(a, tol: float = 1e-8) -> str:
     rank1 a_1>a_2=a_3=0; anything else is a pattern the balanced
     parallel-torsion classification rules out, reported as
     ``excluded_by_classification`` without asserting a contradiction.
+    Values and differences negligible within tol * max(1, a_1) are zero; a
+    negative nonzero difference means the triple is out of order.
     """
-    if all(isinstance(x, (ExactComplex, Fraction, int)) and not isinstance(x, bool) for x in a):
-        vals = [Fraction(x.re) if isinstance(x, ExactComplex) else Fraction(x) for x in a]
-        if sorted(vals, reverse=True) != vals or any(v < 0 for v in vals):
-            raise FramePatternError("triple must be sorted descending and nonnegative")
-        eq01, eq12 = vals[0] == vals[1], vals[1] == vals[2]
-        z = [v == 0 for v in vals]
-    else:
-        vals = [float(x) for x in a]
-        s = max(1.0, vals[0])
-        z = [abs(v) <= tol * s for v in vals]
-        snapped = [0.0 if zz else v for v, zz in zip(vals, z)]
-        if any(v < 0 for v in snapped) or snapped[0] < snapped[1] - tol * s \
-                or snapped[1] < snapped[2] - tol * s:
-            raise FramePatternError("triple must be sorted descending and nonnegative")
-        eq01 = abs(snapped[0] - snapped[1]) <= tol * s
-        eq12 = abs(snapped[1] - snapped[2]) <= tol * s
+    kind = _kind_of(a)
+    vals = [kind.scalar(x).real for x in a]
+    bound = tol * max(1, vals[0])
+    z = [kind.negligible(v, bound) for v in vals]
+    vals = [0 if zz else v for v, zz in zip(vals, z)]
+    d01, d12 = vals[0] - vals[1], vals[1] - vals[2]
+    eq01, eq12 = kind.negligible(d01, bound), kind.negligible(d12, bound)
+    if any(v < 0 for v in vals) or (d01 < 0 and not eq01) or (d12 < 0 and not eq12):
+        raise FramePatternError("triple must be sorted descending and nonnegative")
     if all(z):
         return "kahler"
     if eq01 and eq12 and not z[2]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .forms import (CoframeContext, InvariantForm, d_squared_residual,
                     dolbeault_split, exterior_d, lower_antisymmetric)
-from .frames import transform_torsion
+from .frames import diagonal_torsion, transform_torsion
 from .linalg import CMatrix, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
                       common_kind, conj, is_zero, kind_of, scalar_from_json,
@@ -58,7 +58,7 @@ class HermitianLieAlgebra:
     every d^2 phi_i must vanish.
     """
 
-    __slots__ = ("n", "C", "D", "label", "ctx", "exact")
+    __slots__ = ("n", "C", "D", "label", "ctx", "kind")
 
     def __init__(self, n: int, C, D, label: str = "", validate: bool = True):
         ctx = CoframeContext(n, C, D)
@@ -75,14 +75,14 @@ class HermitianLieAlgebra:
         object.__setattr__(self, "D", ctx.D)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "exact", ctx.exact)
+        object.__setattr__(self, "kind", ctx.kind)
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianLieAlgebra is immutable")
 
     @property
-    def kind(self) -> Kind:
-        return EXACT if self.exact else FLOAT
+    def exact(self) -> bool:
+        return self.kind.exact
 
     def __repr__(self):
         return f"HermitianLieAlgebra(n={self.n}, label={self.label!r})"
@@ -245,18 +245,16 @@ class TorsionTensor:
         j, i, k = jik
         return self.T[j][i][k]
 
+    def array(self) -> np.ndarray:
+        """T as an n x n x n array of its kind."""
+        return np.array(self.T, self.kind.dtype)
+
     def is_zero(self) -> bool:
         return all(self.kind.negligible(c) for l in self.T for r in l for c in r)
 
-    def to_json(self):
-        out = []
-        for j in range(self.n):
-            for i in range(self.n):
-                for k in range(i + 1, self.n):
-                    if not is_zero(self.T[j][i][k]):
-                        out.append({"j": j + 1, "i": i + 1, "k": k + 1,
-                                    "coef": scalar_to_json(self.T[j][i][k])})
-        return out
+    def matches(self, expected) -> bool:
+        """Whether T - expected is negligible entrywise."""
+        return bool(self.kind.negligible(self.array() - expected).all())
 
 
 def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
@@ -379,18 +377,8 @@ def bismut_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
 
 def b_tensor(T: TorsionTensor) -> CMatrix:
     """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}); hermitian nonnegative."""
-    n = T.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = T.kind.zero
-            for r in range(n):
-                for s in range(n):
-                    acc = acc + T.T[j][r][s] * conj(T.T[i][r][s])
-            row.append(acc)
-        rows.append(row)
-    return CMatrix(rows)
+    arr = T.array()
+    return CMatrix(np.einsum("jrs,irs->ij", arr, arr.conj()).tolist())
 
 
 def gauduchon_eta(T: TorsionTensor) -> InvariantForm:
@@ -480,16 +468,8 @@ def vaisman_torsion_pattern(T: TorsionTensor):
     """
     n = T.n
     a = T.T[0][0][n - 1]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                expected = T.kind.zero
-                if j == i and k == n - 1 and i < n - 1:
-                    expected = a
-                elif j == k and i == n - 1 and k < n - 1:
-                    expected = -a
-                if not T.kind.negligible(T.T[j][i][k] - expected):
-                    return False, None
+    if not T.matches(diagonal_torsion(n, a, (1,) * (n - 1))):
+        return False, None
     # a is real and positive beyond the zero test
     positive = (T.kind.negligible(a.imag) and not T.kind.negligible(a.real)
                 and a.real > 0)
@@ -666,22 +646,7 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
         if n != 3:
             raise PatternError("middle-type obstruction needs n = 3")
         a = T.T[0][0][2]
-        ok = True
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    expected = g.kind.zero
-                    if (j, i, k) == (0, 0, 2):
-                        expected = a
-                    elif (j, i, k) == (0, 2, 0):
-                        expected = -a
-                    elif (j, i, k) == (1, 1, 2):
-                        expected = -a
-                    elif (j, i, k) == (1, 2, 1):
-                        expected = a
-                    if not is_zero(T.T[j][i][k] - expected):
-                        ok = False
-        if not ok or is_zero(a):
+        if g.kind.negligible(a) or not T.matches(diagonal_torsion(3, a, (1, -1))):
             raise PatternError("torsion is not in the admissible middle-type pattern")
     Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,), g.kind.one)
     split = dolbeault_split(g.ctx, Phi)

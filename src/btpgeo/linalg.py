@@ -77,11 +77,6 @@ class CMatrix:
             self.kind.negligible(self.entries[i][j] - conj(self.entries[j][i]), tol)
             for i in range(self.rows) for j in range(self.cols))
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return self.rows == self.cols and all(
-            self.kind.negligible(self.entries[i][j] - self.entries[j][i], tol)
-            for i in range(self.rows) for j in range(self.cols))
-
     def max_abs(self) -> float:
         return max(scalar_abs(e) for r in self.entries for e in r)
 

@@ -277,7 +277,7 @@ def scalar_abs(c: Scalar) -> float:
 FLOAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kind:
     """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances."""
     exact: bool

@@ -9,7 +9,9 @@ import numpy as np
 
 from btpgeo.charts import ChartMetric, PointCurvature
 from btpgeo.forms import InvariantForm
+from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
 from btpgeo.jets import Jet2, jet_matrix_inverse
+from btpgeo.linalg import CMatrix
 from btpgeo.scalars import EC, conj, is_zero
 
 
@@ -432,3 +434,102 @@ def exterior_d_leibniz(ctx, a):
             term = wedge_merge(wedge_merge(pre, dfac), post)
             out = out + term.scale(c if t % 2 == 0 else -c)
     return out
+
+
+# ---- the two-path torsion normal forms ------------------------------------------
+# ``frames`` builds the special and admissible torsion shapes once and reads
+# the scalar kind of a triple once.  The routines below are the ones it
+# replaced: an exact body and a float body per routine, and the torsion
+# patterns checked entry by entry against hand-written expected values.
+
+def _exact_triple(a):
+    return all(isinstance(x, (EC, Fraction, int)) and not isinstance(x, bool) for x in a)
+
+
+def special_to_admissible_two_path(a):
+    """(U, T') as ``frames.special_to_admissible``; FramePatternError off
+    the pattern."""
+    a1, a2, a3 = a
+    if isinstance(a1, (EC, Fraction, int)) and not isinstance(a1, bool):
+        vals = [x if isinstance(x, EC) else EC(Fraction(x), 0) for x in (a1, a2, a3)]
+        if not (vals[0] == vals[1] and not vals[0].is_zero() and vals[2].is_zero()
+                and vals[0].im == 0 and vals[0].re > 0):
+            raise FramePatternError("middle-type pattern needs a_1 = a_2 > 0 = a_3")
+        av = vals[0]
+        T = [[[EC.zero() for _ in range(3)] for _ in range(3)] for _ in range(3)]
+        T[0][0][2] = av
+        T[0][2][0] = -av
+        T[1][1][2] = -av
+        T[1][2][1] = av
+        return CMatrix.from_rows(_ADMISSIBLE_U), T
+    a1, a2, a3 = float(a1), float(a2), float(a3)
+    scale = max(a1, 1.0)
+    if not (abs(a1 - a2) <= 1e-9 * scale and a1 > 1e-9 * scale and abs(a3) <= 1e-9 * scale):
+        raise FramePatternError("middle-type pattern needs a_1 = a_2 > 0 = a_3")
+    T = np.zeros((3, 3, 3), dtype=complex)
+    T[0][0][2] = a1
+    T[0][2][0] = -a1
+    T[1][1][2] = -a1
+    T[1][2][1] = a1
+    return CMatrix.from_rows(_ADMISSIBLE_U), T
+
+
+def b_rank_type_two_path(a, tol=1e-8):
+    """The label of ``frames.b_rank_type``; FramePatternError if unsorted."""
+    if _exact_triple(a):
+        vals = [Fraction(x.re) if isinstance(x, EC) else Fraction(x) for x in a]
+        if sorted(vals, reverse=True) != vals or any(v < 0 for v in vals):
+            raise FramePatternError("triple must be sorted descending and nonnegative")
+        eq01, eq12 = vals[0] == vals[1], vals[1] == vals[2]
+        z = [v == 0 for v in vals]
+    else:
+        vals = [float(x) for x in a]
+        s = max(1.0, vals[0])
+        z = [abs(v) <= tol * s for v in vals]
+        snapped = [0.0 if zz else v for v, zz in zip(vals, z)]
+        if any(v < 0 for v in snapped) or snapped[0] < snapped[1] - tol * s \
+                or snapped[1] < snapped[2] - tol * s:
+            raise FramePatternError("triple must be sorted descending and nonnegative")
+        eq01 = abs(snapped[0] - snapped[1]) <= tol * s
+        eq12 = abs(snapped[1] - snapped[2]) <= tol * s
+    if all(z):
+        return "kahler"
+    if eq01 and eq12 and not z[2]:
+        return "rank3"
+    if eq01 and z[2] and not z[1]:
+        return "rank2"
+    if z[1] and z[2] and not z[0]:
+        return "rank1"
+    return "excluded_by_classification"
+
+
+def vaisman_torsion_pattern_loop(T):
+    """(matches, a) as ``lie.vaisman_torsion_pattern``, entry by entry."""
+    n = T.n
+    a = T.T[0][0][n - 1]
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                expected = T.kind.zero
+                if j == i and k == n - 1 and i < n - 1:
+                    expected = a
+                elif j == k and i == n - 1 and k < n - 1:
+                    expected = -a
+                if not T.kind.negligible(T.T[j][i][k] - expected):
+                    return False, None
+    positive = (T.kind.negligible(a.imag) and not T.kind.negligible(a.real)
+                and a.real > 0)
+    return (positive, a if positive else None)
+
+
+def admissible_pattern_loop(T):
+    """Whether ``lie.pluriclosed_obstruction`` accepts the torsion T (n = 3):
+    zero, or T^1_{13} = -T^1_{31} = -T^2_{23} = T^2_{32} = a != 0 and every
+    other entry zero, by the exact zero test ``is_zero``."""
+    if all(is_zero(c) for l in T.T for r in l for c in r):
+        return True
+    a = T.T[0][0][2]
+    pattern = {(0, 0, 2): a, (0, 2, 0): -a, (1, 1, 2): -a, (1, 2, 1): a}
+    return not is_zero(a) and all(
+        is_zero(T.T[j][i][k] - pattern.get((j, i, k), 0))
+        for j in range(3) for i in range(3) for k in range(3))

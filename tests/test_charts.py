@@ -202,6 +202,15 @@ def test_scaled_correction_breaks_parallelism():
         charts.riemannian_curvature_at(mo)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_riemannian_curvature_reads_the_jets_once(monkeypatch, exact):
+    calls = []
+    jet_arrays = charts._jet_arrays
+    monkeypatch.setattr(charts, "_jet_arrays", lambda m: calls.append(m) or jet_arrays(m))
+    charts.riemannian_curvature_at(charts.wallach_metric(exact=exact))
+    assert len(calls) == 1
+
+
 def test_orthonormalize_preserves_geometry():
     # orthonormalizing the untouched metric must not disturb the residuals
     m = charts.orthonormalize_base(charts.wallach_metric(exact=False))

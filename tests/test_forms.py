@@ -186,11 +186,7 @@ def bracket_jacobi_oracle(ctx):
     """Brute-force Jacobi test on the complexified 2n-dimensional bracket."""
     n = ctx.n
     dim = 2 * n
-    alg = object.__new__(lie.HermitianLieAlgebra)
-    object.__setattr__(alg, "n", n)
-    object.__setattr__(alg, "C", ctx.C)
-    object.__setattr__(alg, "D", ctx.D)
-    object.__setattr__(alg, "exact", ctx.exact)
+    alg = lie.HermitianLieAlgebra(n, ctx.C, ctx.D, validate=False)
     table = lie.real_bracket_table(alg)
 
     def brk(u, v):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import b_rank_type_two_path, special_to_admissible_two_path
 from btpgeo import frames, lie
 from btpgeo.scalars import EC
 
@@ -64,6 +66,32 @@ def test_exact_transform_with_exact_unitary():
     out = frames.transform_torsion(T, P)
     # odd permutation with a phase: components move and pick up factors
     assert out[1][0][2] == EC(0, 1)
+
+
+# ---- normal-form builders ---------------------------------------------------------
+
+def _nonzero(T):
+    return {idx: T[idx] for idx in np.ndindex(T.shape) if T[idx] != 0}
+
+
+def test_cyclic_torsion_entries_and_kind():
+    T = frames.cyclic_torsion((Fraction(3), 2, EC(1, 1)))
+    assert T.dtype == object and all(type(c) is EC for c in T.flat)
+    assert _nonzero(T) == {(0, 1, 2): EC(3), (0, 2, 1): EC(-3), (1, 2, 0): EC(2),
+                           (1, 0, 2): EC(-2), (2, 0, 1): EC(1, 1), (2, 1, 0): EC(-1, -1)}
+    Tf = frames.cyclic_torsion((2.0, 1.0, 0.5))
+    assert Tf.dtype == complex and np.array_equal(Tf, cyclic_torsion(2.0, 1.0, 0.5))
+
+
+def test_diagonal_torsion_entries_and_kind():
+    T = frames.diagonal_torsion(3, Fraction(2), (1, -1))
+    assert T.dtype == object and all(type(c) is EC for c in T.flat)
+    assert _nonzero(T) == {(0, 0, 2): EC(2), (0, 2, 0): EC(-2),
+                           (1, 1, 2): EC(-2), (1, 2, 1): EC(2)}
+    Tf = frames.diagonal_torsion(4, 1.5, (1, 1, 1))
+    assert Tf.dtype == complex
+    assert _nonzero(Tf) == {**{(i, i, 3): 1.5 for i in range(3)},
+                            **{(i, 3, i): -1.5 for i in range(3)}}
 
 
 # ---- special frames ------------------------------------------------------------
@@ -168,3 +196,79 @@ def test_b_rank_type_exact():
 def test_b_rank_type_float_thresholds():
     assert frames.b_rank_type((1.0, 1.0 - 1e-10, 1e-12)) == "rank2"
     assert frames.b_rank_type((1.0, 1e-12, -1e-15)) == "rank1"
+
+
+# ---- agreement with the two-path routines ----------------------------------------------
+# Exact triples near the rank thresholds: sums of a few base values and
+# offsets of at most 2e-8, on both sides of the float tolerances.
+
+_BASES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                          Fraction(10 ** 4)])
+
+
+def _offsets(unit):
+    return st.one_of(st.just(Fraction(0)),
+                     st.sampled_from([k * unit for k in (-2, -1, 1, 2)]),
+                     st.fractions(-2 * unit, 2 * unit, max_denominator=10 ** 12))
+
+
+@st.composite
+def _triples(draw, unit):
+    vals = sorted((draw(_BASES) for _ in range(3)), reverse=True)
+    if draw(st.booleans()):
+        vals = draw(st.permutations(vals))
+    return tuple(v + draw(_offsets(unit)) for v in vals)
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a)
+    except frames.FramePatternError:
+        return "unsorted"
+
+
+def _old_float_tie(f, tol=1e-8):
+    """A pair x < y of a float triple that the two-path float body read as in
+    order yet unequal: |x - y| rounds above tol * s while y - tol * s rounds
+    to x or below (s = max(1, a_1); values within tol * s count as 0)."""
+    s = max(1.0, f[0])
+    v = [0.0 if abs(x) <= tol * s else x for x in f]
+    return any(x < y and abs(x - y) > tol * s and not x < y - tol * s
+               for x, y in ((v[0], v[1]), (v[1], v[2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triples(Fraction(1, 10 ** 8)))
+def test_b_rank_type_agrees_with_two_path_oracle(a):
+    exact = _outcome(frames.b_rank_type, a)
+    assert exact == _outcome(b_rank_type_two_path, a)
+    assert _outcome(frames.b_rank_type, tuple(map(EC, a))) == exact
+    f = tuple(float(x) for x in a)
+    new, old = _outcome(frames.b_rank_type, f), _outcome(b_rank_type_two_path, f)
+    if new != old:
+        # only at such a tie, where the one body reads the pair as the exact
+        # triple reads it: out of order
+        assert _old_float_tie(f) and (new, old) == ("unsorted", "excluded_by_classification")
+        assert exact == "unsorted"
+
+
+def _admissible_outcome(fn, a):
+    try:
+        U, T = fn(a)
+    except frames.FramePatternError:
+        return None
+    return U.to_numpy(), np.asarray(T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BASES, st.lists(_offsets(Fraction(1, 10 ** 9)), min_size=3, max_size=3),
+       st.booleans())
+def test_special_to_admissible_agrees_with_two_path_oracle(v, d, as_ec):
+    a = (v + d[0], v + d[1], d[2])
+    for t in (tuple(map(EC, a)) if as_ec else a, tuple(float(x) for x in a)):
+        new = _admissible_outcome(frames.special_to_admissible, t)
+        old = _admissible_outcome(special_to_admissible_two_path, t)
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert np.array_equal(new[0], old[0])
+            assert new[1].dtype == old[1].dtype and (new[1] == old[1]).all()

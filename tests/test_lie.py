@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import transform_frame_loop
+from _oracles import (admissible_pattern_loop, transform_frame_loop,
+                      vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
 from btpgeo.linalg import hermitian_rank
@@ -291,6 +293,111 @@ def test_pluriclosed_obstruction_values():
     assert lie.pluriclosed_obstruction(lie.abelian(3)).is_zero()
     with pytest.raises(lie.PatternError):
         lie.pluriclosed_obstruction(lie.sl2c(1))
+
+
+# ---- torsion patterns against the entry-by-entry loops ----------------------------------
+# Sparse random torsion with or without the Vaisman (signs +, +) or the
+# admissible (signs +, -) shape, regauged by exact permutation-and-phase
+# unitaries; float copies carry an antisymmetric offset near the 1e-9 bound.
+
+_RATS = st.fractions(-3, 3, max_denominator=6)
+_PHASES = (EC(1), EC(-1), EC(0, 1), EC(0, -1))
+
+
+@st.composite
+def _perm_phase(draw, n):
+    perm = draw(st.permutations(range(n)))
+    P = [[EC.zero()] * n for _ in range(n)]
+    for r, c in enumerate(perm):
+        P[r][c] = draw(st.sampled_from(_PHASES))
+    return P
+
+
+@st.composite
+def _sparse_torsion(draw, n, signs):
+    T = [[[EC.zero()] * n for _ in range(n)] for _ in range(n)]
+
+    def put(j, i, k, v):
+        T[j][i][k] = T[j][i][k] + v
+        T[j][k][i] = T[j][k][i] - v
+    if draw(st.booleans()):
+        a = EC(draw(_RATS), draw(st.sampled_from([0, 0, 0, Fraction(1, 2)])))
+        for i, s in enumerate(signs):
+            put(i, i, n - 1, a if s > 0 else -a)
+    for _ in range(draw(st.integers(0, 2))):
+        j, i, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if i != k:
+            put(j, i, k, EC(draw(_RATS)))
+    if draw(st.booleans()):
+        T = frames.transform_torsion(T, draw(_perm_phase(n)))
+    return T
+
+
+def _float_torsion(T, offset):
+    n = len(T)
+    arr = np.array(T, dtype=complex)
+    arr[0, 0, n - 1] += offset
+    arr[0, n - 1, 0] -= offset
+    return arr.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: _sparse_torsion(n, (1,) * (n - 1))),
+    st.sampled_from([0.0, 5e-10, -9e-10, 2e-9, -3e-9]))
+def test_vaisman_pattern_agrees_with_loop(T, offset):
+    n = len(T)
+    for TT in (lie.TorsionTensor(n, T), lie.TorsionTensor(n, _float_torsion(T, offset))):
+        ok, a = lie.vaisman_torsion_pattern(TT)
+        assert type(ok) is bool
+        assert (ok, a) == vaisman_torsion_pattern_loop(TT)
+
+
+def _pluriclosed_accepts(g):
+    try:
+        lie.pluriclosed_obstruction(g)
+    except lie.PatternError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_torsion(3, (1, -1)))
+def test_pluriclosed_pattern_agrees_with_loop(T):
+    # with D = 0 the Chern torsion is -C; validation is off since random C
+    # need not satisfy Jacobi, which the pattern test does not read
+    zero = [[[EC.zero()] * 3 for _ in range(3)] for _ in range(3)]
+    C = [[[-c for c in r] for r in layer] for layer in T]
+    for g in (lie.HermitianLieAlgebra(3, C, zero, validate=False),
+              lie.HermitianLieAlgebra(3, np.array(C, complex).tolist(),
+                                      np.zeros((3, 3, 3), complex).tolist(), validate=False)):
+        assert _pluriclosed_accepts(g) == admissible_pattern_loop(lie.chern_torsion(g))
+
+
+PATTERN_ALGEBRAS = [lie.nilmanifold_n3(Fraction(3, 2)), lie.family_a(Fraction(1, 2), -1),
+                    lie.family_b(EC(1, -1), Fraction(1, 3)), lie.vaisman_nilmanifold(2),
+                    lie.sl2c(1), lie.abelian(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PATTERN_ALGEBRAS), _perm_phase(3))
+def test_regauged_patterns_agree_with_loops(g, P):
+    gP = lie.transform_frame(g, P)
+    for h in (gP, _float_algebra(gP)):
+        T = lie.chern_torsion(h)
+        assert lie.vaisman_torsion_pattern(T) == vaisman_torsion_pattern_loop(T)
+        assert _pluriclosed_accepts(h) == admissible_pattern_loop(T)
+    json.dumps(lie.classify(_float_algebra(gP)).to_json())
+
+
+def test_pluriclosed_float_pattern_uses_the_kind_zero_test():
+    # a float copy of the nilmanifold with roundoff-sized torsion noise
+    g = _float_algebra(lie.nilmanifold_n3(1))
+    D = np.array(g.D)
+    D[0, 2, 0] += 1e-13
+    gn = lie.HermitianLieAlgebra(3, g.C, D.tolist())
+    ob = lie.pluriclosed_obstruction(gn)
+    assert abs(ob.coeff((0, 1), (0, 1)) + 2) < 1e-9
 
 
 # ---- frame-change equivariance --------------------------------------------------------

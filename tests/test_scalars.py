@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from btpgeo.scalars import EC, conj, is_zero, scalar_from_json, scalar_to_json
+from btpgeo.scalars import (EC, EXACT, FLOAT, Kind, conj, is_zero, scalar_from_json,
+                            scalar_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -207,3 +208,9 @@ def test_scalars_are_immutable():
 def test_repr_is_unchanged():
     assert repr(EC(Fraction(-3, 4))) == "EC(-3/4)"
     assert repr(EC(1, Fraction(1, 2))) == "EC(1, 1/2)"
+
+
+def test_kind_hashes_by_identity():
+    # hashing a Kind must not hash its ExactComplex constants
+    assert Kind.__hash__ is object.__hash__
+    assert len({EXACT, FLOAT, EXACT}) == 2

@@ -8,7 +8,7 @@ Subcommands:
   companion  conjugation-swap an example and compare Bismut connections
 
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure, 3 usage or
-schema error.
+schema error, 141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +107,7 @@ def _emit(payload, out_path):
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)     # a closed stdout raises here, not at exit
 
 
 CLASSIFY_REFS = [
@@ -313,13 +315,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader has gone; quiet the final flush (the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .forms import (CoframeContext, InvariantForm, d_squared_residual,
+from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d, lower_antisymmetric)
 from .frames import diagonal_torsion, transform_torsion
 from .linalg import CMatrix, hermitian_rank, row_basis
@@ -227,16 +227,19 @@ def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
 class TorsionTensor:
     """Chern torsion components T^j_{ik}, antisymmetric in (i, k)."""
 
-    __slots__ = ("n", "T", "kind")
+    __slots__ = ("n", "T", "kind", "_array")
 
     def __init__(self, n: int, T):
         T = tuple(tuple(tuple(r) for r in layer) for layer in T)
         kind = common_kind(c for l in T for r in l for c in r)
         if not lower_antisymmetric(T, kind):
             raise ValueError("torsion must be antisymmetric in the lower indices")
+        arr = np.array(T, kind.dtype)
+        arr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_array", arr)
 
     def __setattr__(self, *_):
         raise AttributeError("TorsionTensor is immutable")
@@ -246,15 +249,15 @@ class TorsionTensor:
         return self.T[j][i][k]
 
     def array(self) -> np.ndarray:
-        """T as an n x n x n array of its kind."""
-        return np.array(self.T, self.kind.dtype)
+        """T as a read-only n x n x n array of its kind."""
+        return self._array
 
     def is_zero(self) -> bool:
-        return all(self.kind.negligible(c) for l in self.T for r in l for c in r)
+        return bool(self.kind.negligible(self._array).all())
 
     def matches(self, expected) -> bool:
         """Whether T - expected is negligible entrywise."""
-        return bool(self.kind.negligible(self.array() - expected).all())
+        return bool(self.kind.negligible(self._array - expected).all())
 
 
 def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
@@ -297,10 +300,7 @@ class ConnectionMatrix:
                    for i in range(self.n) for j in range(self.n))
 
     def trace(self) -> InvariantForm:
-        out = InvariantForm.zero(self.n)
-        for i in range(self.n):
-            out = out + self.entries[i][i]
-        return out
+        return sum((self.entries[i][i] for i in range(self.n)), InvariantForm.zero(self.n))
 
 
 class CurvatureMatrix(ConnectionMatrix):
@@ -384,14 +384,8 @@ def b_tensor(T: TorsionTensor) -> CMatrix:
 def gauduchon_eta(T: TorsionTensor) -> InvariantForm:
     """eta = sum_i ( sum_s T^s_{si} ) phi_i; balanced <=> eta = 0."""
     n = T.n
-    f = InvariantForm.zero(n)
-    for i in range(n):
-        acc = T.kind.zero
-        for s in range(n):
-            acc = acc + T.T[s][s][i]
-        if not is_zero(acc):
-            f = f + InvariantForm.phi(n, i, acc)
-    return f
+    return InvariantForm(n, {((i,), ()): sum((T.T[s][s][i] for s in range(n)), T.kind.zero)
+                             for i in range(n)})
 
 
 def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], InvariantForm]:
@@ -405,21 +399,26 @@ def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], Invarian
 
 
 def _btp_residuals_from(T: "TorsionTensor", tb: "ConnectionMatrix"):
-    n = T.n
-    out = {}
+    """``btp_residuals`` for torsion T and connection tb: T is antisymmetric in
+    its lower indices, so R_{kji} = -R_{ijk} and R_{iji} = 0, and only the
+    residuals with i < k are summed, each into one dict of coefficients."""
+    n, X = T.n, T.T
+    half = {}
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                f = InvariantForm.zero(n)
+        for k in range(i + 1, n):
+            for j in range(n):
+                acc = {}
                 for r in range(n):
-                    if not is_zero(T.T[j][r][k]):
-                        f = f + tb[i, r].scale(T.T[j][r][k])
-                    if not is_zero(T.T[j][i][r]):
-                        f = f + tb[k, r].scale(T.T[j][i][r])
-                    if not is_zero(T.T[r][i][k]):
-                        f = f - tb[r, j].scale(T.T[r][i][k])
-                out[(i, j, k)] = f
-    return out
+                    for c, f in ((X[j][r][k], tb[i, r]), (X[j][i][r], tb[k, r]),
+                                 (-X[r][i][k], tb[r, j])):
+                        if not is_zero(c):
+                            for m, v in f.terms.items():
+                                v = v * c
+                                acc[m] = acc[m] + v if m in acc else v
+                half[i, j, k] = _form(n, acc)
+    zero = InvariantForm.zero(n)
+    return {(i, j, k): half[i, j, k] if i < k else -half[k, j, i] if i > k else zero
+            for i in range(n) for j in range(n) for k in range(n)}
 
 
 def check_btp(g: HermitianLieAlgebra):
@@ -440,19 +439,24 @@ def check_unimodular(g: HermitianLieAlgebra) -> bool:
     return True
 
 
+def _curvature_trace(ctx: CoframeContext, theta: ConnectionMatrix) -> InvariantForm:
+    """tr Theta = d(tr theta), as tr(theta ^ theta) = sum_{i,k} theta_ik ^ theta_ki = 0."""
+    return exterior_d(ctx, theta.trace())
+
+
 def first_bismut_ricci(g: HermitianLieAlgebra) -> InvariantForm:
     """sqrt(-1) tr Theta^b."""
-    return bismut_curvature(g).trace().scale(g.kind.i)
+    return _curvature_trace(g.ctx, bismut_connection(g)).scale(g.kind.i)
 
 
 def first_chern_ricci(g: HermitianLieAlgebra) -> InvariantForm:
     """sqrt(-1) tr Theta (Chern)."""
-    return chern_curvature(g).trace().scale(g.kind.i)
+    return _curvature_trace(g.ctx, chern_connection(g)).scale(g.kind.i)
 
 
 def check_cyt(g: HermitianLieAlgebra) -> bool:
     """Vanishing first Bismut Ricci curvature."""
-    return _form_is_zero(bismut_curvature(g).trace(), g.kind)
+    return _form_is_zero(_curvature_trace(g.ctx, bismut_connection(g)), g.kind)
 
 
 def check_calabi_yau_type(g: HermitianLieAlgebra) -> bool:
@@ -483,87 +487,75 @@ def vaisman_torsion_pattern(T: TorsionTensor):
 def real_bracket_table(g: HermitianLieAlgebra):
     """Brackets of the basis (e_1..e_n, ebar_1..ebar_n) as coefficient vectors.
 
-    table[x][y] is the expansion of [b_x, b_y]; complexifying the underlying
-    real algebra leaves nilpotency and solvability steps unchanged.
+    table[x][y] is the expansion of [b_x, b_y]; it is antisymmetric by
+    construction.  Complexifying the underlying real algebra leaves
+    nilpotency and solvability steps unchanged.
     """
     n = g.n
-    dim = 2 * n
-
-    def vec():
-        return [g.kind.zero] * dim
-
-    table = [[None] * dim for _ in range(dim)]
+    zeros = [g.kind.zero] * n
+    table = [[None] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            v = vec()
-            for k in range(n):
-                v[k] = v[k] + g.C[k][i][j]
-            table[i][j] = v
-            w = vec()
-            for k in range(n):
-                w[n + k] = w[n + k] + conj(g.C[k][i][j])
-            table[n + i][n + j] = w
-            u = vec()
-            for k in range(n):
-                u[k] = u[k] + conj(g.D[i][k][j])
-                u[n + k] = u[n + k] - g.D[j][k][i]
-            table[i][n + j] = u
+            table[i][j] = [g.C[k][i][j] for k in range(n)] + zeros
+            table[n + i][n + j] = zeros + [conj(g.C[k][i][j]) for k in range(n)]
+            table[i][n + j] = ([conj(g.D[i][k][j]) for k in range(n)]
+                               + [-g.D[j][k][i] for k in range(n)])
     for i in range(n):
         for j in range(n):
             table[n + i][j] = [-c for c in table[j][n + i]]
     return table
 
 
-def _bracket_span(table, U, V, kind: Kind):
-    """Basis of span{ [u, v] : u in U, v in V }."""
-    dim = len(table)
-    # Structure constants are sparse: keep only the nonzero (m, t_m) entries
-    # of each bracket, so zero terms are never multiplied and added.
-    sparse = [[[(m, c) for m, c in enumerate(table[x][y]) if not is_zero(c)]
-               for y in range(dim)] for x in range(dim)]
-    prods = []
-    for u in U:
-        u_nz = [(x, ux) for x, ux in enumerate(u) if not is_zero(ux)]
-        for v in V:
-            v_nz = [(y, vy) for y, vy in enumerate(v) if not is_zero(vy)]
-            w = [kind.zero] * dim
-            for x, ux in u_nz:
-                row = sparse[x]
-                for y, vy in v_nz:
-                    t = row[y]
-                    if not t:
-                        continue
-                    c = ux * vy
-                    for m, tm in t:
-                        w[m] = w[m] + c * tm
-            prods.append(w)
-    return row_basis(prods, kind.exact)
-
-
 def solvability_profile(g: HermitianLieAlgebra):
     """(nilpotent_steps, solvable_steps) of the underlying real Lie algebra.
 
     Steps count the nonzero terms of the lower central / derived series;
-    ``None`` marks a series that stabilizes without reaching zero.
+    ``None`` marks a series that stabilizes without reaching zero.  Both
+    start at [g, g], spanned by the table entries [b_x, b_y], x < y, with no
+    product.  The lower central term after W is spanned by the [b_x, w] for
+    w in a basis of W, one table row per b_x; the derived term by the [u, v]
+    for basis pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.
     """
     table = real_bracket_table(g)
-    dim = 2 * g.n
-    full = [[g.kind.one if i == j else g.kind.zero for j in range(dim)] for i in range(dim)]
+    dim = len(table)
+    kind = g.kind
+    # structure constants are sparse: keep the nonzero (m, t_m) of each bracket
+    sparse = [[[(m, c) for m, c in enumerate(v) if not is_zero(c)] for v in row]
+              for row in table]
+
+    def combination(terms):
+        """sum of c [b_x, b_y] over the (c, x, y) in terms"""
+        w = [kind.zero] * dim
+        for c, x, y in terms:
+            for m, tm in sparse[x][y]:
+                w[m] = w[m] + c * tm
+        return w
+
+    def nonzeros(basis):
+        return [[(y, c) for y, c in enumerate(w) if not is_zero(c)] for w in basis]
+
+    def lower_central(basis):
+        nz = nonzeros(basis)
+        return [combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz]
+
+    def derived(basis):
+        nz = nonzeros(basis)
+        return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if sparse[x][y])
+                for i, u in enumerate(nz) for v in nz[i + 1:]]
+
+    first = row_basis([table[x][y] for x in range(dim) for y in range(x + 1, dim)],
+                      kind.exact)
 
     def series(next_term):
-        cur = full
-        steps = 0
+        size, cur, steps = dim, first, 1
         while cur:
-            steps += 1
-            nxt = next_term(cur)
-            if len(nxt) == len(cur):
+            if len(cur) == size:
                 return None     # stabilized above zero
-            cur = nxt
+            size, steps = len(cur), steps + 1
+            cur = row_basis(next_term(cur), kind.exact)
         return steps
 
-    nilpotent = series(lambda cur: _bracket_span(table, full, cur, g.kind))
-    solvable = series(lambda cur: _bracket_span(table, cur, cur, g.kind))
-    return nilpotent, solvable
+    return series(lower_central), series(derived)
 
 
 def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
@@ -717,7 +709,10 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     Labels: chern_flat when the Chern curvature vanishes; middle when
     balanced + parallel torsion + B-rank 2; non_balanced when eta != 0;
     fano_pattern when balanced + parallel torsion + B-rank 1; other
-    otherwise.
+    otherwise.  Each predicate is computed from the least that decides it:
+    [g, g] is read from the bracket table; tr Theta^b = d(tr theta^b), as
+    tr(theta ^ theta) = 0; and only the parallel-torsion residuals R_{ijk}
+    with i < k are summed, as R_{kji} = -R_{ijk}.
     """
     n = g.n
     T = chern_torsion(g)
@@ -734,12 +729,12 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     theta_c = curvature_of(g.ctx, theta)
     chern_flat = all(_form_is_zero(theta_c[i, j], g.kind)
                      for i in range(n) for j in range(n))
-    theta_bc = curvature_of(g.ctx, theta_b)
-    cyt = _form_is_zero(theta_bc.trace(), g.kind)
+    bismut_trace = _curvature_trace(g.ctx, theta_b)
+    cyt = _form_is_zero(bismut_trace, g.kind)
     cy_type = _form_is_zero(theta.trace(), g.kind)
     nil_steps, solv_steps = solvability_profile(g)
     chern_ricci = theta_c.trace().scale(g.kind.i)
-    bismut_ricci = theta_bc.trace().scale(g.kind.i)
+    bismut_ricci = bismut_trace.scale(g.kind.i)
     vpat, _ = vaisman_torsion_pattern(T)
 
     if chern_flat:

@@ -1,17 +1,19 @@
 """Independent oracles shared by the test modules: finite differences, closed
 forms, the jet route to point curvature, sectional and Ricci curvature by
-explicit sums, and the tuple-keyed form kernel."""
+explicit sums, the tuple-keyed form kernel, and the classify stages by
+their full computations."""
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
+from btpgeo import lie
 from btpgeo.charts import ChartMetric, PointCurvature
 from btpgeo.forms import InvariantForm
 from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.linalg import CMatrix
+from btpgeo.linalg import CMatrix, row_basis
 from btpgeo.scalars import EC, conj, is_zero
 
 
@@ -533,3 +535,76 @@ def admissible_pattern_loop(T):
     return not is_zero(a) and all(
         is_zero(T.T[j][i][k] - pattern.get((j, i, k), 0))
         for j in range(3) for i in range(3) for k in range(3))
+
+
+# ---- classify stages by their full computations ------------------------------------------
+# The library reads [g, g] straight from the bracket table, brackets only
+# pairs i < j in the derived series, takes tr Theta^b as d(tr theta^b), and
+# sums only the parallel-torsion residuals with i < k.  The functions below
+# compute every product, the full curvature matrix and all 27 residuals.
+
+def _bracket_span_all_pairs(table, U, V, kind):
+    """Basis of span{ [u, v] : u in U, v in V }, every pair multiplied out."""
+    dim = len(table)
+    sparse = [[[(m, c) for m, c in enumerate(table[x][y]) if not is_zero(c)]
+               for y in range(dim)] for x in range(dim)]
+    prods = []
+    for u in U:
+        u_nz = [(x, ux) for x, ux in enumerate(u) if not is_zero(ux)]
+        for v in V:
+            v_nz = [(y, vy) for y, vy in enumerate(v) if not is_zero(vy)]
+            w = [kind.zero] * dim
+            for x, ux in u_nz:
+                row = sparse[x]
+                for y, vy in v_nz:
+                    c = ux * vy
+                    for m, tm in row[y]:
+                        w[m] = w[m] + c * tm
+            prods.append(w)
+    return row_basis(prods, kind.exact)
+
+
+def solvability_profile_all_pairs(g):
+    """(nilpotent_steps, solvable_steps) as ``lie.solvability_profile``, with
+    each term of both series the span of all products of the one before."""
+    table = lie.real_bracket_table(g)
+    dim = 2 * g.n
+    full = [[g.kind.one if i == j else g.kind.zero for j in range(dim)]
+            for i in range(dim)]
+
+    def series(next_term):
+        cur, steps = full, 0
+        while cur:
+            steps += 1
+            nxt = next_term(cur)
+            if len(nxt) == len(cur):
+                return None
+            cur = nxt
+        return steps
+
+    return (series(lambda cur: _bracket_span_all_pairs(table, full, cur, g.kind)),
+            series(lambda cur: _bracket_span_all_pairs(table, cur, cur, g.kind)))
+
+
+def btp_residuals_triple_loop(T, tb):
+    """All n^3 parallel-torsion residuals, each summed term by term."""
+    n = T.n
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                f = InvariantForm.zero(n)
+                for r in range(n):
+                    if not is_zero(T.T[j][r][k]):
+                        f = f + tb[i, r].scale(T.T[j][r][k])
+                    if not is_zero(T.T[j][i][r]):
+                        f = f + tb[k, r].scale(T.T[j][i][r])
+                    if not is_zero(T.T[r][i][k]):
+                        f = f - tb[r, j].scale(T.T[r][i][k])
+                out[(i, j, k)] = f
+    return out
+
+
+def bismut_trace_full_curvature(g):
+    """tr Theta^b from the full Bismut curvature matrix."""
+    return lie.curvature_of(g.ctx, lie.bismut_connection(g)).trace()

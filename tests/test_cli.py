@@ -320,6 +320,16 @@ EXACT_REPORT_SHA256 = {
     # sectional and Ricci curvature moved onto the shared contractions
     ("verify", "--example", "wallach", "--seed", "3"):
         "5787f9dd15281a1a3d30bb07175ae3e26b9c0facee71906f8e67d86d13f51563",
+    # recorded before the solvability series, the Bismut Ricci form and the
+    # parallel-torsion residuals were computed from their least parts:
+    # vaisman54 at a = 10^-6 (a nonzero Bismut Ricci form), a_st(1/2, 1/3)
+    # and b_zt(1/2 + 1/3 i, 2) (solvable, not nilpotent)
+    ("classify", "--input", str(DATA / "vaisman54_micro.json")):
+        "0e91f8dd7d463fc84a9e220fa9c0086fb310ed15aeebc596c205e6d103cd16f7",
+    ("classify", "--input", str(DATA / "a_st.json")):
+        "91a41a2430e7c9543950389a108a0b7c58576a293b1f6deb0d5b801ea5dc7556",
+    ("classify", "--input", str(DATA / "b_zt.json")):
+        "cdb01b05ed1a2495afd229d128673a9cd4c7c4a5dd9e4a0035d5fa2011d29e16",
 }
 
 
@@ -338,6 +348,20 @@ def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "classify"],
                           capture_output=True, env=SOURCE_ENV)
     assert proc.returncode == 3
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader of the pipe is gone before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "verify",
+                               "--example", "n3"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=SOURCE_ENV)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 141
 
 
 def test_console_entry_point():

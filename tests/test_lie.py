@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import (admissible_pattern_loop, transform_frame_loop,
-                      vaisman_torsion_pattern_loop)
+from _oracles import (admissible_pattern_loop, bismut_trace_full_curvature,
+                      btp_residuals_triple_loop, solvability_profile_all_pairs,
+                      transform_frame_loop, vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
 from btpgeo.linalg import hermitian_rank
@@ -243,12 +244,15 @@ def test_btp_examples():
     assert lie.check_btp(lie.family_a(2, -2))[0]
 
 
-def test_btp_broken_by_perturbation():
+def _perturbed_n3():
     g = lie.nilmanifold_n3(1)
     D = [list(map(list, layer)) for layer in g.D]
     D[0][1][0] = EC(Fraction(1, 10))      # perturb D^1_{21}
-    h = lie.HermitianLieAlgebra(3, g.C, D, label="n3~perturbed", validate=False)
-    ok, res = lie.check_btp(h)
+    return lie.HermitianLieAlgebra(3, g.C, D, label="n3~perturbed", validate=False)
+
+
+def test_btp_broken_by_perturbation():
+    ok, res = lie.check_btp(_perturbed_n3())
     assert not ok
     assert any(not f.is_zero() for f in res.values())
 
@@ -541,6 +545,60 @@ def test_classify_float_copy_agrees_with_exact(g):
     gf = _float_algebra(g)
     assert not gf.exact
     assert fields(lie.classify(gf)) == fields(lie.classify(g))
+
+
+# ---- classify stages against their full computations ------------------------------------
+# The library reads [g, g] from the bracket table, brackets only basis pairs
+# i < j in the derived series, takes tr Theta^b as d(tr theta^b) and sums
+# only the residuals with i < k; the oracles multiply everything out.
+
+def _assert_stages_agree_with_oracles(g):
+    assert lie.solvability_profile(g) == solvability_profile_all_pairs(g)
+    T, tb = lie.chern_torsion(g), lie.bismut_connection(g)
+    res, want = lie._btp_residuals_from(T, tb), btp_residuals_triple_loop(T, tb)
+    assert list(res) == list(want) and res == want
+    trace = bismut_trace_full_curvature(g)
+    assert lie.first_bismut_ricci(g) == trace.scale(EC(0, 1))
+    assert lie.check_cyt(g) is trace.is_zero()
+    assert lie.first_chern_ricci(g) == lie.chern_curvature(g).trace().scale(EC(0, 1))
+    rep = lie.classify(g)
+    assert rep.bismut_ricci == trace.scale(EC(0, 1))
+    assert rep.btp is all(f.is_zero() for f in want.values())
+
+
+@pytest.mark.parametrize("g", BUILTINS() + (_perturbed_n3(),), ids=lambda g: g.label)
+def test_classify_stages_agree_with_oracles(g):
+    _assert_stages_agree_with_oracles(g)
+
+
+def test_classify_stages_agree_with_oracles_on_the_sweep_grid():
+    grid = [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
+    for family in (lie.family_a, lie.family_b):
+        for p in grid:
+            for q in grid:
+                _assert_stages_agree_with_oracles(family(p, q))
+
+
+@st.composite
+def _sparse_structure(draw):
+    """Sparse rational (C, D), not checked for integrability: mostly neither
+    parallel-torsion, CYT nor solvable."""
+    n = draw(st.integers(2, 4))
+    C, D = ([[[EC.zero()] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for _ in range(draw(st.integers(1, 6))):
+        j, i, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c = EC(draw(_RATS), draw(st.sampled_from([0, 0, draw(_RATS)])))
+        if draw(st.booleans()) and i != k:
+            C[j][i][k], C[j][k][i] = C[j][i][k] + c, C[j][k][i] - c
+        else:
+            D[j][i][k] = D[j][i][k] + c
+    return lie.HermitianLieAlgebra(n, C, D, label="sparse", validate=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_structure())
+def test_classify_stages_agree_with_oracles_on_sparse_structures(g):
+    _assert_stages_agree_with_oracles(g)
 
 
 # ---- JSON -------------------------------------------------------------------------------

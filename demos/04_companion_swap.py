@@ -26,7 +26,7 @@ print("swapped: ", rep1.type_label, "| eta =", rep1.eta,
 print("swapped torsion has the companion pattern:", rep1.vaisman_pattern)
 
 print("\nBismut connections agree under the relabeling:",
-      lie.bismut_swap_equal(g, {1}))
+      lie.bismut_swap_equal(g, sw, {1}))
 
 back = lie.conjugate_swap(sw, {1})
 print("swap is an involution:", back.C == g.C and back.D == g.D)

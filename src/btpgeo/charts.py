@@ -2,20 +2,25 @@
 
 A ChartMetric holds the components g_{i jbar} of a Hermitian metric as
 Wirtinger 2-jets at a base point.  Torsion, Chern curvature, the three Chern
-Ricci tensors, parallel-torsion residuals, and (for parallel-torsion metrics
-with unitary base frame) the Levi-Civita curvature and its sectional/Ricci
-traces are all extracted from jet coefficients.
+Ricci tensors and the parallel-torsion residuals are extracted from jet
+coefficients at any positive-definite base value G; only the Levi-Civita
+curvature (for parallel-torsion metrics) and its sectional/Ricci traces
+need G = identity.
 
 The coefficients are read once into arrays of the metric's scalar kind
 (complex128, or object arrays of ExactComplex, whose sums do not depend on
-their order) and every table is an einsum contraction of them; the public
-functions return nested lists.  The derivative of the torsion
+their order), with G, G^{-1} and the Chern Christoffel symbols
+Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}; every table is an einsum
+contraction of them (the Ricci tensors trace Rc with G^{-1}), returned as
+nested lists.  The derivative of the torsion
 T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is taken in
 closed form:
 partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
     + sum_l (g_{k lbar, i} - g_{i lbar, k}) partial_m g^{lbar j},
 with partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}, and likewise along
-zbar_m.
+zbar_m.  The residuals combine it with Gamma and with
+A[r,l,i] = sum_{p,s} g_{i pbar} conj(T^p_{ls}) g^{sbar r}, so they
+transform as tensors under a linear change of chart (btp_residual_at).
 
 Sectional numerators and Ricci curvature run through the same contractions
 for both scalar kinds.  The Ricci curvature of x = X + conj(X) traces the
@@ -44,8 +49,8 @@ import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, conj, is_zero,
-                      kind_of, scalar_abs, scalar_to_json)
+from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, kind_of, scalar_abs,
+                      scalar_to_json)
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -255,43 +260,6 @@ def wallach_metric_values(z, sigma_scale: float = 1.0) -> np.ndarray:
     return g - sigma_scale * sig / (al * be)
 
 
-def change_frame(m: ChartMetric, A) -> ChartMetric:
-    """Metric jets under the constant linear coordinate change z = A z'.
-
-    Components transform as ghat_{i jbar} = sum_{a,b} A_{a i} conj(A_{b j})
-    g_{a bbar} with the chart variables substituted accordingly.
-    """
-    n = m.n
-    rows = [list(r) for r in (A.entries if hasattr(A, "entries") else A)]
-    out = []
-    for i in range(n):
-        outrow = []
-        for j in range(n):
-            acc = Jet2(n)
-            for a in range(n):
-                for b in range(n):
-                    coef = rows[a][i] * conj(rows[b][j])
-                    if is_zero(coef):
-                        continue
-                    acc = acc + m.g[a][b].substitute_linear(rows).scale(coef)
-            outrow.append(acc)
-        out.append(outrow)
-    return ChartMetric(n, out, label=f"{m.label}~frame")
-
-
-def orthonormalize_base(m: ChartMetric) -> ChartMetric:
-    """Constant frame change making the base-point metric the identity.
-
-    Float-only: the Cholesky factor is generally irrational.
-    """
-    if m.exact:
-        raise ValueError("orthonormalization requires the float scalar kind")
-    g0 = np.array([[complex(e) for e in r] for r in m.value_matrix()])
-    L = np.linalg.cholesky(g0)
-    A = np.linalg.inv(L).T      # A^T g0 conj(A) = identity, as change_frame applies it
-    return change_frame(m, [[A[a, i] for i in range(m.n)] for a in range(m.n)])
-
-
 # --------------------------------------------------------------------------
 # pointwise extraction
 # --------------------------------------------------------------------------
@@ -302,7 +270,9 @@ class _Jets(NamedTuple):
     dgb: np.ndarray     # dgb[i,j,k] = partial_kbar g_{i jbar}
     hh: np.ndarray      # hh[i,j,k,m] = partial_k partial_m g_{i jbar}
     ha: np.ndarray      # ha[i,j,k,l] = partial_k partial_lbar g_{i jbar}
+    g: np.ndarray       # g[i,j] = g_{i jbar}
     ginv: np.ndarray    # ginv[l,j] = g^{lbar j}
+    gam: np.ndarray     # gam[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}, Chern Christoffel
 
 
 def _jet_arrays(m: ChartMetric) -> _Jets:
@@ -323,7 +293,9 @@ def _jet_arrays(m: ChartMetric) -> _Jets:
                         hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
                     elif v < n:
                         ha[i, j, v, w - n] = c
-    return _Jets(dg, dgb, hh, ha, np.array(m.inverse_value_matrix(), m.kind.dtype))
+    g = np.array(m.value_matrix(), m.kind.dtype)
+    ginv = np.array(matrix_inverse(g.tolist(), m.kind), m.kind.dtype)
+    return _Jets(dg, dgb, hh, ha, g, ginv, np.einsum("lsi,sr->lri", dg, ginv))
 
 
 def _first_derivs(m: ChartMetric):
@@ -358,15 +330,13 @@ def _torsion_derivative(J: _Jets, d, h):
 
 
 def _chern(J: _Jets):
-    """Rc[k,l,i,j] = -g_{i jbar, k lbar}
-    + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
-    w = np.einsum("ipk,pq->iqk", J.dg, J.ginv)
-    return np.einsum("iqk,jql->klij", w, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1)
+    """Rc[k,l,i,j] = -g_{i jbar, k lbar} + sum_q Gamma[i,q,k] conj(g_{j qbar, l})."""
+    return np.einsum("iqk,jql->klij", J.gam, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1)
 
 
-def _ricci(Rc):
-    return (np.einsum("klii->kl", Rc), np.einsum("kkij->ij", Rc),
-            np.einsum("kiij->kj", Rc))
+def _ricci(Rc, ginv):
+    return (np.einsum("klip,pi->kl", Rc, ginv), np.einsum("klij,lk->ij", Rc, ginv),
+            np.einsum("klij,li->kj", Rc, ginv))
 
 
 def chern_torsion_at(m: ChartMetric):
@@ -384,43 +354,47 @@ def ricci_forms_at(m: ChartMetric, Rc=None):
     """First, second and third Chern Ricci tensors as hermitian matrices.
 
     Index conventions: the first Ricci traces the bundle indices, the second
-    traces the direction indices, the third ties direction to bundle;
-    ric1[k][l] = sum_i Rc[k][l][i][i], ric2[i][j] = sum_k Rc[k][k][i][j],
-    ric3[k][j] = sum_i Rc[k][i][i][j].
+    traces the direction indices, the third ties direction to bundle, each
+    with the inverse base metric:
+    ric1[k][l] = sum_{i,p} Rc[k][l][i][p] g^{pbar i},
+    ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
+    ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
     if Rc is None:
         Rc = chern_curvature_at(m)
-    return tuple(r.tolist() for r in _ricci(np.array(Rc, m.kind.dtype)))
+    ginv = np.array(m.inverse_value_matrix(), m.kind.dtype)
+    return tuple(r.tolist() for r in _ricci(np.array(Rc, m.kind.dtype), ginv))
 
 
 def btp_residual_at(m: ChartMetric):
-    """Residuals of the parallel-torsion identities at a unitary base point.
+    """Residuals of the parallel-torsion identities at any base point.
 
-    Holomorphic side:  d/dz_l T^j_{ik}
-        - sum_r ( g_{l rbar, i} T^j_{rk} + g_{l rbar, k} T^j_{ir}
-                  - g_{l jbar, r} T^r_{ik} ),
-    antiholomorphic side:  d/dzbar_l T^j_{ik}
-        - sum_r ( T^j_{ir} conj(T^k_{lr}) - T^j_{kr} conj(T^i_{lr})
-                  + T^r_{ik} conj(T^r_{jl}) ).
-    Both vanish identically iff the Bismut torsion is parallel at the point.
-    res_h and res_a are indexed [l][i][j][k].
+    With the Chern Christoffel symbols
+    Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r} and
+    A[r,l,i] = sum_{p,s} g_{i pbar} conj(T^p_{ls}) g^{sbar r}, the
+    holomorphic side is  d/dz_l T^j_{ik}
+        - sum_r ( Gamma[l,r,i] T^j_{rk} + Gamma[l,r,k] T^j_{ir}
+                  - Gamma[l,j,r] T^r_{ik} ),
+    the antiholomorphic side  d/dzbar_l T^j_{ik}
+        - sum_r ( T^j_{ir} A[r,l,k] - T^j_{kr} A[r,l,i] - T^r_{ik} A[j,l,r] ).
+    Where g = identity at the base point, Gamma[l,r,i] = g_{l rbar, i} and
+    A[r,l,i] = conj(T^i_{lr}).  Both vanish identically iff the Bismut
+    torsion is parallel at the point.  res_h and res_a are indexed
+    [l][i][j][k] and transform as tensors under a linear change of chart.
     """
-    if not m.has_identity_base():
-        raise BaseMetricError("parallel-torsion residuals need g = identity "
-                              "at the base point; orthonormalize first")
     J = _jet_arrays(m)
     return tuple(r.tolist() for r in _btp_residuals(J, _torsion(J)))
 
 
 def _btp_residuals(J: _Jets, T):
     """The arrays (res_h, res_a) of ``btp_residual_at``, given the torsion T."""
-    Tc = np.conj(T)
+    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", J.g, np.conj(T)), J.ginv)
     res_h = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dg, J.hh))
-             - np.einsum("lri,jrk->lijk", J.dg, T) - np.einsum("lrk,jir->lijk", J.dg, T)
-             + np.einsum("ljr,rik->lijk", J.dg, T))
+             - np.einsum("lri,jrk->lijk", J.gam, T) - np.einsum("lrk,jir->lijk", J.gam, T)
+             + np.einsum("ljr,rik->lijk", J.gam, T))
     res_a = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dgb, J.ha))
-             - np.einsum("jir,klr->lijk", T, Tc) + np.einsum("jkr,ilr->lijk", T, Tc)
-             - np.einsum("rik,rjl->lijk", T, Tc))
+             - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
+             + np.einsum("rik,jlr->lijk", T, A))
     return res_h, res_a
 
 
@@ -496,7 +470,7 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
            + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
               - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
-    ric1, ric2, ric3 = (r.tolist() for r in _ricci(Rc))
+    ric1, ric2, ric3 = (r.tolist() for r in _ricci(Rc, J.ginv))
     return PointCurvature(n=m.n, exact=m.exact, torsion=T.tolist(), rc=Rc.tolist(),
                           ric1=ric1, ric2=ric2, ric3=ric3, r11=r11.tolist(),
                           r20=r20.tolist())

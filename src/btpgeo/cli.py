@@ -256,7 +256,7 @@ def cmd_companion(args) -> int:
             raise CliError(f"cannot parse swap set {args.swap!r}", EXIT_USAGE)
     try:
         swapped = lie.conjugate_swap(g, swap)
-        bis_equal = lie.bismut_swap_equal(g, swap)
+        bis_equal = lie.bismut_swap_equal(g, swapped, swap)
     except lie.SwapError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     rep0 = lie.classify(g)

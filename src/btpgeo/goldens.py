@@ -329,11 +329,12 @@ def vaisman54_suite(a=Fraction(1)) -> List[CheckResult]:
     _chk(out, "bismut_ricci", "first Bismut Ricci = -4a^2 sqrt(-1)(phi_{1 1b} + phi_{2 2b})",
          ric == want and not rep.cyt)
     _chk(out, "chern_ricci", "Chern Ricci flat", rep.chern_ricci.is_zero())
-    swapped = lie.conjugate_swap(lie.nilmanifold_n3(a), {1})
+    n3 = lie.nilmanifold_n3(a)
+    swapped = lie.conjugate_swap(n3, {1})
     _chk(out, "swap_of_nilmanifold", "conjugating the second frame direction lands here",
          swapped.C == g.C and swapped.D == g.D)
     _chk(out, "bismut_match", "swap preserves the Bismut connection",
-         lie.bismut_swap_equal(lie.nilmanifold_n3(a), {1}))
+         lie.bismut_swap_equal(n3, swapped, {1}))
     return out
 
 

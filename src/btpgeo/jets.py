@@ -177,40 +177,6 @@ class Jet2:
         return Jet2(self.n, {m: c for m, c in self.coeffs.items()
                              if len(m) <= max_degree})
 
-    def substitute_linear(self, M) -> "Jet2":
-        """Linear change of jet variables w_a = sum_i M[a][i] w'_i.
-
-        The matrix acts on the holomorphic variables and its conjugate on
-        the antiholomorphic ones, as induced by a constant linear change of
-        chart coordinates.
-        """
-        n = self.n
-
-        def expand(v):
-            if v < n:
-                return [(i, M[v][i]) for i in range(n)]
-            return [(n + i, conj(M[v - n][i])) for i in range(n)]
-
-        acc: Dict[Mono, Scalar] = {}
-
-        def put(m, c):
-            if is_zero(c):
-                return
-            m = tuple(sorted(m))
-            acc[m] = acc[m] + c if m in acc else c
-
-        for m, c in self.coeffs.items():
-            if len(m) == 0:
-                put((), c)
-            elif len(m) == 1:
-                for w, f in expand(m[0]):
-                    put((w,), c * f)
-            else:
-                for w1, f1 in expand(m[0]):
-                    for w2, f2 in expand(m[1]):
-                        put((w1, w2), c * f1 * f2)
-        return Jet2(n, acc)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

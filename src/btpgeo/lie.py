@@ -601,17 +601,17 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
     return swapped
 
 
-def bismut_swap_equal(g: HermitianLieAlgebra, S) -> bool:
-    """Check that the swap leaves the Bismut connection unchanged.
+def bismut_swap_equal(g: HermitianLieAlgebra, swapped: HermitianLieAlgebra, S) -> bool:
+    """Check that the swap leaves the Bismut connection unchanged, given
+    ``swapped = conjugate_swap(g, S)``.
 
     Matrix entries of the swapped connection, pulled back along the coframe
     relabeling, must agree blockwise with the original (conjugated on the
     swapped block, vanishing on mixed blocks).
     """
     S = set(int(s) for s in S)
-    gh = conjugate_swap(g, S)
     tb = bismut_connection(g)
-    tbh = bismut_connection(gh)
+    tbh = bismut_connection(swapped)
 
     def must_vanish():      # lazily, so the test stops at the first failure
         for i in range(g.n):

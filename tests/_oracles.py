@@ -13,8 +13,8 @@ from btpgeo.charts import ChartMetric, PointCurvature
 from btpgeo.forms import InvariantForm
 from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.linalg import CMatrix, row_basis
-from btpgeo.scalars import EC, conj, is_zero
+from btpgeo.linalg import CMatrix, matrix_inverse, row_basis
+from btpgeo.scalars import EC, EXACT, FLOAT, conj, is_zero
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -122,13 +122,22 @@ def chern_curvature_loop(m):
 
 
 def btp_residual_loop(m):
-    """res_h[l][i][j][k] and res_a[l][i][j][k], from the jets of torsion_jets."""
+    """res_h[l][i][j][k] and res_a[l][i][j][k], from the jets of torsion_jets,
+    with Gam[l][r][i] = sum_s g_{l sbar, i} g^{sbar r} and
+    A[r][l][i] = sum_{p,s} g_{i pbar} conj(T^p_{ls}) g^{sbar r}."""
     n = m.n
     dg = _first_derivs_loop(m)
+    g0 = m.value_matrix()
+    ginv = m.inverse_value_matrix()
     tj = torsion_jets(m)
     T = [[[_kind(tj[j][i][k].value(), m.exact) for k in range(n)]
           for i in range(n)] for j in range(n)]
     zero = EC.zero() if m.exact else 0j
+    Gam = [[[sum((dg[l][s][i] * ginv[s][r] for s in range(n)), zero) for i in range(n)]
+            for r in range(n)] for l in range(n)]
+    A = [[[sum((g0[i][p] * conj(T[p][l][s]) * ginv[s][r]
+                for p in range(n) for s in range(n)), zero) for i in range(n)]
+          for l in range(n)] for r in range(n)]
     res_h = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     res_a = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):
@@ -137,17 +146,34 @@ def btp_residual_loop(m):
                 for k in range(n):
                     rhs = zero
                     for r in range(n):
-                        rhs = rhs + dg[l][r][i] * T[j][r][k] \
-                            + dg[l][r][k] * T[j][i][r] \
-                            - dg[l][j][r] * T[r][i][k]
+                        rhs = rhs + Gam[l][r][i] * T[j][r][k] \
+                            + Gam[l][r][k] * T[j][i][r] \
+                            - Gam[l][j][r] * T[r][i][k]
                     res_h[l][i][j][k] = _kind(tj[j][i][k].deriv(holo=(l,)), m.exact) - rhs
                     rhs = zero
                     for r in range(n):
-                        rhs = rhs + T[j][i][r] * conj(T[k][l][r]) \
-                            - T[j][k][r] * conj(T[i][l][r]) \
-                            + T[r][i][k] * conj(T[r][j][l])
+                        rhs = rhs + T[j][i][r] * A[r][l][k] \
+                            - T[j][k][r] * A[r][l][i] \
+                            - T[r][i][k] * A[j][l][r]
                     res_a[l][i][j][k] = _kind(tj[j][i][k].deriv(anti=(l,)), m.exact) - rhs
     return res_h, res_a
+
+
+def ricci_traces_loop(m, Rc):
+    """ric1[k][l] = sum Rc[k][l][i][p] g^{pbar i}, ric2[i][j] = sum
+    Rc[k][l][i][j] g^{lbar k} and ric3[k][j] = sum Rc[k][l][i][j] g^{lbar i},
+    summed entry by entry."""
+    n = m.n
+    ginv = m.inverse_value_matrix()
+    zero = EC.zero() if m.exact else 0j
+    rng = range(n)
+    ric1 = [[sum((Rc[k][l][i][p] * ginv[p][i] for i in rng for p in rng), zero)
+             for l in rng] for k in rng]
+    ric2 = [[sum((Rc[k][l][i][j] * ginv[l][k] for k in rng for l in rng), zero)
+             for j in rng] for i in rng]
+    ric3 = [[sum((Rc[k][l][i][j] * ginv[l][i] for l in rng for i in rng), zero)
+             for j in rng] for k in rng]
+    return ric1, ric2, ric3
 
 
 def random_chart_metric(rng, exact, base=None, n=3):
@@ -178,6 +204,106 @@ def random_chart_metric(rng, exact, base=None, n=3):
             g[i][j] = jet + Jet2.constant(n, c)
             g[j][i] = g[i][j].conj()
     return ChartMetric(n, g, label="random")
+
+
+# ---- the frame route: change the chart frame, extract, transform back ---------
+# The library extracts residuals and Ricci traces at any base value.  The
+# route below is the one it replaced: a constant linear change of chart
+# coordinates that makes the base value the identity, extraction there, and
+# the tensor transformation law back to the original frame.
+
+def substitute_linear(jet, M):
+    """The jet under the linear change of variables w_a = sum_i M[a][i] w'_i,
+    with conj(M) acting on the antiholomorphic variables."""
+    n = jet.n
+
+    def expand(v):
+        if v < n:
+            return [(i, M[v][i]) for i in range(n)]
+        return [(n + i, conj(M[v - n][i])) for i in range(n)]
+
+    acc = {}
+
+    def put(mono, c):
+        if is_zero(c):
+            return
+        mono = tuple(sorted(mono))
+        acc[mono] = acc[mono] + c if mono in acc else c
+
+    for mono, c in jet.coeffs.items():
+        if len(mono) == 0:
+            put((), c)
+        elif len(mono) == 1:
+            for w, f in expand(mono[0]):
+                put((w,), c * f)
+        else:
+            for w1, f1 in expand(mono[0]):
+                for w2, f2 in expand(mono[1]):
+                    put((w1, w2), c * f1 * f2)
+    return Jet2(n, acc)
+
+
+def change_frame(m, A):
+    """Metric jets under the constant linear coordinate change z = A z':
+    ghat_{i jbar} = sum_{a,b} A_{a i} conj(A_{b j}) g_{a bbar}, with the chart
+    variables substituted accordingly."""
+    n = m.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Jet2(n)
+            for a in range(n):
+                for b in range(n):
+                    coef = A[a][i] * conj(A[b][j])
+                    if not is_zero(coef):
+                        acc = acc + substitute_linear(m.g[a][b], A).scale(coef)
+            row.append(acc)
+        out.append(row)
+    return ChartMetric(n, out, label=f"{m.label}~frame")
+
+
+def orthonormalizing_frame(m):
+    """A with A^T g(0) conj(A) = identity, from the Cholesky factor of the
+    float base value g(0)."""
+    g0 = np.array([[complex(e) for e in r] for r in m.value_matrix()])
+    return np.linalg.inv(np.linalg.cholesky(g0)).T.tolist()
+
+
+def orthonormalize_base(m):
+    """The float metric in a constant frame where g(0) is the identity."""
+    return change_frame(m, orthonormalizing_frame(m))
+
+
+# index types of the chart tensors, one letter per axis: "c" covariant,
+# "b" covariant along zbar, "u" contravariant
+TENSOR_TYPES = {"torsion": "ucc", "chern": "cbcb", "ricci": "cb",
+                "res_h": "ccuc", "res_a": "bcuc"}
+
+
+def transform_tensor(t, types, A):
+    """A chart tensor of m as a tensor of change_frame(m, A): each covariant
+    index contracts with A[a][i], each zbar index with conj(A[a][i]), each
+    contravariant index with inv(A)[j][d]."""
+    exact = isinstance(A[0][0], EC)
+    dtype = object if exact else complex
+    A = np.array(A, dtype)
+    Ainv = np.array(matrix_inverse(A.tolist(), EXACT if exact else FLOAT), dtype)
+    mats = {"c": A, "b": np.conj(A), "u": Ainv.T}
+    t = np.array(t, dtype)
+    for axis, kind in enumerate(types):
+        t = np.moveaxis(np.tensordot(t, mats[kind], axes=([axis], [0])), -1, axis)
+    return t.tolist()
+
+
+def frame_route(m, fn, types):
+    """fn(m) by the frame route: fn at the orthonormalized float metric, whose
+    base value is the identity, transformed back to the frame of m.  ``fn``
+    returns a tuple of tensors with the index types ``types``."""
+    A = orthonormalizing_frame(m)
+    back = np.linalg.inv(np.array(A)).tolist()
+    return tuple(transform_tensor(t, ty, back)
+                 for t, ty in zip(fn(orthonormalize_base(m)), types))
 
 
 # ---- sectional and Ricci curvature by explicit sums ----------------------------

@@ -218,13 +218,14 @@ def test_criterion_8_pluriclosed_obstruction():
 
 def test_criterion_9_companion_swap():
     a = Fraction(1, 2)
-    sw = lie.conjugate_swap(lie.nilmanifold_n3(a), {1})
+    n3 = lie.nilmanifold_n3(a)
+    sw = lie.conjugate_swap(n3, {1})
     d3 = sw.ctx.d_phi(2)
     want_d3 = (phi(0).wedge(phibar(0)) + phi(1).wedge(phibar(1))).scale(EC(-a, 0))
     eta = lie.gauduchon_eta(lie.chern_torsion(sw))
     ric = lie.first_bismut_ricci(sw)
     want_ric = (phi(0).wedge(phibar(0)) + phi(1).wedge(phibar(1))).scale(EC(0, -4 * a * a))
-    bis = lie.bismut_swap_equal(lie.nilmanifold_n3(a), {1})
+    bis = lie.bismut_swap_equal(n3, sw, {1})
     invol = True
     for g in (lie.nilmanifold_n3(1), lie.family_a(1, -1),
               lie.family_a(Fraction(1, 2), Fraction(1, 3)),

@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import (btp_residual_loop, chern_curvature_loop, random_chart_metric,
-                      random_curvature_tables, ricci_frame_sum, sectional_closed_form,
-                      sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
+from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curvature_loop,
+                      frame_route, orthonormalize_base, random_chart_metric,
+                      random_curvature_tables, ricci_frame_sum, ricci_traces_loop,
+                      sectional_closed_form, sectional_numerator_loop,
+                      sylvester_positive_definite, torsion_loop, transform_tensor,
                       wirtinger_fd)
 from btpgeo import charts
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
+from btpgeo.linalg import row_basis
 from btpgeo.scalars import EC
 
 
@@ -188,18 +191,38 @@ def test_euclidean_btp_residuals_zero():
 
 
 def test_scaled_correction_breaks_parallelism():
-    # halving the correction term spoils both the unitary base frame and,
-    # after re-orthonormalizing, the parallel-torsion identities
-    m = charts.wallach_metric(exact=False, sigma_scale=0.5)
+    # halving the correction term spoils both the unitary base frame and the
+    # parallel-torsion identities, which are read at the base diag(1, 3/2, 1)
+    m = charts.wallach_metric(sigma_scale=Fraction(1, 2))
     assert not m.has_identity_base()
+    res_h, res_a = charts.btp_residual_at(m)
+    assert max(charts._max_abs4(res_h), charts._max_abs4(res_a)) > 0
     with pytest.raises(charts.BaseMetricError):
-        charts.btp_residual_at(m)
-    mo = charts.orthonormalize_base(m)
+        charts.riemannian_curvature_at(m)
+    # the Levi-Civita route, which needs g(0) = I, still refuses the metric
+    mo = orthonormalize_base(charts.wallach_metric(exact=False, sigma_scale=0.5))
     assert mo.has_identity_base(tol=1e-12)
     res_h, res_a = charts.btp_residual_at(mo)
     assert max(charts._max_abs4(res_h), charts._max_abs4(res_a)) > 1e-3
     with pytest.raises(charts.UnsupportedMetricError):
         charts.riemannian_curvature_at(mo)
+
+
+# sigma = p/q with q <= 7 and -6 < sigma < 2, where the base diag(1, 2 - sigma, 1)
+# is positive definite
+SIGMA_GRID = sorted({Fraction(p, q) for q in range(1, 8) for p in range(-6 * q + 1, 2 * q)})
+
+
+def test_sigma_pencil_is_parallel_only_at_kaehler_and_normal_metric():
+    # the largest |residual|^2 of g~ - sigma s is (sigma (1 - sigma) / (2 - sigma))^2,
+    # exactly, so the torsion is parallel at sigma in {0, 1} and nowhere else
+    for sigma in SIGMA_GRID:
+        res = charts.btp_residual_at(charts.wallach_metric(sigma_scale=sigma))
+        worst = max(c.re ** 2 + c.im ** 2 for r in res for a in r for b in a for x in b
+                    for c in x)
+        assert worst == (sigma * (1 - sigma) / (2 - sigma)) ** 2, sigma
+        assert (worst == 0) == (sigma in (0, 1))
+    assert len(SIGMA_GRID) == 143
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -213,22 +236,28 @@ def test_riemannian_curvature_reads_the_jets_once(monkeypatch, exact):
 
 def test_orthonormalize_preserves_geometry():
     # orthonormalizing the untouched metric must not disturb the residuals
-    m = charts.orthonormalize_base(charts.wallach_metric(exact=False))
+    m = orthonormalize_base(charts.wallach_metric(exact=False))
     res_h, res_a = charts.btp_residual_at(m)
     assert max(charts._max_abs4(res_h), charts._max_abs4(res_a)) < 1e-12
 
 
-def test_identity_base_precondition():
-    mf = charts.wallach_metric(exact=False, point=[0.2, 0.1j, -0.3])
-    with pytest.raises(charts.BaseMetricError):
-        charts.btp_residual_at(mf)
+OFF_ORIGIN = [[0.2, 0.1j, -0.3], [0.3 + 0.1j, -0.2, 0.5j], [1.5 - 2j, 0.7j, -0.4 + 0.9j]]
 
 
-@pytest.mark.parametrize("point", [[0.2, 0.1j, -0.3], [0.3 + 0.1j, -0.2, 0.5j],
-                                   [1.5 - 2j, 0.7j, -0.4 + 0.9j]])
+def test_residuals_off_origin_need_no_identity_base():
+    # the metric is homogeneous, so its torsion is parallel at every chart
+    # point, where the base value is not the identity
+    for point in OFF_ORIGIN:
+        m = charts.wallach_metric(exact=False, point=point)
+        assert not m.has_identity_base()
+        res_h, res_a = charts.btp_residual_at(m)
+        assert max(charts._max_abs4(res_h), charts._max_abs4(res_a)) <= 1e-12
+
+
+@pytest.mark.parametrize("point", OFF_ORIGIN)
 def test_orthonormalize_at_non_real_points(point):
     # the metric is homogeneous, so every chart point gives the same geometry
-    m = charts.orthonormalize_base(charts.wallach_metric(exact=False, point=point))
+    m = orthonormalize_base(charts.wallach_metric(exact=False, point=point))
     assert m.has_identity_base(tol=1e-12)
     pc = charts.riemannian_curvature_at(m)
     rng = np.random.default_rng(5)
@@ -265,6 +294,10 @@ def test_float_extraction_matches_jet_route(seed):
     m = random_chart_metric(rng, exact=False, base=FLOAT_BASE)
     _assert_close(charts.chern_torsion_at(m), torsion_loop(m))
     _assert_close(charts.chern_curvature_at(m), chern_curvature_loop(m))
+    for got, w in zip(charts.btp_residual_at(m), btp_residual_loop(m)):
+        _assert_close(got, w)
+    for got, w in zip(charts.ricci_forms_at(m), ricci_traces_loop(m, chern_curvature_loop(m))):
+        _assert_close(got, w)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -281,6 +314,64 @@ def test_exact_extraction_matches_jet_route(seed):
     m = random_chart_metric(rng, exact=True, base=EXACT_BASE)
     assert charts.chern_torsion_at(m) == torsion_loop(m)
     assert charts.chern_curvature_at(m) == chern_curvature_loop(m)
+    assert charts.btp_residual_at(m) == btp_residual_loop(m)
+    assert charts.ricci_forms_at(m) == ricci_traces_loop(m, chern_curvature_loop(m))
+
+
+# ---- any base value: the frame route as an oracle -------------------------------------
+
+def _chern_table(m):
+    return (charts.chern_curvature_at(m),)
+
+
+# each extraction that works at any base, with the index types of its tensors
+EXTRACTIONS = ((charts.btp_residual_at, (TENSOR_TYPES["res_h"], TENSOR_TYPES["res_a"])),
+               (_chern_table, (TENSOR_TYPES["chern"],)),
+               (charts.ricci_forms_at, (TENSOR_TYPES["ricci"],) * 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_float_extraction_at_any_base_matches_frame_route(seed):
+    # base M M^H + I; the frame route orthonormalizes it, extracts at g(0) = I
+    # and transforms back
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = random_chart_metric(rng, exact=False, base=(M @ M.conj().T + np.eye(3)).tolist())
+    for fn, types in EXTRACTIONS:
+        for got, want in zip(fn(m), frame_route(m, fn, types)):
+            _assert_close(got, want)
+
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_exact = st.builds(EC, small_rational, small_rational)
+
+# a rational frame change z = A z' that is not unitary
+EXACT_FRAME = [[EC(1), EC(Fraction(1, 2), Fraction(1, 3)), EC(0)],
+               [EC(0), EC(2), EC(Fraction(-1, 4))],
+               [EC(Fraction(1, 5)), EC(0, 1), EC(1)]]
+
+
+def _assert_tensorial(m, A):
+    mA = change_frame(m, A)
+    for fn, types in EXTRACTIONS:
+        assert fn(mA) == tuple(transform_tensor(t, ty, A) for t, ty in zip(fn(m), types))
+
+
+def test_exact_wallach_extraction_transforms_as_tensors():
+    _assert_tensorial(charts.wallach_metric(), EXACT_FRAME)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.lists(small_exact, min_size=9, max_size=9))
+@example(0, True, [c for row in EXACT_FRAME for c in row])
+def test_exact_extraction_transforms_as_tensors(seed, on_base, entries):
+    A = [entries[:3], entries[3:6], entries[6:]]
+    assume(len(row_basis(A, exact=True)) == 3)
+    m = random_chart_metric(np.random.default_rng(seed), exact=True,
+                            base=EXACT_BASE if on_base else None)
+    _assert_tensorial(m, A)
 
 
 # ---- Levi-Civita side ---------------------------------------------------------------
@@ -623,10 +714,6 @@ def test_chart_metric_validation():
     with pytest.raises(ValueError):
         charts.ChartMetric(2, [[zero, fone], [fone, fone]])
     assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).exact
-
-
-small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-small_exact = st.builds(EC, small_rational, small_rational)
 
 
 @st.composite

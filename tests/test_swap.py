@@ -75,9 +75,8 @@ def test_swapped_family_a_has_companion_pattern():
 def test_bismut_connection_preserved():
     for g in (lie.nilmanifold_n3(1), lie.family_a(1, -1),
               lie.family_a(Fraction(1, 2), Fraction(1, 3)), lie.family_b(1, 1)):
-        assert lie.bismut_swap_equal(g, {1}), g.label
-        assert lie.bismut_swap_equal(g, {0}), g.label
-        assert lie.bismut_swap_equal(g, set()), g.label
+        for S in ({1}, {0}, set()):
+            assert lie.bismut_swap_equal(g, lie.conjugate_swap(g, S), S), (g.label, S)
 
 
 def test_swapped_bismut_ricci():
@@ -120,6 +119,6 @@ def test_splitting_swap_in_dimension_five():
     assert d5 == want
     rep2 = lie.classify(sw)
     assert rep2.balanced and rep2.btp and rep2.b_rank == 4
-    assert lie.bismut_swap_equal(g, {2, 3})
+    assert lie.bismut_swap_equal(g, sw, {2, 3})
     back = lie.conjugate_swap(sw, {2, 3})
     assert back.C == g.C and back.D == g.D

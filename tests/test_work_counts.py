@@ -12,19 +12,24 @@ from collections import Counter
 from fractions import Fraction
 
 from btpgeo import forms, lie
+from btpgeo.cli import main
 
 CEILINGS = {"curvature_of": 1, "wedge": 27, "exterior_d": 10}
 
 
-def test_classify_form_work_within_ceilings(monkeypatch):
-    g = lie.family_a(Fraction(1, 2), Fraction(1, 3))
-    calls = Counter()
-
+def _counter(calls):
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
+    return counted
+
+
+def test_classify_form_work_within_ceilings(monkeypatch):
+    g = lie.family_a(Fraction(1, 2), Fraction(1, 3))
+    calls = Counter()
+    counted = _counter(calls)
 
     monkeypatch.setattr(forms.InvariantForm, "wedge",
                         counted("wedge", forms.InvariantForm.wedge))
@@ -35,3 +40,14 @@ def test_classify_form_work_within_ceilings(monkeypatch):
     lie.classify(g)
     for name, ceiling in CEILINGS.items():
         assert calls[name] <= ceiling, calls
+
+
+def test_companion_swaps_once(monkeypatch, capsys):
+    calls = Counter()
+    counted = _counter(calls)
+    monkeypatch.setattr(lie, "conjugate_swap", counted("conjugate_swap", lie.conjugate_swap))
+    monkeypatch.setattr(lie, "d_squared_residual",
+                        counted("d_squared_residual", lie.d_squared_residual))
+    assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
+    capsys.readouterr()
+    assert calls == {"conjugate_swap": 1, "d_squared_residual": 2}

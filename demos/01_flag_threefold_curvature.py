@@ -29,7 +29,7 @@ for k in range(3):
                 if not Rc[k][l][i][j].is_zero():
                     print(f"    ({k+1},{l+1},{i+1},{j+1}) -> {Rc[k][l][i][j]}")
 
-ric1, ric2, ric3 = charts.ricci_forms_at(m, Rc)
+ric1, ric2, ric3 = charts.ricci_forms_at(m)
 print("\nRicci diagonals:",
       [str(ric1[i][i].re) for i in range(3)],
       [str(ric2[i][i].re) for i in range(3)],

@@ -7,12 +7,12 @@ coefficients at any positive-definite base value G; only the Levi-Civita
 curvature (for parallel-torsion metrics) and its sectional/Ricci traces
 need G = identity.
 
-The coefficients are read once into arrays of the metric's scalar kind
+The coefficients are read once per metric into read-only arrays of its kind
 (complex128, or object arrays of ExactComplex, whose sums do not depend on
 their order), with G, G^{-1} and the Chern Christoffel symbols
-Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}; every table is an einsum
-contraction of them (the Ricci tensors trace Rc with G^{-1}), returned as
-nested lists.  The derivative of the torsion
+Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern curvature and
+residuals are einsums of them kept with the metric, the Ricci tensors trace
+Rc with G^{-1}, and callers get fresh lists.  The derivative of the torsion
 T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is taken in
 closed form:
 partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
@@ -41,16 +41,16 @@ sigma_{i jbar} = (delta_{i1} delta_{j1} |z3|^2 + delta_{i1} delta_{j2} z3
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, kind_of, scalar_abs,
-                      scalar_to_json)
+from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, kind_of, memoized,
+                      scalar_abs, scalar_to_json)
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -72,7 +72,7 @@ class DegeneratePlaneError(ValueError):
 class ChartMetric:
     """Hermitian metric components g_{i jbar} as 2-jets at a base point."""
 
-    __slots__ = ("n", "g", "label", "kind")
+    __slots__ = ("n", "g", "label", "kind", "_memo")
 
     def __init__(self, n: int, g, label: str = ""):
         g = tuple(tuple(r) for r in g)
@@ -103,6 +103,7 @@ class ChartMetric:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
@@ -264,8 +265,9 @@ def wallach_metric_values(z, sigma_scale: float = 1.0) -> np.ndarray:
 # pointwise extraction
 # --------------------------------------------------------------------------
 
-class _Jets(NamedTuple):
-    """Jet coefficients of the metric components g_{i jbar} at the base."""
+@dataclass(frozen=True, eq=False)
+class _Jets:
+    """Read-only jet coefficients of g_{i jbar} at the base; derived tables go in _memo."""
     dg: np.ndarray      # dg[i,j,k] = partial_k g_{i jbar}
     dgb: np.ndarray     # dgb[i,j,k] = partial_kbar g_{i jbar}
     hh: np.ndarray      # hh[i,j,k,m] = partial_k partial_m g_{i jbar}
@@ -273,8 +275,15 @@ class _Jets(NamedTuple):
     g: np.ndarray       # g[i,j] = g_{i jbar}
     ginv: np.ndarray    # ginv[l,j] = g^{lbar j}
     gam: np.ndarray     # gam[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}, Chern Christoffel
+    _memo: dict = field(default_factory=dict)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@memoized
 def _jet_arrays(m: ChartMetric) -> _Jets:
     n = m.n
     dg, dgb, hh, ha = (np.full((n,) * r, m.kind.zero, m.kind.dtype) for r in (3, 3, 4, 4))
@@ -295,7 +304,8 @@ def _jet_arrays(m: ChartMetric) -> _Jets:
                         ha[i, j, v, w - n] = c
     g = np.array(m.value_matrix(), m.kind.dtype)
     ginv = np.array(matrix_inverse(g.tolist(), m.kind), m.kind.dtype)
-    return _Jets(dg, dgb, hh, ha, g, ginv, np.einsum("lsi,sr->lri", dg, ginv))
+    return _Jets(*map(_readonly, (dg, dgb, hh, ha, g, ginv,
+                                  np.einsum("lsi,sr->lri", dg, ginv))))
 
 
 def _first_derivs(m: ChartMetric):
@@ -309,9 +319,10 @@ def _skew(d):
     return d.transpose(2, 0, 1, *rest) - d.transpose(0, 2, 1, *rest)
 
 
+@memoized
 def _torsion(J: _Jets):
     """T[j,i,k] = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    return np.einsum("ikl,lj->jik", _skew(J.dg), J.ginv)
+    return _readonly(np.einsum("ikl,lj->jik", _skew(J.dg), J.ginv))
 
 
 def _torsion_derivative(J: _Jets, d, h):
@@ -329,9 +340,10 @@ def _torsion_derivative(J: _Jets, d, h):
             + np.einsum("ikl,ljm->jikm", _skew(J.dg), dginv))
 
 
+@memoized
 def _chern(J: _Jets):
     """Rc[k,l,i,j] = -g_{i jbar, k lbar} + sum_q Gamma[i,q,k] conj(g_{j qbar, l})."""
-    return np.einsum("iqk,jql->klij", J.gam, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1)
+    return _readonly(np.einsum("iqk,jql->klij", J.gam, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1))
 
 
 def _ricci(Rc, ginv):
@@ -350,7 +362,7 @@ def chern_curvature_at(m: ChartMetric):
     return _chern(_jet_arrays(m)).tolist()
 
 
-def ricci_forms_at(m: ChartMetric, Rc=None):
+def ricci_forms_at(m: ChartMetric):
     """First, second and third Chern Ricci tensors as hermitian matrices.
 
     Index conventions: the first Ricci traces the bundle indices, the second
@@ -360,10 +372,8 @@ def ricci_forms_at(m: ChartMetric, Rc=None):
     ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
     ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
-    if Rc is None:
-        Rc = chern_curvature_at(m)
-    ginv = np.array(m.inverse_value_matrix(), m.kind.dtype)
-    return tuple(r.tolist() for r in _ricci(np.array(Rc, m.kind.dtype), ginv))
+    J = _jet_arrays(m)
+    return tuple(r.tolist() for r in _ricci(_chern(J), J.ginv))
 
 
 def btp_residual_at(m: ChartMetric):
@@ -382,12 +392,13 @@ def btp_residual_at(m: ChartMetric):
     torsion is parallel at the point.  res_h and res_a are indexed
     [l][i][j][k] and transform as tensors under a linear change of chart.
     """
-    J = _jet_arrays(m)
-    return tuple(r.tolist() for r in _btp_residuals(J, _torsion(J)))
+    return tuple(r.tolist() for r in _btp_residuals(_jet_arrays(m)))
 
 
-def _btp_residuals(J: _Jets, T):
-    """The arrays (res_h, res_a) of ``btp_residual_at``, given the torsion T."""
+@memoized
+def _btp_residuals(J: _Jets):
+    """The arrays (res_h, res_a) of ``btp_residual_at``."""
+    T = _torsion(J)
     A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", J.g, np.conj(T)), J.ginv)
     res_h = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dg, J.hh))
              - np.einsum("lri,jrk->lijk", J.gam, T) - np.einsum("lrk,jir->lijk", J.gam, T)
@@ -395,7 +406,7 @@ def _btp_residuals(J: _Jets, T):
     res_a = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dgb, J.ha))
              - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
              + np.einsum("rik,jlr->lijk", T, A))
-    return res_h, res_a
+    return _readonly(res_h), _readonly(res_a)
 
 
 def _max_abs4(arr) -> float:
@@ -456,7 +467,7 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
                               "the base point")
     J = _jet_arrays(m)
     T = _torsion(J)
-    res = np.stack(_btp_residuals(J, T))
+    res = np.stack(_btp_residuals(J))
     if not m.kind.negligible(res).all():
         resid = max(map(scalar_abs, res.flat))
         raise UnsupportedMetricError(

@@ -21,8 +21,8 @@ from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
 from .frames import diagonal_torsion, transform_torsion
 from .linalg import CMatrix, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
-                      common_kind, conj, is_zero, kind_of, scalar_from_json,
-                      scalar_to_json)
+                      common_kind, conj, is_zero, kind_of, memoized,
+                      scalar_from_json, scalar_to_json)
 
 
 class IntegrabilityError(ValueError):
@@ -55,10 +55,10 @@ class HermitianLieAlgebra:
 
     ``C[j][i][k]`` holds C^j_{ik} (antisymmetric in i, k) and ``D[j][i][k]``
     holds D^j_{ik}; all 0-based.  Construction rejects non-integrable data:
-    every d^2 phi_i must vanish.
+    every d^2 phi_i must vanish.  Derived tables are ``memoized`` on it.
     """
 
-    __slots__ = ("n", "C", "D", "label", "ctx", "kind")
+    __slots__ = ("n", "C", "D", "label", "ctx", "kind", "_memo")
 
     def __init__(self, n: int, C, D, label: str = "", validate: bool = True):
         ctx = CoframeContext(n, C, D)
@@ -76,6 +76,7 @@ class HermitianLieAlgebra:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "kind", ctx.kind)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianLieAlgebra is immutable")
@@ -260,6 +261,7 @@ class TorsionTensor:
         return bool(self.kind.negligible(self._array - expected).all())
 
 
+@memoized
 def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
     """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}."""
     n = g.n
@@ -330,6 +332,7 @@ def _connection_from(X, tag: str, kind: Kind) -> ConnectionMatrix:
     return ConnectionMatrix(rows, tag, kind)
 
 
+@memoized
 def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
     return _connection_from(g.D, "chern", g.kind)
@@ -340,6 +343,7 @@ def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
     return _connection_from(T.T, "gamma", T.kind)
 
 
+@memoized
 def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     """theta^b = theta + gamma."""
     th = chern_connection(g)
@@ -484,26 +488,25 @@ def vaisman_torsion_pattern(T: TorsionTensor):
 # real 2n-dimensional bracket, solvability, conjugation swaps
 # --------------------------------------------------------------------------
 
+@memoized
 def real_bracket_table(g: HermitianLieAlgebra):
     """Brackets of the basis (e_1..e_n, ebar_1..ebar_n) as coefficient vectors.
 
-    table[x][y] is the expansion of [b_x, b_y]; it is antisymmetric by
+    table[x][y] is the tuple expanding [b_x, b_y]; it is antisymmetric by
     construction.  Complexifying the underlying real algebra leaves
     nilpotency and solvability steps unchanged.
     """
     n = g.n
-    zeros = [g.kind.zero] * n
+    zeros = (g.kind.zero,) * n
     table = [[None] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            table[i][j] = [g.C[k][i][j] for k in range(n)] + zeros
-            table[n + i][n + j] = zeros + [conj(g.C[k][i][j]) for k in range(n)]
-            table[i][n + j] = ([conj(g.D[i][k][j]) for k in range(n)]
-                               + [-g.D[j][k][i] for k in range(n)])
-    for i in range(n):
-        for j in range(n):
-            table[n + i][j] = [-c for c in table[j][n + i]]
-    return table
+            table[i][j] = tuple(g.C[k][i][j] for k in range(n)) + zeros
+            table[n + i][n + j] = zeros + tuple(conj(g.C[k][i][j]) for k in range(n))
+            table[i][n + j] = (tuple(conj(g.D[i][k][j]) for k in range(n))
+                               + tuple(-g.D[j][k][i] for k in range(n)))
+            table[n + j][i] = tuple(-c for c in table[i][n + j])
+    return tuple(map(tuple, table))
 
 
 def solvability_profile(g: HermitianLieAlgebra):
@@ -719,9 +722,7 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     eta = gauduchon_eta(T)
     balanced = _form_is_zero(eta, g.kind)
     theta = chern_connection(g)
-    gamma = gamma_tensor(T)
-    theta_b = ConnectionMatrix([[theta[i, j] + gamma[i, j] for j in range(n)]
-                                for i in range(n)], "bismut", g.kind)
+    theta_b = bismut_connection(g)
     btp = all(_form_is_zero(f, g.kind)
               for f in _btp_residuals_from(T, theta_b).values())
     unimod = check_unimodular(g)

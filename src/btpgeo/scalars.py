@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import gcd, inf, isfinite
 from typing import Union
 
@@ -323,6 +324,17 @@ def common_kind(values) -> Kind:
     if any(k is not kinds[0] for k in kinds):
         raise TypeError("mixed scalar kinds in one object")
     return kinds[0]
+
+
+def memoized(build):
+    """``build(obj)``, run once per object and kept in the ``_memo`` dict its
+    ``__init__`` makes (object and result immutable); the body runs as ``__wrapped__``."""
+    @wraps(build)
+    def once(obj):
+        if once not in obj._memo:
+            obj._memo[once] = once.__wrapped__(obj)
+        return obj._memo[once]
+    return once
 
 
 # ---- JSON wire format ----------------------------------------------------

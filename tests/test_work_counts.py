@@ -1,4 +1,5 @@
-"""Ceilings on the form work of one exact ``classify``.
+"""Ceilings on the form work of one exact ``classify``, and the builds of
+one CLI job.
 
 Counters are patched onto ``InvariantForm.wedge``, ``exterior_d`` and
 ``lie.curvature_of`` while ``classify(family_a(1/2, 1/3))`` runs on an
@@ -6,12 +7,20 @@ algebra built beforehand.  The Chern curvature needs its full matrix, 27
 wedges and 9 derivatives; the Bismut Ricci form needs only d(tr theta^b),
 one more derivative.  A change that brings back the full Bismut curvature
 or another redundant form product fails here without any timing.
+
+Torsion, connections and chart tables are ``memoized`` on their algebra or
+metric.  The job tests count the runs of each memoized body, which the memo
+calls as ``__wrapped__``, so a job that asks a question twice of one
+structure still builds what it reads once.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from btpgeo import forms, lie
+import numpy as np
+import pytest
+
+from btpgeo import charts, forms, lie
 from btpgeo.cli import main
 
 CEILINGS = {"curvature_of": 1, "wedge": 27, "exterior_d": 10}
@@ -51,3 +60,77 @@ def test_companion_swaps_once(monkeypatch, capsys):
     assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
     capsys.readouterr()
     assert calls == {"conjugate_swap": 1, "d_squared_residual": 2}
+
+
+def _count_bodies(monkeypatch, calls, *memoized):
+    """Count the runs of each memoized body under its function's name."""
+    counted = _counter(calls)
+    for fn in memoized:
+        monkeypatch.setattr(fn, "__wrapped__", counted(fn.__name__, fn.__wrapped__))
+
+
+def test_verify_n3_builds_torsion_and_connections_once(monkeypatch, capsys):
+    calls = Counter()
+    _count_bodies(monkeypatch, calls, lie.chern_torsion)
+    monkeypatch.setattr(lie, "_connection_from",
+                        _counter(calls)("_connection_from", lie._connection_from))
+    assert main(["verify", "--example", "n3"]) == 0
+    capsys.readouterr()
+    # classify, the Bismut curvature and the pluriclosed obstruction share
+    # one torsion; _connection_from builds the Chern connection and gamma
+    assert calls == {"chern_torsion": 1, "_connection_from": 2}
+
+
+def test_companion_builds_one_bismut_connection_per_algebra(monkeypatch, capsys):
+    calls, built = Counter(), Counter()
+    body = lie.bismut_connection.__wrapped__
+    monkeypatch.setattr(lie.bismut_connection, "__wrapped__",
+                        lambda g: built.update([g.label]) or body(g))
+    monkeypatch.setattr(lie, "_connection_from",
+                        _counter(calls)("_connection_from", lie._connection_from))
+    assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
+    capsys.readouterr()
+    # the swap check and classify read the same connection of each algebra
+    assert built == {"n3": 1, "n3~swap[2]": 1}
+    assert calls == {"_connection_from": 4}
+
+
+def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
+    calls = Counter()
+    _count_bodies(monkeypatch, calls, charts._jet_arrays, charts._torsion, charts._chern,
+                  charts._btp_residuals)
+    monkeypatch.setattr(charts, "_tables", _counter(calls)("_tables", charts._tables))
+    assert main(["verify", "--example", "wallach"]) == 1     # criterion 4 stays red
+    capsys.readouterr()
+    # r11 and r20 become arrays for two sectional checks and one stacked
+    # Ricci evaluation of the twelve frame directions
+    assert calls == {"_jet_arrays": 1, "_torsion": 1, "_chern": 1, "_btp_residuals": 1,
+                     "_tables": 3}
+
+
+def test_memo_lives_on_its_object():
+    g, h = lie.nilmanifold_n3(1), lie.nilmanifold_n3(1)
+    assert g.C == h.C and g.D == h.D
+    for fn in (lie.chern_torsion, lie.chern_connection, lie.bismut_connection,
+               lie.real_bracket_table):
+        assert fn(g) is fn(g)
+        assert fn(g) is not fn(h)       # equal data built apart share nothing
+    assert g._memo is not h._memo
+    assert isinstance(lie.real_bracket_table(g)[0][3], tuple)
+
+
+def test_cached_chart_tables_are_read_only():
+    m = charts.wallach_metric()
+    J = charts._jet_arrays(m)
+    assert charts._jet_arrays(m) is J
+    assert charts._jet_arrays(charts.wallach_metric()) is not J
+    cached = [J.dg, J.dgb, J.hh, J.ha, J.g, J.ginv, J.gam, charts._torsion(J),
+              charts._chern(J), *charts._btp_residuals(J)]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    # public functions hand out fresh lists, so a caller's edit stays its own
+    T = charts.chern_torsion_at(m)
+    T[1][0][2] = 0
+    assert charts.chern_torsion_at(m)[1][0][2] == 1
+    assert np.array_equal(charts._torsion(J), np.array(charts.chern_torsion_at(m), object))

@@ -346,9 +346,12 @@ def _chern(J: _Jets):
     return _readonly(np.einsum("iqk,jql->klij", J.gam, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1))
 
 
-def _ricci(Rc, ginv):
-    return (np.einsum("klip,pi->kl", Rc, ginv), np.einsum("klij,lk->ij", Rc, ginv),
-            np.einsum("klij,li->kj", Rc, ginv))
+@memoized
+def _ricci(J: _Jets):
+    """The three Chern Ricci traces (ric1, ric2, ric3) of ``ricci_forms_at``."""
+    Rc = _chern(J)
+    return tuple(_readonly(np.einsum(spec, Rc, J.ginv))
+                 for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj"))
 
 
 def chern_torsion_at(m: ChartMetric):
@@ -372,8 +375,7 @@ def ricci_forms_at(m: ChartMetric):
     ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
     ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
-    J = _jet_arrays(m)
-    return tuple(r.tolist() for r in _ricci(_chern(J), J.ginv))
+    return tuple(r.tolist() for r in _ricci(_jet_arrays(m)))
 
 
 def btp_residual_at(m: ChartMetric):
@@ -426,6 +428,7 @@ class PointCurvature:
     ric3: list
     r11: Optional[list]      # r11[k][l][i][j] = R_{k lbar i jbar}
     r20: Optional[list]      # r20[i][j][k][l] = R_{i j k lbar}
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> Kind:
@@ -481,7 +484,7 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
            + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
               - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
-    ric1, ric2, ric3 = (r.tolist() for r in _ricci(Rc, J.ginv))
+    ric1, ric2, ric3 = (r.tolist() for r in _ricci(J))
     return PointCurvature(n=m.n, exact=m.exact, torsion=T.tolist(), rc=Rc.tolist(),
                           ric1=ric1, ric2=ric2, ric3=ric3, r11=r11.tolist(),
                           r20=r20.tolist())
@@ -491,11 +494,12 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
 # sectional and Ricci curvature
 # --------------------------------------------------------------------------
 
+@memoized
 def _tables(pc: PointCurvature):
-    """r11 and r20 as arrays of the data's scalar kind."""
+    """r11 and r20 as read-only arrays of the data's scalar kind."""
     if pc.r11 is None:
         raise UnsupportedMetricError("Levi-Civita components missing")
-    return np.array(pc.r11, pc.kind.dtype), np.array(pc.r20, pc.kind.dtype)
+    return tuple(_readonly(np.array(t, pc.kind.dtype)) for t in (pc.r11, pc.r20))
 
 
 _to_exact = np.frompyfunc(EXACT.scalar, 1, 1)

@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands:
-  classify   classify a user-supplied algebra JSON file
-  verify     run a built-in example against its golden-value suite
-  wallach    emit the flag-threefold point-curvature report
-  sweep      classify the two middle-type families over a parameter grid
-  companion  conjugation-swap an example and compare Bismut connections
+``COMMANDS`` is the command table: classify, verify, wallach, sweep and
+companion, each with its function, its help line and its options.  ``main``
+builds two parsers per call, the top-level one, which reads the command name
+and hands the rest of argv on, and the parser of the command named; no parser
+outlives the call.  ``btpgeo --help`` lists the commands with their help
+lines, ``btpgeo <command> --help`` the options of one command.
 
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure, 3 usage or
 schema error, 141 standard output closed by its reader (128 + SIGPIPE).
@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -274,50 +275,56 @@ def cmd_companion(args) -> int:
     return EXIT_OK
 
 
+_OUT, _SEED, _TORSION_A = ("--out", {}), ("--seed", {"type": int}), ("--torsion-a", {})
+
+
+class Command(NamedTuple):
+    fn: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple      # (flag, add_argument keywords), in help order
+
+
+COMMANDS = {
+    "classify": Command(cmd_classify, "classify an algebra JSON file",
+                        (("--input", {"required": True}), _OUT)),
+    "verify": Command(cmd_verify, "run a built-in golden suite",
+                      (("--example", {"required": True}), _SEED, _TORSION_A, _OUT)),
+    "wallach": Command(cmd_wallach, "point-curvature report of the flag metric",
+                       (("--float", {"dest": "float_mode", "action": "store_true"}), _SEED,
+                        ("--samples", {"type": int, "default": 10000}), _OUT)),
+    "sweep": Command(cmd_sweep, "classify the parameter families over a grid",
+                     (("--grid", {"help": "comma-separated rationals"}), _TORSION_A, _OUT)),
+    "companion": Command(cmd_companion, "conjugation-swap an example",
+                         (("--example", {"required": True}),
+                          ("--swap", {"default": "", "help": "comma-separated 1-based indices"}),
+                          _TORSION_A, _OUT)),
+}
+
+
 def build_parser() -> _Parser:
-    p = _Parser(prog="btpgeo",
+    """The top-level parser: a command of COMMANDS, then that command's argv."""
+    listing = "".join(f"\n  {name:<11}{c.help}" for name, c in COMMANDS.items())
+    p = _Parser(prog="btpgeo", formatter_class=argparse.RawDescriptionHelpFormatter,
                 description="verification engine for parallel-Bismut-torsion "
-                            "Hermitian geometry")
-    sub = p.add_subparsers(dest="command", required=True)
+                            "Hermitian geometry",
+                epilog=f"commands:{listing}\n\n'btpgeo <command> --help' lists the options of one.")
+    p.add_argument("command", choices=COMMANDS, help="one of the commands below")
+    # required=False: a missing command alone is the usage error, as with subparsers
+    p.add_argument("args", nargs=argparse.REMAINDER, help="the command's options").required = False
+    return p
 
-    c = sub.add_parser("classify", help="classify an algebra JSON file")
-    c.add_argument("--input", required=True)
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_classify)
 
-    v = sub.add_parser("verify", help="run a built-in golden suite")
-    v.add_argument("--example", required=True)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--torsion-a", dest="torsion_a")
-    v.add_argument("--out")
-    v.set_defaults(fn=cmd_verify)
-
-    w = sub.add_parser("wallach", help="point-curvature report of the flag metric")
-    w.add_argument("--float", dest="float_mode", action="store_true")
-    w.add_argument("--seed", type=int)
-    w.add_argument("--samples", type=int, default=10000)
-    w.add_argument("--out")
-    w.set_defaults(fn=cmd_wallach)
-
-    s = sub.add_parser("sweep", help="classify the parameter families over a grid")
-    s.add_argument("--grid", help="comma-separated rationals")
-    s.add_argument("--torsion-a", dest="torsion_a")
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_sweep)
-
-    k = sub.add_parser("companion", help="conjugation-swap an example")
-    k.add_argument("--example", required=True)
-    k.add_argument("--swap", default="", help="comma-separated 1-based indices")
-    k.add_argument("--torsion-a", dest="torsion_a")
-    k.add_argument("--out")
-    k.set_defaults(fn=cmd_companion)
+def _command_parser(name: str) -> _Parser:
+    p = _Parser(prog=f"btpgeo {name}")
+    for flag, kwargs in COMMANDS[name].options:
+        p.add_argument(flag, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        top = build_parser().parse_args(argv)
+        return COMMANDS[top.command].fn(_command_parser(top.command).parse_args(top.args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from btpgeo import goldens
+from btpgeo import cli, goldens
 from btpgeo.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -342,6 +343,74 @@ def test_exact_reports_are_byte_identical(capsys, argv):
 # the module run from the source tree, as the in-process tests import it
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SOURCE_ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+
+# each command's option lines of `btpgeo <command> --help`, as (invocation,
+# help) pairs, and the arguments it parses with only its required options,
+# pinned from the subparser tree the command table replaced
+COMMAND_OPTIONS = {
+    "classify": ([("-h, --help", "show this help message and exit"), ("--input INPUT",),
+                  ("--out OUT",)],
+                 ["--input", "x"], {"input": "x", "out": None}),
+    "verify": ([("-h, --help", "show this help message and exit"), ("--example EXAMPLE",),
+                ("--seed SEED",), ("--torsion-a TORSION_A",), ("--out OUT",)],
+               ["--example", "n3"],
+               {"example": "n3", "seed": None, "torsion_a": None, "out": None}),
+    "wallach": ([("-h, --help", "show this help message and exit"), ("--float",),
+                 ("--seed SEED",), ("--samples SAMPLES",), ("--out OUT",)],
+                [], {"float_mode": False, "seed": None, "samples": 10000, "out": None}),
+    "sweep": ([("-h, --help", "show this help message and exit"),
+               ("--grid GRID", "comma-separated rationals"), ("--torsion-a TORSION_A",),
+               ("--out OUT",)],
+              [], {"grid": None, "torsion_a": None, "out": None}),
+    "companion": ([("-h, --help", "show this help message and exit"), ("--example EXAMPLE",),
+                   ("--swap SWAP", "comma-separated 1-based indices"),
+                   ("--torsion-a TORSION_A",), ("--out OUT",)],
+                  ["--example", "n3"],
+                  {"example": "n3", "swap": "", "torsion_a": None, "out": None}),
+}
+
+
+def _help(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_command_help_lists_its_options(capsys, monkeypatch, command):
+    out = _help(capsys, monkeypatch, command, "--help")
+    assert out.startswith(f"usage: btpgeo {command} [-h]")
+    lines = out[out.index("options:\n"):].splitlines()[1:]
+    assert [tuple(re.split(r"\s{2,}", line.strip())) for line in lines] == \
+        COMMAND_OPTIONS[command][0]
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_command_options_keep_their_dests_and_defaults(command):
+    _, required, parsed = COMMAND_OPTIONS[command]
+    top = cli.build_parser().parse_args([command, *required])
+    assert top.command == command and top.args == required
+    assert vars(cli._command_parser(command).parse_args(required)) == parsed
+
+
+def test_top_level_help_names_every_command(capsys, monkeypatch):
+    out = _help(capsys, monkeypatch, "--help")
+    for name, command in cli.COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(command.help)}$", out, re.M), name
+    assert list(cli.COMMANDS) == list(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["verify", "--example", "n3", "--bogus"]])
+def test_usage_errors_exit_3_without_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", *argv],
+                          capture_output=True, text=True, env=SOURCE_ENV)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: btpgeo") and "\nerror: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -11,17 +11,21 @@ or another redundant form product fails here without any timing.
 Torsion, connections and chart tables are ``memoized`` on their algebra or
 metric.  The job tests count the runs of each memoized body, which the memo
 calls as ``__wrapped__``, so a job that asks a question twice of one
-structure still builds what it reads once.
+structure still builds what it reads once.  A CLI call builds two argument
+parsers, the top-level one and the named command's, and keeps neither.
 """
 
+import pathlib
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from btpgeo import charts, forms, lie
+from btpgeo import charts, cli, forms, lie
 from btpgeo.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 CEILINGS = {"curvature_of": 1, "wedge": 27, "exterior_d": 10}
 
@@ -98,14 +102,32 @@ def test_companion_builds_one_bismut_connection_per_algebra(monkeypatch, capsys)
 def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
     calls = Counter()
     _count_bodies(monkeypatch, calls, charts._jet_arrays, charts._torsion, charts._chern,
-                  charts._btp_residuals)
-    monkeypatch.setattr(charts, "_tables", _counter(calls)("_tables", charts._tables))
+                  charts._ricci, charts._btp_residuals, charts._tables)
     assert main(["verify", "--example", "wallach"]) == 1     # criterion 4 stays red
     capsys.readouterr()
-    # r11 and r20 become arrays for two sectional checks and one stacked
-    # Ricci evaluation of the twelve frame directions
-    assert calls == {"_jet_arrays": 1, "_torsion": 1, "_chern": 1, "_btp_residuals": 1,
-                     "_tables": 3}
+    # ricci_forms_at and riemannian_curvature_at share one Ricci trace; the
+    # two sectional checks and the stacked Ricci evaluation of the twelve
+    # frame directions read one pair of r11 and r20 arrays
+    assert calls == {"_jet_arrays": 1, "_torsion": 1, "_chern": 1, "_ricci": 1,
+                     "_btp_residuals": 1, "_tables": 1}
+
+
+def test_each_main_call_builds_its_own_two_parsers(monkeypatch, capsys):
+    calls = Counter()
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        _counter(calls)("_Parser", cli._Parser.__init__))
+    argv = ["classify", "--input", str(DATA / "n3.json")]
+    assert main(argv) == 0
+    assert calls == {"_Parser": 2}      # the top-level parser and the command's
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"_Parser": 4}      # none is kept for the next call
+
+
+def test_build_parser_takes_no_arguments():
+    # the benchmark's setup timing builds the parser this way
+    top = cli.build_parser().parse_args(["classify", "--input", "x"])
+    assert (top.command, top.args) == ("classify", ["--input", "x"])
 
 
 def test_memo_lives_on_its_object():
@@ -124,8 +146,11 @@ def test_cached_chart_tables_are_read_only():
     J = charts._jet_arrays(m)
     assert charts._jet_arrays(m) is J
     assert charts._jet_arrays(charts.wallach_metric()) is not J
+    pc = charts.riemannian_curvature_at(m)
+    assert charts._tables(pc) is charts._tables(pc)
     cached = [J.dg, J.dgb, J.hh, J.ha, J.g, J.ginv, J.gam, charts._torsion(J),
-              charts._chern(J), *charts._btp_residuals(J)]
+              charts._chern(J), *charts._ricci(J), *charts._btp_residuals(J),
+              *charts._tables(pc)]
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1

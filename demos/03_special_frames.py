@@ -10,17 +10,17 @@ input frame was scrambled.
 import numpy as np
 
 from btpgeo import frames, lie
-from btpgeo.linalg import CMatrix, takagi_factorize
+from btpgeo.linalg import takagi_factorize
 
 rng = np.random.default_rng(12)
 
 print("Takagi factorization of a random complex symmetric matrix:")
 A = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
 A = A + A.T
-res = takagi_factorize(CMatrix.from_rows(A))
+res = takagi_factorize(A)
 print("   singular values:", np.round(res.d, 6))
 print("   reconstruction residual:",
-      f"{res.reconstruction_residual(CMatrix.from_rows(A)):.2e}")
+      f"{res.reconstruction_residual(A):.2e}")
 
 print("\nround-trip a fully symmetric torsion through random unitary frames:")
 T = frames._as_array(lie.chern_torsion(lie.sl2c(1)).T)

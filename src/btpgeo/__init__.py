@@ -3,7 +3,7 @@
 Submodules
 ----------
 scalars   exact rational complex numbers and the float/exact scalar kinds
-linalg    dense matrices, exact rank, Takagi factorization
+linalg    row reduction, ranks and Takagi factorization of matrix arrays
 forms     invariant differential forms with the Lie structure equation
 lie       Hermitian Lie algebras: torsion, connections, classification
 frames    special and admissible frame normalization of torsion data
@@ -14,12 +14,12 @@ cli       command-line interface (classify / verify / wallach / sweep / companio
 
 from .scalars import EC, ExactComplex
 from .forms import CoframeContext, InvariantForm, exterior_d, wedge
-from .linalg import CMatrix, TakagiResult, hermitian_rank, takagi_factorize
+from .linalg import TakagiResult, hermitian_rank, takagi_factorize
 from .jets import Jet2
 
 __all__ = [
     "EC", "ExactComplex", "CoframeContext", "InvariantForm", "exterior_d",
-    "wedge", "CMatrix", "TakagiResult", "hermitian_rank", "takagi_factorize",
+    "wedge", "TakagiResult", "hermitian_rank", "takagi_factorize",
     "Jet2",
 ]
 

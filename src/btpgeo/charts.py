@@ -12,7 +12,8 @@ The coefficients are read once per metric into read-only arrays of its kind
 their order), with G, G^{-1} and the Chern Christoffel symbols
 Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern curvature and
 residuals are einsums of them kept with the metric, the Ricci tensors trace
-Rc with G^{-1}, and callers get fresh lists.  The derivative of the torsion
+Rc with G^{-1}; PointCurvature holds these read-only arrays, and the other
+public functions hand out fresh lists.  The derivative of the torsion
 T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is taken in
 closed form:
 partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -233,34 +233,6 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
     return ChartMetric(3, g, label="wallach")
 
 
-def wallach_metric_values(z, sigma_scale: float = 1.0) -> np.ndarray:
-    """Direct complex-arithmetic evaluation of the metric components.
-
-    Independent of the jet machinery; used as the finite-difference oracle.
-    """
-    z1, z2, z3 = complex(z[0]), complex(z[1]), complex(z[2])
-    al = 1 + abs(z1) ** 2 + abs(z2) ** 2
-    f = z2 + z1 * z3
-    be = 1 + abs(z3) ** 2 + abs(f) ** 2
-    al_d = np.array([np.conj(z1), np.conj(z2), 0.0])
-    al_dd = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    f_d = np.array([z3, 1.0, z1])
-    be_d = np.array([0, 0, np.conj(z3)]).astype(complex) + f_d * np.conj(f)
-    be_dd = np.array([[f_d[i] * np.conj(f_d[j]) + (1.0 if i == j == 2 else 0.0)
-                       for j in range(3)] for i in range(3)])
-    g = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            g[i, j] = al_dd[i, j] / al - al_d[i] * np.conj(al_d[j]) / al ** 2 \
-                + be_dd[i, j] / be - be_d[i] * np.conj(be_d[j]) / be ** 2
-    sig = np.zeros((3, 3), dtype=complex)
-    sig[0, 0] = abs(z3) ** 2
-    sig[0, 1] = z3
-    sig[1, 0] = np.conj(z3)
-    sig[1, 1] = 1.0
-    return g - sigma_scale * sig / (al * be)
-
-
 # --------------------------------------------------------------------------
 # pointwise extraction
 # --------------------------------------------------------------------------
@@ -415,35 +387,27 @@ def _max_abs4(arr) -> float:
     return max(scalar_abs(c) for a in arr for b in a for r in b for c in r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCurvature:
     """Torsion, Chern curvature, Ricci tensors and Levi-Civita components
-    of a chart metric at its base point."""
+    of a chart metric at its base point, as read-only arrays of its kind."""
     n: int
-    exact: bool
-    torsion: list            # T[j][i][k]
-    rc: list                 # rc[k][l][i][j] = R^c_{k lbar i jbar}
-    ric1: list
-    ric2: list
-    ric3: list
-    r11: Optional[list]      # r11[k][l][i][j] = R_{k lbar i jbar}
-    r20: Optional[list]      # r20[i][j][k][l] = R_{i j k lbar}
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def kind(self) -> Kind:
-        return EXACT if self.exact else FLOAT
+    kind: Kind
+    torsion: np.ndarray      # T[j,i,k]
+    rc: np.ndarray           # rc[k,l,i,j] = R^c_{k lbar i jbar}
+    ric1: np.ndarray
+    ric2: np.ndarray
+    ric3: np.ndarray
+    r11: np.ndarray          # r11[k,l,i,j] = R_{k lbar i jbar}
+    r20: np.ndarray          # r20[i,j,k,l] = R_{i j k lbar}
 
     def to_json(self):
-        dump = lambda a: _nested_json(a)
-        out = {"n": self.n, "scalar_kind": self.kind.name,
-               "torsion": dump(self.torsion), "chern_curvature": dump(self.rc),
-               "chern_ricci_1": dump(self.ric1), "chern_ricci_2": dump(self.ric2),
-               "chern_ricci_3": dump(self.ric3)}
-        if self.r11 is not None:
-            out["riemannian_11"] = dump(self.r11)
-            out["riemannian_20"] = dump(self.r20)
-        return out
+        dump = lambda a: _nested_json(a.tolist())
+        return {"n": self.n, "scalar_kind": self.kind.name,
+                "torsion": dump(self.torsion), "chern_curvature": dump(self.rc),
+                "chern_ricci_1": dump(self.ric1), "chern_ricci_2": dump(self.ric2),
+                "chern_ricci_3": dump(self.ric3), "riemannian_11": dump(self.r11),
+                "riemannian_20": dump(self.r20)}
 
 
 def _nested_json(a):
@@ -484,23 +448,12 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
            + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
               - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
-    ric1, ric2, ric3 = (r.tolist() for r in _ricci(J))
-    return PointCurvature(n=m.n, exact=m.exact, torsion=T.tolist(), rc=Rc.tolist(),
-                          ric1=ric1, ric2=ric2, ric3=ric3, r11=r11.tolist(),
-                          r20=r20.tolist())
+    return PointCurvature(m.n, m.kind, T, Rc, *_ricci(J), _readonly(r11), _readonly(r20))
 
 
 # --------------------------------------------------------------------------
 # sectional and Ricci curvature
 # --------------------------------------------------------------------------
-
-@memoized
-def _tables(pc: PointCurvature):
-    """r11 and r20 as read-only arrays of the data's scalar kind."""
-    if pc.r11 is None:
-        raise UnsupportedMetricError("Levi-Civita components missing")
-    return tuple(_readonly(np.array(t, pc.kind.dtype)) for t in (pc.r11, pc.r20))
-
 
 _to_exact = np.frompyfunc(EXACT.scalar, 1, 1)
 
@@ -563,7 +516,7 @@ def _sectional_stack(pc: PointCurvature, X, Y):
     real parts 2 Re z are taken as z + conj(z), in the data's scalar kind.
     """
     nn = pc.n * pc.n
-    r11, r20 = (t.reshape(nn, nn) for t in _tables(pc))
+    r11, r20 = pc.r11.reshape(nn, nn), pc.r20.reshape(nn, nn)
     Xb, Yb = X.conj(), Y.conj()
     XYb, YXb = _pairs(X, Yb), _pairs(Y, Xb)
     left = XYb @ r11
@@ -633,13 +586,12 @@ def ricci_curvature(pc: PointCurvature, X):
     docstring).  X is a single direction or a stack of shape (N, n); a
     single direction gives a float or a Fraction, a stack an array.
     """
-    r11, r20 = _tables(pc)
     X, single = _directions(pc, X)
     x2 = _norm2(X)
     if (x2 == 0).any():
         raise DegeneratePlaneError("zero direction")
     # a quarter of num(X) of the module docstring, over |X|^2 = |x|^2 / 2
-    H = 2 * np.einsum("aiid->ad", r11) - np.einsum("adii->ad", r11)
-    s = np.einsum("ma,ac,mc->m", X, np.einsum("aici->ac", r20), X)
+    H = 2 * np.einsum("aiid->ad", pc.r11) - np.einsum("adii->ad", pc.r11)
+    s = np.einsum("ma,ac,mc->m", X, np.einsum("aici->ac", pc.r20), X)
     num = np.einsum("ma,ad,md->m", X, H, X.conj()) - (s + s.conj())
     return _result(_real(num) / x2, single)

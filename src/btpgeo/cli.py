@@ -7,8 +7,9 @@ and hands the rest of argv on, and the parser of the command named; no parser
 outlives the call.  ``btpgeo --help`` lists the commands with their help
 lines, ``btpgeo <command> --help`` the options of one command.
 
-Exit codes: 0 success, 1 golden mismatch, 2 validation failure, 3 usage or
-schema error, 141 standard output closed by its reader (128 + SIGPIPE).
+Exit codes: 0 success, 1 golden mismatch, 2 validation failure (float
+overflow in classify included), 3 usage or schema error (an unwritable
+``--out`` included), 141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import charts, goldens, lie
+from . import charts, goldens, lie, linalg
 from .scalars import EC
 
 EXIT_OK = 0
@@ -104,11 +105,14 @@ def _example_algebra(name: str, a=Fraction(1)) -> lie.HermitianLieAlgebra:
 
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
+    if not out_path:
+        print(text, flush=True)     # a closed stdout raises here, not at exit
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text, flush=True)     # a closed stdout raises here, not at exit
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc}", EXIT_USAGE)
 
 
 CLASSIFY_REFS = [
@@ -135,7 +139,11 @@ def cmd_classify(args) -> int:
         raise CliError(str(exc), EXIT_USAGE)
     except lie.IntegrabilityError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
-    rep = lie.classify(g).to_json()
+    try:
+        rep = lie.classify(g).to_json()
+    except (linalg.NumericError, np.linalg.LinAlgError) as exc:
+        # float data whose products leave the float range
+        raise CliError(f"float overflow in classify: {exc}", EXIT_VALIDATION)
     rep["refs"] = CLASSIFY_REFS
     _emit(rep, args.out)
     return EXIT_OK

@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .linalg import CMatrix, DimensionError, takagi_factorize
+from .linalg import DimensionError, takagi_factorize
 from .scalars import EXACT, FLOAT, ExactComplex, Kind, scalar_abs
 
 
@@ -80,7 +80,7 @@ def transform_torsion(T, P, tol: float = 1e-10):
     complex128, needs P unitary within ``tol`` and returns an ndarray.
     """
     arrT = np.asarray(T)
-    arrP = np.asarray(P.entries if isinstance(P, CMatrix) else P)
+    arrP = np.asarray(P)
     if arrT.dtype == arrP.dtype == object:
         if (arrP @ arrP.conj().T - np.identity(len(arrP), dtype=object)).any():
             raise ValueError("P must be exactly unitary")
@@ -105,8 +105,9 @@ def torsion_to_cyclic(T) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpecialFrameResult:
-    """Composite frame change U and the sorted torsion triple a."""
-    U: CMatrix
+    """Composite frame change U (complex128, read-only) and the sorted
+    torsion triple a."""
+    U: np.ndarray
     a: Tuple[float, float, float]
 
 
@@ -140,8 +141,7 @@ def build_special_frame(T, tol: float = 1e-9) -> SpecialFrameResult:
 
     # A_{i alpha} = T^alpha_{jk}, (i j k) cyclic; balancedness makes A symmetric
     A = np.array([arr[:, j, k] for _, j, k in _CYCLES])
-    tk = takagi_factorize(CMatrix.from_rows(A), tol=max(tol, 1e-10))
-    U1 = tk.U.to_numpy()
+    U1 = takagi_factorize(A, tol=max(tol, 1e-10)).U
     cur = transform_torsion(arr, U1)
 
     U2 = _phase_fix(cur)
@@ -162,21 +162,23 @@ def build_special_frame(T, tol: float = 1e-9) -> SpecialFrameResult:
     if np.max(np.abs(offpattern)) > tol * scale or min(a) < -tol * scale \
             or not (a[0] >= a[1] - tol * scale >= a[2] - 2 * tol * scale):
         raise RuntimeError("special-frame normalization failed its invariants")
-    return SpecialFrameResult(CMatrix.from_rows(U), a)
+    U.flags.writeable = False
+    return SpecialFrameResult(U, a)
 
 
 # constant change from special (a, a, 0) data to an admissible frame
 _ADMISSIBLE_U = np.array([[1 / np.sqrt(2), 1j / np.sqrt(2), 0],
                           [1j / np.sqrt(2), 1 / np.sqrt(2), 0],
                           [0, 0, -1j]])
+_ADMISSIBLE_U.flags.writeable = False
 
 
 def special_to_admissible(a):
     """Admissible frame data from middle-type special torsion (a, a, 0).
 
-    Returns (U, T') where U is the constant unitary frame change and T' the
-    transformed torsion with only T'^1_{13} = a, T'^2_{23} = -a nonzero, an
-    array of a's kind.  The entries of U are irrational, so T' is produced
+    Returns (U, T') where U is the constant unitary frame change, a
+    read-only complex128 array, and T' the transformed torsion with only
+    T'^1_{13} = a, T'^2_{23} = -a nonzero, an array of a's kind.  The entries of U are irrational, so T' is produced
     in closed form (the cubic transformation law cancels the square roots).
     """
     kind = _kind_of(a)
@@ -186,7 +188,7 @@ def special_to_admissible(a):
             and kind.negligible(a1.imag, bound) and a1.real > 0
             and not kind.negligible(a1, bound)):
         raise FramePatternError("middle-type pattern needs a_1 = a_2 > 0 = a_3")
-    return CMatrix.from_rows(_ADMISSIBLE_U), diagonal_torsion(3, a1, (1, -1))
+    return _ADMISSIBLE_U, diagonal_torsion(3, a1, (1, -1))
 
 
 def b_rank_type(a, tol: float = 1e-8) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d, lower_antisymmetric)
 from .frames import diagonal_torsion, transform_torsion
-from .linalg import CMatrix, hermitian_rank, row_basis
+from .linalg import hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
                       common_kind, conj, is_zero, kind_of, memoized,
                       scalar_from_json, scalar_to_json)
@@ -143,6 +143,10 @@ class HermitianLieAlgebra:
                 C[j][k][i] = C[j][k][i] - c
             else:
                 D[j][i][k] = D[j][i][k] + c
+        # float sums can overflow; x - x is zero exactly where x is finite
+        sums = [(C if pos < ncr else D)[j][i][k] for pos, (j, i, k, _) in enumerate(parsed)]
+        if not all(kind.negligible(x - x) for x in sums):
+            raise SchemaError("a summed structure constant is not a finite number")
         return HermitianLieAlgebra(n, C, D, label=str(obj.get("label", "")))
 
 
@@ -379,10 +383,11 @@ def bismut_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
 # scalar invariants and predicates
 # --------------------------------------------------------------------------
 
-def b_tensor(T: TorsionTensor) -> CMatrix:
-    """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}); hermitian nonnegative."""
+def b_tensor(T: TorsionTensor) -> np.ndarray:
+    """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}); hermitian nonnegative,
+    an array of T's kind."""
     arr = T.array()
-    return CMatrix(np.einsum("jrs,irs->ij", arr, arr.conj()).tolist())
+    return np.einsum("jrs,irs->ij", arr, arr.conj())
 
 
 def gauduchon_eta(T: TorsionTensor) -> InvariantForm:

@@ -1,6 +1,7 @@
-"""Dense complex matrices, row reduction, and Takagi factorization.
+"""Row reduction, ranks, inverses and Takagi factorization of matrices.
 
-Matrices come in the same two scalar kinds as everything else.  One row
+Matrices are numpy arrays (or nested lists) of the same two scalar kinds as
+everything else: object arrays of ExactComplex, or complex128.  One row
 reduction, ``row_basis``, serves every exact rank question: the rank of the
 B tensor, the spans of the lower central and derived series in solvability
 profiles, and the Sylvester positivity test of chart metrics, which reads
@@ -18,8 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .scalars import (EC, ExactComplex, Kind, common_kind, conj, kind_of, scalar_abs,
-                      scalar_to_json)
+from .scalars import EC, ExactComplex, Kind, conj, kind_of
 
 
 class DimensionError(ValueError):
@@ -32,59 +32,6 @@ class ShapeError(ValueError):
 
 class NumericError(RuntimeError):
     """A floating-point routine failed to reach its tolerance."""
-
-
-class CMatrix:
-    """Dense matrix over exact or float complex scalars.
-
-    Entries are stored row-major as nested tuples.  ``kind`` is the scalar
-    kind of the entries, all of which must share it.
-    """
-
-    __slots__ = ("rows", "cols", "entries", "kind")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
-        if not rows or not rows[0]:
-            raise DimensionError("matrix must be non-empty")
-        ncol = len(rows[0])
-        if any(len(r) != ncol for r in rows):
-            raise DimensionError("ragged rows")
-        kind = common_kind(e for r in rows for e in r)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncol)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CMatrix is immutable")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    @staticmethod
-    def from_rows(rows) -> "CMatrix":
-        """A matrix from any rows of numbers: ExactComplex entries stay
-        exact, every other entry becomes a float scalar."""
-        return CMatrix([[kind_of(e).scalar(e) for e in r] for r in rows])
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(e) for e in r] for r in self.entries], dtype=complex)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.rows == self.cols and all(
-            self.kind.negligible(self.entries[i][j] - conj(self.entries[j][i]), tol)
-            for i in range(self.rows) for j in range(self.cols))
-
-    def max_abs(self) -> float:
-        return max(scalar_abs(e) for r in self.entries for e in r)
-
-    def to_json(self):
-        return [[scalar_to_json(e) for e in r] for r in self.entries]
-
-    def __repr__(self):
-        return f"CMatrix({self.rows}x{self.cols}, {self.kind.name})"
 
 
 # --------------------------------------------------------------------------
@@ -157,22 +104,29 @@ def matrix_inverse(mat, kind: Kind) -> list:
     return np.linalg.inv(np.array(mat, dtype=complex)).tolist()
 
 
-def hermitian_rank(B: CMatrix) -> int:
-    """Rank of a hermitian matrix.
+def hermitian_rank(B) -> int:
+    """Rank of a hermitian matrix, an array of either scalar kind.
 
     Exact entries are row-reduced by ``row_basis``; float entries are ranked
-    by counting eigenvalues above ``n * max|B| * 1e-12``.
+    by counting eigenvalues above ``n * max|B| * 1e-12``.  A non-finite
+    float entry (an overflow upstream) raises NumericError.
     """
-    if B.rows != B.cols:
+    B = np.asarray(B)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or not B.size:
         raise DimensionError("hermitian_rank needs a square matrix")
-    if not B.is_hermitian(tol=1e-12):
+    kind = kind_of(B.flat[0])
+    rows = B.tolist()
+    n = len(rows)
+    if not all(kind.negligible(rows[i][j] - conj(rows[j][i]), 1e-12)
+               for i in range(n) for j in range(i, n)):
+        # x - x is zero exactly where x is finite, in either kind
+        if not all(kind.negligible(x - x) for r in rows for x in r):
+            raise NumericError("non-finite entries")
         raise ShapeError("matrix is not hermitian")
-    if B.kind.exact:
-        return exact_rank(B.entries)
-    arr = B.to_numpy()
-    ev = np.linalg.eigvalsh(arr)
-    thresh = B.rows * max(B.max_abs(), 0.0) * 1e-12
-    return int(np.sum(np.abs(ev) > thresh))
+    if kind.exact:
+        return exact_rank(rows)
+    ev = np.linalg.eigvalsh(B)
+    return int(np.sum(np.abs(ev) > n * np.abs(B).max() * 1e-12))
 
 
 # --------------------------------------------------------------------------
@@ -182,17 +136,15 @@ def hermitian_rank(B: CMatrix) -> int:
 @dataclass(frozen=True)
 class TakagiResult:
     """Unitary U and nonnegative d with conj(U) @ A @ conj(U).T = diag(d)."""
-    U: CMatrix
+    U: np.ndarray       # complex128, read-only
     d: tuple
 
-    def reconstruction_residual(self, A: CMatrix) -> float:
-        u = self.U.to_numpy()
-        a = A.to_numpy()
-        lhs = u.conj() @ a @ u.conj().T
+    def reconstruction_residual(self, A) -> float:
+        lhs = self.U.conj() @ np.asarray(A, complex) @ self.U.conj().T
         return float(np.max(np.abs(lhs - np.diag(self.d))))
 
 
-def takagi_factorize(A: CMatrix, tol: float = 1e-10) -> TakagiResult:
+def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
     """Takagi factorization of a complex symmetric matrix (float path).
 
     Uses the real symmetric embedding B = [[Re A, Im A], [Im A, -Re A]]:
@@ -202,11 +154,11 @@ def takagi_factorize(A: CMatrix, tol: float = 1e-10) -> TakagiResult:
     the mirrored negative spectrum).  Null directions come from the complex
     SVD.  This stays backward-stable even for clustered singular values,
     where SVD-phase repairs break down.  Singular values are returned
-    sorted descending.
+    sorted descending.  A is a square array of either scalar kind.
     """
-    if A.rows != A.cols:
+    a = np.asarray(A, complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("takagi_factorize needs a square matrix")
-    a = A.to_numpy()
     if not np.all(np.isfinite(a)):
         raise NumericError("non-finite entries")
     if np.max(np.abs(a - a.T)) > max(tol, 1e-12) * max(1.0, np.max(np.abs(a))):
@@ -243,7 +195,8 @@ def takagi_factorize(A: CMatrix, tol: float = 1e-10) -> TakagiResult:
         null, _ = np.linalg.qr(null)
         Q = np.column_stack([Qpos, null])
     U = Q.T
-    res = TakagiResult(CMatrix.from_rows(U), tuple(d))
+    U.flags.writeable = False
+    res = TakagiResult(U, tuple(d))
     if res.reconstruction_residual(A) > tol or \
             np.max(np.abs(U @ U.conj().T - np.eye(n))) > tol:
         raise NumericError("Takagi residual exceeded tolerance")

@@ -1,7 +1,7 @@
-"""Independent oracles shared by the test modules: finite differences, closed
-forms, the jet route to point curvature, sectional and Ricci curvature by
-explicit sums, the tuple-keyed form kernel, and the classify stages by
-their full computations."""
+"""Independent oracles shared by the test modules: finite differences, the
+flag metric evaluated directly, closed forms, the jet route to point
+curvature, sectional and Ricci curvature by explicit sums, the tuple-keyed
+form kernel, and the classify stages by their full computations."""
 
 import itertools
 from fractions import Fraction
@@ -13,7 +13,7 @@ from btpgeo.charts import ChartMetric, PointCurvature
 from btpgeo.forms import InvariantForm
 from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.linalg import CMatrix, matrix_inverse, row_basis
+from btpgeo.linalg import matrix_inverse, row_basis
 from btpgeo.scalars import EC, EXACT, FLOAT, conj, is_zero
 
 
@@ -38,6 +38,34 @@ def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
     ddx = (d(z0, h) - d(z0, -h)) / (2 * h)
     ddy = (d(z0, 1j * h) - d(z0, -1j * h)) / (2 * h)
     return (ddx + 1j * ddy) / 2
+
+
+def wallach_metric_values(z, sigma_scale: float = 1.0) -> np.ndarray:
+    """The flag-threefold metric components g_{i jbar} at a chart point, by
+    direct complex arithmetic: independent of the jet machinery, and the
+    function that the finite-difference checks of charts.wallach_metric
+    differentiate."""
+    z1, z2, z3 = complex(z[0]), complex(z[1]), complex(z[2])
+    al = 1 + abs(z1) ** 2 + abs(z2) ** 2
+    f = z2 + z1 * z3
+    be = 1 + abs(z3) ** 2 + abs(f) ** 2
+    al_d = np.array([np.conj(z1), np.conj(z2), 0.0])
+    al_dd = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    f_d = np.array([z3, 1.0, z1])
+    be_d = np.array([0, 0, np.conj(z3)]).astype(complex) + f_d * np.conj(f)
+    be_dd = np.array([[f_d[i] * np.conj(f_d[j]) + (1.0 if i == j == 2 else 0.0)
+                       for j in range(3)] for i in range(3)])
+    g = np.zeros((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            g[i, j] = al_dd[i, j] / al - al_d[i] * np.conj(al_d[j]) / al ** 2 \
+                + be_dd[i, j] / be - be_d[i] * np.conj(be_d[j]) / be ** 2
+    sig = np.zeros((3, 3), dtype=complex)
+    sig[0, 0] = abs(z3) ** 2
+    sig[0, 1] = z3
+    sig[1, 0] = np.conj(z3)
+    sig[1, 1] = 1.0
+    return g - sigma_scale * sig / (al * be)
 
 
 def sectional_closed_form(X, Y):
@@ -335,7 +363,7 @@ def sectional_numerator_loop(pc, X, Y):
     t2 = _contract(pc.r11, X, Yb, Y, Xb)
     t3 = _contract(pc.r11, X, Yb, X, Yb)
     e = _contract(pc.r20, X, Y, X, Yb) - _contract(pc.r20, X, Y, Y, Xb)
-    if not pc.exact:
+    if not pc.kind.exact:
         return (-2 * t1 + 4 * t2).real - 2 * t3.real - 4 * e.real
     total = -2 * t1 + 4 * t2 - 2 * EC(t3.re) - 4 * EC(e.re)
     if total.im != 0:
@@ -348,19 +376,19 @@ def ricci_frame_sum(pc, X):
     each of the 2n frame directions e_i, i e_i (squared length 2), summed and
     divided by |x|^2 = 2 |X|^2."""
     n = pc.n
-    zero, one, i = (EC.zero(), EC.one(), EC.i()) if pc.exact else (0j, 1 + 0j, 1j)
+    zero, one, i = (EC.zero(), EC.one(), EC.i()) if pc.kind.exact else (0j, 1 + 0j, 1j)
     total = 0
     for k in range(n):
         for unit in (one, i):
             Y = [zero] * n
             Y[k] = unit
             total = total + sectional_numerator_loop(pc, X, Y)
-    x2 = 2 * sum((x * conj(x)).re if pc.exact else abs(x) ** 2 for x in X)
+    x2 = 2 * sum((x * conj(x)).re if pc.kind.exact else abs(x) ** 2 for x in X)
     return total / 2 / x2
 
 
 def random_curvature_tables(rng, exact, hermitian, n=3):
-    """Random r11 and r20 tables as nested lists, in a PointCurvature.
+    """Random r11 and r20 tables as arrays, in a PointCurvature.
 
     Entries are complex Gaussians (float kind) or small rationals (exact
     kind), so no index symmetry relates them.  ``hermitian`` symmetrizes r11
@@ -381,8 +409,8 @@ def random_curvature_tables(rng, exact, hermitian, n=3):
     if hermitian:
         r11 = (r11 + r11.transpose(1, 0, 3, 2).conj() + r11.transpose(3, 2, 1, 0).conj()
                + r11.transpose(2, 3, 0, 1))
-    return PointCurvature(n=n, exact=exact, torsion=None, rc=None, ric1=None, ric2=None,
-                          ric3=None, r11=r11.tolist(), r20=r20.tolist())
+    return PointCurvature(n, EXACT if exact else FLOAT, None, None, None, None, None,
+                          r11, r20)
 
 
 # ---- exact rank, positivity and the frame-change law by explicit loops -------
@@ -589,7 +617,7 @@ def special_to_admissible_two_path(a):
         T[0][2][0] = -av
         T[1][1][2] = -av
         T[1][2][1] = av
-        return CMatrix.from_rows(_ADMISSIBLE_U), T
+        return _ADMISSIBLE_U, T
     a1, a2, a3 = float(a1), float(a2), float(a3)
     scale = max(a1, 1.0)
     if not (abs(a1 - a2) <= 1e-9 * scale and a1 > 1e-9 * scale and abs(a3) <= 1e-9 * scale):
@@ -599,7 +627,7 @@ def special_to_admissible_two_path(a):
     T[0][2][0] = -a1
     T[1][1][2] = -a1
     T[1][2][1] = a1
-    return CMatrix.from_rows(_ADMISSIBLE_U), T
+    return _ADMISSIBLE_U, T
 
 
 def b_rank_type_two_path(a, tol=1e-8):

@@ -11,7 +11,7 @@ from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curva
                       random_curvature_tables, ricci_frame_sum, ricci_traces_loop,
                       sectional_closed_form, sectional_numerator_loop,
                       sylvester_positive_definite, torsion_loop, transform_tensor,
-                      wirtinger_fd)
+                      wallach_metric_values, wirtinger_fd)
 from btpgeo import charts
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
@@ -632,7 +632,7 @@ def test_jet_coefficients_match_finite_differences(wallach_exact):
     h = 1e-4
     for i in range(3):
         for j in range(3):
-            fn = lambda z: charts.wallach_metric_values(z)[i, j]
+            fn = lambda z: wallach_metric_values(z)[i, j]
             jet = wallach_exact.g[i][j]
             for k in range(3):
                 fd = wirtinger_fd(fn, [0, 0, 0], holo=(k,), h=h)
@@ -652,13 +652,13 @@ def test_jet_coefficients_match_finite_differences(wallach_exact):
 def test_float_metric_at_chart_point_matches_direct_values():
     p = [0.3 - 0.2j, 0.1 + 0.05j, -0.4 + 0.25j]
     m = charts.wallach_metric(point=p, exact=False)
-    direct = charts.wallach_metric_values(p)
+    direct = wallach_metric_values(p)
     jets = np.array([[complex(m.g[i][j].value()) for j in range(3)] for i in range(3)])
     assert np.max(np.abs(direct - jets)) < 1e-12
     # first derivatives against finite differences at the shifted point
     for i in range(3):
         for j in range(3):
-            fn = lambda z: charts.wallach_metric_values(z)[i, j]
+            fn = lambda z: wallach_metric_values(z)[i, j]
             for k in range(3):
                 fd = wirtinger_fd(fn, list(p), holo=(k,))
                 assert abs(fd - complex(m.g[i][j].deriv(holo=(k,)))) < 1e-6

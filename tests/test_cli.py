@@ -96,6 +96,35 @@ def test_classify_missing_file(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [["classify", "--input", str(DATA / "n3.json")],
+                                     ["verify", "--example", "n3"]])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command, target):
+    out_path = tmp_path / "no_such_dir" / "x.json" if target == "missing" else tmp_path
+    code, out, err = run_cli(capsys, *command, "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entries, code, message", [
+    # two finite coefficients summed past the float range
+    ([{"j": 1, "i": 1, "k": 1, "coef": 1e308}] * 2, 3, "not a finite number"),
+    # finite constants whose B = sum T conj(T) overflows
+    ([{"j": 1, "i": 3, "k": 1, "coef": 1e200}, {"j": 2, "i": 3, "k": 2, "coef": -1e200}],
+     2, "float overflow in classify"),
+])
+def test_float_overflow_is_an_error_not_a_traceback(tmp_path, entries, code, message):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"n": 3, "C": [], "D": entries}))
+    proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "classify", "--input", str(bad)],
+                          capture_output=True, text=True, env=SOURCE_ENV)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1       # no traceback and no numpy warning
+
+
 def test_verify_sl2c_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--example", "sl2c")
     assert code == 0

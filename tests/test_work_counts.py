@@ -102,14 +102,14 @@ def test_companion_builds_one_bismut_connection_per_algebra(monkeypatch, capsys)
 def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
     calls = Counter()
     _count_bodies(monkeypatch, calls, charts._jet_arrays, charts._torsion, charts._chern,
-                  charts._ricci, charts._btp_residuals, charts._tables)
+                  charts._ricci, charts._btp_residuals)
     assert main(["verify", "--example", "wallach"]) == 1     # criterion 4 stays red
     capsys.readouterr()
     # ricci_forms_at and riemannian_curvature_at share one Ricci trace; the
     # two sectional checks and the stacked Ricci evaluation of the twelve
-    # frame directions read one pair of r11 and r20 arrays
+    # frame directions read the r11 and r20 arrays of one PointCurvature
     assert calls == {"_jet_arrays": 1, "_torsion": 1, "_chern": 1, "_ricci": 1,
-                     "_btp_residuals": 1, "_tables": 1}
+                     "_btp_residuals": 1}
 
 
 def test_each_main_call_builds_its_own_two_parsers(monkeypatch, capsys):
@@ -147,10 +147,13 @@ def test_cached_chart_tables_are_read_only():
     assert charts._jet_arrays(m) is J
     assert charts._jet_arrays(charts.wallach_metric()) is not J
     pc = charts.riemannian_curvature_at(m)
-    assert charts._tables(pc) is charts._tables(pc)
+    pcf = charts.riemannian_curvature_at(charts.wallach_metric(exact=False))
+    assert pc.torsion is charts._torsion(J) and pc.rc is charts._chern(J)
+    fields = ("torsion", "rc", "ric1", "ric2", "ric3", "r11", "r20")
+    tables = [getattr(p, f) for p in (pc, pcf) for f in fields]
+    assert [a.dtype for a in tables] == [object] * 7 + [complex] * 7
     cached = [J.dg, J.dgb, J.hh, J.ha, J.g, J.ginv, J.gam, charts._torsion(J),
-              charts._chern(J), *charts._ricci(J), *charts._btp_residuals(J),
-              *charts._tables(pc)]
+              charts._chern(J), *charts._ricci(J), *charts._btp_residuals(J), *tables]
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1

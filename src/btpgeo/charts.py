@@ -12,10 +12,10 @@ The coefficients are read once per metric into read-only arrays of its kind
 their order), with G, G^{-1} and the Chern Christoffel symbols
 Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern curvature and
 residuals are einsums of them kept with the metric, the Ricci tensors trace
-Rc with G^{-1}; PointCurvature holds these read-only arrays, and the other
-public functions hand out fresh lists.  The derivative of the torsion
-T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is taken in
-closed form:
+Rc with G^{-1}.  The public functions and PointCurvature hand out these
+read-only arrays themselves, so a write to one raises.  The derivative of
+the torsion T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is
+taken in closed form:
 partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
     + sum_l (g_{k lbar, i} - g_{i lbar, k}) partial_m g^{lbar j},
 with partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}, and likewise along
@@ -112,18 +112,12 @@ class ChartMetric:
     def exact(self) -> bool:
         return self.kind.exact
 
-    def value_matrix(self):
-        # an empty jet's value is an exact zero whatever the metric's kind
-        scalar = self.kind.scalar
-        return [[scalar(self.g[i][j].value()) for j in range(self.n)]
-                for i in range(self.n)]
-
-    def inverse_value_matrix(self):
-        return matrix_inverse(self.value_matrix(), self.kind)
+    def value_matrix(self) -> np.ndarray:
+        """The base value G, a read-only n x n array of the metric's kind."""
+        return _jet_arrays(self).g
 
     def has_identity_base(self, tol: float = FLOAT_TOL) -> bool:
-        return all(self.kind.negligible(v - (1 if i == j else 0), tol)
-                   for i, row in enumerate(self.value_matrix()) for j, v in enumerate(row))
+        return _is_identity(_jet_arrays(self), tol)
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +234,7 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
 @dataclass(frozen=True, eq=False)
 class _Jets:
     """Read-only jet coefficients of g_{i jbar} at the base; derived tables go in _memo."""
+    kind: Kind
     dg: np.ndarray      # dg[i,j,k] = partial_k g_{i jbar}
     dgb: np.ndarray     # dgb[i,j,k] = partial_kbar g_{i jbar}
     hh: np.ndarray      # hh[i,j,k,m] = partial_k partial_m g_{i jbar}
@@ -274,15 +269,16 @@ def _jet_arrays(m: ChartMetric) -> _Jets:
                         hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
                     elif v < n:
                         ha[i, j, v, w - n] = c
-    g = np.array(m.value_matrix(), m.kind.dtype)
-    ginv = np.array(matrix_inverse(g.tolist(), m.kind), m.kind.dtype)
-    return _Jets(*map(_readonly, (dg, dgb, hh, ha, g, ginv,
-                                  np.einsum("lsi,sr->lri", dg, ginv))))
+    # an empty jet's value is an exact zero whatever the metric's kind
+    g = np.array([[m.kind.scalar(f.value()) for f in row] for row in m.g], m.kind.dtype)
+    ginv = matrix_inverse(g, m.kind)
+    return _Jets(m.kind, *map(_readonly, (dg, dgb, hh, ha, g, ginv,
+                                          np.einsum("lsi,sr->lri", dg, ginv))))
 
 
-def _first_derivs(m: ChartMetric):
-    """dg[i][j][k] = partial_k g_{i jbar} at the base point."""
-    return _jet_arrays(m).dg.tolist()
+def _is_identity(J: _Jets, tol: float = FLOAT_TOL) -> bool:
+    """Whether the base value G is the identity, within tol for float data."""
+    return bool(J.kind.negligible(J.g - np.identity(len(J.g), int), tol).all())
 
 
 def _skew(d):
@@ -328,13 +324,13 @@ def _ricci(J: _Jets):
 
 def chern_torsion_at(m: ChartMetric):
     """T^j_{ik} = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    return _torsion(_jet_arrays(m)).tolist()
+    return _torsion(_jet_arrays(m))
 
 
 def chern_curvature_at(m: ChartMetric):
     """R^c_{k lbar i jbar} = -g_{i jbar, k lbar}
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
-    return _chern(_jet_arrays(m)).tolist()
+    return _chern(_jet_arrays(m))
 
 
 def ricci_forms_at(m: ChartMetric):
@@ -347,7 +343,7 @@ def ricci_forms_at(m: ChartMetric):
     ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
     ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
-    return tuple(r.tolist() for r in _ricci(_jet_arrays(m)))
+    return _ricci(_jet_arrays(m))
 
 
 def btp_residual_at(m: ChartMetric):
@@ -366,7 +362,7 @@ def btp_residual_at(m: ChartMetric):
     torsion is parallel at the point.  res_h and res_a are indexed
     [l][i][j][k] and transform as tensors under a linear change of chart.
     """
-    return tuple(r.tolist() for r in _btp_residuals(_jet_arrays(m)))
+    return _btp_residuals(_jet_arrays(m))
 
 
 @memoized
@@ -381,10 +377,6 @@ def _btp_residuals(J: _Jets):
              - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
              + np.einsum("rik,jlr->lijk", T, A))
     return _readonly(res_h), _readonly(res_a)
-
-
-def _max_abs4(arr) -> float:
-    return max(scalar_abs(c) for a in arr for b in a for r in b for c in r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,18 +394,12 @@ class PointCurvature:
     r20: np.ndarray          # r20[i,j,k,l] = R_{i j k lbar}
 
     def to_json(self):
-        dump = lambda a: _nested_json(a.tolist())
+        dump = lambda a: np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
         return {"n": self.n, "scalar_kind": self.kind.name,
                 "torsion": dump(self.torsion), "chern_curvature": dump(self.rc),
                 "chern_ricci_1": dump(self.ric1), "chern_ricci_2": dump(self.ric2),
                 "chern_ricci_3": dump(self.ric3), "riemannian_11": dump(self.r11),
                 "riemannian_20": dump(self.r20)}
-
-
-def _nested_json(a):
-    if isinstance(a, (list, tuple)):
-        return [_nested_json(x) for x in a]
-    return scalar_to_json(a)
 
 
 def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
@@ -429,10 +415,10 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
             + 1/4 sum_r ( T^r_{ik} conj(T^r_{jl}) - T^j_{kr} conj(T^i_{lr})
                           - T^l_{ir} conj(T^k_{jr}) ).
     """
-    if not m.has_identity_base():
+    J = _jet_arrays(m)
+    if not _is_identity(J):
         raise BaseMetricError("Levi-Civita extraction needs g = identity at "
                               "the base point")
-    J = _jet_arrays(m)
     T = _torsion(J)
     res = np.stack(_btp_residuals(J))
     if not m.kind.negligible(res).all():

@@ -8,8 +8,9 @@ outlives the call.  ``btpgeo --help`` lists the commands with their help
 lines, ``btpgeo <command> --help`` the options of one command.
 
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure (float
-overflow in classify included), 3 usage or schema error (an unwritable
-``--out`` included), 141 standard output closed by its reader (128 + SIGPIPE).
+overflow in classify, or an exact result too long to write), 3 usage or
+schema error (an unwritable ``--out``, or an exact literal too long to
+read), 141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import charts, goldens, lie, linalg
-from .scalars import EC
+from .scalars import EC, DigitLimitError, parse_rational
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,7 +51,9 @@ class CliError(Exception):
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return parse_rational(text)
+    except DigitLimitError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse rational {text!r}", EXIT_USAGE) from exc
 
@@ -64,17 +67,9 @@ def _parse_complex(text: str) -> EC:
     m = _COMPLEX_RE.match(text.replace(" ", ""))
     if not m or (m.group("re") is None and m.group("im") is None):
         raise CliError(f"cannot parse complex rational {text!r}", EXIT_USAGE)
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_part = Fraction(0)
-    if m.group("im"):
-        body = m.group("im").replace("i", "")
-        if body in ("", "+"):
-            im_part = Fraction(1)
-        elif body == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(body)
-    return EC(re_part, im_part)
+    body = (m.group("im") or "0").replace("i", "")
+    return EC(_parse_rational(m.group("re") or "0"),
+              _parse_rational(body + "1" if body in ("", "+", "-") else body))
 
 
 def _example_algebra(name: str, a=Fraction(1)) -> lie.HermitianLieAlgebra:
@@ -131,16 +126,14 @@ def cmd_classify(args) -> int:
             payload = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {args.input}: {exc}", EXIT_USAGE)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or an integer past the digit bound
         raise CliError(f"invalid JSON: {exc}", EXIT_USAGE)
     try:
-        g = lie.HermitianLieAlgebra.from_json(payload)
+        rep = lie.classify(lie.HermitianLieAlgebra.from_json(payload)).to_json()
     except lie.SchemaError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     except lie.IntegrabilityError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
-    try:
-        rep = lie.classify(g).to_json()
     except (linalg.NumericError, np.linalg.LinAlgError) as exc:
         # float data whose products leave the float range
         raise CliError(f"float overflow in classify: {exc}", EXIT_VALIDATION)
@@ -336,6 +329,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except DigitLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except BrokenPipeError:
         # the reader has gone; quiet the final flush (the Python signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -62,44 +62,37 @@ def diagonal_torsion(n: int, a, signs) -> np.ndarray:
                           _kind_of((a,)))
 
 
-def _as_array(T) -> np.ndarray:
-    """T as a complex128 array (exact entries through ``__complex__``)."""
-    return np.array(T, dtype=complex)
-
-
 _LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
 
-
-def transform_torsion(T, P, tol: float = 1e-10):
+def transform_torsion(T, P) -> np.ndarray:
     """Torsion under the frame change e'_i = sum_s P_{is} e_s (P unitary):
 
         T'^i_{jk} = sum conj(P_{i a}) P_{j b} P_{k c} T^a_{bc}.
 
-    Exact T with an exact P runs on ExactComplex object arrays, needs P
-    exactly unitary and returns nested lists.  Anything else runs on
-    complex128, needs P unitary within ``tol`` and returns an ndarray.
+    Exact T with an exact P runs on ExactComplex object arrays and needs P
+    exactly unitary.  Anything else runs on complex128 and needs P unitary
+    within 1e-10.  Either way the result is an array of that kind.
     """
     arrT = np.asarray(T)
     arrP = np.asarray(P)
     if arrT.dtype == arrP.dtype == object:
         if (arrP @ arrP.conj().T - np.identity(len(arrP), dtype=object)).any():
             raise ValueError("P must be exactly unitary")
-        return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT).tolist()
+        return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
     arrT, arrP = arrT.astype(complex), arrP.astype(complex)
-    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > tol:
+    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
         raise ValueError("P must be unitary within tolerance")
     return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
 
 
 def gauduchon_components(T) -> np.ndarray:
     """eta_i = sum_s T^s_{si} for a float torsion array."""
-    arr = _as_array(T)
-    return np.einsum('ssi->i', arr)
+    return np.einsum('ssi->i', np.asarray(T, complex))
 
 
 def torsion_to_cyclic(T) -> np.ndarray:
     """The triple (T^1_{23}, T^2_{31}, T^3_{12})."""
-    arr = _as_array(T)
+    arr = np.asarray(T, complex)
     return np.array([arr[i][j][k] for i, j, k in _CYCLES])
 
 
@@ -124,24 +117,24 @@ def _phase_fix(arr: np.ndarray) -> np.ndarray:
     return np.diag(np.exp(1j * theta))
 
 
-def build_special_frame(T, tol: float = 1e-9) -> SpecialFrameResult:
+def build_special_frame(T) -> SpecialFrameResult:
     """Rotate balanced threefold torsion into a special frame.
 
     The returned U is the composite unitary: feeding it to
     transform_torsion(T, U) produces torsion with T^i_{ij} = 0 and
     nonnegative sorted cyclic entries equal to ``a``.
     """
-    arr = _as_array(T)
+    arr = np.asarray(T, complex)
     if arr.shape != (3, 3, 3):
         raise DimensionError("special frames are a threefold construction")
     eta = gauduchon_components(arr)
-    scale = max(np.max(np.abs(arr)), 1.0)
-    if np.max(np.abs(eta)) > tol * scale:
+    bound = 1e-9 * max(np.max(np.abs(arr)), 1.0)
+    if np.max(np.abs(eta)) > bound:
         raise NotBalancedError(f"torsion is not balanced: |eta| = {np.max(np.abs(eta)):.3e}")
 
     # A_{i alpha} = T^alpha_{jk}, (i j k) cyclic; balancedness makes A symmetric
     A = np.array([arr[:, j, k] for _, j, k in _CYCLES])
-    U1 = takagi_factorize(A, tol=max(tol, 1e-10)).U
+    U1 = takagi_factorize(A, tol=1e-9).U
     cur = transform_torsion(arr, U1)
 
     U2 = _phase_fix(cur)
@@ -159,8 +152,8 @@ def build_special_frame(T, tol: float = 1e-9) -> SpecialFrameResult:
     a = tuple(float(x) for x in cyc.real)
     # invariants of the special frame
     offpattern = cur - cyclic_torsion(cyc)
-    if np.max(np.abs(offpattern)) > tol * scale or min(a) < -tol * scale \
-            or not (a[0] >= a[1] - tol * scale >= a[2] - 2 * tol * scale):
+    if np.max(np.abs(offpattern)) > bound or min(a) < -bound \
+            or not (a[0] >= a[1] - bound >= a[2] - 2 * bound):
         raise RuntimeError("special-frame normalization failed its invariants")
     U.flags.writeable = False
     return SpecialFrameResult(U, a)
@@ -191,19 +184,19 @@ def special_to_admissible(a):
     return _ADMISSIBLE_U, diagonal_torsion(3, a1, (1, -1))
 
 
-def b_rank_type(a, tol: float = 1e-8) -> str:
+def b_rank_type(a) -> str:
     """Sort a sorted special triple into the rank trichotomy.
 
     kahler (0,0,0); rank3 a_1=a_2=a_3>0; rank2 a_1=a_2>a_3=0;
     rank1 a_1>a_2=a_3=0; anything else is a pattern the balanced
     parallel-torsion classification rules out, reported as
     ``excluded_by_classification`` without asserting a contradiction.
-    Values and differences negligible within tol * max(1, a_1) are zero; a
+    Values and differences negligible within 1e-8 * max(1, a_1) are zero; a
     negative nonzero difference means the triple is out of order.
     """
     kind = _kind_of(a)
     vals = [kind.scalar(x).real for x in a]
-    bound = tol * max(1, vals[0])
+    bound = 1e-8 * max(1, vals[0])
     z = [kind.negligible(v, bound) for v in vals]
     vals = [0 if zz else v for v, zz in zip(vals, z)]
     d01, d12 = vals[0] - vals[1], vals[1] - vals[2]

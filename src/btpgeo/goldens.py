@@ -87,6 +87,23 @@ def _frac(c: EC) -> Fraction:
     return c.re
 
 
+def _exact_table(shape, entry) -> np.ndarray:
+    """The object array of entry(*index) over every index of the shape."""
+    return np.array([entry(*ix) for ix in np.ndindex(*shape)], object).reshape(shape)
+
+
+def _table_check(out, name: str, ref: str, symbol: str, got: np.ndarray, expected):
+    """Compare a whole table with expected(*index); the detail names the
+    last entry that differs, in index order."""
+    want = _exact_table(got.shape, expected)
+    bad = np.argwhere(got != want)
+    detail = ""
+    if len(bad):
+        ix = tuple(bad[-1])
+        detail = f"{symbol}{''.join(f'[{v + 1}]' for v in ix)} = {got[ix]!r}, want {want[ix]}"
+    _chk(out, name, ref, not len(bad), detail)
+
+
 # ---- suites ------------------------------------------------------------------
 
 def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
@@ -94,70 +111,40 @@ def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
     m = charts.wallach_metric()
     n = 3
 
-    idb = m.has_identity_base()
-    dg = charts._first_derivs(m)
-    only = all(dg[i][j][k].is_zero() or (i, j, k) == (2, 1, 0)
-               for i in range(n) for j in range(n) for k in range(n))
+    dg = _exact_table((n, n, n), lambda i, j, k: m.g[i][j].deriv(holo=(k,)))
+    want = np.zeros((n, n, n), int)
+    want[2, 1, 0] = 1
     _chk(out, "metric.base", "unitary chart frame at the base point",
-         idb and only and dg[2][1][0] == EC.one(),
+         m.has_identity_base() and np.array_equal(dg, want),
          "g(0)=I, single nonzero first derivative g_{3 2b,1}=1")
 
-    pure2 = all(m.g[i][j].deriv(holo=(k, p)).is_zero()
-                for i in range(n) for j in range(n)
-                for k in range(n) for p in range(k, n))
-    _chk(out, "metric.pure_second", "pure holomorphic second derivatives vanish", pure2)
+    _chk(out, "metric.pure_second", "pure holomorphic second derivatives vanish",
+         not _exact_table((n,) * 4, lambda i, j, k, p: m.g[i][j].deriv(holo=(k, p))).any())
 
     T = charts.chern_torsion_at(m)
-    tors = all(T[j][i][k].is_zero() or (j, i, k) in ((1, 0, 2), (1, 2, 0))
-               for j in range(n) for i in range(n) for k in range(n)) \
-        and T[1][0][2] == EC.one()
-    eta = [sum((T[s][s][i] for s in range(n)), EC.zero()) for i in range(n)]
-    _chk(out, "torsion.values", "torsion reduces to T^2_{13} = 1", tors)
+    want = np.zeros((n, n, n), int)
+    want[1, 0, 2], want[1, 2, 0] = 1, -1
+    _chk(out, "torsion.values", "torsion reduces to T^2_{13} = 1", np.array_equal(T, want))
     _chk(out, "torsion.balanced", "trace 1-form of the torsion vanishes",
-         all(e.is_zero() for e in eta))
+         not np.einsum("ssi->i", T).any())
 
-    Rc = charts.chern_curvature_at(m)
-    ok = True
-    bad = ""
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    want = expected_wallach_rc(k, l, i, j)
-                    got = Rc[k][l][i][j]
-                    if got != EC(want, 0):
-                        ok = False
-                        bad = f"Rc[{k+1}][{l+1}][{i+1}][{j+1}] = {got!r}, want {want}"
-    _chk(out, "chern.curvature_table", "full Chern curvature table at the origin", ok, bad)
+    _table_check(out, "chern.curvature_table", "full Chern curvature table at the origin",
+                 "Rc", charts.chern_curvature_at(m), expected_wallach_rc)
 
     ric1, ric2, ric3 = charts.ricci_forms_at(m)
-    omega_tilde = [1, 2, 1]
-    r1ok = all(ric1[a][b] == (EC(2 * omega_tilde[a], 0) if a == b else EC.zero())
-               for a in range(n) for b in range(n))
-    r2ok = all(ric2[a][b] == (EC(4 - omega_tilde[a], 0) if a == b else EC.zero())
-               for a in range(n) for b in range(n))
+    omega_tilde = np.array([1, 2, 1])
     _chk(out, "chern.ricci_1_3", "first and third Ricci equal twice the Kaehler-Einstein form",
-         r1ok and ric3 == ric1)
-    _chk(out, "chern.ricci_2", "second Ricci equals 4*metric - Kaehler-Einstein form", r2ok)
+         np.array_equal(ric1, np.diag(2 * omega_tilde)) and np.array_equal(ric3, ric1))
+    _chk(out, "chern.ricci_2", "second Ricci equals 4*metric - Kaehler-Einstein form",
+         np.array_equal(ric2, np.diag(4 - omega_tilde)))
 
-    res_h, res_a = charts.btp_residual_at(m)
     _chk(out, "btp.residuals", "parallel-torsion residuals vanish exactly",
-         charts._max_abs4(res_h) == 0 and charts._max_abs4(res_a) == 0)
+         not any(r.any() for r in charts.btp_residual_at(m)))
 
     pc = charts.riemannian_curvature_at(m)
-    ok = True
-    bad = ""
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    want = expected_wallach_r11(k, l, i, j)
-                    if pc.r11[k][l][i][j] != EC(want, 0):
-                        ok = False
-                        bad = f"R[{k+1}][{l+1}][{i+1}][{j+1}] = {pc.r11[k][l][i][j]!r}, want {want}"
-    _chk(out, "riemann.table", "Levi-Civita (1,1) table (3/4, 1/2, -1/4, diagonal 2)", ok, bad)
-    _chk(out, "riemann.type20", "(2,0)-type components vanish",
-         charts._max_abs4(pc.r20) == 0)
+    _table_check(out, "riemann.table", "Levi-Civita (1,1) table (3/4, 1/2, -1/4, diagonal 2)",
+                 "R", pc.r11, expected_wallach_r11)
+    _chk(out, "riemann.type20", "(2,0)-type components vanish", not pc.r20.any())
 
     relok = True
     for i in range(n):
@@ -213,12 +200,11 @@ def sl2c_suite(seed: int = 0) -> List[CheckResult]:
          rep.type_label == "chern_flat" and rep.balanced and rep.btp)
     B = lie.b_tensor(lie.chern_torsion(g))
     _chk(out, "b_tensor", "B = 2*identity with rank 3",
-         all(B[i, j] == (EC(2) if i == j else EC.zero()) for i in range(3) for j in range(3))
-         and rep.b_rank == 3)
+         np.array_equal(B, 2 * np.identity(3, int)) and rep.b_rank == 3)
     _chk(out, "canonical.trivial", "tr theta = 0 (invariant trivializing form)",
          lie.chern_connection(g).trace().is_zero())
     rng = np.random.default_rng(seed)
-    T = frames._as_array(lie.chern_torsion(g).T)
+    T = lie.chern_torsion(g).array()
     ok = True
     worst = 0.0
     for _ in range(10):

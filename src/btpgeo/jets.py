@@ -225,7 +225,7 @@ def jet_matrix_inverse(g):
     jn = g[0][0].n
     c0 = [[gij.value() for gij in row] for row in g]
     kind = kind_of(c0[0][0])
-    c0inv = matrix_inverse(c0, kind)
+    c0inv = matrix_inverse(c0, kind).tolist()
     const_inv = [[Jet2.constant(jn, c0inv[i][j]) for j in range(n)] for i in range(n)]
     # E = c0inv @ (g - c0) has no constant term
     higher = [[g[i][j] - Jet2.constant(jn, c0[i][j]) for j in range(n)] for i in range(n)]

@@ -19,9 +19,9 @@ import numpy as np
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d, lower_antisymmetric)
 from .frames import diagonal_torsion, transform_torsion
-from .linalg import hermitian_rank, row_basis
+from .linalg import NumericError, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
-                      common_kind, conj, is_zero, kind_of, memoized,
+                      all_finite, common_kind, conj, is_zero, kind_of, memoized,
                       scalar_from_json, scalar_to_json)
 
 
@@ -55,7 +55,8 @@ class HermitianLieAlgebra:
 
     ``C[j][i][k]`` holds C^j_{ik} (antisymmetric in i, k) and ``D[j][i][k]``
     holds D^j_{ik}; all 0-based.  Construction rejects non-integrable data:
-    every d^2 phi_i must vanish.  Derived tables are ``memoized`` on it.
+    every d^2 phi_i must vanish (NumericError if a float one is not finite).
+    Derived tables are ``memoized`` on it.
     """
 
     __slots__ = ("n", "C", "D", "label", "ctx", "kind", "_memo")
@@ -67,6 +68,8 @@ class HermitianLieAlgebra:
             bad = [i for i, r in enumerate(residuals)
                    if not _form_is_zero(r, ctx.kind)]
             if bad:
+                if not all_finite(c for r in residuals for c in r.terms.values()):
+                    raise NumericError("non-finite d^2 residual")
                 names = ", ".join(f"d^2 phi_{i+1}" for i in bad)
                 raise IntegrabilityError(
                     f"structure constants are not integrable: {names} nonzero")
@@ -143,9 +146,9 @@ class HermitianLieAlgebra:
                 C[j][k][i] = C[j][k][i] - c
             else:
                 D[j][i][k] = D[j][i][k] + c
-        # float sums can overflow; x - x is zero exactly where x is finite
+        # float sums can overflow
         sums = [(C if pos < ncr else D)[j][i][k] for pos, (j, i, k, _) in enumerate(parsed)]
-        if not all(kind.negligible(x - x) for x in sums):
+        if not all_finite(sums):
             raise SchemaError("a summed structure constant is not a finite number")
         return HermitianLieAlgebra(n, C, D, label=str(obj.get("label", "")))
 
@@ -284,14 +287,13 @@ class ConnectionMatrix:
     algebra; chern/bismut/gamma are all skew-hermitian:
     entry(i,j) = -conj(entry(j,i))."""
 
-    __slots__ = ("n", "entries", "tag", "kind")
+    __slots__ = ("n", "entries", "kind")
 
-    def __init__(self, entries, tag: str, kind: Kind):
+    def __init__(self, entries, kind: Kind):
         entries = tuple(tuple(r) for r in entries)
         n = len(entries)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *_):
@@ -318,7 +320,7 @@ class CurvatureMatrix(ConnectionMatrix):
         return self.kind.zero if e.is_zero() else e.coeff((k,), (l,))
 
 
-def _connection_from(X, tag: str, kind: Kind) -> ConnectionMatrix:
+def _connection_from(X, kind: Kind) -> ConnectionMatrix:
     """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k )."""
     n = len(X)
     rows = []
@@ -333,18 +335,18 @@ def _connection_from(X, tag: str, kind: Kind) -> ConnectionMatrix:
                     f = f + InvariantForm.phibar(n, k, -conj(X[i][j][k]))
             row.append(f)
         rows.append(row)
-    return ConnectionMatrix(rows, tag, kind)
+    return ConnectionMatrix(rows, kind)
 
 
 @memoized
 def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    return _connection_from(g.D, "chern", g.kind)
+    return _connection_from(g.D, g.kind)
 
 
 def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
     """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    return _connection_from(T.T, "gamma", T.kind)
+    return _connection_from(T.T, T.kind)
 
 
 @memoized
@@ -353,7 +355,7 @@ def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     th = chern_connection(g)
     ga = gamma_tensor(chern_torsion(g))
     rows = [[th[i, j] + ga[i, j] for j in range(g.n)] for i in range(g.n)]
-    return ConnectionMatrix(rows, "bismut", g.kind)
+    return ConnectionMatrix(rows, g.kind)
 
 
 def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatrix:
@@ -368,7 +370,7 @@ def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatri
                 f = f - theta[i, k].wedge(theta[k, j])
             row.append(f)
         rows.append(row)
-    return CurvatureMatrix(rows, theta.tag, theta.kind)
+    return CurvatureMatrix(rows, theta.kind)
 
 
 def chern_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
@@ -654,14 +656,14 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
     return ddbar
 
 
-def transform_frame(g: HermitianLieAlgebra, P, tol: float = 1e-10) -> HermitianLieAlgebra:
+def transform_frame(g: HermitianLieAlgebra, P) -> HermitianLieAlgebra:
     """Structure constants under the new unitary frame e'_i = sum_s P_{is} e_s.
 
     C and D follow the torsion law of ``frames.transform_torsion``:
     C'^j_{ik} = sum conj(P_{jt}) P_{ib} P_{kc} C^t_{bc}, and likewise D.
     """
     n = g.n
-    C, D = (np.asarray(transform_torsion(X, P, tol)).tolist() for X in (g.C, g.D))
+    C, D = (transform_torsion(X, P).tolist() for X in (g.C, g.D))
     # mirror the upper triangle: exact antisymmetry guards against roundoff
     # (x * 0 is the zero of x's scalar kind)
     C = [[[C[j][i][k] if i < k else -C[j][k][i] if i > k else C[j][i][i] * 0

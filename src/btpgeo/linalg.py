@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .scalars import EC, ExactComplex, Kind, conj, kind_of
+from .scalars import EC, ExactComplex, Kind, all_finite, conj, kind_of
 
 
 class DimensionError(ValueError):
@@ -38,7 +38,7 @@ class NumericError(RuntimeError):
 # row reduction and inverses
 # --------------------------------------------------------------------------
 
-def row_basis(vectors, exact: bool, tol: float = 1e-10) -> list:
+def row_basis(vectors, exact: bool) -> list:
     """Independent spanning rows of a list of vectors, by row reduction.
 
     Exact vectors are eliminated in input order without row exchanges: each
@@ -47,7 +47,7 @@ def row_basis(vectors, exact: bool, tol: float = 1e-10) -> list:
     zero at the pivots of the rows before it, and for a matrix whose leading
     principal minors D_k are nonzero, basis row k pivots at column k on
     D_k / D_(k-1).  Float vectors are ranked by singular values above
-    ``max(s[0], 1) * tol`` and the leading right singular vectors returned.
+    ``max(s[0], 1) * 1e-10`` and the leading right singular vectors returned.
     """
     if exact:
         basis = []
@@ -68,7 +68,7 @@ def row_basis(vectors, exact: bool, tol: float = 1e-10) -> list:
     if arr.size == 0:
         return []
     u, s, vh = np.linalg.svd(arr)
-    rank = int(np.sum(s > max(s[0], 1.0) * tol)) if len(s) else 0
+    rank = int(np.sum(s > max(s[0], 1.0) * 1e-10)) if len(s) else 0
     return [list(vh[r]) for r in range(rank)]
 
 
@@ -96,12 +96,12 @@ def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComple
     return [row[n:] for row in a]
 
 
-def matrix_inverse(mat, kind: Kind) -> list:
-    """Inverse of a square matrix of scalars of the given kind, as nested
-    lists of that kind: Gauss-Jordan for exact scalars, numpy for floats."""
+def matrix_inverse(mat, kind: Kind) -> np.ndarray:
+    """Inverse of a square matrix of scalars of the given kind, as an array
+    of that kind: Gauss-Jordan for exact scalars, numpy for floats."""
     if kind.exact:
-        return exact_solve_identity(mat)
-    return np.linalg.inv(np.array(mat, dtype=complex)).tolist()
+        return np.array(exact_solve_identity(mat), object)
+    return np.linalg.inv(np.array(mat, dtype=complex))
 
 
 def hermitian_rank(B) -> int:
@@ -119,8 +119,7 @@ def hermitian_rank(B) -> int:
     n = len(rows)
     if not all(kind.negligible(rows[i][j] - conj(rows[j][i]), 1e-12)
                for i in range(n) for j in range(i, n)):
-        # x - x is zero exactly where x is finite, in either kind
-        if not all(kind.negligible(x - x) for r in rows for x in r):
+        if not all_finite(x for r in rows for x in r):
             raise NumericError("non-finite entries")
         raise ShapeError("matrix is not hermitian")
     if kind.exact:

@@ -268,6 +268,11 @@ def is_zero(c: Scalar) -> bool:
     return c == 0
 
 
+def all_finite(values) -> bool:
+    """Whether every scalar is finite: x - x is 0 exactly then, in either kind."""
+    return all(x - x == 0 for x in values)
+
+
 def scalar_abs(c: Scalar) -> float:
     if isinstance(c, ExactComplex):
         return float(c.abs2()) ** 0.5
@@ -341,9 +346,20 @@ def memoized(build):
 # Exact scalars travel as {"re": "p/q", "im": "p/q"}; float scalars as JSON
 # numbers (real) or {"re": number, "im": number}.
 
+MAX_DIGITS = 4300       # CPython's default bound on the digits of an int read or written
+
+
+class DigitLimitError(ValueError):
+    """An exact value, read or written, with MAX_DIGITS digits or more."""
+
+
 def scalar_to_json(c: Scalar):
     if isinstance(c, ExactComplex):
-        return {"re": str(c.re), "im": str(c.im)}
+        try:
+            return {"re": str(c.re), "im": str(c.im)}
+        except ValueError as exc:       # str() of an int past the digit bound
+            raise DigitLimitError(f"exact result too long to write: more than "
+                                  f"{MAX_DIGITS} digits") from exc
     c = complex(c)
     if c.imag == 0:
         return c.real
@@ -354,9 +370,23 @@ class SchemaError(ValueError):
     """Malformed JSON input: an algebra, a form or a scalar inside one."""
 
 
+def parse_rational(text: str) -> Fraction:
+    """An exact literal ('3', '-1/2', '0.25', '1e-3') as a Fraction.  Its digits
+    plus its exponent bound its value's digits: from MAX_DIGITS on it raises
+    DigitLimitError before ``Fraction`` builds it."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = max(sum(ch.isdigit() for ch in part) for part in mantissa.split("/"))
+    if digits + abs(int(exponent or 0)) >= MAX_DIGITS:
+        raise DigitLimitError(f"exact literal too long: its value could reach "
+                              f"{MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _rational_part(x) -> Fraction:
     try:
-        return Fraction(str(x))
+        return parse_rational(str(x))
+    except DigitLimitError as exc:
+        raise SchemaError(f"bad exact scalar part: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad exact scalar part {x!r}") from exc
 

@@ -118,7 +118,7 @@ def torsion_loop(m):
     """T[j][i][k], summed entry by entry with the inverse base metric."""
     n = m.n
     dg = _first_derivs_loop(m)
-    ginv = m.inverse_value_matrix()
+    ginv = matrix_inverse(m.value_matrix(), m.kind)
     T = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for i in range(n):
@@ -135,7 +135,7 @@ def chern_curvature_loop(m):
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
     n = m.n
     dg = _first_derivs_loop(m)
-    ginv = m.inverse_value_matrix()
+    ginv = matrix_inverse(m.value_matrix(), m.kind)
     Rc = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):
@@ -156,7 +156,7 @@ def btp_residual_loop(m):
     n = m.n
     dg = _first_derivs_loop(m)
     g0 = m.value_matrix()
-    ginv = m.inverse_value_matrix()
+    ginv = matrix_inverse(m.value_matrix(), m.kind)
     tj = torsion_jets(m)
     T = [[[_kind(tj[j][i][k].value(), m.exact) for k in range(n)]
           for i in range(n)] for j in range(n)]
@@ -192,7 +192,7 @@ def ricci_traces_loop(m, Rc):
     Rc[k][l][i][j] g^{lbar k} and ric3[k][j] = sum Rc[k][l][i][j] g^{lbar i},
     summed entry by entry."""
     n = m.n
-    ginv = m.inverse_value_matrix()
+    ginv = matrix_inverse(m.value_matrix(), m.kind)
     zero = EC.zero() if m.exact else 0j
     rng = range(n)
     ric1 = [[sum((Rc[k][l][i][p] * ginv[p][i] for i in rng for p in rng), zero)

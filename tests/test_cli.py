@@ -5,11 +5,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
-from btpgeo import cli, goldens
+from btpgeo import cli, goldens, lie
 from btpgeo.cli import main
+from btpgeo.scalars import EC
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -123,6 +126,111 @@ def test_float_overflow_is_an_error_not_a_traceback(tmp_path, entries, code, mes
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert proc.stderr.count("\n") == 1       # no traceback and no numpy warning
+
+
+def _scaled_float_doc(g, s):
+    """The algebra's JSON with every coefficient a float, times s."""
+    doc = g.to_json()
+    for e in doc["C"] + doc["D"]:
+        e["coef"] = {part: float(Fraction(v)) * s for part, v in e["coef"].items()}
+    return doc
+
+
+@pytest.mark.parametrize("algebra, scale, message", [
+    # integrable, but the d^2 residual overflows to inf/nan
+    (lie.family_a(Fraction(1, 2), Fraction(1, 3)), 1e155, "float overflow in classify"),
+    (lie.family_b(EC(1, 1), 2), 1e155, "float overflow in classify"),
+    # really not integrable, in float data: the message names the d^2 phi_i
+    (None, 1.0, "not integrable: d^2 phi_3 nonzero"),
+])
+def test_overflowing_d_squared_is_not_reported_as_non_integrable(tmp_path, algebra, scale,
+                                                                   message):
+    doc = json.loads((DATA / "broken_jacobi.json").read_text())
+    if algebra is not None:
+        doc = _scaled_float_doc(algebra, scale)
+    else:
+        for e in doc["C"] + doc["D"]:
+            e["coef"] = float(Fraction(e["coef"]["re"]))
+    bad = tmp_path / "scaled.json"
+    bad.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "classify", "--input", str(bad)],
+                          capture_output=True, text=True, env=SOURCE_ENV)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def _vaisman_with(coef):
+    doc = json.loads((DATA / "vaisman54_micro.json").read_text())
+    for e in doc["D"]:
+        e["coef"]["re"] = coef
+    return doc
+
+
+def _with_input(tmp_path, argv, doc):
+    """argv, plus --input of doc written to a file when doc is given."""
+    if doc is None:
+        return argv
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    return argv + ("--input", str(path))
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("verify", "--example", "n3", "--torsion-a", "1e-5000"), None),
+    (("companion", "--example", f"b_zt({'1' * 5000},1)", "--swap", "1"), None),
+    (("sweep", "--grid", "0", "--torsion-a", "1e-99999999"), None),
+    (("classify",), _vaisman_with("1e-5000")),
+    (("classify",), _vaisman_with("1e-1000000")),
+    (("classify",), _vaisman_with("1e-99999999")),
+    (("classify",), _vaisman_with("1/" + "3" * 5000)),
+], ids=["verify", "companion", "sweep", "json-5000", "json-1000000", "json-99999999",
+        "json-denominator"])
+def test_exact_literals_too_long_to_print_exit_3(tmp_path, capsys, argv, doc):
+    argv = _with_input(tmp_path, argv, doc)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "too long" in err and err.count("\n") == 1
+
+
+def test_json_integer_past_the_digit_bound_exits_3(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_vaisman_with("1")).replace('"1"', "1" * 5000, 1))
+    code, out, err = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, doc", [
+    # a has 2500 digits, so the a^2 of the Bismut Ricci form has 5000
+    (("classify",), _vaisman_with("1" * 2500)),
+    (("companion", "--example", "n3", "--torsion-a", "1" * 2500, "--swap", "2"), None),
+])
+def test_exact_result_too_long_to_write_exits_2(tmp_path, capsys, argv, doc):
+    code, out, err = run_cli(capsys, *_with_input(tmp_path, argv, doc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: exact result too long to write: more than 4300 digits\n"
+
+
+def test_wallach_table_checks_name_the_last_differing_entry(monkeypatch, capsys):
+    wrong = {(0, 0, 0, 0), (2, 1, 1, 2)}
+    for name in ("expected_wallach_rc", "expected_wallach_r11"):
+        right = getattr(goldens, name)
+        monkeypatch.setattr(goldens, name,
+                            lambda *ix, right=right: 7 if ix in wrong else right(*ix))
+    code, out, _ = run_cli(capsys, "verify", "--example", "wallach")
+    assert code == 1
+    failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert failed == {
+        "chern.curvature_table": "Rc[3][2][2][3] = EC(1), want 7",
+        "riemann.table": "R[3][2][2][3] = EC(1/2), want 7",
+        "ricci.einstein_constant": "computed 5/2; the verified curvature table forces 5/2"}
 
 
 def test_verify_sl2c_passes(capsys):

@@ -8,6 +8,9 @@ containing ``exact``, an attribute ``kind``, or a name ``ExactComplex`` or
 ``object``), plus each ``is_exact``, ``kind_of``, ``common_kind`` or
 ``isinstance(..., ExactComplex)`` call outside such a test.  A change that
 adds a branch point has to raise its module's ceiling here, in the open.
+
+``goldens`` and ``cli`` are clients of the library: they read only the
+public names of the other btpgeo modules.
 """
 
 import ast
@@ -94,3 +97,39 @@ def test_every_module_has_a_ceiling():
 @pytest.mark.parametrize("module", sorted(CEILINGS))
 def test_branch_points_within_ceiling(module):
     assert branch_points((SRC / module).read_text()) <= CEILINGS[module]
+
+
+def private_reads(source: str) -> list:
+    """The underscore names a module imports from, or reads off, the other
+    btpgeo modules (relative imports)."""
+    tree = ast.parse(source)
+    modules, reads = set(), []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level:
+            for alias in n.names:
+                if n.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    reads.append(f"{n.module}.{alias.name}")
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules and n.attr.startswith("_")):
+            reads.append(f"{n.value.id}.{n.attr}")
+    return reads
+
+
+def test_private_read_counter():
+    src = """
+from . import charts, lie as L
+from .scalars import EC, _raw
+charts._jet_arrays(m)
+L._ec(1)
+charts.wallach_metric()
+obj._private
+"""
+    assert private_reads(src) == ["scalars._raw", "charts._jet_arrays", "L._ec"]
+
+
+@pytest.mark.parametrize("module", ["goldens.py", "cli.py"])
+def test_clients_read_only_public_names(module):
+    assert private_reads((SRC / module).read_text()) == []

@@ -19,7 +19,6 @@ import pathlib
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from btpgeo import charts, cli, forms, lie
@@ -157,8 +156,14 @@ def test_cached_chart_tables_are_read_only():
     for a in cached:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
-    # public functions hand out fresh lists, so a caller's edit stays its own
-    T = charts.chern_torsion_at(m)
-    T[1][0][2] = 0
-    assert charts.chern_torsion_at(m)[1][0][2] == 1
-    assert np.array_equal(charts._torsion(J), np.array(charts.chern_torsion_at(m), object))
+    # public functions hand out the cached arrays themselves, and G; a write raises
+    assert charts.chern_torsion_at(m) is charts._torsion(J)
+    assert charts.chern_curvature_at(m) is charts._chern(J)
+    assert charts.ricci_forms_at(m) is charts._ricci(J)
+    assert charts.btp_residual_at(m) is charts._btp_residuals(J)
+    assert m.value_matrix() is J.g
+    for a in (charts.chern_torsion_at(m), charts.chern_curvature_at(m), m.value_matrix(),
+              *charts.ricci_forms_at(m), *charts.btp_residual_at(m)):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    assert charts.chern_torsion_at(m)[1, 0, 2] == 1

@@ -43,11 +43,11 @@ for i in range(3):
               f"R_({i+1},{k+1}b,{k+1},{i+1}b) = {pc.r11[i][k][k][i].re}")
 
 print("\nsectional numerator on the (e1, e2) plane:",
-      charts.sectional_curvature(pc, (1, 0, 0), (0, 1, 0)))
+      charts.sectional_numerator(pc, (1, 0, 0), (0, 1, 0)))
 print("Ricci curvature of e1 + conj(e1):",
       charts.ricci_curvature(pc, (1, 0, 0)), "(constant in every direction)")
 
 from btpgeo.scalars import EC
-flat = charts.sectional_curvature(pc, (EC(1), EC(1), EC(1)),
+flat = charts.sectional_numerator(pc, (EC(1), EC(1), EC(1)),
                                   (EC(0, 1), EC(0, -1), EC(0, 1)))
 print("flat-plane witness value:", flat)

@@ -50,7 +50,7 @@ import numpy as np
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
 from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, kind_of, memoized,
-                      scalar_abs, scalar_to_json)
+                      scalar_to_json)
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -91,7 +91,7 @@ class ChartMetric:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
             # column k (then, row by row, that entry is its pivot)
-            rows = row_basis(g0, exact=True)
+            rows = row_basis(g0, kind)
             if not (len(rows) == n and all(r[k].im == 0 and r[k].re > 0
                                            for k, r in enumerate(rows))):
                 raise ValueError("metric must be positive definite at the base point")
@@ -107,10 +107,6 @@ class ChartMetric:
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
-
-    @property
-    def exact(self) -> bool:
-        return self.kind.exact
 
     def value_matrix(self) -> np.ndarray:
         """The base value G, a read-only n x n array of the metric's kind."""
@@ -140,8 +136,8 @@ def _coords(n: int, point, kind: Kind):
     Z, Zb = [], []
     for i in range(n):
         base = Jet2.constant(n, point[i])
-        Z.append(base + Jet2.z(n, i, kind.exact))
-        Zb.append(base.conj() + Jet2.zbar(n, i, kind.exact))
+        Z.append(base + Jet2.z(n, i, kind))
+        Zb.append(base.conj() + Jet2.zbar(n, i, kind))
     return Z, Zb
 
 
@@ -422,7 +418,7 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     T = _torsion(J)
     res = np.stack(_btp_residuals(J))
     if not m.kind.negligible(res).all():
-        resid = max(map(scalar_abs, res.flat))
+        resid = max(map(abs, res.flat))
         raise UnsupportedMetricError(
             f"torsion is not parallel at the base point (residual {resid:.3e}); "
             "the covariant-derivative term of the (2,0) curvature is not supported")
@@ -530,26 +526,24 @@ def sectional_numerator(pc: PointCurvature, X, Y):
     return _result(_sectional_stack(pc, X, Y), single)
 
 
-def sectional_curvature(pc: PointCurvature, X, Y, normalized: bool = False):
-    """Sectional numerator R_{xyyx}, optionally normalized by |x ^ y|^2.
+def sectional_curvature(pc: PointCurvature, X, Y):
+    """Sectional curvature R_{xyyx} / |x ^ y|^2 (the numerator alone is
+    ``sectional_numerator``).
 
     A plane is degenerate when |x ^ y|^2 is zero (exact data) or at most
     1e-14 |x|^2 |y|^2 (float data), a bound that does not depend on the
     scale of x and y.
     """
     X, Y, single = _planes(pc, X, Y)
-    vals = _sectional_stack(pc, X, Y)
-    if normalized:
-        x2, y2 = 2 * _norm2(X), 2 * _norm2(Y)
-        w = np.einsum("ma,ma->m", X, Y.conj())
-        xy = _real(w + w.conj())
-        den = x2 * y2 - xy * xy
-        # the float bound only: exact data stays rational
-        tol = None if pc.kind.exact else 1e-14 * x2 * y2
-        if pc.kind.negligible(den, tol).any():
-            raise DegeneratePlaneError("x and y span a degenerate plane")
-        vals = vals / den
-    return _result(vals, single)
+    x2, y2 = 2 * _norm2(X), 2 * _norm2(Y)
+    w = np.einsum("ma,ma->m", X, Y.conj())
+    xy = _real(w + w.conj())
+    den = x2 * y2 - xy * xy
+    # the float bound only: exact data stays rational
+    tol = None if pc.kind.exact else 1e-14 * x2 * y2
+    if pc.kind.negligible(den, tol).any():
+        raise DegeneratePlaneError("x and y span a degenerate plane")
+    return _result(_sectional_stack(pc, X, Y) / den, single)
 
 
 def random_planes(rng: np.random.Generator, count: int, n: int):

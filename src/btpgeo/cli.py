@@ -58,8 +58,9 @@ def _parse_rational(text: str) -> Fraction:
         raise CliError(f"cannot parse rational {text!r}", EXIT_USAGE) from exc
 
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*(?P<im>[+-]?\s*(?:\d+(?:/\d+)?)?\s*i)?\s*$")
+# the real part ends at a sign or the end, so '2i' is imaginary, not 2 + i
+_COMPLEX_RE = re.compile(r"^\s*(?P<re>[+-]?\d+(?:/\d+)?(?=[+-]|\s*$))?"
+                         r"\s*(?P<im>[+-]?\s*(?:\d+(?:/\d+)?)?\s*i)?\s*$")
 
 
 def _parse_complex(text: str) -> EC:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .scalars import (EC, Kind, Scalar, common_kind, conj, is_zero, kind_of,
-                      scalar_from_json, scalar_to_json)
+from .scalars import (EC, Kind, Scalar, common_kind, kind_of, scalar_from_json,
+                      scalar_to_json)
 
 
 class FormDimensionError(ValueError):
@@ -77,7 +77,7 @@ class InvariantForm:
     def __init__(self, n: int, terms: Optional[Dict[Mono, Scalar]] = None):
         _set_n(self, n)
         _set_terms(self, {_encode(n, I, J): c for (I, J), c in (terms or {}).items()
-                          if not is_zero(c)})
+                          if c})
 
     def __setattr__(self, *_):
         raise AttributeError("InvariantForm is immutable")
@@ -148,7 +148,7 @@ class InvariantForm:
         t: Dict[int, Scalar] = {}
         for m, c in self.terms.items():
             I, J = m & low, m >> n
-            t[J | I << n] = conj(c) if _sign(I << n, J) > 0 else -conj(c)
+            t[J | I << n] = c.conjugate() if _sign(I << n, J) > 0 else -c.conjugate()
         return _form(n, t)
 
     # ---- inspection ---------------------------------------------------------
@@ -291,21 +291,17 @@ class CoframeContext:
             t: Dict[int, Scalar] = {}
             for j in range(n):
                 for k in range(n):
-                    if j < k and not is_zero(C[i][j][k]):
+                    if j < k and C[i][j][k]:
                         # -1/2 (C^i_{jk} phi_j phi_k + C^i_{kj} phi_k phi_j)
                         t[1 << j | 1 << k] = -C[i][j][k]
-                    if not is_zero(D[j][i][k]):
-                        t[1 << j | 1 << (n + k)] = -conj(D[j][i][k])
+                    if D[j][i][k]:
+                        t[1 << j | 1 << (n + k)] = -D[j][i][k].conjugate()
             dphi.append(_form(n, t))
         # d of the basis 1-form of each bit: phi_i at bit i, phibar_i at n+i
         object.__setattr__(self, "_d", tuple(dphi) + tuple(f.conj() for f in dphi))
 
     def __setattr__(self, *_):
         raise AttributeError("CoframeContext is immutable")
-
-    @property
-    def exact(self) -> bool:
-        return self.kind.exact
 
     def d_phi(self, i: int) -> InvariantForm:
         return self._d[i]

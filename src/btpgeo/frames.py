@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import DimensionError, takagi_factorize
-from .scalars import EXACT, FLOAT, ExactComplex, Kind, scalar_abs
+from .scalars import EXACT, FLOAT, ExactComplex, Kind
 
 
 class NotBalancedError(ValueError):
@@ -176,7 +176,7 @@ def special_to_admissible(a):
     """
     kind = _kind_of(a)
     a1, a2, a3 = (kind.scalar(x) for x in a)
-    bound = 1e-9 * max(scalar_abs(a1), 1.0)
+    bound = 1e-9 * max(abs(a1), 1.0)
     if not (kind.negligible(a1 - a2, bound) and kind.negligible(a3, bound)
             and kind.negligible(a1.imag, bound) and a1.real > 0
             and not kind.negligible(a1, bound)):

@@ -159,12 +159,12 @@ def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
             relok &= (a + b == (Fraction(-1) if pair13 else Fraction(5, 4)))
     _chk(out, "riemann.pair_relations", "2b-a = 1/4 and companions for all index pairs", relok)
 
-    flat = charts.sectional_curvature(pc, (EC(1), EC(1), EC(1)),
+    flat = charts.sectional_numerator(pc, (EC(1), EC(1), EC(1)),
                                       (EC(0, 1), EC(0, -1), EC(0, 1)))
     _chk(out, "sectional.flat_plane", "witness plane with zero sectional curvature",
          flat == 0, f"value {flat}")
 
-    base = charts.sectional_curvature(pc, (1, 0, 0), (0, 1, 0))
+    base = charts.sectional_numerator(pc, (1, 0, 0), (0, 1, 0))
     _chk(out, "sectional.base_plane", "R(x,y,y,x) = 1/2 for the first two frame directions",
          base == Fraction(1, 2), f"value {base}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .linalg import matrix_inverse
-from .scalars import EC, EXACT, FLOAT, Scalar, conj, is_zero, kind_of, scalar_abs
+from .scalars import EC, EXACT, Kind, Scalar, kind_of
 
 Mono = Tuple[int, ...]   # (), (v,), or (v, w) with v <= w
 
@@ -28,14 +28,14 @@ class Jet2:
         clean: Dict[Mono, Scalar] = {}
         if coeffs:
             for m, c in coeffs.items():
-                if is_zero(c):
+                if not c:
                     continue
                 m = tuple(sorted(m))
                 if len(m) > 2 or any(not 0 <= v < 2 * n for v in m):
                     raise ValueError(f"bad monomial {m} for n={n}")
                 if m in clean:
                     c = clean[m] + c
-                    if is_zero(c):      # two spellings of one monomial cancel
+                    if not c:      # two spellings of one monomial cancel
                         del clean[m]
                         continue
                 clean[m] = c
@@ -51,16 +51,16 @@ class Jet2:
         return Jet2(n, {(): c})
 
     @staticmethod
-    def variable(n: int, v: int, exact: bool = True) -> "Jet2":
-        return Jet2(n, {(v,): (EXACT if exact else FLOAT).one})
+    def variable(n: int, v: int, kind: Kind = EXACT) -> "Jet2":
+        return Jet2(n, {(v,): kind.one})
 
     @staticmethod
-    def z(n: int, i: int, exact: bool = True) -> "Jet2":
-        return Jet2.variable(n, i, exact)
+    def z(n: int, i: int, kind: Kind = EXACT) -> "Jet2":
+        return Jet2.variable(n, i, kind)
 
     @staticmethod
-    def zbar(n: int, i: int, exact: bool = True) -> "Jet2":
-        return Jet2.variable(n, n + i, exact)
+    def zbar(n: int, i: int, kind: Kind = EXACT) -> "Jet2":
+        return Jet2.variable(n, n + i, kind)
 
     # ---- ring operations ---------------------------------------------------
     def _check(self, other: "Jet2"):
@@ -108,7 +108,7 @@ class Jet2:
     def reciprocal(self) -> "Jet2":
         """1/f by the geometric series; needs a nonzero constant term."""
         c0 = self.coeffs.get(())
-        if c0 is None or is_zero(c0):
+        if not c0:
             raise JetSingularityError("jet has zero constant term")
         one = kind_of(c0).one
         u = (self - Jet2.constant(self.n, c0)).scale(one / c0)
@@ -126,7 +126,7 @@ class Jet2:
             m = tuple(v + n if v < n else v - n for v in m)
             if len(m) == 2 and m[0] > m[1]:      # only a z zbar pair swaps order
                 m = (m[1], m[0])
-            out[m] = conj(c)
+            out[m] = c.conjugate()
         return _jet(n, out)
 
     # ---- coefficient extraction ----------------------------------------------
@@ -181,7 +181,7 @@ class Jet2:
         return not self.coeffs
 
     def norm_inf(self) -> float:
-        return max((scalar_abs(c) for c in self.coeffs.values()), default=0.0)
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, Jet2):

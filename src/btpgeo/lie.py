@@ -20,9 +20,8 @@ from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d, lower_antisymmetric)
 from .frames import diagonal_torsion, transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
-from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError,
-                      all_finite, common_kind, conj, is_zero, kind_of, memoized,
-                      scalar_from_json, scalar_to_json)
+from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError, all_finite,
+                      common_kind, kind_of, memoized, scalar_from_json, scalar_to_json)
 
 
 class IntegrabilityError(ValueError):
@@ -35,6 +34,10 @@ class SwapError(ValueError):
 
 class PatternError(ValueError):
     """Torsion does not match the pattern required by an operation."""
+
+
+# The largest n an algebra JSON may give; the tables are dense n x n x n.
+MAX_JSON_N = 16
 
 
 def _zeros3(n, kind: Kind = EXACT):
@@ -84,10 +87,6 @@ class HermitianLieAlgebra:
     def __setattr__(self, *_):
         raise AttributeError("HermitianLieAlgebra is immutable")
 
-    @property
-    def exact(self) -> bool:
-        return self.kind.exact
-
     def __repr__(self):
         return f"HermitianLieAlgebra(n={self.n}, label={self.label!r})"
 
@@ -100,7 +99,7 @@ class HermitianLieAlgebra:
                     for k in range(self.n):
                         if anti and i >= k:
                             continue
-                        if not is_zero(T[j][i][k]):
+                        if T[j][i][k]:
                             out.append({"j": j + 1, "i": i + 1, "k": k + 1,
                                         "coef": scalar_to_json(T[j][i][k])})
             return out
@@ -112,8 +111,8 @@ class HermitianLieAlgebra:
         if not isinstance(obj, dict) or "n" not in obj:
             raise SchemaError("algebra JSON must be an object with an 'n' field")
         n = obj["n"]
-        if type(n) is not int or n < 1:
-            raise SchemaError("'n' must be a positive integer")
+        if type(n) is not int or not 1 <= n <= MAX_JSON_N:
+            raise SchemaError(f"'n' must be an integer from 1 to {MAX_JSON_N}")
         c_in, d_in = obj.get("C", []), obj.get("D", [])
         if not (isinstance(c_in, list) and isinstance(d_in, list)):
             raise SchemaError("'C' and 'D' must be lists of entries")
@@ -329,10 +328,10 @@ def _connection_from(X, kind: Kind) -> ConnectionMatrix:
         for j in range(n):
             f = InvariantForm.zero(n)
             for k in range(n):
-                if not is_zero(X[j][i][k]):
+                if X[j][i][k]:
                     f = f + InvariantForm.phi(n, k, X[j][i][k])
-                if not is_zero(X[i][j][k]):
-                    f = f + InvariantForm.phibar(n, k, -conj(X[i][j][k]))
+                if X[i][j][k]:
+                    f = f + InvariantForm.phibar(n, k, -X[i][j][k].conjugate())
             row.append(f)
         rows.append(row)
     return ConnectionMatrix(rows, kind)
@@ -422,7 +421,7 @@ def _btp_residuals_from(T: "TorsionTensor", tb: "ConnectionMatrix"):
                 for r in range(n):
                     for c, f in ((X[j][r][k], tb[i, r]), (X[j][i][r], tb[k, r]),
                                  (-X[r][i][k], tb[r, j])):
-                        if not is_zero(c):
+                        if c:
                             for m, v in f.terms.items():
                                 v = v * c
                                 acc[m] = acc[m] + v if m in acc else v
@@ -509,8 +508,8 @@ def real_bracket_table(g: HermitianLieAlgebra):
     for i in range(n):
         for j in range(n):
             table[i][j] = tuple(g.C[k][i][j] for k in range(n)) + zeros
-            table[n + i][n + j] = zeros + tuple(conj(g.C[k][i][j]) for k in range(n))
-            table[i][n + j] = (tuple(conj(g.D[i][k][j]) for k in range(n))
+            table[n + i][n + j] = zeros + tuple(g.C[k][i][j].conjugate() for k in range(n))
+            table[i][n + j] = (tuple(g.D[i][k][j].conjugate() for k in range(n))
                                + tuple(-g.D[j][k][i] for k in range(n)))
             table[n + j][i] = tuple(-c for c in table[i][n + j])
     return tuple(map(tuple, table))
@@ -530,7 +529,7 @@ def solvability_profile(g: HermitianLieAlgebra):
     dim = len(table)
     kind = g.kind
     # structure constants are sparse: keep the nonzero (m, t_m) of each bracket
-    sparse = [[[(m, c) for m, c in enumerate(v) if not is_zero(c)] for v in row]
+    sparse = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
               for row in table]
 
     def combination(terms):
@@ -542,7 +541,7 @@ def solvability_profile(g: HermitianLieAlgebra):
         return w
 
     def nonzeros(basis):
-        return [[(y, c) for y, c in enumerate(w) if not is_zero(c)] for w in basis]
+        return [[(y, c) for y, c in enumerate(w) if c] for w in basis]
 
     def lower_central(basis):
         nz = nonzeros(basis)
@@ -553,8 +552,7 @@ def solvability_profile(g: HermitianLieAlgebra):
         return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if sparse[x][y])
                 for i, u in enumerate(nz) for v in nz[i + 1:]]
 
-    first = row_basis([table[x][y] for x in range(dim) for y in range(x + 1, dim)],
-                      kind.exact)
+    first = row_basis([table[x][y] for x in range(dim) for y in range(x + 1, dim)], kind)
 
     def series(next_term):
         size, cur, steps = dim, first, 1
@@ -562,7 +560,7 @@ def solvability_profile(g: HermitianLieAlgebra):
             if len(cur) == size:
                 return None     # stabilized above zero
             size, steps = len(cur), steps + 1
-            cur = row_basis(next_term(cur), kind.exact)
+            cur = row_basis(next_term(cur), kind)
         return steps
 
     return series(lower_central), series(derived)
@@ -595,7 +593,7 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
         for k in range(n):
             v = table[eps(i)][eps(k)]
             for j in range(n):
-                if not is_zero(v[epsbar(j)]):
+                if v[epsbar(j)]:
                     raise SwapError(
                         f"swap {sorted(x+1 for x in S)} is not integrable: "
                         f"[eps_{i+1}, eps_{k+1}] leaves the (1,0) span")

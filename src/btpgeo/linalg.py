@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .scalars import EC, ExactComplex, Kind, all_finite, conj, kind_of
+from .scalars import EC, EXACT, ExactComplex, Kind, all_finite, kind_of
 
 
 class DimensionError(ValueError):
@@ -38,7 +38,7 @@ class NumericError(RuntimeError):
 # row reduction and inverses
 # --------------------------------------------------------------------------
 
-def row_basis(vectors, exact: bool) -> list:
+def row_basis(vectors, kind: Kind) -> list:
     """Independent spanning rows of a list of vectors, by row reduction.
 
     Exact vectors are eliminated in input order without row exchanges: each
@@ -49,7 +49,7 @@ def row_basis(vectors, exact: bool) -> list:
     D_k / D_(k-1).  Float vectors are ranked by singular values above
     ``max(s[0], 1) * 1e-10`` and the leading right singular vectors returned.
     """
-    if exact:
+    if kind.exact:
         basis = []
         reducers = []       # (pivot, nonzero (index, entry) pairs) per basis row
         for v in vectors:
@@ -74,7 +74,7 @@ def row_basis(vectors, exact: bool) -> list:
 
 def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
     """Rank of a matrix of exact scalars: the length of its row basis."""
-    return len(row_basis(rows, exact=True))
+    return len(row_basis(rows, EXACT))
 
 
 def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComplex]]:
@@ -117,7 +117,7 @@ def hermitian_rank(B) -> int:
     kind = kind_of(B.flat[0])
     rows = B.tolist()
     n = len(rows)
-    if not all(kind.negligible(rows[i][j] - conj(rows[j][i]), 1e-12)
+    if not all(kind.negligible(rows[i][j] - rows[j][i].conjugate(), 1e-12)
                for i in range(n) for j in range(i, n)):
         if not all_finite(x for r in rows for x in r):
             raise NumericError("non-finite entries")

@@ -4,7 +4,9 @@ Every quantity in the library is generic over a *scalar kind*: either
 ``ExactComplex`` (a complex number with rational real/imaginary parts, used
 for all golden-value computations) or the builtin ``complex`` (used for
 numerical frame searches, Takagi factorization and sampling-based checks).
-The two kinds are never mixed inside one object.
+The two kinds are never mixed inside one object.  Both answer the same
+number protocol: ``not c`` is the exact zero test, ``abs(c)`` a float and
+``c.conjugate()`` the conjugate, so generic code needs no kind switch.
 
 A ``Kind`` holds what depends on the kind alone: its name, its numpy dtype,
 its zero, one and i, the coercion ``scalar`` and the zero test
@@ -183,11 +185,14 @@ class ExactComplex:
         """|z|^2 as an exact rational."""
         return Fraction(self._r * self._r + self._i * self._i, self._d * self._d)
 
+    def __abs__(self) -> float:
+        return float(self.abs2()) ** 0.5
+
     def is_zero(self) -> bool:
         return not (self._r or self._i)
 
     def __bool__(self):
-        return bool(self._r or self._i)
+        return self._r != 0 or self._i != 0
 
     def __eq__(self, other):
         if type(other) is ExactComplex:
@@ -255,28 +260,9 @@ EC = ExactComplex
 Scalar = Union[ExactComplex, complex]
 
 
-def conj(c: Scalar) -> Scalar:
-    if type(c) is ExactComplex:
-        return _raw(c._r, -c._i, c._d)
-    return complex(c).conjugate()
-
-
-def is_zero(c: Scalar) -> bool:
-    """Exact zero test (floats compare against literal 0.0)."""
-    if type(c) is ExactComplex:
-        return not (c._r or c._i)
-    return c == 0
-
-
 def all_finite(values) -> bool:
     """Whether every scalar is finite: x - x is 0 exactly then, in either kind."""
     return all(x - x == 0 for x in values)
-
-
-def scalar_abs(c: Scalar) -> float:
-    if isinstance(c, ExactComplex):
-        return float(c.abs2()) ** 0.5
-    return abs(c)
 
 
 # The float zero test: an absolute bound, whatever the scale of the data.

@@ -14,7 +14,7 @@ from btpgeo.forms import InvariantForm
 from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.linalg import matrix_inverse, row_basis
-from btpgeo.scalars import EC, EXACT, FLOAT, conj, is_zero
+from btpgeo.scalars import EC, EXACT, FLOAT
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -87,14 +87,9 @@ def sectional_closed_form(X, Y):
 # differentiated through the jet coefficients, and every table summed entry
 # by entry.
 
-def _kind(x, exact):
-    """A value read from a possibly empty jet, in the metric's scalar kind."""
-    return x if exact else complex(x)
-
-
 def _first_derivs_loop(m):
     n = m.n
-    return [[[_kind(m.g[i][j].deriv(holo=(k,)), m.exact) for k in range(n)]
+    return [[[m.kind.scalar(m.g[i][j].deriv(holo=(k,))) for k in range(n)]
              for j in range(n)] for i in range(n)]
 
 
@@ -123,7 +118,7 @@ def torsion_loop(m):
     for j in range(n):
         for i in range(n):
             for k in range(n):
-                acc = EC.zero() if m.exact else 0j
+                acc = m.kind.zero
                 for l in range(n):
                     acc = acc + (dg[k][l][i] - dg[i][l][k]) * ginv[l][j]
                 T[j][i][k] = acc
@@ -141,10 +136,10 @@ def chern_curvature_loop(m):
         for l in range(n):
             for i in range(n):
                 for j in range(n):
-                    acc = -_kind(m.g[i][j].deriv(holo=(k,), anti=(l,)), m.exact)
+                    acc = -m.kind.scalar(m.g[i][j].deriv(holo=(k,), anti=(l,)))
                     for p in range(n):
                         for q in range(n):
-                            acc = acc + dg[i][p][k] * conj(dg[j][q][l]) * ginv[p][q]
+                            acc = acc + dg[i][p][k] * dg[j][q][l].conjugate() * ginv[p][q]
                     Rc[k][l][i][j] = acc
     return Rc
 
@@ -158,12 +153,12 @@ def btp_residual_loop(m):
     g0 = m.value_matrix()
     ginv = matrix_inverse(m.value_matrix(), m.kind)
     tj = torsion_jets(m)
-    T = [[[_kind(tj[j][i][k].value(), m.exact) for k in range(n)]
+    T = [[[m.kind.scalar(tj[j][i][k].value()) for k in range(n)]
           for i in range(n)] for j in range(n)]
-    zero = EC.zero() if m.exact else 0j
+    zero = m.kind.zero
     Gam = [[[sum((dg[l][s][i] * ginv[s][r] for s in range(n)), zero) for i in range(n)]
             for r in range(n)] for l in range(n)]
-    A = [[[sum((g0[i][p] * conj(T[p][l][s]) * ginv[s][r]
+    A = [[[sum((g0[i][p] * T[p][l][s].conjugate() * ginv[s][r]
                 for p in range(n) for s in range(n)), zero) for i in range(n)]
           for l in range(n)] for r in range(n)]
     res_h = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -177,13 +172,13 @@ def btp_residual_loop(m):
                         rhs = rhs + Gam[l][r][i] * T[j][r][k] \
                             + Gam[l][r][k] * T[j][i][r] \
                             - Gam[l][j][r] * T[r][i][k]
-                    res_h[l][i][j][k] = _kind(tj[j][i][k].deriv(holo=(l,)), m.exact) - rhs
+                    res_h[l][i][j][k] = m.kind.scalar(tj[j][i][k].deriv(holo=(l,))) - rhs
                     rhs = zero
                     for r in range(n):
                         rhs = rhs + T[j][i][r] * A[r][l][k] \
                             - T[j][k][r] * A[r][l][i] \
                             - T[r][i][k] * A[j][l][r]
-                    res_a[l][i][j][k] = _kind(tj[j][i][k].deriv(anti=(l,)), m.exact) - rhs
+                    res_a[l][i][j][k] = m.kind.scalar(tj[j][i][k].deriv(anti=(l,))) - rhs
     return res_h, res_a
 
 
@@ -193,7 +188,7 @@ def ricci_traces_loop(m, Rc):
     summed entry by entry."""
     n = m.n
     ginv = matrix_inverse(m.value_matrix(), m.kind)
-    zero = EC.zero() if m.exact else 0j
+    zero = m.kind.zero
     rng = range(n)
     ric1 = [[sum((Rc[k][l][i][p] * ginv[p][i] for i in rng for p in rng), zero)
              for l in rng] for k in rng]
@@ -248,12 +243,12 @@ def substitute_linear(jet, M):
     def expand(v):
         if v < n:
             return [(i, M[v][i]) for i in range(n)]
-        return [(n + i, conj(M[v - n][i])) for i in range(n)]
+        return [(n + i, M[v - n][i].conjugate()) for i in range(n)]
 
     acc = {}
 
     def put(mono, c):
-        if is_zero(c):
+        if not c:
             return
         mono = tuple(sorted(mono))
         acc[mono] = acc[mono] + c if mono in acc else c
@@ -283,8 +278,8 @@ def change_frame(m, A):
             acc = Jet2(n)
             for a in range(n):
                 for b in range(n):
-                    coef = A[a][i] * conj(A[b][j])
-                    if not is_zero(coef):
+                    coef = A[a][i] * A[b][j].conjugate()
+                    if coef:
                         acc = acc + substitute_linear(m.g[a][b], A).scale(coef)
             row.append(acc)
         out.append(row)
@@ -357,8 +352,8 @@ def sectional_numerator_loop(pc, X, Y):
     - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ) for one pair of directions given as
     scalars of the data's kind: a float, or a Fraction, where an exact value
     that is not real raises ArithmeticError."""
-    Xb = [conj(x) for x in X]
-    Yb = [conj(y) for y in Y]
+    Xb = [x.conjugate() for x in X]
+    Yb = [y.conjugate() for y in Y]
     t1 = _contract(pc.r11, X, Xb, Y, Yb)
     t2 = _contract(pc.r11, X, Yb, Y, Xb)
     t3 = _contract(pc.r11, X, Yb, X, Yb)
@@ -383,7 +378,7 @@ def ricci_frame_sum(pc, X):
             Y = [zero] * n
             Y[k] = unit
             total = total + sectional_numerator_loop(pc, X, Y)
-    x2 = 2 * sum((x * conj(x)).re if pc.kind.exact else abs(x) ** 2 for x in X)
+    x2 = 2 * sum((x * x.conjugate()).re if pc.kind.exact else abs(x) ** 2 for x in X)
     return total / 2 / x2
 
 
@@ -471,7 +466,7 @@ def transform_frame_loop(g, P):
     entry: C'^j_{ik} = sum conj(P_{jt}) P_{ib} P_{kc} C^t_{bc} over i < k,
     mirrored below, and D'^j_{ik} = sum P_{it} conj(P_{jb}) P_{kc} D^b_{tc}."""
     n = g.n
-    zero = EC.zero() if g.exact else 0j
+    zero = g.kind.zero
     C = [[[zero] * n for _ in range(n)] for _ in range(n)]
     D = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
@@ -481,8 +476,8 @@ def transform_frame_loop(g, P):
                 for t in range(n):
                     for b in range(n):
                         for c in range(n):
-                            acc_c = acc_c + conj(P[j][t]) * P[i][b] * P[k][c] * g.C[t][b][c]
-                            acc_d = acc_d + P[i][t] * conj(P[j][b]) * P[k][c] * g.D[b][t][c]
+                            acc_c = acc_c + P[j][t].conjugate() * P[i][b] * P[k][c] * g.C[t][b][c]
+                            acc_d = acc_d + P[i][t] * P[j][b].conjugate() * P[k][c] * g.D[b][t][c]
                 if i < k:
                     C[j][i][k] = acc_c
                     C[j][k][i] = -acc_c
@@ -503,7 +498,7 @@ def form_monomials(f):
     for I in subsets:
         for J in subsets:
             c = f.coeff(I, J)
-            if not is_zero(c):
+            if c:
                 yield (I, J), c
 
 
@@ -681,13 +676,13 @@ def vaisman_torsion_pattern_loop(T):
 def admissible_pattern_loop(T):
     """Whether ``lie.pluriclosed_obstruction`` accepts the torsion T (n = 3):
     zero, or T^1_{13} = -T^1_{31} = -T^2_{23} = T^2_{32} = a != 0 and every
-    other entry zero, by the exact zero test ``is_zero``."""
-    if all(is_zero(c) for l in T.T for r in l for c in r):
+    other entry zero, by the exact zero test ``not c``."""
+    if all(not c for l in T.T for r in l for c in r):
         return True
     a = T.T[0][0][2]
     pattern = {(0, 0, 2): a, (0, 2, 0): -a, (1, 1, 2): -a, (1, 2, 1): a}
-    return not is_zero(a) and all(
-        is_zero(T.T[j][i][k] - pattern.get((j, i, k), 0))
+    return bool(a) and all(
+        not T.T[j][i][k] - pattern.get((j, i, k), 0)
         for j in range(3) for i in range(3) for k in range(3))
 
 
@@ -700,13 +695,13 @@ def admissible_pattern_loop(T):
 def _bracket_span_all_pairs(table, U, V, kind):
     """Basis of span{ [u, v] : u in U, v in V }, every pair multiplied out."""
     dim = len(table)
-    sparse = [[[(m, c) for m, c in enumerate(table[x][y]) if not is_zero(c)]
+    sparse = [[[(m, c) for m, c in enumerate(table[x][y]) if c]
                for y in range(dim)] for x in range(dim)]
     prods = []
     for u in U:
-        u_nz = [(x, ux) for x, ux in enumerate(u) if not is_zero(ux)]
+        u_nz = [(x, ux) for x, ux in enumerate(u) if ux]
         for v in V:
-            v_nz = [(y, vy) for y, vy in enumerate(v) if not is_zero(vy)]
+            v_nz = [(y, vy) for y, vy in enumerate(v) if vy]
             w = [kind.zero] * dim
             for x, ux in u_nz:
                 row = sparse[x]
@@ -715,7 +710,7 @@ def _bracket_span_all_pairs(table, U, V, kind):
                     for m, tm in row[y]:
                         w[m] = w[m] + c * tm
             prods.append(w)
-    return row_basis(prods, kind.exact)
+    return row_basis(prods, kind)
 
 
 def solvability_profile_all_pairs(g):
@@ -749,11 +744,11 @@ def btp_residuals_triple_loop(T, tb):
             for k in range(n):
                 f = InvariantForm.zero(n)
                 for r in range(n):
-                    if not is_zero(T.T[j][r][k]):
+                    if T.T[j][r][k]:
                         f = f + tb[i, r].scale(T.T[j][r][k])
-                    if not is_zero(T.T[j][i][r]):
+                    if T.T[j][i][r]:
                         f = f + tb[k, r].scale(T.T[j][i][r])
-                    if not is_zero(T.T[r][i][k]):
+                    if T.T[r][i][k]:
                         f = f - tb[r, j].scale(T.T[r][i][k])
                 out[(i, j, k)] = f
     return out

@@ -16,12 +16,12 @@ from btpgeo import charts
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.linalg import row_basis
-from btpgeo.scalars import EC, scalar_abs
+from btpgeo.scalars import EC, EXACT
 
 
 def _max_abs(*tables):
     """The largest |entry| over chart tables of either kind."""
-    return max(scalar_abs(c) for t in tables for c in np.ravel(t))
+    return max(abs(c) for t in tables for c in np.ravel(t))
 
 
 def _same_tables(got, want):
@@ -144,7 +144,7 @@ def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     assert m.has_identity_base()
     pc = charts.riemannian_curvature_at(m)
     assert pc.kind.name == "float"
-    assert charts.sectional_curvature(pc, [1, 0, 0], [0, 1j, 0]) == 0.0
+    assert charts.sectional_numerator(pc, [1, 0, 0], [0, 1j, 0]) == 0.0
     res_h, res_a = charts.btp_residual_at(m)
     assert _max_abs(res_h, res_a) == 0
 
@@ -377,7 +377,7 @@ def test_exact_wallach_extraction_transforms_as_tensors():
 @example(0, True, [c for row in EXACT_FRAME for c in row])
 def test_exact_extraction_transforms_as_tensors(seed, on_base, entries):
     A = [entries[:3], entries[3:6], entries[6:]]
-    assume(len(row_basis(A, exact=True)) == 3)
+    assume(len(row_basis(A, EXACT)) == 3)
     m = random_chart_metric(np.random.default_rng(seed), exact=True,
                             base=EXACT_BASE if on_base else None)
     _assert_tensorial(m, A)
@@ -438,7 +438,7 @@ def test_sectional_tensor_vs_closed_form(wallach_float_pc):
 
 
 def test_sectional_exact_base_plane(wallach_pc):
-    assert charts.sectional_curvature(wallach_pc, (1, 0, 0), (0, 1, 0)) == Fraction(1, 2)
+    assert charts.sectional_numerator(wallach_pc, (1, 0, 0), (0, 1, 0)) == Fraction(1, 2)
 
 
 def closed_form_exact(X, Y):
@@ -512,14 +512,14 @@ def test_random_planes_match_per_plane_draws(monkeypatch, seed):
 def test_sectional_flat_plane_exact(wallach_pc):
     X = (EC(1), EC(1), EC(1))
     Y = (EC(0, 1), EC(0, -1), EC(0, 1))
-    assert charts.sectional_curvature(wallach_pc, X, Y) == 0
-    # normalized mode rejects a genuinely degenerate plane
+    assert charts.sectional_numerator(wallach_pc, X, Y) == 0
+    # the sectional curvature rejects a genuinely degenerate plane
     with pytest.raises(charts.DegeneratePlaneError):
-        charts.sectional_curvature(wallach_pc, (1, 0, 0), (1, 0, 0), normalized=True)
+        charts.sectional_curvature(wallach_pc, (1, 0, 0), (1, 0, 0))
 
 
 def test_sectional_antisymmetry_trivial(wallach_pc):
-    assert charts.sectional_curvature(wallach_pc, (1, 2, 3), (1, 2, 3)) == 0
+    assert charts.sectional_numerator(wallach_pc, (1, 2, 3), (1, 2, 3)) == 0
 
 
 def test_ricci_constant_exact(wallach_pc):
@@ -595,11 +595,11 @@ def test_normalized_sectional_does_not_depend_on_scale(wallach_float_pc, scale):
     Y = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
     X = np.vstack([X, [1, 1, 1]])
     Y = np.vstack([Y, [0, 1, 0]])
-    want = charts.sectional_curvature(pc, X, Y, normalized=True)
+    want = charts.sectional_curvature(pc, X, Y)
     assert want[-1] == pytest.approx(0.125, rel=1e-12)
-    for got in (charts.sectional_curvature(pc, scale * X, Y, normalized=True),
-                charts.sectional_curvature(pc, X, scale * Y, normalized=True),
-                charts.sectional_curvature(pc, scale * X, scale * Y, normalized=True)):
+    for got in (charts.sectional_curvature(pc, scale * X, Y),
+                charts.sectional_curvature(pc, X, scale * Y),
+                charts.sectional_curvature(pc, scale * X, scale * Y)):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -608,16 +608,16 @@ def test_normalized_sectional_stack_matches_single_planes(wallach_pc, wallach_fl
     # tolerance cannot compare in float
     planes = RATIONAL_PLANES[:1] + RATIONAL_PLANES[2:]
     X, Y = [x for x, _ in planes], [y for _, y in planes]
-    vals = charts.sectional_curvature(wallach_pc, X, Y, normalized=True)
+    vals = charts.sectional_curvature(wallach_pc, X, Y)
     assert vals[0] == Fraction(1, 8)
     for x, y, v in zip(X, Y, vals):
-        assert charts.sectional_curvature(wallach_pc, x, y, normalized=True) == v
+        assert charts.sectional_curvature(wallach_pc, x, y) == v
     Xf = np.array([[complex(c) for c in x] for x in X])
     Yf = np.array([[complex(c) for c in y] for y in Y])
-    fvals = charts.sectional_curvature(wallach_float_pc, Xf, Yf, normalized=True)
+    fvals = charts.sectional_curvature(wallach_float_pc, Xf, Yf)
     assert fvals.shape == (len(planes),)
     for x, y, fv, v in zip(Xf, Yf, fvals, vals):
-        single = charts.sectional_curvature(wallach_float_pc, x, y, normalized=True)
+        single = charts.sectional_curvature(wallach_float_pc, x, y)
         assert type(single) is float and single == pytest.approx(fv, rel=1e-14)
         assert fv == pytest.approx(float(v), rel=1e-12)
 
@@ -626,12 +626,11 @@ def test_normalized_sectional_stack_matches_single_planes(wallach_pc, wallach_fl
 def test_normalized_sectional_rejects_parallel_directions(wallach_float_pc, scale):
     X = scale * np.array([1 + 2j, -0.5, 3j])
     with pytest.raises(charts.DegeneratePlaneError):
-        charts.sectional_curvature(wallach_float_pc, X, -2.5 * X, normalized=True)
+        charts.sectional_curvature(wallach_float_pc, X, -2.5 * X)
     # one degenerate row in a stack is enough
     for Y in (3 * X, -0.5 * X):
         with pytest.raises(charts.DegeneratePlaneError):
-            charts.sectional_curvature(wallach_float_pc, [[1, 0, 0], X], [[0, 1, 0], Y],
-                                       normalized=True)
+            charts.sectional_curvature(wallach_float_pc, [[1, 0, 0], X], [[0, 1, 0], Y])
 
 
 # ---- float path and the finite-difference oracle -------------------------------------
@@ -703,9 +702,9 @@ def test_exact_normalized_sectional_stays_rational_at_any_scale():
     # the float degeneracy bound is never formed from exact data
     pc = charts.riemannian_curvature_at(charts.euclidean_metric(3))
     big = Fraction(10 ** 200)
-    assert charts.sectional_curvature(pc, [big, 0, 0], [0, big, 0], normalized=True) == 0
+    assert charts.sectional_curvature(pc, [big, 0, 0], [0, big, 0]) == 0
     with pytest.raises(charts.DegeneratePlaneError):
-        charts.sectional_curvature(pc, [big, 0, 0], [2 * big, 0, 0], normalized=True)
+        charts.sectional_curvature(pc, [big, 0, 0], [2 * big, 0, 0])
 
 
 def test_chart_metric_validation():
@@ -722,7 +721,7 @@ def test_chart_metric_validation():
     fone = Jet2.constant(2, 1 + 0j)
     with pytest.raises(ValueError):
         charts.ChartMetric(2, [[zero, fone], [fone, fone]])
-    assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).exact
+    assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).kind.exact
 
 
 @st.composite

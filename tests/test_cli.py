@@ -83,6 +83,9 @@ def test_classify_malformed_entry_exits_3(tmp_path, capsys, field, value):
     {"n": 3, "C": 5, "D": []},
     {"n": 3, "C": [], "D": {"j": 1}},
     {"n": True, "C": [], "D": []},
+    {"n": 0, "C": [], "D": []},
+    {"n": 17, "C": [], "D": []},
+    {"n": 10 ** 6},
     {"n": 3, "C": [[1, 2, 3]], "D": []},
 ])
 def test_classify_malformed_document_exits_3(tmp_path, capsys, doc):
@@ -92,6 +95,13 @@ def test_classify_malformed_document_exits_3(tmp_path, capsys, doc):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_classify_accepts_the_largest_n(tmp_path, capsys):
+    doc = tmp_path / "abelian16.json"
+    doc.write_text(json.dumps({"n": lie.MAX_JSON_N, "C": [], "D": []}))
+    code, out, _ = run_cli(capsys, "classify", "--input", str(doc))
+    assert code == 0 and json.loads(out)["n"] == 16
 
 
 def test_classify_missing_file(capsys):
@@ -336,6 +346,15 @@ def test_companion_complex_parameter(capsys):
     rep = json.loads(out)
     assert rep["original"]["solvable_steps"] == 3
     assert rep["bismut_equal"] is True
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2i", EC(0, 2)), ("-3/4i", EC(0, Fraction(-3, 4))), ("i", EC(0, 1)),
+    ("-i", EC(0, -1)), ("+i", EC(0, 1)), ("1-i", EC(1, -1)),
+    ("1+1/2i", EC(1, Fraction(1, 2))), ("1/2+i", EC(Fraction(1, 2), 1)), ("2", EC(2)),
+])
+def test_complex_literals(text, value):
+    assert cli._parse_complex(text) == value
 
 
 def test_sweep_small_grid(capsys):

@@ -458,7 +458,7 @@ def _float_algebra(g):
 def test_transform_frame_matches_loop_law_exactly(g, P):
     gP = lie.transform_frame(g, P)
     C, D = transform_frame_loop(g, P)
-    assert gP.exact
+    assert gP.kind.exact
     assert [[list(r) for r in layer] for layer in gP.C] == C
     assert [[list(r) for r in layer] for layer in gP.D] == D
 
@@ -544,7 +544,7 @@ def test_classify_float_copy_agrees_with_exact(g):
                         r.vaisman_pattern, r.b_rank, r.nilpotent_steps,
                         r.solvable_steps, r.type_label)
     gf = _float_algebra(g)
-    assert not gf.exact
+    assert not gf.kind.exact
     assert fields(lie.classify(gf)) == fields(lie.classify(g))
 
 

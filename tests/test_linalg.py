@@ -75,7 +75,7 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_exact_rank_matches_bareiss(rows):
     assert exact_rank(rows) == bareiss_rank(rows)
-    assert len(row_basis(rows, exact=True)) == bareiss_rank(rows)
+    assert len(row_basis(rows, EXACT)) == bareiss_rank(rows)
 
 
 def test_exact_inverse():

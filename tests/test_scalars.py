@@ -2,11 +2,11 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from btpgeo.scalars import (EC, EXACT, FLOAT, Kind, conj, is_zero, scalar_from_json,
-                            scalar_to_json)
+from btpgeo.scalars import EC, EXACT, FLOAT, Kind, scalar_from_json, scalar_to_json
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -30,13 +30,13 @@ def test_lowest_terms_and_positive_denominator():
 
 @given(exacts)
 def test_conj_involution(c):
-    assert conj(conj(c)) == c
+    assert c.conjugate().conjugate() == c
 
 
 @given(exacts)
 def test_abs2_exact_rational(c):
     assert c.abs2() == c.re ** 2 + c.im ** 2
-    assert (c * conj(c)).im == 0
+    assert (c * c.conjugate()).im == 0
 
 
 @given(exacts, exacts, exacts)
@@ -74,8 +74,45 @@ def test_json_roundtrip_float():
 
 
 def test_is_zero():
-    assert is_zero(EC.zero()) and not is_zero(EC(0, 1))
-    assert is_zero(0j) and not is_zero(1e-300 + 0j)
+    assert EC.zero().is_zero() and not EC(0, 1).is_zero()
+    assert not EC.zero() and bool(EC(0, 1))
+    assert not 0j and bool(1e-300 + 0j)
+
+
+# Both scalar kinds answer ``not``, ``abs`` and ``.conjugate()``.  The
+# expected values are those of the module-level shims these replaced:
+# ``c == 0``, ``float(abs2) ** 0.5`` for an exact scalar (for a complex
+# one the shim was ``abs`` itself), and the negated imaginary part.
+special_parts = st.sampled_from([0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan])
+any_complex = (st.complex_numbers(allow_nan=True, allow_infinity=True)
+               | st.builds(complex, special_parts, special_parts))
+
+
+def _same_float(a, b):
+    """Equal with the same sign, or both nan."""
+    return (a != a and b != b) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+@given(exacts | any_complex)
+def test_number_protocol_matches_the_shims_it_replaced(c):
+    assert (not c) == (c == 0)
+    cc = c.conjugate()
+    assert type(cc) is type(c)
+    if isinstance(c, EC):
+        assert (cc.re, cc.im) == (c.re, -c.im)
+        assert type(abs(c)) is float and abs(c) == float(c.abs2()) ** 0.5
+    else:
+        assert _same_float(cc.real, c.real) and _same_float(cc.imag, -c.imag)
+
+
+def test_numpy_abs_and_conj_over_exact_arrays():
+    a = np.array([EC(3, 4), EC.zero(), EC(Fraction(1, 2), -1)], object)
+    mods = np.abs(a)
+    assert [type(v) for v in mods] == [float] * 3
+    assert mods.tolist() == [5.0, 0.0, 1.25 ** 0.5]
+    conjs = np.conj(a)
+    assert [type(v) for v in conjs] == [EC] * 3
+    assert conjs.tolist() == [EC(3, -4), EC.zero(), EC(Fraction(1, 2), 1)]
 
 
 # ---- the integer-triple scalar against an independent model ---------------
@@ -145,13 +182,14 @@ def test_division_matches_fraction_model(a, b):
 def test_unary_ops_match_fraction_model(c):
     re, im = ref(c)
     assert_canonical(c)
-    for got, want in ((c.conjugate(), (re, -im)), (conj(c), (re, -im)),
+    for got, want in ((c.conjugate(), (re, -im)),
                       (-c, (-re, -im)), (+c, (re, im))):
         assert_canonical(got)
         assert (got.re, got.im) == want
     assert c.abs2() == re * re + im * im and type(c.abs2()) is Fraction
     assert complex(c) == complex(float(re), float(im))
-    assert c.is_zero() == is_zero(c) == (not c) == (re == 0 and im == 0)
+    assert c.is_zero() == (not c) == (re == 0 and im == 0)
+    assert abs(c) == float(re * re + im * im) ** 0.5
 
 
 @given(big_exacts, operands)

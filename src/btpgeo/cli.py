@@ -209,8 +209,8 @@ def cmd_wallach(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = [_parse_rational(v) for v in args.grid.split(",")] if args.grid else \
-        [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
+    grid = ([Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
+            if args.grid is None else [_parse_rational(v) for v in args.grid.split(",")])
     a = Fraction(1) if args.torsion_a is None else _parse_rational(args.torsion_a)
     rows = []
     claims_ok = True

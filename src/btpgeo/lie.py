@@ -4,14 +4,18 @@ A Hermitian Lie algebra is given by structure constants C^j_{ik} (bracket of
 (1,0) frame fields) and D^j_{ik} (mixed brackets), carried by a
 ``CoframeContext``.  From these the module computes the Chern torsion and
 connection, the Bismut connection theta^b = theta + gamma, curvature
-matrices Theta = d theta - theta ^ theta, and the predicate vector used to
-sort algebras into the flat / rank-one / middle-type landscape.
+matrices Theta = d theta - theta ^ theta, the sparse bracket table of the
+underlying real algebra, and the predicate vector used to sort algebras into
+the flat / rank-one / middle-type landscape.  Each table is built once per
+algebra, straight from the nonzero structure constants: theta^b is linear
+in them, the connection of D + T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -93,16 +97,9 @@ class HermitianLieAlgebra:
     # ---- JSON wire format (entries with i >= k rejected for C) ----------
     def to_json(self):
         def dump(T, anti):
-            out = []
-            for j in range(self.n):
-                for i in range(self.n):
-                    for k in range(self.n):
-                        if anti and i >= k:
-                            continue
-                        if T[j][i][k]:
-                            out.append({"j": j + 1, "i": i + 1, "k": k + 1,
-                                        "coef": scalar_to_json(T[j][i][k])})
-            return out
+            return [{"j": j + 1, "i": i + 1, "k": k + 1, "coef": scalar_to_json(T[j][i][k])}
+                    for j, i, k in product(range(self.n), repeat=3)
+                    if T[j][i][k] and not (anti and i >= k)]
         return {"n": self.n, "C": dump(self.C, True), "D": dump(self.D, False),
                 "label": self.label}
 
@@ -116,9 +113,8 @@ class HermitianLieAlgebra:
         c_in, d_in = obj.get("C", []), obj.get("D", [])
         if not (isinstance(c_in, list) and isinstance(d_in, list)):
             raise SchemaError("'C' and 'D' must be lists of entries")
-        entries = c_in + d_in
         parsed = []
-        for e in entries:
+        for e in c_in + d_in:
             try:
                 idx = (e["j"], e["i"], e["k"])
                 c = scalar_from_json(e["coef"])
@@ -237,16 +233,10 @@ class TorsionTensor:
     __slots__ = ("n", "T", "kind", "_array")
 
     def __init__(self, n: int, T):
-        T = tuple(tuple(tuple(r) for r in layer) for layer in T)
         kind = common_kind(c for l in T for r in l for c in r)
         if not lower_antisymmetric(T, kind):
             raise ValueError("torsion must be antisymmetric in the lower indices")
-        arr = np.array(T, kind.dtype)
-        arr.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_array", arr)
+        _fill_torsion(self, n, T, kind)
 
     def __setattr__(self, *_):
         raise AttributeError("TorsionTensor is immutable")
@@ -267,9 +257,18 @@ class TorsionTensor:
         return bool(self.kind.negligible(self._array - expected).all())
 
 
+def _fill_torsion(t: TorsionTensor, n: int, T, kind: Kind) -> TorsionTensor:
+    T = tuple(tuple(map(tuple, layer)) for layer in T)
+    arr = np.array(T, kind.dtype)
+    arr.flags.writeable = False
+    for name, value in (("n", n), ("T", T), ("kind", kind), ("_array", arr)):
+        object.__setattr__(t, name, value)
+    return t
+
+
 @memoized
 def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
-    """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}."""
+    """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}; antisymmetric and of g's kind."""
     n = g.n
     T = _zeros3(n, g.kind)
     for j in range(n):
@@ -278,7 +277,7 @@ def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
                 v = -g.C[j][i][k] - g.D[j][i][k] + g.D[j][k][i]
                 T[j][i][k] = v
                 T[j][k][i] = -v
-    return TorsionTensor(n, T)
+    return _fill_torsion(object.__new__(TorsionTensor), n, T, g.kind)
 
 
 class ConnectionMatrix:
@@ -319,57 +318,54 @@ class CurvatureMatrix(ConnectionMatrix):
         return self.kind.zero if e.is_zero() else e.coeff((k,), (l,))
 
 
-def _connection_from(X, kind: Kind) -> ConnectionMatrix:
-    """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k )."""
-    n = len(X)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            f = InvariantForm.zero(n)
+def _connection_from(kind: Kind, *tensors) -> ConnectionMatrix:
+    """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k ) summed
+    over the given tensors X; each entry is one dict of masks, read off the
+    nonzero entries in order (phi_k before phibar_k, k increasing)."""
+    n = len(tensors[0])
+
+    def entry(i, j):
+        acc = {}
+        for X in tensors:
             for k in range(n):
-                if X[j][i][k]:
-                    f = f + InvariantForm.phi(n, k, X[j][i][k])
-                if X[i][j][k]:
-                    f = f + InvariantForm.phibar(n, k, -X[i][j][k].conjugate())
-            row.append(f)
-        rows.append(row)
-    return ConnectionMatrix(rows, kind)
+                for m, v in ((1 << k, X[j][i][k]), (1 << (n + k), X[i][j][k])):
+                    if v:
+                        v = -v.conjugate() if m >> n else v     # the phibar_k term
+                        acc[m] = acc[m] + v if m in acc else v
+        return _form(n, acc)
+    return ConnectionMatrix([[entry(i, j) for j in range(n)] for i in range(n)], kind)
 
 
 @memoized
 def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    return _connection_from(g.D, g.kind)
+    return _connection_from(g.kind, g.D)
 
 
 def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
     """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    return _connection_from(T.T, T.kind)
+    return _connection_from(T.kind, T.T)
 
 
 @memoized
 def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
-    """theta^b = theta + gamma."""
-    th = chern_connection(g)
-    ga = gamma_tensor(chern_torsion(g))
-    rows = [[th[i, j] + ga[i, j] for j in range(g.n)] for i in range(g.n)]
-    return ConnectionMatrix(rows, g.kind)
+    """theta^b = theta + gamma, the connection of D + T."""
+    return _connection_from(g.kind, g.D, chern_torsion(g).T)
+
+
+def _curvature_entry(ctx: CoframeContext, theta: ConnectionMatrix, i: int, j: int):
+    """Theta_{ij} = d theta_{ij} - sum_k theta_{ik} ^ theta_{kj}."""
+    f = exterior_d(ctx, theta[i, j])
+    for k in range(theta.n):
+        f = f - theta[i, k].wedge(theta[k, j])
+    return f
 
 
 def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatrix:
     """Theta = d theta - theta ^ theta, entrywise."""
     n = theta.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            f = exterior_d(ctx, theta[i, j])
-            for k in range(n):
-                f = f - theta[i, k].wedge(theta[k, j])
-            row.append(f)
-        rows.append(row)
-    return CurvatureMatrix(rows, theta.kind)
+    return CurvatureMatrix([[_curvature_entry(ctx, theta, i, j) for j in range(n)]
+                            for i in range(n)], theta.kind)
 
 
 def chern_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
@@ -434,8 +430,7 @@ def _btp_residuals_from(T: "TorsionTensor", tb: "ConnectionMatrix"):
 def check_btp(g: HermitianLieAlgebra):
     """True iff every parallel-torsion residual vanishes; returns residuals too."""
     res = btp_residuals(g)
-    ok = all(_form_is_zero(f, g.kind) for f in res.values())
-    return ok, res
+    return all(_form_is_zero(f, g.kind) for f in res.values()), res
 
 
 def check_unimodular(g: HermitianLieAlgebra) -> bool:
@@ -496,23 +491,29 @@ def vaisman_torsion_pattern(T: TorsionTensor):
 
 @memoized
 def real_bracket_table(g: HermitianLieAlgebra):
-    """Brackets of the basis (e_1..e_n, ebar_1..ebar_n) as coefficient vectors.
+    """Brackets of the basis (b_1..b_2n) = (e_1..e_n, ebar_1..ebar_n), sparse.
 
-    table[x][y] is the tuple expanding [b_x, b_y]; it is antisymmetric by
-    construction.  Complexifying the underlying real algebra leaves
-    nilpotency and solvability steps unchanged.
+    table[x][y] holds the nonzero (m, c), m increasing, of [b_x, b_y] =
+    sum c b_m, read off the nonzero C and D: [e_i, e_k] = sum_j C^j_{ik} e_j,
+    [e_i, ebar_k] = sum_j conj(D^i_{jk}) e_j - D^k_{ji} ebar_j, and their
+    conjugates; antisymmetric by construction.  Complexifying the real
+    algebra leaves nilpotency and solvability steps unchanged.
     """
-    n = g.n
-    zeros = (g.kind.zero,) * n
-    table = [[None] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(g.C[k][i][j] for k in range(n)) + zeros
-            table[n + i][n + j] = zeros + tuple(g.C[k][i][j].conjugate() for k in range(n))
-            table[i][n + j] = (tuple(g.D[i][k][j].conjugate() for k in range(n))
-                               + tuple(-g.D[j][k][i] for k in range(n)))
-            table[n + j][i] = tuple(-c for c in table[i][n + j])
-    return tuple(map(tuple, table))
+    n, dim = g.n, 2 * g.n
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                if g.C[j][i][k]:
+                    table[i][k][j] = g.C[j][i][k]
+                    table[n + i][n + k][n + j] = g.C[j][i][k].conjugate()
+                if g.D[j][i][k]:        # in [e_j, ebar_k] and [e_k, ebar_j]
+                    table[j][n + k][i] = g.D[j][i][k].conjugate()
+                    table[k][n + j][n + i] = -g.D[j][i][k]
+    for x in range(n):
+        for y in range(n, dim):
+            table[y][x] = {m: -c for m, c in table[x][y].items()}
+    return tuple(tuple(tuple(sorted(w.items())) for w in row) for row in table)
 
 
 def solvability_profile(g: HermitianLieAlgebra):
@@ -520,23 +521,21 @@ def solvability_profile(g: HermitianLieAlgebra):
 
     Steps count the nonzero terms of the lower central / derived series;
     ``None`` marks a series that stabilizes without reaching zero.  Both
-    start at [g, g], spanned by the table entries [b_x, b_y], x < y, with no
+    start at [g, g], spanned by the nonzero [b_x, b_y], x < y, with no
     product.  The lower central term after W is spanned by the [b_x, w] for
     w in a basis of W, one table row per b_x; the derived term by the [u, v]
     for basis pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.
+    Every product reads the (m, c) pairs of the sparse bracket table.
     """
     table = real_bracket_table(g)
     dim = len(table)
     kind = g.kind
-    # structure constants are sparse: keep the nonzero (m, t_m) of each bracket
-    sparse = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
-              for row in table]
 
     def combination(terms):
         """sum of c [b_x, b_y] over the (c, x, y) in terms"""
         w = [kind.zero] * dim
         for c, x, y in terms:
-            for m, tm in sparse[x][y]:
+            for m, tm in table[x][y]:
                 w[m] = w[m] + c * tm
         return w
 
@@ -549,10 +548,11 @@ def solvability_profile(g: HermitianLieAlgebra):
 
     def derived(basis):
         nz = nonzeros(basis)
-        return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if sparse[x][y])
+        return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
                 for i, u in enumerate(nz) for v in nz[i + 1:]]
 
-    first = row_basis([table[x][y] for x in range(dim) for y in range(x + 1, dim)], kind)
+    brackets = [dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w]
+    first = row_basis([[b.get(m, kind.zero) for m in range(dim)] for b in brackets], kind)
 
     def series(next_term):
         size, cur, steps = dim, first, 1
@@ -591,22 +591,19 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
     D = _zeros3(n, g.kind)
     for i in range(n):
         for k in range(n):
-            v = table[eps(i)][eps(k)]
-            for j in range(n):
-                if v[epsbar(j)]:
+            for m, c in table[eps(i)][eps(k)]:
+                if m != eps(m % n):
                     raise SwapError(
                         f"swap {sorted(x+1 for x in S)} is not integrable: "
                         f"[eps_{i+1}, eps_{k+1}] leaves the (1,0) span")
-                C[j][i][k] = v[eps(j)]
+                C[m % n][i][k] = c
     for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                # D^j_{ik} = psibar_i([epsbar_j, eps_k])
-                w = table[epsbar(j)][eps(k)]
-                D[j][i][k] = w[epsbar(i)]
-    swapped = HermitianLieAlgebra(
-        n, C, D, label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
-    return swapped
+        for k in range(n):
+            # D^j_{ik} = psibar_i([epsbar_j, eps_k])
+            for m, c in table[epsbar(j)][eps(k)]:
+                if m == epsbar(m % n):
+                    D[j][m % n][k] = c
+    return HermitianLieAlgebra(n, C, D, label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
 
 
 def bismut_swap_equal(g: HermitianLieAlgebra, swapped: HermitianLieAlgebra, S) -> bool:
@@ -719,8 +716,10 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     fano_pattern when balanced + parallel torsion + B-rank 1; other
     otherwise.  Each predicate is computed from the least that decides it:
     [g, g] is read from the bracket table; tr Theta^b = d(tr theta^b), as
-    tr(theta ^ theta) = 0; and only the parallel-torsion residuals R_{ijk}
-    with i < k are summed, as R_{kji} = -R_{ijk}.
+    tr(theta ^ theta) = 0; only the parallel-torsion residuals R_{ijk} with
+    i < k are summed, as R_{kji} = -R_{ijk}; and the Chern curvature is built
+    one entry at a time, the diagonal first (its sum is the Chern Ricci
+    form), the rest only while every entry so far vanishes.
     """
     n = g.n
     T = chern_torsion(g)
@@ -732,14 +731,15 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
               for f in _btp_residuals_from(T, theta_b).values())
     unimod = check_unimodular(g)
     b_rank = hermitian_rank(b_tensor(T))
-    theta_c = curvature_of(g.ctx, theta)
-    chern_flat = all(_form_is_zero(theta_c[i, j], g.kind)
-                     for i in range(n) for j in range(n))
+    diagonal = [_curvature_entry(g.ctx, theta, i, i) for i in range(n)]
+    chern_flat = (all(_form_is_zero(f, g.kind) for f in diagonal)
+                  and all(_form_is_zero(_curvature_entry(g.ctx, theta, i, j), g.kind)
+                          for i in range(n) for j in range(n) if i != j))
     bismut_trace = _curvature_trace(g.ctx, theta_b)
     cyt = _form_is_zero(bismut_trace, g.kind)
     cy_type = _form_is_zero(theta.trace(), g.kind)
     nil_steps, solv_steps = solvability_profile(g)
-    chern_ricci = theta_c.trace().scale(g.kind.i)
+    chern_ricci = sum(diagonal, InvariantForm.zero(n)).scale(g.kind.i)
     bismut_ricci = bismut_trace.scale(g.kind.i)
     vpat, _ = vaisman_torsion_pattern(T)
 

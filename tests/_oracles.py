@@ -687,10 +687,27 @@ def admissible_pattern_loop(T):
 
 
 # ---- classify stages by their full computations ------------------------------------------
-# The library reads [g, g] straight from the bracket table, brackets only
-# pairs i < j in the derived series, takes tr Theta^b as d(tr theta^b), and
-# sums only the parallel-torsion residuals with i < k.  The functions below
-# compute every product, the full curvature matrix and all 27 residuals.
+# The library keeps a sparse bracket table, reads [g, g] straight from it,
+# brackets only pairs i < j in the derived series, takes tr Theta^b as
+# d(tr theta^b), and sums only the parallel-torsion residuals with i < k.
+# The functions below expand the dense table and compute every product, the
+# full curvature matrix and all 27 residuals.
+
+def real_bracket_table_dense(g):
+    """Brackets of the basis (e_1..e_n, ebar_1..ebar_n) as dense coefficient
+    vectors: table[x][y] is the tuple expanding [b_x, b_y]."""
+    n = g.n
+    zeros = (g.kind.zero,) * n
+    table = [[None] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = tuple(g.C[k][i][j] for k in range(n)) + zeros
+            table[n + i][n + j] = zeros + tuple(g.C[k][i][j].conjugate() for k in range(n))
+            table[i][n + j] = (tuple(g.D[i][k][j].conjugate() for k in range(n))
+                               + tuple(-g.D[j][k][i] for k in range(n)))
+            table[n + j][i] = tuple(-c for c in table[i][n + j])
+    return tuple(map(tuple, table))
+
 
 def _bracket_span_all_pairs(table, U, V, kind):
     """Basis of span{ [u, v] : u in U, v in V }, every pair multiplied out."""
@@ -716,7 +733,7 @@ def _bracket_span_all_pairs(table, U, V, kind):
 def solvability_profile_all_pairs(g):
     """(nilpotent_steps, solvable_steps) as ``lie.solvability_profile``, with
     each term of both series the span of all products of the one before."""
-    table = lie.real_bracket_table(g)
+    table = real_bracket_table_dense(g)
     dim = 2 * g.n
     full = [[g.kind.one if i == j else g.kind.zero for j in range(dim)]
             for i in range(dim)]

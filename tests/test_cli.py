@@ -376,6 +376,15 @@ def test_sweep_bad_grid(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("grid", ["", "1,,2"])
+def test_sweep_empty_grid_entry_is_rejected(capsys, grid):
+    # an empty --grid is a parse error, not the default grid
+    code, out, err = run_cli(capsys, "sweep", "--grid", grid)
+    assert code == 3
+    assert out == ""
+    assert err == "error: cannot parse rational ''\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--grid=0", "--torsion-a", ""),
     ("companion", "--example", "n3", "--swap", "2", "--torsion-a", ""),

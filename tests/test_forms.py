@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import exterior_d_leibniz, swap_indices_inversions, wedge_merge
+from _oracles import (exterior_d_leibniz, real_bracket_table_dense, swap_indices_inversions,
+                      wedge_merge)
 from btpgeo import lie
 from btpgeo.forms import (BidegreeError, CoframeContext, InvariantForm,
                           d_squared_residual, dolbeault_split, exterior_d)
@@ -187,7 +188,7 @@ def bracket_jacobi_oracle(ctx):
     n = ctx.n
     dim = 2 * n
     alg = lie.HermitianLieAlgebra(n, ctx.C, ctx.D, validate=False)
-    table = lie.real_bracket_table(alg)
+    table = real_bracket_table_dense(alg)
 
     def brk(u, v):
         out = [EC.zero()] * dim

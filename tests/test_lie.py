@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (admissible_pattern_loop, bismut_trace_full_curvature,
-                      btp_residuals_triple_loop, solvability_profile_all_pairs,
-                      transform_frame_loop, vaisman_torsion_pattern_loop)
+                      btp_residuals_triple_loop, real_bracket_table_dense,
+                      solvability_profile_all_pairs, transform_frame_loop,
+                      vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
 from btpgeo.linalg import hermitian_rank
@@ -550,10 +551,37 @@ def test_classify_float_copy_agrees_with_exact(g):
 
 # ---- classify stages against their full computations ------------------------------------
 # The library reads [g, g] from the bracket table, brackets only basis pairs
-# i < j in the derived series, takes tr Theta^b as d(tr theta^b) and sums
-# only the residuals with i < k; the oracles multiply everything out.
+# i < j in the derived series, takes tr Theta^b as d(tr theta^b), sums only
+# the residuals with i < k, builds theta^b from D + T and the bracket table
+# from the nonzero structure constants, and stops the Chern curvature at its
+# first nonzero entry after the diagonal; the oracles multiply everything out.
+
+def _assert_tables_agree_with_oracles(g):
+    """The sparse bracket table, theta^b and classify's Chern curvature
+    against the dense table, theta + gamma and the full curvature matrix;
+    exact equality for either scalar kind, as both sides add alike."""
+    n, dim = g.n, 2 * g.n
+    table = lie.real_bracket_table(g)
+    for w in (w for row in table for w in row):
+        ms = [m for m, _ in w]
+        assert ms == sorted(set(ms)) and all(c for _, c in w)
+    expanded = tuple(tuple(tuple(dict(w).get(m, g.kind.zero) for m in range(dim)) for w in row)
+                     for row in table)
+    assert expanded == real_bracket_table_dense(g)
+    T = lie.chern_torsion(g)
+    checked = lie.TorsionTensor(n, T.T)     # the public constructor's checks pass
+    assert checked.kind is T.kind is g.kind and checked.T == T.T
+    th, ga, tb = lie.chern_connection(g), lie.gamma_tensor(T), lie.bismut_connection(g)
+    assert all(tb[i, j] == th[i, j] + ga[i, j] for i in range(n) for j in range(n))
+    full = lie.curvature_of(g.ctx, th)
+    rep = lie.classify(g)
+    flat = all(full[i, j].is_zero() for i in range(n) for j in range(n))
+    assert (rep.type_label == "chern_flat") is flat
+    assert rep.chern_ricci == full.trace().scale(g.kind.i)
+
 
 def _assert_stages_agree_with_oracles(g):
+    _assert_tables_agree_with_oracles(g)
     assert lie.solvability_profile(g) == solvability_profile_all_pairs(g)
     T, tb = lie.chern_torsion(g), lie.bismut_connection(g)
     res, want = lie._btp_residuals_from(T, tb), btp_residuals_triple_loop(T, tb)
@@ -567,7 +595,25 @@ def _assert_stages_agree_with_oracles(g):
     assert rep.btp is all(f.is_zero() for f in want.values())
 
 
-@pytest.mark.parametrize("g", BUILTINS() + (_perturbed_n3(),), ids=lambda g: g.label)
+def _off_diagonal_chern():
+    """An integrable algebra whose Chern curvature vanishes on the diagonal
+    only: D^1_{13} = 1, D^1_{23} = -1 + i, D^2_{13} = 1 + i."""
+    C, D = ([[[EC.zero()] * 3 for _ in range(3)] for _ in range(3)] for _ in range(2))
+    D[0][0][2], D[0][1][2], D[1][0][2] = EC(1), EC(-1, 1), EC(1, 1)
+    return lie.HermitianLieAlgebra(3, C, D, label="off_diagonal_chern")
+
+
+def test_chern_flat_reads_the_off_diagonal_entries():
+    g = _off_diagonal_chern()
+    Rc = lie.chern_curvature(g)
+    assert all(Rc[i, i].is_zero() for i in range(3))
+    assert Rc[0, 1] == InvariantForm.monomial(3, (2,), (2,), EC(-2, -2))
+    rep = lie.classify(g)
+    assert rep.type_label == "non_balanced" and rep.chern_ricci.is_zero()
+
+
+@pytest.mark.parametrize("g", BUILTINS() + (_perturbed_n3(), _off_diagonal_chern()),
+                         ids=lambda g: g.label)
 def test_classify_stages_agree_with_oracles(g):
     _assert_stages_agree_with_oracles(g)
 
@@ -600,6 +646,32 @@ def _sparse_structure(draw):
 @given(_sparse_structure())
 def test_classify_stages_agree_with_oracles_on_sparse_structures(g):
     _assert_stages_agree_with_oracles(g)
+
+
+_NONZERO_RATS = _RATS.filter(bool)
+
+
+@st.composite
+def _family_member(draw):
+    """A family_a or family_b member at random rational parameters and scale."""
+    p, q, a = draw(_RATS), draw(_RATS), draw(_NONZERO_RATS)
+    if draw(st.booleans()):
+        return lie.family_a(p, q, a)
+    return lie.family_b(EC(p, draw(_RATS)), q, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_member())
+def test_classify_stages_agree_with_oracles_on_family_members(g):
+    _assert_stages_agree_with_oracles(g)
+    _assert_tables_agree_with_oracles(_float_algebra(g))
+
+
+def test_float_tables_agree_with_oracles_on_builtins_and_sweep_grid():
+    grid = [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
+    for g in BUILTINS() + tuple(family(p, q) for family in (lie.family_a, lie.family_b)
+                                for p in grid for q in grid):
+        _assert_tables_agree_with_oracles(_float_algebra(g))
 
 
 # ---- JSON -------------------------------------------------------------------------------

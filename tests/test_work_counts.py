@@ -2,17 +2,21 @@
 one CLI job.
 
 Counters are patched onto ``InvariantForm.wedge``, ``exterior_d`` and
-``lie.curvature_of`` while ``classify(family_a(1/2, 1/3))`` runs on an
-algebra built beforehand.  The Chern curvature needs its full matrix, 27
-wedges and 9 derivatives; the Bismut Ricci form needs only d(tr theta^b),
-one more derivative.  A change that brings back the full Bismut curvature
-or another redundant form product fails here without any timing.
+``lie.curvature_of`` while ``classify`` runs on an algebra built
+beforehand.  ``classify`` never builds the whole Chern curvature matrix: it
+computes the three diagonal entries, whose sum is the Chern Ricci form (9
+wedges, 3 derivatives), and the off-diagonal ones only while every entry so
+far vanishes, so only a Chern-flat algebra such as sl2c pays for all nine
+(27 wedges, 9 derivatives).  The Bismut Ricci form needs only d(tr theta^b),
+one more derivative.  A change that brings back the full Bismut or Chern
+curvature or another redundant form product fails here without any timing.
 
-Torsion, connections and chart tables are ``memoized`` on their algebra or
-metric.  The job tests count the runs of each memoized body, which the memo
-calls as ``__wrapped__``, so a job that asks a question twice of one
-structure still builds what it reads once.  A CLI call builds two argument
-parsers, the top-level one and the named command's, and keeps neither.
+Torsion, connections, the bracket table and chart tables are ``memoized`` on
+their algebra or metric.  The job tests count the runs of each memoized
+body, which the memo calls as ``__wrapped__``, so a job that asks a question
+twice of one structure still builds what it reads once.  A CLI call builds
+two argument parsers, the top-level one and the named command's, and keeps
+neither.
 """
 
 import pathlib
@@ -26,7 +30,12 @@ from btpgeo.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-CEILINGS = {"curvature_of": 1, "wedge": 27, "exterior_d": 10}
+# (algebra, ceilings): a middle-type algebra stops at the Chern diagonal
+CEILINGS = [
+    (lie.family_a(Fraction(1, 2), Fraction(1, 3)),
+     {"curvature_of": 0, "wedge": 9, "exterior_d": 4}),
+    (lie.sl2c(), {"curvature_of": 0, "wedge": 27, "exterior_d": 10}),
+]
 
 
 def _counter(calls):
@@ -39,7 +48,6 @@ def _counter(calls):
 
 
 def test_classify_form_work_within_ceilings(monkeypatch):
-    g = lie.family_a(Fraction(1, 2), Fraction(1, 3))
     calls = Counter()
     counted = _counter(calls)
 
@@ -49,9 +57,11 @@ def test_classify_form_work_within_ceilings(monkeypatch):
     for module in (forms, lie):         # lie imports exterior_d by name
         monkeypatch.setattr(module, "exterior_d", exterior_d)
     monkeypatch.setattr(lie, "curvature_of", counted("curvature_of", lie.curvature_of))
-    lie.classify(g)
-    for name, ceiling in CEILINGS.items():
-        assert calls[name] <= ceiling, calls
+    for g, ceilings in CEILINGS:
+        calls.clear()
+        lie.classify(g)
+        for name, ceiling in ceilings.items():
+            assert calls[name] <= ceiling, (g.label, calls)
 
 
 def test_companion_swaps_once(monkeypatch, capsys):
@@ -80,7 +90,7 @@ def test_verify_n3_builds_torsion_and_connections_once(monkeypatch, capsys):
     assert main(["verify", "--example", "n3"]) == 0
     capsys.readouterr()
     # classify, the Bismut curvature and the pluriclosed obstruction share
-    # one torsion; _connection_from builds the Chern connection and gamma
+    # one torsion; _connection_from builds the Chern and the Bismut connection
     assert calls == {"chern_torsion": 1, "_connection_from": 2}
 
 
@@ -93,9 +103,21 @@ def test_companion_builds_one_bismut_connection_per_algebra(monkeypatch, capsys)
                         _counter(calls)("_connection_from", lie._connection_from))
     assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
     capsys.readouterr()
-    # the swap check and classify read the same connection of each algebra
+    # the swap check and classify read the same connection of each algebra;
+    # _connection_from builds the Chern and the Bismut connection of each
     assert built == {"n3": 1, "n3~swap[2]": 1}
     assert calls == {"_connection_from": 4}
+
+
+def test_companion_builds_one_bracket_table_per_algebra(monkeypatch, capsys):
+    built = Counter()
+    body = lie.real_bracket_table.__wrapped__
+    monkeypatch.setattr(lie.real_bracket_table, "__wrapped__",
+                        lambda g: built.update([g.label]) or body(g))
+    assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
+    capsys.readouterr()
+    # the swap and the solvability profile of the original read one table
+    assert built == {"n3": 1, "n3~swap[2]": 1}
 
 
 def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):

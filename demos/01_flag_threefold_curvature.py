@@ -9,7 +9,7 @@ from btpgeo import charts
 
 m = charts.wallach_metric()
 print("metric at the base point (identity):")
-for row in m.value_matrix():
+for row in m.G:
     print("   ", [str(v.re) for v in row])
 
 T = charts.chern_torsion_at(m)

@@ -7,13 +7,15 @@ coefficients at any positive-definite base value G; only the Levi-Civita
 curvature (for parallel-torsion metrics) and its sectional/Ricci traces
 need G = identity.
 
-The coefficients are read once per metric into read-only arrays of its kind
-(complex128, or object arrays of ExactComplex, whose sums do not depend on
-their order), with G, G^{-1} and the Chern Christoffel symbols
-Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern curvature and
-residuals are einsums of them kept with the metric, the Ricci tensors trace
-Rc with G^{-1}.  The public functions and PointCurvature hand out these
-read-only arrays themselves, so a write to one raises.  The derivative of
+The constructor reads the coefficients once, into read-only arrays of the
+metric's kind (complex128, or object arrays of ExactComplex, whose sums do
+not depend on their order) that it keeps as attributes: G, G^{-1}, the
+first and second jet coefficients dg, dgb, hh, ha and the Chern Christoffel
+symbols Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern
+curvature and residuals are einsums of them, the Ricci tensors trace Rc with
+G^{-1}; each table is built once per metric (scalars.memoized).  The public
+functions and PointCurvature hand out these read-only arrays themselves, so
+a write to one raises.  The derivative of
 the torsion T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is
 taken in closed form:
 partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
@@ -42,7 +44,7 @@ sigma_{i jbar} = (delta_{i1} delta_{j1} |z3|^2 + delta_{i1} delta_{j2} z3
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,12 +72,24 @@ class DegeneratePlaneError(ValueError):
 
 
 class ChartMetric:
-    """Hermitian metric components g_{i jbar} as 2-jets at a base point."""
+    """Hermitian metric components g_{i jbar} as 2-jets at a base point.
 
-    __slots__ = ("n", "g", "label", "kind", "_memo")
+    The constructor reads the jets once, into read-only arrays of the
+    metric's kind: G[i,j] = g_{i jbar} and its inverse Ginv[l,j] = g^{lbar j},
+    dg[i,j,k] = partial_k g_{i jbar}, dgb[i,j,k] = partial_kbar g_{i jbar},
+    hh[i,j,k,m] = partial_k partial_m g_{i jbar} (doubled on the diagonal,
+    as Jet2.deriv), ha[i,j,k,l] = partial_k partial_lbar g_{i jbar} and the
+    Chern Christoffel symbols gam[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.
+    """
+
+    __slots__ = ("n", "g", "label", "kind", "G", "Ginv", "dg", "dgb", "hh", "ha", "gam",
+                 "_memo")
 
     def __init__(self, n: int, g, label: str = ""):
         g = tuple(tuple(r) for r in g)
+        if [len(r) for r in g] != [n] * n or any(not isinstance(f, Jet2) or f.n != n
+                                                 for r in g for f in r):
+            raise ValueError(f"metric jets must be an {n} x {n} grid of jets in {n} variables")
         kind = kind_of(next((c for row in g for f in row for c in f.coeffs.values()),
                             EC.zero()))
         for i in range(n):
@@ -86,34 +100,60 @@ class ChartMetric:
                 tol = 1e-10 * max(g[i][j].norm_inf(), 1.0)
                 if not all(kind.negligible(c, tol) for c in d.coeffs.values()):
                     raise ValueError("metric jets must be hermitian")
-        g0 = [[g[i][j].value() for j in range(n)] for i in range(n)]
+        G, dg, dgb, hh, ha = _jet_coefficients(g, kind)
         if kind.exact:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
             # column k (then, row by row, that entry is its pivot)
-            rows = row_basis(g0, kind)
-            if not (len(rows) == n and all(r[k].im == 0 and r[k].re > 0
-                                           for k, r in enumerate(rows))):
-                raise ValueError("metric must be positive definite at the base point")
+            rows = row_basis(G, kind)
+            positive = len(rows) == n and all(r[k].im == 0 and r[k].re > 0
+                                              for k, r in enumerate(rows))
         else:
-            ev = np.linalg.eigvalsh(np.array([[complex(e) for e in r] for r in g0]))
-            if np.min(ev) <= 0:
-                raise ValueError("metric must be positive definite at the base point")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_memo", {})
+            positive = np.linalg.eigvalsh(G).min() > 0
+        if not positive:
+            raise ValueError("metric must be positive definite at the base point")
+        Ginv = _readonly(matrix_inverse(G, kind))
+        gam = _readonly(np.einsum("lsi,sr->lri", dg, Ginv))
+        for name, value in zip(self.__slots__, (n, g, label, kind, G, Ginv, dg, dgb, hh, ha,
+                                                gam, {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
 
-    def value_matrix(self) -> np.ndarray:
-        """The base value G, a read-only n x n array of the metric's kind."""
-        return _jet_arrays(self).g
-
     def has_identity_base(self, tol: float = FLOAT_TOL) -> bool:
-        return _is_identity(_jet_arrays(self), tol)
+        """Whether the base value G is the identity, within tol for float data."""
+        return bool(self.kind.negligible(self.G - np.identity(self.n, int), tol).all())
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _jet_coefficients(g, kind: Kind):
+    """The read-only arrays G, dg, dgb, hh and ha of ``ChartMetric`` from
+    an n x n grid of jets."""
+    n = len(g)
+    dg, dgb, hh, ha = (np.full((n,) * r, kind.zero, kind.dtype) for r in (3, 3, 4, 4))
+    for i in range(n):
+        for j in range(n):
+            for mono, c in g[i][j].coeffs.items():
+                if len(mono) == 1:
+                    v = mono[0]
+                    if v < n:
+                        dg[i, j, v] = c
+                    else:
+                        dgb[i, j, v - n] = c
+                elif mono:
+                    v, w = mono                  # v <= w
+                    if w < n:                    # doubled on the diagonal, as Jet2.deriv
+                        hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
+                    elif v < n:
+                        ha[i, j, v, w - n] = c
+    # an empty jet's value is an exact zero whatever the metric's kind
+    G = np.array([[kind.scalar(f.value()) for f in row] for row in g], kind.dtype)
+    return tuple(map(_readonly, (G, dg, dgb, hh, ha)))
 
 
 # --------------------------------------------------------------------------
@@ -227,69 +267,13 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
 # pointwise extraction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _Jets:
-    """Read-only jet coefficients of g_{i jbar} at the base; derived tables go in _memo."""
-    kind: Kind
-    dg: np.ndarray      # dg[i,j,k] = partial_k g_{i jbar}
-    dgb: np.ndarray     # dgb[i,j,k] = partial_kbar g_{i jbar}
-    hh: np.ndarray      # hh[i,j,k,m] = partial_k partial_m g_{i jbar}
-    ha: np.ndarray      # ha[i,j,k,l] = partial_k partial_lbar g_{i jbar}
-    g: np.ndarray       # g[i,j] = g_{i jbar}
-    ginv: np.ndarray    # ginv[l,j] = g^{lbar j}
-    gam: np.ndarray     # gam[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}, Chern Christoffel
-    _memo: dict = field(default_factory=dict)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@memoized
-def _jet_arrays(m: ChartMetric) -> _Jets:
-    n = m.n
-    dg, dgb, hh, ha = (np.full((n,) * r, m.kind.zero, m.kind.dtype) for r in (3, 3, 4, 4))
-    for i in range(n):
-        for j in range(n):
-            for mono, c in m.g[i][j].coeffs.items():
-                if len(mono) == 1:
-                    v = mono[0]
-                    if v < n:
-                        dg[i, j, v] = c
-                    else:
-                        dgb[i, j, v - n] = c
-                elif mono:
-                    v, w = mono                  # v <= w
-                    if w < n:                    # doubled on the diagonal, as Jet2.deriv
-                        hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
-                    elif v < n:
-                        ha[i, j, v, w - n] = c
-    # an empty jet's value is an exact zero whatever the metric's kind
-    g = np.array([[m.kind.scalar(f.value()) for f in row] for row in m.g], m.kind.dtype)
-    ginv = matrix_inverse(g, m.kind)
-    return _Jets(m.kind, *map(_readonly, (dg, dgb, hh, ha, g, ginv,
-                                          np.einsum("lsi,sr->lri", dg, ginv))))
-
-
-def _is_identity(J: _Jets, tol: float = FLOAT_TOL) -> bool:
-    """Whether the base value G is the identity, within tol for float data."""
-    return bool(J.kind.negligible(J.g - np.identity(len(J.g), int), tol).all())
-
-
 def _skew(d):
     """S[i,k,l,...] = d[k,l,i,...] - d[i,l,k,...]."""
     rest = range(3, d.ndim)
     return d.transpose(2, 0, 1, *rest) - d.transpose(0, 2, 1, *rest)
 
 
-@memoized
-def _torsion(J: _Jets):
-    """T[j,i,k] = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    return _readonly(np.einsum("ikl,lj->jik", _skew(J.dg), J.ginv))
-
-
-def _torsion_derivative(J: _Jets, d, h):
+def _torsion_derivative(m: ChartMetric, d, h):
     """D[j,i,k,m] = partial_m T^j_{ik} in closed form.
 
     With d[i,j,m] the derivative of g_{i jbar} along the variable m and
@@ -299,36 +283,26 @@ def _torsion_derivative(J: _Jets, d, h):
         + sum_l ( g_{k lbar, i} - g_{i lbar, k} ) partial_m g^{lbar j},
     where partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}.
     """
-    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", J.ginv, d), J.ginv)
-    return (np.einsum("iklm,lj->jikm", _skew(h), J.ginv)
-            + np.einsum("ikl,ljm->jikm", _skew(J.dg), dginv))
+    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", m.Ginv, d), m.Ginv)
+    return (np.einsum("iklm,lj->jikm", _skew(h), m.Ginv)
+            + np.einsum("ikl,ljm->jikm", _skew(m.dg), dginv))
 
 
 @memoized
-def _chern(J: _Jets):
-    """Rc[k,l,i,j] = -g_{i jbar, k lbar} + sum_q Gamma[i,q,k] conj(g_{j qbar, l})."""
-    return _readonly(np.einsum("iqk,jql->klij", J.gam, np.conj(J.dg)) - J.ha.transpose(2, 3, 0, 1))
-
-
-@memoized
-def _ricci(J: _Jets):
-    """The three Chern Ricci traces (ric1, ric2, ric3) of ``ricci_forms_at``."""
-    Rc = _chern(J)
-    return tuple(_readonly(np.einsum(spec, Rc, J.ginv))
-                 for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj"))
-
-
 def chern_torsion_at(m: ChartMetric):
     """T^j_{ik} = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    return _torsion(_jet_arrays(m))
+    return _readonly(np.einsum("ikl,lj->jik", _skew(m.dg), m.Ginv))
 
 
+@memoized
 def chern_curvature_at(m: ChartMetric):
     """R^c_{k lbar i jbar} = -g_{i jbar, k lbar}
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
-    return _chern(_jet_arrays(m))
+    return _readonly(np.einsum("iqk,jql->klij", m.gam, np.conj(m.dg))
+                     - m.ha.transpose(2, 3, 0, 1))
 
 
+@memoized
 def ricci_forms_at(m: ChartMetric):
     """First, second and third Chern Ricci tensors as hermitian matrices.
 
@@ -339,9 +313,12 @@ def ricci_forms_at(m: ChartMetric):
     ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
     ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
-    return _ricci(_jet_arrays(m))
+    Rc = chern_curvature_at(m)
+    return tuple(_readonly(np.einsum(spec, Rc, m.Ginv))
+                 for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj"))
 
 
+@memoized
 def btp_residual_at(m: ChartMetric):
     """Residuals of the parallel-torsion identities at any base point.
 
@@ -358,18 +335,12 @@ def btp_residual_at(m: ChartMetric):
     torsion is parallel at the point.  res_h and res_a are indexed
     [l][i][j][k] and transform as tensors under a linear change of chart.
     """
-    return _btp_residuals(_jet_arrays(m))
-
-
-@memoized
-def _btp_residuals(J: _Jets):
-    """The arrays (res_h, res_a) of ``btp_residual_at``."""
-    T = _torsion(J)
-    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", J.g, np.conj(T)), J.ginv)
-    res_h = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dg, J.hh))
-             - np.einsum("lri,jrk->lijk", J.gam, T) - np.einsum("lrk,jir->lijk", J.gam, T)
-             + np.einsum("ljr,rik->lijk", J.gam, T))
-    res_a = (np.einsum("jikl->lijk", _torsion_derivative(J, J.dgb, J.ha))
+    T = chern_torsion_at(m)
+    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", m.G, np.conj(T)), m.Ginv)
+    res_h = (np.einsum("jikl->lijk", _torsion_derivative(m, m.dg, m.hh))
+             - np.einsum("lri,jrk->lijk", m.gam, T) - np.einsum("lrk,jir->lijk", m.gam, T)
+             + np.einsum("ljr,rik->lijk", m.gam, T))
+    res_a = (np.einsum("jikl->lijk", _torsion_derivative(m, m.dgb, m.ha))
              - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
              + np.einsum("rik,jlr->lijk", T, A))
     return _readonly(res_h), _readonly(res_a)
@@ -411,26 +382,25 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
             + 1/4 sum_r ( T^r_{ik} conj(T^r_{jl}) - T^j_{kr} conj(T^i_{lr})
                           - T^l_{ir} conj(T^k_{jr}) ).
     """
-    J = _jet_arrays(m)
-    if not _is_identity(J):
+    if not m.has_identity_base():
         raise BaseMetricError("Levi-Civita extraction needs g = identity at "
                               "the base point")
-    T = _torsion(J)
-    res = np.stack(_btp_residuals(J))
+    T = chern_torsion_at(m)
+    res = np.stack(btp_residual_at(m))
     if not m.kind.negligible(res).all():
         resid = max(map(abs, res.flat))
         raise UnsupportedMetricError(
             f"torsion is not parallel at the base point (residual {resid:.3e}); "
             "the covariant-derivative term of the (2,0) curvature is not supported")
     Tc = np.conj(T)
-    Rc = _chern(J)
+    Rc = chern_curvature_at(m)
     quarter = m.kind.scalar(Fraction(1, 4))
     half = m.kind.scalar(Fraction(1, 2))
     r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter
     r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
            + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
               - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
-    return PointCurvature(m.n, m.kind, T, Rc, *_ricci(J), _readonly(r11), _readonly(r20))
+    return PointCurvature(m.n, m.kind, T, Rc, *ricci_forms_at(m), _readonly(r11), _readonly(r20))
 
 
 # --------------------------------------------------------------------------

@@ -232,9 +232,8 @@ def cmd_sweep(args) -> int:
                 row["params"] = [str(p), str(q)]
                 row["claims_pass"] = ok
                 rows.append(row)
-    overlap_ok = all(lie.family_a(0, t, a).C == lie.family_b(0, t, a).C
-                     and lie.family_a(0, t, a).D == lie.family_b(0, t, a).D
-                     for t in grid)
+    pairs = ((lie.family_a(0, t, a), lie.family_b(0, t, a)) for t in grid)
+    overlap_ok = all(ga.C == gb.C and ga.D == gb.D for ga, gb in pairs)
     origin_is_n3 = (lie.family_a(0, 0, a).D == lie.nilmanifold_n3(a).D)
     rows_ok = claims_ok
     claims_ok = claims_ok and overlap_ok and origin_is_n3

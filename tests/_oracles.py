@@ -87,6 +87,20 @@ def sectional_closed_form(X, Y):
 # differentiated through the jet coefficients, and every table summed entry
 # by entry.
 
+def jet_coefficients_loop(m):
+    """G, dg, dgb, hh and ha of a chart metric as nested lists, entry by
+    entry through Jet2.deriv: G[i][j] = g_{i jbar}, and dg[i][j][k],
+    dgb[i][j][k], hh[i][j][k][p], ha[i][j][k][l] its derivatives along z_k,
+    zbar_k, z_k z_p and z_k zbar_l."""
+    rng = range(m.n)
+    d = lambda i, j, holo=(), anti=(): m.kind.scalar(m.g[i][j].deriv(holo, anti))
+    return ([[d(i, j) for j in rng] for i in rng],
+            [[[d(i, j, (k,)) for k in rng] for j in rng] for i in rng],
+            [[[d(i, j, (), (k,)) for k in rng] for j in rng] for i in rng],
+            [[[[d(i, j, (k, p)) for p in rng] for k in rng] for j in rng] for i in rng],
+            [[[[d(i, j, (k,), (l,)) for l in rng] for k in rng] for j in rng] for i in rng])
+
+
 def _first_derivs_loop(m):
     n = m.n
     return [[[m.kind.scalar(m.g[i][j].deriv(holo=(k,))) for k in range(n)]
@@ -113,7 +127,7 @@ def torsion_loop(m):
     """T[j][i][k], summed entry by entry with the inverse base metric."""
     n = m.n
     dg = _first_derivs_loop(m)
-    ginv = matrix_inverse(m.value_matrix(), m.kind)
+    ginv = matrix_inverse(m.G, m.kind)
     T = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for i in range(n):
@@ -130,7 +144,7 @@ def chern_curvature_loop(m):
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
     n = m.n
     dg = _first_derivs_loop(m)
-    ginv = matrix_inverse(m.value_matrix(), m.kind)
+    ginv = matrix_inverse(m.G, m.kind)
     Rc = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):
@@ -150,8 +164,8 @@ def btp_residual_loop(m):
     A[r][l][i] = sum_{p,s} g_{i pbar} conj(T^p_{ls}) g^{sbar r}."""
     n = m.n
     dg = _first_derivs_loop(m)
-    g0 = m.value_matrix()
-    ginv = matrix_inverse(m.value_matrix(), m.kind)
+    g0 = m.G
+    ginv = matrix_inverse(m.G, m.kind)
     tj = torsion_jets(m)
     T = [[[m.kind.scalar(tj[j][i][k].value()) for k in range(n)]
           for i in range(n)] for j in range(n)]
@@ -187,7 +201,7 @@ def ricci_traces_loop(m, Rc):
     Rc[k][l][i][j] g^{lbar k} and ric3[k][j] = sum Rc[k][l][i][j] g^{lbar i},
     summed entry by entry."""
     n = m.n
-    ginv = matrix_inverse(m.value_matrix(), m.kind)
+    ginv = matrix_inverse(m.G, m.kind)
     zero = m.kind.zero
     rng = range(n)
     ric1 = [[sum((Rc[k][l][i][p] * ginv[p][i] for i in rng for p in rng), zero)
@@ -289,7 +303,7 @@ def change_frame(m, A):
 def orthonormalizing_frame(m):
     """A with A^T g(0) conj(A) = identity, from the Cholesky factor of the
     float base value g(0)."""
-    g0 = np.array([[complex(e) for e in r] for r in m.value_matrix()])
+    g0 = np.array([[complex(e) for e in r] for r in m.G])
     return np.linalg.inv(np.linalg.cholesky(g0)).T.tolist()
 
 

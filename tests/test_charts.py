@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curvature_loop,
-                      frame_route, orthonormalize_base, random_chart_metric,
+                      frame_route, jet_coefficients_loop, orthonormalize_base,
+                      random_chart_metric,
                       random_curvature_tables, ricci_frame_sum, ricci_traces_loop,
                       sectional_closed_form, sectional_numerator_loop,
                       sylvester_positive_definite, torsion_loop, transform_tensor,
@@ -140,7 +141,7 @@ def test_euclidean_curvature_zero():
 def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     # the off-diagonal jets are empty, and an empty jet's value is an exact zero
     m = charts.euclidean_metric(3, exact=False)
-    assert m.value_matrix().dtype == complex
+    assert m.G.dtype == complex
     assert m.has_identity_base()
     pc = charts.riemannian_curvature_at(m)
     assert pc.kind.name == "float"
@@ -237,8 +238,8 @@ def test_sigma_pencil_is_parallel_only_at_kaehler_and_normal_metric():
 @pytest.mark.parametrize("exact", [True, False])
 def test_riemannian_curvature_reads_the_jets_once(monkeypatch, exact):
     calls = []
-    jet_arrays = charts._jet_arrays
-    monkeypatch.setattr(charts, "_jet_arrays", lambda m: calls.append(m) or jet_arrays(m))
+    read = charts._jet_coefficients
+    monkeypatch.setattr(charts, "_jet_coefficients", lambda *a: calls.append(a) or read(*a))
     charts.riemannian_curvature_at(charts.wallach_metric(exact=exact))
     assert len(calls) == 1
 
@@ -281,6 +282,21 @@ EXACT_BASE = [[EC(2), EC(Fraction(1, 2), Fraction(1, 3)), EC(0)],
               [EC(Fraction(1, 2), Fraction(-1, 3)), EC(3), EC(Fraction(1, 4))],
               [EC(0), EC(Fraction(1, 4)), EC(1)]]
 FLOAT_BASE = [[complex(c) for c in row] for row in EXACT_BASE]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("on_base", [False, True])
+def test_coefficient_arrays_match_jet_derivatives(exact, on_base):
+    # hh is doubled on its diagonal, as Jet2.deriv; the random jets carry
+    # every monomial, so each entry of each array is pinned
+    base = (EXACT_BASE if exact else FLOAT_BASE) if on_base else None
+    m = random_chart_metric(np.random.default_rng(4), exact, base=base)
+    for got, want in zip((m.G, m.dg, m.dgb, m.hh, m.ha), jet_coefficients_loop(m)):
+        assert got.dtype == m.kind.dtype
+        assert np.array_equal(got, np.array(want, m.kind.dtype))
+    assert m.has_identity_base() != on_base
+    if exact:
+        assert np.array_equal(m.Ginv @ m.G, np.identity(3, int))
 
 
 def _assert_close(got, want, rel=1e-12):
@@ -695,7 +711,7 @@ def test_exact_builders_read_real_arguments_exactly():
         assert m.g == charts.wallach_metric(sigma_scale=Fraction(1, 2)).g
     fs = charts.fubini_study_metric(point=[0.5, 0, 0])
     assert fs.g == charts.fubini_study_metric(point=["1/2", 0, 0]).g
-    assert fs.value_matrix()[0][0] == Fraction(16, 25)    # 1 / (1 + 1/4)^2
+    assert fs.G[0][0] == Fraction(16, 25)    # 1 / (1 + 1/4)^2
 
 
 def test_exact_normalized_sectional_stays_rational_at_any_scale():
@@ -722,6 +738,22 @@ def test_chart_metric_validation():
     with pytest.raises(ValueError):
         charts.ChartMetric(2, [[zero, fone], [fone, fone]])
     assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).kind.exact
+
+
+def test_chart_metric_checks_the_dimension_of_its_jets():
+    one3, zero3 = Jet2.constant(3, EC(1)), Jet2(3)
+    one, zero = Jet2.constant(2, EC(1)), Jet2(2)
+    # g_{1 1bar} = 1 + z1 z1bar in three variables, whose z1bar would be read
+    # as z2bar of a two-variable chart
+    g11 = one3 + Jet2.z(3, 0) * Jet2.zbar(3, 0)
+    for n, g in ((2, [[g11, zero3], [zero3, one3]]), (3, [[one, zero], [zero, one]]),
+                 (3, [[one3] * 3] * 2), (2, [[one, zero], [zero]]),
+                 (2, [[one, zero], [zero, EC(1)]])):
+        with pytest.raises(ValueError, match="grid of jets"):
+            charts.ChartMetric(n, g)
+    g11 = one + Jet2.z(2, 0) * Jet2.zbar(2, 0)
+    Rc = charts.chern_curvature_at(charts.ChartMetric(2, [[g11, zero], [zero, one]]))
+    assert (Rc[0, 0, 0, 0], Rc[0, 1, 0, 0]) == (-1, 0)
 
 
 @st.composite

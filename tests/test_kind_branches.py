@@ -122,12 +122,12 @@ def test_private_read_counter():
     src = """
 from . import charts, lie as L
 from .scalars import EC, _raw
-charts._jet_arrays(m)
+charts._jet_coefficients(g, kind)
 L._ec(1)
 charts.wallach_metric()
 obj._private
 """
-    assert private_reads(src) == ["scalars._raw", "charts._jet_arrays", "L._ec"]
+    assert private_reads(src) == ["scalars._raw", "charts._jet_coefficients", "L._ec"]
 
 
 @pytest.mark.parametrize("module", ["goldens.py", "cli.py"])

@@ -122,15 +122,18 @@ def test_companion_builds_one_bracket_table_per_algebra(monkeypatch, capsys):
 
 def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
     calls = Counter()
-    _count_bodies(monkeypatch, calls, charts._jet_arrays, charts._torsion, charts._chern,
-                  charts._ricci, charts._btp_residuals)
+    monkeypatch.setattr(charts, "_jet_coefficients",
+                        _counter(calls)("_jet_coefficients", charts._jet_coefficients))
+    _count_bodies(monkeypatch, calls, charts.chern_torsion_at, charts.chern_curvature_at,
+                  charts.ricci_forms_at, charts.btp_residual_at)
     assert main(["verify", "--example", "wallach"]) == 1     # criterion 4 stays red
     capsys.readouterr()
-    # ricci_forms_at and riemannian_curvature_at share one Ricci trace; the
-    # two sectional checks and the stacked Ricci evaluation of the twelve
-    # frame directions read the r11 and r20 arrays of one PointCurvature
-    assert calls == {"_jet_arrays": 1, "_torsion": 1, "_chern": 1, "_ricci": 1,
-                     "_btp_residuals": 1}
+    # the metric reads its jets once; ricci_forms_at and riemannian_curvature_at
+    # share one Ricci trace; the two sectional checks and the stacked Ricci
+    # evaluation of the twelve frame directions read the r11 and r20 arrays of
+    # one PointCurvature
+    assert calls == {"_jet_coefficients": 1, "chern_torsion_at": 1, "chern_curvature_at": 1,
+                     "ricci_forms_at": 1, "btp_residual_at": 1}
 
 
 def test_each_main_call_builds_its_own_two_parsers(monkeypatch, capsys):
@@ -164,28 +167,24 @@ def test_memo_lives_on_its_object():
 
 def test_cached_chart_tables_are_read_only():
     m = charts.wallach_metric()
-    J = charts._jet_arrays(m)
-    assert charts._jet_arrays(m) is J
-    assert charts._jet_arrays(charts.wallach_metric()) is not J
+    tables = (charts.chern_torsion_at, charts.chern_curvature_at, charts.ricci_forms_at,
+              charts.btp_residual_at)
+    for fn in tables:
+        assert fn(m) is fn(m)
+        assert fn(charts.wallach_metric()) is not fn(m)
     pc = charts.riemannian_curvature_at(m)
     pcf = charts.riemannian_curvature_at(charts.wallach_metric(exact=False))
-    assert pc.torsion is charts._torsion(J) and pc.rc is charts._chern(J)
+    assert pc.torsion is charts.chern_torsion_at(m) and pc.rc is charts.chern_curvature_at(m)
+    assert all(a is b for a, b in zip((pc.ric1, pc.ric2, pc.ric3), charts.ricci_forms_at(m)))
     fields = ("torsion", "rc", "ric1", "ric2", "ric3", "r11", "r20")
-    tables = [getattr(p, f) for p in (pc, pcf) for f in fields]
-    assert [a.dtype for a in tables] == [object] * 7 + [complex] * 7
-    cached = [J.dg, J.dgb, J.hh, J.ha, J.g, J.ginv, J.gam, charts._torsion(J),
-              charts._chern(J), *charts._ricci(J), *charts._btp_residuals(J), *tables]
+    point = [getattr(p, f) for p in (pc, pcf) for f in fields]
+    assert [a.dtype for a in point] == [object] * 7 + [complex] * 7
+    # the metric's arrays and the public functions' tables are the cached
+    # arrays themselves; a write to any of them raises
+    cached = [m.G, m.Ginv, m.dg, m.dgb, m.hh, m.ha, m.gam, charts.chern_torsion_at(m),
+              charts.chern_curvature_at(m), *charts.ricci_forms_at(m),
+              *charts.btp_residual_at(m), *point]
     for a in cached:
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1
-    # public functions hand out the cached arrays themselves, and G; a write raises
-    assert charts.chern_torsion_at(m) is charts._torsion(J)
-    assert charts.chern_curvature_at(m) is charts._chern(J)
-    assert charts.ricci_forms_at(m) is charts._ricci(J)
-    assert charts.btp_residual_at(m) is charts._btp_residuals(J)
-    assert m.value_matrix() is J.g
-    for a in (charts.chern_torsion_at(m), charts.chern_curvature_at(m), m.value_matrix(),
-              *charts.ricci_forms_at(m), *charts.btp_residual_at(m)):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     assert charts.chern_torsion_at(m)[1, 0, 2] == 1

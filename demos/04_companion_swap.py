@@ -14,8 +14,8 @@ a = Fraction(1, 2)
 g = lie.nilmanifold_n3(a)
 sw = lie.conjugate_swap(g, {1})
 
-print("original  d phi_3 =", g.ctx.d_phi(2))
-print("swapped   d psi_3 =", sw.ctx.d_phi(2))
+print("original  d phi_3 =", g.d_phi(2))
+print("swapped   d psi_3 =", sw.d_phi(2))
 
 rep0 = lie.classify(g)
 rep1 = lie.classify(sw)

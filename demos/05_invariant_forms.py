@@ -22,16 +22,16 @@ print("   conj(phi1 ^ phibar1) =", phi(0).wedge(phibar(0)).conj())
 
 print("\nstructure equation:")
 for i in range(3):
-    print(f"   d phi_{i+1} =", g.ctx.d_phi(i))
-print("   d^2 phi_3 =", exterior_d(g.ctx, g.ctx.d_phi(2)))
+    print(f"   d phi_{i+1} =", g.d_phi(i))
+print("   d^2 phi_3 =", exterior_d(g, g.d_phi(2)))
 
 Phi = phi(2).wedge(phibar(2))
-sp = dolbeault_split(g.ctx, Phi)
+sp = dolbeault_split(g, Phi)
 print("\nDolbeault split of phi_{3 3b}:")
 print("   del    part:", sp.del_part)
 print("   delbar part:", sp.delbar_part)
 
-ddbar = exterior_d(g.ctx, sp.delbar_part).bidegree_part(2, 2)
+ddbar = exterior_d(g, sp.delbar_part).bidegree_part(2, 2)
 print("   del delbar :", ddbar)
 print("   coefficient on phi_{1 1b} ^ phi_{2 2b}:",
       ddbar.coeff((0, 1), (0, 1)).re * -1, "(= 2 a^2)")

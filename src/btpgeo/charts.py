@@ -93,11 +93,12 @@ class ChartMetric:
         kind = kind_of(next((c for row in g for f in row for c in f.coeffs.values()),
                             EC.zero()))
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 d = g[i][j] - g[j][i].conj()
                 if d.is_zero():
                     continue
-                tol = 1e-10 * max(g[i][j].norm_inf(), 1.0)
+                # the pair (j, i) has the residual -conj(d), of the same size
+                tol = 1e-10 * max(min(g[i][j].norm_inf(), g[j][i].norm_inf()), 1.0)
                 if not all(kind.negligible(c, tol) for c in d.coeffs.values()):
                     raise ValueError("metric jets must be hermitian")
         G, dg, dgb, hh, ha = _jet_coefficients(g, kind)

@@ -325,7 +325,12 @@ def _command_parser(name: str) -> _Parser:
 def main(argv=None) -> int:
     try:
         top = build_parser().parse_args(argv)
-        return COMMANDS[top.command].fn(_command_parser(top.command).parse_args(top.args))
+        args = _command_parser(top.command).parse_args(top.args)
+        # argparse reads '--opt=--' as an empty list of values
+        listed = [dest for dest, value in vars(args).items() if isinstance(value, list)]
+        if listed:
+            raise CliError(f"--{listed[0].replace('_', '-')} needs a value", EXIT_USAGE)
+        return COMMANDS[top.command].fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -161,9 +161,6 @@ class InvariantForm:
             return kind_of(next(iter(self.terms.values()), EC.zero())).zero
         return c
 
-    def degrees(self) -> set:
-        return {m.bit_count() for m in self.terms}
-
     def _bidegree_of(self, m: int) -> Tuple[int, int]:
         return (m & ((1 << self.n) - 1)).bit_count(), (m >> self.n).bit_count()
 
@@ -301,13 +298,10 @@ class CoframeContext:
         object.__setattr__(self, "_d", tuple(dphi) + tuple(f.conj() for f in dphi))
 
     def __setattr__(self, *_):
-        raise AttributeError("CoframeContext is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def d_phi(self, i: int) -> InvariantForm:
         return self._d[i]
-
-    def d_phibar(self, i: int) -> InvariantForm:
-        return self._d[self.n + i]
 
 
 def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:

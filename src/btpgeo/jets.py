@@ -166,12 +166,6 @@ class Jet2:
             acc[key] = acc[key] + cc if key in acc else cc
         return Jet2(self.n, acc)
 
-    def partial_z(self, i: int) -> "Jet2":
-        return self.partial(i)
-
-    def partial_zbar(self, i: int) -> "Jet2":
-        return self.partial(self.n + i)
-
     def truncate(self, max_degree: int) -> "Jet2":
         """Drop coefficients above the given total degree."""
         return Jet2(self.n, {m: c for m, c in self.coeffs.items()

@@ -1,21 +1,22 @@
 """Hermitian Lie algebras: torsion, connections, curvature, classification.
 
-A Hermitian Lie algebra is given by structure constants C^j_{ik} (bracket of
-(1,0) frame fields) and D^j_{ik} (mixed brackets), carried by a
-``CoframeContext``.  From these the module computes the Chern torsion and
-connection, the Bismut connection theta^b = theta + gamma, curvature
-matrices Theta = d theta - theta ^ theta, the sparse bracket table of the
-underlying real algebra, and the predicate vector used to sort algebras into
-the flat / rank-one / middle-type landscape.  Each table is built once per
+A Hermitian Lie algebra is the ``CoframeContext`` of its structure
+constants C^j_{ik} (bracket of (1,0) frame fields) and D^j_{ik} (mixed
+brackets).  From these the module computes the Chern torsion and connection,
+the Bismut connection theta^b = theta + gamma, curvature matrices Theta =
+d theta - theta ^ theta, the sparse bracket table of the underlying real
+algebra, and the predicate vector used to sort algebras into the flat /
+rank-one / middle-type landscape.  Each table is built once per
 algebra, straight from the nonzero structure constants: theta^b is linear
 in them, the connection of D + T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -57,8 +58,9 @@ def _form_is_zero(f: InvariantForm, kind: Kind) -> bool:
 # the algebra
 # --------------------------------------------------------------------------
 
-class HermitianLieAlgebra:
-    """Dimension n plus structure constants; validated on construction.
+class HermitianLieAlgebra(CoframeContext):
+    """The coframe context of dimension n and structure constants, with a
+    label; validated on construction.
 
     ``C[j][i][k]`` holds C^j_{ik} (antisymmetric in i, k) and ``D[j][i][k]``
     holds D^j_{ik}; all 0-based.  Construction rejects non-integrable data:
@@ -66,30 +68,22 @@ class HermitianLieAlgebra:
     Derived tables are ``memoized`` on it.
     """
 
-    __slots__ = ("n", "C", "D", "label", "ctx", "kind", "_memo")
+    __slots__ = ("label", "_memo")
 
     def __init__(self, n: int, C, D, label: str = "", validate: bool = True):
-        ctx = CoframeContext(n, C, D)
+        super().__init__(n, C, D)
         if validate:
-            residuals = d_squared_residual(ctx)
+            residuals = d_squared_residual(self)
             bad = [i for i, r in enumerate(residuals)
-                   if not _form_is_zero(r, ctx.kind)]
+                   if not _form_is_zero(r, self.kind)]
             if bad:
                 if not all_finite(c for r in residuals for c in r.terms.values()):
                     raise NumericError("non-finite d^2 residual")
                 names = ", ".join(f"d^2 phi_{i+1}" for i in bad)
                 raise IntegrabilityError(
                     f"structure constants are not integrable: {names} nonzero")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "C", ctx.C)
-        object.__setattr__(self, "D", ctx.D)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "kind", ctx.kind)
         object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, *_):
-        raise AttributeError("HermitianLieAlgebra is immutable")
 
     def __repr__(self):
         return f"HermitianLieAlgebra(n={self.n}, label={self.label!r})"
@@ -230,7 +224,7 @@ def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
 class TorsionTensor:
     """Chern torsion components T^j_{ik}, antisymmetric in (i, k)."""
 
-    __slots__ = ("n", "T", "kind", "_array")
+    __slots__ = ("n", "T", "kind")
 
     def __init__(self, n: int, T):
         kind = common_kind(c for l in T for r in l for c in r)
@@ -246,22 +240,24 @@ class TorsionTensor:
         return self.T[j][i][k]
 
     def array(self) -> np.ndarray:
-        """T as a read-only n x n x n array of its kind."""
-        return self._array
+        """T as a new read-only n x n x n array of its kind."""
+        arr = np.array(self.T, self.kind.dtype)
+        arr.flags.writeable = False
+        return arr
 
     def is_zero(self) -> bool:
-        return bool(self.kind.negligible(self._array).all())
+        return all(self.kind.negligible(c) for layer in self.T for r in layer for c in r)
 
     def matches(self, expected) -> bool:
-        """Whether T - expected is negligible entrywise."""
-        return bool(self.kind.negligible(self._array - expected).all())
+        """Whether T - expected is negligible entrywise (expected: nested
+        sequences or an array)."""
+        return all(self.kind.negligible(c - e) for layer, el in zip(self.T, expected)
+                   for r, er in zip(layer, el) for c, e in zip(r, er))
 
 
 def _fill_torsion(t: TorsionTensor, n: int, T, kind: Kind) -> TorsionTensor:
     T = tuple(tuple(map(tuple, layer)) for layer in T)
-    arr = np.array(T, kind.dtype)
-    arr.flags.writeable = False
-    for name, value in (("n", n), ("T", T), ("kind", kind), ("_array", arr)):
+    for name, value in (("n", n), ("T", T), ("kind", kind)):
         object.__setattr__(t, name, value)
     return t
 
@@ -300,10 +296,6 @@ class ConnectionMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def is_skew_hermitian(self) -> bool:
-        return all(_form_is_zero(self.entries[i][j] + self.entries[j][i].conj(), self.kind)
-                   for i in range(self.n) for j in range(self.n))
 
     def trace(self) -> InvariantForm:
         return sum((self.entries[i][i] for i in range(self.n)), InvariantForm.zero(self.n))
@@ -369,22 +361,23 @@ def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatri
 
 
 def chern_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
-    return curvature_of(g.ctx, chern_connection(g))
+    return curvature_of(g, chern_connection(g))
 
 
 def bismut_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
-    return curvature_of(g.ctx, bismut_connection(g))
+    return curvature_of(g, bismut_connection(g))
 
 
 # --------------------------------------------------------------------------
 # scalar invariants and predicates
 # --------------------------------------------------------------------------
 
-def b_tensor(T: TorsionTensor) -> np.ndarray:
+def b_tensor(T: TorsionTensor):
     """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}); hermitian nonnegative,
-    an array of T's kind."""
-    arr = T.array()
-    return np.einsum("jrs,irs->ij", arr, arr.conj())
+    rows (nested tuples) of T's kind."""
+    flat = [[c for r in layer for c in r] for layer in T.T]
+    conj = [[c.conjugate() for c in row] for row in flat]
+    return tuple(tuple(sum(map(mul, tj, ci), T.kind.zero) for tj in flat) for ci in conj)
 
 
 def gauduchon_eta(T: TorsionTensor) -> InvariantForm:
@@ -427,12 +420,6 @@ def _btp_residuals_from(T: "TorsionTensor", tb: "ConnectionMatrix"):
             for i in range(n) for j in range(n) for k in range(n)}
 
 
-def check_btp(g: HermitianLieAlgebra):
-    """True iff every parallel-torsion residual vanishes; returns residuals too."""
-    res = btp_residuals(g)
-    return all(_form_is_zero(f, g.kind) for f in res.values()), res
-
-
 def check_unimodular(g: HermitianLieAlgebra) -> bool:
     """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i."""
     for i in range(g.n):
@@ -447,26 +434,6 @@ def check_unimodular(g: HermitianLieAlgebra) -> bool:
 def _curvature_trace(ctx: CoframeContext, theta: ConnectionMatrix) -> InvariantForm:
     """tr Theta = d(tr theta), as tr(theta ^ theta) = sum_{i,k} theta_ik ^ theta_ki = 0."""
     return exterior_d(ctx, theta.trace())
-
-
-def first_bismut_ricci(g: HermitianLieAlgebra) -> InvariantForm:
-    """sqrt(-1) tr Theta^b."""
-    return _curvature_trace(g.ctx, bismut_connection(g)).scale(g.kind.i)
-
-
-def first_chern_ricci(g: HermitianLieAlgebra) -> InvariantForm:
-    """sqrt(-1) tr Theta (Chern)."""
-    return _curvature_trace(g.ctx, chern_connection(g)).scale(g.kind.i)
-
-
-def check_cyt(g: HermitianLieAlgebra) -> bool:
-    """Vanishing first Bismut Ricci curvature."""
-    return _form_is_zero(_curvature_trace(g.ctx, bismut_connection(g)), g.kind)
-
-
-def check_calabi_yau_type(g: HermitianLieAlgebra) -> bool:
-    """Invariant trivialization of the canonical bundle: tr theta = 0."""
-    return _form_is_zero(chern_connection(g).trace(), g.kind)
 
 
 def vaisman_torsion_pattern(T: TorsionTensor):
@@ -520,11 +487,12 @@ def solvability_profile(g: HermitianLieAlgebra):
     """(nilpotent_steps, solvable_steps) of the underlying real Lie algebra.
 
     Steps count the nonzero terms of the lower central / derived series;
-    ``None`` marks a series that stabilizes without reaching zero.  Both
-    start at [g, g], spanned by the nonzero [b_x, b_y], x < y, with no
-    product.  The lower central term after W is spanned by the [b_x, w] for
-    w in a basis of W, one table row per b_x; the derived term by the [u, v]
-    for basis pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.
+    ``None`` marks a series that stabilizes without reaching zero, or a
+    float series that has not ended within dim terms.  Both start at
+    [g, g], spanned by the nonzero [b_x, b_y], x < y, with no product.  The
+    lower central term after W is spanned by the [b_x, w] for w in a basis
+    of W, one table row per b_x; the derived term by the [u, v] for basis
+    pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.
     Every product reads the (m, c) pairs of the sparse bracket table.
     """
     table = real_bracket_table(g)
@@ -555,13 +523,16 @@ def solvability_profile(g: HermitianLieAlgebra):
     first = row_basis([[b.get(m, kind.zero) for m in range(dim)] for b in brackets], kind)
 
     def series(next_term):
-        size, cur, steps = dim, first, 1
-        while cur:
+        # an exact term is smaller than the one before, so the series ends
+        # within dim terms; a float one that has not ended by then never will
+        size, cur = dim, first
+        for steps in range(1, dim + 1):
+            if not cur:
+                return steps
             if len(cur) == size:
                 return None     # stabilized above zero
-            size, steps = len(cur), steps + 1
-            cur = row_basis(next_term(cur), kind)
-        return steps
+            size, cur = len(cur), row_basis(next_term(cur), kind)
+        return None
 
     return series(lower_central), series(derived)
 
@@ -646,8 +617,8 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
         if g.kind.negligible(a) or not T.matches(diagonal_torsion(3, a, (1, -1))):
             raise PatternError("torsion is not in the admissible middle-type pattern")
     Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,), g.kind.one)
-    split = dolbeault_split(g.ctx, Phi)
-    ddbar = exterior_d(g.ctx, split.delbar_part).bidegree_part(2, 2)
+    split = dolbeault_split(g, Phi)
+    ddbar = exterior_d(g, split.delbar_part).bidegree_part(2, 2)
     return ddbar
 
 
@@ -689,23 +660,8 @@ class ClassificationReport:
     vaisman_pattern: bool
 
     def to_json(self):
-        return {
-            "label": self.label,
-            "n": self.n,
-            "balanced": self.balanced,
-            "btp": self.btp,
-            "unimodular": self.unimodular,
-            "cyt": self.cyt,
-            "calabi_yau_type": self.calabi_yau_type,
-            "b_rank": self.b_rank,
-            "nilpotent_steps": self.nilpotent_steps,
-            "solvable_steps": self.solvable_steps,
-            "eta": self.eta.to_json(),
-            "bismut_ricci": self.bismut_ricci.to_json(),
-            "chern_ricci": self.chern_ricci.to_json(),
-            "type_label": self.type_label,
-            "vaisman_pattern": self.vaisman_pattern,
-        }
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: v.to_json() if isinstance(v, InvariantForm) else v for k, v in values}
 
 
 def classify(g: HermitianLieAlgebra) -> ClassificationReport:
@@ -731,11 +687,11 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
               for f in _btp_residuals_from(T, theta_b).values())
     unimod = check_unimodular(g)
     b_rank = hermitian_rank(b_tensor(T))
-    diagonal = [_curvature_entry(g.ctx, theta, i, i) for i in range(n)]
+    diagonal = [_curvature_entry(g, theta, i, i) for i in range(n)]
     chern_flat = (all(_form_is_zero(f, g.kind) for f in diagonal)
-                  and all(_form_is_zero(_curvature_entry(g.ctx, theta, i, j), g.kind)
+                  and all(_form_is_zero(_curvature_entry(g, theta, i, j), g.kind)
                           for i in range(n) for j in range(n) if i != j))
-    bismut_trace = _curvature_trace(g.ctx, theta_b)
+    bismut_trace = _curvature_trace(g, theta_b)
     cyt = _form_is_zero(bismut_trace, g.kind)
     cy_type = _form_is_zero(theta.trace(), g.kind)
     nil_steps, solv_steps = solvability_profile(g)

@@ -105,18 +105,18 @@ def matrix_inverse(mat, kind: Kind) -> np.ndarray:
 
 
 def hermitian_rank(B) -> int:
-    """Rank of a hermitian matrix, an array of either scalar kind.
+    """Rank of a hermitian matrix: a square nested sequence or array of
+    either scalar kind, whose rows are read once as Python scalars.
 
     Exact entries are row-reduced by ``row_basis``; float entries are ranked
     by counting eigenvalues above ``n * max|B| * 1e-12``.  A non-finite
     float entry (an overflow upstream) raises NumericError.
     """
-    B = np.asarray(B)
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or not B.size:
-        raise DimensionError("hermitian_rank needs a square matrix")
-    kind = kind_of(B.flat[0])
-    rows = B.tolist()
+    rows = B.tolist() if isinstance(B, np.ndarray) else [list(r) for r in B]
     n = len(rows)
+    if not n or any(not isinstance(r, list) or len(r) != n for r in rows):
+        raise DimensionError("hermitian_rank needs a square matrix")
+    kind = kind_of(rows[0][0])
     if not all(kind.negligible(rows[i][j] - rows[j][i].conjugate(), 1e-12)
                for i in range(n) for j in range(i, n)):
         if not all_finite(x for r in rows for x in r):
@@ -124,6 +124,7 @@ def hermitian_rank(B) -> int:
         raise ShapeError("matrix is not hermitian")
     if kind.exact:
         return exact_rank(rows)
+    B = np.array(rows, complex)
     ev = np.linalg.eigvalsh(B)
     return int(np.sum(np.abs(ev) > n * np.abs(B).max() * 1e-12))
 

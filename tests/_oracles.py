@@ -10,7 +10,7 @@ import numpy as np
 
 from btpgeo import lie
 from btpgeo.charts import ChartMetric, PointCurvature
-from btpgeo.forms import InvariantForm
+from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.linalg import matrix_inverse, row_basis
@@ -118,7 +118,7 @@ def torsion_jets(m):
             for k in range(n):
                 acc = Jet2(n)
                 for l in range(n):
-                    acc = acc + (G[k][l].partial_z(i) - G[i][l].partial_z(k)) * Ginv[l][j]
+                    acc = acc + (G[k][l].partial(i) - G[i][l].partial(k)) * Ginv[l][j]
                 tj[j][i][k] = acc.truncate(1)
     return tj
 
@@ -588,7 +588,7 @@ def exterior_d_leibniz(ctx, a):
     for (I, J), c in form_monomials(a):
         factors = [(0, i) for i in I] + [(1, j) for j in J]
         for t, (bar, idx) in enumerate(factors):
-            dfac = ctx.d_phibar(idx) if bar else ctx.d_phi(idx)
+            dfac = ctx.d_phi(idx).conj() if bar else ctx.d_phi(idx)
             before, after = factors[:t], factors[t + 1:]
             pre = InvariantForm.monomial(
                 n, [i for k, i in before if k == 0], [i for k, i in before if k == 1],
@@ -787,4 +787,16 @@ def btp_residuals_triple_loop(T, tb):
 
 def bismut_trace_full_curvature(g):
     """tr Theta^b from the full Bismut curvature matrix."""
-    return lie.curvature_of(g.ctx, lie.bismut_connection(g)).trace()
+    return lie.curvature_of(g, lie.bismut_connection(g)).trace()
+
+
+def first_chern_ricci(g):
+    """sqrt(-1) tr Theta (Chern) by d(tr theta), as tr(theta ^ theta) = 0."""
+    return exterior_d(g, lie.chern_connection(g).trace()).scale(g.kind.i)
+
+
+def is_skew_hermitian(mat):
+    """Whether a connection or curvature matrix has entry(i, j) =
+    -conj(entry(j, i)), by the zero test of its kind."""
+    return all(mat.kind.negligible(c) for i in range(mat.n) for j in range(mat.n)
+               for c in (mat[i, j] + mat[j, i].conj()).terms.values())

@@ -17,7 +17,7 @@ from btpgeo import charts
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.linalg import row_basis
-from btpgeo.scalars import EC, EXACT
+from btpgeo.scalars import EC, EXACT, FLOAT
 
 
 def _max_abs(*tables):
@@ -738,6 +738,59 @@ def test_chart_metric_validation():
     with pytest.raises(ValueError):
         charts.ChartMetric(2, [[zero, fone], [fone, fone]])
     assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).kind.exact
+
+
+def _hermitian_over_ordered_pairs(g, kind):
+    """The hermitian rule over all n^2 ordered pairs (i, j), each with the
+    float tolerance 1e-10 * max(|g_ij|, 1) of its first jet."""
+    n = len(g)
+    return all(kind.negligible(c, 1e-10 * max(g[i][j].norm_inf(), 1.0))
+               for i in range(n) for j in range(n)
+               for c in (g[i][j] - g[j][i].conj()).coeffs.values())
+
+
+def _off_diagonal_metric(scale, pair, delta, kind):
+    """A positive 3 x 3 metric whose off-diagonal jets are scale * (1 + i z1),
+    hermitian but for delta added to the z2bar coefficient of the jet at pair."""
+    c = kind.scalar(scale)
+    diag = Jet2.constant(3, c * 5 + 1)
+    upper = (Jet2.constant(3, kind.one) + Jet2.z(3, 0, kind).scale(kind.i)).scale(c)
+    g = [[diag if i == j else upper if i < j else upper.conj() for j in range(3)]
+         for i in range(3)]
+    i, j = pair
+    g[i][j] = g[i][j] + Jet2.zbar(3, 1, kind).scale(kind.scalar(delta))
+    return g
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+def test_hermitian_check_finds_a_mismatch_in_either_triangle(pair):
+    # the check reads each unordered pair once, so a mismatch in the lower
+    # triangle is found as surely as one in the upper
+    for kind, delta, hermitian in ((FLOAT, 1e-6, False), (FLOAT, 1e-12, True),
+                                   (EXACT, Fraction(1, 10 ** 12), False),
+                                   (EXACT, 0, True)):
+        g = _off_diagonal_metric(1, pair, delta, kind)
+        assert _hermitian_over_ordered_pairs(g, kind) is hermitian
+        if hermitian:
+            assert charts.ChartMetric(3, g).kind is kind
+        else:
+            with pytest.raises(ValueError, match="hermitian"):
+                charts.ChartMetric(3, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]),
+       st.integers(-3, 8), st.floats(-13.5, -9.0))
+def test_hermitian_check_accepts_what_the_ordered_pairs_accept(pair, log_scale, log_delta):
+    # tolerances near the bound at scales from 1e-3 to 1e8: one check per
+    # unordered pair accepts exactly the metrics the n^2 ordered checks accept
+    scale = 10.0 ** log_scale
+    g = _off_diagonal_metric(scale, pair, scale * 10.0 ** log_delta, FLOAT)
+    if _hermitian_over_ordered_pairs(g, FLOAT):
+        charts.ChartMetric(3, g)
+    else:
+        with pytest.raises(ValueError, match="hermitian"):
+            charts.ChartMetric(3, g)
 
 
 def test_chart_metric_checks_the_dimension_of_its_jets():

@@ -138,6 +138,29 @@ def test_float_overflow_is_an_error_not_a_traceback(tmp_path, entries, code, mes
     assert proc.stderr.count("\n") == 1       # no traceback and no numpy warning
 
 
+def test_float_classify_of_a_skewed_real_form_returns(tmp_path):
+    # a real form of sl(2, C) with one constant 1e12: the float ranks of its
+    # lower central series cycle 2, 4, 2, 4, ..., which kept the series
+    # running; the exact copy of the same constants gives null for both
+    entries = [{"j": 1, "i": 2, "k": 3, "coef": 1.0}, {"j": 2, "i": 1, "k": 3, "coef": 1e12},
+               {"j": 3, "i": 1, "k": 2, "coef": -1.0}]
+    steps = {}
+    for name, coefs in (("float", [e["coef"] for e in entries]),
+                        ("exact", [{"re": "1", "im": "0"}, {"re": str(10 ** 12), "im": "0"},
+                                   {"re": "-1", "im": "0"}])):
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps({"n": 3, "D": [], "C": [dict(e, coef=c) for e, c
+                                                          in zip(entries, coefs)]}))
+        proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "classify", "--input",
+                               str(doc)], capture_output=True, text=True, env=SOURCE_ENV,
+                              timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""
+        rep = json.loads(proc.stdout)
+        steps[name] = rep["nilpotent_steps"], rep["solvable_steps"]
+    assert steps["exact"] == (None, None)
+    assert steps["float"][0] is None
+
+
 def _scaled_float_doc(g, s):
     """The algebra's JSON with every coefficient a float, times s."""
     doc = g.to_json()
@@ -395,6 +418,22 @@ def test_empty_torsion_a_is_rejected(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--grid=--"),
+    ("verify", "--example", "n3", "--torsion-a=--"),
+    ("classify", "--input=--"),
+    ("companion", "--example=--"),
+    ("wallach", "--seed=--"),
+])
+def test_option_given_only_a_double_dash_exits_3(capsys, argv):
+    # argparse stores '--opt=--' as an empty list, which no command reads
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    option = argv[-1].split("=")[0]
+    assert err == f"error: {option} needs a value\n"
 
 
 def test_reports_byte_stable(tmp_path, capsys):

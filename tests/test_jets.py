@@ -60,9 +60,9 @@ def test_deriv_multiplicities():
 
 def test_partial_reduces_degree():
     f = z(0) * z(0) + z(0) * zb(1)
-    df = f.partial_z(0)
+    df = f.partial(0)
     assert df == z(0).scale(EC(2)) + zb(1)
-    assert f.partial_zbar(1) == z(0)
+    assert f.partial(f.n + 1) == z(0)
 
 
 coef = st.integers(-4, 4).map(lambda v: EC(v, 0))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (admissible_pattern_loop, bismut_trace_full_curvature,
-                      btp_residuals_triple_loop, real_bracket_table_dense,
-                      solvability_profile_all_pairs, transform_frame_loop,
-                      vaisman_torsion_pattern_loop)
+                      btp_residuals_triple_loop, first_chern_ricci, is_skew_hermitian,
+                      real_bracket_table_dense, solvability_profile_all_pairs,
+                      transform_frame_loop, vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
 from btpgeo.linalg import hermitian_rank
@@ -45,7 +45,7 @@ def test_n3_torsion_from_structure_equation():
     # derive D by matching d phi_3 against the structure equation, then apply
     # the torsion formula; must land in the admissible middle-type pattern
     g = lie.nilmanifold_n3(Fraction(2, 3))
-    d3 = g.ctx.d_phi(2)
+    d3 = g.d_phi(2)
     # coefficient of phi_j ^ phibar_k in d phi_3 is -conj(D^j_{3k})
     a = -d3.coeff((0,), (0,)).conjugate()
     assert a == EC(Fraction(2, 3))        # reads back D^1_{31}
@@ -132,7 +132,7 @@ def test_connections_skew_hermitian():
     for g in BUILTINS():
         for mat in (lie.chern_connection(g), lie.bismut_connection(g),
                     lie.gamma_tensor(lie.chern_torsion(g))):
-            assert mat.is_skew_hermitian()
+            assert is_skew_hermitian(mat)
 
 
 # ---- curvature ------------------------------------------------------------------
@@ -162,8 +162,8 @@ def test_family_a_bismut_curvature_pattern():
 
 def test_curvature_skew_hermitian():
     for g in BUILTINS():
-        assert lie.bismut_curvature(g).is_skew_hermitian()
-        assert lie.chern_curvature(g).is_skew_hermitian()
+        assert is_skew_hermitian(lie.bismut_curvature(g))
+        assert is_skew_hermitian(lie.chern_curvature(g))
 
 
 def test_float_curvature_skew_hermitian_after_frame_change():
@@ -172,8 +172,8 @@ def test_float_curvature_skew_hermitian_after_frame_change():
     g = _float_algebra(lie.family_a(1, -1))
     Q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))
     gP = lie.transform_frame(g, Q)
-    assert lie.chern_curvature(gP).is_skew_hermitian()
-    assert lie.bismut_curvature(gP).is_skew_hermitian()
+    assert is_skew_hermitian(lie.chern_curvature(gP))
+    assert is_skew_hermitian(lie.bismut_curvature(gP))
 
 
 def test_float_curvature_component_is_a_float_zero():
@@ -184,8 +184,7 @@ def test_float_curvature_component_is_a_float_zero():
 def test_btp_curvature_pair_symmetry():
     # parallel torsion forces R^b_{i jb k lb} = R^b_{k lb i jb}
     for g in BUILTINS():
-        ok, _ = lie.check_btp(g)
-        assert ok
+        assert lie.classify(g).btp
         tb = lie.bismut_curvature(g)
         for i in range(3):
             for j in range(3):
@@ -208,13 +207,13 @@ def test_b_tensor_special_diag():
         T3[i][j][k] = EC(v)
         T3[i][k][j] = EC(-v)
     B = lie.b_tensor(lie.TorsionTensor(3, T3))
-    assert [B[i, i] for i in range(3)] == [EC(8), EC(2), EC(Fraction(1, 2))]
-    assert B[0, 1].is_zero()
+    assert [B[i][i] for i in range(3)] == [EC(8), EC(2), EC(Fraction(1, 2))]
+    assert B[0][1].is_zero()
 
 
 def test_b_tensor_zero():
     B = lie.b_tensor(lie.chern_torsion(lie.abelian(3)))
-    assert all(B[i, j].is_zero() for i in range(3) for j in range(3))
+    assert all(B[i][j].is_zero() for i in range(3) for j in range(3))
 
 
 def test_b_tensor_middle_brute_force():
@@ -228,8 +227,8 @@ def test_b_tensor_middle_brute_force():
             for r in range(3):
                 for s in range(3):
                     acc = acc + T[j, r, s] * T[i, r, s].conjugate()
-            assert B[i, j] == acc
-    assert [B[i, i] for i in range(3)] == [EC(18), EC(18), EC(0)]
+            assert B[i][j] == acc
+    assert [B[i][i] for i in range(3)] == [EC(18), EC(18), EC(0)]
     assert hermitian_rank(B) == 2
 
 
@@ -241,8 +240,8 @@ def test_eta_examples():
 
 
 def test_btp_examples():
-    assert lie.check_btp(lie.nilmanifold_n3(1))[0]
-    assert lie.check_btp(lie.family_a(2, -2))[0]
+    assert lie.classify(lie.nilmanifold_n3(1)).btp
+    assert lie.classify(lie.family_a(2, -2)).btp
 
 
 def _perturbed_n3():
@@ -253,9 +252,9 @@ def _perturbed_n3():
 
 
 def test_btp_broken_by_perturbation():
-    ok, res = lie.check_btp(_perturbed_n3())
-    assert not ok
-    assert any(not f.is_zero() for f in res.values())
+    g = _perturbed_n3()
+    assert not lie.classify(g).btp
+    assert any(not f.is_zero() for f in lie.btp_residuals(g).values())
 
 
 def test_unimodular_examples():
@@ -270,15 +269,15 @@ def test_unimodular_examples():
 
 def test_cyt_and_calabi_yau_type():
     for s, t in ((1, -1), (2, 1), (0, 0), (Fraction(1, 2), Fraction(-1, 2))):
-        g = lie.family_a(s, t)
-        assert lie.check_cyt(g)
-        assert lie.check_calabi_yau_type(g) == (Fraction(s) + Fraction(t) == 0)
-    assert lie.check_cyt(lie.abelian(3)) and lie.check_calabi_yau_type(lie.abelian(3))
-    g = lie.vaisman_nilmanifold(1)
-    assert not lie.check_cyt(g)
-    ric = lie.first_bismut_ricci(g)
+        rep = lie.classify(lie.family_a(s, t))
+        assert rep.cyt
+        assert rep.calabi_yau_type == (Fraction(s) + Fraction(t) == 0)
+    rep = lie.classify(lie.abelian(3))
+    assert rep.cyt and rep.calabi_yau_type
+    rep = lie.classify(lie.vaisman_nilmanifold(1))
+    assert not rep.cyt
     want = (phi(0).wedge(phibar(0)) + phi(1).wedge(phibar(1))).scale(EC(0, -4))
-    assert ric == want
+    assert rep.bismut_ricci == want
 
 
 def test_solvability_profiles():
@@ -573,7 +572,7 @@ def _assert_tables_agree_with_oracles(g):
     assert checked.kind is T.kind is g.kind and checked.T == T.T
     th, ga, tb = lie.chern_connection(g), lie.gamma_tensor(T), lie.bismut_connection(g)
     assert all(tb[i, j] == th[i, j] + ga[i, j] for i in range(n) for j in range(n))
-    full = lie.curvature_of(g.ctx, th)
+    full = lie.curvature_of(g, th)
     rep = lie.classify(g)
     flat = all(full[i, j].is_zero() for i in range(n) for j in range(n))
     assert (rep.type_label == "chern_flat") is flat
@@ -587,10 +586,9 @@ def _assert_stages_agree_with_oracles(g):
     res, want = lie._btp_residuals_from(T, tb), btp_residuals_triple_loop(T, tb)
     assert list(res) == list(want) and res == want
     trace = bismut_trace_full_curvature(g)
-    assert lie.first_bismut_ricci(g) == trace.scale(EC(0, 1))
-    assert lie.check_cyt(g) is trace.is_zero()
-    assert lie.first_chern_ricci(g) == lie.chern_curvature(g).trace().scale(EC(0, 1))
+    assert first_chern_ricci(g) == lie.chern_curvature(g).trace().scale(EC(0, 1))
     rep = lie.classify(g)
+    assert rep.cyt is trace.is_zero()
     assert rep.bismut_ricci == trace.scale(EC(0, 1))
     assert rep.btp is all(f.is_zero() for f in want.values())
 

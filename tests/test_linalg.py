@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,34 @@ def test_rank_float_unitary_conjugation_invariant():
         C = Q @ B @ Q.conj().T
         C = (C + C.conj().T) / 2
         assert hermitian_rank(C) == 2
+
+
+# hermitian matrices of exact entries and their ranks
+RANK_CASES = [
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 0]], 2),
+    ([[0, 0, 0]] * 3, 0),
+    ([[1, EC(0, 1)], [EC(0, -1), 1]], 1),
+    ([[1, EC(0, 1)], [EC(0, -1), 2]], 2),
+    ([[Fraction(1, 3), EC(1, -1), 0], [EC(1, 1), 7, EC(0, 2)], [0, EC(0, -2), -1]], 3),
+    ([[1]], 1),
+]
+RANK_FORMS = {
+    "exact nested tuples": lambda rows: tuple(map(tuple, rows)),
+    "float nested tuples": lambda rows: tuple(tuple(map(complex, r)) for r in rows),
+    "object array": lambda rows: np.array(rows, object),
+    "complex array": lambda rows: np.array(rows, complex),
+}
+
+
+@pytest.mark.parametrize("form", sorted(RANK_FORMS))
+def test_hermitian_rank_reads_nested_sequences_and_arrays_alike(form):
+    for rows, rank in RANK_CASES:
+        exact = [[c if isinstance(c, EC) else EC(Fraction(c), 0) for c in r] for r in rows]
+        assert hermitian_rank(RANK_FORMS[form](exact)) == rank, rows
+    with pytest.raises(ShapeError):
+        hermitian_rank(RANK_FORMS[form]([[EC(1), EC(2)], [EC(3), EC(1)]]))
+    with pytest.raises(DimensionError):
+        hermitian_rank(RANK_FORMS[form]([[EC(1), EC(2), EC(3)], [EC(2), EC(1), EC(0)]]))
 
 
 def test_exact_rank_rectangular():
@@ -219,7 +248,11 @@ def test_rank_and_takagi_take_plain_arrays_of_either_kind():
 def test_rank_reports_nonfinite_float_entries():
     # an overflowed B is not hermitian entrywise (inf - inf), but the error
     # names the overflow, not the shape
-    with pytest.raises(NumericError):
-        hermitian_rank(np.array([[np.inf, 0], [0, 1.0]], complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # rows are read as Python scalars
+        for B in (np.array([[np.inf, 0], [0, 1.0]], complex),
+                  ((complex("inf"), 0j), (0j, 1 + 0j))):
+            with pytest.raises(NumericError):
+                hermitian_rank(B)
     with pytest.raises(ShapeError):
         hermitian_rank(np.array([[1.0, 1e-3], [0, 1.0]], complex))

@@ -75,6 +75,18 @@ def test_companion_swaps_once(monkeypatch, capsys):
     assert calls == {"conjugate_swap": 1, "d_squared_residual": 2}
 
 
+def test_lie_commands_build_no_torsion_array(monkeypatch, capsys):
+    # T stays the tuples it is built as, and B is summed from them
+    def no_array(self):
+        raise AssertionError("TorsionTensor.array called")
+    monkeypatch.setattr(lie.TorsionTensor, "array", no_array)
+    for path in sorted(DATA.glob("*.json")):
+        assert main(["classify", "--input", str(path)]) in (0, 2), path.name
+    assert main(["sweep"]) == 0
+    assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
+    capsys.readouterr()
+
+
 def _count_bodies(monkeypatch, calls, *memoized):
     """Count the runs of each memoized body under its function's name."""
     counted = _counter(calls)

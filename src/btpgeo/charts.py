@@ -218,49 +218,38 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
     if kind.exact and any(point):
         raise ValueError("exact jets are expanded at the chart origin only")
     Z, Zb = _coords(n, point, kind)
-    one = kind.one
     zero = Jet2(n)
-    const = lambda c: Jet2.constant(n, c)
+    one = Jet2.constant(n, kind.one)
 
-    al = const(one) + Z[0] * Zb[0] + Z[1] * Zb[1]
-    al_d = [Zb[0], Zb[1], zero]                      # partial_i alpha
-    al_db = [Z[0], Z[1], zero]                       # partial_jbar alpha
-    al_dd = [[const(one) if (i == j and i < 2) else zero for j in range(3)]
-             for i in range(3)]                      # partial_i partial_jbar alpha
-
+    # alpha = 1 + |z1|^2 + |z2|^2 and beta = 1 + |z3|^2 + |f|^2, f = z2 + z1 z3
+    al = one + Z[0] * Zb[0] + Z[1] * Zb[1]
     f = Z[1] + Z[0] * Z[2]
     fb = f.conj()
-    f_d = [Z[2], const(one), Z[0]]
-    f_db = [j.conj() for j in f_d]
-
-    be = const(one) + Z[2] * Zb[2] + f * fb
-    be_d = [f_d[i] * fb + (Zb[2] if i == 2 else zero) for i in range(3)]
-    be_db = [j.conj() for j in be_d]
-    be_dd = [[f_d[i] * f_db[j] + (const(one) if i == j == 2 else zero)
-              for j in range(3)] for i in range(3)]
-
+    f_d = [Z[2], one, Z[0]]                          # partial_i f
+    z3z3b = Z[2] * Zb[2]
+    be = one + z3z3b + f * fb
     alinv = al.reciprocal()
     beinv = be.reciprocal()
-    alinv2 = alinv * alinv
-    beinv2 = beinv * beinv
+    f_be = [d * beinv for d in f_d]                  # partial_i f / beta
+    u = [Zb[0] * alinv, Zb[1] * alinv, zero]         # partial_i log alpha
+    v = [f_be[i] * fb + (Zb[2] * beinv if i == 2 else zero)
+         for i in range(3)]                          # partial_i log beta
+    ub, vb, f_db = ([x.conj() for x in w] for w in (u, v, f_d))
+    s = (alinv * beinv).scale(sscale)                # sigma_scale / (alpha beta)
+    sigma = {(0, 0): z3z3b, (0, 1): Z[2], (1, 1): one}
 
-    g = []
+    # g_{i jbar} = partial_i partial_jbar log(alpha beta) - sigma_{i jbar} s for
+    # i <= j; the metric is hermitian, so g_{j ibar} is its conjugate
+    g = [[zero] * 3 for _ in range(3)]
     for i in range(3):
-        row = []
-        for j in range(3):
-            gt = al_dd[i][j] * alinv - al_d[i] * al_db[j] * alinv2 \
-                + be_dd[i][j] * beinv - be_d[i] * be_db[j] * beinv2
-            sig = zero
-            if i == 0 and j == 0:
-                sig = Z[2] * Zb[2]
-            elif i == 0 and j == 1:
-                sig = Z[2]
-            elif i == 1 and j == 0:
-                sig = Zb[2]
-            elif i == 1 and j == 1:
-                sig = const(one)
-            row.append(gt - sig.scale(sscale) * alinv * beinv)
-        g.append(row)
+        for j in range(i, 3):
+            gij = (f_be[i] * f_db[j] - u[i] * ub[j] - v[i] * vb[j]
+                   - sigma.get((i, j), zero) * s)
+            if i == j:
+                gij = gij + (alinv if i < 2 else beinv)
+            else:
+                g[j][i] = gij.conj()
+            g[i][j] = gij
     return ChartMetric(3, g, label="wallach")
 
 

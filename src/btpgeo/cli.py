@@ -2,10 +2,16 @@
 
 ``COMMANDS`` is the command table: classify, verify, wallach, sweep and
 companion, each with its function, its help line and its options.  ``main``
-builds two parsers per call, the top-level one, which reads the command name
-and hands the rest of argv on, and the parser of the command named; no parser
+builds one parser per call, the parser of the command that argv starts with.
+The top-level parser, which reads the command name and hands the rest of argv
+on, is built only for argv that does not start with a command (help and usage
+errors) and for ``<command> -- ...``, whose ``--`` it drops.  No parser
 outlives the call.  ``btpgeo --help`` lists the commands with their help
 lines, ``btpgeo <command> --help`` the options of one command.
+
+``charts``, ``goldens`` and numpy are imported inside the commands that use
+them, so the exact Lie commands (``classify`` of exact data, ``sweep``,
+``companion`` and ``verify`` of the Lie examples) run without numpy.
 
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure (float
 overflow in classify, or an exact result too long to write), 3 usage or
@@ -24,9 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import charts, goldens, lie, linalg
+from . import lie, linalg
 from .scalars import EC, DigitLimitError, parse_rational
 
 EXIT_OK = 0
@@ -80,7 +84,9 @@ def _example_algebra(name: str, a=Fraction(1)) -> lie.HermitianLieAlgebra:
     m = re.match(r"^(\w+)\((.*)\)$", name)
     if m:
         base, argtxt = m.group(1), m.group(2)
-        args = [s for s in argtxt.split(",") if s.strip()]
+        args = argtxt.split(",")
+        if not all(s.strip() for s in args):
+            raise CliError(f"empty parameter in example {name!r}", EXIT_USAGE)
         if base == "a_st" and len(args) == 2:
             return lie.family_a(_parse_rational(args[0]), _parse_rational(args[1]), a)
         if base == "b_zt" and len(args) == 2:
@@ -135,7 +141,7 @@ def cmd_classify(args) -> int:
         raise CliError(str(exc), EXIT_USAGE)
     except lie.IntegrabilityError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
-    except (linalg.NumericError, np.linalg.LinAlgError) as exc:
+    except linalg.NumericError as exc:
         # float data whose products leave the float range
         raise CliError(f"float overflow in classify: {exc}", EXIT_VALIDATION)
     rep["refs"] = CLASSIFY_REFS
@@ -150,6 +156,7 @@ def _check_seed(args) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import goldens
     _check_seed(args)
     suite = goldens.SUITES.get(args.example)
     if suite is None:
@@ -182,6 +189,7 @@ def cmd_wallach(args) -> int:
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}", EXIT_USAGE)
     _check_seed(args)
+    from . import charts
     exact = not args.float_mode
     m = charts.wallach_metric(exact=exact)
     pc = charts.riemannian_curvature_at(m)
@@ -192,6 +200,7 @@ def cmd_wallach(args) -> int:
         "Levi-Civita components under parallel torsion",
     ]
     if args.seed is not None:
+        import numpy as np
         rng = np.random.default_rng(args.seed)
         mf = m if not exact else charts.wallach_metric(exact=False)
         pcf = pc if not exact else charts.riemannian_curvature_at(mf)
@@ -323,14 +332,19 @@ def _command_parser(name: str) -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        top = build_parser().parse_args(argv)
-        args = _command_parser(top.command).parse_args(top.args)
+        if not argv or argv[0] not in COMMANDS or argv[1:2] == ["--"]:
+            # help, usage errors, and the '--' after a command, which the
+            # top-level parser drops
+            top = build_parser().parse_args(argv)
+            argv = [top.command, *top.args]
+        args = _command_parser(argv[0]).parse_args(argv[1:])
         # argparse reads '--opt=--' as an empty list of values
         listed = [dest for dest, value in vars(args).items() if isinstance(value, list)]
         if listed:
             raise CliError(f"--{listed[0].replace('_', '-')} needs a value", EXIT_USAGE)
-        return COMMANDS[top.command].fn(args)
+        return COMMANDS[argv[0]].fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -9,6 +9,10 @@ by a Takagi factorization of the symmetric matrix A_{i alpha} = T^alpha_{jk}
 ((i j k) cyclic), followed by a diagonal phase fix and a sort.  When the
 resulting triple is (a, a, 0) a further constant unitary produces the
 *admissible frame* with T^1_{13} = -T^2_{23} = a.
+
+The torsion patterns are built as nested lists of their scalar kind, and
+numpy is imported by the routines that work on arrays, so that ``lie`` can
+match its patterns without it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
-
-import numpy as np
 
 from .linalg import DimensionError, takagi_factorize
 from .scalars import EXACT, FLOAT, ExactComplex, Kind
@@ -40,26 +42,38 @@ def _kind_of(values) -> Kind:
                         for x in values) else FLOAT
 
 
-def _antisymmetric(n: int, entries, kind: Kind) -> np.ndarray:
-    """T[i, j, k] = -T[i, k, j] = v for each ((i, j, k), v), zero elsewhere."""
-    T = np.full((n, n, n), kind.zero, kind.dtype)
+def _antisymmetric(n: int, entries, kind: Kind) -> list:
+    """Nested lists T[i][j][k] = -T[i][k][j] = v for each ((i, j, k), v),
+    zero elsewhere."""
+    T = [[[kind.zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), v in entries:
-        T[i, j, k], T[i, k, j] = kind.scalar(v), kind.scalar(-v)
+        T[i][j][k], T[i][k][j] = kind.scalar(v), kind.scalar(-v)
     return T
+
+
+def _array(T: list, kind: Kind) -> np.ndarray:
+    import numpy as np
+    return np.array(T, kind.dtype)
 
 
 def cyclic_torsion(a) -> np.ndarray:
     """The special-frame torsion of a triple a: T^i_{jk} = -T^i_{kj} = a_i
     for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
-    return _antisymmetric(3, zip(_CYCLES, a), _kind_of(a))
+    kind = _kind_of(a)
+    return _array(_antisymmetric(3, zip(_CYCLES, a), kind), kind)
+
+
+def diagonal_pattern(n: int, a, signs) -> list:
+    """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
+    indices i, zero elsewhere, as nested lists of a's kind.  Signs (1, -1)
+    give the admissible middle-type torsion, all signs + the Vaisman-type one."""
+    return _antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)],
+                          _kind_of((a,)))
 
 
 def diagonal_torsion(n: int, a, signs) -> np.ndarray:
-    """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
-    indices i, zero elsewhere, as an array of a's kind.  Signs (1, -1) give the
-    admissible middle-type torsion, all signs + the Vaisman-type one."""
-    return _antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)],
-                          _kind_of((a,)))
+    """``diagonal_pattern`` as an array of a's kind."""
+    return _array(diagonal_pattern(n, a, signs), _kind_of((a,)))
 
 
 _LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
@@ -73,6 +87,7 @@ def transform_torsion(T, P) -> np.ndarray:
     exactly unitary.  Anything else runs on complex128 and needs P unitary
     within 1e-10.  Either way the result is an array of that kind.
     """
+    import numpy as np
     arrT = np.asarray(T)
     arrP = np.asarray(P)
     if arrT.dtype == arrP.dtype == object:
@@ -87,11 +102,13 @@ def transform_torsion(T, P) -> np.ndarray:
 
 def gauduchon_components(T) -> np.ndarray:
     """eta_i = sum_s T^s_{si} for a float torsion array."""
+    import numpy as np
     return np.einsum('ssi->i', np.asarray(T, complex))
 
 
 def torsion_to_cyclic(T) -> np.ndarray:
     """The triple (T^1_{23}, T^2_{31}, T^3_{12})."""
+    import numpy as np
     arr = np.asarray(T, complex)
     return np.array([arr[i][j][k] for i, j, k in _CYCLES])
 
@@ -110,6 +127,7 @@ def _phase_fix(arr: np.ndarray) -> np.ndarray:
     For current cyclic values a_i, the diagonal phases theta_i =
     (arg a_i - sum_j arg a_j)/2; zero entries keep phase 0 by convention.
     """
+    import numpy as np
     cyc = torsion_to_cyclic(arr)
     scale = max(np.max(np.abs(cyc)), 1.0)
     args = np.array([np.angle(c) if abs(c) > 1e-14 * scale else 0.0 for c in cyc])
@@ -124,6 +142,7 @@ def build_special_frame(T) -> SpecialFrameResult:
     transform_torsion(T, U) produces torsion with T^i_{ij} = 0 and
     nonnegative sorted cyclic entries equal to ``a``.
     """
+    import numpy as np
     arr = np.asarray(T, complex)
     if arr.shape != (3, 3, 3):
         raise DimensionError("special frames are a threefold construction")
@@ -159,11 +178,15 @@ def build_special_frame(T) -> SpecialFrameResult:
     return SpecialFrameResult(U, a)
 
 
-# constant change from special (a, a, 0) data to an admissible frame
-_ADMISSIBLE_U = np.array([[1 / np.sqrt(2), 1j / np.sqrt(2), 0],
-                          [1j / np.sqrt(2), 1 / np.sqrt(2), 0],
-                          [0, 0, -1j]])
-_ADMISSIBLE_U.flags.writeable = False
+def _admissible_u() -> np.ndarray:
+    """The constant change from special (a, a, 0) data to an admissible
+    frame, a new read-only array."""
+    import numpy as np
+    U = np.array([[1 / np.sqrt(2), 1j / np.sqrt(2), 0],
+                  [1j / np.sqrt(2), 1 / np.sqrt(2), 0],
+                  [0, 0, -1j]])
+    U.flags.writeable = False
+    return U
 
 
 def special_to_admissible(a):
@@ -181,7 +204,7 @@ def special_to_admissible(a):
             and kind.negligible(a1.imag, bound) and a1.real > 0
             and not kind.negligible(a1, bound)):
         raise FramePatternError("middle-type pattern needs a_1 = a_2 > 0 = a_3")
-    return _ADMISSIBLE_U, diagonal_torsion(3, a1, (1, -1))
+    return _admissible_u(), diagonal_torsion(3, a1, (1, -1))
 
 
 def b_rank_type(a) -> str:

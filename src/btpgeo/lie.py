@@ -19,11 +19,9 @@ from itertools import product
 from operator import mul
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d, lower_antisymmetric)
-from .frames import diagonal_torsion, transform_torsion
+from .frames import diagonal_pattern, transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError, all_finite,
                       common_kind, kind_of, memoized, scalar_from_json, scalar_to_json)
@@ -241,6 +239,7 @@ class TorsionTensor:
 
     def array(self) -> np.ndarray:
         """T as a new read-only n x n x n array of its kind."""
+        import numpy as np
         arr = np.array(self.T, self.kind.dtype)
         arr.flags.writeable = False
         return arr
@@ -444,7 +443,7 @@ def vaisman_torsion_pattern(T: TorsionTensor):
     """
     n = T.n
     a = T.T[0][0][n - 1]
-    if not T.matches(diagonal_torsion(n, a, (1,) * (n - 1))):
+    if not T.matches(diagonal_pattern(n, a, (1,) * (n - 1))):
         return False, None
     # a is real and positive beyond the zero test
     positive = (T.kind.negligible(a.imag) and not T.kind.negligible(a.real)
@@ -614,7 +613,7 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
         if n != 3:
             raise PatternError("middle-type obstruction needs n = 3")
         a = T.T[0][0][2]
-        if g.kind.negligible(a) or not T.matches(diagonal_torsion(3, a, (1, -1))):
+        if g.kind.negligible(a) or not T.matches(diagonal_pattern(3, a, (1, -1))):
             raise PatternError("torsion is not in the admissible middle-type pattern")
     Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,), g.kind.one)
     split = dolbeault_split(g, Phi)

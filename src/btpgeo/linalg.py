@@ -10,14 +10,16 @@ its pivots.  Its float branch ranks by singular values.  One inverse,
 metrics at their base point, the constant part of jet matrices).  Takagi
 factorization is float-only: the inputs that need it are generic
 unitary-scrambled torsion data, never golden rational values.
+
+numpy is imported by the routines that build arrays (the float branches,
+``matrix_inverse`` and Takagi), so exact ranks run without it.  A numpy
+linear-algebra failure in a float rank is raised as ``NumericError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 from .scalars import EC, EXACT, ExactComplex, Kind, all_finite, kind_of
 
@@ -64,10 +66,14 @@ def row_basis(vectors, kind: Kind) -> list:
                 basis.append(v)
                 reducers.append((nz[0][0], nz))
         return basis
+    import numpy as np
     arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
     if arr.size == 0:
         return []
-    u, s, vh = np.linalg.svd(arr)
+    try:
+        u, s, vh = np.linalg.svd(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(str(exc)) from exc
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-10)) if len(s) else 0
     return [list(vh[r]) for r in range(rank)]
 
@@ -99,6 +105,7 @@ def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComple
 def matrix_inverse(mat, kind: Kind) -> np.ndarray:
     """Inverse of a square matrix of scalars of the given kind, as an array
     of that kind: Gauss-Jordan for exact scalars, numpy for floats."""
+    import numpy as np
     if kind.exact:
         return np.array(exact_solve_identity(mat), object)
     return np.linalg.inv(np.array(mat, dtype=complex))
@@ -112,7 +119,7 @@ def hermitian_rank(B) -> int:
     by counting eigenvalues above ``n * max|B| * 1e-12``.  A non-finite
     float entry (an overflow upstream) raises NumericError.
     """
-    rows = B.tolist() if isinstance(B, np.ndarray) else [list(r) for r in B]
+    rows = B.tolist() if hasattr(B, "tolist") else [list(r) for r in B]
     n = len(rows)
     if not n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise DimensionError("hermitian_rank needs a square matrix")
@@ -124,8 +131,12 @@ def hermitian_rank(B) -> int:
         raise ShapeError("matrix is not hermitian")
     if kind.exact:
         return exact_rank(rows)
+    import numpy as np
     B = np.array(rows, complex)
-    ev = np.linalg.eigvalsh(B)
+    try:
+        ev = np.linalg.eigvalsh(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(str(exc)) from exc
     return int(np.sum(np.abs(ev) > n * np.abs(B).max() * 1e-12))
 
 
@@ -140,6 +151,7 @@ class TakagiResult:
     d: tuple
 
     def reconstruction_residual(self, A) -> float:
+        import numpy as np
         lhs = self.U.conj() @ np.asarray(A, complex) @ self.U.conj().T
         return float(np.max(np.abs(lhs - np.diag(self.d))))
 
@@ -156,6 +168,7 @@ def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
     where SVD-phase repairs break down.  Singular values are returned
     sorted descending.  A is a square array of either scalar kind.
     """
+    import numpy as np
     a = np.asarray(A, complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("takagi_factorize needs a square matrix")

@@ -11,7 +11,7 @@ import numpy as np
 from btpgeo import lie
 from btpgeo.charts import ChartMetric, PointCurvature
 from btpgeo.forms import InvariantForm, exterior_d
-from btpgeo.frames import _ADMISSIBLE_U, FramePatternError
+from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.linalg import matrix_inverse, row_basis
 from btpgeo.scalars import EC, EXACT, FLOAT
@@ -626,7 +626,7 @@ def special_to_admissible_two_path(a):
         T[0][2][0] = -av
         T[1][1][2] = -av
         T[1][2][1] = av
-        return _ADMISSIBLE_U, T
+        return _admissible_u(), T
     a1, a2, a3 = float(a1), float(a2), float(a3)
     scale = max(a1, 1.0)
     if not (abs(a1 - a2) <= 1e-9 * scale and a1 > 1e-9 * scale and abs(a3) <= 1e-9 * scale):
@@ -636,7 +636,7 @@ def special_to_admissible_two_path(a):
     T[0][2][0] = -a1
     T[1][1][2] = -a1
     T[1][2][1] = a1
-    return _ADMISSIBLE_U, T
+    return _admissible_u(), T
 
 
 def b_rank_type_two_path(a, tol=1e-8):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from btpgeo import cli, goldens, lie
 from btpgeo.cli import main
@@ -371,6 +374,16 @@ def test_companion_complex_parameter(capsys):
     assert rep["bismut_equal"] is True
 
 
+@pytest.mark.parametrize("example", ["a_st(1,,2)", "a_st(,1,2)", "a_st(1,2,)", "b_zt(1,,2)",
+                                     "b_zt(1, ,2)"])
+def test_companion_empty_example_parameter_exits_3(capsys, example):
+    # an empty parameter is an error, as in --swap, not a dropped one
+    code, out, err = run_cli(capsys, "companion", "--example", example, "--swap", "2")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: empty parameter in example {example!r}\n"
+
+
 @pytest.mark.parametrize("text, value", [
     ("2i", EC(0, 2)), ("-3/4i", EC(0, Fraction(-3, 4))), ("i", EC(0, 1)),
     ("-i", EC(0, -1)), ("+i", EC(0, 1)), ("1-i", EC(1, -1)),
@@ -600,6 +613,15 @@ def test_command_options_keep_their_dests_and_defaults(command):
     assert vars(cli._command_parser(command).parse_args(required)) == parsed
 
 
+def test_double_dash_after_the_command_is_dropped(capsys):
+    # the top-level parser drops a '--' right after the command; argv that
+    # starts with a command is otherwise handed to that command's parser alone
+    argv = ["--input", str(DATA / "n3.json")]
+    plain = run_cli(capsys, "classify", *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, "classify", "--", *argv) == plain
+
+
 def test_top_level_help_names_every_command(capsys, monkeypatch):
     out = _help(capsys, monkeypatch, "--help")
     for name, command in cli.COMMANDS.items():
@@ -641,3 +663,107 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", "verify",
                            "--example", "n3"], capture_output=True, env=SOURCE_ENV)
     assert proc.returncode == 0
+
+
+# ---- which commands load numpy --------------------------------------------------
+
+# runs one CLI call and reports on stderr, after it, whether numpy was imported
+_NUMPY_PROBE = ("import sys; from btpgeo.cli import main; code = main(sys.argv[1:]); "
+                "sys.stdout.flush(); print('numpy loaded:', 'numpy' in sys.modules, "
+                "file=sys.stderr); sys.exit(code)")
+
+EXACT_LIE_COMMANDS = (
+    [("classify", "--input", str(path)) for path in sorted(DATA.glob("*.json"))]
+    + [("verify", "--example", name) for name in ("n3", "a_st", "b_zt", "vaisman54")]
+    + [("sweep",), ("companion", "--example", "n3", "--swap", "2")])
+
+
+def _loads_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True,
+                          text=True, env=SOURCE_ENV)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("numpy loaded: "), proc.stderr
+    return last == "numpy loaded: True"
+
+
+@pytest.mark.parametrize("argv", EXACT_LIE_COMMANDS,
+                         ids=lambda argv: " ".join(pathlib.Path(a).name for a in argv))
+def test_exact_lie_commands_run_without_numpy(argv):
+    assert not _loads_numpy(argv)
+
+
+def test_float_and_flag_threefold_commands_load_numpy(tmp_path):
+    # float classify ranks by singular values, and the flag-threefold
+    # commands and the sl2c frame recovery work on numpy arrays
+    doc = _scaled_float_doc(lie.family_a(Fraction(1, 2), Fraction(1, 3)), 1.0)
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("classify", "--input", str(path)), ("wallach",),
+                 ("verify", "--example", "wallach"), ("verify", "--example", "sl2c")):
+        assert _loads_numpy(argv), argv
+
+
+# ---- argv fuzz ------------------------------------------------------------------
+
+_VALUES = st.sampled_from(["", "--", "-1", "0", "1", "2", "1/2", "-1/3", "x", "1,,2", "0,1",
+                           "-1,0,1", "3", "1,3", "2i", "1e-3"])
+_EXAMPLES = st.sampled_from(["n3", "a_st", "b_zt", "sl2c", "wallach", "vaisman54", "abelian",
+                             "bogus", "", "a_st(1,-1)", "a_st(1,,2)", "b_zt(2i,1)", "b_zt(1)",
+                             "a_st(1/0,1)"])
+_INPUTS = st.sampled_from([str(p) for p in sorted(DATA.iterdir())] + ["/nonexistent.json"])
+_STRAY = st.sampled_from(["--", "-h", "--bogus", "extra"])
+_OUT = st.just("/nonexistent/dir/r.json")     # never a path that can be written
+_OPTIONS = {
+    "classify": {"--input": _INPUTS, "--out": _OUT},
+    "verify": {"--example": _EXAMPLES, "--seed": _VALUES, "--torsion-a": _VALUES,
+               "--out": _OUT},
+    "wallach": {"--float": None, "--seed": _VALUES, "--out": _OUT},
+    "sweep": {"--grid": _VALUES, "--torsion-a": _VALUES, "--out": _OUT},
+    "companion": {"--example": _EXAMPLES, "--swap": _VALUES, "--torsion-a": _VALUES,
+                  "--out": _OUT},
+}
+
+_REQUIRED = {"classify": "--input", "verify": "--example", "companion": "--example"}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command in _REQUIRED and draw(st.integers(0, 4)):
+        argv += [_REQUIRED[command], draw(_OPTIONS[command][_REQUIRED[command]])]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            argv.append(draw(_STRAY))
+            continue
+        flag = draw(st.sampled_from(sorted(_OPTIONS[command])))
+        values = _OPTIONS[command][flag]
+        if values is None:
+            argv.append(flag)
+        elif kind == 1:
+            argv.append(f"{flag}={draw(values)}")
+        else:
+            argv += [flag, draw(values)]
+    if command == "wallach":
+        argv += ["--samples", draw(st.sampled_from(["1", "2", "5", "0", "x"]))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=10_000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:       # argparse's help and usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3, 141), (argv, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert [line for line in err.splitlines() if line.startswith("error:")] \
+            == [err.splitlines()[-1]], (argv, err)

@@ -148,16 +148,19 @@ def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
                      "ricci_forms_at": 1, "btp_residual_at": 1}
 
 
-def test_each_main_call_builds_its_own_two_parsers(monkeypatch, capsys):
+def test_each_main_call_builds_only_its_command_parser(monkeypatch, capsys):
     calls = Counter()
     monkeypatch.setattr(cli._Parser, "__init__",
                         _counter(calls)("_Parser", cli._Parser.__init__))
     argv = ["classify", "--input", str(DATA / "n3.json")]
     assert main(argv) == 0
-    assert calls == {"_Parser": 2}      # the top-level parser and the command's
+    assert calls == {"_Parser": 1}      # the command's parser alone
     assert main(argv) == 0
+    assert calls == {"_Parser": 2}      # none is kept for the next call
+    # the top-level parser reads a '--' right after the command
+    assert main(["classify", "--", *argv[1:]]) == 0
     capsys.readouterr()
-    assert calls == {"_Parser": 4}      # none is kept for the next call
+    assert calls == {"_Parser": 4}
 
 
 def test_build_parser_takes_no_arguments():

@@ -2,10 +2,9 @@
 
 A ChartMetric holds the components g_{i jbar} of a Hermitian metric as
 Wirtinger 2-jets at a base point.  Torsion, Chern curvature, the three Chern
-Ricci tensors and the parallel-torsion residuals are extracted from jet
-coefficients at any positive-definite base value G; only the Levi-Civita
-curvature (for parallel-torsion metrics) and its sectional/Ricci traces
-need G = identity.
+Ricci tensors, the parallel-torsion residuals and the Levi-Civita curvature
+are extracted from jet coefficients at any positive-definite base value G,
+and so are the sectional and Ricci curvature.
 
 The constructor reads the coefficients once, into read-only arrays of the
 metric's kind (complex128, or object arrays of ExactComplex, whose sums do
@@ -27,12 +26,14 @@ transform as tensors under a linear change of chart (btp_residual_at).
 
 Sectional numerators and Ricci curvature run through the same contractions
 for both scalar kinds.  The Ricci curvature of x = X + conj(X) traces the
-sectional numerator over the orthonormal frame {e_i, i e_i}.  Over each pair
-e_i, i e_i the R_{X Yb X Yb} term and the Y (x) Y half of the (2,0) term
-cancel, which leaves the closed form
-    num(X) = Re sum_{a,d} X_a Xb_d (8 sum_i r11[a,i,i,d] - 4 sum_i r11[a,d,i,i])
-             - 8 Re sum_{a,c} X_a X_c sum_i r20[a,i,c,i],
-and Ricci(x) = num / 2 / |x|^2 with |x|^2 = 2 |X|^2.
+sectional numerator over a g-orthonormal frame {f_s, i f_s}, where
+sum_s conj(f_s^l) f_s^i = g^{lbar i}.  Over each pair f_s, i f_s the
+R_{X Yb X Yb} term and the Y (x) Y half of the (2,0) term cancel, which
+leaves the closed form
+    num(X) = Re sum_{a,d} X_a Xb_d (8 sum r11[a,l,i,d] g^{lbar i}
+                                    - 4 sum r11[a,d,i,j] g^{jbar i})
+             - 8 Re sum_{a,c} X_a X_c sum r20[a,i,c,l] g^{lbar i},
+and Ricci(x) = num / 2 / |x|^2 with |x|^2 = 2 X G conj(X).
 
 The built-in metric is the homogeneous metric on the flag threefold sitting
 inside P^2 x P^2: with alpha = 1 + |z1|^2 + |z2|^2, f = z2 + z1 z3,
@@ -51,20 +52,12 @@ import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import (EC, EXACT, FLOAT, FLOAT_TOL, ExactComplex, Kind, kind_of, memoized,
+from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, kind_of, memoized,
                       scalar_to_json)
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
 SAMPLE_BLOCK = 1024
-
-
-class BaseMetricError(ValueError):
-    """The operation needs the metric to be the identity at the base point."""
-
-
-class UnsupportedMetricError(ValueError):
-    """Levi-Civita extraction is implemented only for parallel torsion."""
 
 
 class DegeneratePlaneError(ValueError):
@@ -121,10 +114,6 @@ class ChartMetric:
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
-
-    def has_identity_base(self, tol: float = FLOAT_TOL) -> bool:
-        """Whether the base value G is the identity, within tol for float data."""
-        return bool(self.kind.negligible(self.G - np.identity(self.n, int), tol).all())
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -339,7 +328,9 @@ def btp_residual_at(m: ChartMetric):
 @dataclass(frozen=True, eq=False)
 class PointCurvature:
     """Torsion, Chern curvature, Ricci tensors and Levi-Civita components
-    of a chart metric at its base point, as read-only arrays of its kind."""
+    of a chart metric at its base point, as read-only arrays of its kind,
+    with the metric's G and Ginv, which the sectional and Ricci curvature
+    read and the JSON report leaves out."""
     n: int
     kind: Kind
     torsion: np.ndarray      # T[j,i,k]
@@ -349,6 +340,8 @@ class PointCurvature:
     ric3: np.ndarray
     r11: np.ndarray          # r11[k,l,i,j] = R_{k lbar i jbar}
     r20: np.ndarray          # r20[i,j,k,l] = R_{i j k lbar}
+    G: np.ndarray
+    Ginv: np.ndarray
 
     def to_json(self):
         dump = lambda a: np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
@@ -360,37 +353,35 @@ class PointCurvature:
 
 
 def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
-    """Levi-Civita curvature at a unitary base point of a parallel-torsion
-    metric.
+    """Levi-Civita curvature of the real metric at the base point, for any
+    chart metric at any positive-definite base value.
 
-    The holomorphic covariant derivative of the torsion vanishes under the
-    parallel-torsion hypothesis, which is what lets the (2,0)-type
-    components reduce to quadratic torsion terms:
-
-        R_{i j k lbar} = 1/4 sum_r ( T^l_{ri} T^r_{jk} - T^l_{rj} T^r_{ik} ),
-        R_{k lbar i jbar} = 1/2 ( R^c_{i lbar k jbar} + R^c_{k jbar i lbar} )
-            + 1/4 sum_r ( T^r_{ik} conj(T^r_{jl}) - T^j_{kr} conj(T^i_{lr})
-                          - T^l_{ir} conj(T^k_{jr}) ).
+    The real metric g(x, y) = 2 Re X G conj(Y) pairs z_a with zbar_b only.
+    In the coordinates (z, zbar) its lowered Christoffel symbols are
+    P[p,i,k] = Gamma_{pbar,ik} = 1/2 (g_{k pbar, i} + g_{i pbar, k}),
+    Q[p,i,k] = Gamma_{pbar,i kbar} = 1/2 (g_{i pbar, kbar} - g_{i kbar, pbar})
+    and their conjugates; the rest vanish.  r20 and r11 are -1 times the
+    (i, j, k, lbar) and (k, lbar, i, jbar) blocks of
+    R_abcd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+             + g^ef (Gamma_e,bc Gamma_f,ad - Gamma_e,bd Gamma_f,ac);
+    with U[q,l,j] = sum_p g^{qbar p} conj(Q[p,l,j]) and V likewise from P,
+        R_{i j k lbar} = sum U[q,l,j] P[q,i,k] - sum P[p,j,k] U[p,l,i]
+                         - 1/2 (g_{i lbar, jk} - g_{j lbar, ik}),
+        R_{k lbar i jbar} = sum V[q,l,j] P[q,k,i] - sum Q[p,i,l] U[p,j,k]
+            - sum U[q,l,i] Q[q,k,j] - 1/2 (g_{k jbar, i lbar} + g_{i lbar, k jbar}).
     """
-    if not m.has_identity_base():
-        raise BaseMetricError("Levi-Civita extraction needs g = identity at "
-                              "the base point")
-    T = chern_torsion_at(m)
-    res = np.stack(btp_residual_at(m))
-    if not m.kind.negligible(res).all():
-        resid = max(map(abs, res.flat))
-        raise UnsupportedMetricError(
-            f"torsion is not parallel at the base point (residual {resid:.3e}); "
-            "the covariant-derivative term of the (2,0) curvature is not supported")
-    Tc = np.conj(T)
-    Rc = chern_curvature_at(m)
-    quarter = m.kind.scalar(Fraction(1, 4))
     half = m.kind.scalar(Fraction(1, 2))
-    r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter
-    r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
-           + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
-              - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
-    return PointCurvature(m.n, m.kind, T, Rc, *ricci_forms_at(m), _readonly(r11), _readonly(r20))
+    P = (np.einsum("kpi->pik", m.dg) + np.einsum("ipk->pik", m.dg)) * half
+    Q = (np.einsum("ipk->pik", m.dgb) - np.einsum("ikp->pik", m.dgb)) * half
+    U = np.einsum("qp,plj->qlj", m.Ginv, np.conj(Q))
+    V = np.einsum("qp,plj->qlj", m.Ginv, np.conj(P))
+    r20 = (np.einsum("qlj,qik->ijkl", U, P) - np.einsum("pjk,pli->ijkl", P, U)
+           - (np.einsum("iljk->ijkl", m.hh) - np.einsum("jlik->ijkl", m.hh)) * half)
+    r11 = (np.einsum("qlj,qki->klij", V, P) - np.einsum("pil,pjk->klij", Q, U)
+           - np.einsum("qli,qkj->klij", U, Q)
+           - (np.einsum("kjil->klij", m.ha) + np.einsum("ilkj->klij", m.ha)) * half)
+    return PointCurvature(m.n, m.kind, chern_torsion_at(m), chern_curvature_at(m),
+                          *ricci_forms_at(m), _readonly(r11), _readonly(r20), m.G, m.Ginv)
 
 
 # --------------------------------------------------------------------------
@@ -439,9 +430,9 @@ def _result(vals, single: bool):
     return vals.tolist()[0] if single else vals
 
 
-def _norm2(X):
-    """|X|^2 of each row, as real values."""
-    return _real(np.einsum("ma,ma->m", X, X.conj()))
+def _inner(pc: PointCurvature, X, Y):
+    """X G conj(Y) of each pair of rows; g(x, y) is twice its real part."""
+    return np.einsum("ma,ab,mb->m", X, pc.G, Y.conj())
 
 
 def _pairs(A, B):
@@ -487,16 +478,16 @@ def sectional_numerator(pc: PointCurvature, X, Y):
 
 
 def sectional_curvature(pc: PointCurvature, X, Y):
-    """Sectional curvature R_{xyyx} / |x ^ y|^2 (the numerator alone is
-    ``sectional_numerator``).
+    """Sectional curvature R_{xyyx} / |x ^ y|^2, with the norms and g(x, y)
+    taken through G (the numerator alone is ``sectional_numerator``).
 
     A plane is degenerate when |x ^ y|^2 is zero (exact data) or at most
     1e-14 |x|^2 |y|^2 (float data), a bound that does not depend on the
     scale of x and y.
     """
     X, Y, single = _planes(pc, X, Y)
-    x2, y2 = 2 * _norm2(X), 2 * _norm2(Y)
-    w = np.einsum("ma,ma->m", X, Y.conj())
+    x2, y2 = 2 * _real(_inner(pc, X, X)), 2 * _real(_inner(pc, Y, Y))
+    w = _inner(pc, X, Y)
     xy = _real(w + w.conj())
     den = x2 * y2 - xy * xy
     # the float bound only: exact data stays rational
@@ -521,17 +512,18 @@ def random_planes(rng: np.random.Generator, count: int, n: int):
 def ricci_curvature(pc: PointCurvature, X):
     """Ricci curvature of the real direction x = X + conj(X).
 
-    The trace of the sectional numerators over the orthonormal frame
-    {e_i, i e_i}, divided by |x|^2, in closed form (see the module
+    The trace of the sectional numerators over a g-orthonormal frame
+    {f_s, i f_s}, divided by |x|^2, in closed form (see the module
     docstring).  X is a single direction or a stack of shape (N, n); a
     single direction gives a float or a Fraction, a stack an array.
     """
     X, single = _directions(pc, X)
-    x2 = _norm2(X)
+    x2 = _real(_inner(pc, X, X))
     if (x2 == 0).any():
         raise DegeneratePlaneError("zero direction")
-    # a quarter of num(X) of the module docstring, over |X|^2 = |x|^2 / 2
-    H = 2 * np.einsum("aiid->ad", pc.r11) - np.einsum("adii->ad", pc.r11)
-    s = np.einsum("ma,ac,mc->m", X, np.einsum("aici->ac", pc.r20), X)
+    # a quarter of num(X) of the module docstring, over X G conj(X) = |x|^2 / 2
+    H = (2 * np.einsum("alid,li->ad", pc.r11, pc.Ginv)
+         - np.einsum("adij,ji->ad", pc.r11, pc.Ginv))
+    s = np.einsum("ma,ac,mc->m", X, np.einsum("aicl,li->ac", pc.r20, pc.Ginv), X)
     num = np.einsum("ma,ad,md->m", X, H, X.conj()) - (s + s.conj())
     return _result(_real(num) / x2, single)

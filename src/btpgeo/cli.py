@@ -141,8 +141,9 @@ def cmd_classify(args) -> int:
         raise CliError(str(exc), EXIT_USAGE)
     except lie.IntegrabilityError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
-    except linalg.NumericError as exc:
-        # float data whose products leave the float range
+    except (linalg.NumericError, OverflowError) as exc:
+        # float data whose products, or the modulus of one constant, leave the
+        # float range
         raise CliError(f"float overflow in classify: {exc}", EXIT_VALIDATION)
     rep["refs"] = CLASSIFY_REFS
     _emit(rep, args.out)

@@ -112,7 +112,7 @@ def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
     want = np.zeros((n, n, n), int)
     want[2, 1, 0] = 1
     _chk(out, "metric.base", "unitary chart frame at the base point",
-         m.has_identity_base() and np.array_equal(m.dg, want),
+         np.array_equal(m.G, np.identity(n, int)) and np.array_equal(m.dg, want),
          "g(0)=I, single nonzero first derivative g_{3 2b,1}=1")
 
     _chk(out, "metric.pure_second", "pure holomorphic second derivatives vanish", not m.hh.any())

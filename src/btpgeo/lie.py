@@ -124,7 +124,10 @@ class HermitianLieAlgebra(CoframeContext):
         D = _zeros3(n, kind)
         ncr = len(c_in)
         for pos, (j, i, k, c) in enumerate(parsed):
-            c = kind.scalar(c)
+            try:        # an exact constant of float data can lie past the float range
+                c = kind.scalar(c)
+            except OverflowError:
+                raise SchemaError("a structure constant is beyond the float range") from None
             if pos < ncr:
                 if i >= k:
                     raise SchemaError(f"C entry must have i < k (antisymmetry implied): "

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules: finite differences, the
 flag metric evaluated directly, closed forms, the jet route to point
-curvature, sectional and Ricci curvature by explicit sums, the tuple-keyed
-form kernel, and the classify stages by their full computations."""
+curvature, two routes to the Levi-Civita curvature, sectional and Ricci
+curvature by explicit sums, the tuple-keyed form kernel, and the classify
+stages by their full computations."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from btpgeo import lie
-from btpgeo.charts import ChartMetric, PointCurvature
+from btpgeo.charts import ChartMetric, PointCurvature, chern_curvature_at, chern_torsion_at
 from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, jet_matrix_inverse
@@ -213,6 +214,66 @@ def ricci_traces_loop(m, Rc):
     return ric1, ric2, ric3
 
 
+# ---- two routes to the Levi-Civita curvature ---------------------------------
+# The library reads r11 and r20 from the Christoffel formula written in the
+# coordinates (z, zbar), with the lowered symbols of the real metric in
+# closed form.  The first route below is that formula over all 2n
+# coordinates, entry by entry from the jets; the second is the formula the
+# library used before, which holds only for parallel torsion at g(0) = I.
+
+def levi_civita_full(m):
+    """R[A,B,C,D] of the real metric in the 2n coordinates (z_1..z_n,
+    zbar_1..zbar_n), where the metric pairs z_a with zbar_b through
+    g_{a bbar} and with nothing else:
+    R_abcd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+             + g^ef (Gamma_e,bc Gamma_f,ad - Gamma_e,bd Gamma_f,ac),
+    Gamma_e,bc = 1/2 (g_eb,c + g_ec,b - g_bc,e), every derivative read
+    through Jet2.deriv.  r11 and r20 are -1 times its (k, lbar, i, jbar) and
+    (i, j, k, lbar) blocks."""
+    n, kind = m.n, m.kind
+    rng = range(2 * n)
+    zero = Jet2(n)
+
+    def d(A, B, *vs):
+        jet = m.g[A][B - n] if A < n <= B else m.g[B][A - n] if B < n <= A else zero
+        return kind.scalar(jet.deriv([v for v in vs if v < n], [v - n for v in vs if v >= n]))
+
+    g = [[d(A, B) for B in rng] for A in rng]
+    dg = np.array([[[d(A, B, C) for C in rng] for B in rng] for A in rng], kind.dtype)
+    ddg = np.array([[[[d(A, B, C, D) for D in rng] for C in rng] for B in rng] for A in rng],
+                   kind.dtype)
+    ginv = np.array(matrix_inverse(g, kind), kind.dtype)
+    half = kind.scalar(Fraction(1, 2))
+    gam = (dg + np.einsum("ecb->ebc", dg) - np.einsum("bce->ebc", dg)) * half
+    raised = np.einsum("ef,fad->ead", ginv, gam)
+    return ((np.einsum("adbc->abcd", ddg) + np.einsum("bcad->abcd", ddg)
+             - np.einsum("acbd->abcd", ddg) - np.einsum("bdac->abcd", ddg)) * half
+            + np.einsum("ebc,ead->abcd", gam, raised) - np.einsum("ebd,eac->abcd", gam, raised))
+
+
+def real_metric(m):
+    """The 2n x 2n matrix of the real metric in the coordinates (z, zbar)."""
+    zero = np.full((m.n, m.n), m.kind.zero, m.kind.dtype)
+    return np.block([[zero, m.G], [m.G.T, zero]])
+
+
+def riemannian_parallel_torsion(m):
+    """(r11, r20) from torsion and Chern curvature, valid where the torsion
+    is parallel and g(0) = I:
+    R_{i j k lbar} = 1/4 sum_r ( T^l_{ri} T^r_{jk} - T^l_{rj} T^r_{ik} ),
+    R_{k lbar i jbar} = 1/2 ( R^c_{i lbar k jbar} + R^c_{k jbar i lbar} )
+        + 1/4 sum_r ( T^r_{ik} conj(T^r_{jl}) - T^j_{kr} conj(T^i_{lr})
+                      - T^l_{ir} conj(T^k_{jr}) )."""
+    T, Rc = chern_torsion_at(m), chern_curvature_at(m)
+    Tc = np.conj(T)
+    quarter, half = m.kind.scalar(Fraction(1, 4)), m.kind.scalar(Fraction(1, 2))
+    r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter
+    r11 = ((np.einsum("ilkj->klij", Rc) + np.einsum("kjil->klij", Rc)) * half
+           + (np.einsum("rik,rjl->klij", T, Tc) - np.einsum("jkr,ilr->klij", T, Tc)
+              - np.einsum("lir,kjr->klij", T, Tc)) * quarter)
+    return r11, r20
+
+
 def random_chart_metric(rng, exact, base=None, n=3):
     """A Hermitian metric whose jets carry every monomial of degree 1 and 2.
 
@@ -397,7 +458,8 @@ def ricci_frame_sum(pc, X):
 
 
 def random_curvature_tables(rng, exact, hermitian, n=3):
-    """Random r11 and r20 tables as arrays, in a PointCurvature.
+    """Random r11 and r20 tables as arrays, in a PointCurvature whose G and
+    Ginv are the identity.
 
     Entries are complex Gaussians (float kind) or small rationals (exact
     kind), so no index symmetry relates them.  ``hermitian`` symmetrizes r11
@@ -418,8 +480,10 @@ def random_curvature_tables(rng, exact, hermitian, n=3):
     if hermitian:
         r11 = (r11 + r11.transpose(1, 0, 3, 2).conj() + r11.transpose(3, 2, 1, 0).conj()
                + r11.transpose(2, 3, 0, 1))
-    return PointCurvature(n, EXACT if exact else FLOAT, None, None, None, None, None,
-                          r11, r20)
+    kind = EXACT if exact else FLOAT
+    eye = np.array([[kind.one if a == b else kind.zero for b in range(n)] for a in range(n)],
+                   dtype)
+    return PointCurvature(n, kind, None, None, None, None, None, r11, r20, eye, eye)
 
 
 # ---- exact rank, positivity and the frame-change law by explicit loops -------

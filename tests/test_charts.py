@@ -7,17 +7,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curvature_loop,
-                      frame_route, jet_coefficients_loop, orthonormalize_base,
-                      random_chart_metric,
-                      random_curvature_tables, ricci_frame_sum, ricci_traces_loop,
-                      sectional_closed_form, sectional_numerator_loop,
-                      sylvester_positive_definite, torsion_loop, transform_tensor,
-                      wallach_metric_values, wirtinger_fd)
+                      frame_route, jet_coefficients_loop, levi_civita_full,
+                      orthonormalize_base, orthonormalizing_frame, random_chart_metric,
+                      random_curvature_tables, real_metric, ricci_frame_sum,
+                      ricci_traces_loop, riemannian_parallel_torsion, sectional_closed_form,
+                      sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
+                      transform_tensor, wallach_metric_values, wirtinger_fd)
 from btpgeo import charts
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
-from btpgeo.linalg import row_basis
-from btpgeo.scalars import EC, EXACT, FLOAT
+from btpgeo.linalg import matrix_inverse, row_basis
+from btpgeo.scalars import EC, EXACT, FLOAT, FLOAT_TOL
 
 
 def _max_abs(*tables):
@@ -30,11 +30,16 @@ def _same_tables(got, want):
     return len(got) == len(want) and all(map(np.array_equal, got, want))
 
 
+def _identity_base(m, tol=FLOAT_TOL):
+    """Whether the base value G is the identity, within tol for float data."""
+    return bool(m.kind.negligible(m.G - np.identity(m.n, int), tol).all())
+
+
 # ---- golden metric jets -------------------------------------------------------
 
 def test_wallach_base_values(wallach_exact):
     m = wallach_exact
-    assert m.has_identity_base()
+    assert _identity_base(m)
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -142,7 +147,7 @@ def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     # the off-diagonal jets are empty, and an empty jet's value is an exact zero
     m = charts.euclidean_metric(3, exact=False)
     assert m.G.dtype == complex
-    assert m.has_identity_base()
+    assert _identity_base(m)
     pc = charts.riemannian_curvature_at(m)
     assert pc.kind.name == "float"
     assert charts.sectional_numerator(pc, [1, 0, 0], [0, 1j, 0]) == 0.0
@@ -200,22 +205,32 @@ def test_euclidean_btp_residuals_zero():
     assert (res_h == 0).all() and (res_a == 0).all()
 
 
+# the Ricci curvature of the sigma = 1/2 metric along e_1, e_2, e_3
+SIGMA_HALF_RICCI = [Fraction(9, 4), Fraction(25, 12), Fraction(9, 4)]
+
+
 def test_scaled_correction_breaks_parallelism():
     # halving the correction term spoils both the unitary base frame and the
-    # parallel-torsion identities, which are read at the base diag(1, 3/2, 1)
+    # parallel-torsion identities, which are read at the base diag(1, 3/2, 1);
+    # the Levi-Civita curvature needs neither
     m = charts.wallach_metric(sigma_scale=Fraction(1, 2))
-    assert not m.has_identity_base()
+    assert np.array_equal(m.G, np.diag([1, Fraction(3, 2), 1]))
     res_h, res_a = charts.btp_residual_at(m)
     assert _max_abs(res_h, res_a) > 0
-    with pytest.raises(charts.BaseMetricError):
-        charts.riemannian_curvature_at(m)
-    # the Levi-Civita route, which needs g(0) = I, still refuses the metric
-    mo = orthonormalize_base(charts.wallach_metric(exact=False, sigma_scale=0.5))
-    assert mo.has_identity_base(tol=1e-12)
+    pc = charts.riemannian_curvature_at(m)
+    units = [[u if k == i else 0 for k in range(3)] for i in range(3) for u in (1, EC.i())]
+    assert charts.ricci_curvature(pc, units).tolist() == \
+        [v for v in SIGMA_HALF_RICCI for _ in range(2)]
+    # the float metric in a frame where g(0) = I gives the same values
+    mf = charts.wallach_metric(exact=False, sigma_scale=0.5)
+    mo = orthonormalize_base(mf)
+    assert _identity_base(mo, tol=1e-12)
     res_h, res_a = charts.btp_residual_at(mo)
     assert _max_abs(res_h, res_a) > 1e-3
-    with pytest.raises(charts.UnsupportedMetricError):
-        charts.riemannian_curvature_at(mo)
+    # a direction X of the chart is inv(A) X in the frame z = A z'
+    X = np.linalg.solve(np.array(orthonormalizing_frame(mf)), np.identity(3)).T
+    got = charts.ricci_curvature(charts.riemannian_curvature_at(mo), X)
+    assert np.max(np.abs(got - np.array(SIGMA_HALF_RICCI, float))) < 1e-9
 
 
 # sigma = p/q with q <= 7 and -6 < sigma < 2, where the base diag(1, 2 - sigma, 1)
@@ -259,20 +274,23 @@ def test_residuals_off_origin_need_no_identity_base():
     # point, where the base value is not the identity
     for point in OFF_ORIGIN:
         m = charts.wallach_metric(exact=False, point=point)
-        assert not m.has_identity_base()
+        assert not _identity_base(m)
         res_h, res_a = charts.btp_residual_at(m)
         assert _max_abs(res_h, res_a) <= 1e-12
 
 
 @pytest.mark.parametrize("point", OFF_ORIGIN)
 def test_orthonormalize_at_non_real_points(point):
-    # the metric is homogeneous, so every chart point gives the same geometry
-    m = orthonormalize_base(charts.wallach_metric(exact=False, point=point))
-    assert m.has_identity_base(tol=1e-12)
-    pc = charts.riemannian_curvature_at(m)
+    # the metric is homogeneous, so every chart point gives the same geometry,
+    # read at the base value there or in a frame where g(0) = I
+    m = charts.wallach_metric(exact=False, point=point)
+    mo = orthonormalize_base(m)
+    assert _identity_base(mo, tol=1e-12) and not _identity_base(m)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
-    assert np.max(np.abs(charts.ricci_curvature(pc, X) - 2.5)) < 1e-9
+    for metric in (mo, m):
+        pc = charts.riemannian_curvature_at(metric)
+        assert np.max(np.abs(charts.ricci_curvature(pc, X) - 2.5)) < 1e-9
 
 
 # ---- the jet route as an independent oracle ----------------------------------------
@@ -294,7 +312,7 @@ def test_coefficient_arrays_match_jet_derivatives(exact, on_base):
     for got, want in zip((m.G, m.dg, m.dgb, m.hh, m.ha), jet_coefficients_loop(m)):
         assert got.dtype == m.kind.dtype
         assert np.array_equal(got, np.array(want, m.kind.dtype))
-    assert m.has_identity_base() != on_base
+    assert _identity_base(m) != on_base
     if exact:
         assert np.array_equal(m.Ginv @ m.G, np.identity(3, int))
 
@@ -555,6 +573,79 @@ def test_ricci_euclidean_zero():
     assert charts.ricci_curvature(pc, (1, 0, 0)) == 0
 
 
+def test_kaehler_einstein_end_of_the_pencil_has_ricci_two():
+    # sigma = 0 is the Kaehler-Einstein metric, read at the base diag(1, 2, 1)
+    m = charts.wallach_metric(sigma_scale=0)
+    assert not _identity_base(m)
+    pc = charts.riemannian_curvature_at(m)
+    dirs = [(1, 0, 0), (0, EC.i(), 0), (0, 0, 1), (EC(1), EC(2, -1), EC(0, 3))]
+    assert charts.ricci_curvature(pc, dirs).tolist() == [2] * 4
+
+
+# ---- the Levi-Civita route against its two oracles ------------------------------------
+
+def _full_blocks(m):
+    """(r11, r20): -1 times two blocks of the 2n-coordinate Riemann tensor."""
+    n, R = m.n, levi_civita_full(m)
+    return -R[:n, n:, :n, n:], -R[:n, :n, :n, n:]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("on_base", [False, True])
+def test_levi_civita_matches_the_full_formula(exact, on_base):
+    # generic metrics: the torsion is not parallel, and on a base other than
+    # the identity the real metric is not the Euclidean one either
+    base = (EXACT_BASE if exact else FLOAT_BASE) if on_base else None
+    for seed in (0, 1):
+        m = random_chart_metric(np.random.default_rng(seed), exact, base=base)
+        pc = charts.riemannian_curvature_at(m)
+        want = _full_blocks(m)
+        assert min(map(_max_abs, want)) > 0.1
+        if exact:
+            assert _same_tables((pc.r11, pc.r20), want)
+        else:
+            for got, w in zip((pc.r11, pc.r20), want):
+                _assert_close(got, w)
+
+
+def test_levi_civita_matches_the_parallel_torsion_formula():
+    # parallel torsion at g(0) = I, where torsion and Chern curvature determine
+    # R; the two routes agree entry for entry in either kind
+    for exact in (True, False):
+        for m in (charts.wallach_metric(exact=exact), charts.euclidean_metric(3, exact),
+                  charts.fubini_study_metric(3, exact)):
+            assert _identity_base(m)
+            pc = charts.riemannian_curvature_at(m)
+            assert _same_tables((pc.r11, pc.r20), riemannian_parallel_torsion(m)), m.label
+            assert pc.r11.dtype == m.kind.dtype
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_sectional_and_ricci_match_the_full_tensor_at_any_base(exact):
+    # x = X + conj(X) has the components (X, conj(X)) in the coordinates
+    # (z, zbar); the numerator is R(x, y, y, x) of -levi_civita_full and the
+    # Ricci curvature its trace with the inverse real metric
+    m = random_chart_metric(np.random.default_rng(2), exact,
+                            base=EXACT_BASE if exact else FLOAT_BASE)
+    pc = charts.riemannian_curvature_at(m)
+    R, g = -levi_civita_full(m), real_metric(m)
+    ginv = matrix_inverse(g, m.kind)
+    pair = lambda u, v: np.einsum("a,ab,b->", u, g, v)
+    for X, Y in RATIONAL_PLANES:
+        X, Y = (np.array(V if exact else [complex(c) for c in V], m.kind.dtype) for V in (X, Y))
+        x, y = (np.concatenate([V, np.conj(V)]) for V in (X, Y))
+        num = np.einsum("abcd,a,b,c,d->", R, x, y, y, x)
+        want = (num, num / (pair(x, x) * pair(y, y) - pair(x, y) * pair(x, y)),
+                np.einsum("abcd,bc,a,d->", R, ginv, x, x) / pair(x, x))
+        got = (charts.sectional_numerator(pc, X, Y), charts.sectional_curvature(pc, X, Y),
+               charts.ricci_curvature(pc, X))
+        for v, w in zip(got, want):
+            if exact:
+                assert type(v) is Fraction and EC(v) == w
+            else:
+                assert abs(v - w) <= 1e-12 * max(1.0, abs(w))
+
+
 # ---- explicit sums as oracles on generic tables --------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -562,6 +653,8 @@ def test_float_sectional_and_ricci_match_explicit_sums(seed):
     # generic tables: no index symmetry can hide a wrong index
     rng = np.random.default_rng(seed)
     pc = random_curvature_tables(rng, exact=False, hermitian=False)
+    # the explicit sums trace over e_i, i e_i, an orthonormal frame of G = I
+    assert np.array_equal(pc.G, np.identity(3)) and np.array_equal(pc.Ginv, pc.G)
     X = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
     Y = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
     _assert_close(charts.sectional_numerator(pc, X, Y) + 0j,

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -128,6 +129,15 @@ def test_unwritable_out_exits_3(tmp_path, capsys, command, target):
     ([{"j": 1, "i": 1, "k": 1, "coef": 1e308}] * 2, 3, "not a finite number"),
     # finite constants whose B = sum T conj(T) overflows
     ([{"j": 1, "i": 3, "k": 1, "coef": 1e200}, {"j": 2, "i": 3, "k": 2, "coef": -1e200}],
+     2, "float overflow in classify"),
+    # an exact constant past the float range, in data that another float
+    # constant makes float (found by test_json_fuzz_exits_cleanly)
+    ([{"j": 1, "i": 3, "k": 1, "coef": 1.0},
+      {"j": 2, "i": 3, "k": 2, "coef": {"re": "1" + "0" * 400, "im": "0"}}],
+     3, "beyond the float range"),
+    # a constant with finite parts whose modulus is past the float range (found
+    # the same way)
+    ([{"j": 1, "i": 3, "k": 1, "coef": {"re": 1.7e308, "im": 1.7e308}}],
      2, "float overflow in classify"),
 ])
 def test_float_overflow_is_an_error_not_a_traceback(tmp_path, entries, code, message):
@@ -767,3 +777,107 @@ def test_argv_fuzz_exits_cleanly(argv):
     if code in (2, 3):
         assert [line for line in err.splitlines() if line.startswith("error:")] \
             == [err.splitlines()[-1]], (argv, err)
+
+
+# ---- JSON fuzz ------------------------------------------------------------------
+
+_DOCS = [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))]
+# each draw is a fresh copy, since the mutations below edit lists in place
+_JSON_ANY = st.sampled_from([None, True, False, -1, 0, 1, 2, 3, 4, 16, 17, 2 ** 64, 1.0, 2.5,
+                             float("nan"), float("inf"), "", "3", "x", [], {}, [[]], [1],
+                             {"re": "1"}]).map(copy.deepcopy)
+_MAGNITUDES = st.sampled_from([0, 1, -1, 2, 10 ** 6, 10 ** 12, 10 ** 300, 10 ** 400,
+                               0.0, -0.0, 1e-300, 1e-12, 1e12, 1e154, 1e300, 1.7e308,
+                               float("nan"), float("inf"), float("-inf")])
+_RATIONAL_TEXT = st.sampled_from(["0", "1", "-1/2", "1/0", "0/0", "1e-5", "1.5", " 2 ", "x",
+                                  "", "+3", "--1", "1/-2", "9" * 5000, "1/" + "7" * 400,
+                                  "1" + "0" * 300, "inf", "nan", "2i"])
+_COEFS = st.one_of(_MAGNITUDES, _RATIONAL_TEXT, _JSON_ANY,
+                   st.builds(lambda re, im: {"re": re, "im": im},
+                             st.one_of(_RATIONAL_TEXT, _MAGNITUDES),
+                             st.one_of(_RATIONAL_TEXT, _MAGNITUDES)))
+
+
+def _rescale(v, scale):
+    """A coefficient part times scale: exact text stays exact text, and a
+    float scale makes it a float; anything else is left as it is."""
+    if not isinstance(v, str):
+        return v
+    try:
+        x = Fraction(v)
+        return float(x) * scale if isinstance(scale, float) else str(x * scale)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return v
+
+
+def _entries(doc, key):
+    return doc[key] if isinstance(doc.get(key), list) else None
+
+
+@st.composite
+def _json_doc(draw):
+    """The text of a document of tests/data with one to four mutations of its
+    types, indices, entries (duplicated, moved between C and D, dropped) and
+    magnitudes, cut short one time in ten."""
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCS)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.integers(0, 6))
+        key = draw(st.sampled_from(["C", "D"]))
+        rows = _entries(doc, key)
+        if op == 0:                         # a top-level field replaced or dropped
+            field = draw(st.sampled_from(["n", "C", "D", "label"]))
+            if draw(st.booleans()):
+                doc[field] = draw(_JSON_ANY)
+            else:
+                doc.pop(field, None)
+        elif op == 1 and rows:              # an index of an entry
+            entry = rows[draw(st.integers(0, len(rows) - 1))]
+            if isinstance(entry, dict):
+                entry[draw(st.sampled_from("jik"))] = draw(st.one_of(
+                    st.integers(-1, 5), _JSON_ANY))
+        elif op == 2 and rows:              # a coefficient
+            entry = rows[draw(st.integers(0, len(rows) - 1))]
+            if isinstance(entry, dict):
+                entry["coef"] = draw(_COEFS)
+        elif op == 3 and rows:              # an entry duplicated, or moved to the other list
+            entry = rows[draw(st.integers(0, len(rows) - 1))]
+            other = _entries(doc, "D" if key == "C" else "C")
+            if draw(st.booleans()):
+                rows.append(copy.deepcopy(entry))
+            elif other is not None:
+                rows.remove(entry)
+                other.append(entry)
+        elif op == 4 and rows:              # a key of an entry dropped, or the entry
+            pos = draw(st.integers(0, len(rows) - 1))
+            if draw(st.booleans()) and isinstance(rows[pos], dict):
+                rows[pos].pop(draw(st.sampled_from(["j", "i", "k", "coef"])), None)
+            else:
+                del rows[pos]
+        elif op == 5 and rows is not None:  # a new entry
+            rows.append({"j": draw(st.integers(1, 3)), "i": draw(st.integers(1, 3)),
+                         "k": draw(st.integers(1, 3)), "coef": draw(_COEFS)})
+        elif op == 6:                       # every coefficient of a list rescaled
+            scale = draw(st.sampled_from([Fraction(1, 10 ** 6), 10 ** 12, 1e-300, 1e300]))
+            for entry in rows or []:
+                if isinstance(entry, dict) and isinstance(entry.get("coef"), dict):
+                    entry["coef"] = {part: _rescale(v, scale)
+                                     for part, v in entry["coef"].items()}
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 9)) == 0 else text
+
+
+@settings(derandomize=True, max_examples=150, deadline=10_000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_json_doc())
+def test_json_fuzz_exits_cleanly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "json_fuzz.json"
+    path.write_text(doc)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["classify", "--input", str(path)])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3, 141), (doc, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert [line for line in err.splitlines() if line.startswith("error:")] \
+            == [err.splitlines()[-1]], (doc, err)

@@ -132,20 +132,37 @@ def test_companion_builds_one_bracket_table_per_algebra(monkeypatch, capsys):
     assert built == {"n3": 1, "n3~swap[2]": 1}
 
 
-def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
+def _chart_builds(monkeypatch, capsys, argv, code):
+    """The jet reads and chart-table builds of one CLI call, by name."""
     calls = Counter()
     monkeypatch.setattr(charts, "_jet_coefficients",
                         _counter(calls)("_jet_coefficients", charts._jet_coefficients))
     _count_bodies(monkeypatch, calls, charts.chern_torsion_at, charts.chern_curvature_at,
                   charts.ricci_forms_at, charts.btp_residual_at)
-    assert main(["verify", "--example", "wallach"]) == 1     # criterion 4 stays red
+    assert main(argv) == code
     capsys.readouterr()
+    return calls
+
+
+def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
+    # criterion 4 stays red
+    calls = _chart_builds(monkeypatch, capsys, ["verify", "--example", "wallach"], 1)
     # the metric reads its jets once; ricci_forms_at and riemannian_curvature_at
     # share one Ricci trace; the two sectional checks and the stacked Ricci
     # evaluation of the twelve frame directions read the r11 and r20 arrays of
     # one PointCurvature
     assert calls == {"_jet_coefficients": 1, "chern_torsion_at": 1, "chern_curvature_at": 1,
                      "ricci_forms_at": 1, "btp_residual_at": 1}
+
+
+@pytest.mark.parametrize("argv", [["wallach"],
+                                  ["wallach", "--float", "--seed", "1", "--samples", "10"]])
+def test_wallach_report_builds_no_residuals(monkeypatch, capsys, argv):
+    calls = _chart_builds(monkeypatch, capsys, argv, 0)
+    # the Levi-Civita curvature is read from the jets of one metric, with no
+    # parallel-torsion check first; the float run samples that same metric
+    assert calls == {"_jet_coefficients": 1, "chern_torsion_at": 1, "chern_curvature_at": 1,
+                     "ricci_forms_at": 1}
 
 
 def test_each_main_call_builds_only_its_command_parser(monkeypatch, capsys):
@@ -190,6 +207,7 @@ def test_cached_chart_tables_are_read_only():
     pc = charts.riemannian_curvature_at(m)
     pcf = charts.riemannian_curvature_at(charts.wallach_metric(exact=False))
     assert pc.torsion is charts.chern_torsion_at(m) and pc.rc is charts.chern_curvature_at(m)
+    assert pc.G is m.G and pc.Ginv is m.Ginv
     assert all(a is b for a, b in zip((pc.ric1, pc.ric2, pc.ric3), charts.ricci_forms_at(m)))
     fields = ("torsion", "rc", "ric1", "ric2", "ric3", "r11", "r20")
     point = [getattr(p, f) for p in (pc, pcf) for f in fields]

@@ -35,19 +35,19 @@ print("\nRicci diagonals:",
       [str(ric2[i][i].re) for i in range(3)],
       [str(ric3[i][i].re) for i in range(3)])
 
-pc = charts.riemannian_curvature_at(m)
+r11, r20 = charts.riemannian_curvature_at(m)
 print("\nLevi-Civita (1,1) components on index pairs:")
 for i in range(3):
     for k in range(i + 1, 3):
-        print(f"    R_({i+1},{i+1}b,{k+1},{k+1}b) = {pc.r11[i][i][k][k].re}, "
-              f"R_({i+1},{k+1}b,{k+1},{i+1}b) = {pc.r11[i][k][k][i].re}")
+        print(f"    R_({i+1},{i+1}b,{k+1},{k+1}b) = {r11[i][i][k][k].re}, "
+              f"R_({i+1},{k+1}b,{k+1},{i+1}b) = {r11[i][k][k][i].re}")
 
 print("\nsectional numerator on the (e1, e2) plane:",
-      charts.sectional_numerator(pc, (1, 0, 0), (0, 1, 0)))
+      charts.sectional_numerator(m, (1, 0, 0), (0, 1, 0)))
 print("Ricci curvature of e1 + conj(e1):",
-      charts.ricci_curvature(pc, (1, 0, 0)), "(constant in every direction)")
+      charts.ricci_curvature(m, (1, 0, 0)), "(constant in every direction)")
 
 from btpgeo.scalars import EC
-flat = charts.sectional_numerator(pc, (EC(1), EC(1), EC(1)),
+flat = charts.sectional_numerator(m, (EC(1), EC(1), EC(1)),
                                   (EC(0, 1), EC(0, -1), EC(0, 1)))
 print("flat-plane witness value:", flat)

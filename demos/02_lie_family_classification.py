@@ -31,6 +31,6 @@ print(f"{rep.label}: {rep.type_label}, B-rank {rep.b_rank}, "
 
 print("\nBismut curvature pattern shared by every middle-type member:")
 tb = lie.bismut_curvature(lie.family_a(1, -1))
-print("   Theta^b_11 =", tb[0, 0])
-print("   Theta^b_22 =", tb[1, 1])
-print("   Theta^b_33 =", tb[2, 2])
+print("   Theta^b_11 =", tb[0][0])
+print("   Theta^b_22 =", tb[1][1])
+print("   Theta^b_33 =", tb[2][2])

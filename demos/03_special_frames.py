@@ -23,7 +23,7 @@ print("   reconstruction residual:",
       f"{res.reconstruction_residual(A):.2e}")
 
 print("\nround-trip a fully symmetric torsion through random unitary frames:")
-T = lie.chern_torsion(lie.sl2c(1)).array()
+T = np.array(lie.chern_torsion(lie.sl2c(1)), complex)
 for trial in range(3):
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     Q, _ = np.linalg.qr(M)

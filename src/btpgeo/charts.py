@@ -12,9 +12,9 @@ not depend on their order) that it keeps as attributes: G, G^{-1}, the
 first and second jet coefficients dg, dgb, hh, ha and the Chern Christoffel
 symbols Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern
 curvature and residuals are einsums of them, the Ricci tensors trace Rc with
-G^{-1}; each table is built once per metric (scalars.memoized).  The public
-functions and PointCurvature hand out these read-only arrays themselves, so
-a write to one raises.  The derivative of
+G^{-1}; each table, the Levi-Civita pair (r11, r20) included, is built once
+per metric (scalars.memoized).  The public functions hand out these
+read-only arrays themselves, so a write to one raises.  The derivative of
 the torsion T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is
 taken in closed form:
 partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
@@ -45,7 +45,6 @@ sigma_{i jbar} = (delta_{i1} delta_{j1} |z3|^2 + delta_{i1} delta_{j2} z3
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -194,18 +193,15 @@ def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetr
 
 
 def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric:
-    """The flag-threefold metric g = gtilde - sigma as 2-jets.
-
-    Exact mode supports the chart origin (homogeneity reduces any point to
-    it); float mode expands at an arbitrary chart point.  ``sigma_scale``
-    exists for perturbation experiments; the geometric metric is scale 1.
+    """The flag-threefold metric g = gtilde - sigma as 2-jets at a chart
+    point (the origin by default), exact at a point of rational complex
+    coordinates or float at any point.  ``sigma_scale`` exists for
+    perturbation experiments; the geometric metric is scale 1.
     """
     n = 3
     if point is None:
         point = [0, 0, 0]
     kind, (sscale, *point) = _builder_kind(exact, [sigma_scale, *point])
-    if kind.exact and any(point):
-        raise ValueError("exact jets are expanded at the chart origin only")
     Z, Zb = _coords(n, point, kind)
     zero = Jet2(n)
     one = Jet2.constant(n, kind.one)
@@ -325,36 +321,12 @@ def btp_residual_at(m: ChartMetric):
     return _readonly(res_h), _readonly(res_a)
 
 
-@dataclass(frozen=True, eq=False)
-class PointCurvature:
-    """Torsion, Chern curvature, Ricci tensors and Levi-Civita components
-    of a chart metric at its base point, as read-only arrays of its kind,
-    with the metric's G and Ginv, which the sectional and Ricci curvature
-    read and the JSON report leaves out."""
-    n: int
-    kind: Kind
-    torsion: np.ndarray      # T[j,i,k]
-    rc: np.ndarray           # rc[k,l,i,j] = R^c_{k lbar i jbar}
-    ric1: np.ndarray
-    ric2: np.ndarray
-    ric3: np.ndarray
-    r11: np.ndarray          # r11[k,l,i,j] = R_{k lbar i jbar}
-    r20: np.ndarray          # r20[i,j,k,l] = R_{i j k lbar}
-    G: np.ndarray
-    Ginv: np.ndarray
-
-    def to_json(self):
-        dump = lambda a: np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
-        return {"n": self.n, "scalar_kind": self.kind.name,
-                "torsion": dump(self.torsion), "chern_curvature": dump(self.rc),
-                "chern_ricci_1": dump(self.ric1), "chern_ricci_2": dump(self.ric2),
-                "chern_ricci_3": dump(self.ric3), "riemannian_11": dump(self.r11),
-                "riemannian_20": dump(self.r20)}
-
-
-def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
+@memoized
+def riemannian_curvature_at(m: ChartMetric):
     """Levi-Civita curvature of the real metric at the base point, for any
-    chart metric at any positive-definite base value.
+    chart metric at any positive-definite base value, as the read-only pair
+    (r11, r20) with r11[k,l,i,j] = R_{k lbar i jbar} and
+    r20[i,j,k,l] = R_{i j k lbar}.
 
     The real metric g(x, y) = 2 Re X G conj(Y) pairs z_a with zbar_b only.
     In the coordinates (z, zbar) its lowered Christoffel symbols are
@@ -380,8 +352,19 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
     r11 = (np.einsum("qlj,qki->klij", V, P) - np.einsum("pil,pjk->klij", Q, U)
            - np.einsum("qli,qkj->klij", U, Q)
            - (np.einsum("kjil->klij", m.ha) + np.einsum("ilkj->klij", m.ha)) * half)
-    return PointCurvature(m.n, m.kind, chern_torsion_at(m), chern_curvature_at(m),
-                          *ricci_forms_at(m), _readonly(r11), _readonly(r20), m.G, m.Ginv)
+    return _readonly(r11), _readonly(r20)
+
+
+def point_report(m: ChartMetric):
+    """Torsion, Chern curvature, the Ricci tensors and the Levi-Civita pair
+    of m at its base point, as JSON."""
+    dump = lambda a: np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
+    ric1, ric2, ric3 = ricci_forms_at(m)
+    r11, r20 = riemannian_curvature_at(m)
+    return {"n": m.n, "scalar_kind": m.kind.name,
+            "torsion": dump(chern_torsion_at(m)), "chern_curvature": dump(chern_curvature_at(m)),
+            "chern_ricci_1": dump(ric1), "chern_ricci_2": dump(ric2),
+            "chern_ricci_3": dump(ric3), "riemannian_11": dump(r11), "riemannian_20": dump(r20)}
 
 
 # --------------------------------------------------------------------------
@@ -391,24 +374,24 @@ def riemannian_curvature_at(m: ChartMetric) -> PointCurvature:
 _to_exact = np.frompyfunc(EXACT.scalar, 1, 1)
 
 
-def _directions(pc: PointCurvature, X):
+def _directions(m: ChartMetric, X):
     """A direction or stack of directions as an (N, n) array of the data's
     scalar kind, and whether it was a single direction.
 
     Exact data takes ExactComplex, int and Fraction components; anything
     else raises TypeError.
     """
-    arr = np.asarray(X, pc.kind.dtype)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != pc.n:
-        raise ValueError(f"direction must have {pc.n} components")
-    if pc.kind.exact:
+    arr = np.asarray(X, m.kind.dtype)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != m.n:
+        raise ValueError(f"direction must have {m.n} components")
+    if m.kind.exact:
         arr = _to_exact(arr)
-    return arr.reshape(-1, pc.n), arr.ndim == 1
+    return arr.reshape(-1, m.n), arr.ndim == 1
 
 
-def _planes(pc: PointCurvature, X, Y):
-    X, single = _directions(pc, X)
-    Y, _ = _directions(pc, Y)
+def _planes(m: ChartMetric, X, Y):
+    X, single = _directions(m, X)
+    Y, _ = _directions(m, Y)
     if X.shape != Y.shape:
         raise ValueError("X and Y must hold the same number of directions")
     return X, Y, single
@@ -430,9 +413,9 @@ def _result(vals, single: bool):
     return vals.tolist()[0] if single else vals
 
 
-def _inner(pc: PointCurvature, X, Y):
+def _inner(m: ChartMetric, X, Y):
     """X G conj(Y) of each pair of rows; g(x, y) is twice its real part."""
-    return np.einsum("ma,ab,mb->m", X, pc.G, Y.conj())
+    return np.einsum("ma,ab,mb->m", X, m.G, Y.conj())
 
 
 def _pairs(A, B):
@@ -440,16 +423,17 @@ def _pairs(A, B):
     return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
 
 
-def _sectional_stack(pc: PointCurvature, X, Y):
-    """Sectional numerators of the planes spanned by the rows of X, Y.
+def _sectional_stack(r11, r20, X, Y):
+    """Sectional numerators of the planes spanned by the rows of X, Y, from
+    the Levi-Civita tables r11 and r20.
 
     With each curvature table flattened to an (n^2, n^2) matrix, every term
     of the expansion is a bilinear pairing (A (x) B) R (C (x) D) of two
     row-wise outer products, so the whole stack is contracted at once.  The
     real parts 2 Re z are taken as z + conj(z), in the data's scalar kind.
     """
-    nn = pc.n * pc.n
-    r11, r20 = pc.r11.reshape(nn, nn), pc.r20.reshape(nn, nn)
+    nn = X.shape[1] ** 2
+    r11, r20 = r11.reshape(nn, nn), r20.reshape(nn, nn)
     Xb, Yb = X.conj(), Y.conj()
     XYb, YXb = _pairs(X, Yb), _pairs(Y, Xb)
     left = XYb @ r11
@@ -460,7 +444,7 @@ def _sectional_stack(pc: PointCurvature, X, Y):
     return _real(-2 * t1 + 4 * t2 - (t3 + t3.conj()) - 2 * (e + e.conj()))
 
 
-def sectional_numerator(pc: PointCurvature, X, Y):
+def sectional_numerator(m: ChartMetric, X, Y):
     """R(x, y, y, x) for x = X + conj(X), y = Y + conj(Y).
 
     Expands the real 2-plane pairing through the complexified curvature:
@@ -473,11 +457,11 @@ def sectional_numerator(pc: PointCurvature, X, Y):
     stack gives a length-N array of them.  An exact value that is not real
     raises ArithmeticError.
     """
-    X, Y, single = _planes(pc, X, Y)
-    return _result(_sectional_stack(pc, X, Y), single)
+    X, Y, single = _planes(m, X, Y)
+    return _result(_sectional_stack(*riemannian_curvature_at(m), X, Y), single)
 
 
-def sectional_curvature(pc: PointCurvature, X, Y):
+def sectional_curvature(m: ChartMetric, X, Y):
     """Sectional curvature R_{xyyx} / |x ^ y|^2, with the norms and g(x, y)
     taken through G (the numerator alone is ``sectional_numerator``).
 
@@ -485,16 +469,16 @@ def sectional_curvature(pc: PointCurvature, X, Y):
     1e-14 |x|^2 |y|^2 (float data), a bound that does not depend on the
     scale of x and y.
     """
-    X, Y, single = _planes(pc, X, Y)
-    x2, y2 = 2 * _real(_inner(pc, X, X)), 2 * _real(_inner(pc, Y, Y))
-    w = _inner(pc, X, Y)
+    X, Y, single = _planes(m, X, Y)
+    x2, y2 = 2 * _real(_inner(m, X, X)), 2 * _real(_inner(m, Y, Y))
+    w = _inner(m, X, Y)
     xy = _real(w + w.conj())
     den = x2 * y2 - xy * xy
     # the float bound only: exact data stays rational
-    tol = None if pc.kind.exact else 1e-14 * x2 * y2
-    if pc.kind.negligible(den, tol).any():
+    tol = None if m.kind.exact else 1e-14 * x2 * y2
+    if m.kind.negligible(den, tol).any():
         raise DegeneratePlaneError("x and y span a degenerate plane")
-    return _result(_sectional_stack(pc, X, Y) / den, single)
+    return _result(_sectional_stack(*riemannian_curvature_at(m), X, Y) / den, single)
 
 
 def random_planes(rng: np.random.Generator, count: int, n: int):
@@ -509,7 +493,7 @@ def random_planes(rng: np.random.Generator, count: int, n: int):
         yield d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
 
 
-def ricci_curvature(pc: PointCurvature, X):
+def ricci_curvature(m: ChartMetric, X):
     """Ricci curvature of the real direction x = X + conj(X).
 
     The trace of the sectional numerators over a g-orthonormal frame
@@ -517,13 +501,13 @@ def ricci_curvature(pc: PointCurvature, X):
     docstring).  X is a single direction or a stack of shape (N, n); a
     single direction gives a float or a Fraction, a stack an array.
     """
-    X, single = _directions(pc, X)
-    x2 = _real(_inner(pc, X, X))
+    X, single = _directions(m, X)
+    x2 = _real(_inner(m, X, X))
     if (x2 == 0).any():
         raise DegeneratePlaneError("zero direction")
+    r11, r20 = riemannian_curvature_at(m)
     # a quarter of num(X) of the module docstring, over X G conj(X) = |x|^2 / 2
-    H = (2 * np.einsum("alid,li->ad", pc.r11, pc.Ginv)
-         - np.einsum("adij,ji->ad", pc.r11, pc.Ginv))
-    s = np.einsum("ma,ac,mc->m", X, np.einsum("aicl,li->ac", pc.r20, pc.Ginv), X)
+    H = 2 * np.einsum("alid,li->ad", r11, m.Ginv) - np.einsum("adij,ji->ad", r11, m.Ginv)
+    s = np.einsum("ma,ac,mc->m", X, np.einsum("aicl,li->ac", r20, m.Ginv), X)
     num = np.einsum("ma,ad,md->m", X, H, X.conj()) - (s + s.conj())
     return _result(_real(num) / x2, single)

@@ -193,23 +193,21 @@ def cmd_wallach(args) -> int:
     from . import charts
     exact = not args.float_mode
     m = charts.wallach_metric(exact=exact)
-    pc = charts.riemannian_curvature_at(m)
-    report = pc.to_json()
+    report = charts.point_report(m)
     report["refs"] = [
         "chart metric jets at the origin",
         "Chern curvature and Ricci tensors",
-        "Levi-Civita components under parallel torsion",
+        "Levi-Civita components from the Christoffel formula of the real metric",
     ]
     if args.seed is not None:
         import numpy as np
         rng = np.random.default_rng(args.seed)
         mf = m if not exact else charts.wallach_metric(exact=False)
-        pcf = pc if not exact else charts.riemannian_curvature_at(mf)
         min_sec = float("inf")
         ric_lo, ric_hi = float("inf"), -float("inf")
-        for X, Y in charts.random_planes(rng, args.samples, pcf.n):
-            min_sec = min(min_sec, float(charts.sectional_numerator(pcf, X, Y).min()))
-            r = charts.ricci_curvature(pcf, X)
+        for X, Y in charts.random_planes(rng, args.samples, mf.n):
+            min_sec = min(min_sec, float(charts.sectional_numerator(mf, X, Y).min()))
+            r = charts.ricci_curvature(mf, X)
             ric_lo, ric_hi = min(ric_lo, float(r.min())), max(ric_hi, float(r.max()))
         report["sampling"] = {"seed": args.seed, "samples": args.samples,
                               "min_sectional_numerator": min_sec,

@@ -6,9 +6,11 @@ brackets).  From these the module computes the Chern torsion and connection,
 the Bismut connection theta^b = theta + gamma, curvature matrices Theta =
 d theta - theta ^ theta, the sparse bracket table of the underlying real
 algebra, and the predicate vector used to sort algebras into the flat /
-rank-one / middle-type landscape.  Each table is built once per
-algebra, straight from the nonzero structure constants: theta^b is linear
-in them, the connection of D + T.
+rank-one / middle-type landscape.  Each table is plain data: T is nested
+tuples of the algebra's scalar kind, a connection or curvature matrix n x n
+nested tuples of invariant forms.  Each is built once per algebra, straight
+from the nonzero structure constants: theta^b is linear in them, the
+connection of D + T.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import mul, sub
 from typing import Dict, Optional, Tuple
 
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
-                    dolbeault_split, exterior_d, lower_antisymmetric)
+                    dolbeault_split, exterior_d)
 from .frames import diagonal_pattern, transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
-from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, Scalar, SchemaError, all_finite,
-                      common_kind, kind_of, memoized, scalar_from_json, scalar_to_json)
+from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, SchemaError, all_finite, kind_of,
+                      memoized, scalar_from_json, scalar_to_json)
 
 
 class IntegrabilityError(ValueError):
@@ -47,9 +49,15 @@ def _zeros3(n, kind: Kind = EXACT):
     return [[[kind.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
 
-def _form_is_zero(f: InvariantForm, kind: Kind) -> bool:
-    """Whether every coefficient of f is negligible in the given kind."""
-    return all(map(kind.negligible, f.terms.values()))
+def _flat(T):
+    """The entries of an n x n x n nested sequence, in index order."""
+    return (c for layer in T for r in layer for c in r)
+
+
+def _all_negligible(kind: Kind, values) -> bool:
+    """Whether every scalar in values is negligible in the given kind: the
+    zero test of a form's coefficients, or of a torsion's entries."""
+    return all(map(kind.negligible, values))
 
 
 # --------------------------------------------------------------------------
@@ -73,7 +81,7 @@ class HermitianLieAlgebra(CoframeContext):
         if validate:
             residuals = d_squared_residual(self)
             bad = [i for i, r in enumerate(residuals)
-                   if not _form_is_zero(r, self.kind)]
+                   if not _all_negligible(self.kind, r.terms.values())]
             if bad:
                 if not all_finite(c for r in residuals for c in r.terms.values()):
                     raise NumericError("non-finite d^2 residual")
@@ -222,51 +230,10 @@ def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
 # torsion and connections
 # --------------------------------------------------------------------------
 
-class TorsionTensor:
-    """Chern torsion components T^j_{ik}, antisymmetric in (i, k)."""
-
-    __slots__ = ("n", "T", "kind")
-
-    def __init__(self, n: int, T):
-        kind = common_kind(c for l in T for r in l for c in r)
-        if not lower_antisymmetric(T, kind):
-            raise ValueError("torsion must be antisymmetric in the lower indices")
-        _fill_torsion(self, n, T, kind)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TorsionTensor is immutable")
-
-    def __getitem__(self, jik):
-        j, i, k = jik
-        return self.T[j][i][k]
-
-    def array(self) -> np.ndarray:
-        """T as a new read-only n x n x n array of its kind."""
-        import numpy as np
-        arr = np.array(self.T, self.kind.dtype)
-        arr.flags.writeable = False
-        return arr
-
-    def is_zero(self) -> bool:
-        return all(self.kind.negligible(c) for layer in self.T for r in layer for c in r)
-
-    def matches(self, expected) -> bool:
-        """Whether T - expected is negligible entrywise (expected: nested
-        sequences or an array)."""
-        return all(self.kind.negligible(c - e) for layer, el in zip(self.T, expected)
-                   for r, er in zip(layer, el) for c, e in zip(r, er))
-
-
-def _fill_torsion(t: TorsionTensor, n: int, T, kind: Kind) -> TorsionTensor:
-    T = tuple(tuple(map(tuple, layer)) for layer in T)
-    for name, value in (("n", n), ("T", T), ("kind", kind)):
-        object.__setattr__(t, name, value)
-    return t
-
-
 @memoized
-def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
-    """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}; antisymmetric and of g's kind."""
+def chern_torsion(g: HermitianLieAlgebra):
+    """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} as nested tuples of g's
+    kind, antisymmetric in (i, k) as C is."""
     n = g.n
     T = _zeros3(n, g.kind)
     for j in range(n):
@@ -275,47 +242,15 @@ def chern_torsion(g: HermitianLieAlgebra) -> TorsionTensor:
                 v = -g.C[j][i][k] - g.D[j][i][k] + g.D[j][k][i]
                 T[j][i][k] = v
                 T[j][k][i] = -v
-    return _fill_torsion(object.__new__(TorsionTensor), n, T, g.kind)
+    return tuple(tuple(map(tuple, layer)) for layer in T)
 
 
-class ConnectionMatrix:
-    """n x n grid of invariant 1-forms over the scalar kind of their
-    algebra; chern/bismut/gamma are all skew-hermitian:
-    entry(i,j) = -conj(entry(j,i))."""
-
-    __slots__ = ("n", "entries", "kind")
-
-    def __init__(self, entries, kind: Kind):
-        entries = tuple(tuple(r) for r in entries)
-        n = len(entries)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ConnectionMatrix is immutable")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def trace(self) -> InvariantForm:
-        return sum((self.entries[i][i] for i in range(self.n)), InvariantForm.zero(self.n))
-
-
-class CurvatureMatrix(ConnectionMatrix):
-    """n x n grid of invariant 2-forms."""
-
-    def component(self, k: int, l: int, i: int, j: int) -> Scalar:
-        """R_{k lbar i jbar}: the phi_k ^ phibar_l coefficient of entry (i, j)."""
-        e = self.entries[i][j]
-        return self.kind.zero if e.is_zero() else e.coeff((k,), (l,))
-
-
-def _connection_from(kind: Kind, *tensors) -> ConnectionMatrix:
+def _connection_from(*tensors):
     """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k ) summed
-    over the given tensors X; each entry is one dict of masks, read off the
-    nonzero entries in order (phi_k before phibar_k, k increasing)."""
+    over the given tensors X, as n x n nested tuples of invariant 1-forms,
+    skew-hermitian: theta_{ij} = -conj(theta_{ji}).  Each entry is one dict
+    of masks, read off the nonzero entries in order (phi_k before phibar_k,
+    k increasing)."""
     n = len(tensors[0])
 
     def entry(i, j):
@@ -327,46 +262,53 @@ def _connection_from(kind: Kind, *tensors) -> ConnectionMatrix:
                         v = -v.conjugate() if m >> n else v     # the phibar_k term
                         acc[m] = acc[m] + v if m in acc else v
         return _form(n, acc)
-    return ConnectionMatrix([[entry(i, j) for j in range(n)] for i in range(n)], kind)
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 @memoized
-def chern_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
+def chern_connection(g: HermitianLieAlgebra):
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    return _connection_from(g.kind, g.D)
+    return _connection_from(g.D)
 
 
-def gamma_tensor(T: TorsionTensor) -> ConnectionMatrix:
+def gamma_tensor(g: HermitianLieAlgebra):
     """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    return _connection_from(T.kind, T.T)
+    return _connection_from(chern_torsion(g))
 
 
 @memoized
-def bismut_connection(g: HermitianLieAlgebra) -> ConnectionMatrix:
+def bismut_connection(g: HermitianLieAlgebra):
     """theta^b = theta + gamma, the connection of D + T."""
-    return _connection_from(g.kind, g.D, chern_torsion(g).T)
+    return _connection_from(g.D, chern_torsion(g))
 
 
-def _curvature_entry(ctx: CoframeContext, theta: ConnectionMatrix, i: int, j: int):
+def trace(theta) -> InvariantForm:
+    """The sum of the diagonal entries of an n x n matrix of forms."""
+    n = len(theta)
+    return sum((theta[i][i] for i in range(n)), InvariantForm.zero(n))
+
+
+def _curvature_entry(ctx: CoframeContext, theta, i: int, j: int):
     """Theta_{ij} = d theta_{ij} - sum_k theta_{ik} ^ theta_{kj}."""
-    f = exterior_d(ctx, theta[i, j])
-    for k in range(theta.n):
-        f = f - theta[i, k].wedge(theta[k, j])
+    f = exterior_d(ctx, theta[i][j])
+    for k in range(len(theta)):
+        f = f - theta[i][k].wedge(theta[k][j])
     return f
 
 
-def curvature_of(ctx: CoframeContext, theta: ConnectionMatrix) -> CurvatureMatrix:
-    """Theta = d theta - theta ^ theta, entrywise."""
-    n = theta.n
-    return CurvatureMatrix([[_curvature_entry(ctx, theta, i, j) for j in range(n)]
-                            for i in range(n)], theta.kind)
+def curvature_of(ctx: CoframeContext, theta):
+    """Theta = d theta - theta ^ theta, entrywise, as n x n nested tuples of
+    invariant 2-forms."""
+    n = len(theta)
+    return tuple(tuple(_curvature_entry(ctx, theta, i, j) for j in range(n))
+                 for i in range(n))
 
 
-def chern_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
+def chern_curvature(g: HermitianLieAlgebra):
     return curvature_of(g, chern_connection(g))
 
 
-def bismut_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
+def bismut_curvature(g: HermitianLieAlgebra):
     return curvature_of(g, bismut_connection(g))
 
 
@@ -374,18 +316,18 @@ def bismut_curvature(g: HermitianLieAlgebra) -> CurvatureMatrix:
 # scalar invariants and predicates
 # --------------------------------------------------------------------------
 
-def b_tensor(T: TorsionTensor):
-    """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}); hermitian nonnegative,
-    rows (nested tuples) of T's kind."""
-    flat = [[c for r in layer for c in r] for layer in T.T]
+def b_tensor(g: HermitianLieAlgebra):
+    """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}) of g's torsion;
+    hermitian nonnegative, rows (nested tuples) of g's kind."""
+    flat = [[c for r in layer for c in r] for layer in chern_torsion(g)]
     conj = [[c.conjugate() for c in row] for row in flat]
-    return tuple(tuple(sum(map(mul, tj, ci), T.kind.zero) for tj in flat) for ci in conj)
+    return tuple(tuple(sum(map(mul, tj, ci), g.kind.zero) for tj in flat) for ci in conj)
 
 
-def gauduchon_eta(T: TorsionTensor) -> InvariantForm:
-    """eta = sum_i ( sum_s T^s_{si} ) phi_i; balanced <=> eta = 0."""
-    n = T.n
-    return InvariantForm(n, {((i,), ()): sum((T.T[s][s][i] for s in range(n)), T.kind.zero)
+def gauduchon_eta(g: HermitianLieAlgebra) -> InvariantForm:
+    """eta = sum_i ( sum_s T^s_{si} ) phi_i of g's torsion; balanced <=> eta = 0."""
+    n, T = g.n, chern_torsion(g)
+    return InvariantForm(n, {((i,), ()): sum((T[s][s][i] for s in range(n)), g.kind.zero)
                              for i in range(n)})
 
 
@@ -399,19 +341,20 @@ def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], Invarian
     return _btp_residuals_from(chern_torsion(g), bismut_connection(g))
 
 
-def _btp_residuals_from(T: "TorsionTensor", tb: "ConnectionMatrix"):
-    """``btp_residuals`` for torsion T and connection tb: T is antisymmetric in
-    its lower indices, so R_{kji} = -R_{ijk} and R_{iji} = 0, and only the
-    residuals with i < k are summed, each into one dict of coefficients."""
-    n, X = T.n, T.T
+def _btp_residuals_from(X, tb):
+    """``btp_residuals`` for torsion X and connection tb, both nested tuples:
+    X is antisymmetric in its lower indices, so R_{kji} = -R_{ijk} and
+    R_{iji} = 0, and only the residuals with i < k are summed, each into one
+    dict of coefficients."""
+    n = len(X)
     half = {}
     for i in range(n):
         for k in range(i + 1, n):
             for j in range(n):
                 acc = {}
                 for r in range(n):
-                    for c, f in ((X[j][r][k], tb[i, r]), (X[j][i][r], tb[k, r]),
-                                 (-X[r][i][k], tb[r, j])):
+                    for c, f in ((X[j][r][k], tb[i][r]), (X[j][i][r], tb[k][r]),
+                                 (-X[r][i][k], tb[r][j])):
                         if c:
                             for m, v in f.terms.items():
                                 v = v * c
@@ -433,24 +376,21 @@ def check_unimodular(g: HermitianLieAlgebra) -> bool:
     return True
 
 
-def _curvature_trace(ctx: CoframeContext, theta: ConnectionMatrix) -> InvariantForm:
-    """tr Theta = d(tr theta), as tr(theta ^ theta) = sum_{i,k} theta_ik ^ theta_ki = 0."""
-    return exterior_d(ctx, theta.trace())
-
-
-def vaisman_torsion_pattern(T: TorsionTensor):
-    """Detect the pattern T^i_{i n} = a > 0 for all i < n, everything else 0.
+def vaisman_torsion_pattern(g: HermitianLieAlgebra):
+    """Detect the pattern T^i_{i n} = a > 0 for all i < n, everything else 0,
+    in g's torsion.
 
     Returns (matches, a).  This is the torsion shape of the non-balanced
     companion structures; the library reports the pattern only.
     """
-    n = T.n
-    a = T.T[0][0][n - 1]
-    if not T.matches(diagonal_pattern(n, a, (1,) * (n - 1))):
+    n, T, kind = g.n, chern_torsion(g), g.kind
+    a = T[0][0][n - 1]
+    matches = _all_negligible(kind, map(sub, _flat(T),
+                                        _flat(diagonal_pattern(n, a, (1,) * (n - 1)))))
+    if not matches:
         return False, None
     # a is real and positive beyond the zero test
-    positive = (T.kind.negligible(a.imag) and not T.kind.negligible(a.real)
-                and a.real > 0)
+    positive = kind.negligible(a.imag) and not kind.negligible(a.real) and a.real > 0
     return (positive, a if positive else None)
 
 
@@ -594,13 +534,13 @@ def bismut_swap_equal(g: HermitianLieAlgebra, swapped: HermitianLieAlgebra, S) -
     def must_vanish():      # lazily, so the test stops at the first failure
         for i in range(g.n):
             for j in range(g.n):
-                mapped = tbh[i, j].swap_indices(S)
+                mapped = tbh[i][j].swap_indices(S)
                 if (i in S) == (j in S):
-                    yield mapped - (tb[i, j].conj() if i in S else tb[i, j])
+                    yield mapped - (tb[i][j].conj() if i in S else tb[i][j])
                 else:
                     yield mapped
-                    yield tb[i, j]
-    return all(_form_is_zero(f, g.kind) for f in must_vanish())
+                    yield tb[i][j]
+    return _all_negligible(g.kind, (c for f in must_vanish() for c in f.terms.values()))
 
 
 def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
@@ -610,13 +550,14 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
     constant a.  A zero torsion is vacuously allowed and returns 0; any
     other pattern raises PatternError.
     """
-    n = g.n
-    T = chern_torsion(g)
-    if not T.is_zero():
+    n, T = g.n, chern_torsion(g)
+    torsion_free = _all_negligible(g.kind, _flat(T))
+    if not torsion_free:
         if n != 3:
             raise PatternError("middle-type obstruction needs n = 3")
-        a = T.T[0][0][2]
-        if g.kind.negligible(a) or not T.matches(diagonal_pattern(3, a, (1, -1))):
+        a = T[0][0][2]
+        if g.kind.negligible(a) or not _all_negligible(
+                g.kind, map(sub, _flat(T), _flat(diagonal_pattern(3, a, (1, -1))))):
             raise PatternError("torsion is not in the admissible middle-type pattern")
     Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,), g.kind.one)
     split = dolbeault_split(g, Phi)
@@ -680,26 +621,28 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     form), the rest only while every entry so far vanishes.
     """
     n = g.n
-    T = chern_torsion(g)
-    eta = gauduchon_eta(T)
-    balanced = _form_is_zero(eta, g.kind)
+
+    def vanishes(f):
+        return _all_negligible(g.kind, f.terms.values())
+
+    eta = gauduchon_eta(g)
+    balanced = vanishes(eta)
     theta = chern_connection(g)
     theta_b = bismut_connection(g)
-    btp = all(_form_is_zero(f, g.kind)
-              for f in _btp_residuals_from(T, theta_b).values())
+    btp = all(map(vanishes, _btp_residuals_from(chern_torsion(g), theta_b).values()))
     unimod = check_unimodular(g)
-    b_rank = hermitian_rank(b_tensor(T))
+    b_rank = hermitian_rank(b_tensor(g))
     diagonal = [_curvature_entry(g, theta, i, i) for i in range(n)]
-    chern_flat = (all(_form_is_zero(f, g.kind) for f in diagonal)
-                  and all(_form_is_zero(_curvature_entry(g, theta, i, j), g.kind)
+    chern_flat = (all(map(vanishes, diagonal))
+                  and all(vanishes(_curvature_entry(g, theta, i, j))
                           for i in range(n) for j in range(n) if i != j))
-    bismut_trace = _curvature_trace(g, theta_b)
-    cyt = _form_is_zero(bismut_trace, g.kind)
-    cy_type = _form_is_zero(theta.trace(), g.kind)
+    bismut_trace = exterior_d(g, trace(theta_b))
+    cyt = vanishes(bismut_trace)
+    cy_type = vanishes(trace(theta))
     nil_steps, solv_steps = solvability_profile(g)
     chern_ricci = sum(diagonal, InvariantForm.zero(n)).scale(g.kind.i)
     bismut_ricci = bismut_trace.scale(g.kind.i)
-    vpat, _ = vaisman_torsion_pattern(T)
+    vpat, _ = vaisman_torsion_pattern(g)
 
     if chern_flat:
         type_label = "chern_flat"

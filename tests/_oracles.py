@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 
 from btpgeo import lie
-from btpgeo.charts import ChartMetric, PointCurvature, chern_curvature_at, chern_torsion_at
+from btpgeo.charts import (ChartMetric, chern_curvature_at, chern_torsion_at,
+                           riemannian_curvature_at)
 from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, jet_matrix_inverse
@@ -422,18 +423,19 @@ def _contract(table, A, B, C, D):
     return acc
 
 
-def sectional_numerator_loop(pc, X, Y):
+def sectional_numerator_loop(m, X, Y):
     """-2 R_{X Xb Y Yb} + 4 R_{X Yb Y Xb} - 2 Re R_{X Yb X Yb}
-    - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ) for one pair of directions given as
-    scalars of the data's kind: a float, or a Fraction, where an exact value
-    that is not real raises ArithmeticError."""
+    - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ) of m's Levi-Civita tables for one
+    pair of directions given as scalars of the data's kind: a float, or a
+    Fraction, where an exact value that is not real raises ArithmeticError."""
+    r11, r20 = riemannian_curvature_at(m)
     Xb = [x.conjugate() for x in X]
     Yb = [y.conjugate() for y in Y]
-    t1 = _contract(pc.r11, X, Xb, Y, Yb)
-    t2 = _contract(pc.r11, X, Yb, Y, Xb)
-    t3 = _contract(pc.r11, X, Yb, X, Yb)
-    e = _contract(pc.r20, X, Y, X, Yb) - _contract(pc.r20, X, Y, Y, Xb)
-    if not pc.kind.exact:
+    t1 = _contract(r11, X, Xb, Y, Yb)
+    t2 = _contract(r11, X, Yb, Y, Xb)
+    t3 = _contract(r11, X, Yb, X, Yb)
+    e = _contract(r20, X, Y, X, Yb) - _contract(r20, X, Y, Y, Xb)
+    if not m.kind.exact:
         return (-2 * t1 + 4 * t2).real - 2 * t3.real - 4 * e.real
     total = -2 * t1 + 4 * t2 - 2 * EC(t3.re) - 4 * EC(e.re)
     if total.im != 0:
@@ -441,25 +443,39 @@ def sectional_numerator_loop(pc, X, Y):
     return total.re
 
 
-def ricci_frame_sum(pc, X):
-    """Ricci curvature of x = X + conj(X): the sectional numerators of x with
-    each of the 2n frame directions e_i, i e_i (squared length 2), summed and
-    divided by |x|^2 = 2 |X|^2."""
-    n = pc.n
-    zero, one, i = (EC.zero(), EC.one(), EC.i()) if pc.kind.exact else (0j, 1 + 0j, 1j)
+def ricci_frame_sum(m, X):
+    """Ricci curvature of x = X + conj(X) where G = I: the sectional
+    numerators of x with each of the 2n frame directions e_i, i e_i (squared
+    length 2), summed and divided by |x|^2 = 2 |X|^2."""
+    n = m.n
+    zero, one, i = (EC.zero(), EC.one(), EC.i()) if m.kind.exact else (0j, 1 + 0j, 1j)
     total = 0
     for k in range(n):
         for unit in (one, i):
             Y = [zero] * n
             Y[k] = unit
-            total = total + sectional_numerator_loop(pc, X, Y)
-    x2 = 2 * sum((x * x.conjugate()).re if pc.kind.exact else abs(x) ** 2 for x in X)
+            total = total + sectional_numerator_loop(m, X, Y)
+    x2 = 2 * sum((x * x.conjugate()).re if m.kind.exact else abs(x) ** 2 for x in X)
     return total / 2 / x2
 
 
+class TablesAtIdentity:
+    """Stands in for a chart metric whose base value G is the identity and
+    whose Levi-Civita pair is the given (r11, r20): the pair is put in the
+    memo that ``scalars.memoized`` reads, so ``charts.riemannian_curvature_at``
+    hands it out, and the sectional and Ricci curvature read it, as they
+    would a metric's."""
+
+    def __init__(self, r11, r20, kind):
+        self.n, self.kind = len(r11), kind
+        self.G = self.Ginv = np.array([[kind.one if a == b else kind.zero
+                                        for b in range(self.n)] for a in range(self.n)],
+                                      kind.dtype)
+        self._memo = {riemannian_curvature_at: (r11, r20)}
+
+
 def random_curvature_tables(rng, exact, hermitian, n=3):
-    """Random r11 and r20 tables as arrays, in a PointCurvature whose G and
-    Ginv are the identity.
+    """Random r11 and r20 tables as arrays, in a ``TablesAtIdentity``.
 
     Entries are complex Gaussians (float kind) or small rationals (exact
     kind), so no index symmetry relates them.  ``hermitian`` symmetrizes r11
@@ -480,10 +496,7 @@ def random_curvature_tables(rng, exact, hermitian, n=3):
     if hermitian:
         r11 = (r11 + r11.transpose(1, 0, 3, 2).conj() + r11.transpose(3, 2, 1, 0).conj()
                + r11.transpose(2, 3, 0, 1))
-    kind = EXACT if exact else FLOAT
-    eye = np.array([[kind.one if a == b else kind.zero for b in range(n)] for a in range(n)],
-                   dtype)
-    return PointCurvature(n, kind, None, None, None, None, None, r11, r20, eye, eye)
+    return TablesAtIdentity(r11, r20, EXACT if exact else FLOAT)
 
 
 # ---- exact rank, positivity and the frame-change law by explicit loops -------
@@ -561,6 +574,30 @@ def transform_frame_loop(g, P):
                     C[j][k][i] = -acc_c
                 D[j][i][k] = acc_d
     return C, D
+
+
+def regauge(g, P):
+    """The Hermitian Lie algebra of g in the coframe P phi, for any invertible
+    P (the metric changes with the frame unless P is unitary), by the law
+    written with P and P^-1 (``linalg.matrix_inverse``):
+        C'^i_{jk} = sum P_ia C^a_{bc} (P^-1)_bj (P^-1)_ck,
+        conj(D'^j_{ik}) = sum P_ia conj(D^b_{ac}) (P^-1)_bj conj((P^-1)_ck).
+    The result is validated (d^2 = 0) on construction."""
+    P = np.array(P, g.kind.dtype)
+    Q = matrix_inverse(P, g.kind)
+    C = np.einsum("ia,abc,bj,ck->ijk", P, np.array(g.C, g.kind.dtype), Q, Q)
+    Dbar = np.einsum("ia,bac,bj,ck->jik", P, np.conj(np.array(g.D, g.kind.dtype)), Q,
+                     np.conj(Q))
+    return lie.HermitianLieAlgebra(g.n, C.tolist(), np.conj(Dbar).tolist(),
+                                   label=f"{g.label}~regauged")
+
+
+def cayley_unitary(A):
+    """U = (I - A)(I + A)^-1 for a skew-hermitian exact A: an exact unitary
+    over Q(i), as I + A is invertible when A^H = -A."""
+    A = np.array(A, object)
+    eye = np.array([[EC(int(i == j)) for j in range(len(A))] for i in range(len(A))], object)
+    return (eye - A) @ matrix_inverse(eye + A, EXACT)
 
 
 # ---- the tuple-keyed form kernel ---------------------------------------------
@@ -732,22 +769,21 @@ def b_rank_type_two_path(a, tol=1e-8):
     return "excluded_by_classification"
 
 
-def vaisman_torsion_pattern_loop(T):
+def vaisman_torsion_pattern_loop(g):
     """(matches, a) as ``lie.vaisman_torsion_pattern``, entry by entry."""
-    n = T.n
-    a = T.T[0][0][n - 1]
+    n, T, kind = g.n, lie.chern_torsion(g), g.kind
+    a = T[0][0][n - 1]
     for j in range(n):
         for i in range(n):
             for k in range(n):
-                expected = T.kind.zero
+                expected = kind.zero
                 if j == i and k == n - 1 and i < n - 1:
                     expected = a
                 elif j == k and i == n - 1 and k < n - 1:
                     expected = -a
-                if not T.kind.negligible(T.T[j][i][k] - expected):
+                if not kind.negligible(T[j][i][k] - expected):
                     return False, None
-    positive = (T.kind.negligible(a.imag) and not T.kind.negligible(a.real)
-                and a.real > 0)
+    positive = kind.negligible(a.imag) and not kind.negligible(a.real) and a.real > 0
     return (positive, a if positive else None)
 
 
@@ -755,12 +791,12 @@ def admissible_pattern_loop(T):
     """Whether ``lie.pluriclosed_obstruction`` accepts the torsion T (n = 3):
     zero, or T^1_{13} = -T^1_{31} = -T^2_{23} = T^2_{32} = a != 0 and every
     other entry zero, by the exact zero test ``not c``."""
-    if all(not c for l in T.T for r in l for c in r):
+    if all(not c for l in T for r in l for c in r):
         return True
-    a = T.T[0][0][2]
+    a = T[0][0][2]
     pattern = {(0, 0, 2): a, (0, 2, 0): -a, (1, 1, 2): -a, (1, 2, 1): a}
     return bool(a) and all(
-        not T.T[j][i][k] - pattern.get((j, i, k), 0)
+        not T[j][i][k] - pattern.get((j, i, k), 0)
         for j in range(3) for i in range(3) for k in range(3))
 
 
@@ -832,35 +868,36 @@ def solvability_profile_all_pairs(g):
 
 def btp_residuals_triple_loop(T, tb):
     """All n^3 parallel-torsion residuals, each summed term by term."""
-    n = T.n
+    n = len(T)
     out = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 f = InvariantForm.zero(n)
                 for r in range(n):
-                    if T.T[j][r][k]:
-                        f = f + tb[i, r].scale(T.T[j][r][k])
-                    if T.T[j][i][r]:
-                        f = f + tb[k, r].scale(T.T[j][i][r])
-                    if T.T[r][i][k]:
-                        f = f - tb[r, j].scale(T.T[r][i][k])
+                    if T[j][r][k]:
+                        f = f + tb[i][r].scale(T[j][r][k])
+                    if T[j][i][r]:
+                        f = f + tb[k][r].scale(T[j][i][r])
+                    if T[r][i][k]:
+                        f = f - tb[r][j].scale(T[r][i][k])
                 out[(i, j, k)] = f
     return out
 
 
 def bismut_trace_full_curvature(g):
     """tr Theta^b from the full Bismut curvature matrix."""
-    return lie.curvature_of(g, lie.bismut_connection(g)).trace()
+    return lie.trace(lie.curvature_of(g, lie.bismut_connection(g)))
 
 
 def first_chern_ricci(g):
     """sqrt(-1) tr Theta (Chern) by d(tr theta), as tr(theta ^ theta) = 0."""
-    return exterior_d(g, lie.chern_connection(g).trace()).scale(g.kind.i)
+    return exterior_d(g, lie.trace(lie.chern_connection(g))).scale(g.kind.i)
 
 
-def is_skew_hermitian(mat):
+def is_skew_hermitian(mat, kind):
     """Whether a connection or curvature matrix has entry(i, j) =
-    -conj(entry(j, i)), by the zero test of its kind."""
-    return all(mat.kind.negligible(c) for i in range(mat.n) for j in range(mat.n)
-               for c in (mat[i, j] + mat[j, i].conj()).terms.values())
+    -conj(entry(j, i)), by the zero test of the kind."""
+    n = len(mat)
+    return all(kind.negligible(c) for i in range(n) for j in range(n)
+               for c in (mat[i][j] + mat[j][i].conj()).terms.values())

@@ -148,9 +148,8 @@ def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     m = charts.euclidean_metric(3, exact=False)
     assert m.G.dtype == complex
     assert _identity_base(m)
-    pc = charts.riemannian_curvature_at(m)
-    assert pc.kind.name == "float"
-    assert charts.sectional_numerator(pc, [1, 0, 0], [0, 1j, 0]) == 0.0
+    assert all(t.dtype == complex for t in charts.riemannian_curvature_at(m))
+    assert charts.sectional_numerator(m, [1, 0, 0], [0, 1j, 0]) == 0.0
     res_h, res_a = charts.btp_residual_at(m)
     assert _max_abs(res_h, res_a) == 0
 
@@ -217,9 +216,8 @@ def test_scaled_correction_breaks_parallelism():
     assert np.array_equal(m.G, np.diag([1, Fraction(3, 2), 1]))
     res_h, res_a = charts.btp_residual_at(m)
     assert _max_abs(res_h, res_a) > 0
-    pc = charts.riemannian_curvature_at(m)
     units = [[u if k == i else 0 for k in range(3)] for i in range(3) for u in (1, EC.i())]
-    assert charts.ricci_curvature(pc, units).tolist() == \
+    assert charts.ricci_curvature(m, units).tolist() == \
         [v for v in SIGMA_HALF_RICCI for _ in range(2)]
     # the float metric in a frame where g(0) = I gives the same values
     mf = charts.wallach_metric(exact=False, sigma_scale=0.5)
@@ -229,7 +227,7 @@ def test_scaled_correction_breaks_parallelism():
     assert _max_abs(res_h, res_a) > 1e-3
     # a direction X of the chart is inv(A) X in the frame z = A z'
     X = np.linalg.solve(np.array(orthonormalizing_frame(mf)), np.identity(3)).T
-    got = charts.ricci_curvature(charts.riemannian_curvature_at(mo), X)
+    got = charts.ricci_curvature(mo, X)
     assert np.max(np.abs(got - np.array(SIGMA_HALF_RICCI, float))) < 1e-9
 
 
@@ -289,8 +287,7 @@ def test_orthonormalize_at_non_real_points(point):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
     for metric in (mo, m):
-        pc = charts.riemannian_curvature_at(metric)
-        assert np.max(np.abs(charts.ricci_curvature(pc, X) - 2.5)) < 1e-9
+        assert np.max(np.abs(charts.ricci_curvature(metric, X) - 2.5)) < 1e-9
 
 
 # ---- the jet route as an independent oracle ----------------------------------------
@@ -420,33 +417,33 @@ def test_exact_extraction_transforms_as_tensors(seed, on_base, entries):
 # ---- Levi-Civita side ---------------------------------------------------------------
 
 def test_wallach_riemannian_table(wallach_pc):
-    pc = wallach_pc
+    r11, r20 = charts.riemannian_curvature_at(wallach_pc)
     for k in range(3):
         for l in range(3):
             for i in range(3):
                 for j in range(3):
-                    assert pc.r11[k][l][i][j] == EC(expected_wallach_r11(k, l, i, j), 0), \
+                    assert r11[k][l][i][j] == EC(expected_wallach_r11(k, l, i, j), 0), \
                         (k, l, i, j)
-    assert (pc.r20 == 0).all()
+    assert (r20 == 0).all()
 
 
 def test_riemannian_pair_symmetry(wallach_pc):
-    pc = wallach_pc
+    r11, _ = charts.riemannian_curvature_at(wallach_pc)
     for k in range(3):
         for l in range(3):
             for i in range(3):
                 for j in range(3):
-                    assert pc.r11[k][l][i][j] == pc.r11[i][j][k][l]
+                    assert r11[k][l][i][j] == r11[i][j][k][l]
 
 
 def test_pair_relations(wallach_pc):
-    pc = wallach_pc
+    r11, _ = charts.riemannian_curvature_at(wallach_pc)
     for i in range(3):
         for k in range(3):
             if i == k:
                 continue
-            a = pc.r11[i][i][k][k].re
-            b = pc.r11[i][k][k][i].re
+            a = r11[i][i][k][k].re
+            b = r11[i][k][k][i].re
             assert 2 * b - a == Fraction(1, 4)
             if {i, k} == {0, 2}:
                 assert 2 * a - b == Fraction(-5, 4) and a + b == Fraction(-1)
@@ -519,13 +516,13 @@ def test_single_direction_return_types(wallach_pc, wallach_float_pc):
 
 
 def test_float_stack_rejects_malformed_directions(wallach_float_pc):
-    pc = wallach_float_pc
+    m = wallach_float_pc
     with pytest.raises(ValueError):
-        charts.sectional_numerator(pc, np.ones((4, 2)), np.ones((4, 2)))
+        charts.sectional_numerator(m, np.ones((4, 2)), np.ones((4, 2)))
     with pytest.raises(ValueError):
-        charts.sectional_numerator(pc, np.ones((4, 3)), np.ones((5, 3)))
+        charts.sectional_numerator(m, np.ones((4, 3)), np.ones((5, 3)))
     with pytest.raises(charts.DegeneratePlaneError):
-        charts.ricci_curvature(pc, [[1, 0, 0], [0, 0, 0]])
+        charts.ricci_curvature(m, [[1, 0, 0], [0, 0, 0]])
 
 
 @pytest.mark.parametrize("seed", [1, 7, 123456])
@@ -569,17 +566,15 @@ def test_ricci_constant_exact(wallach_pc):
 
 
 def test_ricci_euclidean_zero():
-    pc = charts.riemannian_curvature_at(charts.euclidean_metric(3))
-    assert charts.ricci_curvature(pc, (1, 0, 0)) == 0
+    assert charts.ricci_curvature(charts.euclidean_metric(3), (1, 0, 0)) == 0
 
 
 def test_kaehler_einstein_end_of_the_pencil_has_ricci_two():
     # sigma = 0 is the Kaehler-Einstein metric, read at the base diag(1, 2, 1)
     m = charts.wallach_metric(sigma_scale=0)
     assert not _identity_base(m)
-    pc = charts.riemannian_curvature_at(m)
     dirs = [(1, 0, 0), (0, EC.i(), 0), (0, 0, 1), (EC(1), EC(2, -1), EC(0, 3))]
-    assert charts.ricci_curvature(pc, dirs).tolist() == [2] * 4
+    assert charts.ricci_curvature(m, dirs).tolist() == [2] * 4
 
 
 # ---- the Levi-Civita route against its two oracles ------------------------------------
@@ -598,13 +593,13 @@ def test_levi_civita_matches_the_full_formula(exact, on_base):
     base = (EXACT_BASE if exact else FLOAT_BASE) if on_base else None
     for seed in (0, 1):
         m = random_chart_metric(np.random.default_rng(seed), exact, base=base)
-        pc = charts.riemannian_curvature_at(m)
+        got = charts.riemannian_curvature_at(m)
         want = _full_blocks(m)
         assert min(map(_max_abs, want)) > 0.1
         if exact:
-            assert _same_tables((pc.r11, pc.r20), want)
+            assert _same_tables(got, want)
         else:
-            for got, w in zip((pc.r11, pc.r20), want):
+            for got, w in zip(got, want):
                 _assert_close(got, w)
 
 
@@ -615,9 +610,9 @@ def test_levi_civita_matches_the_parallel_torsion_formula():
         for m in (charts.wallach_metric(exact=exact), charts.euclidean_metric(3, exact),
                   charts.fubini_study_metric(3, exact)):
             assert _identity_base(m)
-            pc = charts.riemannian_curvature_at(m)
-            assert _same_tables((pc.r11, pc.r20), riemannian_parallel_torsion(m)), m.label
-            assert pc.r11.dtype == m.kind.dtype
+            got = charts.riemannian_curvature_at(m)
+            assert _same_tables(got, riemannian_parallel_torsion(m)), m.label
+            assert got[0].dtype == m.kind.dtype
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -627,7 +622,6 @@ def test_sectional_and_ricci_match_the_full_tensor_at_any_base(exact):
     # Ricci curvature its trace with the inverse real metric
     m = random_chart_metric(np.random.default_rng(2), exact,
                             base=EXACT_BASE if exact else FLOAT_BASE)
-    pc = charts.riemannian_curvature_at(m)
     R, g = -levi_civita_full(m), real_metric(m)
     ginv = matrix_inverse(g, m.kind)
     pair = lambda u, v: np.einsum("a,ab,b->", u, g, v)
@@ -637,8 +631,8 @@ def test_sectional_and_ricci_match_the_full_tensor_at_any_base(exact):
         num = np.einsum("abcd,a,b,c,d->", R, x, y, y, x)
         want = (num, num / (pair(x, x) * pair(y, y) - pair(x, y) * pair(x, y)),
                 np.einsum("abcd,bc,a,d->", R, ginv, x, x) / pair(x, x))
-        got = (charts.sectional_numerator(pc, X, Y), charts.sectional_curvature(pc, X, Y),
-               charts.ricci_curvature(pc, X))
+        got = (charts.sectional_numerator(m, X, Y), charts.sectional_curvature(m, X, Y),
+               charts.ricci_curvature(m, X))
         for v, w in zip(got, want):
             if exact:
                 assert type(v) is Fraction and EC(v) == w
@@ -652,39 +646,39 @@ def test_sectional_and_ricci_match_the_full_tensor_at_any_base(exact):
 def test_float_sectional_and_ricci_match_explicit_sums(seed):
     # generic tables: no index symmetry can hide a wrong index
     rng = np.random.default_rng(seed)
-    pc = random_curvature_tables(rng, exact=False, hermitian=False)
+    tables = random_curvature_tables(rng, exact=False, hermitian=False)
     # the explicit sums trace over e_i, i e_i, an orthonormal frame of G = I
-    assert np.array_equal(pc.G, np.identity(3)) and np.array_equal(pc.Ginv, pc.G)
+    assert np.array_equal(tables.G, np.identity(3)) and np.array_equal(tables.Ginv, tables.G)
     X = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
     Y = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
-    _assert_close(charts.sectional_numerator(pc, X, Y) + 0j,
-                  [sectional_numerator_loop(pc, x, y) for x, y in zip(X, Y)])
-    _assert_close(charts.ricci_curvature(pc, X) + 0j, [ricci_frame_sum(pc, x) for x in X])
+    _assert_close(charts.sectional_numerator(tables, X, Y) + 0j,
+                  [sectional_numerator_loop(tables, x, y) for x, y in zip(X, Y)])
+    _assert_close(charts.ricci_curvature(tables, X) + 0j, [ricci_frame_sum(tables, x) for x in X])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exact_sectional_and_ricci_match_explicit_sums(seed):
     rng = np.random.default_rng(seed)
-    pc = random_curvature_tables(rng, exact=True, hermitian=True)
-    nums = charts.sectional_numerator(pc, [x for x, _ in RATIONAL_PLANES],
+    tables = random_curvature_tables(rng, exact=True, hermitian=True)
+    nums = charts.sectional_numerator(tables, [x for x, _ in RATIONAL_PLANES],
                                       [y for _, y in RATIONAL_PLANES])
-    rics = charts.ricci_curvature(pc, [x for x, _ in RATIONAL_PLANES])
+    rics = charts.ricci_curvature(tables, [x for x, _ in RATIONAL_PLANES])
     for (x, y), num, ric in zip(RATIONAL_PLANES, nums, rics):
-        assert type(num) is Fraction and num == sectional_numerator_loop(pc, x, y)
-        assert charts.sectional_numerator(pc, x, y) == num
-        assert type(ric) is Fraction and ric == ricci_frame_sum(pc, x)
-        assert charts.ricci_curvature(pc, x) == ric
+        assert type(num) is Fraction and num == sectional_numerator_loop(tables, x, y)
+        assert charts.sectional_numerator(tables, x, y) == num
+        assert type(ric) is Fraction and ric == ricci_frame_sum(tables, x)
+        assert charts.ricci_curvature(tables, x) == ric
 
 
 def test_exact_non_real_sectional_value_raises():
-    pc = random_curvature_tables(np.random.default_rng(3), exact=True, hermitian=False)
+    tables = random_curvature_tables(np.random.default_rng(3), exact=True, hermitian=False)
     x, y = RATIONAL_PLANES[2]
     with pytest.raises(ArithmeticError):
-        sectional_numerator_loop(pc, x, y)
+        sectional_numerator_loop(tables, x, y)
     with pytest.raises(ArithmeticError):
-        charts.sectional_numerator(pc, x, y)
+        charts.sectional_numerator(tables, x, y)
     with pytest.raises(ArithmeticError):
-        charts.ricci_curvature(pc, x)
+        charts.ricci_curvature(tables, x)
 
 
 def test_exact_directions_reject_float_components(wallach_pc):
@@ -698,17 +692,17 @@ def test_exact_directions_reject_float_components(wallach_pc):
 
 @pytest.mark.parametrize("scale", [1e-9, 1e9])
 def test_normalized_sectional_does_not_depend_on_scale(wallach_float_pc, scale):
-    pc = wallach_float_pc
+    m = wallach_float_pc
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
     Y = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
     X = np.vstack([X, [1, 1, 1]])
     Y = np.vstack([Y, [0, 1, 0]])
-    want = charts.sectional_curvature(pc, X, Y)
+    want = charts.sectional_curvature(m, X, Y)
     assert want[-1] == pytest.approx(0.125, rel=1e-12)
-    for got in (charts.sectional_curvature(pc, scale * X, Y),
-                charts.sectional_curvature(pc, X, scale * Y),
-                charts.sectional_curvature(pc, scale * X, scale * Y)):
+    for got in (charts.sectional_curvature(m, scale * X, Y),
+                charts.sectional_curvature(m, X, scale * Y),
+                charts.sectional_curvature(m, scale * X, scale * Y)):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -781,21 +775,42 @@ def test_float_metric_at_chart_point_matches_direct_values():
                 assert abs(fd - complex(m.g[i][j].deriv(holo=(k,)))) < 1e-6
 
 
+def _point_tables(m):
+    """Torsion, Chern curvature, the three Ricci tensors, r11 and r20 of m."""
+    return (charts.chern_torsion_at(m), charts.chern_curvature_at(m),
+            *charts.ricci_forms_at(m), *charts.riemannian_curvature_at(m))
+
+
+def _assert_kinds_agree(exact_metric, float_metric, tol):
+    for i, (exact, flt) in enumerate(zip(_point_tables(exact_metric),
+                                         _point_tables(float_metric))):
+        assert all(type(c) is EC for c in exact.flat), i
+        assert flt.dtype == complex, i
+        assert np.max(np.abs(flt - exact.astype(complex))) <= tol, i
+
+
 def test_float_curvature_matches_exact(wallach_pc, wallach_float_pc):
     # every table of the two scalar kinds, entry by entry
-    for name in ("torsion", "rc", "ric1", "ric2", "ric3", "r11", "r20"):
-        exact = np.array(getattr(wallach_pc, name), dtype=object)
-        flt = np.array(getattr(wallach_float_pc, name), dtype=object)
-        assert all(type(c) is EC for c in exact.flat), name
-        assert all(type(c) is complex for c in flt.flat), name
-        diff = flt.astype(complex) - exact.astype(complex)
-        assert np.max(np.abs(diff)) <= 1e-14, name
+    _assert_kinds_agree(wallach_pc, wallach_float_pc, 1e-14)
 
 
-def test_exact_mode_rejects_off_origin():
-    for point in ([1, 0, 0], [1.0, 0, 0], [0, "1/2", 0]):
-        with pytest.raises(ValueError, match="chart origin"):
-            charts.wallach_metric(point=point, exact=True)
+# rational chart points away from the origin, as exact and float coordinates
+RATIONAL_POINTS = [((1, 0, 0), (1, 0, 0)),
+                   ((Fraction(1, 2), Fraction(1, 3), EC.i()), (0.5, 1 / 3, 1j))]
+
+
+@pytest.mark.parametrize("point, fpoint", RATIONAL_POINTS)
+def test_exact_flag_metric_off_origin(point, fpoint):
+    # the metric is homogeneous: at every rational point the exact jets give
+    # Ricci curvature 5/2 along each frame direction and along (1, 2, i), and
+    # parallel torsion, with no rounding
+    m = charts.wallach_metric(point=point)
+    assert m.kind is EXACT and not _identity_base(m)
+    dirs = [[u if k == i else 0 for k in range(3)] for i in range(3) for u in (1, EC.i())]
+    assert charts.ricci_curvature(m, dirs + [(1, 2, EC.i())]).tolist() == \
+        [Fraction(5, 2)] * 7
+    assert not any(r.any() for r in charts.btp_residual_at(m))
+    _assert_kinds_agree(m, charts.wallach_metric(point=fpoint, exact=False), 1e-12)
 
 
 def test_exact_builders_read_real_arguments_exactly():
@@ -809,11 +824,11 @@ def test_exact_builders_read_real_arguments_exactly():
 
 def test_exact_normalized_sectional_stays_rational_at_any_scale():
     # the float degeneracy bound is never formed from exact data
-    pc = charts.riemannian_curvature_at(charts.euclidean_metric(3))
+    m = charts.euclidean_metric(3)
     big = Fraction(10 ** 200)
-    assert charts.sectional_curvature(pc, [big, 0, 0], [0, big, 0]) == 0
+    assert charts.sectional_curvature(m, [big, 0, 0], [0, big, 0]) == 0
     with pytest.raises(charts.DegeneratePlaneError):
-        charts.sectional_curvature(pc, [big, 0, 0], [2 * big, 0, 0])
+        charts.sectional_curvature(m, [big, 0, 0], [2 * big, 0, 0])
 
 
 def test_chart_metric_validation():

@@ -105,7 +105,7 @@ def test_special_frame_fixed_point():
 
 def test_special_frame_recovers_sl2c():
     rng = np.random.default_rng(3)
-    T = lie.chern_torsion(lie.sl2c(1)).array()
+    T = np.array(lie.chern_torsion(lie.sl2c(1)), complex)
     for _ in range(20):
         scr = frames.transform_torsion(T, random_unitary(rng))
         res = frames.build_special_frame(scr)

@@ -22,13 +22,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "btpgeo"
 
 CEILINGS = {
     "__init__.py": 0,
-    "charts.py": 9,
-    "cli.py": 2,
+    "charts.py": 8,
+    "cli.py": 1,
     "forms.py": 2,
     "frames.py": 3,
     "goldens.py": 0,
     "jets.py": 3,
-    "lie.py": 6,
+    "lie.py": 5,
     "linalg.py": 4,
     "scalars.py": 11,
 }

@@ -1,0 +1,115 @@
+"""Regauging a Hermitian Lie algebra by a frame change P in GL(3, C).
+
+``_oracles.regauge`` applies the law C'^i_{jk} = sum P_ia C^a_{bc} (P^-1)_bj
+(P^-1)_ck and its companion for D.  A unitary P keeps the metric, so every
+predicate of ``classify`` is unchanged; the unitaries are Cayley transforms of
+rational skew-hermitian matrices, exact over Q(i).  A non-unitary P changes
+the metric but not the Lie algebra or its complex structure, so the frame-free
+facts survive while balance and parallel torsion may not.
+"""
+
+from dataclasses import fields
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from _oracles import cayley_unitary, regauge
+from btpgeo import lie
+from btpgeo.linalg import row_basis
+from btpgeo.scalars import EC, EXACT
+
+ALGEBRAS = {"n3": lie.nilmanifold_n3(1), "vaisman54": lie.vaisman_nilmanifold(1),
+            "sl2c": lie.sl2c(1), "a_st": lie.family_a(Fraction(1, 2), Fraction(1, 3)),
+            "b_zt": lie.family_b(EC(1, 1), 2)}
+
+# rational skew-hermitian matrices: imaginary diagonal, A_ji = -conj(A_ij)
+SKEW = [
+    [[EC(0, 1), EC(1, 2), EC(0)],
+     [EC(-1, 2), EC(0, Fraction(-1, 2)), EC(Fraction(1, 3), 1)],
+     [EC(0), EC(Fraction(-1, 3), 1), EC(0, 2)]],
+    [[EC(0), EC(Fraction(1, 2)), EC(0, 1)],
+     [EC(Fraction(-1, 2)), EC(0, 3), EC(0)],
+     [EC(0, 1), EC(0), EC(0, Fraction(-1, 4))]],
+]
+
+# the fields a frame change rewrites: the label, the three forms, whose
+# coefficients are frame components, and the Vaisman pattern, which reads T
+# in the given frame
+FRAME_FIELDS = {"label", "eta", "bismut_ricci", "chern_ricci", "vaisman_pattern"}
+
+NON_UNITARY = [
+    [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+    [[EC(1), EC(0, 1), EC(0)], [EC(Fraction(1, 2)), EC(1), EC(Fraction(1, 3))],
+     [EC(0), EC(1, 1), EC(2)]],
+]
+
+
+def _exact(P):
+    return [[EC(c) if not isinstance(c, EC) else c for c in row] for row in P]
+
+
+def _frame_free(rep):
+    return rep.unimodular, rep.nilpotent_steps, rep.solvable_steps
+
+
+def test_cayley_transforms_are_exactly_unitary():
+    for A in SKEW:
+        U = cayley_unitary(A)
+        assert not (U @ np.conj(U).T - np.identity(3, int)).any()
+
+
+def test_unitary_regauge_is_the_frame_change():
+    # two independent routes to the same structure constants
+    for A in SKEW:
+        U = cayley_unitary(A)
+        for g in ALGEBRAS.values():
+            h, f = regauge(g, U), lie.transform_frame(g, np.conj(U))
+            assert h.C == f.C and h.D == f.D, g.label
+
+
+def test_classify_is_invariant_under_cayley_unitaries():
+    for A in SKEW:
+        U = cayley_unitary(A)
+        for g in ALGEBRAS.values():
+            before, after = lie.classify(g), lie.classify(regauge(g, U))
+            for f in fields(before):
+                if f.name not in FRAME_FIELDS:
+                    assert getattr(after, f.name) == getattr(before, f.name), (g.label, f.name)
+
+
+def test_non_unitary_regauge_keeps_the_frame_free_facts():
+    for P in map(_exact, NON_UNITARY):
+        reps = {name: lie.classify(regauge(g, P)) for name, g in ALGEBRAS.items()}
+        for name, g in ALGEBRAS.items():
+            assert _frame_free(reps[name]) == _frame_free(lie.classify(g)), name
+        for name in ("n3", "vaisman54"):
+            assert reps[name].btp and not reps[name].balanced, name
+        sl2c = reps["sl2c"]
+        assert sl2c.type_label == "chern_flat" and sl2c.balanced and not sl2c.btp
+        for name in ("a_st", "b_zt"):
+            assert not reps[name].btp and not reps[name].balanced, name
+
+
+def test_a_multiple_of_a_unitary_keeps_balance():
+    # so "not balanced" is not a fact of every non-unitary P
+    U = cayley_unitary(SKEW[0])
+    rep = lie.classify(regauge(ALGEBRAS["n3"], 2 * U))
+    assert rep.balanced and rep.btp
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_ENTRY = st.builds(EC, _RATIONAL, _RATIONAL)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_ENTRY, min_size=9, max_size=9))
+def test_every_rational_regauge_keeps_the_frame_free_facts(entries):
+    P = [entries[:3], entries[3:6], entries[6:]]
+    assume(len(row_basis(P, EXACT)) == 3)
+    for g in ALGEBRAS.values():
+        h = regauge(g, P)       # validated on construction: d^2 = 0
+        rep = lie.classify(h)
+        assert _frame_free(rep) == _frame_free(lie.classify(g)), g.label
+    # D stays zero on a complex Lie group, so its Chern connection stays flat
+    assert lie.classify(regauge(ALGEBRAS["sl2c"], P)).type_label == "chern_flat"

@@ -63,10 +63,9 @@ def test_swap_rejects_non_integrable():
 def test_swapped_family_a_has_companion_pattern():
     g = lie.family_a(1, -1)
     sw = lie.conjugate_swap(g, {1})
-    T = lie.chern_torsion(sw)
-    ok, a = lie.vaisman_torsion_pattern(T)
+    ok, a = lie.vaisman_torsion_pattern(sw)
     assert ok and a == EC(1)
-    eta = lie.gauduchon_eta(T)
+    eta = lie.gauduchon_eta(sw)
     assert eta == phi(2, EC(2))
     rep = lie.classify(sw)
     assert rep.type_label == "non_balanced" and rep.btp and rep.b_rank == 2

@@ -75,18 +75,6 @@ def test_companion_swaps_once(monkeypatch, capsys):
     assert calls == {"conjugate_swap": 1, "d_squared_residual": 2}
 
 
-def test_lie_commands_build_no_torsion_array(monkeypatch, capsys):
-    # T stays the tuples it is built as, and B is summed from them
-    def no_array(self):
-        raise AssertionError("TorsionTensor.array called")
-    monkeypatch.setattr(lie.TorsionTensor, "array", no_array)
-    for path in sorted(DATA.glob("*.json")):
-        assert main(["classify", "--input", str(path)]) in (0, 2), path.name
-    assert main(["sweep"]) == 0
-    assert main(["companion", "--example", "n3", "--swap", "2"]) == 0
-    capsys.readouterr()
-
-
 def _count_bodies(monkeypatch, calls, *memoized):
     """Count the runs of each memoized body under its function's name."""
     counted = _counter(calls)
@@ -138,7 +126,8 @@ def _chart_builds(monkeypatch, capsys, argv, code):
     monkeypatch.setattr(charts, "_jet_coefficients",
                         _counter(calls)("_jet_coefficients", charts._jet_coefficients))
     _count_bodies(monkeypatch, calls, charts.chern_torsion_at, charts.chern_curvature_at,
-                  charts.ricci_forms_at, charts.btp_residual_at)
+                  charts.ricci_forms_at, charts.btp_residual_at,
+                  charts.riemannian_curvature_at)
     assert main(argv) == code
     capsys.readouterr()
     return calls
@@ -147,12 +136,11 @@ def _chart_builds(monkeypatch, capsys, argv, code):
 def test_verify_wallach_builds_each_chart_table_once(monkeypatch, capsys):
     # criterion 4 stays red
     calls = _chart_builds(monkeypatch, capsys, ["verify", "--example", "wallach"], 1)
-    # the metric reads its jets once; ricci_forms_at and riemannian_curvature_at
-    # share one Ricci trace; the two sectional checks and the stacked Ricci
-    # evaluation of the twelve frame directions read the r11 and r20 arrays of
-    # one PointCurvature
+    # the metric reads its jets once; the Levi-Civita table check, the two
+    # sectional checks and the stacked Ricci evaluation of the twelve frame
+    # directions read the one memoized (r11, r20) pair of the metric
     assert calls == {"_jet_coefficients": 1, "chern_torsion_at": 1, "chern_curvature_at": 1,
-                     "ricci_forms_at": 1, "btp_residual_at": 1}
+                     "ricci_forms_at": 1, "btp_residual_at": 1, "riemannian_curvature_at": 1}
 
 
 @pytest.mark.parametrize("argv", [["wallach"],
@@ -162,7 +150,7 @@ def test_wallach_report_builds_no_residuals(monkeypatch, capsys, argv):
     # the Levi-Civita curvature is read from the jets of one metric, with no
     # parallel-torsion check first; the float run samples that same metric
     assert calls == {"_jet_coefficients": 1, "chern_torsion_at": 1, "chern_curvature_at": 1,
-                     "ricci_forms_at": 1}
+                     "ricci_forms_at": 1, "riemannian_curvature_at": 1}
 
 
 def test_each_main_call_builds_only_its_command_parser(monkeypatch, capsys):
@@ -200,17 +188,17 @@ def test_memo_lives_on_its_object():
 def test_cached_chart_tables_are_read_only():
     m = charts.wallach_metric()
     tables = (charts.chern_torsion_at, charts.chern_curvature_at, charts.ricci_forms_at,
-              charts.btp_residual_at)
+              charts.btp_residual_at, charts.riemannian_curvature_at)
     for fn in tables:
         assert fn(m) is fn(m)
         assert fn(charts.wallach_metric()) is not fn(m)
-    pc = charts.riemannian_curvature_at(m)
-    pcf = charts.riemannian_curvature_at(charts.wallach_metric(exact=False))
-    assert pc.torsion is charts.chern_torsion_at(m) and pc.rc is charts.chern_curvature_at(m)
-    assert pc.G is m.G and pc.Ginv is m.Ginv
-    assert all(a is b for a, b in zip((pc.ric1, pc.ric2, pc.ric3), charts.ricci_forms_at(m)))
-    fields = ("torsion", "rc", "ric1", "ric2", "ric3", "r11", "r20")
-    point = [getattr(p, f) for p in (pc, pcf) for f in fields]
+    # the Levi-Civita pair is the same read-only pair on a second call
+    r11, r20 = charts.riemannian_curvature_at(m)
+    again = charts.riemannian_curvature_at(m)
+    assert again[0] is r11 and again[1] is r20
+    point = [t for p in (m, charts.wallach_metric(exact=False))
+             for t in (charts.chern_torsion_at(p), charts.chern_curvature_at(p),
+                       *charts.ricci_forms_at(p), *charts.riemannian_curvature_at(p))]
     assert [a.dtype for a in point] == [object] * 7 + [complex] * 7
     # the metric's arrays and the public functions' tables are the cached
     # arrays themselves; a write to any of them raises

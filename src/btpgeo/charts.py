@@ -82,7 +82,7 @@ class ChartMetric:
         if [len(r) for r in g] != [n] * n or any(not isinstance(f, Jet2) or f.n != n
                                                  for r in g for f in r):
             raise ValueError(f"metric jets must be an {n} x {n} grid of jets in {n} variables")
-        kind = kind_of(next((c for row in g for f in row for c in f.coeffs.values()),
+        kind = kind_of(next((c for row in g for f in row for c in f.terms.values()),
                             EC.zero()))
         for i in range(n):
             for j in range(i, n):
@@ -91,7 +91,7 @@ class ChartMetric:
                     continue
                 # the pair (j, i) has the residual -conj(d), of the same size
                 tol = 1e-10 * max(min(g[i][j].norm_inf(), g[j][i].norm_inf()), 1.0)
-                if not all(kind.negligible(c, tol) for c in d.coeffs.values()):
+                if not all(kind.negligible(c, tol) for c in d.terms.values()):
                     raise ValueError("metric jets must be hermitian")
         G, dg, dgb, hh, ha = _jet_coefficients(g, kind)
         if kind.exact:
@@ -127,7 +127,7 @@ def _jet_coefficients(g, kind: Kind):
     dg, dgb, hh, ha = (np.full((n,) * r, kind.zero, kind.dtype) for r in (3, 3, 4, 4))
     for i in range(n):
         for j in range(n):
-            for mono, c in g[i][j].coeffs.items():
+            for mono, c in g[i][j].terms.items():
                 if len(mono) == 1:
                     v = mono[0]
                     if v < n:

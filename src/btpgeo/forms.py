@@ -25,14 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .scalars import (EC, Kind, Scalar, common_kind, kind_of, scalar_from_json,
-                      scalar_to_json)
-
-
-class FormDimensionError(ValueError):
-    pass
+from .scalars import (EC, DimensionError, Kind, Scalar, Terms, common_kind,
+                      scalar_from_json, scalar_to_json)
 
 
 class BidegreeError(ValueError):
@@ -59,7 +55,7 @@ def _encode(n: int, I: Sequence[int], J: Sequence[int]) -> int:
     """The mask of phi_I ^ phibar_J; raises unless the monomial is canonical."""
     I, J = tuple(map(index, I)), tuple(map(index, J))
     if any(not 0 <= v < n for v in I + J):
-        raise FormDimensionError(f"index out of range for n={n}")
+        raise DimensionError(f"index out of range for n={n}")
     if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
         raise ValueError("monomial index lists must be strictly increasing")
     return sum(1 << i for i in I) | sum(1 << (n + j) for j in J)
@@ -68,19 +64,15 @@ def _encode(n: int, I: Sequence[int], J: Sequence[int]) -> int:
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-class InvariantForm:
+class InvariantForm(Terms):
     """An element of the exterior algebra on {phi_1..phi_n, phibar_1..phibar_n}
-    with constant coefficients."""
+    with constant coefficients, built from terms {(I, J): c}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: Optional[Dict[Mono, Scalar]] = None):
-        _set_n(self, n)
-        _set_terms(self, {_encode(n, I, J): c for (I, J), c in (terms or {}).items()
-                          if c})
-
-    def __setattr__(self, *_):
-        raise AttributeError("InvariantForm is immutable")
+    @staticmethod
+    def _key(n: int, key) -> int:
+        return _encode(n, *key)
 
     # ---- constructors ---------------------------------------------------
     @staticmethod
@@ -102,27 +94,6 @@ class InvariantForm:
     @staticmethod
     def monomial(n: int, I: Sequence[int], J: Sequence[int], coef: Scalar) -> "InvariantForm":
         return InvariantForm(n, {(tuple(I), tuple(J)): coef})
-
-    # ---- linear structure -------------------------------------------------
-    def _check(self, other: "InvariantForm"):
-        if self.n != other.n:
-            raise FormDimensionError("mismatched coframe dimensions")
-
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t[m] + c if m in t else c
-        return _form(self.n, t)
-
-    def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
-
-    def __neg__(self) -> "InvariantForm":
-        return _form(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: Scalar) -> "InvariantForm":
-        return _form(self.n, {m: v * c for m, v in self.terms.items()})
 
     # ---- algebra ----------------------------------------------------------
     def wedge(self, other: "InvariantForm") -> "InvariantForm":
@@ -152,14 +123,8 @@ class InvariantForm:
         return _form(n, t)
 
     # ---- inspection ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, I: Sequence[int], J: Sequence[int]) -> Scalar:
-        c = self.terms.get(_encode(self.n, I, J))
-        if c is None:       # the zero of the form's kind; exact for an empty form
-            return kind_of(next(iter(self.terms.values()), EC.zero())).zero
-        return c
+        return self._coeff(_encode(self.n, I, J))
 
     def _bidegree_of(self, m: int) -> Tuple[int, int]:
         return (m & ((1 << self.n) - 1)).bit_count(), (m >> self.n).bit_count()
@@ -197,14 +162,6 @@ class InvariantForm:
             out[mm] = out[mm] + cc if mm in out else cc
         return _form(n, out)
 
-    def __eq__(self, other):
-        if not isinstance(other, InvariantForm):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def _sorted_terms(self) -> List[Tuple[Mono, Scalar]]:
         low = (1 << self.n) - 1
         return sorted(((tuple(_bits(m & low)), tuple(_bits(m >> self.n))), c)
@@ -236,16 +193,7 @@ class InvariantForm:
         return InvariantForm(n, t)
 
 
-_set_n = InvariantForm.n.__set__
-_set_terms = InvariantForm.terms.__set__
-
-
-def _form(n: int, terms: Dict[int, Scalar]) -> InvariantForm:
-    """A form from mask-keyed terms: zeros are dropped, nothing is checked."""
-    f = object.__new__(InvariantForm)
-    _set_n(f, n)
-    _set_terms(f, {m: c for m, c in terms.items() if c})
-    return f
+_form = InvariantForm._of       # from mask-keyed terms, unchecked
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -275,7 +223,7 @@ class CoframeContext:
         D = tuple(tuple(tuple(r) for r in layer) for layer in D)
         for T, name in ((C, "C"), (D, "D")):
             if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
-                raise FormDimensionError(f"{name} must be n x n x n")
+                raise DimensionError(f"{name} must be n x n x n")
         kind = common_kind(c for T in (C, D) for l in T for r in l for c in r)
         if not lower_antisymmetric(C, kind):
             raise ValueError("C must be antisymmetric in its lower indices")
@@ -308,7 +256,7 @@ def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:
     """Exterior derivative by the structure equation and the Leibniz rule,
     d(c f_1 ^ ... ^ f_k) = sum_t (-1)^t c d(f_t) ^ (the other factors)."""
     if ctx.n != a.n:
-        raise FormDimensionError("form dimension does not match context")
+        raise DimensionError("form dimension does not match context")
     acc: Dict[int, Scalar] = {}
     for m, c in a.terms.items():
         for t, b in enumerate(_bits(m)):

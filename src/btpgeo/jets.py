@@ -9,10 +9,10 @@ zbar_{v-n+1}.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .linalg import matrix_inverse
-from .scalars import EC, EXACT, Kind, Scalar, kind_of
+from .scalars import EXACT, Kind, Scalar, Terms, kind_of
 
 Mono = Tuple[int, ...]   # (), (v,), or (v, w) with v <= w
 
@@ -21,29 +21,18 @@ class JetSingularityError(ZeroDivisionError):
     """Division by a jet whose constant term vanishes."""
 
 
-class Jet2:
-    __slots__ = ("n", "coeffs")
+class Jet2(Terms):
+    """A 2-jet from terms {monomial: c}, each monomial a tuple of at most two
+    variables in any order."""
 
-    def __init__(self, n: int, coeffs: Optional[Dict[Mono, Scalar]] = None):
-        clean: Dict[Mono, Scalar] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                if not c:
-                    continue
-                m = tuple(sorted(m))
-                if len(m) > 2 or any(not 0 <= v < 2 * n for v in m):
-                    raise ValueError(f"bad monomial {m} for n={n}")
-                if m in clean:
-                    c = clean[m] + c
-                    if not c:      # two spellings of one monomial cancel
-                        del clean[m]
-                        continue
-                clean[m] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", clean)
+    __slots__ = ()
 
-    def __setattr__(self, *_):
-        raise AttributeError("Jet2 is immutable")
+    @staticmethod
+    def _key(n: int, m) -> Mono:
+        m = tuple(sorted(m))
+        if len(m) > 2 or any(not 0 <= v < 2 * n for v in m):
+            raise ValueError(f"bad monomial {m} for n={n}")
+        return m
 
     # ---- constructors ----------------------------------------------------
     @staticmethod
@@ -63,35 +52,11 @@ class Jet2:
         return Jet2.variable(n, n + i, kind)
 
     # ---- ring operations ---------------------------------------------------
-    def _check(self, other: "Jet2"):
-        if self.n != other.n:
-            raise ValueError("mismatched jet dimensions")
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        self._check(other)
-        t = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            t[m] = t[m] + c if m in t else c
-        return _jet(self.n, t)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        self._check(other)
-        t = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            t[m] = t[m] - c if m in t else -c
-        return _jet(self.n, t)
-
-    def __neg__(self) -> "Jet2":
-        return _jet(self.n, {m: -c for m, c in self.coeffs.items()})
-
-    def scale(self, c: Scalar) -> "Jet2":
-        return _jet(self.n, {m: v * c for m, v in self.coeffs.items()})
-
     def __mul__(self, other: "Jet2") -> "Jet2":
         self._check(other)
         acc: Dict[Mono, Scalar] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
                 if not m1:
                     m = m2
                 elif not m2:
@@ -107,7 +72,7 @@ class Jet2:
 
     def reciprocal(self) -> "Jet2":
         """1/f by the geometric series; needs a nonzero constant term."""
-        c0 = self.coeffs.get(())
+        c0 = self.terms.get(())
         if not c0:
             raise JetSingularityError("jet has zero constant term")
         one = kind_of(c0).one
@@ -122,7 +87,7 @@ class Jet2:
     def conj(self) -> "Jet2":
         n = self.n
         out: Dict[Mono, Scalar] = {}
-        for m, c in self.coeffs.items():
+        for m, c in self.terms.items():
             m = tuple(v + n if v < n else v - n for v in m)
             if len(m) == 2 and m[0] > m[1]:      # only a z zbar pair swaps order
                 m = (m[1], m[0])
@@ -134,10 +99,7 @@ class Jet2:
         return self.coeff(())
 
     def coeff(self, mono: Sequence[int]) -> Scalar:
-        c = self.coeffs.get(tuple(sorted(mono)))
-        if c is None:       # the zero of the jet's kind; exact for an empty jet
-            return kind_of(next(iter(self.coeffs.values()), EC.zero())).zero
-        return c
+        return self._coeff(tuple(sorted(mono)))
 
     def deriv(self, holo: Sequence[int] = (), anti: Sequence[int] = ()) -> Scalar:
         """Partial derivative at the base point.
@@ -155,57 +117,32 @@ class Jet2:
     def partial(self, v: int) -> "Jet2":
         """Derivative with respect to variable v (result has degree <= 1)."""
         acc: Dict[Mono, Scalar] = {}
-        for m, c in self.coeffs.items():
-            if v not in m:
-                continue
-            rest = list(m)
-            rest.remove(v)
-            mult = 2 if len(m) == 2 and m[0] == m[1] else 1
-            key = tuple(rest)
-            cc = c * mult if mult == 2 else c
-            acc[key] = acc[key] + cc if key in acc else cc
+        for m, c in self.terms.items():      # each m with v leaves its own rest
+            if v in m:
+                rest = list(m)
+                rest.remove(v)
+                acc[tuple(rest)] = c * 2 if m == (v, v) else c
         return Jet2(self.n, acc)
 
     def truncate(self, max_degree: int) -> "Jet2":
         """Drop coefficients above the given total degree."""
-        return Jet2(self.n, {m: c for m, c in self.coeffs.items()
+        return Jet2(self.n, {m: c for m, c in self.terms.items()
                              if len(m) <= max_degree})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def norm_inf(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
+        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "Jet2(0)"
         def vname(v):
             return f"z{v+1}" if v < self.n else f"zb{v-self.n+1}"
         bits = [f"({c!r})" + "".join("*" + vname(v) for v in m)
-                for m, c in sorted(self.coeffs.items())]
+                for m, c in sorted(self.terms.items())]
         return " + ".join(bits)
 
 
-_set_n = Jet2.n.__set__
-_set_coeffs = Jet2.coeffs.__set__
-
-
-def _jet(n: int, coeffs: Dict[Mono, Scalar]) -> Jet2:
-    """A Jet2 from monomials that are already canonical (sorted, in range,
-    one entry each); zero coefficients are dropped, nothing else is checked."""
-    j = object.__new__(Jet2)
-    _set_n(j, n)
-    _set_coeffs(j, {m: c for m, c in coeffs.items() if c})
-    return j
+_jet = Jet2._of       # from canonical monomials (sorted, in range), unchecked
 
 
 def jet_matrix_inverse(g):

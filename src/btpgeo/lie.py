@@ -163,67 +163,58 @@ def _ec(x) -> ExactComplex:
     return EC(Fraction(x), 0)
 
 
+def _algebra(label: str, C, D, n: int = 3) -> HermitianLieAlgebra:
+    """The exact algebra with the given ((j, i, k), c) entries of C and D,
+    0-based; each C entry implies its mirror C^j_{ki} = -c."""
+    Ct, Dt = _zeros3(n), _zeros3(n)
+    for (j, i, k), c in C:
+        Ct[j][i][k], Ct[j][k][i] = c, -c
+    for (j, i, k), c in D:
+        Dt[j][i][k] = c
+    return HermitianLieAlgebra(n, Ct, Dt, label=label)
+
+
 def abelian(n: int = 3) -> HermitianLieAlgebra:
-    return HermitianLieAlgebra(n, _zeros3(n), _zeros3(n), label=f"abelian{n}")
+    return _algebra(f"abelian{n}", (), (), n)
 
 
 def nilmanifold_n3(a=1) -> HermitianLieAlgebra:
     """The balanced nilmanifold: d phi_3 = -a phi_{1 1b} + a phi_{2 2b}."""
-    a = _ec(a)
-    C = _zeros3(3)
-    D = _zeros3(3)
-    D[0][2][0] = a        # D^1_{31} = a
-    D[1][2][1] = -a       # D^2_{32} = -a
-    return HermitianLieAlgebra(3, C, D, label="n3")
+    a = _ec(a)      # D^1_{31} = a, D^2_{32} = -a
+    return _algebra("n3", (), [((0, 2, 0), a), ((1, 2, 1), -a)])
 
 
 def family_a(s, t, a=1) -> HermitianLieAlgebra:
     """The first middle-type family, parameterized by real (s, t)."""
     s, t, a = Fraction(s), Fraction(t), _ec(a)
-    C = _zeros3(3)
-    D = _zeros3(3)
-    C[0][0][2] = EC(0, -s); C[0][2][0] = EC(0, s)      # C^1_{13} = -i s
-    C[1][1][2] = EC(0, -t); C[1][2][1] = EC(0, t)      # C^2_{23} = -i t
-    D[0][0][2] = EC(0, s)                              # D^1_{13} = i s
-    D[1][1][2] = EC(0, t)                              # D^2_{23} = i t
-    D[0][2][0] = a                                     # D^1_{31} = a
-    D[1][2][1] = -a                                    # D^2_{32} = -a
-    return HermitianLieAlgebra(3, C, D, label=f"a_st(s={s},t={t},a={a.re})")
+    return _algebra(f"a_st(s={s},t={t},a={a.re})",
+                    # C^1_{13} = -i s, C^2_{23} = -i t
+                    [((0, 0, 2), EC(0, -s)), ((1, 1, 2), EC(0, -t))],
+                    # D^1_{13} = i s, D^2_{23} = i t, D^1_{31} = a, D^2_{32} = -a
+                    [((0, 0, 2), EC(0, s)), ((1, 1, 2), EC(0, t)), ((0, 2, 0), a),
+                     ((1, 2, 1), -a)])
 
 
 def family_b(z, t, a=1) -> HermitianLieAlgebra:
     """The second middle-type family, parameterized by complex z and real t."""
     z, t, a = _ec(z), Fraction(t), _ec(a)
-    C = _zeros3(3)
-    D = _zeros3(3)
-    C[1][0][1] = z; C[1][1][0] = -z                    # C^2_{12} = z
-    C[1][1][2] = EC(0, -t); C[1][2][1] = EC(0, t)      # C^2_{23} = -i t
-    D[1][1][0] = z                                     # D^2_{21} = z
-    D[1][1][2] = EC(0, t)                              # D^2_{23} = i t
-    D[0][2][0] = a
-    D[1][2][1] = -a
-    return HermitianLieAlgebra(3, C, D, label=f"b_zt(z={z!r},t={t},a={a.re})")
+    return _algebra(f"b_zt(z={z!r},t={t},a={a.re})",
+                    [((1, 0, 1), z), ((1, 1, 2), EC(0, -t))],   # C^2_{12} = z, C^2_{23} = -i t
+                    # D^2_{21} = z, D^2_{23} = i t, D^1_{31} = a, D^2_{32} = -a
+                    [((1, 1, 0), z), ((1, 1, 2), EC(0, t)), ((0, 2, 0), a), ((1, 2, 1), -a)])
 
 
 def sl2c(a=1) -> HermitianLieAlgebra:
     """The simple complex Lie algebra with cyclic brackets [e_i, e_j] = -a e_k."""
     a = _ec(a)
-    C = _zeros3(3)
-    D = _zeros3(3)
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        C[k][i][j] = -a
-        C[k][j][i] = a
-    return HermitianLieAlgebra(3, C, D, label=f"sl2c(a={a.re})")
+    return _algebra(f"sl2c(a={a.re})",
+                    [((k, i, j), -a) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))], ())
 
 
 def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
     """Companion nilmanifold: d phi_3 = -a (phi_{1 1b} + phi_{2 2b})."""
-    a = _ec(a)
-    C = _zeros3(3)
-    D = _zeros3(3)
-    D[0][2][0] = a      # D^1_{31} = a
-    D[1][2][1] = a      # D^2_{32} = a
-    return HermitianLieAlgebra(3, C, D, label="vaisman54")
+    a = _ec(a)      # D^1_{31} = D^2_{32} = a
+    return _algebra("vaisman54", (), [((0, 2, 0), a), ((1, 2, 1), a)])
 
 
 # --------------------------------------------------------------------------

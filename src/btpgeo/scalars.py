@@ -15,6 +15,7 @@ its zero, one and i, the coercion ``scalar`` and the zero test
 ``FLOAT`` are its only instances; ``kind_of`` reads the kind of a scalar
 and ``common_kind`` that of a collection.  Objects take their kind once
 and ask it, so which kind, and what counts as zero, is decided here.
+``Terms`` is the immutable sparse map of scalars under forms and jets.
 """
 
 from __future__ import annotations
@@ -296,8 +297,14 @@ class Kind:
     def negligible(self, c, tol: float = FLOAT_TOL):
         """Whether c counts as zero: exactly zero for the exact kind,
         ``abs(c) <= tol`` for the float kind.  Applies elementwise to
-        numpy arrays (tol may then be an array too)."""
-        return c == self.zero if self.exact else abs(c) <= tol
+        numpy arrays (tol may then be an array too).  A float complex with
+        finite parts whose modulus is past the float range is not negligible."""
+        if self.exact:
+            return c == self.zero
+        try:
+            return abs(c) <= tol
+        except OverflowError:       # abs of a Python complex; arrays give inf
+            return False
 
 
 EXACT = Kind(True, "exact", object, _raw(0, 0, 1), _raw(1, 0, 1), _raw(0, 1, 1))
@@ -326,6 +333,93 @@ def memoized(build):
             obj._memo[once] = once.__wrapped__(obj)
         return obj._memo[once]
     return once
+
+
+class DimensionError(ValueError):
+    """An index out of range, or operands of different dimensions."""
+
+
+class Terms:
+    """An immutable sparse linear combination: ``terms`` maps canonical keys
+    to nonzero scalars of one kind, over a dimension ``n`` that operands must
+    share.  A subclass gives the canonical key of a spelling (``_key``) and
+    its products; the linear structure, equality and hashing live here.
+    ``_of`` builds from canonical keys without checking them."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms=None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            if not c:
+                continue
+            m = self._key(n, key)
+            if m in clean:
+                c = clean[m] + c
+                if not c:          # two spellings of one key cancel
+                    del clean[m]
+                    continue
+            clean[m] = c
+        _set_n(self, n)
+        _set_terms(self, clean)
+
+    @classmethod
+    def _of(cls, n: int, terms):
+        """From canonical keys: zero coefficients are dropped, nothing is checked."""
+        t = _new(cls)
+        _set_n(t, n)
+        _set_terms(t, {m: c for m, c in terms.items() if c})
+        return t
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check(self, other: "Terms"):
+        if self.n != other.n:
+            raise DimensionError(f"mismatched {type(self).__name__} dimensions")
+
+    def __add__(self, other: "Terms") -> "Terms":
+        self._check(other)
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            t[m] = t[m] + c if m in t else c
+        return self._of(self.n, t)
+
+    def __sub__(self, other: "Terms") -> "Terms":
+        self._check(other)
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            t[m] = t[m] - c if m in t else -c
+        return self._of(self.n, t)
+
+    def __neg__(self) -> "Terms":
+        return self._of(self.n, {m: -c for m, c in self.terms.items()})
+
+    def scale(self, c: Scalar) -> "Terms":
+        return self._of(self.n, {m: v * c for m, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _coeff(self, m) -> Scalar:
+        """The coefficient of canonical key m; a missing key reads as the zero
+        of the map's kind, exact for an empty map."""
+        c = self.terms.get(m)
+        if c is None:
+            return kind_of(next(iter(self.terms.values()), EXACT.zero)).zero
+        return c
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+
+_set_n = Terms.n.__set__
+_set_terms = Terms.terms.__set__
 
 
 # ---- JSON wire format ----------------------------------------------------

@@ -329,7 +329,7 @@ def substitute_linear(jet, M):
         mono = tuple(sorted(mono))
         acc[mono] = acc[mono] + c if mono in acc else c
 
-    for mono, c in jet.coeffs.items():
+    for mono, c in jet.terms.items():
         if len(mono) == 0:
             put((), c)
         elif len(mono) == 1:

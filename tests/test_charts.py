@@ -640,6 +640,49 @@ def test_sectional_and_ricci_match_the_full_tensor_at_any_base(exact):
                 assert abs(v - w) <= 1e-12 * max(1.0, abs(w))
 
 
+def test_wallach_curvature_operator_has_three_exact_eigenvalues():
+    # the curvature operator on Lambda^2 at the origin, in the real basis
+    # dx_a = d_a + dbar_a, dy_a = i (d_a - dbar_a) of norm^2 2, so divided by 4:
+    # Rop[(p, q), (r, s)] = R(e_p, e_q, e_s, e_r) / 4 with R = -levi_civita_full
+    m = charts.wallach_metric()
+    n = m.n
+    zero, one = EC.zero(), EC.one()
+    # e_p is x = X + conj(X) for X = e_a (dx_a) or X = i e_a (dy_a)
+    dirs = [[one if c == a else zero for c in range(n)] for a in range(n)]
+    dirs += [[EC.i() * c for c in d] for d in dirs]
+    E = np.array([d + [c.conjugate() for c in d] for d in dirs], object)
+    R = -levi_civita_full(m)
+    for _ in range(4):      # contract the first index, which then moves last
+        R = np.tensordot(R, E, axes=([0], [1]))
+    assert not any(c.im for c in R.flat)
+    pairs = [(p, q) for p in range(2 * n) for q in range(p + 1, 2 * n)]
+    Rop = [[R[p, q, s, r].re / 4 for r, s in pairs] for p, q in pairs]
+    assert all(Rop[u][v] == Rop[v][u] for u in range(15) for v in range(15))
+    # each diagonal entry is the library's sectional numerator of its plane
+    assert [Rop[u][u] for u in range(15)] == [
+        charts.sectional_numerator(m, dirs[p], dirs[q]) / 4 for p, q in pairs]
+
+    def matmul(A, B):
+        return [[sum(A[u][w] * B[w][v] for w in range(15)) for v in range(15)]
+                for u in range(15)]
+
+    def shifted(lam):
+        return [[Rop[u][v] - (lam if u == v else 0) for v in range(15)] for u in range(15)]
+
+    factors = [shifted(Fraction(-1, 4)), shifted(Fraction(1, 2)), shifted(Fraction(11, 4))]
+    is_zero = lambda A: not any(map(any, A))
+    assert is_zero(matmul(matmul(factors[0], factors[1]), factors[2]))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert not is_zero(matmul(factors[a], factors[b]))
+    # the three eigenvalues are distinct, so the two traces fix their
+    # multiplicities (6, 7, 2): a Vandermonde system in (m1, m2, m3)
+    tr1 = sum(Rop[u][u] for u in range(15))
+    tr2 = sum(Rop[u][v] * Rop[v][u] for u in range(15) for v in range(15))
+    assert (tr1, tr2) == (Fraction(15, 2), Fraction(69, 4))
+    mult = {Fraction(-1, 4): 6, Fraction(1, 2): 7, Fraction(11, 4): 2}
+    assert [sum(k * lam ** d for lam, k in mult.items()) for d in range(3)] == [15, tr1, tr2]
+
+
 # ---- explicit sums as oracles on generic tables --------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -854,7 +897,7 @@ def _hermitian_over_ordered_pairs(g, kind):
     n = len(g)
     return all(kind.negligible(c, 1e-10 * max(g[i][j].norm_inf(), 1.0))
                for i in range(n) for j in range(n)
-               for c in (g[i][j] - g[j][i].conj()).coeffs.values())
+               for c in (g[i][j] - g[j][i].conj()).terms.values())
 
 
 def _off_diagonal_metric(scale, pair, delta, kind):

@@ -99,8 +99,8 @@ def jets(coef):
 
 
 def assert_canonical(j):
-    assert j == Jet2(N, j.coeffs)
-    for m, c in j.coeffs.items():
+    assert j == Jet2(N, j.terms)
+    for m, c in j.terms.items():
         assert type(m) is tuple and len(m) <= 2 and list(m) == sorted(m)
         assert all(0 <= v < 2 * N for v in m)
         assert c
@@ -108,8 +108,8 @@ def assert_canonical(j):
 
 def product_by_sorting(a, b):
     acc = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
             if len(m1) + len(m2) <= 2:
                 m = tuple(sorted(m1 + m2))
                 acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
@@ -132,7 +132,7 @@ def test_ring_results_are_canonical(case):
 @pytest.mark.parametrize("one", [EC(1), 1 + 0j])
 def test_public_constructor_drops_cancelled_spellings(one):
     j = Jet2(N, {(0, 1): one, (1, 0): -one, (2,): one})
-    assert j.coeffs == {(2,): one}
+    assert j.terms == {(2,): one}
     assert Jet2(N, {(0, 1): one, (1, 0): -one}) == Jet2(N)
     assert Jet2(N, {(0, 1): one, (1, 0): -one}).is_zero()
 

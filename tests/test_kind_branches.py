@@ -24,13 +24,13 @@ CEILINGS = {
     "__init__.py": 0,
     "charts.py": 8,
     "cli.py": 1,
-    "forms.py": 2,
+    "forms.py": 1,
     "frames.py": 3,
     "goldens.py": 0,
-    "jets.py": 3,
+    "jets.py": 2,
     "lie.py": 5,
     "linalg.py": 4,
-    "scalars.py": 11,
+    "scalars.py": 12,
 }
 
 

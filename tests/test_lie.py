@@ -11,7 +11,7 @@ from _oracles import (admissible_pattern_loop, bismut_trace_full_curvature,
                       transform_frame_loop, vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
-from btpgeo.linalg import hermitian_rank
+from btpgeo.linalg import NumericError, hermitian_rank
 from btpgeo.scalars import EC
 
 
@@ -554,6 +554,15 @@ def test_classify_float_copy_agrees_with_exact(g):
     gf = _float_algebra(g)
     assert not gf.kind.exact
     assert fields(lie.classify(gf)) == fields(lie.classify(g))
+
+
+def test_classify_of_a_modulus_past_the_float_range_is_a_numeric_error():
+    # finite parts whose modulus overflows: the zero tests count it as
+    # nonzero, so classify reaches the rank of B, whose entries are not finite
+    g = lie.HermitianLieAlgebra.from_json(
+        {"n": 3, "D": [{"j": 1, "i": 3, "k": 1, "coef": {"re": 1.7e308, "im": 1.7e308}}]})
+    with pytest.raises(NumericError, match="non-finite entries"):
+        lie.classify(g)
 
 
 # ---- classify stages against their full computations ------------------------------------

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from btpgeo.scalars import EC, EXACT, FLOAT, Kind, scalar_from_json, scalar_to_json
+from btpgeo.forms import InvariantForm
+from btpgeo.jets import Jet2
+from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, scalar_from_json,
+                            scalar_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -252,3 +255,36 @@ def test_kind_hashes_by_identity():
     # hashing a Kind must not hash its ExactComplex constants
     assert Kind.__hash__ is object.__hash__
     assert len({EXACT, FLOAT, EXACT}) == 2
+
+
+def test_float_negligible_of_a_modulus_past_the_float_range():
+    big = complex(1.7e308, 1.7e308)          # finite parts, abs() overflows
+    assert FLOAT.negligible(big) is False
+    assert not FLOAT.negligible(np.array([big]))[0]
+
+
+# ---- Terms: the one sparse map under forms and jets --------------------------
+
+def test_an_empty_form_never_equals_an_empty_jet():
+    assert InvariantForm.zero(3) != Jet2(3)
+    for n in range(4):
+        assert InvariantForm(n) != Jet2(n) and Jet2(n) != InvariantForm(n)
+        assert not InvariantForm(n) == Jet2(n)
+
+
+def test_forms_and_jets_keep_only_their_keys_and_products():
+    shared = {"__setattr__", "_check", "__add__", "__sub__", "__neg__", "scale",
+              "is_zero", "__eq__", "__hash__", "_of"}
+    for cls in (InvariantForm, Jet2):
+        assert issubclass(cls, Terms) and not shared & set(vars(cls))
+    assert not hasattr(Jet2(3), "coeffs")
+
+
+@pytest.mark.parametrize("cls, key", [(InvariantForm, ((0,), (1,))), (Jet2, (3, 0))])
+def test_terms_are_immutable_and_check_dimensions(cls, key):
+    a = cls(3, {key: EC(1)})
+    assert hash(a) == hash(cls(3, {key: EC(1)}))
+    with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+        a.n = 4
+    with pytest.raises(DimensionError):
+        a - cls(2)

@@ -51,8 +51,7 @@ import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, kind_of, memoized,
-                      scalar_to_json)
+from .scalars import EXACT, FLOAT, ExactComplex, Kind, memoized, scalar_to_json
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -82,8 +81,10 @@ class ChartMetric:
         if [len(r) for r in g] != [n] * n or any(not isinstance(f, Jet2) or f.n != n
                                                  for r in g for f in r):
             raise ValueError(f"metric jets must be an {n} x {n} grid of jets in {n} variables")
-        kind = kind_of(next((c for row in g for f in row for c in f.terms.values()),
-                            EC.zero()))
+        kinds = {f.kind for r in g for f in r}
+        if len(kinds) != 1:
+            raise TypeError("metric jets must share one scalar kind")
+        kind = kinds.pop()
         for i in range(n):
             for j in range(i, n):
                 d = g[i][j] - g[j][i].conj()
@@ -140,8 +141,7 @@ def _jet_coefficients(g, kind: Kind):
                         hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
                     elif v < n:
                         ha[i, j, v, w - n] = c
-    # an empty jet's value is an exact zero whatever the metric's kind
-    G = np.array([[kind.scalar(f.value()) for f in row] for row in g], kind.dtype)
+    G = np.array([[f.value() for f in row] for row in g], kind.dtype)
     return tuple(map(_readonly, (G, dg, dgb, hh, ha)))
 
 
@@ -165,15 +165,15 @@ def _coords(n: int, point, kind: Kind):
     Z, Zb = [], []
     for i in range(n):
         base = Jet2.constant(n, point[i])
-        Z.append(base + Jet2.z(n, i, kind))
-        Zb.append(base.conj() + Jet2.zbar(n, i, kind))
+        Z.append(base + Jet2.variable(n, i, kind))
+        Zb.append(base.conj() + Jet2.variable(n, n + i, kind))
     return Z, Zb
 
 
 def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
     kind, _ = _builder_kind(exact, ())
     one = kind.one
-    g = [[Jet2.constant(n, one) if i == j else Jet2(n) for j in range(n)]
+    g = [[Jet2.constant(n, one) if i == j else Jet2(n, kind=kind) for j in range(n)]
          for i in range(n)]
     return ChartMetric(n, g, label="euclidean")
 
@@ -187,7 +187,7 @@ def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetr
     for k in range(n):
         al = al + Z[k] * Zb[k]
     alinv = al.reciprocal()
-    g = [[(Jet2.constant(n, one) if i == j else Jet2(n)) * alinv
+    g = [[(Jet2.constant(n, one) if i == j else Jet2(n, kind=kind)) * alinv
           - Zb[i] * Z[j] * alinv * alinv for j in range(n)] for i in range(n)]
     return ChartMetric(n, g, label="fubini_study")
 
@@ -203,7 +203,7 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
         point = [0, 0, 0]
     kind, (sscale, *point) = _builder_kind(exact, [sigma_scale, *point])
     Z, Zb = _coords(n, point, kind)
-    zero = Jet2(n)
+    zero = Jet2(n, kind=kind)
     one = Jet2.constant(n, kind.one)
 
     # alpha = 1 + |z1|^2 + |z2|^2 and beta = 1 + |z3|^2 + |f|^2, f = z2 + z1 z3

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .scalars import (EC, DimensionError, Kind, Scalar, Terms, common_kind,
+from .scalars import (EC, EXACT, DimensionError, Kind, Scalar, Terms, common_kind,
                       scalar_from_json, scalar_to_json)
 
 
@@ -76,8 +76,8 @@ class InvariantForm(Terms):
 
     # ---- constructors ---------------------------------------------------
     @staticmethod
-    def zero(n: int) -> "InvariantForm":
-        return _form(n, {})
+    def zero(n: int, kind: Kind = EXACT) -> "InvariantForm":
+        return _form(n, {}, kind)
 
     @staticmethod
     def scalar(n: int, c: Scalar) -> "InvariantForm":
@@ -108,7 +108,7 @@ class InvariantForm(Terms):
                     c = -c
                 m = m1 | m2
                 acc[m] = acc[m] + c if m in acc else c
-        return _form(self.n, acc)
+        return _form(self.n, acc, self.kind)
 
     __matmul__ = wedge
 
@@ -120,7 +120,7 @@ class InvariantForm(Terms):
         for m, c in self.terms.items():
             I, J = m & low, m >> n
             t[J | I << n] = c.conjugate() if _sign(I << n, J) > 0 else -c.conjugate()
-        return _form(n, t)
+        return _form(n, t, self.kind)
 
     # ---- inspection ---------------------------------------------------------
     def coeff(self, I: Sequence[int], J: Sequence[int]) -> Scalar:
@@ -138,7 +138,7 @@ class InvariantForm(Terms):
 
     def bidegree_part(self, p: int, q: int) -> "InvariantForm":
         return _form(self.n, {m: c for m, c in self.terms.items()
-                              if self._bidegree_of(m) == (p, q)})
+                              if self._bidegree_of(m) == (p, q)}, self.kind)
 
     def swap_indices(self, S: Iterable[int]) -> "InvariantForm":
         """Substitute phi_i <-> phibar_i for every index i in S.
@@ -160,7 +160,7 @@ class InvariantForm(Terms):
             mm = head | tail
             cc = c if sign > 0 else -c
             out[mm] = out[mm] + cc if mm in out else cc
-        return _form(n, out)
+        return _form(n, out, self.kind)
 
     def _sorted_terms(self) -> List[Tuple[Mono, Scalar]]:
         low = (1 << self.n) - 1
@@ -241,7 +241,7 @@ class CoframeContext:
                         t[1 << j | 1 << k] = -C[i][j][k]
                     if D[j][i][k]:
                         t[1 << j | 1 << (n + k)] = -D[j][i][k].conjugate()
-            dphi.append(_form(n, t))
+            dphi.append(_form(n, t, kind))
         # d of the basis 1-form of each bit: phi_i at bit i, phibar_i at n+i
         object.__setattr__(self, "_d", tuple(dphi) + tuple(f.conj() for f in dphi))
 
@@ -269,7 +269,7 @@ def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:
                     v = -v
                 mm = m2 | rest
                 acc[mm] = acc[mm] + v if mm in acc else v
-    return _form(a.n, acc)
+    return _form(a.n, acc, a.kind)
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ class DolbeaultSplit:
 def dolbeault_split(ctx: CoframeContext, a: InvariantForm) -> DolbeaultSplit:
     """Split d(a) into Dolbeault components for a pure (p, q) form."""
     if a.is_zero():
-        z = InvariantForm.zero(a.n)
+        z = InvariantForm.zero(a.n, a.kind)
         return DolbeaultSplit(z, z, z)
     p, q = a.bidegree()
     da = exterior_d(ctx, a)

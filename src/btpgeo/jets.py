@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from .linalg import matrix_inverse
-from .scalars import EXACT, Kind, Scalar, Terms, kind_of
+from .scalars import EXACT, Kind, Scalar, Terms
 
 Mono = Tuple[int, ...]   # (), (v,), or (v, w) with v <= w
 
@@ -43,14 +43,6 @@ class Jet2(Terms):
     def variable(n: int, v: int, kind: Kind = EXACT) -> "Jet2":
         return Jet2(n, {(v,): kind.one})
 
-    @staticmethod
-    def z(n: int, i: int, kind: Kind = EXACT) -> "Jet2":
-        return Jet2.variable(n, i, kind)
-
-    @staticmethod
-    def zbar(n: int, i: int, kind: Kind = EXACT) -> "Jet2":
-        return Jet2.variable(n, n + i, kind)
-
     # ---- ring operations ---------------------------------------------------
     def __mul__(self, other: "Jet2") -> "Jet2":
         self._check(other)
@@ -68,14 +60,14 @@ class Jet2(Terms):
                     m = (v, w) if v <= w else (w, v)
                 c = c1 * c2
                 acc[m] = acc[m] + c if m in acc else c
-        return _jet(self.n, acc)
+        return _jet(self.n, acc, self.kind)
 
     def reciprocal(self) -> "Jet2":
         """1/f by the geometric series; needs a nonzero constant term."""
         c0 = self.terms.get(())
         if not c0:
             raise JetSingularityError("jet has zero constant term")
-        one = kind_of(c0).one
+        one = self.kind.one
         u = (self - Jet2.constant(self.n, c0)).scale(one / c0)
         # 1/(c0 (1+u)) = (1 - u + u^2)/c0
         out = Jet2.constant(self.n, one) - u + u * u
@@ -92,7 +84,7 @@ class Jet2(Terms):
             if len(m) == 2 and m[0] > m[1]:      # only a z zbar pair swaps order
                 m = (m[1], m[0])
             out[m] = c.conjugate()
-        return _jet(n, out)
+        return _jet(n, out, self.kind)
 
     # ---- coefficient extraction ----------------------------------------------
     def value(self) -> Scalar:
@@ -122,12 +114,12 @@ class Jet2(Terms):
                 rest = list(m)
                 rest.remove(v)
                 acc[tuple(rest)] = c * 2 if m == (v, v) else c
-        return Jet2(self.n, acc)
+        return _jet(self.n, acc, self.kind)
 
     def truncate(self, max_degree: int) -> "Jet2":
         """Drop coefficients above the given total degree."""
-        return Jet2(self.n, {m: c for m, c in self.terms.items()
-                             if len(m) <= max_degree})
+        return _jet(self.n, {m: c for m, c in self.terms.items()
+                             if len(m) <= max_degree}, self.kind)
 
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -153,16 +145,15 @@ def jet_matrix_inverse(g):
     truncate.
     """
     n = len(g)
-    jn = g[0][0].n
+    jn, kind = g[0][0].n, g[0][0].kind
     c0 = [[gij.value() for gij in row] for row in g]
-    kind = kind_of(c0[0][0])
     c0inv = matrix_inverse(c0, kind).tolist()
     const_inv = [[Jet2.constant(jn, c0inv[i][j]) for j in range(n)] for i in range(n)]
     # E = c0inv @ (g - c0) has no constant term
     higher = [[g[i][j] - Jet2.constant(jn, c0[i][j]) for j in range(n)] for i in range(n)]
 
     def matmul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(n)), Jet2(jn))
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), Jet2(jn, kind=kind))
                  for j in range(n)] for i in range(n)]
 
     E = matmul(const_inv, higher)

@@ -236,12 +236,12 @@ def chern_torsion(g: HermitianLieAlgebra):
     return tuple(tuple(map(tuple, layer)) for layer in T)
 
 
-def _connection_from(*tensors):
+def _connection_from(kind: Kind, *tensors):
     """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k ) summed
-    over the given tensors X, as n x n nested tuples of invariant 1-forms,
-    skew-hermitian: theta_{ij} = -conj(theta_{ji}).  Each entry is one dict
-    of masks, read off the nonzero entries in order (phi_k before phibar_k,
-    k increasing)."""
+    over the given tensors X of the kind, as n x n nested tuples of invariant
+    1-forms, skew-hermitian: theta_{ij} = -conj(theta_{ji}).  Each entry is one
+    dict of masks, read off the nonzero entries in order (phi_k before
+    phibar_k, k increasing)."""
     n = len(tensors[0])
 
     def entry(i, j):
@@ -252,31 +252,31 @@ def _connection_from(*tensors):
                     if v:
                         v = -v.conjugate() if m >> n else v     # the phibar_k term
                         acc[m] = acc[m] + v if m in acc else v
-        return _form(n, acc)
+        return _form(n, acc, kind)
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 @memoized
 def chern_connection(g: HermitianLieAlgebra):
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    return _connection_from(g.D)
+    return _connection_from(g.kind, g.D)
 
 
 def gamma_tensor(g: HermitianLieAlgebra):
     """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    return _connection_from(chern_torsion(g))
+    return _connection_from(g.kind, chern_torsion(g))
 
 
 @memoized
 def bismut_connection(g: HermitianLieAlgebra):
     """theta^b = theta + gamma, the connection of D + T."""
-    return _connection_from(g.D, chern_torsion(g))
+    return _connection_from(g.kind, g.D, chern_torsion(g))
 
 
 def trace(theta) -> InvariantForm:
     """The sum of the diagonal entries of an n x n matrix of forms."""
     n = len(theta)
-    return sum((theta[i][i] for i in range(n)), InvariantForm.zero(n))
+    return sum((theta[i][i] for i in range(n)), InvariantForm.zero(n, theta[0][0].kind))
 
 
 def _curvature_entry(ctx: CoframeContext, theta, i: int, j: int):
@@ -337,7 +337,7 @@ def _btp_residuals_from(X, tb):
     X is antisymmetric in its lower indices, so R_{kji} = -R_{ijk} and
     R_{iji} = 0, and only the residuals with i < k are summed, each into one
     dict of coefficients."""
-    n = len(X)
+    n, kind = len(X), tb[0][0].kind
     half = {}
     for i in range(n):
         for k in range(i + 1, n):
@@ -350,8 +350,8 @@ def _btp_residuals_from(X, tb):
                             for m, v in f.terms.items():
                                 v = v * c
                                 acc[m] = acc[m] + v if m in acc else v
-                half[i, j, k] = _form(n, acc)
-    zero = InvariantForm.zero(n)
+                half[i, j, k] = _form(n, acc, kind)
+    zero = InvariantForm.zero(n, kind)
     return {(i, j, k): half[i, j, k] if i < k else -half[k, j, i] if i > k else zero
             for i in range(n) for j in range(n) for k in range(n)}
 
@@ -631,7 +631,7 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     cyt = vanishes(bismut_trace)
     cy_type = vanishes(trace(theta))
     nil_steps, solv_steps = solvability_profile(g)
-    chern_ricci = sum(diagonal, InvariantForm.zero(n)).scale(g.kind.i)
+    chern_ricci = sum(diagonal, InvariantForm.zero(n, g.kind)).scale(g.kind.i)
     bismut_ricci = bismut_trace.scale(g.kind.i)
     vpat, _ = vaisman_torsion_pattern(g)
 

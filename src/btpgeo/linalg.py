@@ -7,7 +7,8 @@ B tensor, the spans of the lower central and derived series in solvability
 profiles, and the Sylvester positivity test of chart metrics, which reads
 its pivots.  Its float branch ranks by singular values.  One inverse,
 ``matrix_inverse``, serves the constant matrices of both kinds (chart
-metrics at their base point, the constant part of jet matrices).  Takagi
+metrics at their base point, the constant part of jet matrices); its
+exact branch is two passes of ``row_basis``.  Takagi
 factorization is float-only: the inputs that need it are generic
 unitary-scrambled torsion data, never golden rational values.
 
@@ -19,9 +20,9 @@ linear-algebra failure in a float rank is raised as ``NumericError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from .scalars import EC, EXACT, ExactComplex, Kind, all_finite, kind_of
+from .scalars import EXACT, ExactComplex, Kind, all_finite, kind_of
 
 
 class DimensionError(ValueError):
@@ -83,31 +84,26 @@ def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
     return len(row_basis(rows, EXACT))
 
 
-def exact_solve_identity(mat: List[List[ExactComplex]]) -> List[List[ExactComplex]]:
-    """Inverse of a square exact matrix by Gauss-Jordan; raises on singular."""
-    n = len(mat)
-    a = [list(r) + [EC.one() if i == j else EC.zero() for j in range(n)]
-         for i, r in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise ShapeError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [e / p for e in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _pivot(row) -> int:
+    return next(k for k, c in enumerate(row) if c)
 
 
 def matrix_inverse(mat, kind: Kind) -> np.ndarray:
     """Inverse of a square matrix of scalars of the given kind, as an array
-    of that kind: Gauss-Jordan for exact scalars, numpy for floats."""
+    of that kind.  Floats go to numpy.  Exact rows of [A | I] are reduced by
+    ``row_basis``, which leaves every pivot in the A block iff A is invertible
+    (else ShapeError); reduced again in falling pivot order, each pivot
+    column is cleared, and row k over its pivot at column k is row k of A^-1
+    in its I block."""
     import numpy as np
     if kind.exact:
-        return np.array(exact_solve_identity(mat), object)
+        n = len(mat)
+        rows = row_basis([[*r, *(kind.one if i == j else kind.zero for j in range(n))]
+                          for i, r in enumerate(mat)], kind)
+        if any(_pivot(r) >= n for r in rows):
+            raise ShapeError("singular matrix")
+        rows = sorted(row_basis(sorted(rows, key=_pivot, reverse=True), kind), key=_pivot)
+        return np.array([[c / r[k] for c in r[n:]] for k, r in enumerate(rows)], object)
     return np.linalg.inv(np.array(mat, dtype=complex))
 
 

@@ -15,7 +15,8 @@ its zero, one and i, the coercion ``scalar`` and the zero test
 ``FLOAT`` are its only instances; ``kind_of`` reads the kind of a scalar
 and ``common_kind`` that of a collection.  Objects take their kind once
 and ask it, so which kind, and what counts as zero, is decided here.
-``Terms`` is the immutable sparse map of scalars under forms and jets.
+``Terms`` is the immutable sparse map of scalars under forms and jets; it
+carries its kind.
 """
 
 from __future__ import annotations
@@ -341,16 +342,19 @@ class DimensionError(ValueError):
 
 class Terms:
     """An immutable sparse linear combination: ``terms`` maps canonical keys
-    to nonzero scalars of one kind, over a dimension ``n`` that operands must
-    share.  A subclass gives the canonical key of a spelling (``_key``) and
-    its products; the linear structure, equality and hashing live here.
-    ``_of`` builds from canonical keys without checking them."""
+    to nonzero scalars of the map's ``kind``, over a dimension ``n`` that
+    operands must share, as they must share the kind.  The kind is that of
+    the given coefficients, zeros included, or the ``kind`` argument for a
+    map given none.  A subclass gives the canonical key of a spelling
+    (``_key``) and its products; the linear structure, equality and hashing
+    live here.  ``_of`` builds from canonical keys without checking them."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "kind")
 
-    def __init__(self, n: int, terms=None):
+    def __init__(self, n: int, terms=None, kind: Kind = EXACT):
+        terms = terms or {}
         clean = {}
-        for key, c in (terms or {}).items():
+        for key, c in terms.items():
             if not c:
                 continue
             m = self._key(n, key)
@@ -362,13 +366,15 @@ class Terms:
             clean[m] = c
         _set_n(self, n)
         _set_terms(self, clean)
+        _set_kind(self, common_kind(terms.values()) if terms else kind)
 
     @classmethod
-    def _of(cls, n: int, terms):
+    def _of(cls, n: int, terms, kind: Kind):
         """From canonical keys: zero coefficients are dropped, nothing is checked."""
         t = _new(cls)
         _set_n(t, n)
         _set_terms(t, {m: c for m, c in terms.items() if c})
+        _set_kind(t, kind)
         return t
 
     def __setattr__(self, *_):
@@ -377,37 +383,35 @@ class Terms:
     def _check(self, other: "Terms"):
         if self.n != other.n:
             raise DimensionError(f"mismatched {type(self).__name__} dimensions")
+        if self.kind is not other.kind:
+            raise TypeError("mixed scalar kinds in one object")
 
     def __add__(self, other: "Terms") -> "Terms":
         self._check(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
             t[m] = t[m] + c if m in t else c
-        return self._of(self.n, t)
+        return self._of(self.n, t, self.kind)
 
     def __sub__(self, other: "Terms") -> "Terms":
         self._check(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
             t[m] = t[m] - c if m in t else -c
-        return self._of(self.n, t)
+        return self._of(self.n, t, self.kind)
 
     def __neg__(self) -> "Terms":
-        return self._of(self.n, {m: -c for m, c in self.terms.items()})
+        return self._of(self.n, {m: -c for m, c in self.terms.items()}, self.kind)
 
     def scale(self, c: Scalar) -> "Terms":
-        return self._of(self.n, {m: v * c for m, v in self.terms.items()})
+        return self._of(self.n, {m: v * c for m, v in self.terms.items()}, self.kind)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def _coeff(self, m) -> Scalar:
-        """The coefficient of canonical key m; a missing key reads as the zero
-        of the map's kind, exact for an empty map."""
-        c = self.terms.get(m)
-        if c is None:
-            return kind_of(next(iter(self.terms.values()), EXACT.zero)).zero
-        return c
+        """The coefficient of canonical key m, the kind's zero if missing."""
+        return self.terms.get(m, self.kind.zero)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -420,6 +424,7 @@ class Terms:
 
 _set_n = Terms.n.__set__
 _set_terms = Terms.terms.__set__
+_set_kind = Terms.kind.__set__
 
 
 # ---- JSON wire format ----------------------------------------------------

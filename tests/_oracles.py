@@ -15,7 +15,7 @@ from btpgeo.charts import (ChartMetric, chern_curvature_at, chern_torsion_at,
 from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.linalg import matrix_inverse, row_basis
+from btpgeo.linalg import ShapeError, matrix_inverse, row_basis
 from btpgeo.scalars import EC, EXACT, FLOAT
 
 
@@ -118,7 +118,7 @@ def torsion_jets(m):
     for j in range(n):
         for i in range(n):
             for k in range(n):
-                acc = Jet2(n)
+                acc = Jet2(n, kind=m.kind)
                 for l in range(n):
                     acc = acc + (G[k][l].partial(i) - G[i][l].partial(k)) * Ginv[l][j]
                 tj[j][i][k] = acc.truncate(1)
@@ -233,7 +233,7 @@ def levi_civita_full(m):
     (i, j, k, lbar) blocks."""
     n, kind = m.n, m.kind
     rng = range(2 * n)
-    zero = Jet2(n)
+    zero = Jet2(n, kind=kind)
 
     def d(A, B, *vs):
         jet = m.g[A][B - n] if A < n <= B else m.g[B][A - n] if B < n <= A else zero
@@ -339,7 +339,7 @@ def substitute_linear(jet, M):
             for w1, f1 in expand(mono[0]):
                 for w2, f2 in expand(mono[1]):
                     put((w1, w2), c * f1 * f2)
-    return Jet2(n, acc)
+    return Jet2(n, acc, jet.kind)
 
 
 def change_frame(m, A):
@@ -351,7 +351,7 @@ def change_frame(m, A):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = Jet2(n)
+            acc = Jet2(n, kind=m.kind)
             for a in range(n):
                 for b in range(n):
                     coef = A[a][i] * A[b][j].conjugate()
@@ -499,10 +499,11 @@ def random_curvature_tables(rng, exact, hermitian, n=3):
     return TablesAtIdentity(r11, r20, EXACT if exact else FLOAT)
 
 
-# ---- exact rank, positivity and the frame-change law by explicit loops -------
-# The library answers all three with one row reduction (linalg.row_basis) and
-# one einsum (frames.transform_torsion).  The routes below are the ones those
-# replaced: fraction-free elimination, cofactor determinants and the
+# ---- exact rank, inverse, positivity and the frame-change law by loops -------
+# The library answers the first three with one row reduction
+# (linalg.row_basis) and the last with one einsum (frames.transform_torsion).
+# The routes below are the ones those replaced: fraction-free elimination,
+# Gauss-Jordan with row exchanges, cofactor determinants and the
 # transformation law summed entry by entry.
 
 def bareiss_rank(rows):
@@ -529,6 +530,25 @@ def bareiss_rank(rows):
         if rank == nrow:
             break
     return rank
+
+
+def exact_solve_identity(mat):
+    """Inverse of a square exact matrix by Gauss-Jordan; raises on singular."""
+    n = len(mat)
+    a = [list(r) + [EC.one() if i == j else EC.zero() for j in range(n)]
+         for i, r in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ShapeError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [e / p for e in a[col]]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero():
+                f = a[r][col]
+                a[r] = [e - f * g for e, g in zip(a[r], a[col])]
+    return [row[n:] for row in a]
 
 
 def cofactor_det(rows):

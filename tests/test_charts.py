@@ -885,10 +885,15 @@ def test_chart_metric_validation():
     with pytest.raises(ValueError):
         charts.ChartMetric(2, [[one, zero], [zero, neg]])
     # float, with a zero jet where the kind used to be read
-    fone = Jet2.constant(2, 1 + 0j)
+    fone, fzero = Jet2.constant(2, 1 + 0j), Jet2(2, kind=FLOAT)
     with pytest.raises(ValueError):
-        charts.ChartMetric(2, [[zero, fone], [fone, fone]])
-    assert not charts.ChartMetric(2, [[fone, zero], [zero, fone]]).kind.exact
+        charts.ChartMetric(2, [[fzero, fone], [fone, fone]])
+    assert not charts.ChartMetric(2, [[fone, fzero], [fzero, fone]]).kind.exact
+    # jets of two kinds: an exact zero among float jets, or the reverse
+    for g in ([[fone, zero], [zero, fone]], [[one, fzero], [fzero, one]],
+              [[one, zero], [zero, fone]]):
+        with pytest.raises(TypeError, match="one scalar kind"):
+            charts.ChartMetric(2, g)
 
 
 def _hermitian_over_ordered_pairs(g, kind):
@@ -905,11 +910,11 @@ def _off_diagonal_metric(scale, pair, delta, kind):
     hermitian but for delta added to the z2bar coefficient of the jet at pair."""
     c = kind.scalar(scale)
     diag = Jet2.constant(3, c * 5 + 1)
-    upper = (Jet2.constant(3, kind.one) + Jet2.z(3, 0, kind).scale(kind.i)).scale(c)
+    upper = (Jet2.constant(3, kind.one) + Jet2.variable(3, 0, kind).scale(kind.i)).scale(c)
     g = [[diag if i == j else upper if i < j else upper.conj() for j in range(3)]
          for i in range(3)]
     i, j = pair
-    g[i][j] = g[i][j] + Jet2.zbar(3, 1, kind).scale(kind.scalar(delta))
+    g[i][j] = g[i][j] + Jet2.variable(3, 4, kind).scale(kind.scalar(delta))
     return g
 
 
@@ -949,13 +954,13 @@ def test_chart_metric_checks_the_dimension_of_its_jets():
     one, zero = Jet2.constant(2, EC(1)), Jet2(2)
     # g_{1 1bar} = 1 + z1 z1bar in three variables, whose z1bar would be read
     # as z2bar of a two-variable chart
-    g11 = one3 + Jet2.z(3, 0) * Jet2.zbar(3, 0)
+    g11 = one3 + Jet2.variable(3, 0) * Jet2.variable(3, 3)
     for n, g in ((2, [[g11, zero3], [zero3, one3]]), (3, [[one, zero], [zero, one]]),
                  (3, [[one3] * 3] * 2), (2, [[one, zero], [zero]]),
                  (2, [[one, zero], [zero, EC(1)]])):
         with pytest.raises(ValueError, match="grid of jets"):
             charts.ChartMetric(n, g)
-    g11 = one + Jet2.z(2, 0) * Jet2.zbar(2, 0)
+    g11 = one + Jet2.variable(2, 0) * Jet2.variable(2, 2)
     Rc = charts.chern_curvature_at(charts.ChartMetric(2, [[g11, zero], [zero, one]]))
     assert (Rc[0, 0, 0, 0], Rc[0, 1, 0, 0]) == (-1, 0)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -188,10 +189,20 @@ def test_float_curvature_skew_hermitian_after_frame_change():
 
 
 def test_float_curvature_entries_are_float_forms():
-    tb = lie.bismut_curvature(_float_algebra(lie.family_a(1, -1)))
+    g = lie.family_a(1, -1)
+    tb = lie.bismut_curvature(_float_algebra(g))
     c = tb[0][0].coeff((0,), (0,))
     assert type(c) is complex and c == -2
-    assert tb[2][2].is_zero()
+    assert tb[2][2].is_zero() and type(tb[2][2].coeff((2,), (2,))) is complex
+    # every coefficient read through coeff is a scalar of the algebra's kind,
+    # the missing monomials of empty entries included, for both copies
+    monomials = [(I, J) for p in range(3) for I in itertools.combinations(range(3), p)
+                 for J in itertools.combinations(range(3), 2 - p)]
+    for alg, scalar in ((g, EC), (_float_algebra(g), complex)):
+        for theta in (lie.chern_curvature(alg), lie.bismut_curvature(alg)):
+            for f in (f for row in theta for f in row):
+                assert f.kind is alg.kind
+                assert all(type(f.coeff(I, J)) is scalar for I, J in monomials)
 
 
 def test_btp_curvature_pair_symmetry():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import bareiss_rank
+from _oracles import bareiss_rank, exact_solve_identity
 from btpgeo.linalg import (DimensionError, NumericError, ShapeError,
-                           exact_rank, exact_solve_identity, hermitian_rank,
+                           exact_rank, hermitian_rank,
                            matrix_inverse, row_basis, takagi_factorize)
 from btpgeo.scalars import EC, EXACT, FLOAT
 
@@ -109,7 +109,7 @@ def test_exact_rank_matches_bareiss(rows):
 
 def test_exact_inverse():
     m = [[EC(2), EC(1)], [EC(1), EC(1)]]
-    inv = exact_solve_identity(m)
+    inv = matrix_inverse(m, EXACT).tolist()
     prod = [[sum((m[i][k] * inv[k][j] for k in range(2)), EC.zero())
              for j in range(2)] for i in range(2)]
     assert prod == [[EC(1), EC(0)], [EC(0), EC(1)]]
@@ -123,6 +123,34 @@ def test_matrix_inverse_picks_by_kind():
     inv = matrix_inverse(f, FLOAT)
     assert inv.dtype == complex
     assert np.allclose(np.array(f) @ np.array(inv), np.eye(2), atol=1e-12)
+
+
+@st.composite
+def square_rational_matrices(draw):
+    """Up to 5 x 5, drawn entry by entry or as a product A B through an inner
+    dimension r < n, which makes it singular."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    entries = lambda h, w: draw(st.lists(st.lists(small_exact, min_size=w, max_size=w),
+                                         min_size=h, max_size=h))
+    if r == n:
+        return entries(n, n)
+    A, B = entries(n, r), entries(r, n)
+    return [[sum((A[i][t] * B[t][j] for t in range(r)), EC.zero()) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_rational_matrices())
+def test_exact_inverse_matches_gauss_jordan(m):
+    try:
+        want = exact_solve_identity(m)
+    except ShapeError:
+        with pytest.raises(ShapeError, match="singular matrix"):
+            matrix_inverse(m, EXACT)
+        return
+    got = matrix_inverse(m, EXACT)
+    assert got.dtype == object and got.tolist() == want
 
 
 # ---- Takagi ----------------------------------------------------------------

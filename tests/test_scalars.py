@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from btpgeo.forms import InvariantForm
-from btpgeo.jets import Jet2
+from btpgeo import lie
+from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
+from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, scalar_from_json,
                             scalar_to_json)
 
@@ -288,3 +289,88 @@ def test_terms_are_immutable_and_check_dimensions(cls, key):
         a.n = 4
     with pytest.raises(DimensionError):
         a - cls(2)
+
+
+# ---- each map carries its scalar kind ----------------------------------------
+
+def test_a_map_takes_the_kind_of_its_coefficients_zeros_included():
+    assert Jet2.constant(3, 0j).kind is FLOAT
+    assert type(Jet2.constant(3, 0j).value()) is complex
+    assert InvariantForm.scalar(3, EC(0)).kind is EXACT
+    assert InvariantForm(3, {((0,), ()): 0j, ((1,), ()): 0j}).kind is FLOAT
+    # a map given no coefficients takes its kind argument, exact by default
+    assert Jet2(3).kind is EXACT and InvariantForm.zero(3).kind is EXACT
+    assert Jet2(3, kind=FLOAT).value() == 0j and type(Jet2(3, kind=FLOAT).value()) is complex
+    assert type(InvariantForm.zero(3, FLOAT).coeff((0,), (1,))) is complex
+    with pytest.raises(TypeError, match="mixed scalar kinds"):
+        Jet2(3, {(): EC(1), (0,): 1j})
+
+
+def test_mixed_kinds_raise_even_where_no_key_collides():
+    e, f = InvariantForm.phi(3, 0), InvariantForm.phi(3, 1, 1 + 0j)
+    je, jf = Jet2.variable(3, 0), Jet2.variable(3, 1, FLOAT)
+    for op in (operator.add, operator.sub):
+        for a, b in ((e, f), (f, e), (je, jf), (jf, je), (InvariantForm.zero(3), f),
+                     (Jet2(3, kind=FLOAT), je)):
+            with pytest.raises(TypeError, match="mixed scalar kinds"):
+                op(a, b)
+    for a, b in ((e, f), (f, e)):
+        with pytest.raises(TypeError, match="mixed scalar kinds"):
+            a.wedge(b)
+    for a, b in ((je, jf), (jf, je), (Jet2(3), jf)):
+        with pytest.raises(TypeError, match="mixed scalar kinds"):
+            a * b
+    # equality and hashing read the terms only
+    assert InvariantForm.zero(3) == InvariantForm.zero(3, FLOAT)
+    assert hash(Jet2(3)) == hash(Jet2(3, kind=FLOAT))
+
+
+FORM_KEYS = [((i,), ()) for i in range(3)] + [((), (i,)) for i in range(3)] + \
+    [((0,), (1,)), ((1,), (1,)), ((0, 2), ()), ((), (0, 1))]
+JET_KEYS = [(), (0,), (4,), (0, 3), (1, 1), (2, 5)]
+small_ints = st.integers(-2, 2)
+
+
+def _maps(cls, keys, kind):
+    coef = st.tuples(small_ints, small_ints).map(
+        lambda p: EC(*p) if kind.exact else complex(*p))
+    return st.dictionaries(st.sampled_from(keys), coef, max_size=4).map(
+        lambda t: cls(3, t, kind))
+
+
+def _ctx(kind):
+    g = lie.family_a(1, -1)
+    if kind.exact:
+        return g
+    to_float = lambda T: [[[complex(c) for c in r] for r in layer] for layer in T]
+    return lie.HermitianLieAlgebra(3, to_float(g.C), to_float(g.D))
+
+
+@given(st.sampled_from([EXACT, FLOAT]).flatmap(lambda k: st.tuples(
+    st.just(k), _maps(InvariantForm, FORM_KEYS, k), _maps(InvariantForm, FORM_KEYS, k),
+    _maps(Jet2, JET_KEYS, k), _maps(Jet2, JET_KEYS, k))))
+def test_every_operation_keeps_the_kind(case):
+    kind, a, b, u, v = case
+    zero = kind.zero
+    ctx = _ctx(kind)
+    forms = [a + b, a - b, a - a, a + -a, -a, a.scale(kind.i), a.scale(zero), a.wedge(b),
+             a.wedge(a), a.conj(), a.bidegree_part(1, 1), a.bidegree_part(2, 2),
+             a.swap_indices([0, 2]), exterior_d(ctx, a), exterior_d(ctx, exterior_d(ctx, a))]
+    try:
+        split = dolbeault_split(ctx, a)
+    except BidegreeError:           # a mixed form: split its (1, 0) part, maybe empty
+        split = dolbeault_split(ctx, a.bidegree_part(1, 0))
+    forms += [split.del_part, split.delbar_part, split.residual]
+    jets = [u + v, u - v, u - u, -u, u.scale(zero), u * v, u * (v - v), u.conj(),
+            u.partial(0), u.partial(5), u.truncate(1), u.truncate(0),
+            Jet2.variable(3, 1, kind) * Jet2.variable(3, 2, kind) * Jet2.variable(3, 3, kind)]
+    if u.value():
+        jets += [u.reciprocal(), v / u]
+    for r in forms + jets:
+        assert r.kind is kind
+        assert all(type(c) is type(kind.one) for c in r.terms.values())
+    assert type(a.wedge(a).coeff((0, 1), ())) is type(kind.one)
+    assert type((u - u).value()) is type(kind.one)
+    if u.value():
+        inv = jet_matrix_inverse([[u]])
+        assert inv[0][0].kind is kind

@@ -51,7 +51,7 @@ import numpy as np
 
 from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import EXACT, FLOAT, ExactComplex, Kind, memoized, scalar_to_json
+from .scalars import EXACT, FLOAT, Kind, exact_scalar, memoized, scalar_to_json
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -151,11 +151,10 @@ def _jet_coefficients(g, kind: Kind):
 
 def _builder_kind(exact: bool, values):
     """The kind an ``exact=`` flag names, and builder arguments as its
-    scalars.  Exact builders read real arguments through ``Fraction``, so
-    0.5 and "1/2" are taken exactly."""
+    scalars.  Exact builders read arguments by ``exact_scalar``, so 0.5 and
+    "1/2" are taken exactly."""
     if exact:
-        return EXACT, [v if isinstance(v, ExactComplex) else EXACT.scalar(Fraction(v))
-                       for v in values]
+        return EXACT, [exact_scalar(v) for v in values]
     return FLOAT, [complex(v) for v in values]
 
 

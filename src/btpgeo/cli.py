@@ -242,7 +242,8 @@ def cmd_sweep(args) -> int:
                 rows.append(row)
     pairs = ((lie.family_a(0, t, a), lie.family_b(0, t, a)) for t in grid)
     overlap_ok = all(ga.C == gb.C and ga.D == gb.D for ga, gb in pairs)
-    origin_is_n3 = (lie.family_a(0, 0, a).D == lie.nilmanifold_n3(a).D)
+    g0, n3 = lie.family_a(0, 0, a), lie.nilmanifold_n3(a)
+    origin_is_n3 = g0.C == n3.C and g0.D == n3.D
     rows_ok = claims_ok
     claims_ok = claims_ok and overlap_ok and origin_is_n3
     report = {"grid": [str(v) for v in grid], "torsion_a": str(a), "rows": rows,

@@ -200,20 +200,12 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return a.wedge(b)
 
 
-def lower_antisymmetric(T, kind: Kind) -> bool:
-    """Whether T[j][i][k] + T[j][k][i] is negligible (within 1e-12 for
-    float data) for every j, i, k."""
-    n = len(T)
-    return all(kind.negligible(T[j][i][k] + T[j][k][i], 1e-12)
-               for j in range(n) for i in range(n) for k in range(i, n))
-
-
 class CoframeContext:
     """Structure constants C^j_{ik}, D^j_{ik} driving the exterior derivative.
 
     C must be antisymmetric in its lower indices; no integrability condition
     is imposed here (see d_squared_residual).  Entries are indexed
-    [j][i][k], 0-based, and share one scalar kind.
+    [j][i][k], 0-based, share one scalar kind and are stored as its scalars.
     """
 
     __slots__ = ("n", "C", "D", "kind", "_d")
@@ -225,7 +217,9 @@ class CoframeContext:
             if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
                 raise DimensionError(f"{name} must be n x n x n")
         kind = common_kind(c for T in (C, D) for l in T for r in l for c in r)
-        if not lower_antisymmetric(C, kind):
+        C, D = (tuple(tuple(tuple(map(kind.scalar, r)) for r in l) for l in T) for T in (C, D))
+        if not all(kind.negligible(C[j][i][k] + C[j][k][i], 1e-12)   # within 1e-12 for float data
+                   for j in range(n) for i in range(n) for k in range(i, n)):
             raise ValueError("C must be antisymmetric in its lower indices")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "C", C)

@@ -18,11 +18,10 @@ match its patterns without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .linalg import DimensionError, takagi_factorize
-from .scalars import EXACT, FLOAT, ExactComplex, Kind
+from .scalars import Kind, common_kind
 
 
 class NotBalancedError(ValueError):
@@ -36,10 +35,10 @@ class FramePatternError(ValueError):
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _kind_of(values) -> Kind:
-    """EXACT when every value is an ExactComplex, int or Fraction, else FLOAT."""
-    return EXACT if all(isinstance(x, (ExactComplex, Fraction, int)) and not isinstance(x, bool)
-                        for x in values) else FLOAT
+def _scalars(values):
+    """The kind of values (TypeError if they mix) and the values as its scalars."""
+    kind = common_kind(values)
+    return kind, [kind.scalar(x) for x in values]
 
 
 def _antisymmetric(n: int, entries, kind: Kind) -> list:
@@ -47,7 +46,7 @@ def _antisymmetric(n: int, entries, kind: Kind) -> list:
     zero elsewhere."""
     T = [[[kind.zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), v in entries:
-        T[i][j][k], T[i][k][j] = kind.scalar(v), kind.scalar(-v)
+        T[i][j][k], T[i][k][j] = v, -v
     return T
 
 
@@ -59,7 +58,7 @@ def _array(T: list, kind: Kind) -> np.ndarray:
 def cyclic_torsion(a) -> np.ndarray:
     """The special-frame torsion of a triple a: T^i_{jk} = -T^i_{kj} = a_i
     for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
-    kind = _kind_of(a)
+    kind, a = _scalars(a)
     return _array(_antisymmetric(3, zip(_CYCLES, a), kind), kind)
 
 
@@ -67,13 +66,13 @@ def diagonal_pattern(n: int, a, signs) -> list:
     """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
     indices i, zero elsewhere, as nested lists of a's kind.  Signs (1, -1)
     give the admissible middle-type torsion, all signs + the Vaisman-type one."""
-    return _antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)],
-                          _kind_of((a,)))
+    kind, (a,) = _scalars((a,))
+    return _antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)], kind)
 
 
 def diagonal_torsion(n: int, a, signs) -> np.ndarray:
     """``diagonal_pattern`` as an array of a's kind."""
-    return _array(diagonal_pattern(n, a, signs), _kind_of((a,)))
+    return _array(diagonal_pattern(n, a, signs), _scalars((a,))[0])
 
 
 _LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
@@ -197,8 +196,7 @@ def special_to_admissible(a):
     T'^1_{13} = a, T'^2_{23} = -a nonzero, an array of a's kind.  The entries of U are irrational, so T' is produced
     in closed form (the cubic transformation law cancels the square roots).
     """
-    kind = _kind_of(a)
-    a1, a2, a3 = (kind.scalar(x) for x in a)
+    kind, (a1, a2, a3) = _scalars(a)
     bound = 1e-9 * max(abs(a1), 1.0)
     if not (kind.negligible(a1 - a2, bound) and kind.negligible(a3, bound)
             and kind.negligible(a1.imag, bound) and a1.real > 0
@@ -217,8 +215,8 @@ def b_rank_type(a) -> str:
     Values and differences negligible within 1e-8 * max(1, a_1) are zero; a
     negative nonzero difference means the triple is out of order.
     """
-    kind = _kind_of(a)
-    vals = [kind.scalar(x).real for x in a]
+    kind, vals = _scalars(a)
+    vals = [v.real for v in vals]
     bound = 1e-8 * max(1, vals[0])
     z = [kind.negligible(v, bound) for v in vals]
     vals = [0 if zz else v for v, zz in zip(vals, z)]

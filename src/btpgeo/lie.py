@@ -25,7 +25,7 @@ from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d)
 from .frames import diagonal_pattern, transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
-from .scalars import (EC, EXACT, FLOAT, ExactComplex, Kind, SchemaError, all_finite, kind_of,
+from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_scalar, kind_of,
                       memoized, scalar_from_json, scalar_to_json)
 
 
@@ -155,14 +155,6 @@ class HermitianLieAlgebra(CoframeContext):
 # built-in algebras
 # --------------------------------------------------------------------------
 
-def _ec(x) -> ExactComplex:
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, complex):
-        raise TypeError("built-in families take exact parameters")
-    return EC(Fraction(x), 0)
-
-
 def _algebra(label: str, C, D, n: int = 3) -> HermitianLieAlgebra:
     """The exact algebra with the given ((j, i, k), c) entries of C and D,
     0-based; each C entry implies its mirror C^j_{ki} = -c."""
@@ -180,13 +172,13 @@ def abelian(n: int = 3) -> HermitianLieAlgebra:
 
 def nilmanifold_n3(a=1) -> HermitianLieAlgebra:
     """The balanced nilmanifold: d phi_3 = -a phi_{1 1b} + a phi_{2 2b}."""
-    a = _ec(a)      # D^1_{31} = a, D^2_{32} = -a
+    a = exact_scalar(a)     # D^1_{31} = a, D^2_{32} = -a
     return _algebra("n3", (), [((0, 2, 0), a), ((1, 2, 1), -a)])
 
 
 def family_a(s, t, a=1) -> HermitianLieAlgebra:
     """The first middle-type family, parameterized by real (s, t)."""
-    s, t, a = Fraction(s), Fraction(t), _ec(a)
+    s, t, a = Fraction(s), Fraction(t), exact_scalar(a)
     return _algebra(f"a_st(s={s},t={t},a={a.re})",
                     # C^1_{13} = -i s, C^2_{23} = -i t
                     [((0, 0, 2), EC(0, -s)), ((1, 1, 2), EC(0, -t))],
@@ -197,7 +189,7 @@ def family_a(s, t, a=1) -> HermitianLieAlgebra:
 
 def family_b(z, t, a=1) -> HermitianLieAlgebra:
     """The second middle-type family, parameterized by complex z and real t."""
-    z, t, a = _ec(z), Fraction(t), _ec(a)
+    z, t, a = exact_scalar(z), Fraction(t), exact_scalar(a)
     return _algebra(f"b_zt(z={z!r},t={t},a={a.re})",
                     [((1, 0, 1), z), ((1, 1, 2), EC(0, -t))],   # C^2_{12} = z, C^2_{23} = -i t
                     # D^2_{21} = z, D^2_{23} = i t, D^1_{31} = a, D^2_{32} = -a
@@ -206,14 +198,14 @@ def family_b(z, t, a=1) -> HermitianLieAlgebra:
 
 def sl2c(a=1) -> HermitianLieAlgebra:
     """The simple complex Lie algebra with cyclic brackets [e_i, e_j] = -a e_k."""
-    a = _ec(a)
+    a = exact_scalar(a)
     return _algebra(f"sl2c(a={a.re})",
                     [((k, i, j), -a) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))], ())
 
 
 def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
     """Companion nilmanifold: d phi_3 = -a (phi_{1 1b} + phi_{2 2b})."""
-    a = _ec(a)      # D^1_{31} = D^2_{32} = a
+    a = exact_scalar(a)     # D^1_{31} = D^2_{32} = a
     return _algebra("vaisman54", (), [((0, 2, 0), a), ((1, 2, 1), a)])
 
 
@@ -622,7 +614,7 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     theta_b = bismut_connection(g)
     btp = all(map(vanishes, _btp_residuals_from(chern_torsion(g), theta_b).values()))
     unimod = check_unimodular(g)
-    b_rank = hermitian_rank(b_tensor(g))
+    b_rank = hermitian_rank(b_tensor(g), g.kind)
     diagonal = [_curvature_entry(g, theta, i, i) for i in range(n)]
     chern_flat = (all(map(vanishes, diagonal))
                   and all(vanishes(_curvature_entry(g, theta, i, j))

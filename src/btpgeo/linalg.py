@@ -22,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import EXACT, ExactComplex, Kind, all_finite, kind_of
-
-
-class DimensionError(ValueError):
-    """Matrix dimensions incompatible with the requested operation."""
+from .scalars import EXACT, DimensionError, ExactComplex, Kind, all_finite
 
 
 class ShapeError(ValueError):
@@ -58,14 +54,15 @@ def row_basis(vectors, kind: Kind) -> list:
         for v in vectors:
             v = list(v)
             for piv, b_nz in reducers:
-                if not v[piv].is_zero():
+                if v[piv]:
                     f = v[piv] / b_nz[0][1]
                     for i, y in b_nz:
                         v[i] = v[i] - f * y
-            nz = [(i, c) for i, c in enumerate(v) if not c.is_zero()]
-            if nz:
+            nz = [i for i, c in enumerate(v) if c]
+            if nz:          # a basis row holds exact scalars: its pivot divides
+                v = list(map(kind.scalar, v))
                 basis.append(v)
-                reducers.append((nz[0][0], nz))
+                reducers.append((nz[0], [(i, v[i]) for i in nz]))
         return basis
     import numpy as np
     arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
@@ -107,9 +104,9 @@ def matrix_inverse(mat, kind: Kind) -> np.ndarray:
     return np.linalg.inv(np.array(mat, dtype=complex))
 
 
-def hermitian_rank(B) -> int:
+def hermitian_rank(B, kind: Kind) -> int:
     """Rank of a hermitian matrix: a square nested sequence or array of
-    either scalar kind, whose rows are read once as Python scalars.
+    scalars of the given kind, whose rows are read once as Python scalars.
 
     Exact entries are row-reduced by ``row_basis``; float entries are ranked
     by counting eigenvalues above ``n * max|B| * 1e-12``.  A non-finite
@@ -119,7 +116,6 @@ def hermitian_rank(B) -> int:
     n = len(rows)
     if not n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise DimensionError("hermitian_rank needs a square matrix")
-    kind = kind_of(rows[0][0])
     if not all(kind.negligible(rows[i][j] - rows[j][i].conjugate(), 1e-12)
                for i in range(n) for j in range(i, n)):
         if not all_finite(x for r in rows for x in r):

@@ -12,9 +12,13 @@ A ``Kind`` holds what depends on the kind alone: its name, its numpy dtype,
 its zero, one and i, the coercion ``scalar`` and the zero test
 ``negligible``, which is exact for ``EXACT`` and ``abs(c) <= tol`` for
 ``FLOAT``, with ``FLOAT_TOL`` as the default tolerance.  ``EXACT`` and
-``FLOAT`` are its only instances; ``kind_of`` reads the kind of a scalar
-and ``common_kind`` that of a collection.  Objects take their kind once
-and ask it, so which kind, and what counts as zero, is decided here.
+``FLOAT`` are its only instances.  ``kind_of`` is the one rule for the kind
+of a scalar: ExactComplex, ``int`` and ``Fraction`` are exact, ``float`` and
+``complex`` (numpy's float64 and complex128 among them) float, anything
+else (``bool`` too) a TypeError; ``common_kind`` reads a collection.
+Objects take their kind once, store their scalars as ``kind.scalar(c)``
+and ask the kind, so which kind, and what counts as zero, is decided here;
+``exact_scalar`` reads a parameter as exact (0.5 and "1/2" alike).
 ``Terms`` is the immutable sparse map of scalars under forms and jets; it
 carries its kind.
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import gcd, inf, isfinite
-from typing import Union
+from typing import Callable, Union
 
 Rat = Union[int, Fraction]
 
@@ -206,7 +210,8 @@ class ExactComplex:
         return self._i == 0 and self._r == o[0] and self._d == o[2]
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction does
+        return hash((self._r, self._i, self._d)) if self._i else hash(Fraction(self._r, self._d))
 
     def __complex__(self):
         d = self._d
@@ -249,10 +254,10 @@ def _reduced(r: int, i: int, d: int) -> ExactComplex:
 
 
 def _triple(x):
-    """(numerator, 0, denominator) of an int or Fraction, else None."""
-    if isinstance(x, int):
-        return int(x), 0, 1
-    if isinstance(x, Fraction):
+    """(numerator, 0, denominator) of an int or Fraction, not a bool; else None."""
+    if type(x) is int:
+        return x, 0, 1
+    if type(x) is Fraction:
         return x.numerator, 0, x.denominator
     return None
 
@@ -271,6 +276,17 @@ def all_finite(values) -> bool:
 FLOAT_TOL = 1e-9
 
 
+def _exact(value) -> ExactComplex:
+    """The exact kind's coercion: ExactComplex, int and Fraction are taken,
+    anything else raises TypeError, so that exact data cannot degrade."""
+    if type(value) is ExactComplex:
+        return value
+    o = _triple(value)
+    if o is None:
+        raise TypeError(f"cannot build an exact scalar from {value!r}")
+    return _raw(*o)
+
+
 @dataclass(frozen=True, eq=False)
 class Kind:
     """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances."""
@@ -280,20 +296,7 @@ class Kind:
     zero: Scalar
     one: Scalar
     i: Scalar
-
-    def scalar(self, value) -> Scalar:
-        """Coerce a Python number (or ExactComplex) to this kind.
-
-        The exact kind takes ExactComplex, int and Fraction and raises
-        TypeError on anything else, so that exact data cannot degrade."""
-        if not self.exact:
-            return complex(value)
-        if type(value) is ExactComplex:
-            return value
-        o = _triple(value)
-        if o is None:
-            raise TypeError(f"cannot build an exact scalar from {value!r}")
-        return _raw(*o)
+    scalar: Callable      # a Python number (or ExactComplex) as a scalar of the kind
 
     def negligible(self, c, tol: float = FLOAT_TOL):
         """Whether c counts as zero: exactly zero for the exact kind,
@@ -308,13 +311,21 @@ class Kind:
             return False
 
 
-EXACT = Kind(True, "exact", object, _raw(0, 0, 1), _raw(1, 0, 1), _raw(0, 1, 1))
-FLOAT = Kind(False, "float", complex, 0j, 1 + 0j, 1j)
+EXACT = Kind(True, "exact", object, _raw(0, 0, 1), _raw(1, 0, 1), _raw(0, 1, 1), _exact)
+FLOAT = Kind(False, "float", complex, 0j, 1 + 0j, 1j, complex)
+_KIND_OF_TYPE = {ExactComplex: EXACT, int: EXACT, Fraction: EXACT, float: FLOAT, complex: FLOAT}
 
 
 def kind_of(c: Scalar) -> Kind:
-    """The kind of a scalar: EXACT for ExactComplex, FLOAT otherwise."""
-    return EXACT if isinstance(c, ExactComplex) else FLOAT
+    """The kind of a scalar: EXACT for ExactComplex, int and Fraction (bool
+    is not an int here), FLOAT for float and complex and their subclasses,
+    numpy's float64 and complex128 among them.  Anything else raises TypeError."""
+    kind = _KIND_OF_TYPE.get(type(c))
+    if kind is None and isinstance(c, (float, complex)):
+        kind = FLOAT
+    if kind is None:
+        raise TypeError(f"{c!r} is not a scalar of either kind")
+    return kind
 
 
 def common_kind(values) -> Kind:
@@ -323,6 +334,12 @@ def common_kind(values) -> Kind:
     if any(k is not kinds[0] for k in kinds):
         raise TypeError("mixed scalar kinds in one object")
     return kinds[0]
+
+
+def exact_scalar(value) -> ExactComplex:
+    """A parameter taken exactly: an ExactComplex as it is, anything else
+    through ``Fraction`` (0.5 and "1/2" alike; a complex raises TypeError)."""
+    return value if type(value) is ExactComplex else _exact(Fraction(value))
 
 
 def memoized(build):
@@ -345,18 +362,22 @@ class Terms:
     to nonzero scalars of the map's ``kind``, over a dimension ``n`` that
     operands must share, as they must share the kind.  The kind is that of
     the given coefficients, zeros included, or the ``kind`` argument for a
-    map given none.  A subclass gives the canonical key of a spelling
-    (``_key``) and its products; the linear structure, equality and hashing
-    live here.  ``_of`` builds from canonical keys without checking them."""
+    map given none; each coefficient is stored as a scalar of that kind.  A
+    subclass gives the canonical key of a spelling (``_key``) and its
+    products; the linear structure, equality and hashing live here.  ``_of``
+    builds from canonical keys without checking them."""
 
     __slots__ = ("n", "terms", "kind")
 
     def __init__(self, n: int, terms=None, kind: Kind = EXACT):
         terms = terms or {}
+        if terms:
+            kind = common_kind(terms.values())
         clean = {}
         for key, c in terms.items():
             if not c:
                 continue
+            c = kind.scalar(c)
             m = self._key(n, key)
             if m in clean:
                 c = clean[m] + c
@@ -366,7 +387,7 @@ class Terms:
             clean[m] = c
         _set_n(self, n)
         _set_terms(self, clean)
-        _set_kind(self, common_kind(terms.values()) if terms else kind)
+        _set_kind(self, kind)
 
     @classmethod
     def _of(cls, n: int, terms, kind: Kind):

@@ -417,6 +417,23 @@ def test_sweep_small_grid(capsys):
     assert origin["nilpotent_steps"] == 2
 
 
+def test_sweep_origin_compares_c_as_well_as_d(capsys, monkeypatch):
+    # an n3 with an extra C^3_{12}: the same D as the family at the origin
+    n3 = lie.nilmanifold_n3
+
+    def n3_with_c(a=1):
+        g = n3(a)
+        C = [[[EC(0)] * 3 for _ in range(3)] for _ in range(3)]
+        C[2][0][1], C[2][1][0] = EC(1), EC(-1)
+        return lie.HermitianLieAlgebra(3, C, g.D, label="n3+C")
+    monkeypatch.setattr(lie, "nilmanifold_n3", n3_with_c)
+    code, out, _ = run_cli(capsys, "sweep", "--grid=0,1")
+    claims = json.loads(out)["claims"]
+    assert claims == {"cyt_everywhere_and_family_claims": True,
+                      "overlap_first_param_zero": True, "origin_is_nilmanifold": False}
+    assert code == 1
+
+
 def test_sweep_bad_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--grid=1,q")
     assert code == 3

@@ -272,3 +272,14 @@ def test_special_to_admissible_agrees_with_two_path_oracle(v, d, as_ec):
         if new is not None:
             assert np.array_equal(new[0], old[0])
             assert new[1].dtype == old[1].dtype and (new[1] == old[1]).all()
+
+
+def test_a_triple_is_read_through_one_kind():
+    # ints and Fractions are exact; a triple that mixes kinds raises
+    assert frames.cyclic_torsion((1, Fraction(1, 2), 0)).dtype == object
+    assert frames.b_rank_type((1, 1, 0)) == "rank2"
+    assert frames.diagonal_torsion(3, 1, (1, -1))[0, 0, 2] == EC(1)
+    for mixed in ((EC(1), 1.0, 0.0), (1, 1.0, 0), (1.0, 1.0, 0)):
+        for fn in (frames.cyclic_torsion, frames.b_rank_type, frames.special_to_admissible):
+            with pytest.raises(TypeError, match="mixed scalar kinds"):
+                fn(mixed)

@@ -253,7 +253,7 @@ def test_b_tensor_middle_brute_force():
                     acc = acc + T[j][r][s] * T[i][r][s].conjugate()
             assert B[i][j] == acc
     assert [B[i][i] for i in range(3)] == [EC(18), EC(18), EC(0)]
-    assert hermitian_rank(B) == 2
+    assert hermitian_rank(B, g.kind) == 2
 
 
 def test_eta_examples():
@@ -732,3 +732,27 @@ def test_report_json_shape():
     assert rep["type_label"] == "middle"
     assert rep["nilpotent_steps"] == 2
     assert isinstance(rep["eta"], list)
+
+
+def _plain(c):
+    """c as an int or Fraction where it is real, else as it is."""
+    if c.im:
+        return c
+    return int(c.re) if c.re.denominator == 1 else c.re
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lie.nilmanifold_n3(), lambda: lie.sl2c(2), lambda: lie.vaisman_nilmanifold(3),
+    lambda: lie.family_a(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)),
+    lambda: lie.family_b(2, 0), lambda: lie.abelian(3),
+], ids=["n3", "sl2c", "vaisman54", "a_st", "b_zt", "abelian"])
+def test_an_int_built_algebra_classifies_as_its_exact_twin(make):
+    g = make()
+    plain = [[[[_plain(c) for c in r] for r in layer] for layer in T] for T in (g.C, g.D)]
+    h = lie.HermitianLieAlgebra(g.n, *plain, label=g.label)
+    assert h.kind is g.kind and all(type(c) is EC for T in (h.C, h.D)
+                                    for layer in T for r in layer for c in r)
+    assert (h.C, h.D) == (g.C, g.D)
+    assert json.dumps(lie.classify(h).to_json(), sort_keys=True) == \
+        json.dumps(lie.classify(g).to_json(), sort_keys=True)
+    assert json.dumps(h.to_json()) == json.dumps(g.to_json())

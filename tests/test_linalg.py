@@ -20,22 +20,22 @@ def ex(rows):
 # ---- hermitian rank -------------------------------------------------------
 
 def test_rank_middle_type_b():
-    assert hermitian_rank(ex([[2, 0, 0], [0, 2, 0], [0, 0, 0]])) == 2
+    assert hermitian_rank(ex([[2, 0, 0], [0, 2, 0], [0, 0, 0]]), EXACT) == 2
 
 
 def test_rank_zero():
-    assert hermitian_rank(ex([[0, 0, 0]] * 3)) == 0
+    assert hermitian_rank(ex([[0, 0, 0]] * 3), EXACT) == 0
 
 
 def test_rank_full_special():
     a = Fraction(5, 7)
     c = 2 * a * a
-    assert hermitian_rank(ex([[c, 0, 0], [0, c, 0], [0, 0, c]])) == 3
+    assert hermitian_rank(ex([[c, 0, 0], [0, c, 0], [0, 0, c]]), EXACT) == 3
 
 
 def test_rank_needs_hermitian():
     with pytest.raises(ShapeError):
-        hermitian_rank(ex([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        hermitian_rank(ex([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), EXACT)
 
 
 def test_rank_float_unitary_conjugation_invariant():
@@ -46,7 +46,7 @@ def test_rank_float_unitary_conjugation_invariant():
         Q, _ = np.linalg.qr(M)
         C = Q @ B @ Q.conj().T
         C = (C + C.conj().T) / 2
-        assert hermitian_rank(C) == 2
+        assert hermitian_rank(C, FLOAT) == 2
 
 
 # hermitian matrices of exact entries and their ranks
@@ -58,23 +58,34 @@ RANK_CASES = [
     ([[Fraction(1, 3), EC(1, -1), 0], [EC(1, 1), 7, EC(0, 2)], [0, EC(0, -2), -1]], 3),
     ([[1]], 1),
 ]
-RANK_FORMS = {
-    "exact nested tuples": lambda rows: tuple(map(tuple, rows)),
-    "float nested tuples": lambda rows: tuple(tuple(map(complex, r)) for r in rows),
-    "object array": lambda rows: np.array(rows, object),
-    "complex array": lambda rows: np.array(rows, complex),
+RANK_FORMS = {     # (the form of exact rows, its kind)
+    "exact nested tuples": (lambda rows: tuple(map(tuple, rows)), EXACT),
+    "float nested tuples": (lambda rows: tuple(tuple(map(complex, r)) for r in rows), FLOAT),
+    "object array": (lambda rows: np.array(rows, object), EXACT),
+    "complex array": (lambda rows: np.array(rows, complex), FLOAT),
 }
 
 
 @pytest.mark.parametrize("form", sorted(RANK_FORMS))
 def test_hermitian_rank_reads_nested_sequences_and_arrays_alike(form):
+    build, kind = RANK_FORMS[form]
     for rows, rank in RANK_CASES:
         exact = [[c if isinstance(c, EC) else EC(Fraction(c), 0) for c in r] for r in rows]
-        assert hermitian_rank(RANK_FORMS[form](exact)) == rank, rows
+        assert hermitian_rank(build(exact), kind) == rank, rows
     with pytest.raises(ShapeError):
-        hermitian_rank(RANK_FORMS[form]([[EC(1), EC(2)], [EC(3), EC(1)]]))
+        hermitian_rank(build([[EC(1), EC(2)], [EC(3), EC(1)]]), kind)
     with pytest.raises(DimensionError):
-        hermitian_rank(RANK_FORMS[form]([[EC(1), EC(2), EC(3)], [EC(2), EC(1), EC(0)]]))
+        hermitian_rank(build([[EC(1), EC(2), EC(3)], [EC(2), EC(1), EC(0)]]), kind)
+
+
+def test_exact_rows_of_ints_and_fractions_reduce():
+    rows = row_basis([[1, 2, 3], [2, 4, 6], [0, Fraction(1, 3), 1]], EXACT)
+    assert len(rows) == 2 and all(type(c) is EC for r in rows for c in r)
+    assert rows[1] == [0, Fraction(1, 3), 1]
+    assert exact_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+    assert exact_rank([[Fraction(1, 3), 1], [1, 3]]) == 1
+    with pytest.raises(TypeError):
+        row_basis([[1.0, 2.0]], EXACT)
 
 
 def test_exact_rank_rectangular():
@@ -257,20 +268,20 @@ def test_takagi_rejects_nonfinite():
 
 def test_rank_and_takagi_take_plain_arrays_of_either_kind():
     h = [[EC(1), EC(0, 1)], [EC(0, -1), EC(2)]]
-    assert hermitian_rank(np.array(h, object)) == hermitian_rank(h) == 2
-    assert hermitian_rank(np.array(h, complex)) == 2
-    assert hermitian_rank(ex([[1, 1], [1, 1]])) == 1
+    assert hermitian_rank(np.array(h, object), EXACT) == hermitian_rank(h, EXACT) == 2
+    assert hermitian_rank(np.array(h, complex), FLOAT) == 2
+    assert hermitian_rank(ex([[1, 1], [1, 1]]), EXACT) == 1
     sym = [[EC(1), EC(2)], [EC(2), EC(1)]]
     for A in (np.array(sym, object), np.array(sym, complex)):
         res = takagi_factorize(A)
         assert res.d == pytest.approx((3.0, 1.0))
         assert res.U.dtype == complex and res.reconstruction_residual(A) <= 1e-10
     with pytest.raises(DimensionError):
-        hermitian_rank(ex([[1, 2, 3], [2, 1, 0]]))
+        hermitian_rank(ex([[1, 2, 3], [2, 1, 0]]), EXACT)
     with pytest.raises(DimensionError):
-        hermitian_rank(np.ones((2, 3), complex))
+        hermitian_rank(np.ones((2, 3), complex), FLOAT)
     with pytest.raises(ShapeError):
-        hermitian_rank(ex([[1, 2], [3, 1]]))
+        hermitian_rank(ex([[1, 2], [3, 1]]), EXACT)
 
 
 def test_rank_reports_nonfinite_float_entries():
@@ -281,6 +292,6 @@ def test_rank_reports_nonfinite_float_entries():
         for B in (np.array([[np.inf, 0], [0, 1.0]], complex),
                   ((complex("inf"), 0j), (0j, 1 + 0j))):
             with pytest.raises(NumericError):
-                hermitian_rank(B)
+                hermitian_rank(B, FLOAT)
     with pytest.raises(ShapeError):
-        hermitian_rank(np.array([[1.0, 1e-3], [0, 1.0]], complex))
+        hermitian_rank(np.array([[1.0, 1e-3], [0, 1.0]], complex), FLOAT)

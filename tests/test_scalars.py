@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from btpgeo import lie
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, scalar_from_json,
-                            scalar_to_json)
+from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, exact_scalar,
+                            kind_of, scalar_from_json, scalar_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -201,7 +201,10 @@ def test_equality_and_hash_match_fraction_model(a, b):
     assert (a == b) == (ref(a) == ref(b))
     assert (b == a) == (ref(a) == ref(b))
     assert a == EC(*ref(a))
-    assert hash(a) == hash(ref(a)) == hash(EC(*ref(a)))
+    assert hash(a) == hash(EC(*ref(a)))
+    # equal values hash equal: a real value hashes as its Fraction
+    if ref(a)[1] == 0:
+        assert hash(a) == hash(ref(a)[0])
 
 
 @given(big_rationals, big_rationals)
@@ -374,3 +377,63 @@ def test_every_operation_keeps_the_kind(case):
     if u.value():
         inv = jet_matrix_inverse([[u]])
         assert inv[0][0].kind is kind
+
+
+# ---- one rule for which scalars are exact ------------------------------------
+
+@pytest.mark.parametrize("value, kind", [
+    (EC(1, 2), EXACT), (3, EXACT), (Fraction(1, 3), EXACT),
+    (0.5, FLOAT), (1j, FLOAT), (np.float64(0.5), FLOAT), (np.complex128(1j), FLOAT),
+    (True, None), ("1", None), (None, None), (np.int64(3), None),
+], ids=lambda v: type(v).__name__)
+def test_kind_of_is_closed(value, kind):
+    if kind is None:
+        with pytest.raises(TypeError, match="not a scalar"):
+            kind_of(value)
+    else:
+        assert kind_of(value) is kind
+
+
+def test_bool_is_not_an_exact_scalar():
+    for op in (lambda: EXACT.scalar(True), lambda: EC(1) + True, lambda: EC(1) * False):
+        with pytest.raises(TypeError):
+            op()
+    assert EC(1) != True and EC(2) + 1 == 3     # noqa: E712
+
+
+def test_int_and_fraction_coefficients_make_exact_maps():
+    # an int coefficient is stored as the ExactComplex it equals
+    assert InvariantForm.phi(3, 0, 1) == InvariantForm.phi(3, 0)
+    assert InvariantForm.phi(3, 0, 1).kind is EXACT
+    s = InvariantForm.phi(3, 0, 1) + InvariantForm.phi(3, 1)
+    assert s.kind is EXACT and type(s.coeff((2,), ())) is EC
+    assert [type(c) for c in s.terms.values()] == [EC, EC]
+    j = Jet2(3, {(): Fraction(1, 2), (0,): 2})
+    assert j.kind is EXACT and j.value() == EC(Fraction(1, 2)) and type(j.value()) is EC
+    # a float map holds Python complex scalars, whatever float type it was given
+    f = Jet2(3, {(): np.float64(1.5), (1,): 2.0})
+    assert f.kind is FLOAT and {type(c) for c in f.terms.values()} == {complex}
+    with pytest.raises(TypeError, match="mixed scalar kinds"):
+        Jet2(3, {(): 1, (0,): 1.0})
+    with pytest.raises(TypeError, match="not a scalar"):
+        InvariantForm.phi(3, 0, True)
+
+
+def test_exact_scalar_reads_parameters_through_fraction():
+    c = EC(1, 2)
+    assert exact_scalar(c) is c
+    for v in (0.5, "1/2", Fraction(1, 2), np.float64(0.5)):
+        assert exact_scalar(v) == EC(Fraction(1, 2)) and type(exact_scalar(v)) is EC
+    with pytest.raises(TypeError):
+        exact_scalar(1j)
+
+
+@given(big_rationals | big)
+def test_hash_agrees_with_equality_on_rationals(q):
+    assert EC(q) == q and hash(EC(q)) == hash(q)
+    assert len({EC(q), q}) == 1
+
+
+def test_equal_exact_scalars_share_a_set_entry():
+    assert len({EC(1), 1, Fraction(1), EC(1, 0)}) == 1
+    assert len({EC(0, 1), EC(Fraction(2, 2) * 0, 1), 1j}) == 2

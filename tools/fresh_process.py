@@ -7,7 +7,9 @@ command and from round to round.  A first round warms the ``.pyc`` files
 (``PYTHONDONTWRITEBYTECODE`` is unset for every run) and is discarded.  One
 more run per command and side, under ``-X importtime``, tells whether numpy
 was loaded, numpy's cumulative import time, and the summed self time of the
-btpgeo modules; it is not timed.
+btpgeo modules; it is not timed.  One more plain, untimed run per command
+and side records whether the two trees wrote byte-identical stdout and
+stderr and exited with the same code (``identical``).
 
 Usage::
 
@@ -65,6 +67,14 @@ def run_once(tree: str, name: str) -> float:
     return ms
 
 
+def outputs(tree: str, name: str) -> dict:
+    """The stdout and stderr bytes and the exit code of one untimed run."""
+    argv, _ = COMMANDS[name]
+    proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", *argv], cwd=tree,
+                          env=_env(tree), capture_output=True)
+    return {"stdout": proc.stdout, "stderr": proc.stderr, "exit_code": proc.returncode}
+
+
 def import_profile(tree: str, name: str) -> dict:
     """From one ``-X importtime`` run: whether numpy was loaded, its
     cumulative import time, and the summed self time of btpgeo's modules."""
@@ -114,6 +124,8 @@ def measure(trees: dict, names, runs: int) -> dict:
             row[side] = {"median_ms": round(med, 1), "q1_ms": round(q1, 1),
                          "q3_ms": round(q3, 1), "runs_ms": [round(x, 1) for x in xs],
                          **import_profile(trees[side], name)}
+        out_p, out_c = (outputs(trees[side], name) for side in SIDES)
+        row["identical"] = {k: out_p[k] == out_c[k] for k in out_p}
         p, c = row["parent"], row["change"]
         row["change_over_parent_median"] = round(c["median_ms"] / p["median_ms"], 3)
         row["parent_quartile_spread_ms"] = round(p["q3_ms"] - p["q1_ms"], 1)
@@ -139,8 +151,9 @@ def main(argv=None) -> int:
                    "the side that runs first alternating by command and round, one warm-up "
                    f"round discarded, {args.runs} timed runs per side; warm .pyc, "
                    "PYTHONDONTWRITEBYTECODE unset; numpy_loaded and the import figures "
-                   "come from one more -X importtime run per side; quartiles are "
-                   "statistics.quantiles(method='inclusive')"),
+                   "come from one more -X importtime run per side, identical from one "
+                   "more plain run per side (stdout and stderr bytes, exit code); "
+                   "quartiles are statistics.quantiles(method='inclusive')"),
         "runs": args.runs,
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine()},
@@ -155,11 +168,13 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    print(f"{'command':<20}{'parent ms':>11}{'change ms':>11}{'ratio':>7}  numpy (parent, change)")
+    print(f"{'command':<20}{'parent ms':>11}{'change ms':>11}{'ratio':>7}  "
+          f"numpy (parent, change)  identical (stdout, stderr, exit code)")
     for name, row in rows.items():
         print(f"{name:<20}{row['parent']['median_ms']:>11.1f}{row['change']['median_ms']:>11.1f}"
               f"{row['change_over_parent_median']:>7.3f}  "
-              f"{row['parent']['numpy_loaded']}, {row['change']['numpy_loaded']}")
+              f"{row['parent']['numpy_loaded']}, {row['change']['numpy_loaded']}  "
+              f"{', '.join(str(v) for v in row['identical'].values())}")
     return 0
 
 

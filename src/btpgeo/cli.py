@@ -13,6 +13,12 @@ lines, ``btpgeo <command> --help`` the options of one command.
 them, so the exact Lie commands (``classify`` of exact data, ``sweep``,
 ``companion`` and ``verify`` of the Lie examples) run without numpy.
 
+Every report is written by ``_emit`` through ``_dumps``, which gives the
+bytes of ``json.dumps(report, indent=2, sort_keys=True)`` in one walk of the
+report: json writes an indented document through its pure-Python encoder,
+while ``_dumps`` escapes strings with json's C ``encode_basestring_ascii``
+and appends each leaf with its separator, indent and key as one part.
+
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure (float
 overflow in classify, or an exact result too long to write), 3 usage or
 schema error (an unwritable ``--out``, or an exact literal too long to
@@ -28,6 +34,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Callable, NamedTuple
 
 from . import lie, linalg
@@ -105,8 +113,89 @@ def _example_algebra(name: str, a=Fraction(1)) -> lie.HermitianLieAlgebra:
     return plain[name]()
 
 
+def _float_text(x) -> str:
+    if isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# the text of each JSON leaf type, as json.dumps writes it
+_LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+         bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+# the JSON type of each type a report holds; a subclass is read by _json_type
+_JSON_TYPE = {**{t: t for t in _LEAF}, dict: dict, list: list, tuple: list}
+
+
+def _json_type(value) -> type:
+    """The JSON type of a value, tested in json's order."""
+    for bases, kind in ((str, str), (int, int), (float, float), ((list, tuple), list),
+                        (dict, dict)):
+        if isinstance(value, bases):
+            return kind
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str, or the text of an int, float,
+    bool or None, in quotes."""
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    kind = _JSON_TYPE.get(type(key)) or _json_type(key)
+    return encode_basestring_ascii(key if kind is str else _LEAF[kind](key))
+
+
+def _write(value, lead, nl, parts) -> None:
+    """Append the JSON text of value to parts, after lead (the separator,
+    indent and key before it); nl is the newline and indent of its level.
+    Each leaf is one part, joined to its lead."""
+    kind = _JSON_TYPE.get(type(value)) or _json_type(value)
+    leaf = _LEAF.get(kind)
+    if leaf is not None:
+        parts.append(lead + leaf(value))
+        return
+    if not value:
+        parts.append(lead + ("{}" if kind is dict else "[]"))
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    append = parts.append
+    if kind is dict:
+        lead += "{" + inner
+        for key, item in sorted(value.items()):
+            key = (encode_basestring_ascii(key) if type(key) is str else _key_text(key)) + ": "
+            leaf = _LEAF.get(type(item))
+            if leaf is None:
+                _write(item, lead + key, inner, parts)
+            else:
+                append(lead + key + leaf(item))
+            lead = sep
+        append(nl + "}")
+    else:
+        lead += "[" + inner
+        for item in value:
+            leaf = _LEAF.get(type(item))
+            if leaf is None:
+                _write(item, lead, inner, parts)
+            else:
+                append(lead + leaf(item))
+            lead = sep
+        append(nl + "]")
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, in one
+    walk that joins each leaf to its separator, indent and key, where json's
+    pure-Python encoder yields them as separate parts."""
+    parts = []
+    _write(payload, "", "\n", parts)
+    return "".join(parts)
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if not out_path:
         print(text, flush=True)     # a closed stdout raises here, not at exit
         return
@@ -133,7 +222,9 @@ def cmd_classify(args) -> int:
             payload = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {args.input}: {exc}", EXIT_USAGE)
-    except ValueError as exc:       # a JSONDecodeError, or an integer past the digit bound
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the digit bound, or nesting past
+        # the decoder's recursion bound
         raise CliError(f"invalid JSON: {exc}", EXIT_USAGE)
     try:
         rep = lie.classify(lie.HermitianLieAlgebra.from_json(payload)).to_json()

@@ -41,18 +41,20 @@ class ExactComplex:
     and ``gcd(r, i, d) == 1``.  That form is canonical, so equality is a
     comparison of the triples and arithmetic never leaves the integers (the
     all-integer setting of Bareiss, Math. Comp. 22, 1968).  ``re`` and ``im``
-    read back as ``Fraction``.  Arithmetic with ``int`` and ``Fraction`` is
-    supported; mixing with ``float``/``complex`` raises ``TypeError`` so that
-    exact pipelines cannot silently degrade.
+    read back as ``Fraction``.  The parts, and the operands of arithmetic,
+    are ``int`` or ``Fraction``; any other type (``bool``, ``float``,
+    ``complex``, ``str``) raises ``TypeError`` so that exact pipelines cannot
+    silently degrade.
     """
 
     __slots__ = ("_r", "_i", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        re = re if type(re) is Fraction else Fraction(re)
-        im = im if type(im) is Fraction else Fraction(im)
-        a, b = re.numerator, re.denominator
-        c, e = im.numerator, im.denominator
+        parts = _triple(re), _triple(im)
+        if None in parts:
+            bad = re if parts[0] is None else im
+            raise TypeError(f"ExactComplex parts are int or Fraction, not {bad!r}")
+        (a, _, b), (c, _, e) = parts
         # over d = lcm(b, e) the triple is already coprime: a prime power
         # dividing d exactly divides b or e, whose numerator it does not divide
         d = b if b == e else b * e // gcd(b, e)

@@ -620,6 +620,30 @@ def cayley_unitary(A):
     return (eye - A) @ matrix_inverse(eye + A, EXACT)
 
 
+def ad_gram(g):
+    """M2[x][y] = tr(ad_x ad_y^*) over the complexified bracket table in the
+    basis (e, ebar) (``lie.real_bracket_table``), where ad_x[m][z] is the
+    coefficient of b_m in [b_x, b_z] and ^* is the conjugate transpose.  A
+    unitary frame change acts on (e, ebar) by diag(U, conj(U)), so the power
+    traces of M2 are frame invariants."""
+    table = lie.real_bracket_table(g)
+    dim = len(table)
+    ad = [{(m, z): c for z in range(dim) for m, c in table[x][z]} for x in range(dim)]
+    return [[sum((c * ad[y][k].conjugate() for k, c in ad[x].items() if k in ad[y]),
+                 g.kind.zero) for y in range(dim)] for x in range(dim)]
+
+
+def power_traces(M, powers):
+    """tr M^p for p = 1..powers, by repeated products of nested lists."""
+    dim = len(M)
+    P, out = M, []
+    for _ in range(powers):
+        out.append(sum((P[i][i] for i in range(1, dim)), P[0][0]))
+        P = [[sum((P[i][k] * M[k][j] for k in range(1, dim)), P[i][0] * M[0][j])
+              for j in range(dim)] for i in range(dim)]
+    return out
+
+
 # ---- the tuple-keyed form kernel ---------------------------------------------
 # The form layer keys each monomial by a bit mask and takes every sign from
 # one pair-count rule.  The routes below are the ones it replaced: a merge of

@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -252,6 +253,15 @@ def test_json_integer_past_the_digit_bound_exits_3(tmp_path, capsys):
     assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
+def test_json_nested_past_the_recursion_bound_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, doc", [
     # a has 2500 digits, so the a^2 of the Bismut Ricci form has 5000
     (("classify",), _vaisman_with("1" * 2500)),
@@ -482,6 +492,67 @@ def test_reports_byte_stable(tmp_path, capsys):
     assert main(["classify", "--input", str(DATA / "n3.json"), "--out", str(out1)]) == 0
     assert main(["classify", "--input", str(DATA / "n3.json"), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---- the report writer ----------------------------------------------------------
+
+def _dumps_as_json(value):
+    """cli._dumps(value) against json.dumps: both text, or both the same error."""
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            cli._dumps(value)
+        assert str(raised.value) == str(exc)
+        return
+    assert cli._dumps(value) == expected
+
+
+# characters that json escapes, brackets, and the ranges around ASCII
+_HARD_CHARS = st.sampled_from('"\\/[]{}:,\x00\x08\x1f\x7f\x80\xe9\u2028\ud800\U0001f600')
+_TEXT = st.text(st.one_of(st.characters(), _HARD_CHARS), max_size=8)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                                                   1e308, float("nan"), float("inf"),
+                                                   -float("inf")]))
+_JSON_LEAVES = st.one_of(
+    _TEXT, st.booleans(), st.none(), st.integers(),
+    st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
+    _FLOATS, _FLOATS.map(np.float64))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_the_report_writer_is_json_dumps(value):
+    _dumps_as_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a", -2: "b"}, {1.5: 0, -0.0: 1, float("nan"): 2, float("inf"): 3},
+    {True: 1, False: 2}, {None: []}, {"k": {2 ** 70: ()}}, {(1, 2): 3}, {1: 0, "a": 1},
+])
+def test_the_report_writer_reads_keys_as_json_does(value):
+    _dumps_as_json(value)
+
+
+@pytest.mark.parametrize("leaf", [object(), {1, 2}, b"bytes", 1j, Fraction(1, 2), EC(1),
+                                  np.int64(1), np.bool_(True), np.array([1.0])])
+def test_a_non_json_leaf_raises_type_error(leaf):
+    for value in (leaf, [leaf], {"k": [1, leaf]}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._dumps(value)
+        _dumps_as_json(value)
+
+
+def test_the_float_report_is_laid_out_as_json_dumps(capsys):
+    # float reports have no sha256 pin: the bytes of every float are checked here
+    code, out, _ = run_cli(capsys, "wallach", "--float", "--seed", "1", "--samples", "50")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_wallach_report(capsys):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import cayley_unitary, regauge
+from _oracles import ad_gram, cayley_unitary, power_traces, regauge
 from btpgeo import lie
 from btpgeo.linalg import row_basis
 from btpgeo.scalars import EC, EXACT
@@ -113,3 +113,29 @@ def test_every_rational_regauge_keeps_the_frame_free_facts(entries):
         assert _frame_free(rep) == _frame_free(lie.classify(g)), g.label
     # D stays zero on a complex Lie group, so its Chern connection stays flat
     assert lie.classify(regauge(ALGEBRAS["sl2c"], P)).type_label == "chern_flat"
+
+
+# tr M2 and tr M2^2 of M2[x][y] = tr(ad_x ad_y^*), the first power traces of
+# an invariant for recognizing a family member from any unitary frame
+AD_GRAM_TRACES = {"a_st": [Fraction(98, 9), Fraction(1321, 54)], "b_zt": [56, 1008]}
+
+
+def test_ad_gram_power_traces_are_pinned_and_unitary_invariant():
+    for name, pinned in AD_GRAM_TRACES.items():
+        g = ALGEBRAS[name]
+        assert power_traces(ad_gram(g), 2) == pinned, name
+        for A in SKEW:
+            h = regauge(g, cayley_unitary(A))
+            assert h.C != g.C       # the frame did change
+            assert power_traces(ad_gram(h), 2) == pinned, name
+        # a frame change that is not unitary changes the metric, and the traces
+        for P in map(_exact, NON_UNITARY):
+            assert power_traces(ad_gram(regauge(g, P)), 2) != pinned, name
+
+
+def test_ad_gram_is_hermitian_and_positive_on_its_diagonal():
+    for name, g in ALGEBRAS.items():
+        M = ad_gram(g)
+        dim = len(M)
+        assert all(M[x][y] == M[y][x].conjugate() for x in range(dim) for y in range(dim)), name
+        assert all(M[x][x].im == 0 and M[x][x].re >= 0 for x in range(dim)), name

@@ -1,5 +1,6 @@
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,16 @@ def test_no_float_mixing():
         EC(1, 0) + 0.5
     with pytest.raises(TypeError):
         EC(1, 0) * (1 + 2j)
+
+
+@pytest.mark.parametrize("parts", [
+    (0.1,), (1, 0.5), (True,), (1, False), ("1/2",), (1j,), (Decimal("0.5"),),
+    (np.float64(0.5),), (np.int64(1),), (EC(1),),
+], ids=repr)
+def test_exact_complex_parts_are_int_or_fraction(parts):
+    # EC(0.1) would otherwise be the binary value of 0.1, silently exact
+    with pytest.raises(TypeError, match="int or Fraction"):
+        EC(*parts)
 
 
 def test_json_roundtrip_exact():

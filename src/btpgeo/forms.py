@@ -113,13 +113,14 @@ class InvariantForm(Terms):
     __matmul__ = wedge
 
     def conj(self) -> "InvariantForm":
-        """phi_I ^ phibar_J goes to phibar_I ^ phi_J = +-phi_J ^ phibar_I."""
+        """phi_I ^ phibar_J goes to phibar_I ^ phi_J = +-phi_J ^ phibar_I: each
+        phibar_i passes each phi_j, so the sign is (-1)^(|I| |J|)."""
         n = self.n
         low = (1 << n) - 1
         t: Dict[int, Scalar] = {}
         for m, c in self.terms.items():
             I, J = m & low, m >> n
-            t[J | I << n] = c.conjugate() if _sign(I << n, J) > 0 else -c.conjugate()
+            t[J | I << n] = -c.conjugate() if I.bit_count() * J.bit_count() & 1 else c.conjugate()
         return _form(n, t, self.kind)
 
     # ---- inspection ---------------------------------------------------------
@@ -206,36 +207,39 @@ class CoframeContext:
     C must be antisymmetric in its lower indices; no integrability condition
     is imposed here (see d_squared_residual).  Entries are indexed
     [j][i][k], 0-based, share one scalar kind and are stored as its scalars.
+    ``C_entries`` and ``D_entries`` hold the nonzero ones as (j, i, k, c),
+    in index order: every table built from the structure constants reads
+    those, not the dense n x n x n cube.
     """
 
-    __slots__ = ("n", "C", "D", "kind", "_d")
+    __slots__ = ("n", "C", "D", "C_entries", "D_entries", "kind", "_d")
 
     def __init__(self, n: int, C, D):
-        C = tuple(tuple(tuple(r) for r in layer) for layer in C)
-        D = tuple(tuple(tuple(r) for r in layer) for layer in D)
         for T, name in ((C, "C"), (D, "D")):
             if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
                 raise DimensionError(f"{name} must be n x n x n")
         kind = common_kind(c for T in (C, D) for l in T for r in l for c in r)
         C, D = (tuple(tuple(tuple(map(kind.scalar, r)) for r in l) for l in T) for T in (C, D))
-        if not all(kind.negligible(C[j][i][k] + C[j][k][i], 1e-12)   # within 1e-12 for float data
-                   for j in range(n) for i in range(n) for k in range(i, n)):
+        C_entries, D_entries = (tuple((j, i, k, c) for j, l in enumerate(T)
+                                      for i, r in enumerate(l) for k, c in enumerate(r) if c)
+                                for T in (C, D))
+        # a pair of zeros is antisymmetric, so each nonzero entry is checked
+        # against its mirror (within 1e-12 for float data)
+        if not all(kind.negligible(c + C[j][k][i], 1e-12) for j, i, k, c in C_entries):
             raise ValueError("C must be antisymmetric in its lower indices")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "kind", kind)
-        dphi = []
-        for i in range(n):
-            t: Dict[int, Scalar] = {}
-            for j in range(n):
-                for k in range(n):
-                    if j < k and C[i][j][k]:
-                        # -1/2 (C^i_{jk} phi_j phi_k + C^i_{kj} phi_k phi_j)
-                        t[1 << j | 1 << k] = -C[i][j][k]
-                    if D[j][i][k]:
-                        t[1 << j | 1 << (n + k)] = -D[j][i][k].conjugate()
-            dphi.append(_form(n, t, kind))
+        for name, value in (("n", n), ("C", C), ("D", D), ("C_entries", C_entries),
+                            ("D_entries", D_entries), ("kind", kind)):
+            object.__setattr__(self, name, value)
+        # d phi_i: -1/2 (C^i_{jk} phi_j phi_k + C^i_{kj} phi_k phi_j) for j < k
+        # and -conj(D^j_{ik}) phi_j phibar_k, in (j, k) order with the C term
+        # first, the order in which exterior_d adds them into float sums
+        terms = [[] for _ in range(n)]
+        for i, j, k, c in C_entries:
+            if j < k:
+                terms[i].append((j, k, 1 << j | 1 << k, -c))
+        for j, i, k, c in D_entries:
+            terms[i].append((j, k, 1 << j | 1 << (n + k), -c.conjugate()))
+        dphi = [_form(n, {m: c for *_, m, c in sorted(t)}, kind) for t in terms]
         # d of the basis 1-form of each bit: phi_i at bit i, phibar_i at n+i
         object.__setattr__(self, "_d", tuple(dphi) + tuple(f.conj() for f in dphi))
 

@@ -62,17 +62,13 @@ def cyclic_torsion(a) -> np.ndarray:
     return _array(_antisymmetric(3, zip(_CYCLES, a), kind), kind)
 
 
-def diagonal_pattern(n: int, a, signs) -> list:
-    """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
-    indices i, zero elsewhere, as nested lists of a's kind.  Signs (1, -1)
-    give the admissible middle-type torsion, all signs + the Vaisman-type one."""
-    kind, (a,) = _scalars((a,))
-    return _antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)], kind)
-
-
 def diagonal_torsion(n: int, a, signs) -> np.ndarray:
-    """``diagonal_pattern`` as an array of a's kind."""
-    return _array(diagonal_pattern(n, a, signs), _scalars((a,))[0])
+    """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
+    indices i, zero elsewhere, as an array of a's kind.  Signs (1, -1) give
+    the admissible middle-type torsion, all signs + the Vaisman-type one."""
+    kind, (a,) = _scalars((a,))
+    return _array(_antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)],
+                                 kind), kind)
 
 
 _LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc

@@ -17,7 +17,7 @@ check as failed instead of silently adjusting either number.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -45,7 +45,9 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    to_json = asdict
+    def to_json(self):
+        return {"name": self.name, "ref": self.ref, "passed": self.passed,
+                "detail": self.detail}
 
 
 def _chk(out: List[CheckResult], name: str, ref: str, cond: bool, detail: str = ""):

@@ -9,24 +9,22 @@ algebra, and the predicate vector used to sort algebras into the flat /
 rank-one / middle-type landscape.  Each table is plain data: T is nested
 tuples of the algebra's scalar kind, a connection or curvature matrix n x n
 nested tuples of invariant forms.  Each is built once per algebra, straight
-from the nonzero structure constants: theta^b is linear in them, the
-connection of D + T.
+from the nonzero structure constants (``C_entries`` and ``D_entries`` of the
+coframe context) and the nonzero entries of T (``torsion_entries``): theta^b
+is linear in them, the connection of D + T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from itertools import product
-from operator import mul, sub
 from typing import Dict, Optional, Tuple
 
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d)
-from .frames import diagonal_pattern, transform_torsion
+from .frames import transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
-from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_scalar, kind_of,
-                      memoized, scalar_from_json, scalar_to_json)
+from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_rational,
+                      exact_scalar, kind_of, memoized, scalar_from_json, scalar_to_json)
 
 
 class IntegrabilityError(ValueError):
@@ -47,11 +45,6 @@ MAX_JSON_N = 16
 
 def _zeros3(n, kind: Kind = EXACT):
     return [[[kind.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
-
-def _flat(T):
-    """The entries of an n x n x n nested sequence, in index order."""
-    return (c for layer in T for r in layer for c in r)
 
 
 def _all_negligible(kind: Kind, values) -> bool:
@@ -96,11 +89,10 @@ class HermitianLieAlgebra(CoframeContext):
 
     # ---- JSON wire format (entries with i >= k rejected for C) ----------
     def to_json(self):
-        def dump(T, anti):
-            return [{"j": j + 1, "i": i + 1, "k": k + 1, "coef": scalar_to_json(T[j][i][k])}
-                    for j, i, k in product(range(self.n), repeat=3)
-                    if T[j][i][k] and not (anti and i >= k)]
-        return {"n": self.n, "C": dump(self.C, True), "D": dump(self.D, False),
+        def dump(entries, anti):
+            return [{"j": j + 1, "i": i + 1, "k": k + 1, "coef": scalar_to_json(c)}
+                    for j, i, k, c in entries if not (anti and i >= k)]
+        return {"n": self.n, "C": dump(self.C_entries, True), "D": dump(self.D_entries, False),
                 "label": self.label}
 
     @staticmethod
@@ -128,25 +120,19 @@ class HermitianLieAlgebra(CoframeContext):
             parsed.append((j, i, k, c))
         # one float coefficient makes the whole algebra float
         kind = FLOAT if any(kind_of(c) is FLOAT for *_, c in parsed) else EXACT
-        C = _zeros3(n, kind)
-        D = _zeros3(n, kind)
         ncr = len(c_in)
         for pos, (j, i, k, c) in enumerate(parsed):
             try:        # an exact constant of float data can lie past the float range
-                c = kind.scalar(c)
+                parsed[pos] = j, i, k, kind.scalar(c)
             except OverflowError:
                 raise SchemaError("a structure constant is beyond the float range") from None
-            if pos < ncr:
-                if i >= k:
-                    raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
-                                      f"{c_in[pos]!r}")
-                C[j][i][k] = C[j][i][k] + c
-                C[j][k][i] = C[j][k][i] - c
-            else:
-                D[j][i][k] = D[j][i][k] + c
+            if pos < ncr and i >= k:
+                raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
+                                  f"{c_in[pos]!r}")
+        C, D = _dense(n, kind, parsed[:ncr], parsed[ncr:])
         # float sums can overflow
-        sums = [(C if pos < ncr else D)[j][i][k] for pos, (j, i, k, _) in enumerate(parsed)]
-        if not all_finite(sums):
+        if not all_finite((C if pos < ncr else D)[j][i][k]
+                          for pos, (j, i, k, _) in enumerate(parsed)):
             raise SchemaError("a summed structure constant is not a finite number")
         return HermitianLieAlgebra(n, C, D, label=str(obj.get("label", "")))
 
@@ -155,15 +141,23 @@ class HermitianLieAlgebra(CoframeContext):
 # built-in algebras
 # --------------------------------------------------------------------------
 
+def _dense(n: int, kind: Kind, C, D):
+    """Dense C and D, nested lists of the kind, summing the (j, i, k, c)
+    entries given for each, 0-based scalars of the kind; each C entry also
+    adds its mirror C^j_{ki} = -c."""
+    Ct, Dt = _zeros3(n, kind), _zeros3(n, kind)
+    for j, i, k, c in C:
+        Ct[j][i][k] = Ct[j][i][k] + c
+        Ct[j][k][i] = Ct[j][k][i] - c
+    for j, i, k, c in D:
+        Dt[j][i][k] = Dt[j][i][k] + c
+    return Ct, Dt
+
+
 def _algebra(label: str, C, D, n: int = 3) -> HermitianLieAlgebra:
-    """The exact algebra with the given ((j, i, k), c) entries of C and D,
+    """The exact algebra with the given (j, i, k, c) entries of C and D,
     0-based; each C entry implies its mirror C^j_{ki} = -c."""
-    Ct, Dt = _zeros3(n), _zeros3(n)
-    for (j, i, k), c in C:
-        Ct[j][i][k], Ct[j][k][i] = c, -c
-    for (j, i, k), c in D:
-        Dt[j][i][k] = c
-    return HermitianLieAlgebra(n, Ct, Dt, label=label)
+    return HermitianLieAlgebra(n, *_dense(n, EXACT, C, D), label=label)
 
 
 def abelian(n: int = 3) -> HermitianLieAlgebra:
@@ -173,40 +167,40 @@ def abelian(n: int = 3) -> HermitianLieAlgebra:
 def nilmanifold_n3(a=1) -> HermitianLieAlgebra:
     """The balanced nilmanifold: d phi_3 = -a phi_{1 1b} + a phi_{2 2b}."""
     a = exact_scalar(a)     # D^1_{31} = a, D^2_{32} = -a
-    return _algebra("n3", (), [((0, 2, 0), a), ((1, 2, 1), -a)])
+    return _algebra("n3", (), [(0, 2, 0, a), (1, 2, 1, -a)])
 
 
 def family_a(s, t, a=1) -> HermitianLieAlgebra:
     """The first middle-type family, parameterized by real (s, t)."""
-    s, t, a = Fraction(s), Fraction(t), exact_scalar(a)
+    s, t, a = exact_rational(s), exact_rational(t), exact_scalar(a)
     return _algebra(f"a_st(s={s},t={t},a={a.re})",
                     # C^1_{13} = -i s, C^2_{23} = -i t
-                    [((0, 0, 2), EC(0, -s)), ((1, 1, 2), EC(0, -t))],
+                    [(0, 0, 2, EC(0, -s)), (1, 1, 2, EC(0, -t))],
                     # D^1_{13} = i s, D^2_{23} = i t, D^1_{31} = a, D^2_{32} = -a
-                    [((0, 0, 2), EC(0, s)), ((1, 1, 2), EC(0, t)), ((0, 2, 0), a),
-                     ((1, 2, 1), -a)])
+                    [(0, 0, 2, EC(0, s)), (1, 1, 2, EC(0, t)), (0, 2, 0, a),
+                     (1, 2, 1, -a)])
 
 
 def family_b(z, t, a=1) -> HermitianLieAlgebra:
     """The second middle-type family, parameterized by complex z and real t."""
-    z, t, a = exact_scalar(z), Fraction(t), exact_scalar(a)
+    z, t, a = exact_scalar(z), exact_rational(t), exact_scalar(a)
     return _algebra(f"b_zt(z={z!r},t={t},a={a.re})",
-                    [((1, 0, 1), z), ((1, 1, 2), EC(0, -t))],   # C^2_{12} = z, C^2_{23} = -i t
+                    [(1, 0, 1, z), (1, 1, 2, EC(0, -t))],   # C^2_{12} = z, C^2_{23} = -i t
                     # D^2_{21} = z, D^2_{23} = i t, D^1_{31} = a, D^2_{32} = -a
-                    [((1, 1, 0), z), ((1, 1, 2), EC(0, t)), ((0, 2, 0), a), ((1, 2, 1), -a)])
+                    [(1, 1, 0, z), (1, 1, 2, EC(0, t)), (0, 2, 0, a), (1, 2, 1, -a)])
 
 
 def sl2c(a=1) -> HermitianLieAlgebra:
     """The simple complex Lie algebra with cyclic brackets [e_i, e_j] = -a e_k."""
     a = exact_scalar(a)
     return _algebra(f"sl2c(a={a.re})",
-                    [((k, i, j), -a) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))], ())
+                    [(k, i, j, -a) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))], ())
 
 
 def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
     """Companion nilmanifold: d phi_3 = -a (phi_{1 1b} + phi_{2 2b})."""
     a = exact_scalar(a)     # D^1_{31} = D^2_{32} = a
-    return _algebra("vaisman54", (), [((0, 2, 0), a), ((1, 2, 1), a)])
+    return _algebra("vaisman54", (), [(0, 2, 0, a), (1, 2, 1, a)])
 
 
 # --------------------------------------------------------------------------
@@ -214,55 +208,69 @@ def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
 # --------------------------------------------------------------------------
 
 @memoized
+def torsion_entries(g: HermitianLieAlgebra):
+    """The nonzero entries (j, i, k, T^j_{ik}) of g's Chern torsion, in index
+    order, with T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} for i < k and
+    T^j_{ki} = -T^j_{ik}: only the pairs where C or D has an entry are read."""
+    C, D = g.C, g.D
+    out = []
+    for j, i, k in {(j, min(i, k), max(i, k)) for j, i, k, _ in g.C_entries + g.D_entries
+                    if i != k}:
+        v = -C[j][i][k] - D[j][i][k] + D[j][k][i]
+        if v:
+            out += [(j, i, k, v), (j, k, i, -v)]
+    return tuple(sorted(out))
+
+
+@memoized
 def chern_torsion(g: HermitianLieAlgebra):
-    """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} as nested tuples of g's
-    kind, antisymmetric in (i, k) as C is."""
-    n = g.n
-    T = _zeros3(n, g.kind)
-    for j in range(n):
-        for i in range(n):
-            for k in range(i + 1, n):
-                v = -g.C[j][i][k] - g.D[j][i][k] + g.D[j][k][i]
-                T[j][i][k] = v
-                T[j][k][i] = -v
+    """T^j_{ik} as nested tuples of g's kind, antisymmetric in (i, k) as C
+    is, filled from ``torsion_entries``."""
+    T = _zeros3(g.n, g.kind)
+    for j, i, k, v in torsion_entries(g):
+        T[j][i][k] = v
     return tuple(tuple(map(tuple, layer)) for layer in T)
 
 
-def _connection_from(kind: Kind, *tensors):
+def _connection_from(g: HermitianLieAlgebra, *tensors):
     """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k ) summed
-    over the given tensors X of the kind, as n x n nested tuples of invariant
-    1-forms, skew-hermitian: theta_{ij} = -conj(theta_{ji}).  Each entry is one
-    dict of masks, read off the nonzero entries in order (phi_k before
-    phibar_k, k increasing)."""
-    n = len(tensors[0])
+    over the given tensors X, each the nonzero entries (j, i, k, X^j_{ik}) of
+    a tensor of g's kind, as n x n nested tuples of invariant 1-forms,
+    skew-hermitian: theta_{ij} = -conj(theta_{ji}).  Each entry is one dict
+    of masks, summed in the order of the tensors and, within one, of k, the
+    phi_k term before the phibar_k term, so that float sums and the order of
+    each form's terms do not depend on how the entries are listed."""
+    n = g.n
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    for t, X in enumerate(tensors):
+        for j, i, k, x in X:
+            terms[i][j].append((t, k, 0, x))                 # in theta_{ij}
+            terms[j][i].append((t, k, 1, -x.conjugate()))    # in theta_{ji}
 
-    def entry(i, j):
+    def entry(ts):
         acc = {}
-        for X in tensors:
-            for k in range(n):
-                for m, v in ((1 << k, X[j][i][k]), (1 << (n + k), X[i][j][k])):
-                    if v:
-                        v = -v.conjugate() if m >> n else v     # the phibar_k term
-                        acc[m] = acc[m] + v if m in acc else v
-        return _form(n, acc, kind)
-    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+        for _, k, bar, v in sorted(ts):
+            m = 1 << (bar * n + k)
+            acc[m] = acc[m] + v if m in acc else v
+        return _form(n, acc, g.kind)
+    return tuple(tuple(map(entry, row)) for row in terms)
 
 
 @memoized
 def chern_connection(g: HermitianLieAlgebra):
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    return _connection_from(g.kind, g.D)
+    return _connection_from(g, g.D_entries)
 
 
 def gamma_tensor(g: HermitianLieAlgebra):
     """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    return _connection_from(g.kind, chern_torsion(g))
+    return _connection_from(g, torsion_entries(g))
 
 
 @memoized
 def bismut_connection(g: HermitianLieAlgebra):
     """theta^b = theta + gamma, the connection of D + T."""
-    return _connection_from(g.kind, g.D, chern_torsion(g))
+    return _connection_from(g, g.D_entries, torsion_entries(g))
 
 
 def trace(theta) -> InvariantForm:
@@ -300,18 +308,24 @@ def bismut_curvature(g: HermitianLieAlgebra):
 # --------------------------------------------------------------------------
 
 def b_tensor(g: HermitianLieAlgebra):
-    """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}) of g's torsion;
-    hermitian nonnegative, rows (nested tuples) of g's kind."""
-    flat = [[c for r in layer for c in r] for layer in chern_torsion(g)]
-    conj = [[c.conjugate() for c in row] for row in flat]
-    return tuple(tuple(sum(map(mul, tj, ci), g.kind.zero) for tj in flat) for ci in conj)
+    """B_{i jbar} = sum_{r,s} T^j_{rs} conj(T^i_{rs}) of g's torsion, (r, s)
+    running over the entries of T^j; hermitian nonnegative, rows (nested
+    tuples) of g's kind."""
+    rows = [{} for _ in range(g.n)]
+    for j, r, s, c in torsion_entries(g):
+        rows[j][r, s] = c
+    conj = [{rs: c.conjugate() for rs, c in row.items()} for row in rows]
+    return tuple(tuple(sum((c * ci[rs] for rs, c in tj.items() if rs in ci), g.kind.zero)
+                       for tj in rows) for ci in conj)
 
 
 def gauduchon_eta(g: HermitianLieAlgebra) -> InvariantForm:
     """eta = sum_i ( sum_s T^s_{si} ) phi_i of g's torsion; balanced <=> eta = 0."""
-    n, T = g.n, chern_torsion(g)
-    return InvariantForm(n, {((i,), ()): sum((T[s][s][i] for s in range(n)), g.kind.zero)
-                             for i in range(n)})
+    eta = {}
+    for s, r, i, c in torsion_entries(g):
+        if s == r:
+            eta[1 << i] = eta.get(1 << i, g.kind.zero) + c
+    return _form(g.n, eta, g.kind)
 
 
 def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], InvariantForm]:
@@ -321,42 +335,62 @@ def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], Invarian
     0 = sum_r ( T^j_{rk} theta^b_{ir} + T^j_{ir} theta^b_{kr} - T^r_{ik} theta^b_{rj} )
     for all (i, j, k); the returned map holds every left-hand side.
     """
-    return _btp_residuals_from(chern_torsion(g), bismut_connection(g))
+    return _btp_residuals_from(torsion_entries(g), bismut_connection(g))
 
 
 def _btp_residuals_from(X, tb):
-    """``btp_residuals`` for torsion X and connection tb, both nested tuples:
-    X is antisymmetric in its lower indices, so R_{kji} = -R_{ijk} and
-    R_{iji} = 0, and only the residuals with i < k are summed, each into one
-    dict of coefficients."""
-    n, kind = len(X), tb[0][0].kind
-    half = {}
-    for i in range(n):
-        for k in range(i + 1, n):
+    """``btp_residuals`` for torsion X, its nonzero entries (j, i, k, c), and
+    connection tb, nested tuples: X is antisymmetric in its lower indices, so
+    R_{kji} = -R_{ijk} and R_{iji} = 0, and only the residuals with i < k are
+    summed, each into one dict of coefficients, entry by entry of X."""
+    n, kind = len(tb), tb[0][0].kind
+    half = {(i, j, k): {} for i in range(n) for k in range(i + 1, n) for j in range(n)}
+
+    def add(key, c, f):
+        acc = half[key]
+        for m, v in f.terms.items():
+            v = v * c
+            acc[m] = acc[m] + v if m in acc else v
+    for a, b, c, x in X:
+        for i in range(c):              # T^a_{bc} theta^b_{ib} in R_{iac}
+            add((i, a, c), x, tb[i][b])
+        for k in range(b + 1, n):       # T^a_{bc} theta^b_{kc} in R_{bak}
+            add((b, a, k), x, tb[k][c])
+        if b < c:                       # -T^a_{bc} theta^b_{aj} in R_{bjc}
             for j in range(n):
-                acc = {}
-                for r in range(n):
-                    for c, f in ((X[j][r][k], tb[i][r]), (X[j][i][r], tb[k][r]),
-                                 (-X[r][i][k], tb[r][j])):
-                        if c:
-                            for m, v in f.terms.items():
-                                v = v * c
-                                acc[m] = acc[m] + v if m in acc else v
-                half[i, j, k] = _form(n, acc, kind)
+                add((b, j, c), -x, tb[a][j])
     zero = InvariantForm.zero(n, kind)
-    return {(i, j, k): half[i, j, k] if i < k else -half[k, j, i] if i > k else zero
+    return {(i, j, k): _form(n, half[i, j, k], kind) if i < k
+            else -_form(n, half[k, j, i], kind) if i > k else zero
             for i in range(n) for j in range(n) for k in range(n)}
 
 
 def check_unimodular(g: HermitianLieAlgebra) -> bool:
-    """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i."""
-    for i in range(g.n):
-        acc = g.kind.zero
-        for k in range(g.n):
-            acc = acc + g.C[k][k][i] + g.D[k][k][i]
-        if not g.kind.negligible(acc):
-            return False
-    return True
+    """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i, each sum taken over k
+    with C^k_{ki} before D^k_{ki}."""
+    traces = sorted((i, k, t, c) for t, X in enumerate((g.C_entries, g.D_entries))
+                    for k, kk, i, c in X if k == kk)
+    sums = {}
+    for i, _, _, c in traces:
+        sums[i] = sums.get(i, g.kind.zero) + c
+    return _all_negligible(g.kind, sums.values())
+
+
+def _diagonal_torsion_constant(g: HermitianLieAlgebra, signs):
+    """a = T^1_{1n} of g's torsion if T^i_{in} = -T^i_{ni} = signs[i] a for
+    the first len(signs) < n indices i and T is zero elsewhere, by g's zero
+    test, else None; read over the entries of T and of the pattern.  Signs
+    (1, -1) give the admissible middle-type torsion, all signs + the
+    Vaisman-type one."""
+    last, zero = g.n - 1, g.kind.zero
+    have = {(j, i, k): c for j, i, k, c in torsion_entries(g)}
+    a = have.get((0, 0, last), zero)
+    want = {}
+    for i, s in enumerate(signs):
+        want[i, i, last], want[i, last, i] = s * a, -(s * a)
+    matches = _all_negligible(g.kind, (have.get(key, zero) - want.get(key, zero)
+                                       for key in have.keys() | want.keys()))
+    return a if matches else None
 
 
 def vaisman_torsion_pattern(g: HermitianLieAlgebra):
@@ -366,11 +400,9 @@ def vaisman_torsion_pattern(g: HermitianLieAlgebra):
     Returns (matches, a).  This is the torsion shape of the non-balanced
     companion structures; the library reports the pattern only.
     """
-    n, T, kind = g.n, chern_torsion(g), g.kind
-    a = T[0][0][n - 1]
-    matches = _all_negligible(kind, map(sub, _flat(T),
-                                        _flat(diagonal_pattern(n, a, (1,) * (n - 1)))))
-    if not matches:
+    kind = g.kind
+    a = _diagonal_torsion_constant(g, (1,) * (g.n - 1))
+    if a is None:
         return False, None
     # a is real and positive beyond the zero test
     positive = kind.negligible(a.imag) and not kind.negligible(a.real) and a.real > 0
@@ -393,15 +425,12 @@ def real_bracket_table(g: HermitianLieAlgebra):
     """
     n, dim = g.n, 2 * g.n
     table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                if g.C[j][i][k]:
-                    table[i][k][j] = g.C[j][i][k]
-                    table[n + i][n + k][n + j] = g.C[j][i][k].conjugate()
-                if g.D[j][i][k]:        # in [e_j, ebar_k] and [e_k, ebar_j]
-                    table[j][n + k][i] = g.D[j][i][k].conjugate()
-                    table[k][n + j][n + i] = -g.D[j][i][k]
+    for j, i, k, c in g.C_entries:
+        table[i][k][j] = c
+        table[n + i][n + k][n + j] = c.conjugate()
+    for j, i, k, c in g.D_entries:      # in [e_j, ebar_k] and [e_k, ebar_j]
+        table[j][n + k][i] = c.conjugate()
+        table[k][n + j][n + i] = -c
     for x in range(n):
         for y in range(n, dim):
             table[y][x] = {m: -c for m, c in table[x][y].items()}
@@ -533,14 +562,12 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
     constant a.  A zero torsion is vacuously allowed and returns 0; any
     other pattern raises PatternError.
     """
-    n, T = g.n, chern_torsion(g)
-    torsion_free = _all_negligible(g.kind, _flat(T))
+    torsion_free = _all_negligible(g.kind, (c for *_, c in torsion_entries(g)))
     if not torsion_free:
-        if n != 3:
+        if g.n != 3:
             raise PatternError("middle-type obstruction needs n = 3")
-        a = T[0][0][2]
-        if g.kind.negligible(a) or not _all_negligible(
-                g.kind, map(sub, _flat(T), _flat(diagonal_pattern(3, a, (1, -1))))):
+        a = _diagonal_torsion_constant(g, (1, -1))
+        if a is None or g.kind.negligible(a):
             raise PatternError("torsion is not in the admissible middle-type pattern")
     Phi = InvariantForm.monomial(g.n, (g.n - 1,), (g.n - 1,), g.kind.one)
     split = dolbeault_split(g, Phi)
@@ -612,7 +639,7 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     balanced = vanishes(eta)
     theta = chern_connection(g)
     theta_b = bismut_connection(g)
-    btp = all(map(vanishes, _btp_residuals_from(chern_torsion(g), theta_b).values()))
+    btp = all(map(vanishes, _btp_residuals_from(torsion_entries(g), theta_b).values()))
     unimod = check_unimodular(g)
     b_rank = hermitian_rank(b_tensor(g), g.kind)
     diagonal = [_curvature_entry(g, theta, i, i) for i in range(n)]

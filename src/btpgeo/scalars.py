@@ -18,7 +18,8 @@ of a scalar: ExactComplex, ``int`` and ``Fraction`` are exact, ``float`` and
 else (``bool`` too) a TypeError; ``common_kind`` reads a collection.
 Objects take their kind once, store their scalars as ``kind.scalar(c)``
 and ask the kind, so which kind, and what counts as zero, is decided here;
-``exact_scalar`` reads a parameter as exact (0.5 and "1/2" alike).
+``exact_scalar`` reads a parameter as exact and ``exact_rational`` a real
+one (0.5 and "1/2" alike; a bool raises TypeError).
 ``Terms`` is the immutable sparse map of scalars under forms and jets; it
 carries its kind.
 """
@@ -331,17 +332,28 @@ def kind_of(c: Scalar) -> Kind:
 
 
 def common_kind(values) -> Kind:
-    """The one kind of the scalars in values (not empty); TypeError if they mix."""
-    kinds = [kind_of(c) for c in values]
-    if any(k is not kinds[0] for k in kinds):
+    """The one kind of the scalars in values (not empty); TypeError if they
+    mix.  The kind of each type present is read once."""
+    kinds = {kind_of(c) for c in {type(c): c for c in values}.values()}
+    if len(kinds) > 1:
         raise TypeError("mixed scalar kinds in one object")
-    return kinds[0]
+    return kinds.pop()
+
+
+def exact_rational(value) -> Fraction:
+    """A real parameter taken exactly, through ``Fraction``: 0.5 and "1/2"
+    alike, a float as its exact binary value (0.1 is
+    3602879701896397/36028797018963968).  A bool, a complex or an
+    ExactComplex raises TypeError."""
+    if type(value) is bool:
+        raise TypeError(f"a bool is not a parameter: {value!r}")
+    return Fraction(value)
 
 
 def exact_scalar(value) -> ExactComplex:
-    """A parameter taken exactly: an ExactComplex as it is, anything else
-    through ``Fraction`` (0.5 and "1/2" alike; a complex raises TypeError)."""
-    return value if type(value) is ExactComplex else _exact(Fraction(value))
+    """A parameter taken exactly: an ExactComplex as it is, anything else by
+    ``exact_rational`` (a bool or a complex raises TypeError)."""
+    return value if type(value) is ExactComplex else _exact(exact_rational(value))
 
 
 def memoized(build):

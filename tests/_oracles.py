@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules: finite differences, the
 flag metric evaluated directly, closed forms, the jet route to point
 curvature, two routes to the Levi-Civita curvature, sectional and Ricci
-curvature by explicit sums, the tuple-keyed form kernel, and the classify
-stages by their full computations."""
+curvature by explicit sums, the tuple-keyed form kernel, the Lie-side
+tables by dense n^3 loops, and the classify stages by their full
+computations."""
 
 import itertools
 from fractions import Fraction
@@ -16,7 +17,7 @@ from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.linalg import ShapeError, matrix_inverse, row_basis
-from btpgeo.scalars import EC, EXACT, FLOAT
+from btpgeo.scalars import EC, EXACT, FLOAT, scalar_to_json
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -814,8 +815,9 @@ def b_rank_type_two_path(a, tol=1e-8):
 
 
 def vaisman_torsion_pattern_loop(g):
-    """(matches, a) as ``lie.vaisman_torsion_pattern``, entry by entry."""
-    n, T, kind = g.n, lie.chern_torsion(g), g.kind
+    """(matches, a) as ``lie.vaisman_torsion_pattern``, entry by entry of the
+    dense torsion."""
+    n, T, kind = g.n, chern_torsion_dense(g), g.kind
     a = T[0][0][n - 1]
     for j in range(n):
         for i in range(n):
@@ -842,6 +844,99 @@ def admissible_pattern_loop(T):
     return bool(a) and all(
         not T[j][i][k] - pattern.get((j, i, k), 0)
         for j in range(3) for i in range(3) for k in range(3))
+
+
+# ---- the Lie-side tables by dense n^3 loops ----------------------------------------------
+# The library reads the nonzero entries of C and D (``C_entries``,
+# ``D_entries``) and of T (``lie.torsion_entries``); these walk every index
+# of the dense tensors and add in the same order.
+
+def _cube(n):
+    return itertools.product(range(n), repeat=3)
+
+
+def nonzero_entries(X):
+    """The nonzero (j, i, k, X^j_{ik}) of a dense n x n x n tensor, in index order."""
+    return tuple((j, i, k, X[j][i][k]) for j, i, k in _cube(len(X)) if X[j][i][k])
+
+
+def d_phi_dense(g):
+    """d phi_i by the structure equation, every (j, k) in turn."""
+    n, C, D = g.n, g.C, g.D
+    out = []
+    for i in range(n):
+        t = {}
+        for j in range(n):
+            for k in range(n):
+                if j < k and C[i][j][k]:
+                    t[((j, k), ())] = -C[i][j][k]
+                if D[j][i][k]:
+                    t[((j,), (k,))] = -D[j][i][k].conjugate()
+        out.append(InvariantForm(n, t) if t else InvariantForm.zero(n, g.kind))
+    return out
+
+
+def chern_torsion_dense(g):
+    """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} for every j and i < k, and
+    T^j_{ki} = -T^j_{ik}, as nested tuples."""
+    n = g.n
+    T = [[[g.kind.zero] * n for _ in range(n)] for _ in range(n)]
+    for j, i, k in _cube(n):
+        if i < k:
+            v = -g.C[j][i][k] - g.D[j][i][k] + g.D[j][k][i]
+            T[j][i][k], T[j][k][i] = v, -v
+    return tuple(tuple(map(tuple, layer)) for layer in T)
+
+
+def connection_dense(kind, *tensors):
+    """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k ) over the
+    dense tensors X, each k in turn, the phi_k term first."""
+    n = len(tensors[0])
+
+    def entry(i, j):
+        f = InvariantForm.zero(n, kind)
+        for X in tensors:
+            for k in range(n):
+                if X[j][i][k]:
+                    f = f + InvariantForm.phi(n, k, X[j][i][k])
+                if X[i][j][k]:
+                    f = f - InvariantForm.phibar(n, k, X[i][j][k].conjugate())
+        return f
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+def b_tensor_dense(T, kind):
+    """B_{i jbar} = sum over every (r, s) of T^j_{rs} conj(T^i_{rs})."""
+    n = len(T)
+    return tuple(tuple(sum((T[j][r][s] * T[i][r][s].conjugate()
+                            for r in range(n) for s in range(n)), kind.zero)
+                       for j in range(n)) for i in range(n))
+
+
+def gauduchon_eta_dense(T, kind):
+    """eta = sum_i ( sum_s T^s_{si} ) phi_i, every s in turn."""
+    n = len(T)
+    return InvariantForm(n, {((i,), ()): sum((T[s][s][i] for s in range(n)), kind.zero)
+                             for i in range(n)}, kind)
+
+
+def check_unimodular_dense(g):
+    """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i, every k in turn."""
+    for i in range(g.n):
+        acc = g.kind.zero
+        for k in range(g.n):
+            acc = acc + g.C[k][k][i] + g.D[k][k][i]
+        if not g.kind.negligible(acc):
+            return False
+    return True
+
+
+def algebra_json_dense(g):
+    """``HermitianLieAlgebra.to_json`` over every index: C with i < k, all of D."""
+    def dump(T, anti):
+        return [{"j": j + 1, "i": i + 1, "k": k + 1, "coef": scalar_to_json(T[j][i][k])}
+                for j, i, k in _cube(g.n) if T[j][i][k] and not (anti and i >= k)]
+    return {"n": g.n, "C": dump(g.C, True), "D": dump(g.D, False), "label": g.label}
 
 
 # ---- classify stages by their full computations ------------------------------------------

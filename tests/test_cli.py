@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -335,6 +336,17 @@ def test_verify_seed_reaches_sl2c(capsys):
     code, out, _ = run_cli(capsys, "verify", "--example", "sl2c", "--seed", "5")
     assert code == 0
     assert json.loads(out)["checks"] == [c.to_json() for c in goldens.sl2c_suite(5)]
+
+
+def test_check_result_json_is_its_four_fields():
+    # the plain dict of the fields equals dataclasses.asdict, key order included
+    results = [goldens.CheckResult("a.b", "ref", True),
+               goldens.CheckResult("c", "other ref", False, "max deviation 1.00e+00"),
+               *goldens.vaisman54_suite(Fraction(1, 3)), *goldens.wallach_suite(3)]
+    assert {r.passed for r in results} == {True, False}
+    for r in results:
+        assert r.to_json() == dataclasses.asdict(r)
+        assert list(r.to_json()) == list(dataclasses.asdict(r))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,14 @@
-"""Smoke tests of tools/fresh_process.py: one timed run of one command."""
+"""Tests of tools/fresh_process.py: one timed run of one command, and the
+verdict on the parent's run-to-run spread over stubbed timings."""
 
+import importlib.util
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -47,3 +51,38 @@ def test_fresh_process_script_tells_which_outputs_differ(tmp_path):
     assert proc.returncode == 0, proc.stderr
     row = json.loads(out.read_text())["fresh_process"]["commands"]["classify"]
     assert row["identical"] == {"stdout": False, "stderr": True, "exit_code": True}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("fresh_process",
+                                                  ROOT / "tools" / "fresh_process.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("shift_ms, verdict", [(0.0, "inside"), (40.0, "outside")])
+def test_fresh_process_tells_a_median_outside_the_parent_spread(
+        tmp_path, monkeypatch, capsys, shift_ms, verdict):
+    # each side times the same sequence of runs, as two identical trees on a
+    # quiet host would; a change 40 ms slower on every run lies outside
+    tool = _load_tool()
+    seen = {}
+
+    def run_once(tree, name):
+        k = seen[tree] = seen.get(tree, -1) + 1
+        return 100.0 + 7 * k % 10 + (shift_ms if tree.endswith("change") else 0.0)
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "import_profile", lambda tree, name: {"numpy_loaded": False})
+    monkeypatch.setattr(tool, "outputs", lambda tree, name: {"exit_code": 0})
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", str(tmp_path / "parent"), "--change",
+                      str(tmp_path / "change"), "--out", str(out),
+                      "--commands", "classify"]) == 0
+    block = json.loads(out.read_text())["fresh_process"]
+    assert block["runs"] == 15
+    row = block["commands"]["classify"]
+    assert row["change_median_outside_parent_quartiles"] is (verdict == "outside")
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("classify"))
+    assert verdict in line.split()

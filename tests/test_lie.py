@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import (admissible_pattern_loop, bismut_trace_full_curvature,
-                      btp_residuals_triple_loop, first_chern_ricci, is_skew_hermitian,
-                      real_bracket_table_dense, solvability_profile_all_pairs,
-                      transform_frame_loop, vaisman_torsion_pattern_loop)
+from _oracles import (admissible_pattern_loop, algebra_json_dense, b_tensor_dense,
+                      bismut_trace_full_curvature, btp_residuals_triple_loop,
+                      check_unimodular_dense, chern_torsion_dense, connection_dense,
+                      d_phi_dense, first_chern_ricci, gauduchon_eta_dense, is_skew_hermitian,
+                      nonzero_entries, real_bracket_table_dense, regauge,
+                      solvability_profile_all_pairs, transform_frame_loop,
+                      vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
 from btpgeo.linalg import NumericError, hermitian_rank
@@ -608,7 +611,8 @@ def _assert_stages_agree_with_oracles(g):
     _assert_tables_agree_with_oracles(g)
     assert lie.solvability_profile(g) == solvability_profile_all_pairs(g)
     T, tb = lie.chern_torsion(g), lie.bismut_connection(g)
-    res, want = lie._btp_residuals_from(T, tb), btp_residuals_triple_loop(T, tb)
+    res = lie._btp_residuals_from(lie.torsion_entries(g), tb)
+    want = btp_residuals_triple_loop(T, tb)
     assert list(res) == list(want) and res == want
     trace = bismut_trace_full_curvature(g)
     assert first_chern_ricci(g) == lie.trace(lie.chern_curvature(g)).scale(EC(0, 1))
@@ -651,11 +655,12 @@ def test_classify_stages_agree_with_oracles_on_the_sweep_grid():
 
 @st.composite
 def _sparse_structure(draw):
-    """Sparse rational (C, D), not checked for integrability: mostly neither
+    """Sparse rational (C, D) with 0 to 10 entries drawn at random indices, C
+    kept antisymmetric, not checked for integrability: mostly neither
     parallel-torsion, CYT nor solvable."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
     C, D = ([[[EC.zero()] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(0, 10))):
         j, i, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         c = EC(draw(_RATS), draw(st.sampled_from([0, 0, draw(_RATS)])))
         if draw(st.booleans()) and i != k:
@@ -688,6 +693,56 @@ def _family_member(draw):
 def test_classify_stages_agree_with_oracles_on_family_members(g):
     _assert_stages_agree_with_oracles(g)
     _assert_tables_agree_with_oracles(_float_algebra(g))
+
+
+# ---- the sparse Lie kernels against their dense loops ------------------------------------
+# Every Lie-side table is built from the nonzero entries of C, D and T; the
+# oracles walk the dense n^3 cube and add in the same order, so the two agree
+# exactly for either scalar kind.
+
+def _assert_sparse_kernels_match_dense(g):
+    T = chern_torsion_dense(g)
+    assert g.C_entries == nonzero_entries(g.C) and g.D_entries == nonzero_entries(g.D)
+    assert [g.d_phi(i) for i in range(g.n)] == d_phi_dense(g)
+    assert lie.chern_torsion(g) == T and lie.torsion_entries(g) == nonzero_entries(T)
+    assert lie.chern_connection(g) == connection_dense(g.kind, g.D)
+    assert lie.gamma_tensor(g) == connection_dense(g.kind, T)
+    assert lie.bismut_connection(g) == connection_dense(g.kind, g.D, T)
+    assert lie.b_tensor(g) == b_tensor_dense(T, g.kind)
+    assert lie.gauduchon_eta(g) == gauduchon_eta_dense(T, g.kind)
+    assert lie.check_unimodular(g) is check_unimodular_dense(g)
+    assert lie.vaisman_torsion_pattern(g) == vaisman_torsion_pattern_loop(g)
+    dim = 2 * g.n
+    assert real_bracket_table_dense(g) == tuple(
+        tuple(tuple(dict(w).get(m, g.kind.zero) for m in range(dim)) for w in row)
+        for row in lie.real_bracket_table(g))
+    assert g.to_json() == algebra_json_dense(g)
+    if g.kind.exact:
+        tb = lie.bismut_connection(g)
+        assert lie.btp_residuals(g) == btp_residuals_triple_loop(T, tb)
+        if g.n == 3:
+            assert _pluriclosed_accepts(g) == admissible_pattern_loop(T)
+
+
+REGAUGE_FRAMES = ([[EC(1), EC(1), EC(0)], [EC(0), EC(1), EC(0)], [EC(0), EC(0), EC(2)]],
+                  [[EC(1), EC(0, 1), EC(0)], [EC(Fraction(1, 2)), EC(1), EC(Fraction(1, 3))],
+                   [EC(0), EC(1, 1), EC(2)]])
+
+
+@pytest.mark.parametrize("g", BUILTINS() + (_perturbed_n3(), _off_diagonal_chern())
+                         + tuple(regauge(h, P)
+                                 for h in BUILTINS() for P in REGAUGE_FRAMES),
+                         ids=lambda g: g.label)
+def test_sparse_kernels_match_dense_loops(g):
+    _assert_sparse_kernels_match_dense(g)
+    C, D = (np.array(T, complex).tolist() for T in (g.C, g.D))
+    _assert_sparse_kernels_match_dense(lie.HermitianLieAlgebra(g.n, C, D, validate=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_structure())
+def test_sparse_kernels_match_dense_loops_on_random_entries(g):
+    _assert_sparse_kernels_match_dense(g)
 
 
 def test_float_tables_agree_with_oracles_on_builtins_and_sweep_grid():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from btpgeo import lie
+from btpgeo import charts, lie
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, exact_scalar,
-                            kind_of, scalar_from_json, scalar_to_json)
+from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, exact_rational,
+                            exact_scalar, kind_of, scalar_from_json, scalar_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -437,6 +437,28 @@ def test_exact_scalar_reads_parameters_through_fraction():
         assert exact_scalar(v) == EC(Fraction(1, 2)) and type(exact_scalar(v)) is EC
     with pytest.raises(TypeError):
         exact_scalar(1j)
+    # a float is its exact binary value, not the decimal it was written as
+    assert exact_scalar(0.1) == EC(Fraction(3602879701896397, 36028797018963968))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exact_scalar(True), lambda: exact_rational(False),
+    lambda: lie.family_a(0.1, True), lambda: lie.family_a(True, 0),
+    lambda: lie.family_b(1, True), lambda: lie.nilmanifold_n3(True),
+    lambda: lie.sl2c(False), lambda: charts.wallach_metric(point=[True, 0, 0]),
+], ids=["exact_scalar", "exact_rational", "family_a_t", "family_a_s", "family_b_t",
+        "nilmanifold_n3", "sl2c", "wallach_metric"])
+def test_a_bool_parameter_raises(build):
+    with pytest.raises(TypeError, match="bool"):
+        build()
+
+
+def test_exact_rational_reads_real_parameters():
+    assert exact_rational("-3/4") == Fraction(-3, 4) and exact_rational(2) == 2
+    assert type(exact_rational(0.5)) is Fraction
+    for bad in (1j, EC(1, 1)):
+        with pytest.raises(TypeError):
+            exact_rational(bad)
 
 
 @given(big_rationals | big)

@@ -10,6 +10,9 @@ far vanishes, so only a Chern-flat algebra such as sl2c pays for all nine
 (27 wedges, 9 derivatives).  The Bismut Ricci form needs only d(tr theta^b),
 one more derivative.  A change that brings back the full Bismut or Chern
 curvature or another redundant form product fails here without any timing.
+The ``ExactComplex`` multiplies and adds of one ``classify`` are pinned too:
+the Lie-side tables read the nonzero entries of C, D and T, so a table that
+walks the dense n^3 cube changes the count.
 
 Torsion, connections, the bracket table and chart tables are ``memoized`` on
 their algebra or metric.  The job tests count the runs of each memoized
@@ -27,6 +30,7 @@ import pytest
 
 from btpgeo import charts, cli, forms, lie
 from btpgeo.cli import main
+from btpgeo.scalars import EC
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -64,6 +68,27 @@ def test_classify_form_work_within_ceilings(monkeypatch):
             assert calls[name] <= ceiling, (g.label, calls)
 
 
+# (algebra, ExactComplex multiplies plus adds of one classify): every Lie-side
+# table is read off the nonzero entries of C, D and T, so the counts follow
+# those entries, not the n^3 cube
+SCALAR_OPS = [
+    (lie.nilmanifold_n3(), 55),
+    (lie.family_a(Fraction(1, 2), Fraction(1, 3)), 203),
+]
+
+
+@pytest.mark.parametrize("g, ops", SCALAR_OPS, ids=lambda x: getattr(x, "label", x))
+def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
+    calls = Counter()
+    counted = _counter(calls)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(EC, name, counted("ops", getattr(EC, name)))
+    g = lie.HermitianLieAlgebra(g.n, g.C, g.D, label=g.label)   # no table built yet
+    calls.clear()
+    lie.classify(g)
+    assert calls["ops"] == ops
+
+
 def test_companion_swaps_once(monkeypatch, capsys):
     calls = Counter()
     counted = _counter(calls)
@@ -84,14 +109,15 @@ def _count_bodies(monkeypatch, calls, *memoized):
 
 def test_verify_n3_builds_torsion_and_connections_once(monkeypatch, capsys):
     calls = Counter()
-    _count_bodies(monkeypatch, calls, lie.chern_torsion)
+    _count_bodies(monkeypatch, calls, lie.torsion_entries, lie.chern_torsion)
     monkeypatch.setattr(lie, "_connection_from",
                         _counter(calls)("_connection_from", lie._connection_from))
     assert main(["verify", "--example", "n3"]) == 0
     capsys.readouterr()
     # classify, the Bismut curvature and the pluriclosed obstruction share
-    # one torsion; _connection_from builds the Chern and the Bismut connection
-    assert calls == {"chern_torsion": 1, "_connection_from": 2}
+    # one list of torsion entries, and none reads the dense T;
+    # _connection_from builds the Chern and the Bismut connection
+    assert calls == {"torsion_entries": 1, "_connection_from": 2}
 
 
 def test_companion_builds_one_bismut_connection_per_algebra(monkeypatch, capsys):
@@ -177,8 +203,8 @@ def test_build_parser_takes_no_arguments():
 def test_memo_lives_on_its_object():
     g, h = lie.nilmanifold_n3(1), lie.nilmanifold_n3(1)
     assert g.C == h.C and g.D == h.D
-    for fn in (lie.chern_torsion, lie.chern_connection, lie.bismut_connection,
-               lie.real_bracket_table):
+    for fn in (lie.torsion_entries, lie.chern_torsion, lie.chern_connection,
+               lie.bismut_connection, lie.real_bracket_table):
         assert fn(g) is fn(g)
         assert fn(g) is not fn(h)       # equal data built apart share nothing
     assert g._memo is not h._memo

@@ -9,12 +9,15 @@ more run per command and side, under ``-X importtime``, tells whether numpy
 was loaded, numpy's cumulative import time, and the summed self time of the
 btpgeo modules; it is not timed.  One more plain, untimed run per command
 and side records whether the two trees wrote byte-identical stdout and
-stderr and exited with the same code (``identical``).
+stderr and exited with the same code (``identical``).  Each row also tells
+whether the change's median lies outside the parent's quartile range
+(``change_median_outside_parent_quartiles``): a ratio whose median stays
+inside that range is within the run-to-run spread.
 
 Usage::
 
     python tools/fresh_process.py --parent PARENT_TREE --change CHANGE_TREE \\
-        --out BENCH.json [--runs 9] [--commands classify sweep ...]
+        --out BENCH.json [--runs 15] [--commands classify sweep ...]
 
 The ``fresh_process`` block of ``--out`` is replaced (the file is created if
 missing, its other keys are kept), and a table is printed.
@@ -118,9 +121,10 @@ def measure(trees: dict, names, runs: int) -> dict:
     out = {}
     for name in names:
         row = {"argv": COMMANDS[name][0]}
+        quartiles = {side: _quartiles(times[name][side]) for side in SIDES}
         for side in SIDES:
             xs = times[name][side]
-            q1, med, q3 = _quartiles(xs)
+            q1, med, q3 = quartiles[side]
             row[side] = {"median_ms": round(med, 1), "q1_ms": round(q1, 1),
                          "q3_ms": round(q3, 1), "runs_ms": [round(x, 1) for x in xs],
                          **import_profile(trees[side], name)}
@@ -129,6 +133,8 @@ def measure(trees: dict, names, runs: int) -> dict:
         p, c = row["parent"], row["change"]
         row["change_over_parent_median"] = round(c["median_ms"] / p["median_ms"], 3)
         row["parent_quartile_spread_ms"] = round(p["q3_ms"] - p["q1_ms"], 1)
+        q1, _, q3 = quartiles["parent"]
+        row["change_median_outside_parent_quartiles"] = not q1 <= quartiles["change"][1] <= q3
         out[name] = row
     return out
 
@@ -138,7 +144,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="root of the parent tree")
     ap.add_argument("--change", required=True, help="root of the change tree")
     ap.add_argument("--out", required=True, help="BENCH JSON file whose fresh_process block is written")
-    ap.add_argument("--runs", type=int, default=9, help="timed runs per command and side")
+    ap.add_argument("--runs", type=int, default=15, help="timed runs per command and side")
     ap.add_argument("--commands", nargs="+", choices=COMMANDS, default=list(COMMANDS))
     args = ap.parse_args(argv)
     if args.runs < 1:
@@ -153,7 +159,9 @@ def main(argv=None) -> int:
                    "PYTHONDONTWRITEBYTECODE unset; numpy_loaded and the import figures "
                    "come from one more -X importtime run per side, identical from one "
                    "more plain run per side (stdout and stderr bytes, exit code); "
-                   "quartiles are statistics.quantiles(method='inclusive')"),
+                   "quartiles are statistics.quantiles(method='inclusive'); "
+                   "change_median_outside_parent_quartiles compares the change's median "
+                   "with the parent's unrounded q1 and q3"),
         "runs": args.runs,
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine()},
@@ -169,10 +177,11 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"{'command':<20}{'parent ms':>11}{'change ms':>11}{'ratio':>7}  "
-          f"numpy (parent, change)  identical (stdout, stderr, exit code)")
+          f"{'vs parent IQR':<14}numpy (parent, change)  identical (stdout, stderr, exit code)")
     for name, row in rows.items():
+        spread = "outside" if row["change_median_outside_parent_quartiles"] else "inside"
         print(f"{name:<20}{row['parent']['median_ms']:>11.1f}{row['change']['median_ms']:>11.1f}"
-              f"{row['change_over_parent_median']:>7.3f}  "
+              f"{row['change_over_parent_median']:>7.3f}  {spread:<14}"
               f"{row['parent']['numpy_loaded']}, {row['change']['numpy_loaded']}  "
               f"{', '.join(str(v) for v in row['identical'].values())}")
     return 0

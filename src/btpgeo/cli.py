@@ -17,7 +17,8 @@ Every report is written by ``_emit`` through ``_dumps``, which gives the
 bytes of ``json.dumps(report, indent=2, sort_keys=True)`` in one walk of the
 report: json writes an indented document through its pure-Python encoder,
 while ``_dumps`` escapes strings with json's C ``encode_basestring_ascii``
-and appends each leaf with its separator, indent and key as one part.
+and appends each leaf with its separator, indent and key as one part.  It
+takes only the types reports hold (see ``_write``).
 
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure (float
 overflow in classify, or an exact result too long to write), 3 usage or
@@ -124,36 +125,16 @@ _LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 
-# the JSON type of each type a report holds; a subclass is read by _json_type
-_JSON_TYPE = {**{t: t for t in _LEAF}, dict: dict, list: list, tuple: list}
-
-
-def _json_type(value) -> type:
-    """The JSON type of a value, tested in json's order."""
-    for bases, kind in ((str, str), (int, int), (float, float), ((list, tuple), list),
-                        (dict, dict)):
-        if isinstance(value, bases):
-            return kind
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: a str, or the text of an int, float,
-    bool or None, in quotes."""
-    if key is not None and not isinstance(key, (str, int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    kind = _JSON_TYPE.get(type(key)) or _json_type(key)
-    return encode_basestring_ascii(key if kind is str else _LEAF[kind](key))
-
-
 def _write(value, lead, nl, parts) -> None:
     """Append the JSON text of value to parts, after lead (the separator,
     indent and key before it); nl is the newline and indent of its level.
-    Each leaf is one part, joined to its lead."""
-    kind = _JSON_TYPE.get(type(value)) or _json_type(value)
-    leaf = _LEAF.get(kind)
-    if leaf is not None:
+    Each leaf is one part, joined to its lead.  A value that is not a dict
+    with str keys, a list, a tuple or exactly a ``_LEAF`` type raises TypeError."""
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        leaf = _LEAF.get(kind)
+        if leaf is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         parts.append(lead + leaf(value))
         return
     if not value:
@@ -165,7 +146,9 @@ def _write(value, lead, nl, parts) -> None:
     if kind is dict:
         lead += "{" + inner
         for key, item in sorted(value.items()):
-            key = (encode_basestring_ascii(key) if type(key) is str else _key_text(key)) + ": "
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            key = encode_basestring_ascii(key) + ": "
             leaf = _LEAF.get(type(item))
             if leaf is None:
                 _write(item, lead + key, inner, parts)

@@ -10,9 +10,10 @@ by a Takagi factorization of the symmetric matrix A_{i alpha} = T^alpha_{jk}
 resulting triple is (a, a, 0) a further constant unitary produces the
 *admissible frame* with T^1_{13} = -T^2_{23} = a.
 
-The torsion patterns are built as nested lists of their scalar kind, and
-numpy is imported by the routines that work on arrays, so that ``lie`` can
-match its patterns without it.
+Dense n x n x n tables are built by ``dense`` from (j, i, k, c) entries, as
+nested lists of their scalar kind, and numpy is imported only by the routines
+that work on arrays, so that ``lie`` builds its tables and matches its
+torsion patterns (``diagonal_entries``) without it.
 """
 
 from __future__ import annotations
@@ -41,13 +42,27 @@ def _scalars(values):
     return kind, [kind.scalar(x) for x in values]
 
 
-def _antisymmetric(n: int, entries, kind: Kind) -> list:
-    """Nested lists T[i][j][k] = -T[i][k][j] = v for each ((i, j, k), v),
-    zero elsewhere."""
+def dense(n: int, entries, kind: Kind) -> list:
+    """Nested lists T[j][i][k]: the kind's zero plus the c of each
+    (j, i, k, c) in entries."""
     T = [[[kind.zero] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), v in entries:
-        T[i][j][k], T[i][k][j] = v, -v
+    for j, i, k, c in entries:
+        T[j][i][k] = T[j][i][k] + c
     return T
+
+
+def antisymmetric(entries):
+    """Each (j, i, k, c) of entries, then its mirror (j, k, i, -c)."""
+    for j, i, k, c in entries:
+        yield j, i, k, c
+        yield j, k, i, -c
+
+
+def diagonal_entries(n: int, a, signs):
+    """The entries of T^i_{i n} = -T^i_{n i} = signs[i] a for the first
+    len(signs) < n indices i.  Signs (1, -1) give the admissible middle-type
+    torsion, all signs + the Vaisman-type one."""
+    return antisymmetric((i, i, n - 1, s * a) for i, s in enumerate(signs))
 
 
 def _array(T: list, kind: Kind) -> np.ndarray:
@@ -59,16 +74,14 @@ def cyclic_torsion(a) -> np.ndarray:
     """The special-frame torsion of a triple a: T^i_{jk} = -T^i_{kj} = a_i
     for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
     kind, a = _scalars(a)
-    return _array(_antisymmetric(3, zip(_CYCLES, a), kind), kind)
+    return _array(dense(3, antisymmetric((*c, x) for c, x in zip(_CYCLES, a)), kind), kind)
 
 
 def diagonal_torsion(n: int, a, signs) -> np.ndarray:
-    """T^i_{i n} = -T^i_{n i} = signs[i] a for the first len(signs) < n
-    indices i, zero elsewhere, as an array of a's kind.  Signs (1, -1) give
-    the admissible middle-type torsion, all signs + the Vaisman-type one."""
+    """The torsion of ``diagonal_entries(n, a, signs)``, zero elsewhere, as
+    an array of a's kind."""
     kind, (a,) = _scalars((a,))
-    return _array(_antisymmetric(n, [((i, i, n - 1), s * a) for i, s in enumerate(signs)],
-                                 kind), kind)
+    return _array(dense(n, diagonal_entries(n, a, signs), kind), kind)
 
 
 _LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
@@ -88,10 +101,10 @@ def transform_torsion(T, P) -> np.ndarray:
     if arrT.dtype == arrP.dtype == object:
         if (arrP @ arrP.conj().T - np.identity(len(arrP), dtype=object)).any():
             raise ValueError("P must be exactly unitary")
-        return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
-    arrT, arrP = arrT.astype(complex), arrP.astype(complex)
-    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
-        raise ValueError("P must be unitary within tolerance")
+    else:
+        arrT, arrP = arrT.astype(complex), arrP.astype(complex)
+        if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
+            raise ValueError("P must be unitary within tolerance")
     return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
 
 

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d)
-from .frames import transform_torsion
+from .frames import antisymmetric, dense, diagonal_entries, transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_rational,
                       exact_scalar, kind_of, memoized, scalar_from_json, scalar_to_json)
@@ -41,10 +41,6 @@ class PatternError(ValueError):
 
 # The largest n an algebra JSON may give; the tables are dense n x n x n.
 MAX_JSON_N = 16
-
-
-def _zeros3(n, kind: Kind = EXACT):
-    return [[[kind.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
 
 def _all_negligible(kind: Kind, values) -> bool:
@@ -129,7 +125,7 @@ class HermitianLieAlgebra(CoframeContext):
             if pos < ncr and i >= k:
                 raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
                                   f"{c_in[pos]!r}")
-        C, D = _dense(n, kind, parsed[:ncr], parsed[ncr:])
+        C, D = dense(n, antisymmetric(parsed[:ncr]), kind), dense(n, parsed[ncr:], kind)
         # float sums can overflow
         if not all_finite((C if pos < ncr else D)[j][i][k]
                           for pos, (j, i, k, _) in enumerate(parsed)):
@@ -141,23 +137,11 @@ class HermitianLieAlgebra(CoframeContext):
 # built-in algebras
 # --------------------------------------------------------------------------
 
-def _dense(n: int, kind: Kind, C, D):
-    """Dense C and D, nested lists of the kind, summing the (j, i, k, c)
-    entries given for each, 0-based scalars of the kind; each C entry also
-    adds its mirror C^j_{ki} = -c."""
-    Ct, Dt = _zeros3(n, kind), _zeros3(n, kind)
-    for j, i, k, c in C:
-        Ct[j][i][k] = Ct[j][i][k] + c
-        Ct[j][k][i] = Ct[j][k][i] - c
-    for j, i, k, c in D:
-        Dt[j][i][k] = Dt[j][i][k] + c
-    return Ct, Dt
-
-
 def _algebra(label: str, C, D, n: int = 3) -> HermitianLieAlgebra:
     """The exact algebra with the given (j, i, k, c) entries of C and D,
     0-based; each C entry implies its mirror C^j_{ki} = -c."""
-    return HermitianLieAlgebra(n, *_dense(n, EXACT, C, D), label=label)
+    return HermitianLieAlgebra(n, dense(n, antisymmetric(C), EXACT), dense(n, D, EXACT),
+                               label=label)
 
 
 def abelian(n: int = 3) -> HermitianLieAlgebra:
@@ -225,11 +209,8 @@ def torsion_entries(g: HermitianLieAlgebra):
 @memoized
 def chern_torsion(g: HermitianLieAlgebra):
     """T^j_{ik} as nested tuples of g's kind, antisymmetric in (i, k) as C
-    is, filled from ``torsion_entries``."""
-    T = _zeros3(g.n, g.kind)
-    for j, i, k, v in torsion_entries(g):
-        T[j][i][k] = v
-    return tuple(tuple(map(tuple, layer)) for layer in T)
+    is, built from ``torsion_entries``."""
+    return tuple(tuple(map(tuple, layer)) for layer in dense(g.n, torsion_entries(g), g.kind))
 
 
 def _connection_from(g: HermitianLieAlgebra, *tensors):
@@ -333,16 +314,22 @@ def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], Invarian
 
     For constant torsion, theta^b-parallelism reads
     0 = sum_r ( T^j_{rk} theta^b_{ir} + T^j_{ir} theta^b_{kr} - T^r_{ik} theta^b_{rj} )
-    for all (i, j, k); the returned map holds every left-hand side.
+    for all (i, j, k); the returned map holds every left-hand side, in index
+    order.  T is antisymmetric in its lower indices, so R_{kji} = -R_{ijk}
+    and R_{iji} = 0.
     """
-    return _btp_residuals_from(torsion_entries(g), bismut_connection(g))
+    n = g.n
+    half = _btp_residuals_from(torsion_entries(g), bismut_connection(g))
+    zero = InvariantForm.zero(n, g.kind)
+    return {(i, j, k): half[i, j, k] if i < k else -half[k, j, i] if i > k else zero
+            for i in range(n) for j in range(n) for k in range(n)}
 
 
 def _btp_residuals_from(X, tb):
-    """``btp_residuals`` for torsion X, its nonzero entries (j, i, k, c), and
-    connection tb, nested tuples: X is antisymmetric in its lower indices, so
-    R_{kji} = -R_{ijk} and R_{iji} = 0, and only the residuals with i < k are
-    summed, each into one dict of coefficients, entry by entry of X."""
+    """The residuals R_{ijk} of ``btp_residuals`` with i < k, which decide
+    the rest, for torsion X, its nonzero entries (j, i, k, c), and connection
+    tb, nested tuples; each summed into one dict of coefficients, entry by
+    entry of X."""
     n, kind = len(tb), tb[0][0].kind
     half = {(i, j, k): {} for i in range(n) for k in range(i + 1, n) for j in range(n)}
 
@@ -359,10 +346,7 @@ def _btp_residuals_from(X, tb):
         if b < c:                       # -T^a_{bc} theta^b_{aj} in R_{bjc}
             for j in range(n):
                 add((b, j, c), -x, tb[a][j])
-    zero = InvariantForm.zero(n, kind)
-    return {(i, j, k): _form(n, half[i, j, k], kind) if i < k
-            else -_form(n, half[k, j, i], kind) if i > k else zero
-            for i in range(n) for j in range(n) for k in range(n)}
+    return {key: _form(n, acc, kind) for key, acc in half.items()}
 
 
 def check_unimodular(g: HermitianLieAlgebra) -> bool:
@@ -377,17 +361,13 @@ def check_unimodular(g: HermitianLieAlgebra) -> bool:
 
 
 def _diagonal_torsion_constant(g: HermitianLieAlgebra, signs):
-    """a = T^1_{1n} of g's torsion if T^i_{in} = -T^i_{ni} = signs[i] a for
-    the first len(signs) < n indices i and T is zero elsewhere, by g's zero
-    test, else None; read over the entries of T and of the pattern.  Signs
-    (1, -1) give the admissible middle-type torsion, all signs + the
-    Vaisman-type one."""
-    last, zero = g.n - 1, g.kind.zero
+    """a = T^1_{1n} of g's torsion if T has exactly the entries of
+    ``frames.diagonal_entries(n, a, signs)``, by g's zero test, else None;
+    read over the entries of T and of the pattern."""
+    zero = g.kind.zero
     have = {(j, i, k): c for j, i, k, c in torsion_entries(g)}
-    a = have.get((0, 0, last), zero)
-    want = {}
-    for i, s in enumerate(signs):
-        want[i, i, last], want[i, last, i] = s * a, -(s * a)
+    a = have.get((0, 0, g.n - 1), zero)
+    want = {(j, i, k): c for j, i, k, c in diagonal_entries(g.n, a, signs)}
     matches = _all_negligible(g.kind, (have.get(key, zero) - want.get(key, zero)
                                        for key in have.keys() | want.keys()))
     return a if matches else None
@@ -512,8 +492,7 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
     def epsbar(i):
         return i if i in S else i + n
 
-    C = _zeros3(n, g.kind)
-    D = _zeros3(n, g.kind)
+    C, D = [], []
     for i in range(n):
         for k in range(n):
             for m, c in table[eps(i)][eps(k)]:
@@ -521,14 +500,15 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
                     raise SwapError(
                         f"swap {sorted(x+1 for x in S)} is not integrable: "
                         f"[eps_{i+1}, eps_{k+1}] leaves the (1,0) span")
-                C[m % n][i][k] = c
+                C.append((m % n, i, k, c))
     for j in range(n):
         for k in range(n):
             # D^j_{ik} = psibar_i([epsbar_j, eps_k])
             for m, c in table[epsbar(j)][eps(k)]:
                 if m == epsbar(m % n):
-                    D[j][m % n][k] = c
-    return HermitianLieAlgebra(n, C, D, label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
+                    D.append((j, m % n, k, c))
+    return HermitianLieAlgebra(n, dense(n, C, g.kind), dense(n, D, g.kind),
+                               label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
 
 
 def bismut_swap_equal(g: HermitianLieAlgebra, swapped: HermitianLieAlgebra, S) -> bool:

@@ -634,6 +634,18 @@ def ad_gram(g):
                  g.kind.zero) for y in range(dim)] for x in range(dim)]
 
 
+def killing_form(g):
+    """K[x][y] = tr(ad_x ad_y) over the complexified bracket table in the
+    basis (e, ebar) (``lie.real_bracket_table``), ad_x as in ``ad_gram``.  A
+    unitary frame change W = diag(U, conj(U)) takes K to W K W^T, so the power
+    traces of K K^* are frame invariants."""
+    table = lie.real_bracket_table(g)
+    dim = len(table)
+    ad = [{(m, z): c for z in range(dim) for m, c in table[x][z]} for x in range(dim)]
+    return [[sum((c * ad[y][z, m] for (m, z), c in ad[x].items() if (z, m) in ad[y]),
+                 g.kind.zero) for y in range(dim)] for x in range(dim)]
+
+
 def power_traces(M, powers):
     """tr M^p for p = 1..powers, by repeated products of nested lists."""
     dim = len(M)

@@ -529,7 +529,7 @@ _FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.22507385
 _JSON_LEAVES = st.one_of(
     _TEXT, st.booleans(), st.none(), st.integers(),
     st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
-    _FLOATS, _FLOATS.map(np.float64))
+    _FLOATS)
 _JSON_VALUES = st.recursive(
     _JSON_LEAVES,
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
@@ -547,8 +547,61 @@ def test_the_report_writer_is_json_dumps(value):
     {1: "a", -2: "b"}, {1.5: 0, -0.0: 1, float("nan"): 2, float("inf"): 3},
     {True: 1, False: 2}, {None: []}, {"k": {2 ** 70: ()}}, {(1, 2): 3}, {1: 0, "a": 1},
 ])
-def test_the_report_writer_reads_keys_as_json_does(value):
-    _dumps_as_json(value)
+def test_a_non_str_key_raises_type_error(value):
+    # json.dumps writes these keys as text; no report holds one
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_a_float_subclass_leaf_raises_type_error():
+    # json.dumps writes an np.float64 as a float; no report holds one
+    for value in (np.float64(0.5), [np.float64(0.5)], {"k": np.float64(0.5)}):
+        with pytest.raises(TypeError, match="float64 is not JSON serializable"):
+            cli._dumps(value)
+
+
+# every command's report, exact and float, seeded and swapped
+WRITER_TRAFFIC = (
+    [("classify", "--input", str(p)) for p in sorted(DATA.glob("*.json"))]
+    + [("verify", "--example", ex, *seed) for ex in sorted(goldens.SUITES)
+       for seed in ((), ("--seed", "3"))]
+    + [("wallach",), ("wallach", "--float"),
+       ("wallach", "--float", "--seed", "1", "--samples", "50"), ("sweep", "--grid=-1,0,1/2"),
+       ("companion", "--example", "n3", "--swap", "2"),
+       ("companion", "--example", "b_zt(1+1/2i,1/3)", "--swap", "1")])
+
+_WRITER_LEAVES = {str, int, float, bool, type(None)}
+
+
+def _holds_writer_types(value) -> bool:
+    """Whether value is made of dicts with str keys, lists, tuples and leaves
+    of exactly the types in _WRITER_LEAVES."""
+    kind = type(value)
+    if kind is dict:
+        return all(type(k) is str and _holds_writer_types(v) for k, v in value.items())
+    if kind is list or kind is tuple:
+        return all(map(_holds_writer_types, value))
+    return kind in _WRITER_LEAVES
+
+
+def test_every_report_holds_only_the_types_the_writer_takes(monkeypatch, capsys):
+    # the writer refuses float subclasses and non-str keys, which json.dumps
+    # would write; this keeps that safe as report fields are added
+    payloads = []
+    dumps = cli._dumps
+
+    def kept(payload):
+        payloads.append(payload)
+        return dumps(payload)
+    monkeypatch.setattr(cli, "_dumps", kept)
+    written = []
+    for argv in WRITER_TRAFFIC:
+        if main(list(argv)) in (0, 1):
+            written.append(argv)
+    capsys.readouterr()
+    assert len(payloads) == len(written) == 20
+    for argv, payload in zip(written, payloads):
+        assert _holds_writer_types(payload), argv
 
 
 @pytest.mark.parametrize("leaf", [object(), {1, 2}, b"bytes", 1j, Fraction(1, 2), EC(1),
@@ -641,6 +694,11 @@ EXACT_REPORT_SHA256 = {
         "9e68ec78f1c04f5a479afdbc7d1c3addb1f186cac6de0c7b4640a40f3f8707d2",
     ("companion", "--example", "n3", "--swap", "2"):
         "5524add6773a13afe59c1a512f60cb7c8e39c67d5a6240d0e0b9098fe98dbde6",
+    # recorded before conjugate_swap built its C and D through frames.dense
+    ("companion", "--example", "b_zt(1+1/2i,1/3)", "--swap", "1"):
+        "f687871b685b203bb1402701c28a167983359678186623d277903294126c6825",
+    ("companion", "--example", "vaisman54", "--swap", "1,2"):
+        "ad815ae7d8af6667456f60a3a7adc4110627cb7395a10ac55df6afd713e93840",
     # the = form: argparse reads "--grid -1,..." as a missing argument
     ("sweep", "--grid=-1,0,1/2"):
         "8613221ac0b0ef27320f5b4926e9957d5e016fd8924a320a56474234ec0a5b2d",

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import ad_gram, cayley_unitary, power_traces, regauge
+from _oracles import ad_gram, cayley_unitary, killing_form, power_traces, regauge
 from btpgeo import lie
 from btpgeo.linalg import row_basis
 from btpgeo.scalars import EC, EXACT
@@ -115,6 +115,18 @@ def test_every_rational_regauge_keeps_the_frame_free_facts(entries):
     assert lie.classify(regauge(ALGEBRAS["sl2c"], P)).type_label == "chern_flat"
 
 
+def _assert_pinned_and_unitary_invariant(invariant, g, pinned):
+    """invariant(g) is pinned, and stays so under both Cayley unitaries; a
+    frame change that is not unitary changes the metric, and the invariant."""
+    assert invariant(g) == pinned, g.label
+    for A in SKEW:
+        h = regauge(g, cayley_unitary(A))
+        assert h.C != g.C       # the frame did change
+        assert invariant(h) == pinned, g.label
+    for P in map(_exact, NON_UNITARY):
+        assert invariant(regauge(g, P)) != pinned, g.label
+
+
 # tr M2 and tr M2^2 of M2[x][y] = tr(ad_x ad_y^*), the first power traces of
 # an invariant for recognizing a family member from any unitary frame
 AD_GRAM_TRACES = {"a_st": [Fraction(98, 9), Fraction(1321, 54)], "b_zt": [56, 1008]}
@@ -122,15 +134,40 @@ AD_GRAM_TRACES = {"a_st": [Fraction(98, 9), Fraction(1321, 54)], "b_zt": [56, 10
 
 def test_ad_gram_power_traces_are_pinned_and_unitary_invariant():
     for name, pinned in AD_GRAM_TRACES.items():
-        g = ALGEBRAS[name]
-        assert power_traces(ad_gram(g), 2) == pinned, name
-        for A in SKEW:
-            h = regauge(g, cayley_unitary(A))
-            assert h.C != g.C       # the frame did change
-            assert power_traces(ad_gram(h), 2) == pinned, name
-        # a frame change that is not unitary changes the metric, and the traces
-        for P in map(_exact, NON_UNITARY):
-            assert power_traces(ad_gram(regauge(g, P)), 2) != pinned, name
+        _assert_pinned_and_unitary_invariant(lambda h: power_traces(ad_gram(h), 2),
+                                             ALGEBRAS[name], pinned)
+
+
+def _killing_gram(g):
+    """K K^* for the Killing form K[x][y] = tr(ad_x ad_y)."""
+    K = killing_form(g)
+    dim = len(K)
+    return [[sum((K[x][k] * K[y][k].conjugate() for k in range(dim)), g.kind.zero)
+             for y in range(dim)] for x in range(dim)]
+
+
+# tr KK^* and tr (KK^*)^2; on family_a, KK^* has the one nonzero eigenvalue
+# (4 (s^2 + t^2))^2
+KILLING_TRACES = [(ALGEBRAS["a_st"], [Fraction(169, 81), Fraction(28561, 6561)]),
+                  (lie.family_a(1, -1), [64, 4096]),
+                  (ALGEBRAS["b_zt"], [576, 331776]), (ALGEBRAS["sl2c"], [24, 96])]
+
+# tr B, tr B^2 and tr B^3: a_st(1/2, 1/3) and b_zt(1 + i, 2) agree on B, and
+# KK^* tells them apart
+B_TRACES = [(ALGEBRAS["a_st"], [4, 8, 16]), (ALGEBRAS["b_zt"], [4, 8, 16]),
+            (ALGEBRAS["sl2c"], [6, 12, 24])]
+
+
+def test_killing_gram_power_traces_are_pinned_and_unitary_invariant():
+    for g, pinned in KILLING_TRACES:
+        _assert_pinned_and_unitary_invariant(lambda h: power_traces(_killing_gram(h), 2),
+                                             g, pinned)
+
+
+def test_b_tensor_power_traces_are_pinned_and_unitary_invariant():
+    for g, pinned in B_TRACES:
+        _assert_pinned_and_unitary_invariant(lambda h: power_traces(lie.b_tensor(h), 3),
+                                             g, pinned)
 
 
 def test_ad_gram_is_hermitian_and_positive_on_its_diagonal():

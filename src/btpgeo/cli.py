@@ -29,15 +29,14 @@ read), 141 standard output closed by its reader (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Callable, NamedTuple
 
 from . import lie, linalg
 from .scalars import EC, DigitLimitError, parse_rational
@@ -242,10 +241,12 @@ def cmd_verify(args) -> int:
         kwargs["seed"] = args.seed
     if args.torsion_a is not None:
         kwargs["a"] = _parse_rational(args.torsion_a)
-    takes = inspect.signature(suite).parameters
-    for name, flag in (("seed", "--seed"), ("a", "--torsion-a")):
-        if name in kwargs and name not in takes:
-            raise CliError(f"{flag} does not apply to --example {args.example}", EXIT_USAGE)
+    if kwargs:
+        import inspect     # inspect.signature follows a wrapper's __wrapped__
+        takes = inspect.signature(suite).parameters
+        for name, flag in (("seed", "--seed"), ("a", "--torsion-a")):
+            if name in kwargs and name not in takes:
+                raise CliError(f"{flag} does not apply to --example {args.example}", EXIT_USAGE)
     checks = suite(**kwargs)
     ok = all(c.passed for c in checks)
     report = {
@@ -362,10 +363,9 @@ def cmd_companion(args) -> int:
 _OUT, _SEED, _TORSION_A = ("--out", {}), ("--seed", {"type": int}), ("--torsion-a", {})
 
 
-class Command(NamedTuple):
-    fn: Callable[[argparse.Namespace], int]
-    help: str
-    options: tuple      # (flag, add_argument keywords), in help order
+# fn takes the parsed namespace to an exit code; options are (flag,
+# add_argument keywords) pairs, in help order
+Command = namedtuple("Command", "fn help options")
 
 
 COMMANDS = {

@@ -23,7 +23,7 @@ and 1-based on the JSON wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -270,11 +270,10 @@ def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:
     return _form(a.n, acc, a.kind)
 
 
-@dataclass(frozen=True)
-class DolbeaultSplit:
-    del_part: InvariantForm      # the (p+1, q) component of d
-    delbar_part: InvariantForm   # the (p, q+1) component of d
-    residual: InvariantForm      # anything else d produced (flagged if nonzero)
+class DolbeaultSplit(namedtuple("DolbeaultSplit", "del_part delbar_part residual")):
+    """The (p+1, q) and (p, q+1) components of d, and anything else d
+    produced (the residual, flagged if nonzero)."""
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:

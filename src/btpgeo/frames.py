@@ -18,8 +18,7 @@ torsion patterns (``diagonal_entries``) without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from .linalg import DimensionError, takagi_factorize
 from .scalars import Kind, common_kind
@@ -121,12 +120,8 @@ def torsion_to_cyclic(T) -> np.ndarray:
     return np.array([arr[i][j][k] for i, j, k in _CYCLES])
 
 
-@dataclass(frozen=True)
-class SpecialFrameResult:
-    """Composite frame change U (complex128, read-only) and the sorted
-    torsion triple a."""
-    U: np.ndarray
-    a: Tuple[float, float, float]
+# composite frame change U (complex128, read-only) and the sorted torsion triple a
+SpecialFrameResult = namedtuple("SpecialFrameResult", "U a")
 
 
 def _phase_fix(arr: np.ndarray) -> np.ndarray:

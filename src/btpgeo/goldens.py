@@ -17,7 +17,7 @@ check as failed instead of silently adjusting either number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -38,16 +38,11 @@ RICCI_COMPUTED = Fraction(5, 2)           # trace of the verified table
 TWO_B_MINUS_A = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ref: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ref passed detail", defaults=("",))):
+    __slots__ = ()
 
     def to_json(self):
-        return {"name": self.name, "ref": self.ref, "passed": self.passed,
-                "detail": self.detail}
+        return self._asdict()
 
 
 def _chk(out: List[CheckResult], name: str, ref: str, cond: bool, detail: str = ""):

@@ -16,8 +16,8 @@ is linear in them, the connection of D + T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, Tuple
 
 from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
                     dolbeault_split, exterior_d)
@@ -574,27 +574,16 @@ def transform_frame(g: HermitianLieAlgebra, P) -> HermitianLieAlgebra:
 # classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    label: str
-    n: int
-    balanced: bool
-    btp: bool
-    unimodular: bool
-    cyt: bool
-    calabi_yau_type: bool
-    b_rank: int
-    nilpotent_steps: Optional[int]
-    solvable_steps: Optional[int]
-    eta: InvariantForm
-    bismut_ricci: InvariantForm
-    chern_ricci: InvariantForm
-    type_label: str
-    vaisman_pattern: bool
+class ClassificationReport(namedtuple(
+        "ClassificationReport", "label n balanced btp unimodular cyt calabi_yau_type b_rank "
+        "nilpotent_steps solvable_steps eta bismut_ricci chern_ricci type_label vaisman_pattern")):
+    """The predicates of ``classify``; the step counts are None where the
+    series does not reach 0, and eta and the two Ricci forms are invariant forms."""
+    __slots__ = ()
 
     def to_json(self):
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {k: v.to_json() if isinstance(v, InvariantForm) else v for k, v in values}
+        return {k: v.to_json() if isinstance(v, InvariantForm) else v
+                for k, v in zip(self._fields, self)}
 
 
 def classify(g: HermitianLieAlgebra) -> ClassificationReport:

@@ -19,7 +19,7 @@ linear-algebra failure in a float rank is raised as ``NumericError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .scalars import EXACT, DimensionError, ExactComplex, Kind, all_finite
@@ -136,11 +136,10 @@ def hermitian_rank(B, kind: Kind) -> int:
 # Takagi factorization
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TakagiResult:
-    """Unitary U and nonnegative d with conj(U) @ A @ conj(U).T = diag(d)."""
-    U: np.ndarray       # complex128, read-only
-    d: tuple
+class TakagiResult(namedtuple("TakagiResult", "U d")):
+    """Unitary U (complex128, read-only) and the nonnegative tuple d with
+    conj(U) @ A @ conj(U).T = diag(d)."""
+    __slots__ = ()
 
     def reconstruction_residual(self, A) -> float:
         import numpy as np

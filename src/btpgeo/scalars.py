@@ -26,11 +26,11 @@ carries its kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import gcd, inf, isfinite
-from typing import Callable, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -290,16 +290,13 @@ def _exact(value) -> ExactComplex:
     return _raw(*o)
 
 
-@dataclass(frozen=True, eq=False)
-class Kind:
-    """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances."""
-    exact: bool
-    name: str             # "exact" or "float", as reports spell it
-    dtype: type           # numpy dtype of arrays of the kind
-    zero: Scalar
-    one: Scalar
-    i: Scalar
-    scalar: Callable      # a Python number (or ExactComplex) as a scalar of the kind
+class Kind(namedtuple("Kind", "exact name dtype zero one i scalar")):
+    """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances.  Its
+    ``name`` is how reports spell it, ``dtype`` the numpy dtype of its arrays,
+    and ``scalar`` takes a Python number (or ExactComplex) to a scalar of the
+    kind.  Kinds compare and hash by identity."""
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def negligible(self, c, tol: float = FLOAT_TOL):
         """Whether c counts as zero: exactly zero for the exact kind,

@@ -606,11 +606,32 @@ def regauge(g, P):
     The result is validated (d^2 = 0) on construction."""
     P = np.array(P, g.kind.dtype)
     Q = matrix_inverse(P, g.kind)
-    C = np.einsum("ia,abc,bj,ck->ijk", P, np.array(g.C, g.kind.dtype), Q, Q)
+    C = np.einsum("ia,abc,bj,ck->ijk", P, np.array(g.C, g.kind.dtype), Q, Q, optimize=True)
     Dbar = np.einsum("ia,bac,bj,ck->jik", P, np.conj(np.array(g.D, g.kind.dtype)), Q,
-                     np.conj(Q))
+                     np.conj(Q), optimize=True)
     return lie.HermitianLieAlgebra(g.n, C.tolist(), np.conj(Dbar).tolist(),
                                    label=f"{g.label}~regauged")
+
+
+def so_complex(m):
+    """so(m, C) in the basis L_ab = E_ab - E_ba (a < b, in lexicographic
+    order), declared unitary, with D = 0 and
+        [L_ij, L_kl] = d_jk L_il - d_ik L_jl - d_jl L_ik + d_il L_jk,
+    where L_ba = -L_ab and L_aa = 0: a complex Lie algebra of dimension
+    n = m(m - 1)/2, simple for m = 3 and m >= 5."""
+    pairs = list(itertools.combinations(range(m), 2))
+    index = {p: x for x, p in enumerate(pairs)}
+    n = len(pairs)
+    C = [[[EC(0)] * n for _ in range(n)] for _ in range(n)]
+    for x, (i, j) in enumerate(pairs):
+        for y, (k, l) in enumerate(pairs):
+            for delta, a, b, s in ((j == k, i, l, 1), (i == k, j, l, -1),
+                                   (j == l, i, k, -1), (i == l, j, k, 1)):
+                if delta and a != b:
+                    z, sign = (index[a, b], 1) if a < b else (index[b, a], -1)
+                    C[z][x][y] += EC(s * sign)
+    D = [[[EC(0)] * n for _ in range(n)] for _ in range(n)]
+    return lie.HermitianLieAlgebra(n, C, D, label=f"so{m}")
 
 
 def cayley_unitary(A):

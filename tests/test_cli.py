@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -339,14 +338,14 @@ def test_verify_seed_reaches_sl2c(capsys):
 
 
 def test_check_result_json_is_its_four_fields():
-    # the plain dict of the fields equals dataclasses.asdict, key order included
+    # the plain dict of the fields, key order included
     results = [goldens.CheckResult("a.b", "ref", True),
                goldens.CheckResult("c", "other ref", False, "max deviation 1.00e+00"),
                *goldens.vaisman54_suite(Fraction(1, 3)), *goldens.wallach_suite(3)]
     assert {r.passed for r in results} == {True, False}
     for r in results:
-        assert r.to_json() == dataclasses.asdict(r)
-        assert list(r.to_json()) == list(dataclasses.asdict(r))
+        assert r.to_json() == r._asdict()
+        assert list(r.to_json()) == ["name", "ref", "passed", "detail"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -833,12 +832,13 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
-# ---- which commands load numpy --------------------------------------------------
+# ---- which commands load numpy, dataclasses and inspect ------------------------
 
-# runs one CLI call and reports on stderr, after it, whether numpy was imported
-_NUMPY_PROBE = ("import sys; from btpgeo.cli import main; code = main(sys.argv[1:]); "
-                "sys.stdout.flush(); print('numpy loaded:', 'numpy' in sys.modules, "
-                "file=sys.stderr); sys.exit(code)")
+# runs one CLI call and reports on stderr, after it, which of numpy,
+# dataclasses and inspect were imported
+_IMPORT_PROBE = ("import sys; from btpgeo.cli import main; code = main(sys.argv[1:]); "
+                 "sys.stdout.flush(); print('loaded:', *[m for m in ('numpy', 'dataclasses', "
+                 "'inspect') if m in sys.modules], file=sys.stderr); sys.exit(code)")
 
 EXACT_LIE_COMMANDS = (
     [("classify", "--input", str(path)) for path in sorted(DATA.glob("*.json"))]
@@ -846,19 +846,36 @@ EXACT_LIE_COMMANDS = (
     + [("sweep",), ("companion", "--example", "n3", "--swap", "2")])
 
 
-def _loads_numpy(argv):
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True,
+def _loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
                           text=True, env=SOURCE_ENV)
     assert proc.returncode in (0, 1, 2), proc.stderr
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("numpy loaded: "), proc.stderr
-    return last == "numpy loaded: True"
+    last = proc.stderr.splitlines()[-1].split()
+    assert last[:1] == ["loaded:"], proc.stderr
+    return set(last[1:])
 
 
-@pytest.mark.parametrize("argv", EXACT_LIE_COMMANDS,
-                         ids=lambda argv: " ".join(pathlib.Path(a).name for a in argv))
+def _loads_numpy(argv):
+    return "numpy" in _loaded_modules(argv)
+
+
+def _argv_id(argv):
+    return " ".join(pathlib.Path(a).name for a in argv)
+
+
+@pytest.mark.parametrize("argv", EXACT_LIE_COMMANDS, ids=_argv_id)
 def test_exact_lie_commands_run_without_numpy(argv):
     assert not _loads_numpy(argv)
+
+
+@pytest.mark.parametrize("argv", EXACT_LIE_COMMANDS, ids=_argv_id)
+def test_exact_lie_commands_import_no_dataclasses_or_inspect(argv):
+    assert not _loaded_modules(argv) & {"dataclasses", "inspect"}
+
+
+def test_only_the_suite_flags_import_inspect():
+    # inspect reads which of --seed and --torsion-a the suite takes
+    assert "inspect" in _loaded_modules(("verify", "--example", "n3", "--torsion-a", "2"))
 
 
 def test_float_and_flag_threefold_commands_load_numpy(tmp_path):

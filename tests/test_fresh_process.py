@@ -30,7 +30,12 @@ def test_fresh_process_script_times_one_command(tmp_path):
         assert len(row[side]["runs_ms"]) == 1 and row[side]["median_ms"] > 0
         assert row[side]["numpy_loaded"] is False and row[side]["numpy_import_ms"] is None
     assert row["identical"] == {"stdout": True, "stderr": True, "exit_code": True}
-    assert "classify" in proc.stdout
+    # the interpreter floor: timed like the commands, and below each of them
+    for side in ("parent", "change"):
+        floor = block["floor"][side]
+        assert len(floor["runs_ms"]) == 1 and 0 < floor["median_ms"] < row[side]["median_ms"]
+    table = proc.stdout.splitlines()
+    assert table[1].startswith("floor") and table[2].startswith("classify")
 
 
 def test_fresh_process_script_tells_which_outputs_differ(tmp_path):
@@ -82,6 +87,8 @@ def test_fresh_process_tells_a_median_outside_the_parent_spread(
                       "--commands", "classify"]) == 0
     block = json.loads(out.read_text())["fresh_process"]
     assert block["runs"] == 15
+    floor = block["floor"]
+    assert len(floor["parent"]["runs_ms"]) == len(floor["change"]["runs_ms"]) == 15
     row = block["commands"]["classify"]
     assert row["change_median_outside_parent_quartiles"] is (verdict == "outside")
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("classify"))

@@ -1,4 +1,4 @@
-"""Regauging a Hermitian Lie algebra by a frame change P in GL(3, C).
+"""Regauging a Hermitian Lie algebra by a frame change P in GL(n, C).
 
 ``_oracles.regauge`` applies the law C'^i_{jk} = sum P_ia C^a_{bc} (P^-1)_bj
 (P^-1)_ck and its companion for D.  A unitary P keeps the metric, so every
@@ -8,13 +8,14 @@ the metric but not the Lie algebra or its complex structure, so the frame-free
 facts survive while balance and parallel torsion may not.
 """
 
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import ad_gram, cayley_unitary, killing_form, power_traces, regauge
+from _oracles import (ad_gram, cayley_unitary, killing_form, power_traces, regauge,
+                      so_complex)
 from btpgeo import lie
 from btpgeo.linalg import row_basis
 from btpgeo.scalars import EC, EXACT
@@ -73,9 +74,9 @@ def test_classify_is_invariant_under_cayley_unitaries():
         U = cayley_unitary(A)
         for g in ALGEBRAS.values():
             before, after = lie.classify(g), lie.classify(regauge(g, U))
-            for f in fields(before):
-                if f.name not in FRAME_FIELDS:
-                    assert getattr(after, f.name) == getattr(before, f.name), (g.label, f.name)
+            for name in before._fields:
+                if name not in FRAME_FIELDS:
+                    assert getattr(after, name) == getattr(before, name), (g.label, name)
 
 
 def test_non_unitary_regauge_keeps_the_frame_free_facts():
@@ -176,3 +177,31 @@ def test_ad_gram_is_hermitian_and_positive_on_its_diagonal():
         dim = len(M)
         assert all(M[x][y] == M[y][x].conjugate() for x in range(dim) for y in range(dim)), name
         assert all(M[x][x].im == 0 and M[x][x].re >= 0 for x in range(dim)), name
+
+
+# ---- so(m, C): the pipeline away from n = 3 -------------------------------------
+
+SO_COMPLEX = [so_complex(4), so_complex(5)]      # n = 6 and n = 10
+
+
+def _shear(n):
+    """P = I + E_12 with P_nn = 2: not unitary."""
+    return [[EC(2 if i == j == n - 1 else int(i == j or (i, j) == (0, 1))) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("g", SO_COMPLEX, ids=lambda g: g.label)
+def test_so_complex_classifies_as_chern_flat_btp(g):
+    rep = lie.classify(g)
+    assert rep.n == g.n and rep.type_label == "chern_flat"
+    assert rep.balanced and rep.btp and rep.unimodular and rep.cyt and rep.calabi_yau_type
+    assert rep.b_rank == g.n
+    assert rep.nilpotent_steps is None and rep.solvable_steps is None
+
+
+@pytest.mark.parametrize("g", SO_COMPLEX, ids=lambda g: g.label)
+def test_so_complex_sheared_frame_loses_only_btp(g):
+    before, after = lie.classify(g), lie.classify(regauge(g, _shear(g.n)))
+    assert before.btp and not after.btp
+    for name in ("type_label", "balanced", "unimodular", "cyt", "b_rank"):
+        assert getattr(after, name) == getattr(before, name), name

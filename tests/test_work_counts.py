@@ -77,7 +77,7 @@ SCALAR_OPS = [
 ]
 
 
-@pytest.mark.parametrize("g, ops", SCALAR_OPS, ids=lambda x: getattr(x, "label", x))
+@pytest.mark.parametrize("g, ops", SCALAR_OPS, ids=[g.label for g, _ in SCALAR_OPS])
 def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
     calls = Counter()
     counted = _counter(calls)

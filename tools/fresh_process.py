@@ -12,7 +12,11 @@ and side records whether the two trees wrote byte-identical stdout and
 stderr and exited with the same code (``identical``).  Each row also tells
 whether the change's median lies outside the parent's quartile range
 (``change_median_outside_parent_quartiles``): a ratio whose median stays
-inside that range is within the run-to-run spread.
+inside that range is within the run-to-run spread.  The interpreter's own
+start-up, ``python -c pass`` under each side's environment, is timed in the
+same alternation, before the commands of each round, and written as the
+``floor`` entry: the part of each command's time that no change to btpgeo
+can remove.
 
 Usage::
 
@@ -49,6 +53,7 @@ COMMANDS = {
     "companion": (["companion", "--example", "n3", "--swap", "2"], (0,)),
 }
 SIDES = ("parent", "change")
+FLOOR = "floor"     # python -c pass: the interpreter's start-up alone
 
 
 def _env(tree: str) -> dict:
@@ -58,10 +63,12 @@ def _env(tree: str) -> dict:
 
 
 def run_once(tree: str, name: str) -> float:
-    """Wall milliseconds of one fresh process running the command."""
-    argv, codes = COMMANDS[name]
+    """Wall milliseconds of one fresh process running the command, or
+    ``python -c pass`` for ``FLOOR``."""
+    argv, codes = (["-c", "pass"], (0,)) if name == FLOOR else (
+        ["-m", "btpgeo.cli", *COMMANDS[name][0]], COMMANDS[name][1])
     t = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", *argv], cwd=tree,
+    proc = subprocess.run([sys.executable, *argv], cwd=tree,
                           env=_env(tree), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     ms = (time.perf_counter() - t) * 1e3
     if proc.returncode not in codes:
@@ -109,24 +116,31 @@ def _quartiles(xs):
     return q1, q2, q3
 
 
-def measure(trees: dict, names, runs: int) -> dict:
-    times = {name: {side: [] for side in SIDES} for name in names}
+def _summary(xs, quartiles) -> dict:
+    q1, med, q3 = quartiles
+    return {"median_ms": round(med, 1), "q1_ms": round(q1, 1), "q3_ms": round(q3, 1),
+            "runs_ms": [round(x, 1) for x in xs]}
+
+
+def measure(trees: dict, names, runs: int) -> tuple:
+    """The ``floor`` entry and one row per command."""
+    timed = [FLOOR, *names]
+    times = {name: {side: [] for side in SIDES} for name in timed}
     for round_ in range(runs + 1):          # round 0 warms the caches and is discarded
-        for k, name in enumerate(names):
+        for k, name in enumerate(timed):
             order = SIDES if (round_ + k) % 2 == 0 else SIDES[::-1]
             for side in order:
                 ms = run_once(trees[side], name)
                 if round_:
                     times[name][side].append(ms)
+    floor = {side: _summary(times[FLOOR][side], _quartiles(times[FLOOR][side]))
+             for side in SIDES}
     out = {}
     for name in names:
         row = {"argv": COMMANDS[name][0]}
         quartiles = {side: _quartiles(times[name][side]) for side in SIDES}
         for side in SIDES:
-            xs = times[name][side]
-            q1, med, q3 = quartiles[side]
-            row[side] = {"median_ms": round(med, 1), "q1_ms": round(q1, 1),
-                         "q3_ms": round(q3, 1), "runs_ms": [round(x, 1) for x in xs],
+            row[side] = {**_summary(times[name][side], quartiles[side]),
                          **import_profile(trees[side], name)}
         out_p, out_c = (outputs(trees[side], name) for side in SIDES)
         row["identical"] = {k: out_p[k] == out_c[k] for k in out_p}
@@ -136,7 +150,7 @@ def measure(trees: dict, names, runs: int) -> dict:
         q1, _, q3 = quartiles["parent"]
         row["change_median_outside_parent_quartiles"] = not q1 <= quartiles["change"][1] <= q3
         out[name] = row
-    return out
+    return floor, out
 
 
 def main(argv=None) -> int:
@@ -150,7 +164,7 @@ def main(argv=None) -> int:
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    rows = measure(trees, args.commands, args.runs)
+    floor, rows = measure(trees, args.commands, args.runs)
     block = {
         "method": ("python -m btpgeo.cli as a fresh process per run, PYTHONPATH at each "
                    "tree's src and the tree as working directory, one process at a time, "
@@ -159,12 +173,15 @@ def main(argv=None) -> int:
                    "PYTHONDONTWRITEBYTECODE unset; numpy_loaded and the import figures "
                    "come from one more -X importtime run per side, identical from one "
                    "more plain run per side (stdout and stderr bytes, exit code); "
+                   "floor times python -c pass under each side's environment, first in "
+                   "each round's alternation; "
                    "quartiles are statistics.quantiles(method='inclusive'); "
                    "change_median_outside_parent_quartiles compares the change's median "
                    "with the parent's unrounded q1 and q3"),
         "runs": args.runs,
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine()},
+        "floor": floor,
         "commands": rows,
     }
     try:
@@ -178,6 +195,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"{'command':<20}{'parent ms':>11}{'change ms':>11}{'ratio':>7}  "
           f"{'vs parent IQR':<14}numpy (parent, change)  identical (stdout, stderr, exit code)")
+    print(f"{FLOOR + ' (-c pass)':<20}{floor['parent']['median_ms']:>11.1f}"
+          f"{floor['change']['median_ms']:>11.1f}")
     for name, row in rows.items():
         spread = "outside" if row["change_median_outside_parent_quartiles"] else "inside"
         print(f"{name:<20}{row['parent']['median_ms']:>11.1f}{row['change']['median_ms']:>11.1f}"

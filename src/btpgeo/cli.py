@@ -1,13 +1,21 @@
 """Command-line entry point.
 
 ``COMMANDS`` is the command table: classify, verify, wallach, sweep and
-companion, each with its function, its help line and its options.  ``main``
-builds one parser per call, the parser of the command that argv starts with.
-The top-level parser, which reads the command name and hands the rest of argv
-on, is built only for argv that does not start with a command (help and usage
-errors) and for ``<command> -- ...``, whose ``--`` it drops.  No parser
-outlives the call.  ``btpgeo --help`` lists the commands with their help
-lines, ``btpgeo <command> --help`` the options of one command.
+companion, each with its function, its help line and its options.
+``_Parser`` reads argv from that table alone, in the grammar of the standard
+library's option parser but without importing it and its translation
+lookups: ``--opt value`` or ``--opt=value``, a unique prefix of an option,
+``-h`` and ``--help``, the last of a repeated option winning, and a value
+that starts with '-' only in the ``=`` form unless it is a negative number.
+Its errors, in that parser's words and order, exit 3 after the usage line;
+the usage and help are laid out as it lays them out at 80 columns.
+``main`` builds one parser per call, the parser of the command that argv
+starts with.  The top-level parser, which reads the command name and hands
+the rest of argv on, is built only for argv that does not start with a
+command (help and usage errors) and for ``<command> -- ...``, whose ``--`` it
+drops.  No parser outlives the call.  ``btpgeo --help`` lists the commands
+with their help lines, ``btpgeo <command> --help`` the options of one
+command.
 
 ``charts``, ``goldens`` and numpy are imported inside the commands that use
 them, so the exact Lie commands (``classify`` of exact data, ``sweep``,
@@ -28,7 +36,6 @@ read), 141 standard output closed by its reader (128 + SIGPIPE).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -37,6 +44,7 @@ from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from types import SimpleNamespace
 
 from . import lie, linalg
 from .scalars import EC, DigitLimitError, parse_rational
@@ -46,13 +54,6 @@ EXIT_MISMATCH = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
 
 
 class CliError(Exception):
@@ -242,8 +243,10 @@ def cmd_verify(args) -> int:
     if args.torsion_a is not None:
         kwargs["a"] = _parse_rational(args.torsion_a)
     if kwargs:
-        import inspect     # inspect.signature follows a wrapper's __wrapped__
-        takes = inspect.signature(suite).parameters
+        fn = suite
+        while hasattr(fn, "__wrapped__"):       # read the parameters of what a wrapper wraps
+            fn = fn.__wrapped__
+        takes = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         for name, flag in (("seed", "--seed"), ("a", "--torsion-a")):
             if name in kwargs and name not in takes:
                 raise CliError(f"{flag} does not apply to --example {args.example}", EXIT_USAGE)
@@ -363,8 +366,9 @@ def cmd_companion(args) -> int:
 _OUT, _SEED, _TORSION_A = ("--out", {}), ("--seed", {"type": int}), ("--torsion-a", {})
 
 
-# fn takes the parsed namespace to an exit code; options are (flag,
-# add_argument keywords) pairs, in help order
+# fn takes the parsed namespace to an exit code; options are (flag, keywords)
+# pairs, in help order, whose keywords are those of the standard library's
+# option parser: required, type, default, dest, action="store_true" and help
 Command = namedtuple("Command", "fn help options")
 
 
@@ -384,25 +388,155 @@ COMMANDS = {
                           _TORSION_A, _OUT)),
 }
 
+_HELP = {"help": "show this help message and exit"}
+# a token that starts with '-' and names no option is a value if it is a
+# negative number by this pattern, or if it holds a space
+_NEGATIVE_RE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _dest(flag, kwargs) -> str:
+    return kwargs.get("dest") or flag[2:].replace("-", "_")
+
+
+def _invocation(flag, kwargs) -> str:
+    """The option as help lists it: the flag, then the name of its value."""
+    return flag if "action" in kwargs else f"{flag} {_dest(flag, kwargs).upper()}"
+
+
+class _Parser:
+    """The parser of one command's options, or without a name the top-level
+    parser, which reads the command name and hands the rest of argv on,
+    dropping one '--' just before or after it.  Each token before the first
+    '--' is read first as an option, a value or an unknown option (an
+    ambiguous prefix fails here), then in order; a missing required option,
+    then a token left unread, then ``--opt=--`` fail at the end."""
+
+    def __init__(self, name=None):
+        self.name = name
+        self.prog = f"btpgeo {name}" if name else "btpgeo"
+        self.table = COMMANDS[name].options if name else ()
+        self.options = {"-h": _HELP, "--help": _HELP, **dict(self.table)}
+
+    def error(self, message):
+        sys.stderr.write(f"{self.format_usage()}error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+    def format_usage(self) -> str:
+        parts = ["[-h]"] if self.name else ["[-h]", f"{{{','.join(COMMANDS)}}}", "..."]
+        for flag, kw in self.table:
+            inv = _invocation(flag, kw)
+            parts += inv.split() if kw.get("required") else [f"[{inv}]"]
+        lines = ["usage: " + self.prog]
+        for part in parts:
+            if len(lines[-1]) + 1 + len(part) > 78:
+                lines.append(" " * (len(self.prog) + 8) + part)
+            else:
+                lines[-1] += " " + part
+        return "\n".join(lines) + "\n"
+
+    def format_help(self) -> str:
+        rows = [("-h, --help", _HELP["help"])]
+        rows += [(_invocation(flag, kw), kw.get("help", "")) for flag, kw in self.table]
+        pad = min(max(len(inv) for inv, _ in rows), 20) if self.name else 20
+        options = "".join(f"  {inv:<{pad}}  {text}".rstrip() + "\n" for inv, text in rows)
+        if self.name:
+            return f"{self.format_usage()}\noptions:\n{options}"
+        listing = "".join(f"\n  {name:<11}{c.help}" for name, c in COMMANDS.items())
+        return (f"{self.format_usage()}\nverification engine for parallel-Bismut-torsion "
+                f"Hermitian geometry\n\npositional arguments:\n  {{{','.join(COMMANDS)}}}\n"
+                f"{'':24}one of the commands below\n  {'args':<22}the command's options\n"
+                f"\noptions:\n{options}\ncommands:{listing}\n\n"
+                "'btpgeo <command> --help' lists the options of one.\n")
+
+    def _match(self, token):
+        """None for a value, else (flag, the value given with it or None),
+        with flag "" for an unknown option."""
+        if token[:1] != "-" or token == "-":
+            return None
+        if token in self.options:
+            return token, None
+        name, eq, value = token.partition("=")
+        if eq and name in self.options:
+            return name, value
+        if token[1] == "-":
+            found = [flag for flag in self.options if flag.startswith(name)]
+            value = value if eq else None
+        else:
+            found, value = ["-h"] if token[1] == "h" else [], token[2:]
+        if len(found) > 1:
+            self.error(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value
+        return None if _NEGATIVE_RE.match(token) or " " in token else ("", None)
+
+    def parse_args(self, argv):
+        argv = list(argv)
+        cut = argv.index("--") if "--" in argv else len(argv)
+        kinds = [self._match(token) for token in argv[:cut]]
+        # the top-level parser reads options up to the command name
+        end = cut if self.name or None not in kinds else kinds.index(None)
+        values = {_dest(flag, kw): kw.get("default", False if "action" in kw else None)
+                  for flag, kw in self.table}
+        extras, i = [], 0
+        while i < end:
+            kind, i = kinds[i], i + 1
+            if kind is None or not kind[0]:
+                extras.append(argv[i - 1])
+                continue
+            flag, value = kind
+            kw = self.options[flag]
+            if kw is _HELP:
+                while flag == "-h" and value and value[0] == "h":     # -hh is -h -h
+                    value = value[1:] or None
+                if value is not None:
+                    self.error(f"argument -h/--help: ignored explicit argument {value!r}")
+                sys.stdout.write(self.format_help())
+                raise SystemExit(EXIT_OK)
+            dest = _dest(flag, kw)
+            if "action" in kw:
+                if value is not None:
+                    self.error(f"argument {flag}: ignored explicit argument {value!r}")
+                values[dest] = True
+                continue
+            if value is None:
+                if i == cut or kinds[i] is not None:
+                    self.error(f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            if "type" in kw and value != "--":
+                try:
+                    value = kw["type"](value)
+                except ValueError:
+                    self.error(f"argument {flag}: invalid {kw['type'].__name__} value: {value!r}")
+            values[dest] = value
+        if self.name is None:
+            end += end == cut       # the name after a '--'
+            if end >= len(argv):
+                self.error("the following arguments are required: command")
+            if argv[end] not in COMMANDS:
+                self.error(f"argument command: invalid choice: {argv[end]!r} (choose from "
+                           f"{', '.join(map(repr, COMMANDS))})")
+            values = {"command": argv[end], "args": argv[end + 1 + (end + 1 == cut):]}
+        else:
+            missing = [flag for flag, kw in self.table
+                       if kw.get("required") and values[_dest(flag, kw)] is None]
+            if missing:
+                self.error(f"the following arguments are required: {', '.join(missing)}")
+            extras += argv[cut:]
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        for dest, value in values.items():
+            if value == "--":       # '--opt=--', read as no value
+                raise CliError(f"--{dest.replace('_', '-')} needs a value", EXIT_USAGE)
+        return SimpleNamespace(**values)
+
 
 def build_parser() -> _Parser:
     """The top-level parser: a command of COMMANDS, then that command's argv."""
-    listing = "".join(f"\n  {name:<11}{c.help}" for name, c in COMMANDS.items())
-    p = _Parser(prog="btpgeo", formatter_class=argparse.RawDescriptionHelpFormatter,
-                description="verification engine for parallel-Bismut-torsion "
-                            "Hermitian geometry",
-                epilog=f"commands:{listing}\n\n'btpgeo <command> --help' lists the options of one.")
-    p.add_argument("command", choices=COMMANDS, help="one of the commands below")
-    # required=False: a missing command alone is the usage error, as with subparsers
-    p.add_argument("args", nargs=argparse.REMAINDER, help="the command's options").required = False
-    return p
+    return _Parser()
 
 
 def _command_parser(name: str) -> _Parser:
-    p = _Parser(prog=f"btpgeo {name}")
-    for flag, kwargs in COMMANDS[name].options:
-        p.add_argument(flag, **kwargs)
-    return p
+    return _Parser(name)
 
 
 def main(argv=None) -> int:
@@ -414,10 +548,6 @@ def main(argv=None) -> int:
             top = build_parser().parse_args(argv)
             argv = [top.command, *top.args]
         args = _command_parser(argv[0]).parse_args(argv[1:])
-        # argparse reads '--opt=--' as an empty list of values
-        listed = [dest for dest, value in vars(args).items() if isinstance(value, list)]
-        if listed:
-            raise CliError(f"--{listed[0].replace('_', '-')} needs a value", EXIT_USAGE)
         return COMMANDS[argv[0]].fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

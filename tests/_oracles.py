@@ -2,15 +2,18 @@
 flag metric evaluated directly, closed forms, the jet route to point
 curvature, two routes to the Levi-Civita curvature, sectional and Ricci
 curvature by explicit sums, the tuple-keyed form kernel, the Lie-side
-tables by dense n^3 loops, and the classify stages by their full
-computations."""
+tables by dense n^3 loops, the classify stages by their full
+computations, and the command-line parser built on argparse."""
 
+import argparse
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 from btpgeo import lie
+from btpgeo.cli import COMMANDS, EXIT_USAGE
 from btpgeo.charts import (ChartMetric, chern_curvature_at, chern_torsion_at,
                            riemannian_curvature_at)
 from btpgeo.forms import InvariantForm, exterior_d
@@ -1073,3 +1076,35 @@ def is_skew_hermitian(mat, kind):
     n = len(mat)
     return all(kind.negligible(c) for i in range(n) for j in range(n)
                for c in (mat[i][j] + mat[j][i].conj()).terms.values())
+
+
+# ---- the command-line parser on argparse ---------------------------------------
+# the argparse parsers that the table-driven cli._Parser replaced, as they were;
+# main read an option given as '--opt=--', which argparse stores as an empty
+# list, as "error: --opt needs a value"
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+
+def build_parser() -> _Parser:
+    """The top-level parser: a command of COMMANDS, then that command's argv."""
+    listing = "".join(f"\n  {name:<11}{c.help}" for name, c in COMMANDS.items())
+    p = _Parser(prog="btpgeo", formatter_class=argparse.RawDescriptionHelpFormatter,
+                description="verification engine for parallel-Bismut-torsion "
+                            "Hermitian geometry",
+                epilog=f"commands:{listing}\n\n'btpgeo <command> --help' lists the options of one.")
+    p.add_argument("command", choices=COMMANDS, help="one of the commands below")
+    # required=False: a missing command alone is the usage error, as with subparsers
+    p.add_argument("args", nargs=argparse.REMAINDER, help="the command's options").required = False
+    return p
+
+
+def _command_parser(name: str) -> _Parser:
+    p = _Parser(prog=f"btpgeo {name}")
+    for flag, kwargs in COMMANDS[name].options:
+        p.add_argument(flag, **kwargs)
+    return p

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import _oracles
 from btpgeo import cli, goldens, lie
 from btpgeo.cli import main
 from btpgeo.scalars import EC
@@ -832,13 +834,16 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
-# ---- which commands load numpy, dataclasses and inspect ------------------------
+# ---- which commands load numpy, dataclasses, inspect, argparse and gettext ------
 
 # runs one CLI call and reports on stderr, after it, which of numpy,
-# dataclasses and inspect were imported
-_IMPORT_PROBE = ("import sys; from btpgeo.cli import main; code = main(sys.argv[1:]); "
-                 "sys.stdout.flush(); print('loaded:', *[m for m in ('numpy', 'dataclasses', "
-                 "'inspect') if m in sys.modules], file=sys.stderr); sys.exit(code)")
+# dataclasses, inspect, argparse and gettext were imported; help and usage
+# errors exit through SystemExit
+_PROBED = ("numpy", "dataclasses", "inspect", "argparse", "gettext")
+_IMPORT_PROBE = ("import sys\nfrom btpgeo.cli import main\ntry:\n    code = main(sys.argv[1:])\n"
+                 "except SystemExit as exc:\n    code = exc.code\nsys.stdout.flush()\n"
+                 f"print('loaded:', *[m for m in {_PROBED!r} if m in sys.modules], "
+                 "file=sys.stderr)\nsys.exit(code)")
 
 EXACT_LIE_COMMANDS = (
     [("classify", "--input", str(path)) for path in sorted(DATA.glob("*.json"))]
@@ -846,10 +851,10 @@ EXACT_LIE_COMMANDS = (
     + [("sweep",), ("companion", "--example", "n3", "--swap", "2")])
 
 
-def _loaded_modules(argv):
+def _loaded_modules(argv, codes=(0, 1, 2)):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
                           text=True, env=SOURCE_ENV)
-    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert proc.returncode in codes, proc.stderr
     last = proc.stderr.splitlines()[-1].split()
     assert last[:1] == ["loaded:"], proc.stderr
     return set(last[1:])
@@ -873,9 +878,26 @@ def test_exact_lie_commands_import_no_dataclasses_or_inspect(argv):
     assert not _loaded_modules(argv) & {"dataclasses", "inspect"}
 
 
-def test_only_the_suite_flags_import_inspect():
-    # inspect reads which of --seed and --torsion-a the suite takes
-    assert "inspect" in _loaded_modules(("verify", "--example", "n3", "--torsion-a", "2"))
+@pytest.mark.parametrize("argv", [
+    ("verify", "--example", "n3"),
+    ("verify", "--example", "n3", "--torsion-a", "2"),
+    ("verify", "--example", "vaisman54", "--torsion-a", "3"),
+    ("verify", "--example", "n3", "--seed", "3"),                   # exits 3
+    ("verify", "--example", "a_st", "--torsion-a", "2"),            # exits 3
+], ids=_argv_id)
+def test_no_verify_call_imports_inspect(argv):
+    # the suite's parameters, which --seed and --torsion-a are checked
+    # against, come from its code object
+    assert "inspect" not in _loaded_modules(argv, codes=(0, 3))
+
+
+@pytest.mark.parametrize("argv", [
+    *EXACT_LIE_COMMANDS, ("wallach",), ("wallach", "--float", "--seed", "1", "--samples", "10"),
+    ("classify", "--help"), ("verify", "--example", "n3", "--bogus"),
+], ids=_argv_id)
+def test_no_command_imports_argparse_or_gettext(argv):
+    # help exits 0 and the usage error 3, through SystemExit
+    assert not _loaded_modules(argv, codes=(0, 1, 2, 3)) & {"argparse", "gettext"}
 
 
 def test_float_and_flag_threefold_commands_load_numpy(tmp_path):
@@ -952,6 +974,95 @@ def test_argv_fuzz_exits_cleanly(argv):
     if code in (2, 3):
         assert [line for line in err.splitlines() if line.startswith("error:")] \
             == [err.splitlines()[-1]], (argv, err)
+
+
+# ---- the parser against argparse ------------------------------------------------
+
+def _parse_outcome(build_parser, command_parser, argv):
+    """What main makes of argv before it calls the command, through the given
+    parsers: ("ok", command, parsed options), or (exit code, stdout, stderr)
+    of help and usage errors, with argparse's layout at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            if not argv or argv[0] not in cli.COMMANDS or argv[1:2] == ["--"]:
+                top = build_parser().parse_args(argv)
+                argv = [top.command, *top.args]
+            args = vars(command_parser(argv[0]).parse_args(argv[1:]))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+        except cli.CliError as exc:
+            return exc.code, out.getvalue(), f"error: {exc}\n"
+    listed = [dest for dest, value in args.items() if isinstance(value, list)]
+    if listed:      # argparse's reading of '--opt=--', which main rejected
+        return cli.EXIT_USAGE, "", f"error: --{listed[0].replace('_', '-')} needs a value\n"
+    return "ok", argv[0], args
+
+
+def _parses_as_argparse_did(argv):
+    assert _parse_outcome(cli.build_parser, cli._command_parser, list(argv)) == \
+        _parse_outcome(_oracles.build_parser, _oracles._command_parser, list(argv)), argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_argv())
+def test_the_parser_reads_fuzzed_argv_as_argparse_did(argv):
+    _parses_as_argparse_did(argv)
+
+
+PARSE_EDGES = [
+    # top level: help, a missing or unknown command, '--' before the command
+    [], ["-h"], ["--he"], ["--help=x"], ["-hx"], ["-hh"], ["-h=h"], ["-h="], ["-hh=x"],
+    ["frobnicate"], ["frobnicate", "-h"], ["-h", "frobnicate"], ["--bogus"],
+    ["--bogus", "classify", "--input", "x"], ["--"], ["--bogus", "--"], ["-1"],
+    ["--", "classify", "--input", "x"], ["--", "--", "classify"], ["--", "-h"],
+    ["--", "classify", "--", "--input", "x"],
+    # prefixes, the ambiguous --s, and '=' with no option before it
+    ["classify", "--inp", "x"], ["classify", "--inp=x"], ["classify", "--i=x", "--o", "y"],
+    ["wallach", "--s", "1"], ["wallach", "--s=1"], ["wallach", "--se", "1", "--sa", "2"],
+    ["wallach", "--fl"], ["wallach", "-h", "--s"], ["classify", "--=x"], ["classify", "--="],
+    ["classify", "---input", "x"], ["classify", "-i", "x"], ["classify", "-x=y"],
+    # help after a bad option or value, and help given a value
+    ["classify", "--bogus", "-h"], ["classify", "stray", "--he"], ["classify", "-h", "--bogus"],
+    ["wallach", "--seed", "x", "-h"], ["wallach", "--seed", "-h"], ["classify", "--help=x"],
+    ["classify", "--he="], ["classify", "--help=h"], ["classify", "-hx"], ["classify", "-hh"],
+    ["verify", "-h=h"],
+    ["wallach", "--float=x"], ["wallach", "--float="], ["wallach", "--float", "--float"],
+    # '--opt=--'
+    ["sweep", "--grid=--"], ["verify", "--example", "n3", "--torsion-a=--"],
+    ["verify", "--example=--", "-h"], ["verify", "--example=--", "--bogus"],
+    ["verify", "--example=--", "--seed=--"], ["classify", "--input=--", "--input", "x"],
+    ["wallach", "--seed=--"], ["classify", "--in=--"],
+    # values that start with '-'
+    ["verify", "--example", "n3", "--torsion-a", "-1"],
+    ["verify", "--example", "n3", "--torsion-a", "-1/2"],
+    ["verify", "--example", "n3", "--torsion-a=-1/2"], ["wallach", "--seed", "-1"],
+    ["wallach", "--seed", "-1.5"], ["wallach", "--seed", "-.5"], ["wallach", "--seed", "-1e3"],
+    ["sweep", "--grid", "-1,0"], ["sweep", "--grid", "-1 0"], ["sweep", "--grid=-1,0"],
+    ["sweep", "--grid", "--gr"], ["sweep", "--grid", "-"], ["classify", "--input", "--in x"],
+    # '--' before, between and after options
+    ["classify", "--", "--input", "x"], ["classify", "--input", "x", "--"],
+    ["classify", "--input", "--", "x"], ["classify", "--input", "x", "--", "--out", "y"],
+    ["classify", "--", "--"], ["classify", "--", "--", "--input", "x"],
+    ["classify", "--input", "x", "--", "-h"], ["classify", "--", "-h"],
+    # repeated options; the last wins
+    ["classify", "--input", "a", "--input", "b"], ["wallach", "--seed", "1", "--seed", "2"],
+    ["wallach", "--seed", "1", "--seed", "x"], ["wallach", "--seed", "x", "--seed", "1"],
+    # empty values, and what int reads
+    ["classify", "--input", ""], ["classify", "--input="], ["sweep", "--grid", ""],
+    ["wallach", "--seed", ""], ["wallach", "--seed="], ["wallach", "--seed", " 3 "],
+    ["wallach", "--seed", "+3"], ["wallach", "--seed", "1_0"], ["wallach", "--samples", "9" * 5000],
+    # stray tokens and missing required options
+    ["classify"], ["verify"], ["companion", "--swap", "1"], ["classify", "stray"],
+    ["classify", "--input", "x", "stray", "--bogus"], ["classify", "-", "--input", "x"],
+    ["classify", "", "--bogus"], ["verify", "--example", "n3", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGES, ids=lambda argv: " ".join(argv)[:40] or "none")
+def test_the_parser_reads_edge_argv_as_argparse_did(argv):
+    _parses_as_argparse_did(argv)
 
 
 # ---- JSON fuzz ------------------------------------------------------------------

@@ -38,10 +38,13 @@ import subprocess
 import sys
 import time
 
-# the north star's end-to-end commands: name -> (argv, accepted exit codes)
+# the north star's end-to-end commands, a suite given --torsion-a and a usage
+# error (whose stderr the identity check then compares): name -> (argv,
+# accepted exit codes)
 COMMANDS = {
     "classify": (["classify", "--input", "tests/data/a_st.json"], (0,)),
     "verify_n3": (["verify", "--example", "n3"], (0,)),
+    "verify_n3_torsion_a": (["verify", "--example", "n3", "--torsion-a", "1/200"], (0,)),
     "verify_a_st": (["verify", "--example", "a_st"], (0,)),
     "verify_b_zt": (["verify", "--example", "b_zt"], (0,)),
     "verify_vaisman54": (["verify", "--example", "vaisman54"], (0,)),
@@ -51,6 +54,7 @@ COMMANDS = {
     "wallach_float_seed": (["wallach", "--float", "--seed", "1"], (0,)),
     "sweep": (["sweep"], (0,)),
     "companion": (["companion", "--example", "n3", "--swap", "2"], (0,)),
+    "usage_error": (["verify", "--example", "n3", "--bogus"], (3,)),
 }
 SIDES = ("parent", "change")
 FLOOR = "floor"     # python -c pass: the interpreter's start-up alone

@@ -49,9 +49,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet2, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
+from .jets import Jet2, _jet, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
 from .linalg import matrix_inverse, row_basis
-from .scalars import EXACT, FLOAT, Kind, exact_scalar, memoized, scalar_to_json
+from .scalars import EXACT, FLOAT, Kind, all_finite, exact_scalar, memoized, table_to_json
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -85,6 +85,8 @@ class ChartMetric:
         if len(kinds) != 1:
             raise TypeError("metric jets must share one scalar kind")
         kind = kinds.pop()
+        if not all_finite(c for r in g for f in r for c in f.terms.values()):
+            raise ValueError("metric jets must have finite coefficients")
         for i in range(n):
             for j in range(i, n):
                 d = g[i][j] - g[j][i].conj()
@@ -160,12 +162,12 @@ def _builder_kind(exact: bool, values):
 
 def _coords(n: int, point, kind: Kind):
     """Coordinate jets Z_i = p_i + w_i and their conjugates, for a point
-    of scalars of the kind."""
-    Z, Zb = [], []
-    for i in range(n):
-        base = Jet2.constant(n, point[i])
-        Z.append(base + Jet2.variable(n, i, kind))
-        Zb.append(base.conj() + Jet2.variable(n, n + i, kind))
+    of n scalars of the kind."""
+    if len(point) != n:
+        raise ValueError(f"a chart point for n={n} has {n} coordinates, not {len(point)}")
+    one = kind.one
+    Z = [_jet(n, {(): p, (i,): one}, kind) for i, p in enumerate(point)]
+    Zb = [_jet(n, {(): p.conjugate(), (n + i,): one}, kind) for i, p in enumerate(point)]
     return Z, Zb
 
 
@@ -179,7 +181,7 @@ def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
 
 def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetric:
     """g = Hess log(1 + |z|^2): the Kaehler reference case (zero torsion)."""
-    kind, point = _builder_kind(exact, point or [0] * n)
+    kind, point = _builder_kind(exact, [0] * n if point is None else point)
     Z, Zb = _coords(n, point, kind)
     one = kind.one
     al = Jet2.constant(n, one)
@@ -357,13 +359,13 @@ def riemannian_curvature_at(m: ChartMetric):
 def point_report(m: ChartMetric):
     """Torsion, Chern curvature, the Ricci tensors and the Levi-Civita pair
     of m at its base point, as JSON."""
-    dump = lambda a: np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
     ric1, ric2, ric3 = ricci_forms_at(m)
     r11, r20 = riemannian_curvature_at(m)
+    tables = {"torsion": chern_torsion_at(m), "chern_curvature": chern_curvature_at(m),
+              "chern_ricci_1": ric1, "chern_ricci_2": ric2, "chern_ricci_3": ric3,
+              "riemannian_11": r11, "riemannian_20": r20}
     return {"n": m.n, "scalar_kind": m.kind.name,
-            "torsion": dump(chern_torsion_at(m)), "chern_curvature": dump(chern_curvature_at(m)),
-            "chern_ricci_1": dump(ric1), "chern_ricci_2": dump(ric2),
-            "chern_ricci_3": dump(ric3), "riemannian_11": dump(r11), "riemannian_20": dump(r20)}
+            **{name: table_to_json(a) for name, a in tables.items()}}
 
 
 # --------------------------------------------------------------------------

@@ -67,10 +67,11 @@ class Jet2(Terms):
         c0 = self.terms.get(())
         if not c0:
             raise JetSingularityError("jet has zero constant term")
-        one = self.kind.one
-        u = (self - Jet2.constant(self.n, c0)).scale(one / c0)
+        n, kind = self.n, self.kind
+        one = kind.one
+        u = (self - _jet(n, {(): c0}, kind)).scale(one / c0)
         # 1/(c0 (1+u)) = (1 - u + u^2)/c0
-        out = Jet2.constant(self.n, one) - u + u * u
+        out = _jet(n, {(): one}, kind) - u + u * u
         return out.scale(one / c0)
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
@@ -80,9 +81,13 @@ class Jet2(Terms):
         n = self.n
         out: Dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
-            m = tuple(v + n if v < n else v - n for v in m)
-            if len(m) == 2 and m[0] > m[1]:      # only a z zbar pair swaps order
-                m = (m[1], m[0])
+            if m:
+                v = m[0] + n if m[0] < n else m[0] - n
+                if len(m) == 1:
+                    m = (v,)
+                else:
+                    w = m[1] + n if m[1] < n else m[1] - n
+                    m = (v, w) if v <= w else (w, v)    # only a z zbar pair swaps order
             out[m] = c.conjugate()
         return _jet(n, out, self.kind)
 

@@ -470,10 +470,16 @@ class DigitLimitError(ValueError):
     """An exact value, read or written, with MAX_DIGITS digits or more."""
 
 
+def _ratio_text(p: int, d: int) -> str:
+    """``str(Fraction(p, d))`` for d > 0, with one gcd."""
+    g = gcd(p, d)
+    return str(p // g) if d == g else f"{p // g}/{d // g}"
+
+
 def scalar_to_json(c: Scalar):
     if isinstance(c, ExactComplex):
         try:
-            return {"re": str(c.re), "im": str(c.im)}
+            return {"re": _ratio_text(c._r, c._d), "im": _ratio_text(c._i, c._d)}
         except ValueError as exc:       # str() of an int past the digit bound
             raise DigitLimitError(f"exact result too long to write: more than "
                                   f"{MAX_DIGITS} digits") from exc
@@ -481,6 +487,16 @@ def scalar_to_json(c: Scalar):
     if c.imag == 0:
         return c.real
     return {"re": c.real, "im": c.imag}
+
+
+def table_to_json(a):
+    """A numpy table as nested lists of ``scalar_to_json`` leaves.  A float
+    table with no nonzero imaginary part is written as its real parts at
+    once, which is that function's rule for each of its entries."""
+    if a.dtype == complex and not a.imag.any():
+        return a.real.tolist()
+    import numpy as np
+    return np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
 
 
 class SchemaError(ValueError):

@@ -1,9 +1,11 @@
 """Independent oracles shared by the test modules: finite differences, the
 flag metric evaluated directly, closed forms, the jet route to point
-curvature, two routes to the Levi-Civita curvature, sectional and Ricci
-curvature by explicit sums, the tuple-keyed form kernel, the Lie-side
-tables by dense n^3 loops, the classify stages by their full
-computations, and the command-line parser built on argparse."""
+curvature, the reciprocal and coordinate jets built through the validating
+jet constructor and the conjugate with a generator per monomial, two
+routes to the Levi-Civita curvature, sectional and Ricci curvature by
+explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
+n^3 loops, the classify stages by their full computations, and the
+command-line parser built on argparse."""
 
 import argparse
 import itertools
@@ -18,7 +20,7 @@ from btpgeo.charts import (ChartMetric, chern_curvature_at, chern_torsion_at,
                            riemannian_curvature_at)
 from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
-from btpgeo.jets import Jet2, jet_matrix_inverse
+from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
 from btpgeo.linalg import ShapeError, matrix_inverse, row_basis
 from btpgeo.scalars import EC, EXACT, FLOAT, scalar_to_json
 
@@ -307,6 +309,46 @@ def random_chart_metric(rng, exact, base=None, n=3):
             g[i][j] = jet + Jet2.constant(n, c)
             g[j][i] = g[i][j].conj()
     return ChartMetric(n, g, label="random")
+
+
+# ---- jets through the validating constructor -----------------------------------
+# The library builds the conjugate, the reciprocal's constant jets and the
+# coordinate jets from canonical keys, unchecked.  These take the longer
+# route, with the same operations in the same order: the constant and
+# coordinate jets through the validating constructor (Jet2.constant,
+# Jet2.variable and +), the conjugate with a generator per monomial.
+
+def jet_conj_checked(j):
+    """The conjugate jet: z_i and zbar_i swap, coefficients conjugate."""
+    n = j.n
+    out = {}
+    for m, c in j.terms.items():
+        m = tuple(v + n if v < n else v - n for v in m)
+        if len(m) == 2 and m[0] > m[1]:      # only a z zbar pair swaps order
+            m = (m[1], m[0])
+        out[m] = c.conjugate()
+    return Jet2._of(n, out, j.kind)
+
+
+def jet_reciprocal_checked(j):
+    """1/j as (1 - u + u^2) / c0 with u = (j - c0) / c0."""
+    c0 = j.terms.get(())
+    if not c0:
+        raise JetSingularityError("jet has zero constant term")
+    one = j.kind.one
+    u = (j - Jet2.constant(j.n, c0)).scale(one / c0)
+    out = Jet2.constant(j.n, one) - u + u * u
+    return out.scale(one / c0)
+
+
+def coords_checked(n, point, kind):
+    """Coordinate jets Z_i = p_i + w_i and their conjugates."""
+    Z, Zb = [], []
+    for i in range(n):
+        base = Jet2.constant(n, point[i])
+        Z.append(base + Jet2.variable(n, i, kind))
+        Zb.append(base.conj() + Jet2.variable(n, n + i, kind))
+    return Z, Zb
 
 
 # ---- the frame route: change the chart frame, extract, transform back ---------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curvature_loop,
-                      frame_route, jet_coefficients_loop, levi_civita_full,
-                      orthonormalize_base, orthonormalizing_frame, random_chart_metric,
+                      coords_checked, frame_route, jet_coefficients_loop, jet_conj_checked,
+                      jet_reciprocal_checked, levi_civita_full, orthonormalize_base, orthonormalizing_frame, random_chart_metric,
                       random_curvature_tables, real_metric, ricci_frame_sum,
                       ricci_traces_loop, riemannian_parallel_torsion, sectional_closed_form,
                       sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
@@ -17,7 +17,7 @@ from btpgeo import charts
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.linalg import matrix_inverse, row_basis
-from btpgeo.scalars import EC, EXACT, FLOAT, FLOAT_TOL
+from btpgeo.scalars import EC, EXACT, FLOAT, FLOAT_TOL, scalar_to_json
 
 
 def _max_abs(*tables):
@@ -998,3 +998,86 @@ def test_exact_positivity_matches_sylvester_cofactors(H):
     except ValueError:
         definite = False
     assert definite == sylvester_positive_definite(H)
+
+
+# ---- builders: point length, finite jets, the unchecked route ------------------
+
+@pytest.mark.parametrize("build", [
+    lambda point: charts.wallach_metric(point=point),
+    lambda point: charts.wallach_metric(point=point, exact=False),
+    lambda point: charts.fubini_study_metric(3, point=point),
+    lambda point: charts.fubini_study_metric(3, exact=False, point=point)])
+@pytest.mark.parametrize("point", [[1, 2], [0, 0, 0, 0], []])
+def test_builders_reject_a_point_of_the_wrong_length(build, point):
+    with pytest.raises(ValueError, match=f"n=3 has 3 coordinates, not {len(point)}"):
+        build(point)
+
+
+def test_fubini_study_point_length_follows_n():
+    assert charts.fubini_study_metric(2, point=[1, "1/2"]).n == 2
+    with pytest.raises(ValueError, match="n=2 has 2 coordinates, not 3"):
+        charts.fubini_study_metric(2, point=[1, 0, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: charts.wallach_metric(point=[1e308, 0, 0], exact=False),
+    lambda: charts.fubini_study_metric(3, exact=False, point=[1e200, 0, 0])])
+def test_chart_metric_rejects_non_finite_jets(build):
+    # |z1|^2 overflows, and inf - inf is nan: named as such, not as a
+    # failed hermitian test
+    with pytest.raises(ValueError, match="finite coefficients"):
+        build()
+    one, zero = Jet2.constant(2, 1 + 0j), Jet2(2, kind=FLOAT)
+    for bad in (float("inf"), float("nan"), complex(0, float("-inf"))):
+        g11 = one + Jet2.variable(2, 0, FLOAT).scale(bad)
+        with pytest.raises(ValueError, match="finite coefficients"):
+            charts.ChartMetric(2, [[g11, zero], [zero, one]])
+
+
+# off-origin chart points: float with every coordinate complex, and exact
+BUILDER_POINTS = [(False, [0.3 - 0.2j, 1.5 + 0.7j, -0.4 + 1.1j]),
+                  (False, [2.0, -1 + 0.5j, 0.25j]),
+                  (True, [Fraction(1, 2), EC(0, -1), EC(Fraction(-1, 3), 2)]),
+                  (True, ["2", "-3/7", 1])]
+BUILDERS = [lambda point, exact: charts.wallach_metric(point=point, exact=exact),
+            lambda point, exact: charts.fubini_study_metric(3, exact=exact, point=point)]
+
+
+@pytest.mark.parametrize("exact, point", BUILDER_POINTS)
+@pytest.mark.parametrize("build", BUILDERS)
+def test_metric_jets_equal_the_validating_route(monkeypatch, build, exact, point):
+    # every jet term, bit for bit and in the same key order, as when the
+    # coordinate, conjugate and reciprocal jets are built through the
+    # validating constructor
+    terms = lambda m: repr([[list(f.terms.items()) for f in row] for row in m.g])
+    got = build(point, exact)
+    monkeypatch.setattr(charts, "_coords", coords_checked)
+    monkeypatch.setattr(Jet2, "conj", jet_conj_checked)
+    monkeypatch.setattr(Jet2, "reciprocal", jet_reciprocal_checked)
+    want = build(point, exact)
+    assert got.kind is want.kind is (EXACT if exact else FLOAT)
+    assert terms(got) == terms(want)
+
+
+def _leaves_per_scalar(a):
+    return repr(np.frompyfunc(scalar_to_json, 1, 1)(a).tolist())
+
+
+@pytest.mark.parametrize("exact, point", BUILDER_POINTS + [(False, None), (True, None)])
+@pytest.mark.parametrize("build", BUILDERS)
+def test_point_report_leaves_are_the_scalar_writer_s(build, exact, point):
+    m = build(point, exact)
+    report = charts.point_report(m)
+    r11, r20 = charts.riemannian_curvature_at(m)
+    tables = dict(zip(("chern_ricci_1", "chern_ricci_2", "chern_ricci_3"),
+                      charts.ricci_forms_at(m)),
+                  torsion=charts.chern_torsion_at(m),
+                  chern_curvature=charts.chern_curvature_at(m),
+                  riemannian_11=r11, riemannian_20=r20)
+    assert sorted(report) == sorted([*tables, "n", "scalar_kind"])
+    for name, a in tables.items():
+        assert repr(report[name]) == _leaves_per_scalar(a), name
+    if not exact and point is not None:
+        # off the origin the float tables have {re, im} leaves
+        assert any(isinstance(x, dict) for x in np.ravel(np.array(
+            report["chern_curvature"], dtype=object)))

@@ -1,4 +1,4 @@
-"""Tests of tools/fresh_process.py: one timed run of one command, and the
+"""Tests of tools/fresh_process.py: three timed runs of one command, and the
 verdict on the parent's run-to-run spread over stubbed timings."""
 
 import importlib.util
@@ -14,26 +14,28 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_fresh_process_script_times_one_command(tmp_path):
+    # three runs a side, so that the floor is compared with the command by
+    # medians: a single run of either can stray by more than their gap
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"change": "kept"}))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fresh_process.py"),
                            "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out),
-                           "--runs", "1", "--commands", "classify"],
-                          capture_output=True, text=True, timeout=120)
+                           "--runs", "3", "--commands", "classify"],
+                          capture_output=True, text=True, timeout=240)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["change"] == "kept"
     block = doc["fresh_process"]
-    assert block["runs"] == 1 and list(block["commands"]) == ["classify"]
+    assert block["runs"] == 3 and list(block["commands"]) == ["classify"]
     row = block["commands"]["classify"]
     for side in ("parent", "change"):
-        assert len(row[side]["runs_ms"]) == 1 and row[side]["median_ms"] > 0
+        assert len(row[side]["runs_ms"]) == 3 and row[side]["median_ms"] > 0
         assert row[side]["numpy_loaded"] is False and row[side]["numpy_import_ms"] is None
     assert row["identical"] == {"stdout": True, "stderr": True, "exit_code": True}
     # the interpreter floor: timed like the commands, and below each of them
     for side in ("parent", "change"):
         floor = block["floor"][side]
-        assert len(floor["runs_ms"]) == 1 and 0 < floor["median_ms"] < row[side]["median_ms"]
+        assert len(floor["runs_ms"]) == 3 and 0 < floor["median_ms"] < row[side]["median_ms"]
     table = proc.stdout.splitlines()
     assert table[1].startswith("floor") and table[2].startswith("classify")
 

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _oracles import jet_conj_checked, jet_reciprocal_checked
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
 from btpgeo.scalars import EC, EXACT, FLOAT
 
@@ -166,3 +169,41 @@ def test_jet_matrix_inverse_float():
         acc = acc + gf[0][k] * inv[k][0]
     assert abs(complex(acc.value()) - 1) < 1e-12
     assert (acc - Jet2.constant(2, acc.value())).norm_inf() < 1e-12
+
+
+# ---- the unchecked builders equal the validating route --------------------------
+
+def _same_jet(got, want):
+    """Equal terms in the same key order, bit for bit, of the same kind."""
+    assert type(got) is Jet2 and (got.n, got.kind) == (want.n, want.kind)
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+@st.composite
+def jets_in_n_variables(draw):
+    """A jet in n = 1..4 variables of either kind, whose coefficients are
+    small rationals or floats with fractional bits (signed zeros included),
+    spelled in any monomial order."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        part = st.fractions(-4, 4, max_denominator=7)
+        coef, kind = st.builds(EC, part, part), EXACT
+    else:
+        part = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+        coef, kind = st.builds(complex, part, part), FLOAT
+    v = st.integers(0, 2 * n - 1)
+    m = st.one_of(st.just(()), st.tuples(v), st.tuples(v, v))
+    return Jet2(n, dict(draw(st.lists(st.tuples(m, coef), max_size=10))), kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jets_in_n_variables())
+@example(Jet2(2, {(0, 3): 1 + 2j, (1, 2): -0.5j, (): 0.25, (3,): -0.0 + 1j}, FLOAT))
+@example(Jet2(1, {(): EC(3, 1), (0, 1): EC(Fraction(1, 3), -2), (1, 1): EC(5)}))
+def test_conj_and_reciprocal_equal_the_validating_route(j):
+    _same_jet(j.conj(), jet_conj_checked(j))
+    if j.terms.get(()):
+        _same_jet(j.reciprocal(), jet_reciprocal_checked(j))
+    else:
+        with pytest.raises(JetSingularityError):
+            j.reciprocal()

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from btpgeo import charts, lie
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
-from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, Kind, Terms, exact_rational,
-                            exact_scalar, kind_of, scalar_from_json, scalar_to_json)
+from btpgeo.scalars import (EC, EXACT, FLOAT, MAX_DIGITS, DigitLimitError, DimensionError, Kind,
+                            Terms, exact_rational, exact_scalar, kind_of, scalar_from_json,
+                            scalar_to_json, table_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -80,12 +81,62 @@ def test_json_roundtrip_exact():
     assert scalar_to_json(c) == {"re": "-7/3", "im": "22/5"}
 
 
+big_rationals = st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 60))
+
+
+@given(st.one_of(exacts, st.builds(EC, big_rationals, big_rationals)))
+def test_exact_json_parts_are_the_fraction_text(c):
+    assert scalar_to_json(c) == {"re": str(c.re), "im": str(c.im)}
+
+
+@pytest.mark.parametrize("re, im", [
+    (10 ** MAX_DIGITS, 0), (0, -(10 ** MAX_DIGITS)), (Fraction(1, 10 ** MAX_DIGITS), 1),
+    (Fraction(1, 2), Fraction(7, 3 * 10 ** MAX_DIGITS))],
+    ids=["re", "im", "re_denominator", "im_denominator"])
+def test_exact_json_parts_past_the_digit_bound_raise(re, im):
+    with pytest.raises(ValueError):         # what str(Fraction) raises
+        str(EC(re, im).re), str(EC(re, im).im)
+    with pytest.raises(DigitLimitError, match=f"more than {MAX_DIGITS} digits"):
+        scalar_to_json(EC(re, im))
+
+
+def test_exact_json_parts_at_the_digit_bound():
+    # a part of MAX_DIGITS digits still writes, also where the stored
+    # numerator over the common denominator 21 has one digit more
+    top = 10 ** MAX_DIGITS - 1
+    c = EC(Fraction(top, 7), Fraction(1, 3))
+    assert c._d == 21 and c._r == 3 * top
+    assert scalar_to_json(c) == {"re": f"{top}/7", "im": "1/3"}
+    assert scalar_to_json(EC(0, top)) == {"re": "0", "im": str(top)}
+
+
 def test_json_roundtrip_float():
     z = 1.5 - 2.25j
     assert scalar_from_json(scalar_to_json(z)) == z
     assert scalar_to_json(3.0) == 3.0
     assert scalar_from_json(2) == 2 + 0j and isinstance(scalar_from_json(2), complex)
     assert scalar_from_json("2/3") == EC(Fraction(2, 3), 0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("entries", [
+    [1.5, -0.0, 2.0],                          # real, a negative zero
+    [complex(1, -0.0), -0.0j, 3],              # negative-zero imaginary parts
+    [NAN, INF, -INF],                          # non-finite real parts
+    [1, 2 + 1e-300j, 0],                       # one tiny imaginary part
+    [complex(0, NAN), 1, 2],                   # a nan imaginary part
+    [complex(-INF, 1), -0.0, complex(-0.0, -2.5)],
+])
+def test_table_writer_leaves_equal_the_scalar_writer_s(entries):
+    per_scalar = lambda a: repr(np.frompyfunc(scalar_to_json, 1, 1)(a).tolist())
+    for shape in ((3,), (3, 1, 1)):
+        a = np.array(entries, complex).reshape(shape)
+        assert repr(table_to_json(a)) == per_scalar(a)
+    e = np.array([EC(1, 2), EC(Fraction(-3, 4)), EC.zero()], object)
+    assert table_to_json(e) == [{"re": "1", "im": "2"}, {"re": "-3/4", "im": "0"},
+                                {"re": "0", "im": "0"}]
 
 
 def test_is_zero():

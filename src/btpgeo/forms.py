@@ -98,17 +98,7 @@ class InvariantForm(Terms):
     # ---- algebra ----------------------------------------------------------
     def wedge(self, other: "InvariantForm") -> "InvariantForm":
         self._check(other)
-        acc: Dict[int, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                c = c1 * c2
-                if _sign(m1, m2) < 0:
-                    c = -c
-                m = m1 | m2
-                acc[m] = acc[m] + c if m in acc else c
-        return _form(self.n, acc, self.kind)
+        return _form(self.n, _wedge_terms(self.terms, other.terms), self.kind)
 
     __matmul__ = wedge
 
@@ -197,8 +187,35 @@ class InvariantForm(Terms):
 _form = InvariantForm._of       # from mask-keyed terms, unchecked
 
 
+def _wedge_terms(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """The wedge kernel: the coefficients of a ^ b, by mask, from the terms
+    of two forms, summed in the order of a's terms and then b's; a sum that
+    cancels is kept as a zero."""
+    acc: Dict[int, Scalar] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if m1 & m2:
+                continue
+            c = c1 * c2
+            if _sign(m1, m2) < 0:
+                c = -c
+            m = m1 | m2
+            acc[m] = acc[m] + c if m in acc else c
+    return acc
+
+
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return a.wedge(b)
+
+
+def _cube(n: int, entries, zero) -> tuple:
+    """n x n x n nested tuples T[j][i][k]: zero, or the c of the (j, i, k, c)
+    entry at that index, as given (``frames.dense`` adds it to the kind's
+    zero, which turns a float -0.0 part into 0.0)."""
+    T = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for j, i, k, c in entries:
+        T[j][i][k] = c
+    return tuple(tuple(map(tuple, l)) for l in T)
 
 
 class CoframeContext:
@@ -209,7 +226,10 @@ class CoframeContext:
     [j][i][k], 0-based, share one scalar kind and are stored as its scalars.
     ``C_entries`` and ``D_entries`` hold the nonzero ones as (j, i, k, c),
     in index order: every table built from the structure constants reads
-    those, not the dense n x n x n cube.
+    those, not the dense n x n x n cube.  The dense constructor walks the
+    given cubes once, for their shape, their kind and their nonzero
+    entries; ``_set_entries`` builds the rest from the entries alone, and is
+    all that a caller who already holds them runs.
     """
 
     __slots__ = ("n", "C", "D", "C_entries", "D_entries", "kind", "_d")
@@ -218,11 +238,21 @@ class CoframeContext:
         for T, name in ((C, "C"), (D, "D")):
             if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
                 raise DimensionError(f"{name} must be n x n x n")
-        kind = common_kind(c for T in (C, D) for l in T for r in l for c in r)
-        C, D = (tuple(tuple(tuple(map(kind.scalar, r)) for r in l) for l in T) for T in (C, D))
-        C_entries, D_entries = (tuple((j, i, k, c) for j, l in enumerate(T)
-                                      for i, r in enumerate(l) for k, c in enumerate(r) if c)
-                                for T in (C, D))
+        first, entries = {}, ([], [])       # a scalar of each type; nonzero cells
+        for T, out in zip((C, D), entries):
+            for j, l in enumerate(T):
+                for i, r in enumerate(l):
+                    first.update(zip(map(type, r), r))
+                    out += ((j, i, k, c) for k, c in enumerate(r) if c)
+        kind = common_kind(first.values())
+        self._set_entries(n, kind, *(tuple((j, i, k, kind.scalar(c)) for j, i, k, c in X)
+                                     for X in entries))
+
+    def _set_entries(self, n: int, kind: Kind, C_entries, D_entries):
+        """Fill the context from the nonzero entries of C and D, scalars of
+        kind in index order, C's mirrors among them: the dense tables, the
+        antisymmetry check of C and d phi."""
+        C, D = (_cube(n, X, kind.zero) for X in (C_entries, D_entries))
         # a pair of zeros is antisymmetric, so each nonzero entry is checked
         # against its mirror (within 1e-12 for float data)
         if not all(kind.negligible(c + C[j][k][i], 1e-12) for j, i, k, c in C_entries):

@@ -11,7 +11,8 @@ resulting triple is (a, a, 0) a further constant unitary produces the
 *admissible frame* with T^1_{13} = -T^2_{23} = a.
 
 Dense n x n x n tables are built by ``dense`` from (j, i, k, c) entries, as
-nested lists of their scalar kind, and numpy is imported only by the routines
+nested lists of their scalar kind; ``summed`` gives the nonzero cells of such
+a table as entries in index order.  numpy is imported only by the routines
 that work on arrays, so that ``lie`` builds its tables and matches its
 torsion patterns (``diagonal_entries``) without it.
 """
@@ -48,6 +49,16 @@ def dense(n: int, entries, kind: Kind) -> list:
     for j, i, k, c in entries:
         T[j][i][k] = T[j][i][k] + c
     return T
+
+
+def summed(entries, kind: Kind) -> tuple:
+    """The nonzero entries of ``dense(n, entries, kind)`` as (j, i, k, c), in
+    index order: each c the kind's zero plus the c of its (j, i, k), summed
+    in the order of entries."""
+    acc = {}
+    for j, i, k, c in entries:
+        acc[j, i, k] = acc.get((j, i, k), kind.zero) + c
+    return tuple((j, i, k, c) for (j, i, k), c in sorted(acc.items()) if c)
 
 
 def antisymmetric(entries):

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, Tuple
 
-from .forms import (CoframeContext, InvariantForm, _form, d_squared_residual,
-                    dolbeault_split, exterior_d)
-from .frames import antisymmetric, dense, diagonal_entries, transform_torsion
+from .forms import (CoframeContext, InvariantForm, _form, _wedge_terms,
+                    d_squared_residual, dolbeault_split, exterior_d)
+from .frames import antisymmetric, dense, diagonal_entries, summed, transform_torsion
 from .linalg import NumericError, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_rational,
                       exact_scalar, kind_of, memoized, scalar_from_json, scalar_to_json)
@@ -67,6 +67,20 @@ class HermitianLieAlgebra(CoframeContext):
 
     def __init__(self, n: int, C, D, label: str = "", validate: bool = True):
         super().__init__(n, C, D)
+        self._finish(label, validate)
+
+    @classmethod
+    def _of(cls, n: int, kind: Kind, C_entries, D_entries, label: str = ""):
+        """The validated algebra of the nonzero entries of C and D, as
+        ``frames.summed`` gives them: scalars of kind, C's mirrors among
+        them, in index order.  The cubes are not walked."""
+        g = object.__new__(cls)
+        g._set_entries(n, kind, C_entries, D_entries)
+        g._finish(label, True)
+        return g
+
+    def _finish(self, label: str, validate: bool):
+        """The d^2 check (unless validate is false), the label and the memo."""
         if validate:
             residuals = d_squared_residual(self)
             bad = [i for i, r in enumerate(residuals)
@@ -125,12 +139,10 @@ class HermitianLieAlgebra(CoframeContext):
             if pos < ncr and i >= k:
                 raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
                                   f"{c_in[pos]!r}")
-        C, D = dense(n, antisymmetric(parsed[:ncr]), kind), dense(n, parsed[ncr:], kind)
-        # float sums can overflow
-        if not all_finite((C if pos < ncr else D)[j][i][k]
-                          for pos, (j, i, k, _) in enumerate(parsed)):
+        C, D = summed(antisymmetric(parsed[:ncr]), kind), summed(parsed[ncr:], kind)
+        if not all_finite(c for *_, c in C + D):       # float sums can overflow
             raise SchemaError("a summed structure constant is not a finite number")
-        return HermitianLieAlgebra(n, C, D, label=str(obj.get("label", "")))
+        return HermitianLieAlgebra._of(n, kind, C, D, label=str(obj.get("label", "")))
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +152,8 @@ class HermitianLieAlgebra(CoframeContext):
 def _algebra(label: str, C, D, n: int = 3) -> HermitianLieAlgebra:
     """The exact algebra with the given (j, i, k, c) entries of C and D,
     0-based; each C entry implies its mirror C^j_{ki} = -c."""
-    return HermitianLieAlgebra(n, dense(n, antisymmetric(C), EXACT), dense(n, D, EXACT),
-                               label=label)
+    return HermitianLieAlgebra._of(n, EXACT, summed(antisymmetric(C), EXACT),
+                                   summed(D, EXACT), label=label)
 
 
 def abelian(n: int = 3) -> HermitianLieAlgebra:
@@ -261,11 +273,23 @@ def trace(theta) -> InvariantForm:
 
 
 def _curvature_entry(ctx: CoframeContext, theta, i: int, j: int):
-    """Theta_{ij} = d theta_{ij} - sum_k theta_{ik} ^ theta_{kj}."""
+    """Theta_{ij} = d theta_{ij} - sum_k theta_{ik} ^ theta_{kj}, in one map
+    of coefficients: d theta_{ij} first, then each wedge, summed by the
+    kernel of ``InvariantForm.wedge`` and subtracted term by term, a
+    coefficient that cancels dropped at once, as a difference of forms would."""
     f = exterior_d(ctx, theta[i][j])
+    acc = dict(f.terms)
     for k in range(len(theta)):
-        f = f - theta[i][k].wedge(theta[k][j])
-    return f
+        for m, c in _wedge_terms(theta[i][k].terms, theta[k][j].terms).items():
+            if not c:
+                continue
+            if m not in acc:
+                acc[m] = -c
+            elif v := acc[m] - c:
+                acc[m] = v
+            else:
+                del acc[m]
+    return _form(f.n, acc, f.kind)
 
 
 def curvature_of(ctx: CoframeContext, theta):
@@ -427,7 +451,10 @@ def solvability_profile(g: HermitianLieAlgebra):
     lower central term after W is spanned by the [b_x, w] for w in a basis
     of W, one table row per b_x; the derived term by the [u, v] for basis
     pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.
-    Every product reads the (m, c) pairs of the sparse bracket table.
+    Every product reads the (m, c) pairs of the sparse bracket table.  Each
+    term lies in the one before, so its spanning vectors are generated one
+    at a time and the exact reduction stops at the rank of the term before:
+    reaching it means the series has stabilized.
     """
     table = real_bracket_table(g)
     dim = len(table)
@@ -446,15 +473,15 @@ def solvability_profile(g: HermitianLieAlgebra):
 
     def lower_central(basis):
         nz = nonzeros(basis)
-        return [combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz]
+        return (combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz)
 
     def derived(basis):
         nz = nonzeros(basis)
-        return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
-                for i, u in enumerate(nz) for v in nz[i + 1:]]
+        return (combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
+                for i, u in enumerate(nz) for v in nz[i + 1:])
 
-    brackets = [dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w]
-    first = row_basis([[b.get(m, kind.zero) for m in range(dim)] for b in brackets], kind)
+    brackets = (dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w)
+    first = row_basis(([b.get(m, kind.zero) for m in range(dim)] for b in brackets), kind, dim)
 
     def series(next_term):
         # an exact term is smaller than the one before, so the series ends
@@ -465,7 +492,7 @@ def solvability_profile(g: HermitianLieAlgebra):
                 return steps
             if len(cur) == size:
                 return None     # stabilized above zero
-            size, cur = len(cur), row_basis(next_term(cur), kind)
+            size, cur = len(cur), row_basis(next_term(cur), kind, len(cur))
         return None
 
     return series(lower_central), series(derived)
@@ -507,8 +534,8 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
             for m, c in table[epsbar(j)][eps(k)]:
                 if m == epsbar(m % n):
                     D.append((j, m % n, k, c))
-    return HermitianLieAlgebra(n, dense(n, C, g.kind), dense(n, D, g.kind),
-                               label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
+    return HermitianLieAlgebra._of(n, g.kind, summed(C, g.kind), summed(D, g.kind),
+                                   label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
 
 
 def bismut_swap_equal(g: HermitianLieAlgebra, swapped: HermitianLieAlgebra, S) -> bool:

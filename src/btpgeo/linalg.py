@@ -37,16 +37,19 @@ class NumericError(RuntimeError):
 # row reduction and inverses
 # --------------------------------------------------------------------------
 
-def row_basis(vectors, kind: Kind) -> list:
-    """Independent spanning rows of a list of vectors, by row reduction.
+def row_basis(vectors, kind: Kind, max_rank: int = None) -> list:
+    """Independent spanning rows of an iterable of vectors, by row reduction.
 
     Exact vectors are eliminated in input order without row exchanges: each
     row is reduced by the basis rows before it and kept if anything is left,
     with its first nonzero entry as its pivot.  Every basis row is
     zero at the pivots of the rows before it, and for a matrix whose leading
     principal minors D_k are nonzero, basis row k pivots at column k on
-    D_k / D_(k-1).  Float vectors are ranked by singular values above
-    ``max(s[0], 1) * 1e-10`` and the leading right singular vectors returned.
+    D_k / D_(k-1).  Given ``max_rank``, a positive bound the caller knows
+    the rank cannot pass, the exact elimination returns once it holds that
+    many rows and reads no further vector.  Float vectors are all read,
+    ranked by singular values above ``max(s[0], 1) * 1e-10``, and the
+    leading right singular vectors returned.
     """
     if kind.exact:
         basis = []
@@ -63,6 +66,8 @@ def row_basis(vectors, kind: Kind) -> list:
                 v = list(map(kind.scalar, v))
                 basis.append(v)
                 reducers.append((nz[0], [(i, v[i]) for i in nz]))
+                if len(basis) == max_rank:
+                    break
         return basis
     import numpy as np
     arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)

@@ -26,7 +26,6 @@ carries its kind.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import gcd, inf, isfinite
@@ -290,13 +289,17 @@ def _exact(value) -> ExactComplex:
     return _raw(*o)
 
 
-class Kind(namedtuple("Kind", "exact name dtype zero one i scalar")):
+class Kind:
     """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances.  Its
     ``name`` is how reports spell it, ``dtype`` the numpy dtype of its arrays,
     and ``scalar`` takes a Python number (or ExactComplex) to a scalar of the
-    kind.  Kinds compare and hash by identity."""
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    kind.  Its fields are plain slots, read at instance-attribute speed on the
+    zero tests and coefficient reads; kinds compare and hash by identity."""
+    __slots__ = ("exact", "name", "dtype", "zero", "one", "i", "scalar")
+
+    def __init__(self, exact, name, dtype, zero, one, i, scalar):
+        self.exact, self.name, self.dtype, self.scalar = exact, name, dtype, scalar
+        self.zero, self.one, self.i = zero, one, i
 
     def negligible(self, c, tol: float = FLOAT_TOL):
         """Whether c counts as zero: exactly zero for the exact kind,
@@ -506,12 +509,15 @@ class SchemaError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """An exact literal ('3', '-1/2', '0.25', '1e-3') as a Fraction.  Its digits
     plus its exponent bound its value's digits: from MAX_DIGITS on it raises
-    DigitLimitError before ``Fraction`` builds it."""
-    mantissa, _, exponent = text.lower().partition("e")
-    digits = max(sum(ch.isdigit() for ch in part) for part in mantissa.split("/"))
-    if digits + abs(int(exponent or 0)) >= MAX_DIGITS:
-        raise DigitLimitError(f"exact literal too long: its value could reach "
-                              f"{MAX_DIGITS} digits")
+    DigitLimitError before ``Fraction`` builds it.  A literal shorter than
+    MAX_DIGITS with no exponent cannot reach the bound, so its digits go
+    uncounted."""
+    if len(text) >= MAX_DIGITS or "e" in text or "E" in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        digits = max(sum(ch.isdigit() for ch in part) for part in mantissa.split("/"))
+        if digits + abs(int(exponent or 0)) >= MAX_DIGITS:
+            raise DigitLimitError(f"exact literal too long: its value could reach "
+                                  f"{MAX_DIGITS} digits")
     return Fraction(text)
 
 

@@ -4,8 +4,10 @@ curvature, the reciprocal and coordinate jets built through the validating
 jet constructor and the conjugate with a generator per monomial, two
 routes to the Levi-Civita curvature, sectional and Ricci curvature by
 explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
-n^3 loops, the classify stages by their full computations, and the
-command-line parser built on argparse."""
+n^3 loops, the classify stages by their full computations (the
+solvability series with every spanning vector reduced, each curvature entry
+as a difference of forms), direct sums of algebras, and the command-line
+parser built on argparse."""
 
 import argparse
 import itertools
@@ -1081,6 +1083,79 @@ def solvability_profile_all_pairs(g):
 
     return (series(lambda cur: _bracket_span_all_pairs(table, full, cur, g.kind)),
             series(lambda cur: _bracket_span_all_pairs(table, cur, cur, g.kind)))
+
+
+def solvability_profile_full_reduction(g):
+    """(nilpotent_steps, solvable_steps) as ``lie.solvability_profile``, with
+    every spanning vector of each term generated and reduced, where the
+    library stops a reduction at the rank of the term before."""
+    table = lie.real_bracket_table(g)
+    dim = len(table)
+    kind = g.kind
+
+    def combination(terms):
+        w = [kind.zero] * dim
+        for c, x, y in terms:
+            for m, tm in table[x][y]:
+                w[m] = w[m] + c * tm
+        return w
+
+    def nonzeros(basis):
+        return [[(y, c) for y, c in enumerate(w) if c] for w in basis]
+
+    def lower_central(basis):
+        nz = nonzeros(basis)
+        return [combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz]
+
+    def derived(basis):
+        nz = nonzeros(basis)
+        return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
+                for i, u in enumerate(nz) for v in nz[i + 1:]]
+
+    brackets = [dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w]
+    first = row_basis([[b.get(m, kind.zero) for m in range(dim)] for b in brackets], kind)
+
+    def series(next_term):
+        size, cur = dim, first
+        for steps in range(1, dim + 1):
+            if not cur:
+                return steps
+            if len(cur) == size:
+                return None
+            size, cur = len(cur), row_basis(next_term(cur), kind)
+        return None
+
+    return series(lower_central), series(derived)
+
+
+def direct_sum(g1, g2):
+    """g1 + g2 with the orthogonal sum of their metrics, by the dense
+    constructor: g2's structure constants shifted by g1.n, no bracket between
+    the summands."""
+    n1, n = g1.n, g1.n + g2.n
+    C, D = ([[[g1.kind.zero] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for T, X1, X2 in ((C, g1.C_entries, g2.C_entries), (D, g1.D_entries, g2.D_entries)):
+        for j, i, k, c in X1:
+            T[j][i][k] = c
+        for j, i, k, c in X2:
+            T[n1 + j][n1 + i][n1 + k] = c
+    return lie.HermitianLieAlgebra(n, C, D, label=f"{g1.label}+{g2.label}")
+
+
+def curvature_by_form_differences(ctx, theta):
+    """Theta_ij = d theta_ij - theta_i0 ^ theta_0j - theta_i1 ^ theta_1j - ...,
+    each wedge an invariant form subtracted as a form."""
+    n = len(theta)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            f = exterior_d(ctx, theta[i][j])
+            for k in range(n):
+                f = f - theta[i][k].wedge(theta[k][j])
+            row.append(f)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def btp_residuals_triple_loop(T, tb):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (admissible_pattern_loop, algebra_json_dense, b_tensor_dense,
                       bismut_trace_full_curvature, btp_residuals_triple_loop,
                       check_unimodular_dense, chern_torsion_dense, connection_dense,
-                      d_phi_dense, first_chern_ricci, gauduchon_eta_dense, is_skew_hermitian,
-                      nonzero_entries, real_bracket_table_dense, regauge,
-                      solvability_profile_all_pairs, transform_frame_loop,
+                      curvature_by_form_differences, d_phi_dense, first_chern_ricci,
+                      gauduchon_eta_dense, is_skew_hermitian, nonzero_entries,
+                      real_bracket_table_dense, regauge, solvability_profile_all_pairs,
+                      solvability_profile_full_reduction, transform_frame_loop,
                       vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
@@ -586,6 +587,22 @@ def test_classify_of_a_modulus_past_the_float_range_is_a_numeric_error():
 # from the nonzero structure constants, and stops the Chern curvature at its
 # first nonzero entry after the diagonal; the oracles multiply everything out.
 
+def _assert_curvature_is_the_form_differences(g):
+    """The one-map curvature entries hold the coefficients of the form
+    differences, bit for bit (signed zeros too) and in the same order."""
+    bits = lambda curvature: [repr(list(f.terms.items())) for row in curvature for f in row]
+    for theta in (lie.chern_connection(g), lie.bismut_connection(g)):
+        assert bits(lie.curvature_of(g, theta)) == bits(curvature_by_form_differences(g, theta))
+
+
+def test_float_curvature_is_the_form_differences_after_a_frame_change():
+    # a generic orthogonal frame leaves roundoff in every sum, and entries
+    # that cancel to within it
+    Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+    for g in BUILTINS():
+        _assert_curvature_is_the_form_differences(lie.transform_frame(_float_algebra(g), Q))
+
+
 def _assert_tables_agree_with_oracles(g):
     """The sparse bracket table, theta^b and classify's Chern curvature
     against the dense table, theta + gamma and the full curvature matrix;
@@ -601,6 +618,7 @@ def _assert_tables_agree_with_oracles(g):
     th, ga, tb = lie.chern_connection(g), lie.gamma_tensor(g), lie.bismut_connection(g)
     assert all(tb[i][j] == th[i][j] + ga[i][j] for i in range(n) for j in range(n))
     full = lie.curvature_of(g, th)
+    _assert_curvature_is_the_form_differences(g)
     rep = lie.classify(g)
     flat = all(f.is_zero() for row in full for f in row)
     assert (rep.type_label == "chern_flat") is flat
@@ -610,6 +628,7 @@ def _assert_tables_agree_with_oracles(g):
 def _assert_stages_agree_with_oracles(g):
     _assert_tables_agree_with_oracles(g)
     assert lie.solvability_profile(g) == solvability_profile_all_pairs(g)
+    assert lie.solvability_profile(g) == solvability_profile_full_reduction(g)
     T, tb = lie.chern_torsion(g), lie.bismut_connection(g)
     res = lie.btp_residuals(g)
     want = btp_residuals_triple_loop(T, tb)

@@ -8,14 +8,15 @@ the metric but not the Lie algebra or its complex structure, so the frame-free
 facts survive while balance and parallel torsion may not.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import (ad_gram, cayley_unitary, killing_form, power_traces, regauge,
-                      so_complex)
+from _oracles import (ad_gram, cayley_unitary, direct_sum, killing_form, power_traces,
+                      regauge, so_complex, solvability_profile_full_reduction)
 from btpgeo import lie
 from btpgeo.linalg import row_basis
 from btpgeo.scalars import EC, EXACT
@@ -190,13 +191,17 @@ def _shear(n):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("g", SO_COMPLEX, ids=lambda g: g.label)
-def test_so_complex_classifies_as_chern_flat_btp(g):
+@pytest.mark.parametrize("m", [3, 4, 5, 6], ids=lambda m: f"so{m}")
+def test_so_complex_classifies_as_chern_flat_btp(m):
+    # n = 3, 6, 10 and 15; so(3, C) is sl2c
+    g = so_complex(m)
     rep = lie.classify(g)
-    assert rep.n == g.n and rep.type_label == "chern_flat"
+    assert rep.n == g.n == m * (m - 1) // 2 and rep.type_label == "chern_flat"
     assert rep.balanced and rep.btp and rep.unimodular and rep.cyt and rep.calabi_yau_type
     assert rep.b_rank == g.n
+    # [g, g] = g: each reduction stops once it holds all 2n rows
     assert rep.nilpotent_steps is None and rep.solvable_steps is None
+    assert solvability_profile_full_reduction(g) == (None, None)
 
 
 @pytest.mark.parametrize("g", SO_COMPLEX, ids=lambda g: g.label)
@@ -205,3 +210,44 @@ def test_so_complex_sheared_frame_loses_only_btp(g):
     assert before.btp and not after.btp
     for name in ("type_label", "balanced", "unimodular", "cyt", "b_rank"):
         assert getattr(after, name) == getattr(before, name), name
+
+
+# ---- direct sums: the predicates of each summand ----------------------------------
+# g1 + g2 with the orthogonal sum of the metrics: its torsion, connections and
+# bracket table are block diagonal, so each predicate below is the AND of the
+# summands', the B rank adds, and a series reaches zero when both summands'
+# do.  The threefold type label is not asserted at n = 6.
+
+SUMMANDS = {"n3": lie.nilmanifold_n3(1), "sl2c": lie.sl2c(1), "a_st": lie.family_a(1, 2),
+            "b_zt": lie.family_b(EC(1, 1), 2), "vaisman54": lie.vaisman_nilmanifold(1),
+            "abelian3": lie.abelian(3)}
+PREDICATES = ("balanced", "btp", "unimodular", "cyt", "calabi_yau_type")
+
+
+def _longer(a, b):
+    return None if a is None or b is None else max(a, b)
+
+
+@pytest.mark.parametrize("first, second", list(itertools.product(SUMMANDS, repeat=2)),
+                         ids=lambda name: name)
+def test_direct_sum_classifies_as_its_summands(first, second):
+    g1, g2 = SUMMANDS[first], SUMMANDS[second]
+    g = direct_sum(g1, g2)
+    rep, rep1, rep2 = lie.classify(g), lie.classify(g1), lie.classify(g2)
+    assert rep.n == 6
+    for name in PREDICATES:
+        assert getattr(rep, name) == (getattr(rep1, name) and getattr(rep2, name)), name
+    assert rep.b_rank == rep1.b_rank + rep2.b_rank
+    assert rep.nilpotent_steps == _longer(rep1.nilpotent_steps, rep2.nilpotent_steps)
+    assert rep.solvable_steps == _longer(rep1.solvable_steps, rep2.solvable_steps)
+    assert lie.solvability_profile(g) == solvability_profile_full_reduction(g)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_ENTRY, min_size=9, max_size=9))
+def test_stopped_solvability_profile_matches_full_reduction_on_rational_regauges(entries):
+    P = [entries[:3], entries[3:6], entries[6:]]
+    assume(len(row_basis(P, EXACT)) == 3)
+    for g in ALGEBRAS.values():
+        h = regauge(g, P)
+        assert lie.solvability_profile(h) == solvability_profile_full_reduction(h), g.label

@@ -11,8 +11,8 @@ from btpgeo import charts, lie
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.scalars import (EC, EXACT, FLOAT, MAX_DIGITS, DigitLimitError, DimensionError, Kind,
-                            Terms, exact_rational, exact_scalar, kind_of, scalar_from_json,
-                            scalar_to_json, table_to_json)
+                            Terms, exact_rational, exact_scalar, kind_of, parse_rational,
+                            scalar_from_json, scalar_to_json, table_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -98,6 +98,22 @@ def test_exact_json_parts_past_the_digit_bound_raise(re, im):
         str(EC(re, im).re), str(EC(re, im).im)
     with pytest.raises(DigitLimitError, match=f"more than {MAX_DIGITS} digits"):
         scalar_to_json(EC(re, im))
+
+
+_LITERALS = st.one_of(
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),      # '1E+2' too
+    st.builds(lambda p, q, e: f"{p}.{q}e{e}", st.integers(), st.integers(0, 10 ** 6),
+              st.integers(-40, 40)),
+    st.builds(lambda d, n: d * n, st.sampled_from("123456789"), st.integers(1, MAX_DIGITS - 1)))
+
+
+@given(_LITERALS)
+def test_parse_rational_below_the_digit_bound_is_fraction(text):
+    # with no exponent and fewer than MAX_DIGITS characters the digits go
+    # uncounted; every literal here stays below the bound either way
+    assert parse_rational(text) == Fraction(text)
 
 
 def test_exact_json_parts_at_the_digit_bound():

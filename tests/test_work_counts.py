@@ -1,7 +1,8 @@
 """Ceilings on the form work of one exact ``classify``, and the builds of
 one CLI job.
 
-Counters are patched onto ``InvariantForm.wedge``, ``exterior_d`` and
+Counters are patched onto the wedge kernel ``forms._wedge_terms``, which
+``InvariantForm.wedge`` and each curvature entry call, ``exterior_d`` and
 ``lie.curvature_of`` while ``classify`` runs on an algebra built
 beforehand.  ``classify`` never builds the whole Chern curvature matrix: it
 computes the three diagonal entries, whose sum is the Chern Ricci form (9
@@ -55,8 +56,9 @@ def test_classify_form_work_within_ceilings(monkeypatch):
     calls = Counter()
     counted = _counter(calls)
 
-    monkeypatch.setattr(forms.InvariantForm, "wedge",
-                        counted("wedge", forms.InvariantForm.wedge))
+    wedge_terms = counted("wedge", forms._wedge_terms)
+    for module in (forms, lie):         # lie imports the kernel by name
+        monkeypatch.setattr(module, "_wedge_terms", wedge_terms)
     exterior_d = counted("exterior_d", forms.exterior_d)
     for module in (forms, lie):         # lie imports exterior_d by name
         monkeypatch.setattr(module, "exterior_d", exterior_d)
@@ -73,7 +75,7 @@ def test_classify_form_work_within_ceilings(monkeypatch):
 # those entries, not the n^3 cube
 SCALAR_OPS = [
     (lie.nilmanifold_n3(), 53),
-    (lie.family_a(Fraction(1, 2), Fraction(1, 3)), 201),
+    (lie.family_a(Fraction(1, 2), Fraction(1, 3)), 161),
 ]
 
 
@@ -87,6 +89,35 @@ def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
     calls.clear()
     lie.classify(g)
     assert calls["ops"] == ops
+
+
+def test_classify_form_work_reaches_the_wedge_kernel(monkeypatch):
+    # the ceilings above bound real work: a Chern-flat classify multiplies
+    # out all 27 curvature products
+    calls = Counter()
+    monkeypatch.setattr(lie, "_wedge_terms", _counter(calls)("wedge", forms._wedge_terms))
+    lie.classify(lie.sl2c())
+    assert calls["wedge"] == 27
+
+
+def test_solvability_reductions_stop_at_the_rank_of_the_term_before(monkeypatch):
+    # a_st(1/2, 1/3): [g, g] has rank 5 in dim 6, so the lower central step
+    # generates 6 x 5 = 30 products; the 5th independent one decides that the
+    # series has stabilized, and the products after it are never generated
+    g = lie.family_a(Fraction(1, 2), Fraction(1, 3))
+    reductions = []
+    row_basis = lie.row_basis
+
+    def counted(vectors, kind, max_rank=None):
+        read = []
+        basis = row_basis((read.append(v) or v for v in vectors), kind, max_rank)
+        reductions.append((len(read), max_rank, len(basis)))
+        return basis
+    monkeypatch.setattr(lie, "row_basis", counted)
+    assert lie.solvability_profile(g) == (None, 3)
+    (_, _, first), (lower_read, lower_bound, lower_rank) = reductions[:2]
+    assert (first, lower_bound, lower_rank) == (5, 5, 5)
+    assert lower_read == 15 < 6 * first
 
 
 def test_classify_sums_only_the_residuals_with_i_below_k(monkeypatch):

@@ -50,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .jets import Jet2, _jet, jet_matrix_inverse  # noqa: F401  (kept importable from charts)
-from .linalg import matrix_inverse, row_basis
+from .linalg import matrix_inverse, row_basis, sparse_row
 from .scalars import EXACT, FLOAT, Kind, all_finite, exact_scalar, memoized, table_to_json
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
@@ -101,8 +101,8 @@ class ChartMetric:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
             # column k (then, row by row, that entry is its pivot)
-            rows = row_basis(G, kind)
-            positive = len(rows) == n and all(r[k].im == 0 and r[k].re > 0
+            rows = row_basis(map(sparse_row, G), kind)
+            positive = len(rows) == n and all(k in r and r[k].im == 0 and r[k].re > 0
                                               for k, r in enumerate(rows))
         else:
             positive = np.linalg.eigvalsh(G).min() > 0

@@ -447,41 +447,38 @@ def solvability_profile(g: HermitianLieAlgebra):
     Steps count the nonzero terms of the lower central / derived series;
     ``None`` marks a series that stabilizes without reaching zero, or a
     float series that has not ended within dim terms.  Both start at
-    [g, g], spanned by the nonzero [b_x, b_y], x < y, with no product.  The
-    lower central term after W is spanned by the [b_x, w] for w in a basis
-    of W, one table row per b_x; the derived term by the [u, v] for basis
-    pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.
-    Every product reads the (m, c) pairs of the sparse bracket table.  Each
-    term lies in the one before, so its spanning vectors are generated one
-    at a time and the exact reduction stops at the rank of the term before:
-    reaching it means the series has stabilized.
+    [g, g], spanned by the nonzero cells [b_x, b_y], x < y, of the sparse
+    bracket table.  The lower central term after W is spanned by the
+    [b_x, w] for w in a basis of W; the derived term by the [u, v] for basis
+    pairs u before v only, since [u, v] = -[v, u] and [u, u] = 0.  Each
+    spanning vector is a map {column: scalar} summed from the table's
+    (m, c) pairs and reduced as such by ``row_basis``.  Each term lies in
+    the one before, so its spanning vectors are generated one at a time and
+    the exact reduction stops at the rank of the term before: reaching it
+    means the series has stabilized.
     """
     table = real_bracket_table(g)
     dim = len(table)
     kind = g.kind
+    zero = kind.zero
 
     def combination(terms):
         """sum of c [b_x, b_y] over the (c, x, y) in terms"""
-        w = [kind.zero] * dim
+        w = {}
         for c, x, y in terms:
             for m, tm in table[x][y]:
-                w[m] = w[m] + c * tm
+                w[m] = w.get(m, zero) + c * tm
         return w
 
-    def nonzeros(basis):
-        return [[(y, c) for y, c in enumerate(w) if c] for w in basis]
-
     def lower_central(basis):
-        nz = nonzeros(basis)
-        return (combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz)
+        return (combination((wy, x, y) for y, wy in w.items()) for x in range(dim) for w in basis)
 
     def derived(basis):
-        nz = nonzeros(basis)
-        return (combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
-                for i, u in enumerate(nz) for v in nz[i + 1:])
+        return (combination((ux * vy, x, y) for x, ux in u.items() for y, vy in v.items()
+                            if table[x][y])
+                for i, u in enumerate(basis) for v in basis[i + 1:])
 
-    brackets = (dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w)
-    first = row_basis(([b.get(m, kind.zero) for m in range(dim)] for b in brackets), kind, dim)
+    first = row_basis((w for x, row in enumerate(table) for w in row[x + 1:] if w), kind, dim)
 
     def series(next_term):
         # an exact term is smaller than the one before, so the series ends

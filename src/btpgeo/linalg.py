@@ -2,15 +2,15 @@
 
 Matrices are numpy arrays (or nested lists) of the same two scalar kinds as
 everything else: object arrays of ExactComplex, or complex128.  One row
-reduction, ``row_basis``, serves every exact rank question: the rank of the
-B tensor, the spans of the lower central and derived series in solvability
-profiles, and the Sylvester positivity test of chart metrics, which reads
-its pivots.  Its float branch ranks by singular values.  One inverse,
-``matrix_inverse``, serves the constant matrices of both kinds (chart
-metrics at their base point, the constant part of jet matrices); its
-exact branch is two passes of ``row_basis``.  Takagi
-factorization is float-only: the inputs that need it are generic
-unitary-scrambled torsion data, never golden rational values.
+reduction, ``row_basis``, serves every exact rank question on sparse vectors,
+maps {column: scalar}: the spans of the solvability series are built so,
+and the dense callers (the rank of the B tensor, the Sylvester test of chart
+metrics, which reads its pivots, and the exact inverse) convert their rows
+by ``sparse_row``.  Its float branch ranks by singular values.  One inverse,
+``matrix_inverse``, serves the constant matrices of both kinds; its exact
+branch is two passes of ``row_basis``.  Takagi factorization is float-only:
+the inputs that need it are generic unitary-scrambled torsion data, never
+golden rational values.
 
 numpy is imported by the routines that build arrays (the float branches,
 ``matrix_inverse`` and Takagi), so exact ranks run without it.  A numpy
@@ -37,40 +37,53 @@ class NumericError(RuntimeError):
 # row reduction and inverses
 # --------------------------------------------------------------------------
 
-def row_basis(vectors, kind: Kind, max_rank: int = None) -> list:
-    """Independent spanning rows of an iterable of vectors, by row reduction.
+def sparse_row(row) -> dict:
+    """A dense row as the map {column: entry} of its nonzero entries."""
+    return {j: c for j, c in enumerate(row) if c}
 
-    Exact vectors are eliminated in input order without row exchanges: each
-    row is reduced by the basis rows before it and kept if anything is left,
-    with its first nonzero entry as its pivot.  Every basis row is
-    zero at the pivots of the rows before it, and for a matrix whose leading
-    principal minors D_k are nonzero, basis row k pivots at column k on
-    D_k / D_(k-1).  Given ``max_rank``, a positive bound the caller knows
-    the rank cannot pass, the exact elimination returns once it holds that
-    many rows and reads no further vector.  Float vectors are all read,
-    ranked by singular values above ``max(s[0], 1) * 1e-10``, and the
-    leading right singular vectors returned.
+
+def row_basis(vectors, kind: Kind, max_rank: int = None) -> list:
+    """Independent spanning rows of an iterable of sparse vectors, by row
+    reduction.  A vector is a map {column: scalar} (or its (column, scalar)
+    pairs) whose absent columns are zero; the rows returned are such maps.
+
+    Exact vectors are eliminated in input order without row exchanges: a
+    basis row reduces a vector only where the vector is nonzero at its
+    pivot, and then updates only the basis row's own nonzero columns,
+    dropping each entry that cancels.  A vector with an entry left is kept,
+    its columns in increasing order, and its smallest column is its pivot.
+    Every basis row is zero at the pivots of the rows before it, and for a
+    matrix whose leading principal minors D_k are nonzero, basis row k
+    pivots at column k on D_k / D_(k-1).  Given ``max_rank``, a positive
+    bound the caller knows the rank cannot pass, the exact elimination
+    returns once it holds that many rows and reads no further vector.
+    Float vectors are all read, laid out densely up to their last nonzero
+    column, ranked by singular values above ``max(s[0], 1) * 1e-10``, and
+    the leading right singular vectors returned.
     """
     if kind.exact:
-        basis = []
-        reducers = []       # (pivot, nonzero (index, entry) pairs) per basis row
-        for v in vectors:
-            v = list(v)
-            for piv, b_nz in reducers:
-                if v[piv]:
-                    f = v[piv] / b_nz[0][1]
-                    for i, y in b_nz:
-                        v[i] = v[i] - f * y
-            nz = [i for i, c in enumerate(v) if c]
-            if nz:          # a basis row holds exact scalars: its pivot divides
-                v = list(map(kind.scalar, v))
-                basis.append(v)
-                reducers.append((nz[0], [(i, v[i]) for i in nz]))
+        basis = []          # (pivot, row) per basis row
+        for v in filter(None, vectors):
+            v = dict(v)
+            for piv, b in basis:
+                c = v.get(piv)
+                if c:
+                    f = -c / b[piv]
+                    for i, y in b.items():
+                        w = v.pop(i, kind.zero) + f * y
+                        if w:
+                            v[i] = w
+            row = {i: kind.scalar(c) for i, c in sorted(v.items()) if c}
+            if row:         # a basis row holds exact scalars: its pivot divides
+                basis.append((next(iter(row)), row))
                 if len(basis) == max_rank:
                     break
-        return basis
+        return [row for _, row in basis]
     import numpy as np
-    arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
+    vectors = [dict(v) for v in vectors]
+    arr = np.zeros((len(vectors), 1 + max(map(max, filter(None, vectors)), default=-1)), complex)
+    for r, v in enumerate(vectors):
+        arr[r, list(v)] = list(v.values())
     if arr.size == 0:
         return []
     try:
@@ -78,16 +91,12 @@ def row_basis(vectors, kind: Kind, max_rank: int = None) -> list:
     except np.linalg.LinAlgError as exc:
         raise NumericError(str(exc)) from exc
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-10)) if len(s) else 0
-    return [list(vh[r]) for r in range(rank)]
+    return [{i: c for i, c in enumerate(vh[r]) if c} for r in range(rank)]
 
 
 def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
     """Rank of a matrix of exact scalars: the length of its row basis."""
-    return len(row_basis(rows, EXACT))
-
-
-def _pivot(row) -> int:
-    return next(k for k, c in enumerate(row) if c)
+    return len(row_basis(map(sparse_row, rows), EXACT))
 
 
 def matrix_inverse(mat, kind: Kind) -> np.ndarray:
@@ -100,12 +109,12 @@ def matrix_inverse(mat, kind: Kind) -> np.ndarray:
     import numpy as np
     if kind.exact:
         n = len(mat)
-        rows = row_basis([[*r, *(kind.one if i == j else kind.zero for j in range(n))]
-                          for i, r in enumerate(mat)], kind)
-        if any(_pivot(r) >= n for r in rows):
+        rows = row_basis(({**sparse_row(r), n + i: kind.one} for i, r in enumerate(mat)), kind)
+        if any(min(r) >= n for r in rows):
             raise ShapeError("singular matrix")
-        rows = sorted(row_basis(sorted(rows, key=_pivot, reverse=True), kind), key=_pivot)
-        return np.array([[c / r[k] for c in r[n:]] for k, r in enumerate(rows)], object)
+        rows = sorted(row_basis(sorted(rows, key=min, reverse=True), kind), key=min)
+        return np.array([[r.get(n + j, kind.zero) / r[k] for j in range(n)]
+                         for k, r in enumerate(rows)], object)
     return np.linalg.inv(np.array(mat, dtype=complex))
 
 

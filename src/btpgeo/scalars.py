@@ -521,9 +521,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _rational_part(x) -> Fraction:
+def _rational_part(x) -> Rat:
+    """A part of an exact scalar: an ASCII '-?digits(/digits)' literal below MAX_DIGITS
+    with a nonzero denominator is read by ``int``, any other by ``parse_rational``."""
     try:
-        return parse_rational(str(x))
+        text = str(x)
+        num, slash, den = text.partition("/")
+        if (len(text) < MAX_DIGITS and text.isascii() and num.removeprefix("-").isdigit()
+                and (not slash or den.isdigit() and den.strip("0"))):
+            return Fraction(int(num), int(den)) if slash else int(num)
+        return parse_rational(text)
     except DigitLimitError as exc:
         raise SchemaError(f"bad exact scalar part: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,8 +6,9 @@ routes to the Levi-Civita curvature, sectional and Ricci curvature by
 explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
 n^3 loops, the classify stages by their full computations (the
 solvability series with every spanning vector reduced, each curvature entry
-as a difference of forms), direct sums of algebras, and the command-line
-parser built on argparse."""
+as a difference of forms), the row reduction and solvability series on
+dense vectors, direct sums of algebras, and the command-line parser built
+on argparse."""
 
 import argparse
 import itertools
@@ -23,7 +24,7 @@ from btpgeo.charts import (ChartMetric, chern_curvature_at, chern_torsion_at,
 from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
-from btpgeo.linalg import ShapeError, matrix_inverse, row_basis
+from btpgeo.linalg import NumericError, ShapeError, matrix_inverse
 from btpgeo.scalars import EC, EXACT, FLOAT, scalar_to_json
 
 
@@ -1042,6 +1043,90 @@ def real_bracket_table_dense(g):
     return tuple(map(tuple, table))
 
 
+def row_basis_dense(vectors, kind, max_rank=None):
+    """``linalg.row_basis`` on dense vectors: each exact vector is copied
+    whole, reduced entry by entry by the basis rows before it and scanned
+    for its first nonzero entry; float vectors are ranked by singular values
+    at their full width.  The rows returned are dense lists."""
+    if kind.exact:
+        basis = []
+        reducers = []
+        for v in vectors:
+            v = list(v)
+            for piv, b_nz in reducers:
+                if v[piv]:
+                    f = v[piv] / b_nz[0][1]
+                    for i, y in b_nz:
+                        v[i] = v[i] - f * y
+            nz = [i for i, c in enumerate(v) if c]
+            if nz:
+                v = list(map(kind.scalar, v))
+                basis.append(v)
+                reducers.append((nz[0], [(i, v[i]) for i in nz]))
+                if len(basis) == max_rank:
+                    break
+        return basis
+    arr = np.array([[complex(c) for c in v] for v in vectors], dtype=complex)
+    if arr.size == 0:
+        return []
+    try:
+        u, s, vh = np.linalg.svd(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(str(exc)) from exc
+    rank = int(np.sum(s > max(s[0], 1.0) * 1e-10)) if len(s) else 0
+    return [list(vh[r]) for r in range(rank)]
+
+
+def _dense_series(g, reduce):
+    """The lower central and derived series on dense 2n-vectors, each
+    reduction done by ``reduce(vectors, kind, bound)``; the bound is the rank
+    of the term before."""
+    table = lie.real_bracket_table(g)
+    dim = len(table)
+    kind = g.kind
+
+    def combination(terms):
+        w = [kind.zero] * dim
+        for c, x, y in terms:
+            for m, tm in table[x][y]:
+                w[m] = w[m] + c * tm
+        return w
+
+    def nonzeros(basis):
+        return [[(y, c) for y, c in enumerate(w) if c] for w in basis]
+
+    def lower_central(basis):
+        nz = nonzeros(basis)
+        return (combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz)
+
+    def derived(basis):
+        nz = nonzeros(basis)
+        return (combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
+                for i, u in enumerate(nz) for v in nz[i + 1:])
+
+    brackets = (dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w)
+    first = reduce(([b.get(m, kind.zero) for m in range(dim)] for b in brackets), kind, dim)
+
+    def series(next_term):
+        size, cur = dim, first
+        for steps in range(1, dim + 1):
+            if not cur:
+                return steps
+            if len(cur) == size:
+                return None
+            size, cur = len(cur), reduce(next_term(cur), kind, len(cur))
+        return None
+
+    return series(lower_central), series(derived)
+
+
+def solvability_profile_dense(g):
+    """(nilpotent_steps, solvable_steps) as ``lie.solvability_profile``, with
+    every spanning vector a dense 2n-vector reduced by ``row_basis_dense``,
+    each exact reduction stopped at the rank of the term before."""
+    return _dense_series(g, row_basis_dense)
+
+
 def _bracket_span_all_pairs(table, U, V, kind):
     """Basis of span{ [u, v] : u in U, v in V }, every pair multiplied out."""
     dim = len(table)
@@ -1060,7 +1145,7 @@ def _bracket_span_all_pairs(table, U, V, kind):
                     for m, tm in row[y]:
                         w[m] = w[m] + c * tm
             prods.append(w)
-    return row_basis(prods, kind)
+    return row_basis_dense(prods, kind)
 
 
 def solvability_profile_all_pairs(g):
@@ -1089,43 +1174,7 @@ def solvability_profile_full_reduction(g):
     """(nilpotent_steps, solvable_steps) as ``lie.solvability_profile``, with
     every spanning vector of each term generated and reduced, where the
     library stops a reduction at the rank of the term before."""
-    table = lie.real_bracket_table(g)
-    dim = len(table)
-    kind = g.kind
-
-    def combination(terms):
-        w = [kind.zero] * dim
-        for c, x, y in terms:
-            for m, tm in table[x][y]:
-                w[m] = w[m] + c * tm
-        return w
-
-    def nonzeros(basis):
-        return [[(y, c) for y, c in enumerate(w) if c] for w in basis]
-
-    def lower_central(basis):
-        nz = nonzeros(basis)
-        return [combination((wy, x, y) for y, wy in w) for x in range(dim) for w in nz]
-
-    def derived(basis):
-        nz = nonzeros(basis)
-        return [combination((ux * vy, x, y) for x, ux in u for y, vy in v if table[x][y])
-                for i, u in enumerate(nz) for v in nz[i + 1:]]
-
-    brackets = [dict(w) for x, row in enumerate(table) for w in row[x + 1:] if w]
-    first = row_basis([[b.get(m, kind.zero) for m in range(dim)] for b in brackets], kind)
-
-    def series(next_term):
-        size, cur = dim, first
-        for steps in range(1, dim + 1):
-            if not cur:
-                return steps
-            if len(cur) == size:
-                return None
-            size, cur = len(cur), row_basis(next_term(cur), kind)
-        return None
-
-    return series(lower_central), series(derived)
+    return _dense_series(g, lambda vectors, kind, _: row_basis_dense(list(vectors), kind))
 
 
 def direct_sum(g1, g2):

@@ -600,7 +600,7 @@ def test_every_report_holds_only_the_types_the_writer_takes(monkeypatch, capsys)
         if main(list(argv)) in (0, 1):
             written.append(argv)
     capsys.readouterr()
-    assert len(payloads) == len(written) == 20
+    assert len(payloads) == len(written) == 22
     for argv, payload in zip(written, payloads):
         assert _holds_writer_types(payload), argv
 
@@ -724,6 +724,21 @@ EXACT_REPORT_SHA256 = {
 def test_exact_reports_are_byte_identical(capsys, argv):
     _, out, _ = run_cli(capsys, *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_REPORT_SHA256[argv]
+
+
+# classify of an a_st and a b_zt input with parameters of height up to 10^6,
+# at torsion scales 10^-6 and 10^6: solvable, not nilpotent, so both series
+# run their full length; pinned from the reports of the dense series
+LONG_SERIES_REPORT_SHA256 = {
+    "a_st_heavy.json": "a1f8721e364f50747cd5191b2dd30ffc8f08fdd5fb52e8165429dfc049cd6b77",
+    "b_zt_heavy.json": "e501002249979df4c0516960292546e4ff77ddc382b5d1ba4e9a177b32ee769a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_SERIES_REPORT_SHA256))
+def test_long_series_reports_are_byte_identical(capsys, name):
+    _, out, _ = run_cli(capsys, "classify", "--input", str(DATA / name))
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_SERIES_REPORT_SHA256[name]
 
 
 # the module run from the source tree, as the in-process tests import it

@@ -12,7 +12,8 @@ from _oracles import (admissible_pattern_loop, algebra_json_dense, b_tensor_dens
                       curvature_by_form_differences, d_phi_dense, first_chern_ricci,
                       gauduchon_eta_dense, is_skew_hermitian, nonzero_entries,
                       real_bracket_table_dense, regauge, solvability_profile_all_pairs,
-                      solvability_profile_full_reduction, transform_frame_loop,
+                      solvability_profile_dense, solvability_profile_full_reduction,
+                      transform_frame_loop,
                       vaisman_torsion_pattern_loop)
 from btpgeo import frames, lie
 from btpgeo.forms import InvariantForm
@@ -629,6 +630,7 @@ def _assert_stages_agree_with_oracles(g):
     _assert_tables_agree_with_oracles(g)
     assert lie.solvability_profile(g) == solvability_profile_all_pairs(g)
     assert lie.solvability_profile(g) == solvability_profile_full_reduction(g)
+    assert lie.solvability_profile(g) == solvability_profile_dense(g)
     T, tb = lie.chern_torsion(g), lie.bismut_connection(g)
     res = lie.btp_residuals(g)
     want = btp_residuals_triple_loop(T, tb)
@@ -715,6 +717,8 @@ def _family_member(draw):
 def test_classify_stages_agree_with_oracles_on_family_members(g):
     _assert_stages_agree_with_oracles(g)
     _assert_tables_agree_with_oracles(_float_algebra(g))
+    assert lie.solvability_profile(_float_algebra(g)) == solvability_profile_dense(
+        _float_algebra(g))
 
 
 # ---- the sparse Lie kernels against their dense loops ------------------------------------
@@ -772,6 +776,10 @@ def test_float_tables_agree_with_oracles_on_builtins_and_sweep_grid():
     for g in BUILTINS() + tuple(family(p, q) for family in (lie.family_a, lie.family_b)
                                 for p in grid for q in grid):
         _assert_tables_agree_with_oracles(_float_algebra(g))
+        # the float series, laid out up to its last nonzero column, ranks as
+        # the dense one laid out at full width
+        assert lie.solvability_profile(_float_algebra(g)) == solvability_profile_dense(
+            _float_algebra(g)), g.label
 
 
 # ---- JSON -------------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import bareiss_rank, exact_solve_identity
+from _oracles import bareiss_rank, exact_solve_identity, row_basis_dense
 from btpgeo.linalg import (DimensionError, NumericError, ShapeError,
-                           exact_rank, hermitian_rank,
-                           matrix_inverse, row_basis, takagi_factorize)
+                           exact_rank, hermitian_rank, matrix_inverse,
+                           row_basis, sparse_row, takagi_factorize)
 from btpgeo.scalars import EC, EXACT, FLOAT
 
 
@@ -79,13 +79,13 @@ def test_hermitian_rank_reads_nested_sequences_and_arrays_alike(form):
 
 
 def test_exact_rows_of_ints_and_fractions_reduce():
-    rows = row_basis([[1, 2, 3], [2, 4, 6], [0, Fraction(1, 3), 1]], EXACT)
-    assert len(rows) == 2 and all(type(c) is EC for r in rows for c in r)
-    assert rows[1] == [0, Fraction(1, 3), 1]
+    rows = row_basis([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: Fraction(1, 3), 2: 1}], EXACT)
+    assert len(rows) == 2 and all(type(c) is EC for r in rows for c in r.values())
+    assert rows[1] == {1: Fraction(1, 3), 2: 1}
     assert exact_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
     assert exact_rank([[Fraction(1, 3), 1], [1, 3]]) == 1
     with pytest.raises(TypeError):
-        row_basis([[1.0, 2.0]], EXACT)
+        row_basis([{0: 1.0, 1: 2.0}], EXACT)
 
 
 def test_exact_rank_rectangular():
@@ -115,7 +115,32 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_exact_rank_matches_bareiss(rows):
     assert exact_rank(rows) == bareiss_rank(rows)
-    assert len(row_basis(rows, EXACT)) == bareiss_rank(rows)
+    assert len(row_basis(map(sparse_row, rows), EXACT)) == bareiss_rank(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.integers(1, 5))
+def test_sparse_row_basis_matches_the_dense_reduction(rows, bound):
+    # the same rows as the dense elimination, read from and returned as maps
+    # of nonzero entries; each row's columns increase, so its first is its
+    # pivot, the pivots are distinct, and every row is zero at the pivots of
+    # the rows before it
+    for max_rank in (None, bound):
+        basis = row_basis(map(sparse_row, rows), EXACT, max_rank)
+        assert basis == [sparse_row(r) for r in row_basis_dense(rows, EXACT, max_rank)]
+        assert all(list(r) == sorted(r) and all(r.values()) for r in basis)
+        pivots = [next(iter(r)) for r in basis]
+        assert sorted(pivots) == sorted(set(pivots))
+        assert not any(p in r for k, r in enumerate(basis) for p in pivots[:k])
+    assert len(basis) == min(bareiss_rank(rows), bound)
+
+
+def test_row_basis_reads_column_pairs_and_drops_cancelled_entries():
+    # a (column, entry) sequence reads as its map, and an entry that cancels
+    # leaves no zero behind
+    rows = row_basis([((0, EC(1)), (2, EC(1))), {0: EC(2), 1: EC(5), 2: EC(2)}], EXACT)
+    assert rows == [{0: EC(1), 2: EC(1)}, {1: EC(5)}]
+    assert row_basis([{0: EC(0)}, {}], EXACT) == []
 
 
 def test_exact_inverse():

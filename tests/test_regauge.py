@@ -16,9 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (ad_gram, cayley_unitary, direct_sum, killing_form, power_traces,
-                      regauge, so_complex, solvability_profile_full_reduction)
+                      regauge, so_complex, solvability_profile_dense,
+                      solvability_profile_full_reduction)
 from btpgeo import lie
-from btpgeo.linalg import row_basis
+from btpgeo.linalg import exact_rank
 from btpgeo.scalars import EC, EXACT
 
 ALGEBRAS = {"n3": lie.nilmanifold_n3(1), "vaisman54": lie.vaisman_nilmanifold(1),
@@ -108,7 +109,7 @@ _ENTRY = st.builds(EC, _RATIONAL, _RATIONAL)
 @given(st.lists(_ENTRY, min_size=9, max_size=9))
 def test_every_rational_regauge_keeps_the_frame_free_facts(entries):
     P = [entries[:3], entries[3:6], entries[6:]]
-    assume(len(row_basis(P, EXACT)) == 3)
+    assume(exact_rank(P) == 3)
     for g in ALGEBRAS.values():
         h = regauge(g, P)       # validated on construction: d^2 = 0
         rep = lie.classify(h)
@@ -247,7 +248,30 @@ def test_direct_sum_classifies_as_its_summands(first, second):
 @given(st.lists(_ENTRY, min_size=9, max_size=9))
 def test_stopped_solvability_profile_matches_full_reduction_on_rational_regauges(entries):
     P = [entries[:3], entries[3:6], entries[6:]]
-    assume(len(row_basis(P, EXACT)) == 3)
+    assume(exact_rank(P) == 3)
     for g in ALGEBRAS.values():
         h = regauge(g, P)
         assert lie.solvability_profile(h) == solvability_profile_full_reduction(h), g.label
+
+
+# ---- the sparse series against the dense one --------------------------------------
+# lie.solvability_profile reduces maps of nonzero entries; the dense oracle
+# reduces whole 2n-vectors with the same stops, so the step counts agree.
+
+def _series_algebras():
+    so = {m: so_complex(m) for m in (3, 4, 5, 6)}
+    yield from so.values()
+    for m in (3, 4, 5):
+        for h in SUMMANDS.values():
+            yield direct_sum(so[m], h)
+    yield direct_sum(so[3], so[4])
+    heavy = (Fraction(-37, 91), Fraction(5, 13), Fraction(999983, 1000003))
+    for a in (Fraction(10) ** 6, Fraction(10) ** -6):
+        for p, q in itertools.product(heavy, repeat=2):
+            yield lie.family_a(p, q, a)
+            yield lie.family_b(EC(p, q), q - p, a)
+
+
+@pytest.mark.parametrize("g", list(_series_algebras()), ids=lambda g: g.label)
+def test_sparse_series_matches_the_dense_series(g):
+    assert lie.solvability_profile(g) == solvability_profile_dense(g)

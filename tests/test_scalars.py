@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from btpgeo import charts, lie
+from btpgeo import charts, lie, scalars
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
 from btpgeo.scalars import (EC, EXACT, FLOAT, MAX_DIGITS, DigitLimitError, DimensionError, Kind,
-                            Terms, exact_rational, exact_scalar, kind_of, parse_rational,
-                            scalar_from_json, scalar_to_json, table_to_json)
+                            SchemaError, Terms, exact_rational, exact_scalar, kind_of,
+                            parse_rational, scalar_from_json, scalar_to_json, table_to_json)
 
 rationals = st.fractions(max_denominator=50)
 exacts = st.builds(EC, rationals, rationals)
@@ -114,6 +114,41 @@ def test_parse_rational_below_the_digit_bound_is_fraction(text):
     # with no exponent and fewer than MAX_DIGITS characters the digits go
     # uncounted; every literal here stays below the bound either way
     assert parse_rational(text) == Fraction(text)
+
+
+def _rational_part_by_parse_rational(x):
+    """A part of an exact scalar with every literal read by parse_rational."""
+    try:
+        return parse_rational(str(x))
+    except DigitLimitError as exc:
+        raise SchemaError(f"bad exact scalar part: {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad exact scalar part {x!r}") from exc
+
+
+_PARTS = st.one_of(
+    _LITERALS,
+    st.text(alphabet="0123456789-/+ ._eE\u0663\u00b2", max_size=12),     # '٣' and '²' too
+    st.builds(lambda sign, p, q: f"{sign}{p}/{q}", st.sampled_from(["", "-", "+", "--", " "]),
+              st.integers(0, 10 ** 30), st.integers(0, 10 ** 6)),
+    st.builds(lambda sign, n, over: sign + "7" * n + over, st.sampled_from(["", "-"]),
+              st.integers(MAX_DIGITS - 3, MAX_DIGITS + 1), st.sampled_from(["", "/3", "/0"])),
+    st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.floats(allow_nan=False))
+
+
+@given(_PARTS)
+def test_literal_fast_path_reads_as_parse_rational(x):
+    # the same value, or the same exception with the same message
+    def outcome(read):
+        try:
+            return read(x)
+        except Exception as exc:
+            return type(exc), str(exc)
+    got, want = outcome(scalars._rational_part), outcome(_rational_part_by_parse_rational)
+    assert got == want
+    if isinstance(x, str) and x.lstrip("-").isascii() and x.lstrip("-").isdigit() \
+            and x.count("-") <= 1 and len(x) < MAX_DIGITS:
+        assert type(got) is int     # the fast path reads it
 
 
 def test_exact_json_parts_at_the_digit_bound():

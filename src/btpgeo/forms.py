@@ -27,8 +27,7 @@ from collections import namedtuple
 from operator import index
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .scalars import (EC, EXACT, DimensionError, Kind, Scalar, Terms, common_kind,
-                      scalar_from_json, scalar_to_json)
+from .scalars import EC, EXACT, DimensionError, Kind, Scalar, Terms, scalar_to_json
 
 
 class BidegreeError(ValueError):
@@ -78,10 +77,6 @@ class InvariantForm(Terms):
     @staticmethod
     def zero(n: int, kind: Kind = EXACT) -> "InvariantForm":
         return _form(n, {}, kind)
-
-    @staticmethod
-    def scalar(n: int, c: Scalar) -> "InvariantForm":
-        return InvariantForm(n, {((), ()): c})
 
     @staticmethod
     def phi(n: int, i: int, coef: Scalar = None) -> "InvariantForm":
@@ -173,16 +168,6 @@ class InvariantForm(Terms):
                  "coef": scalar_to_json(c)}
                 for (I, J), c in self._sorted_terms()]
 
-    @staticmethod
-    def from_json(n: int, items) -> "InvariantForm":
-        t: Dict[Mono, Scalar] = {}
-        for it in items:
-            I = tuple(i - 1 for i in it.get("phi", []))
-            J = tuple(j - 1 for j in it.get("phibar", []))
-            c = scalar_from_json(it["coef"])
-            t[(I, J)] = t[(I, J)] + c if (I, J) in t else c
-        return InvariantForm(n, t)
-
 
 _form = InvariantForm._of       # from mask-keyed terms, unchecked
 
@@ -204,10 +189,6 @@ def _wedge_terms(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar
     return acc
 
 
-def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
-    return a.wedge(b)
-
-
 def _cube(n: int, entries, zero) -> tuple:
     """n x n x n nested tuples T[j][i][k]: zero, or the c of the (j, i, k, c)
     entry at that index, as given (``frames.dense`` adds it to the kind's
@@ -221,37 +202,18 @@ def _cube(n: int, entries, zero) -> tuple:
 class CoframeContext:
     """Structure constants C^j_{ik}, D^j_{ik} driving the exterior derivative.
 
-    C must be antisymmetric in its lower indices; no integrability condition
-    is imposed here (see d_squared_residual).  Entries are indexed
-    [j][i][k], 0-based, share one scalar kind and are stored as its scalars.
-    ``C_entries`` and ``D_entries`` hold the nonzero ones as (j, i, k, c),
-    in index order: every table built from the structure constants reads
-    those, not the dense n x n x n cube.  The dense constructor walks the
-    given cubes once, for their shape, their kind and their nonzero
-    entries; ``_set_entries`` builds the rest from the entries alone, and is
-    all that a caller who already holds them runs.
+    Built from n, the scalar kind and the nonzero entries of C and D as
+    (j, i, k, c), scalars of that kind in index order, C's mirrors among
+    them (``frames.summed`` gives them so); these are kept as ``C_entries``
+    and ``D_entries``, and every table built from the structure constants
+    reads them.  C must be antisymmetric in its lower indices; no
+    integrability condition is imposed here (see d_squared_residual).  The
+    dense tables ``C`` and ``D`` are indexed [j][i][k], 0-based.
     """
 
     __slots__ = ("n", "C", "D", "C_entries", "D_entries", "kind", "_d")
 
-    def __init__(self, n: int, C, D):
-        for T, name in ((C, "C"), (D, "D")):
-            if len(T) != n or any(len(l) != n or any(len(r) != n for r in l) for l in T):
-                raise DimensionError(f"{name} must be n x n x n")
-        first, entries = {}, ([], [])       # a scalar of each type; nonzero cells
-        for T, out in zip((C, D), entries):
-            for j, l in enumerate(T):
-                for i, r in enumerate(l):
-                    first.update(zip(map(type, r), r))
-                    out += ((j, i, k, c) for k, c in enumerate(r) if c)
-        kind = common_kind(first.values())
-        self._set_entries(n, kind, *(tuple((j, i, k, kind.scalar(c)) for j, i, k, c in X)
-                                     for X in entries))
-
-    def _set_entries(self, n: int, kind: Kind, C_entries, D_entries):
-        """Fill the context from the nonzero entries of C and D, scalars of
-        kind in index order, C's mirrors among them: the dense tables, the
-        antisymmetry check of C and d phi."""
+    def __init__(self, n: int, kind: Kind, C_entries, D_entries):
         C, D = (_cube(n, X, kind.zero) for X in (C_entries, D_entries))
         # a pair of zeros is antisymmetric, so each nonzero entry is checked
         # against its mirror (within 1e-12 for float data)
@@ -302,12 +264,8 @@ def exterior_d(ctx: CoframeContext, a: InvariantForm) -> InvariantForm:
 
 class DolbeaultSplit(namedtuple("DolbeaultSplit", "del_part delbar_part residual")):
     """The (p+1, q) and (p, q+1) components of d, and anything else d
-    produced (the residual, flagged if nonzero)."""
+    produced (the residual)."""
     __slots__ = ()
-
-    @property
-    def clean(self) -> bool:
-        return self.residual.is_zero()
 
 
 def dolbeault_split(ctx: CoframeContext, a: InvariantForm) -> DolbeaultSplit:

@@ -12,9 +12,11 @@ resulting triple is (a, a, 0) a further constant unitary produces the
 
 Dense n x n x n tables are built by ``dense`` from (j, i, k, c) entries, as
 nested lists of their scalar kind; ``summed`` gives the nonzero cells of such
-a table as entries in index order.  numpy is imported only by the routines
-that work on arrays, so that ``lie`` builds its tables and matches its
-torsion patterns (``diagonal_entries``) without it.
+a table as entries in index order, as ``lie.HermitianLieAlgebra`` takes them.
+The frame change ``transform_torsion`` and the special-frame routines work
+on complex128 arrays.  numpy is imported only by the routines that work on
+arrays, so that ``lie`` builds its tables and matches its torsion patterns
+(``diagonal_entries``) without it.
 """
 
 from __future__ import annotations
@@ -101,20 +103,13 @@ def transform_torsion(T, P) -> np.ndarray:
 
         T'^i_{jk} = sum conj(P_{i a}) P_{j b} P_{k c} T^a_{bc}.
 
-    Exact T with an exact P runs on ExactComplex object arrays and needs P
-    exactly unitary.  Anything else runs on complex128 and needs P unitary
-    within 1e-10.  Either way the result is an array of that kind.
+    T and P of either kind are read as complex128, P must be unitary within
+    1e-10, and the result is a complex128 array.
     """
     import numpy as np
-    arrT = np.asarray(T)
-    arrP = np.asarray(P)
-    if arrT.dtype == arrP.dtype == object:
-        if (arrP @ arrP.conj().T - np.identity(len(arrP), dtype=object)).any():
-            raise ValueError("P must be exactly unitary")
-    else:
-        arrT, arrP = arrT.astype(complex), arrP.astype(complex)
-        if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
-            raise ValueError("P must be unitary within tolerance")
+    arrT, arrP = np.asarray(T, complex), np.asarray(P, complex)
+    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
+        raise ValueError("P must be unitary within tolerance")
     return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
 
 

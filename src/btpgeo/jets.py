@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from .linalg import matrix_inverse
-from .scalars import EXACT, Kind, Scalar, Terms
+from .scalars import Scalar, Terms
 
 Mono = Tuple[int, ...]   # (), (v,), or (v, w) with v <= w
 
@@ -38,10 +38,6 @@ class Jet2(Terms):
     @staticmethod
     def constant(n: int, c: Scalar) -> "Jet2":
         return Jet2(n, {(): c})
-
-    @staticmethod
-    def variable(n: int, v: int, kind: Kind = EXACT) -> "Jet2":
-        return Jet2(n, {(v,): kind.one})
 
     # ---- ring operations ---------------------------------------------------
     def __mul__(self, other: "Jet2") -> "Jet2":
@@ -110,24 +106,6 @@ class Jet2(Terms):
         if len(mono) == 2 and mono[0] == mono[1]:
             c = c * 2
         return c
-
-    def partial(self, v: int) -> "Jet2":
-        """Derivative with respect to variable v (result has degree <= 1)."""
-        acc: Dict[Mono, Scalar] = {}
-        for m, c in self.terms.items():      # each m with v leaves its own rest
-            if v in m:
-                rest = list(m)
-                rest.remove(v)
-                acc[tuple(rest)] = c * 2 if m == (v, v) else c
-        return _jet(self.n, acc, self.kind)
-
-    def truncate(self, max_degree: int) -> "Jet2":
-        """Drop coefficients above the given total degree."""
-        return _jet(self.n, {m: c for m, c in self.terms.items()
-                             if len(m) <= max_degree}, self.kind)
-
-    def norm_inf(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
         if not self.terms:

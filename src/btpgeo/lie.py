@@ -17,11 +17,10 @@ is linear in them, the connection of D + T.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Tuple
 
 from .forms import (CoframeContext, InvariantForm, _form, _wedge_terms,
                     d_squared_residual, dolbeault_split, exterior_d)
-from .frames import antisymmetric, dense, diagonal_entries, summed, transform_torsion
+from .frames import antisymmetric, dense, diagonal_entries, summed
 from .linalg import NumericError, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_rational,
                       exact_scalar, kind_of, memoized, scalar_from_json, scalar_to_json)
@@ -54,33 +53,22 @@ def _all_negligible(kind: Kind, values) -> bool:
 # --------------------------------------------------------------------------
 
 class HermitianLieAlgebra(CoframeContext):
-    """The coframe context of dimension n and structure constants, with a
-    label; validated on construction.
+    """The coframe context of dimension n, scalar kind and nonzero entries
+    of C and D, with a label; validated on construction.
 
+    The entries are those of ``CoframeContext``; ``from_json``, the
+    built-ins and ``conjugate_swap`` give them by ``frames.summed``.
     ``C[j][i][k]`` holds C^j_{ik} (antisymmetric in i, k) and ``D[j][i][k]``
-    holds D^j_{ik}; all 0-based.  Construction rejects non-integrable data:
-    every d^2 phi_i must vanish (NumericError if a float one is not finite).
-    Derived tables are ``memoized`` on it.
+    holds D^j_{ik}; all 0-based.  Construction rejects non-integrable data
+    unless validate is false: every d^2 phi_i must vanish (NumericError if a
+    float one is not finite).  Derived tables are ``memoized`` on it.
     """
 
     __slots__ = ("label", "_memo")
 
-    def __init__(self, n: int, C, D, label: str = "", validate: bool = True):
-        super().__init__(n, C, D)
-        self._finish(label, validate)
-
-    @classmethod
-    def _of(cls, n: int, kind: Kind, C_entries, D_entries, label: str = ""):
-        """The validated algebra of the nonzero entries of C and D, as
-        ``frames.summed`` gives them: scalars of kind, C's mirrors among
-        them, in index order.  The cubes are not walked."""
-        g = object.__new__(cls)
-        g._set_entries(n, kind, C_entries, D_entries)
-        g._finish(label, True)
-        return g
-
-    def _finish(self, label: str, validate: bool):
-        """The d^2 check (unless validate is false), the label and the memo."""
+    def __init__(self, n: int, kind: Kind, C_entries, D_entries, label: str = "",
+                 validate: bool = True):
+        super().__init__(n, kind, C_entries, D_entries)
         if validate:
             residuals = d_squared_residual(self)
             bad = [i for i, r in enumerate(residuals)
@@ -142,7 +130,10 @@ class HermitianLieAlgebra(CoframeContext):
         C, D = summed(antisymmetric(parsed[:ncr]), kind), summed(parsed[ncr:], kind)
         if not all_finite(c for *_, c in C + D):       # float sums can overflow
             raise SchemaError("a summed structure constant is not a finite number")
-        return HermitianLieAlgebra._of(n, kind, C, D, label=str(obj.get("label", "")))
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise SchemaError("'label' must be a string")
+        return HermitianLieAlgebra(n, kind, C, D, label=label)
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +143,8 @@ class HermitianLieAlgebra(CoframeContext):
 def _algebra(label: str, C, D, n: int = 3) -> HermitianLieAlgebra:
     """The exact algebra with the given (j, i, k, c) entries of C and D,
     0-based; each C entry implies its mirror C^j_{ki} = -c."""
-    return HermitianLieAlgebra._of(n, EXACT, summed(antisymmetric(C), EXACT),
-                                   summed(D, EXACT), label=label)
+    return HermitianLieAlgebra(n, EXACT, summed(antisymmetric(C), EXACT), summed(D, EXACT),
+                               label=label)
 
 
 def abelian(n: int = 3) -> HermitianLieAlgebra:
@@ -255,11 +246,6 @@ def chern_connection(g: HermitianLieAlgebra):
     return _connection_from(g, g.D_entries)
 
 
-def gamma_tensor(g: HermitianLieAlgebra):
-    """gamma_{ij} = sum_k ( T^j_{ik} phi_k - conj(T^i_{jk}) phibar_k )."""
-    return _connection_from(g, torsion_entries(g))
-
-
 @memoized
 def bismut_connection(g: HermitianLieAlgebra):
     """theta^b = theta + gamma, the connection of D + T."""
@@ -333,27 +319,17 @@ def gauduchon_eta(g: HermitianLieAlgebra) -> InvariantForm:
     return _form(g.n, eta, g.kind)
 
 
-def btp_residuals(g: HermitianLieAlgebra) -> Dict[Tuple[int, int, int], InvariantForm]:
-    """Residual 1-forms of the parallel-torsion identity.
+def _btp_residuals_from(X, tb):
+    """The residual 1-forms of the parallel-torsion identity with i < k.
 
     For constant torsion, theta^b-parallelism reads
-    0 = sum_r ( T^j_{rk} theta^b_{ir} + T^j_{ir} theta^b_{kr} - T^r_{ik} theta^b_{rj} )
-    for all (i, j, k); the returned map holds every left-hand side, in index
-    order.  T is antisymmetric in its lower indices, so R_{kji} = -R_{ijk}
-    and R_{iji} = 0.
-    """
-    n = g.n
-    half = _btp_residuals_from(torsion_entries(g), bismut_connection(g))
-    zero = InvariantForm.zero(n, g.kind)
-    return {(i, j, k): half[i, j, k] if i < k else -half[k, j, i] if i > k else zero
-            for i in range(n) for j in range(n) for k in range(n)}
-
-
-def _btp_residuals_from(X, tb):
-    """The residuals R_{ijk} of ``btp_residuals`` with i < k, which decide
-    the rest, for torsion X, its nonzero entries (j, i, k, c), and connection
-    tb, nested tuples; each summed into one dict of coefficients, entry by
-    entry of X."""
+    0 = R_{ijk} = sum_r ( T^j_{rk} theta^b_{ir} + T^j_{ir} theta^b_{kr}
+                          - T^r_{ik} theta^b_{rj} )
+    for all (i, j, k).  T is antisymmetric in its lower indices, so
+    R_{kji} = -R_{ijk} and R_{iji} = 0, and the R_{ijk} with i < k decide
+    the rest.  They are returned as a map keyed (i, j, k), for torsion X,
+    its nonzero entries (j, i, k, c), and connection tb, nested tuples, each
+    summed into one dict of coefficients, entry by entry of X."""
     n, kind = len(tb), tb[0][0].kind
     half = {(i, j, k): {} for i in range(n) for k in range(i + 1, n) for j in range(n)}
 
@@ -531,8 +507,8 @@ def conjugate_swap(g: HermitianLieAlgebra, S) -> HermitianLieAlgebra:
             for m, c in table[epsbar(j)][eps(k)]:
                 if m == epsbar(m % n):
                     D.append((j, m % n, k, c))
-    return HermitianLieAlgebra._of(n, g.kind, summed(C, g.kind), summed(D, g.kind),
-                                   label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
+    return HermitianLieAlgebra(n, g.kind, summed(C, g.kind), summed(D, g.kind),
+                               label=f"{g.label}~swap{sorted(x + 1 for x in S)}")
 
 
 def bismut_swap_equal(g: HermitianLieAlgebra, swapped: HermitianLieAlgebra, S) -> bool:
@@ -577,21 +553,6 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
     split = dolbeault_split(g, Phi)
     ddbar = exterior_d(g, split.delbar_part).bidegree_part(2, 2)
     return ddbar
-
-
-def transform_frame(g: HermitianLieAlgebra, P) -> HermitianLieAlgebra:
-    """Structure constants under the new unitary frame e'_i = sum_s P_{is} e_s.
-
-    C and D follow the torsion law of ``frames.transform_torsion``:
-    C'^j_{ik} = sum conj(P_{jt}) P_{ib} P_{kc} C^t_{bc}, and likewise D.
-    """
-    n = g.n
-    C, D = (transform_torsion(X, P).tolist() for X in (g.C, g.D))
-    # mirror the upper triangle: exact antisymmetry guards against roundoff
-    # (x * 0 is the zero of x's scalar kind)
-    C = [[[C[j][i][k] if i < k else -C[j][k][i] if i > k else C[j][i][i] * 0
-           for k in range(n)] for i in range(n)] for j in range(n)]
-    return HermitianLieAlgebra(n, C, D, label=f"{g.label}~frame")
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,9 @@ explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
 n^3 loops, the classify stages by their full computations (the
 solvability series with every spanning vector reduced, each curvature entry
 as a difference of forms), the row reduction and solvability series on
-dense vectors, direct sums of algebras, and the command-line parser built
-on argparse."""
+dense vectors, direct sums of algebras, algebras built from dense cubes of
+structure constants, the form wire-format reader, jet derivatives and
+truncation, and the command-line parser built on argparse."""
 
 import argparse
 import itertools
@@ -25,7 +26,8 @@ from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
 from btpgeo.linalg import NumericError, ShapeError, matrix_inverse
-from btpgeo.scalars import EC, EXACT, FLOAT, scalar_to_json
+from btpgeo.scalars import (EC, EXACT, FLOAT, common_kind, scalar_from_json,
+                            scalar_to_json)
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -118,6 +120,23 @@ def _first_derivs_loop(m):
              for j in range(n)] for i in range(n)]
 
 
+def jet_partial(j, v):
+    """The derivative of a jet with respect to variable v (degree <= 1)."""
+    acc = {}
+    for m, c in j.terms.items():      # each m with v leaves its own rest
+        if v in m:
+            rest = list(m)
+            rest.remove(v)
+            acc[tuple(rest)] = c * 2 if m == (v, v) else c
+    return Jet2._of(j.n, acc, j.kind)
+
+
+def jet_truncate(j, max_degree):
+    """The jet without its coefficients above the given total degree."""
+    return Jet2._of(j.n, {m: c for m, c in j.terms.items() if len(m) <= max_degree},
+                    j.kind)
+
+
 def torsion_jets(m):
     """T^j_{ik} as degree-1 jets: (G_{k l, i} - G_{i l, k}) G^{-1}_{l j}."""
     n = m.n
@@ -129,8 +148,8 @@ def torsion_jets(m):
             for k in range(n):
                 acc = Jet2(n, kind=m.kind)
                 for l in range(n):
-                    acc = acc + (G[k][l].partial(i) - G[i][l].partial(k)) * Ginv[l][j]
-                tj[j][i][k] = acc.truncate(1)
+                    acc = acc + (jet_partial(G[k][l], i) - jet_partial(G[i][l], k)) * Ginv[l][j]
+                tj[j][i][k] = jet_truncate(acc, 1)
     return tj
 
 
@@ -319,7 +338,18 @@ def random_chart_metric(rng, exact, base=None, n=3):
 # coordinate jets from canonical keys, unchecked.  These take the longer
 # route, with the same operations in the same order: the constant and
 # coordinate jets through the validating constructor (Jet2.constant,
-# Jet2.variable and +), the conjugate with a generator per monomial.
+# jet_variable and +), the conjugate with a generator per monomial.
+
+def jet_variable(n, v, kind=EXACT):
+    """The coordinate jet of variable v (z_{v+1} for v < n, zbar_{v-n+1}
+    else), through the validating constructor."""
+    return Jet2(n, {(v,): kind.one})
+
+
+def jet_norm_inf(j):
+    """The largest modulus of a jet's coefficients, 0.0 for the zero jet."""
+    return max((abs(c) for c in j.terms.values()), default=0.0)
+
 
 def jet_conj_checked(j):
     """The conjugate jet: z_i and zbar_i swap, coefficients conjugate."""
@@ -349,8 +379,8 @@ def coords_checked(n, point, kind):
     Z, Zb = [], []
     for i in range(n):
         base = Jet2.constant(n, point[i])
-        Z.append(base + Jet2.variable(n, i, kind))
-        Zb.append(base.conj() + Jet2.variable(n, n + i, kind))
+        Z.append(base + jet_variable(n, i, kind))
+        Zb.append(base.conj() + jet_variable(n, n + i, kind))
     return Z, Zb
 
 
@@ -657,8 +687,7 @@ def regauge(g, P):
     C = np.einsum("ia,abc,bj,ck->ijk", P, np.array(g.C, g.kind.dtype), Q, Q, optimize=True)
     Dbar = np.einsum("ia,bac,bj,ck->jik", P, np.conj(np.array(g.D, g.kind.dtype)), Q,
                      np.conj(Q), optimize=True)
-    return lie.HermitianLieAlgebra(g.n, C.tolist(), np.conj(Dbar).tolist(),
-                                   label=f"{g.label}~regauged")
+    return from_cubes(g.n, C.tolist(), np.conj(Dbar).tolist(), label=f"{g.label}~regauged")
 
 
 def so_complex(m):
@@ -679,7 +708,7 @@ def so_complex(m):
                     z, sign = (index[a, b], 1) if a < b else (index[b, a], -1)
                     C[z][x][y] += EC(s * sign)
     D = [[[EC(0)] * n for _ in range(n)] for _ in range(n)]
-    return lie.HermitianLieAlgebra(n, C, D, label=f"so{m}")
+    return from_cubes(n, C, D, label=f"so{m}")
 
 
 def cayley_unitary(A):
@@ -741,6 +770,13 @@ def form_monomials(f):
             c = f.coeff(I, J)
             if c:
                 yield (I, J), c
+
+
+def form_from_json(n, items):
+    """The form of its JSON wire format, 1-based (phi, phibar) index lists
+    and a coefficient per term, through the validating constructor."""
+    return InvariantForm(n, {(tuple(i - 1 for i in it["phi"]), tuple(j - 1 for j in it["phibar"])):
+                             scalar_from_json(it["coef"]) for it in items})
 
 
 def merge_sign(a, b):
@@ -939,6 +975,18 @@ def _cube(n):
 def nonzero_entries(X):
     """The nonzero (j, i, k, X^j_{ik}) of a dense n x n x n tensor, in index order."""
     return tuple((j, i, k, X[j][i][k]) for j, i, k in _cube(len(X)) if X[j][i][k])
+
+
+def from_cubes(n, C, D, label="", validate=True):
+    """The algebra of dense n x n x n cubes C[j][i][k] and D[j][i][k], C
+    antisymmetric in (i, k): their one scalar kind (``common_kind``, so
+    cubes of two kinds raise TypeError), and their nonzero entries as
+    scalars of it, in index order, given to ``lie.HermitianLieAlgebra``."""
+    kind = common_kind([c for X in (C, D) for layer in X for r in layer for c in r])
+    C_entries, D_entries = (tuple((j, i, k, kind.scalar(c)) for j, i, k, c in nonzero_entries(X))
+                            for X in (C, D))
+    return lie.HermitianLieAlgebra(n, kind, C_entries, D_entries, label=label,
+                                   validate=validate)
 
 
 def d_phi_dense(g):
@@ -1178,17 +1226,13 @@ def solvability_profile_full_reduction(g):
 
 
 def direct_sum(g1, g2):
-    """g1 + g2 with the orthogonal sum of their metrics, by the dense
-    constructor: g2's structure constants shifted by g1.n, no bracket between
-    the summands."""
-    n1, n = g1.n, g1.n + g2.n
-    C, D = ([[[g1.kind.zero] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
-    for T, X1, X2 in ((C, g1.C_entries, g2.C_entries), (D, g1.D_entries, g2.D_entries)):
-        for j, i, k, c in X1:
-            T[j][i][k] = c
-        for j, i, k, c in X2:
-            T[n1 + j][n1 + i][n1 + k] = c
-    return lie.HermitianLieAlgebra(n, C, D, label=f"{g1.label}+{g2.label}")
+    """g1 + g2 with the orthogonal sum of their metrics: g2's structure
+    constants shifted by g1.n, after g1's, so still in index order; no
+    bracket between the summands."""
+    n1 = g1.n
+    C, D = (X1 + tuple((n1 + j, n1 + i, n1 + k, c) for j, i, k, c in X2)
+            for X1, X2 in ((g1.C_entries, g2.C_entries), (g1.D_entries, g2.D_entries)))
+    return lie.HermitianLieAlgebra(n1 + g2.n, g1.kind, C, D, label=f"{g1.label}+{g2.label}")
 
 
 def curvature_by_form_differences(ctx, theta):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curvature_loop,
                       coords_checked, frame_route, jet_coefficients_loop, jet_conj_checked,
-                      jet_reciprocal_checked, levi_civita_full, orthonormalize_base, orthonormalizing_frame, random_chart_metric,
+                      jet_norm_inf, jet_variable, jet_reciprocal_checked, levi_civita_full, orthonormalize_base, orthonormalizing_frame, random_chart_metric,
                       random_curvature_tables, real_metric, ricci_frame_sum,
                       ricci_traces_loop, riemannian_parallel_torsion, sectional_closed_form,
                       sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
@@ -900,7 +900,7 @@ def _hermitian_over_ordered_pairs(g, kind):
     """The hermitian rule over all n^2 ordered pairs (i, j), each with the
     float tolerance 1e-10 * max(|g_ij|, 1) of its first jet."""
     n = len(g)
-    return all(kind.negligible(c, 1e-10 * max(g[i][j].norm_inf(), 1.0))
+    return all(kind.negligible(c, 1e-10 * max(jet_norm_inf(g[i][j]), 1.0))
                for i in range(n) for j in range(n)
                for c in (g[i][j] - g[j][i].conj()).terms.values())
 
@@ -910,11 +910,11 @@ def _off_diagonal_metric(scale, pair, delta, kind):
     hermitian but for delta added to the z2bar coefficient of the jet at pair."""
     c = kind.scalar(scale)
     diag = Jet2.constant(3, c * 5 + 1)
-    upper = (Jet2.constant(3, kind.one) + Jet2.variable(3, 0, kind).scale(kind.i)).scale(c)
+    upper = (Jet2.constant(3, kind.one) + jet_variable(3, 0, kind).scale(kind.i)).scale(c)
     g = [[diag if i == j else upper if i < j else upper.conj() for j in range(3)]
          for i in range(3)]
     i, j = pair
-    g[i][j] = g[i][j] + Jet2.variable(3, 4, kind).scale(kind.scalar(delta))
+    g[i][j] = g[i][j] + jet_variable(3, 4, kind).scale(kind.scalar(delta))
     return g
 
 
@@ -954,13 +954,13 @@ def test_chart_metric_checks_the_dimension_of_its_jets():
     one, zero = Jet2.constant(2, EC(1)), Jet2(2)
     # g_{1 1bar} = 1 + z1 z1bar in three variables, whose z1bar would be read
     # as z2bar of a two-variable chart
-    g11 = one3 + Jet2.variable(3, 0) * Jet2.variable(3, 3)
+    g11 = one3 + jet_variable(3, 0) * jet_variable(3, 3)
     for n, g in ((2, [[g11, zero3], [zero3, one3]]), (3, [[one, zero], [zero, one]]),
                  (3, [[one3] * 3] * 2), (2, [[one, zero], [zero]]),
                  (2, [[one, zero], [zero, EC(1)]])):
         with pytest.raises(ValueError, match="grid of jets"):
             charts.ChartMetric(n, g)
-    g11 = one + Jet2.variable(2, 0) * Jet2.variable(2, 2)
+    g11 = one + jet_variable(2, 0) * jet_variable(2, 2)
     Rc = charts.chern_curvature_at(charts.ChartMetric(2, [[g11, zero], [zero, one]]))
     assert (Rc[0, 0, 0, 0], Rc[0, 1, 0, 0]) == (-1, 0)
 
@@ -1029,7 +1029,7 @@ def test_chart_metric_rejects_non_finite_jets(build):
         build()
     one, zero = Jet2.constant(2, 1 + 0j), Jet2(2, kind=FLOAT)
     for bad in (float("inf"), float("nan"), complex(0, float("-inf"))):
-        g11 = one + Jet2.variable(2, 0, FLOAT).scale(bad)
+        g11 = one + jet_variable(2, 0, FLOAT).scale(bad)
         with pytest.raises(ValueError, match="finite coefficients"):
             charts.ChartMetric(2, [[g11, zero], [zero, one]])
 

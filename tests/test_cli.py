@@ -94,6 +94,10 @@ def test_classify_malformed_entry_exits_3(tmp_path, capsys, field, value):
     {"n": 17, "C": [], "D": []},
     {"n": 10 ** 6},
     {"n": 3, "C": [[1, 2, 3]], "D": []},
+    {"n": 3, "label": None},
+    {"n": 3, "label": {"x": 1}},
+    {"n": 3, "label": 5},
+    {"n": 3, "label": ["n3"]},
 ])
 def test_classify_malformed_document_exits_3(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
@@ -102,6 +106,16 @@ def test_classify_malformed_document_exits_3(tmp_path, capsys, doc):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, label", [({"n": 3}, ""), ({"n": 3, "label": ""}, ""),
+                                        ({"n": 3, "label": "n3~x"}, "n3~x")])
+def test_classify_reports_a_string_label_and_a_missing_one_as_empty(tmp_path, capsys, doc,
+                                                                    label):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 0 and json.loads(out)["label"] == label
 
 
 def test_classify_accepts_the_largest_n(tmp_path, capsys):
@@ -448,7 +462,7 @@ def test_sweep_origin_compares_c_as_well_as_d(capsys, monkeypatch):
         g = n3(a)
         C = [[[EC(0)] * 3 for _ in range(3)] for _ in range(3)]
         C[2][0][1], C[2][1][0] = EC(1), EC(-1)
-        return lie.HermitianLieAlgebra(3, C, g.D, label="n3+C")
+        return _oracles.from_cubes(3, C, g.D, label="n3+C")
     monkeypatch.setattr(lie, "nilmanifold_n3", n3_with_c)
     code, out, _ = run_cli(capsys, "sweep", "--grid=0,1")
     claims = json.loads(out)["claims"]

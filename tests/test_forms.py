@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import (exterior_d_leibniz, real_bracket_table_dense, swap_indices_inversions,
-                      wedge_merge)
+from _oracles import (exterior_d_leibniz, form_from_json, from_cubes, real_bracket_table_dense,
+                      swap_indices_inversions, wedge_merge)
 from btpgeo import lie
 from btpgeo.forms import (BidegreeError, CoframeContext, InvariantForm,
                           d_squared_residual, dolbeault_split, exterior_d)
-from btpgeo.scalars import EC
+from btpgeo.scalars import EC, EXACT
 
 
 def phi(i, c=None):
@@ -108,7 +108,7 @@ def test_d_on_nilmanifold_matches_structure():
 
 def test_d_of_constant_is_zero():
     g = lie.nilmanifold_n3(1)
-    assert exterior_d(g, InvariantForm.scalar(3, EC(5, 1))).is_zero()
+    assert exterior_d(g, InvariantForm.monomial(3, (), (), EC(5, 1))).is_zero()
 
 
 def test_d_on_family_a():
@@ -156,7 +156,7 @@ def test_dolbeault_middle_type_obstruction():
     g = lie.nilmanifold_n3(1)
     Phi = InvariantForm.monomial(3, (2,), (2,), EC.one())
     sp = dolbeault_split(g, Phi)
-    assert sp.clean
+    assert sp.residual.is_zero()
     ddbar = exterior_d(g, sp.delbar_part).bidegree_part(2, 2)
     p11 = InvariantForm.monomial(3, (0,), (0,), EC.one())
     p22 = InvariantForm.monomial(3, (1,), (1,), EC.one())
@@ -165,7 +165,7 @@ def test_dolbeault_middle_type_obstruction():
 
 def test_dolbeault_abelian():
     sp = dolbeault_split(lie.abelian(3), phi(0))
-    assert sp.del_part.is_zero() and sp.delbar_part.is_zero() and sp.clean
+    assert sp.del_part.is_zero() and sp.delbar_part.is_zero() and sp.residual.is_zero()
 
 
 def test_dolbeault_recombination():
@@ -186,7 +186,7 @@ def bracket_jacobi_oracle(ctx):
     """Brute-force Jacobi test on the complexified 2n-dimensional bracket."""
     n = ctx.n
     dim = 2 * n
-    alg = lie.HermitianLieAlgebra(n, ctx.C, ctx.D, validate=False)
+    alg = lie.HermitianLieAlgebra(n, ctx.kind, ctx.C_entries, ctx.D_entries, validate=False)
     table = real_bracket_table_dense(alg)
 
     def brk(u, v):
@@ -222,11 +222,7 @@ def test_d_squared_zero_on_builtins():
 
 
 def test_d_squared_heisenberg():
-    C = [[[EC.zero()] * 3 for _ in range(3)] for _ in range(3)]
-    D = [[[EC.zero()] * 3 for _ in range(3)] for _ in range(3)]
-    C[2][0][1] = EC(1)
-    C[2][1][0] = EC(-1)
-    ctx = CoframeContext(3, C, D)
+    ctx = CoframeContext(3, EXACT, ((2, 0, 1, EC(1)), (2, 1, 0, EC(-1))), ())
     assert all(r.is_zero() for r in d_squared_residual(ctx))
     assert bracket_jacobi_oracle(ctx)
 
@@ -247,22 +243,19 @@ def test_d_squared_generic_nonzero_matches_bracket_oracle():
                     C[j][k][i] = -v
                 for k in range(3):
                     D[j][i][k] = EC(Fraction(rng.randint(-1, 1)), 0)
-        ctx = CoframeContext(3, C, D)
+        ctx = from_cubes(3, C, D, validate=False)
         res_zero = all(r.is_zero() for r in d_squared_residual(ctx))
         assert res_zero == bracket_jacobi_oracle(ctx)
 
 
 def test_c_antisymmetry_enforced():
-    C = [[[EC.zero()] * 3 for _ in range(3)] for _ in range(3)]
-    D = [[[EC.zero()] * 3 for _ in range(3)] for _ in range(3)]
-    C[0][1][2] = EC(1)   # mirror entry missing
-    with pytest.raises(ValueError):
-        CoframeContext(3, C, D)
+    with pytest.raises(ValueError):     # the mirror entry is missing
+        CoframeContext(3, EXACT, ((0, 1, 2, EC(1)),), ())
 
 
 def test_form_json_roundtrip():
     f = phi(0).wedge(phibar(2)).scale(EC(Fraction(3, 7), 1)) + phi(1)
-    assert InvariantForm.from_json(3, f.to_json()) == f
+    assert form_from_json(3, f.to_json()) == f
 
 
 # ---- the bit-mask kernel against the tuple-keyed oracles ------------------------

@@ -3,17 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import jet_conj_checked, jet_reciprocal_checked
+from _oracles import (jet_conj_checked, jet_norm_inf, jet_partial, jet_reciprocal_checked,
+                      jet_variable)
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
 from btpgeo.scalars import EC, EXACT, FLOAT
 
 
 def z(i):
-    return Jet2.variable(3, i)
+    return jet_variable(3, i)
 
 
 def zb(i):
-    return Jet2.variable(3, 3 + i)
+    return jet_variable(3, 3 + i)
 
 
 def const(c):
@@ -63,9 +64,9 @@ def test_deriv_multiplicities():
 
 def test_partial_reduces_degree():
     f = z(0) * z(0) + z(0) * zb(1)
-    df = f.partial(0)
+    df = jet_partial(f, 0)
     assert df == z(0).scale(EC(2)) + zb(1)
-    assert f.partial(f.n + 1) == z(0)
+    assert jet_partial(f, f.n + 1) == z(0)
 
 
 coef = st.integers(-4, 4).map(lambda v: EC(v, 0))
@@ -77,7 +78,7 @@ def test_ring_commutativity(entries):
     a = Jet2(3)
     b = Jet2(3)
     for i, (v, c) in enumerate(entries):
-        t = Jet2.variable(3, v).scale(c)
+        t = jet_variable(3, v).scale(c)
         a = a + t if i % 2 == 0 else a
         b = b + t if i % 2 == 1 else b
     assert a * b == b * a
@@ -160,7 +161,7 @@ def test_jet_matrix_inverse_exact():
 
 
 def test_jet_matrix_inverse_float():
-    gf = [[Jet2.constant(2, 2 + 0j) + Jet2.variable(2, 0, FLOAT) * Jet2.variable(2, 2, FLOAT),
+    gf = [[Jet2.constant(2, 2 + 0j) + jet_variable(2, 0, FLOAT) * jet_variable(2, 2, FLOAT),
            Jet2.constant(2, 0.5 + 0j)],
           [Jet2.constant(2, 0.5 + 0j), Jet2.constant(2, 1 + 0j)]]
     inv = jet_matrix_inverse(gf)
@@ -168,7 +169,7 @@ def test_jet_matrix_inverse_float():
     for k in range(2):
         acc = acc + gf[0][k] * inv[k][0]
     assert abs(complex(acc.value()) - 1) < 1e-12
-    assert (acc - Jet2.constant(2, acc.value())).norm_inf() < 1e-12
+    assert jet_norm_inf(acc - Jet2.constant(2, acc.value())) < 1e-12
 
 
 # ---- the unchecked builders equal the validating route --------------------------

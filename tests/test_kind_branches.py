@@ -25,8 +25,8 @@ CEILINGS = {
     "__init__.py": 0,
     "charts.py": 6,
     "cli.py": 1,
-    "forms.py": 1,
-    "frames.py": 3,
+    "forms.py": 0,
+    "frames.py": 1,
     "goldens.py": 0,
     "jets.py": 0,
     "lie.py": 3,

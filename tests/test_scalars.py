@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import from_cubes, jet_partial, jet_truncate, jet_variable
 from btpgeo import charts, lie, scalars
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
@@ -412,7 +413,7 @@ def test_terms_are_immutable_and_check_dimensions(cls, key):
 def test_a_map_takes_the_kind_of_its_coefficients_zeros_included():
     assert Jet2.constant(3, 0j).kind is FLOAT
     assert type(Jet2.constant(3, 0j).value()) is complex
-    assert InvariantForm.scalar(3, EC(0)).kind is EXACT
+    assert InvariantForm.monomial(3, (), (), EC(0)).kind is EXACT
     assert InvariantForm(3, {((0,), ()): 0j, ((1,), ()): 0j}).kind is FLOAT
     # a map given no coefficients takes its kind argument, exact by default
     assert Jet2(3).kind is EXACT and InvariantForm.zero(3).kind is EXACT
@@ -424,7 +425,7 @@ def test_a_map_takes_the_kind_of_its_coefficients_zeros_included():
 
 def test_mixed_kinds_raise_even_where_no_key_collides():
     e, f = InvariantForm.phi(3, 0), InvariantForm.phi(3, 1, 1 + 0j)
-    je, jf = Jet2.variable(3, 0), Jet2.variable(3, 1, FLOAT)
+    je, jf = jet_variable(3, 0), jet_variable(3, 1, FLOAT)
     for op in (operator.add, operator.sub):
         for a, b in ((e, f), (f, e), (je, jf), (jf, je), (InvariantForm.zero(3), f),
                      (Jet2(3, kind=FLOAT), je)):
@@ -459,7 +460,7 @@ def _ctx(kind):
     if kind.exact:
         return g
     to_float = lambda T: [[[complex(c) for c in r] for r in layer] for layer in T]
-    return lie.HermitianLieAlgebra(3, to_float(g.C), to_float(g.D))
+    return from_cubes(3, to_float(g.C), to_float(g.D))
 
 
 @given(st.sampled_from([EXACT, FLOAT]).flatmap(lambda k: st.tuples(
@@ -478,8 +479,8 @@ def test_every_operation_keeps_the_kind(case):
         split = dolbeault_split(ctx, a.bidegree_part(1, 0))
     forms += [split.del_part, split.delbar_part, split.residual]
     jets = [u + v, u - v, u - u, -u, u.scale(zero), u * v, u * (v - v), u.conj(),
-            u.partial(0), u.partial(5), u.truncate(1), u.truncate(0),
-            Jet2.variable(3, 1, kind) * Jet2.variable(3, 2, kind) * Jet2.variable(3, 3, kind)]
+            jet_partial(u, 0), jet_partial(u, 5), jet_truncate(u, 1), jet_truncate(u, 0),
+            jet_variable(3, 1, kind) * jet_variable(3, 2, kind) * jet_variable(3, 3, kind)]
     if u.value():
         jets += [u.reciprocal(), v / u]
     for r in forms + jets:

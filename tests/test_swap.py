@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import first_chern_ricci
+from _oracles import first_chern_ricci, from_cubes
 from btpgeo import lie
 from btpgeo.forms import InvariantForm
 from btpgeo.scalars import EC
@@ -106,7 +106,7 @@ def test_splitting_swap_in_dimension_five():
     D = [[[EC.zero()] * n for _ in range(n)] for _ in range(n)]
     for i in range(4):
         D[i][4][i] = EC(a)
-    g = lie.HermitianLieAlgebra(n, C, D, label="split5")
+    g = from_cubes(n, C, D, label="split5")
     rep = lie.classify(g)
     assert not rep.balanced and rep.btp and rep.b_rank == 4 and rep.vaisman_pattern
     assert rep.eta == InvariantForm.phi(n, 4, EC(4 * a, 0))

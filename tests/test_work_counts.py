@@ -85,7 +85,7 @@ def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
     counted = _counter(calls)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(EC, name, counted("ops", getattr(EC, name)))
-    g = lie.HermitianLieAlgebra(g.n, g.C, g.D, label=g.label)   # no table built yet
+    g = lie.HermitianLieAlgebra(g.n, g.kind, g.C_entries, g.D_entries, label=g.label)  # no tables
     calls.clear()
     lie.classify(g)
     assert calls["ops"] == ops

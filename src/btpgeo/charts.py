@@ -6,23 +6,11 @@ Ricci tensors, the parallel-torsion residuals and the Levi-Civita curvature
 are extracted from jet coefficients at any positive-definite base value G,
 and so are the sectional and Ricci curvature.
 
-The constructor reads the coefficients once, into read-only arrays of the
-metric's kind (complex128, or object arrays of ExactComplex, whose sums do
-not depend on their order) that it keeps as attributes: G, G^{-1}, the
-first and second jet coefficients dg, dgb, hh, ha and the Chern Christoffel
-symbols Gamma[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.  Torsion, Chern
-curvature and residuals are einsums of them, the Ricci tensors trace Rc with
-G^{-1}; each table, the Levi-Civita pair (r11, r20) included, is built once
-per metric (scalars.memoized).  The public functions hand out these
-read-only arrays themselves, so a write to one raises.  The derivative of
-the torsion T^j_{ik} = sum_l (g_{k lbar, i} - g_{i lbar, k}) g^{lbar j} is
-taken in closed form:
-partial_m T^j_{ik} = sum_l (g_{k lbar, im} - g_{i lbar, km}) g^{lbar j}
-    + sum_l (g_{k lbar, i} - g_{i lbar, k}) partial_m g^{lbar j},
-with partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}, and likewise along
-zbar_m.  The residuals combine it with Gamma and with
-A[r,l,i] = sum_{p,s} g_{i pbar} conj(T^p_{ls}) g^{sbar r}, so they
-transform as tensors under a linear change of chart (btp_residual_at).
+The constructor reads the jet coefficients once (ChartMetric).  Each table is
+written once, as einsums of them, built once per metric (scalars.memoized)
+and handed out as the same read-only array of the kind on every call.  The
+kind supplies the einsum: np.einsum on complex128, or for exact metrics a
+join over the maps {index tuple: nonzero ExactComplex} read from the jets.
 
 Sectional numerators and Ricci curvature run through the same contractions
 for both scalar kinds.  The Ricci curvature of x = X + conj(X) traces the
@@ -46,6 +34,8 @@ sigma_{i jbar} = (delta_{i1} delta_{j1} |z3|^2 + delta_{i1} delta_{j2} z3
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,7 +66,7 @@ class ChartMetric:
     """
 
     __slots__ = ("n", "g", "label", "kind", "G", "Ginv", "dg", "dgb", "hh", "ha", "gam",
-                 "_memo")
+                 "_t", "_memo")
 
     def __init__(self, n: int, g, label: str = ""):
         g = tuple(tuple(r) for r in g)
@@ -100,7 +90,9 @@ class ChartMetric:
                            for f in (g[i][j], g[j][i]))
                 if not all(kind.negligible(c, 1e-10 * max(size, 1.0)) for c in d.terms.values()):
                     raise ValueError("metric jets must be hermitian")
-        G, dg, dgb, hh, ha = _jet_coefficients(g, kind)
+        entries = _jet_coefficients(g, kind)
+        G, dg, dgb, hh, ha = arrays = [_array(e, r, n, kind)
+                                       for e, r in zip(entries, (2, 3, 3, 4, 4))]
         if kind.exact:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
@@ -108,14 +100,16 @@ class ChartMetric:
             rows = row_basis(map(sparse_row, G), kind)
             positive = len(rows) == n and all(k in r and r[k].im == 0 and r[k].re > 0
                                               for k, r in enumerate(rows))
+            tensors, operands = _Sparse, entries
         else:
             positive = np.linalg.eigvalsh(G).min() > 0
+            tensors, operands = _Dense, arrays
         if not positive:
             raise ValueError("metric must be positive definite at the base point")
         Ginv = _readonly(matrix_inverse(G, kind))
-        gam = _readonly(np.einsum("lsi,sr->lri", dg, Ginv))
+        t = tensors(n, operands, Ginv)
         for name, value in zip(self.__slots__, (n, g, label, kind, G, Ginv, dg, dgb, hh, ha,
-                                                gam, {})):
+                                                t.array(t.gam, 3), t, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -127,11 +121,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _array(entries, rank: int, n: int, kind: Kind) -> np.ndarray:
+    """The read-only (n,) * rank array of a map's entries, the kind's zero elsewhere."""
+    a = np.empty((n,) * rank, kind.dtype)
+    a.fill(kind.zero)
+    for k, c in entries.items():
+        a[k] = c
+    return _readonly(a)
+
+
 def _jet_coefficients(g, kind: Kind):
-    """The read-only arrays G, dg, dgb, hh and ha of ``ChartMetric`` from
-    an n x n grid of jets."""
+    """G, dg, dgb, hh and ha of ``ChartMetric`` as maps {index tuple: nonzero scalar}."""
     n = len(g)
-    dg, dgb, hh, ha = (np.full((n,) * r, kind.zero, kind.dtype) for r in (3, 3, 4, 4))
+    G = {(i, j): c for i, row in enumerate(g) for j, c in enumerate(map(Jet2.value, row)) if c}
+    dg, dgb, hh, ha = {}, {}, {}, {}
     for i in range(n):
         for j in range(n):
             for mono, c in g[i][j].terms.items():
@@ -147,8 +150,82 @@ def _jet_coefficients(g, kind: Kind):
                         hh[i, j, v, w] = hh[i, j, w, v] = c * 2 if v == w else c
                     elif v < n:
                         ha[i, j, v, w - n] = c
-    G = np.array([[f.value() for f in row] for row in g], kind.dtype)
-    return tuple(map(_readonly, (G, dg, dgb, hh, ha)))
+    return G, dg, dgb, hh, ha
+
+
+class _Dense:
+    """A float metric's operands (as on ChartMetric) and tables T and Rc, as complex128."""
+
+    def __init__(self, n: int, operands, Ginv):
+        self.n, (self.G, self.dg, self.dgb, self.hh, self.ha) = n, operands
+        self.Ginv = self.form(Ginv)
+        self.gam = self.ein("lsi,sr->lri", self.dg, self.Ginv)
+
+    form = staticmethod(lambda a: a)
+    ein = staticmethod(np.einsum)
+    conj = staticmethod(np.conj)
+    array = staticmethod(lambda t, rank: _readonly(t))   # the table handed out
+
+
+class _Sparse(_Dense):
+    """An exact metric's operands and tables as maps {index tuple: nonzero entry}."""
+
+    form = staticmethod(lambda a: {k: c for k, c in np.ndenumerate(a) if c})
+    conj = staticmethod(lambda t: {k: c.conjugate() for k, c in t.items()})
+
+    @staticmethod
+    def ein(spec, first, *ops):
+        """np.einsum on maps, none with a repeated index: each row of bound
+        indices, with its product, joins the next operand's agreeing entries."""
+        steps, out = _plan(spec)
+        rows = first.items()
+        for (at, old, new), op in zip(steps, ops):
+            index = {}
+            for k, v in op.items():
+                index.setdefault(tuple(k[p] for p in old), []).append(
+                    (tuple(k[p] for p in new), v))
+            rows = [(r + k, x * v) for r, x in rows
+                    for k, v in index.get(tuple(r[p] for p in at), ())]
+        acc = {}
+        for r, x in rows:
+            key = out(r)
+            acc[key] = acc[key] + x if key in acc else x
+        return _Map({k: v for k, v in acc.items() if v})
+
+    def array(self, t, rank: int) -> np.ndarray:
+        return _array(t, rank, self.n, EXACT)
+
+
+class _Map(dict):
+    """An exact table {index tuple: nonzero entry} under the sums, negation
+    and scalar multiples that the table formulas take of einsum results."""
+
+    __neg__ = lambda self: _Map({k: -v for k, v in self.items()})      # noqa: E731
+    __sub__ = lambda self, other: self + -other                         # noqa: E731
+    __mul__ = lambda self, c: _Map({k: v * c for k, v in self.items()})  # noqa: E731
+
+    def __add__(self, other):
+        out = _Map(self)
+        for k, v in other.items():
+            v = out.pop(k) + v if k in out else v
+            if v:
+                out[k] = v
+        return out
+
+
+@cache
+def _plan(spec: str):
+    """How ``_Sparse.ein`` joins a spec's operands: per operand after the first, the row
+    places of its bound indices, their places in it and the places of its new
+    ones; then the getter of the output indices (two or more) from a row."""
+    first, *inputs = spec.replace("->", ",").split(",")
+    row, steps = first, []
+    for op in inputs[:-1]:
+        old = [p for p, c in enumerate(op) if c in row]
+        steps.append(([row.index(op[p]) for p in old], old,
+                      [p for p, c in enumerate(op) if c not in row]))
+        row += "".join(c for c in op if c not in row)
+    return steps, itemgetter(*map(row.index, inputs[-1]))
 
 
 # --------------------------------------------------------------------------
@@ -173,14 +250,6 @@ def _coords(n: int, point, kind: Kind):
     Z = [_jet(n, {(): p, (i,): one}, kind) for i, p in enumerate(point)]
     Zb = [_jet(n, {(): p.conjugate(), (n + i,): one}, kind) for i, p in enumerate(point)]
     return Z, Zb
-
-
-def euclidean_metric(n: int = 3, exact: bool = True) -> ChartMetric:
-    kind, _ = _builder_kind(exact, ())
-    one = kind.one
-    g = [[Jet2.constant(n, one) if i == j else Jet2(n, kind=kind) for j in range(n)]
-         for i in range(n)]
-    return ChartMetric(n, g, label="euclidean")
 
 
 def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetric:
@@ -247,39 +316,32 @@ def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric
 # pointwise extraction
 # --------------------------------------------------------------------------
 
-def _skew(d):
-    """S[i,k,l,...] = d[k,l,i,...] - d[i,l,k,...]."""
-    rest = range(3, d.ndim)
-    return d.transpose(2, 0, 1, *rest) - d.transpose(0, 2, 1, *rest)
-
-
-def _torsion_derivative(m: ChartMetric, d, h):
-    """D[j,i,k,m] = partial_m T^j_{ik} in closed form.
-
-    With d[i,j,m] the derivative of g_{i jbar} along the variable m and
-    h[i,j,k,m] the derivative of g_{i jbar, k} along it (hh and dg for z_m,
-    ha and dgb for zbar_m):
-    D = sum_l ( h_{k l i m} - h_{i l k m} ) g^{lbar j}
-        + sum_l ( g_{k lbar, i} - g_{i lbar, k} ) partial_m g^{lbar j},
-    where partial_m G^{-1} = -G^{-1} (partial_m G) G^{-1}.
-    """
-    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", m.Ginv, d), m.Ginv)
-    return (np.einsum("iklm,lj->jikm", _skew(h), m.Ginv)
-            + np.einsum("ikl,ljm->jikm", _skew(m.dg), dginv))
+def _torsion_derivative(t, d, h):
+    """D[l,i,j,k] = partial_l T^j_{ik}, with d and h the derivatives of g_{i jbar}
+    and g_{i jbar, k} along l (dg and hh for z_l, dgb and ha for zbar_l):
+    D = sum_s ( h_{k s i l} - h_{i s k l} ) g^{sbar j}
+        + sum_s ( g_{k sbar, i} - g_{i sbar, k} ) partial_l g^{sbar j},
+    where partial_l G^{-1} = -G^{-1} (partial_l G) G^{-1}."""
+    dginv = -t.ein("sa,abl,bj->sjl", t.Ginv, d, t.Ginv)
+    return (t.ein("ksil,sj->lijk", h, t.Ginv) - t.ein("iskl,sj->lijk", h, t.Ginv)
+            + t.ein("ksi,sjl->lijk", t.dg, dginv) - t.ein("isk,sjl->lijk", t.dg, dginv))
 
 
 @memoized
 def chern_torsion_at(m: ChartMetric):
     """T^j_{ik} = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    return _readonly(np.einsum("ikl,lj->jik", _skew(m.dg), m.Ginv))
+    t = m._t
+    t.T = t.ein("kli,lj->jik", t.dg, t.Ginv) - t.ein("ilk,lj->jik", t.dg, t.Ginv)
+    return t.array(t.T, 3)
 
 
 @memoized
 def chern_curvature_at(m: ChartMetric):
     """R^c_{k lbar i jbar} = -g_{i jbar, k lbar}
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
-    return _readonly(np.einsum("iqk,jql->klij", m.gam, np.conj(m.dg))
-                     - m.ha.transpose(2, 3, 0, 1))
+    t = m._t
+    t.Rc = t.ein("iqk,jql->klij", t.gam, t.conj(t.dg)) - t.ein("ijkl->klij", t.ha)
+    return t.array(t.Rc, 4)
 
 
 @memoized
@@ -293,8 +355,9 @@ def ricci_forms_at(m: ChartMetric):
     ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
     ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
-    Rc = chern_curvature_at(m)
-    return tuple(_readonly(np.einsum(spec, Rc, m.Ginv))
+    chern_curvature_at(m)                        # kept as m._t.Rc
+    t = m._t
+    return tuple(t.array(t.ein(spec, t.Rc, t.Ginv), 2)
                  for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj"))
 
 
@@ -310,20 +373,17 @@ def btp_residual_at(m: ChartMetric):
                   - Gamma[l,j,r] T^r_{ik} ),
     the antiholomorphic side  d/dzbar_l T^j_{ik}
         - sum_r ( T^j_{ir} A[r,l,k] - T^j_{kr} A[r,l,i] - T^r_{ik} A[j,l,r] ).
-    Where g = identity at the base point, Gamma[l,r,i] = g_{l rbar, i} and
-    A[r,l,i] = conj(T^i_{lr}).  Both vanish identically iff the Bismut
-    torsion is parallel at the point.  res_h and res_a are indexed
-    [l][i][j][k] and transform as tensors under a linear change of chart.
-    """
-    T = chern_torsion_at(m)
-    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", m.G, np.conj(T)), m.Ginv)
-    res_h = (np.einsum("jikl->lijk", _torsion_derivative(m, m.dg, m.hh))
-             - np.einsum("lri,jrk->lijk", m.gam, T) - np.einsum("lrk,jir->lijk", m.gam, T)
-             + np.einsum("ljr,rik->lijk", m.gam, T))
-    res_a = (np.einsum("jikl->lijk", _torsion_derivative(m, m.dgb, m.ha))
-             - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
-             + np.einsum("rik,jlr->lijk", T, A))
-    return _readonly(res_h), _readonly(res_a)
+    Both vanish identically iff the Bismut torsion is parallel at the point.
+    res_h and res_a are indexed [l][i][j][k] and transform as tensors under
+    a linear change of chart."""
+    chern_torsion_at(m)                          # kept as m._t.T
+    t = m._t
+    A = t.ein("ip,pls,sr->rli", t.G, t.conj(t.T), t.Ginv)
+    res_h = (_torsion_derivative(t, t.dg, t.hh) - t.ein("lri,jrk->lijk", t.gam, t.T)
+             - t.ein("lrk,jir->lijk", t.gam, t.T) + t.ein("ljr,rik->lijk", t.gam, t.T))
+    res_a = (_torsion_derivative(t, t.dgb, t.ha) - t.ein("jir,rlk->lijk", t.T, A)
+             + t.ein("jkr,rli->lijk", t.T, A) + t.ein("rik,jlr->lijk", t.T, A))
+    return t.array(res_h, 4), t.array(res_a, 4)
 
 
 @memoized
@@ -347,17 +407,17 @@ def riemannian_curvature_at(m: ChartMetric):
         R_{k lbar i jbar} = sum V[q,l,j] P[q,k,i] - sum Q[p,i,l] U[p,j,k]
             - sum U[q,l,i] Q[q,k,j] - 1/2 (g_{k jbar, i lbar} + g_{i lbar, k jbar}).
     """
-    half = m.kind.scalar(Fraction(1, 2))
-    P = (np.einsum("kpi->pik", m.dg) + np.einsum("ipk->pik", m.dg)) * half
-    Q = (np.einsum("ipk->pik", m.dgb) - np.einsum("ikp->pik", m.dgb)) * half
-    U = np.einsum("qp,plj->qlj", m.Ginv, np.conj(Q))
-    V = np.einsum("qp,plj->qlj", m.Ginv, np.conj(P))
-    r20 = (np.einsum("qlj,qik->ijkl", U, P) - np.einsum("pjk,pli->ijkl", P, U)
-           - (np.einsum("iljk->ijkl", m.hh) - np.einsum("jlik->ijkl", m.hh)) * half)
-    r11 = (np.einsum("qlj,qki->klij", V, P) - np.einsum("pil,pjk->klij", Q, U)
-           - np.einsum("qli,qkj->klij", U, Q)
-           - (np.einsum("kjil->klij", m.ha) + np.einsum("ilkj->klij", m.ha)) * half)
-    return _readonly(r11), _readonly(r20)
+    t, half = m._t, m.kind.scalar(Fraction(1, 2))
+    P = (t.ein("kpi->pik", t.dg) + t.ein("ipk->pik", t.dg)) * half
+    Q = (t.ein("ipk->pik", t.dgb) - t.ein("ikp->pik", t.dgb)) * half
+    U = t.ein("qp,plj->qlj", t.Ginv, t.conj(Q))
+    V = t.ein("qp,plj->qlj", t.Ginv, t.conj(P))
+    r20 = (t.ein("qlj,qik->ijkl", U, P) - t.ein("pjk,pli->ijkl", P, U)
+           - (t.ein("iljk->ijkl", t.hh) - t.ein("jlik->ijkl", t.hh)) * half)
+    r11 = (t.ein("qlj,qki->klij", V, P) - t.ein("pil,pjk->klij", Q, U)
+           - t.ein("qli,qkj->klij", U, Q)
+           - (t.ein("kjil->klij", t.ha) + t.ein("ilkj->klij", t.ha)) * half)
+    return t.array(r11, 4), t.array(r20, 4)
 
 
 def point_report(m: ChartMetric):

@@ -1,13 +1,14 @@
 """Independent oracles shared by the test modules: finite differences, the
-flag metric evaluated directly, closed forms, the jet route to point
-curvature, the reciprocal and coordinate jets built through the validating
-jet constructor and the conjugate with a generator per monomial, two
-routes to the Levi-Civita curvature, sectional and Ricci curvature by
+flag metric evaluated directly, closed forms, the flat reference metric, the
+jet route to point curvature, the chart tables by numpy.einsum on the
+metric's arrays, the reciprocal and coordinate jets built through the
+validating jet constructor and the conjugate with a generator per monomial,
+two routes to the Levi-Civita curvature, sectional and Ricci curvature by
 explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
-n^3 loops, the classify stages by their full computations (the
-solvability series with every spanning vector reduced, each curvature entry
-as a difference of forms), the row reduction and solvability series on
-dense vectors, direct sums of algebras, algebras built from dense cubes of
+n^3 loops, the classify stages by their full computations (the solvability
+series with every spanning vector reduced, each curvature entry as a
+difference of forms), the row reduction and solvability series on dense
+vectors, direct sums of algebras, algebras built from dense cubes of
 structure constants, the form wire-format reader, jet derivatives and
 truncation, and the command-line parser built on argparse."""
 
@@ -79,6 +80,13 @@ def wallach_metric_values(z, sigma_scale: float = 1.0) -> np.ndarray:
     sig[1, 0] = np.conj(z3)
     sig[1, 1] = 1.0
     return g - sigma_scale * sig / (al * be)
+
+
+def euclidean_metric(n=3, exact=True):
+    """The flat metric g_{i jbar} = delta_ij as constant jets of either kind."""
+    kind = EXACT if exact else FLOAT
+    return ChartMetric(n, [[Jet2.constant(n, kind.one) if i == j else Jet2(n, kind=kind)
+                            for j in range(n)] for i in range(n)], label="euclidean")
 
 
 def sectional_closed_form(X, Y):
@@ -241,6 +249,51 @@ def ricci_traces_loop(m, Rc):
     ric3 = [[sum((Rc[k][l][i][j] * ginv[l][i] for l in rng for i in rng), zero)
              for j in rng] for k in rng]
     return ric1, ric2, ric3
+
+
+def _skew(d):
+    """S[i,k,l,...] = d[k,l,i,...] - d[i,l,k,...]."""
+    rest = range(3, d.ndim)
+    return d.transpose(2, 0, 1, *rest) - d.transpose(0, 2, 1, *rest)
+
+
+def _torsion_derivative_einsum(m, d, h):
+    """D[j,i,k,m] = partial_m T^j_{ik} = sum_l (h_{k l i m} - h_{i l k m})
+    g^{lbar j} + sum_l (g_{k lbar, i} - g_{i lbar, k}) partial_m g^{lbar j}."""
+    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", m.Ginv, d), m.Ginv)
+    return (np.einsum("iklm,lj->jikm", _skew(h), m.Ginv)
+            + np.einsum("ikl,ljm->jikm", _skew(m.dg), dginv))
+
+
+def chart_tables_einsum(m):
+    """Every chart table of m by ``numpy.einsum`` on the metric's arrays
+    (object arrays of ExactComplex for an exact metric), as a dict of
+    arrays: gam, the torsion T, the Chern curvature Rc, the Ricci tensors
+    ric1, ric2, ric3, the residuals res_h, res_a and the Levi-Civita pair
+    r11, r20, with the index layouts of the library's tables."""
+    gam = np.einsum("lsi,sr->lri", m.dg, m.Ginv)
+    T = np.einsum("ikl,lj->jik", _skew(m.dg), m.Ginv)
+    Rc = np.einsum("iqk,jql->klij", gam, np.conj(m.dg)) - m.ha.transpose(2, 3, 0, 1)
+    ric = [np.einsum(spec, Rc, m.Ginv) for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj")]
+    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", m.G, np.conj(T)), m.Ginv)
+    res_h = (np.einsum("jikl->lijk", _torsion_derivative_einsum(m, m.dg, m.hh))
+             - np.einsum("lri,jrk->lijk", gam, T) - np.einsum("lrk,jir->lijk", gam, T)
+             + np.einsum("ljr,rik->lijk", gam, T))
+    res_a = (np.einsum("jikl->lijk", _torsion_derivative_einsum(m, m.dgb, m.ha))
+             - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
+             + np.einsum("rik,jlr->lijk", T, A))
+    half = m.kind.scalar(Fraction(1, 2))
+    P = (np.einsum("kpi->pik", m.dg) + np.einsum("ipk->pik", m.dg)) * half
+    Q = (np.einsum("ipk->pik", m.dgb) - np.einsum("ikp->pik", m.dgb)) * half
+    U = np.einsum("qp,plj->qlj", m.Ginv, np.conj(Q))
+    V = np.einsum("qp,plj->qlj", m.Ginv, np.conj(P))
+    r20 = (np.einsum("qlj,qik->ijkl", U, P) - np.einsum("pjk,pli->ijkl", P, U)
+           - (np.einsum("iljk->ijkl", m.hh) - np.einsum("jlik->ijkl", m.hh)) * half)
+    r11 = (np.einsum("qlj,qki->klij", V, P) - np.einsum("pil,pjk->klij", Q, U)
+           - np.einsum("qli,qkj->klij", U, Q)
+           - (np.einsum("kjil->klij", m.ha) + np.einsum("ilkj->klij", m.ha)) * half)
+    return {"gam": gam, "T": T, "Rc": Rc, "ric1": ric[0], "ric2": ric[1], "ric3": ric[2],
+            "res_h": res_h, "res_a": res_a, "r11": r11, "r20": r20}
 
 
 # ---- two routes to the Levi-Civita curvature ---------------------------------

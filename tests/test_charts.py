@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chern_curvature_loop,
+from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chart_tables_einsum,
+                      chern_curvature_loop, euclidean_metric,
                       coords_checked, frame_route, jet_coefficients_loop, jet_conj_checked,
                       jet_norm_inf, jet_variable, jet_reciprocal_checked, levi_civita_full, orthonormalize_base, orthonormalizing_frame, random_chart_metric,
                       random_curvature_tables, real_metric, ricci_frame_sum,
@@ -102,7 +103,7 @@ def test_wallach_torsion(wallach_exact):
 
 
 def test_euclidean_torsion_zero():
-    T = charts.chern_torsion_at(charts.euclidean_metric(3))
+    T = charts.chern_torsion_at(euclidean_metric(3))
     assert all(T[j][i][k].is_zero() for j in range(3) for i in range(3) for k in range(3))
 
 
@@ -138,14 +139,14 @@ def test_chern_curvature_hermitian_pairing(wallach_exact):
 
 
 def test_euclidean_curvature_zero():
-    Rc = charts.chern_curvature_at(charts.euclidean_metric(3))
+    Rc = charts.chern_curvature_at(euclidean_metric(3))
     assert all(Rc[k][l][i][j].is_zero() for k in range(3) for l in range(3)
                for i in range(3) for j in range(3))
 
 
 def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     # the off-diagonal jets are empty, and an empty jet's value is an exact zero
-    m = charts.euclidean_metric(3, exact=False)
+    m = euclidean_metric(3, exact=False)
     assert m.G.dtype == complex
     assert _identity_base(m)
     assert all(t.dtype == complex for t in charts.riemannian_curvature_at(m))
@@ -155,7 +156,7 @@ def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
 
 
 def test_euclidean_ricci_tensors_vanish():
-    ric1, ric2, ric3 = charts.ricci_forms_at(charts.euclidean_metric(3))
+    ric1, ric2, ric3 = charts.ricci_forms_at(euclidean_metric(3))
     for r in (ric1, ric2, ric3):
         assert all(r[a][b].is_zero() for a in range(3) for b in range(3))
 
@@ -200,7 +201,7 @@ def test_wallach_btp_residuals_zero(wallach_exact):
 
 
 def test_euclidean_btp_residuals_zero():
-    res_h, res_a = charts.btp_residual_at(charts.euclidean_metric(3))
+    res_h, res_a = charts.btp_residual_at(euclidean_metric(3))
     assert (res_h == 0).all() and (res_a == 0).all()
 
 
@@ -414,6 +415,43 @@ def test_exact_extraction_transforms_as_tensors(seed, on_base, entries):
     _assert_tensorial(m, A)
 
 
+# ---- every table against numpy.einsum on the metric's arrays ---------------------------
+
+def _chart_tables(m):
+    """gam and every chart table of m, keyed as chart_tables_einsum keys them."""
+    return {"gam": m.gam, "T": charts.chern_torsion_at(m), "Rc": charts.chern_curvature_at(m),
+            **dict(zip(("ric1", "ric2", "ric3"), charts.ricci_forms_at(m))),
+            **dict(zip(("res_h", "res_a"), charts.btp_residual_at(m))),
+            **dict(zip(("r11", "r20"), charts.riemannian_curvature_at(m)))}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["wallach", "fubini_study"]),
+       st.lists(small_exact, min_size=3, max_size=3),
+       st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+@example("wallach", [EC(0)] * 3, 1)
+@example("wallach", [EC(0)] * 3, Fraction(1, 2))
+@example("fubini_study", [EC(0)] * 3, 1)
+def test_tables_match_the_einsum_oracle(builder, point, sigma_scale):
+    # exact tables are contracted over their nonzero entries, float ones by
+    # numpy.einsum; either way each equals the einsum of the metric's arrays
+    # and is handed out as a read-only array of the metric's kind
+    for exact in (True, False):
+        coords = point if exact else [complex(c) for c in point]
+        m = (charts.wallach_metric(coords, exact, sigma_scale) if builder == "wallach"
+             else charts.fubini_study_metric(3, exact, coords))
+        got, want = _chart_tables(m), chart_tables_einsum(m)
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            assert a.dtype == m.kind.dtype and not a.flags.writeable, name
+            assert a.shape == want[name].shape, name
+            if exact:
+                assert all(type(c) is EC for c in a.flat), name
+                assert np.array_equal(a, want[name]), name
+            else:
+                assert np.allclose(a, want[name], rtol=1e-12, atol=1e-12), name
+
+
 # ---- Levi-Civita side ---------------------------------------------------------------
 
 def test_wallach_riemannian_table(wallach_pc):
@@ -566,7 +604,7 @@ def test_ricci_constant_exact(wallach_pc):
 
 
 def test_ricci_euclidean_zero():
-    assert charts.ricci_curvature(charts.euclidean_metric(3), (1, 0, 0)) == 0
+    assert charts.ricci_curvature(euclidean_metric(3), (1, 0, 0)) == 0
 
 
 def test_kaehler_einstein_end_of_the_pencil_has_ricci_two():
@@ -607,7 +645,7 @@ def test_levi_civita_matches_the_parallel_torsion_formula():
     # parallel torsion at g(0) = I, where torsion and Chern curvature determine
     # R; the two routes agree entry for entry in either kind
     for exact in (True, False):
-        for m in (charts.wallach_metric(exact=exact), charts.euclidean_metric(3, exact),
+        for m in (charts.wallach_metric(exact=exact), euclidean_metric(3, exact),
                   charts.fubini_study_metric(3, exact)):
             assert _identity_base(m)
             got = charts.riemannian_curvature_at(m)
@@ -867,7 +905,7 @@ def test_exact_builders_read_real_arguments_exactly():
 
 def test_exact_normalized_sectional_stays_rational_at_any_scale():
     # the float degeneracy bound is never formed from exact data
-    m = charts.euclidean_metric(3)
+    m = euclidean_metric(3)
     big = Fraction(10 ** 200)
     assert charts.sectional_curvature(m, [big, 0, 0], [0, big, 0]) == 0
     with pytest.raises(charts.DegeneratePlaneError):

@@ -31,7 +31,6 @@ REFERENCE = "a reference metric for the chart tests, built from the private char
 
 ALLOWED = {
     "charts.ChartMetric.__setattr__": IMMUTABLE,
-    "charts.euclidean_metric": REFERENCE,
     "charts.fubini_study_metric": REFERENCE,
     "charts.sectional_curvature": ACCEPTANCE,
     "forms.CoframeContext.__setattr__": IMMUTABLE,

@@ -13,7 +13,10 @@ one more derivative.  A change that brings back the full Bismut or Chern
 curvature or another redundant form product fails here without any timing.
 The ``ExactComplex`` multiplies and adds of one ``classify`` are pinned too:
 the Lie-side tables read the nonzero entries of C, D and T, so a table that
-walks the dense n^3 cube changes the count.
+walks the dense n^3 cube changes the count.  So are those of the five exact
+chart tables of the flag metric at its origin and of one
+``verify --example wallach`` job, so that a return to dense contraction
+fails without any timing.
 
 Torsion, connections, the bracket table and chart tables are ``memoized`` on
 their algebra or metric.  The job tests count the runs of each memoized
@@ -79,16 +82,44 @@ SCALAR_OPS = [
 ]
 
 
-@pytest.mark.parametrize("g, ops", SCALAR_OPS, ids=[g.label for g, _ in SCALAR_OPS])
-def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
+def _count_scalar_ops(monkeypatch):
+    """A Counter whose "ops" counts every ExactComplex multiply and add from now on."""
     calls = Counter()
     counted = _counter(calls)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(EC, name, counted("ops", getattr(EC, name)))
+    return calls
+
+
+@pytest.mark.parametrize("g, ops", SCALAR_OPS, ids=[g.label for g, _ in SCALAR_OPS])
+def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
     g = lie.HermitianLieAlgebra(g.n, g.kind, g.C_entries, g.D_entries, label=g.label)  # no tables
-    calls.clear()
+    calls = _count_scalar_ops(monkeypatch)
     lie.classify(g)
     assert calls["ops"] == ops
+
+
+# The exact chart tables are contracted over their nonzero entries: at the
+# flag metric's origin G = I and dg has one nonzero entry, so the five tables
+# take 95 multiplies and 45 adds, where numpy.einsum over the dense object
+# arrays took 5076 and 6453 (and a verify --example wallach job 6767 and 7719).
+CHART_TABLES = (charts.chern_torsion_at, charts.chern_curvature_at, charts.ricci_forms_at,
+                charts.btp_residual_at, charts.riemannian_curvature_at)
+
+
+def test_exact_flag_tables_scalar_ops_are_pinned(monkeypatch):
+    m = charts.wallach_metric()
+    calls = _count_scalar_ops(monkeypatch)
+    for fn in CHART_TABLES:
+        fn(m)
+    assert calls["ops"] == 95 + 45
+
+
+def test_verify_wallach_scalar_ops_are_pinned(monkeypatch, capsys):
+    calls = _count_scalar_ops(monkeypatch)
+    assert main(["verify", "--example", "wallach"]) == 1        # criterion 4 stays red
+    capsys.readouterr()
+    assert calls["ops"] == 1706 + 1230
 
 
 def test_classify_form_work_reaches_the_wedge_kernel(monkeypatch):

@@ -5,7 +5,11 @@ The commands are the benchmark's own argv lists, read (never changed) from
 (``lie_exact``, ``lie_float``, ``verify_suites``, ``float_sampling``), with
 the classify inputs written once to a temporary directory that both trees
 read.  Added to them: ``classify --input`` of every JSON file in the change
-tree's ``tests/data``, and a few ``sweep`` and ``companion`` commands.
+tree's ``tests/data``, a few ``sweep`` and ``companion`` commands, and the
+two mixed-kind flag-threefold commands that the benchmark does not run:
+``wallach --seed 1 --samples 50`` (the exact tables with float sampling) and
+``verify --example wallach --seed 3`` (the exact suite with its float
+sectional sample).
 
 Each tree runs every command in one interpreter of its own, with its ``src``
 first on ``sys.path``: ``btpgeo.cli.main(argv)`` is called in process with
@@ -38,6 +42,8 @@ EXTRA = {
     "companion": [["companion", "--example", "n3", "--swap", "2"],
                   ["companion", "--example", "vaisman54", "--swap", "1"],
                   ["companion", "--example", "a_st", "--swap", "1,2"]],
+    "mixed_kind": [["wallach", "--seed", "1", "--samples", "50"],
+                   ["verify", "--example", "wallach", "--seed", "3"]],
 }
 
 # runs in a fresh interpreter per tree: argv lists on stdin, one

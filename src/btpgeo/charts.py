@@ -422,7 +422,7 @@ def riemannian_curvature_at(m: ChartMetric):
 
 def point_report(m: ChartMetric):
     """Torsion, Chern curvature, the Ricci tensors and the Levi-Civita pair
-    of m at its base point, as JSON."""
+    of m at its base point, as JSON, each table a ``JsonTable``."""
     ric1, ric2, ric3 = ricci_forms_at(m)
     r11, r20 = riemannian_curvature_at(m)
     tables = {"torsion": chern_torsion_at(m), "chern_curvature": chern_curvature_at(m),

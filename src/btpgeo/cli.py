@@ -26,7 +26,13 @@ bytes of ``json.dumps(report, indent=2, sort_keys=True)`` in one walk of the
 report: json writes an indented document through its pure-Python encoder,
 while ``_dumps`` escapes strings with json's C ``encode_basestring_ascii``
 and appends each leaf with its separator, indent and key as one part.  It
-takes only the types reports hold (see ``_write``).
+takes only the types reports hold (see ``_write``).  A chart table reaches
+it as one ``scalars.JsonTable``, its shape and flat leaves, standing for
+the nested lists json would write: its text is one fill of a template
+cached per shape, leaf form and indent (``_table_template``), finite floats
+going in through ``%r`` (``float.__repr__``) after one finiteness test and
+the parts of {re, im} leaves through their ``_LEAF`` text, so a table costs
+one writer call, not one per nested list.
 
 Exit codes: 0 success, 1 golden mismatch, 2 validation failure (float
 overflow in classify, or an exact result too long to write), 3 usage or
@@ -42,12 +48,13 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from types import SimpleNamespace
 
 from . import lie, linalg
-from .scalars import EC, DigitLimitError, parse_rational
+from .scalars import EC, DigitLimitError, JsonTable, parse_rational
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -125,17 +132,87 @@ _LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 
+def _leaf(kind):
+    """The text function of a leaf type; TypeError, in json's words, for
+    any type that is not exactly a ``_LEAF`` type."""
+    leaf = _LEAF.get(kind)
+    if leaf is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return leaf
+
+
+@cache
+def _table_template(shape, keys, nl, mark) -> str:
+    """The JSON text of nested lists of the given shape at the level of
+    newline and indent nl, with the format mark (%r or %s) for each leaf or,
+    when keys is a tuple, a dict of those sorted keys with a mark for each
+    value.  Only the keys can hold a literal %, which is escaped."""
+    leaf_nl = nl + "  " * len(shape)
+    text = mark
+    if keys is not None:
+        inner = leaf_nl + "  "
+        text = ("{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": " + mark for k in keys)
+            + leaf_nl + "}") if keys else "{}"
+    for depth in reversed(range(len(shape))):
+        inner = nl + "  " * (depth + 1)
+        text = ("[" + inner + ("," + inner).join([text] * shape[depth]) + inner[:-2] + "]"
+                if shape[depth] else "[]")
+    return text
+
+
+def _filled(shape, keys, nl, values: tuple) -> str:
+    """The template of (shape, keys, nl) filled with the JSON text of each
+    of values, leaves of ``_LEAF`` types: finite floats after one
+    finiteness test, as ``float.__repr__`` through %r; leaves of one type
+    through that type's text function."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(isfinite, values)):
+        return _table_template(shape, keys, nl, "%r") % values
+    if len(kinds) == 1:
+        texts = tuple(map(_leaf(kinds.pop()), values))
+    else:
+        texts = tuple(_leaf(type(v))(v) for v in values)
+    return _table_template(shape, keys, nl, "%s") % texts
+
+
+def _table_text(table, nl) -> str:
+    """The JSON text of a ``JsonTable`` at the level of newline and indent
+    nl, in one fill of a cached template: one mark per leaf, or, when the
+    leaves are dicts that share their keys, one mark per value.  Dict
+    leaves that do not, or a mix of dict and other leaves, are written one
+    by one, each as one mark's text."""
+    flat, shape = table.flat, table.shape
+    kinds = set(map(type, flat))
+    if dict not in kinds:
+        return _filled(shape, None, nl, flat)
+    keys = tuple(sorted(flat[0])) if kinds == {dict} else ()
+    # dicts of one size that all hold the keys of the first share them
+    if keys and set(map(len, flat)) == {len(keys)}:
+        try:
+            values = tuple([d[k] for d in flat for k in keys])
+        except KeyError:
+            pass
+        else:
+            return _filled(shape, keys, nl, values)
+    leaf_nl = nl + "  " * len(shape)
+    texts = []
+    for x in flat:
+        part = []
+        _write(x, "", leaf_nl, part)
+        texts.append("".join(part))
+    return _table_template(shape, None, nl, "%s") % tuple(texts)
+
+
 def _write(value, lead, nl, parts) -> None:
     """Append the JSON text of value to parts, after lead (the separator,
     indent and key before it); nl is the newline and indent of its level.
-    Each leaf is one part, joined to its lead.  A value that is not a dict
-    with str keys, a list, a tuple or exactly a ``_LEAF`` type raises TypeError."""
+    Each leaf, and each ``JsonTable``, is one part, joined to its lead.  A
+    value that is not a dict with str keys, a list, a tuple, a ``JsonTable``
+    or exactly a ``_LEAF`` type raises TypeError."""
     kind = type(value)
     if kind is not dict and kind is not list and kind is not tuple:
-        leaf = _LEAF.get(kind)
-        if leaf is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        parts.append(lead + leaf(value))
+        parts.append(lead + (_table_text(value, nl) if kind is JsonTable else _leaf(kind)(value)))
         return
     if not value:
         parts.append(lead + ("{}" if kind is dict else "[]"))

@@ -492,14 +492,32 @@ def scalar_to_json(c: Scalar):
     return {"re": c.real, "im": c.imag}
 
 
-def table_to_json(a):
-    """A numpy table as nested lists of ``scalar_to_json`` leaves.  A float
-    table with no nonzero imaginary part is written as its real parts at
-    once, which is that function's rule for each of its entries."""
+class JsonTable:
+    """A table as the report writer takes it: its ``shape`` and its
+    ``scalar_to_json`` leaves in row-major order, ``flat``.  It stands for
+    the nested lists of those leaves; it is not a list, so ``json.dumps``
+    raises ``TypeError`` on it, and it is read-only."""
+    __slots__ = ("shape", "flat")
+
+    def __init__(self, shape: tuple, flat: tuple):
+        _set_shape(self, shape)
+        _set_flat(self, flat)
+
+    def __setattr__(self, *_):
+        raise AttributeError("JsonTable is immutable")
+
+
+def table_to_json(a) -> JsonTable:
+    """A numpy table as a ``JsonTable`` of ``scalar_to_json`` leaves.  A
+    float table with no nonzero imaginary part gives its real parts at once,
+    which is that function's rule for each of its entries."""
     if a.dtype == complex and not a.imag.any():
-        return a.real.tolist()
-    import numpy as np
-    return np.frompyfunc(scalar_to_json, 1, 1)(a).tolist()
+        return JsonTable(a.shape, tuple(a.real.ravel().tolist()))
+    return JsonTable(a.shape, tuple(map(scalar_to_json, a.ravel().tolist())))
+
+
+_set_shape = JsonTable.shape.__set__
+_set_flat = JsonTable.flat.__set__
 
 
 class SchemaError(ValueError):

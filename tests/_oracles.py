@@ -10,7 +10,8 @@ series with every spanning vector reduced, each curvature entry as a
 difference of forms), the row reduction and solvability series on dense
 vectors, direct sums of algebras, algebras built from dense cubes of
 structure constants, the form wire-format reader, jet derivatives and
-truncation, and the command-line parser built on argparse."""
+truncation, the command-line parser built on argparse, and report tables
+expanded to the nested lists they stand for."""
 
 import argparse
 import itertools
@@ -27,7 +28,7 @@ from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import FramePatternError, _admissible_u
 from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
 from btpgeo.linalg import NumericError, ShapeError, matrix_inverse
-from btpgeo.scalars import (EC, EXACT, FLOAT, common_kind, scalar_from_json,
+from btpgeo.scalars import (EC, EXACT, FLOAT, JsonTable, common_kind, scalar_from_json,
                             scalar_to_json)
 
 
@@ -1371,3 +1372,30 @@ def _command_parser(name: str) -> _Parser:
     for flag, kwargs in COMMANDS[name].options:
         p.add_argument(flag, **kwargs)
     return p
+
+
+# ---- report tables as nested lists -------------------------------------------
+
+def _nest(flat, shape):
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0] if shape[0] else 0
+    return [_nest(flat[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+def expanded(value):
+    """value with each JsonTable replaced by the nested lists of its leaves,
+    built by slicing its flat leaves row by row: the document that
+    json.dumps writes as the table's text."""
+    kind = type(value)
+    if kind is JsonTable:
+        size = 1
+        for n in value.shape:
+            size *= n
+        assert len(value.flat) == size, (value.shape, len(value.flat))
+        return _nest(list(value.flat), value.shape)
+    if kind is dict:
+        return {k: expanded(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [expanded(v) for v in value]
+    return value

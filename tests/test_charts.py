@@ -1,5 +1,6 @@
 """Chart-metric extraction: golden tables, oracles, and error contracts."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,18 +8,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chart_tables_einsum,
-                      chern_curvature_loop, euclidean_metric,
+                      chern_curvature_loop, euclidean_metric, expanded,
                       coords_checked, frame_route, jet_coefficients_loop, jet_conj_checked,
                       jet_norm_inf, jet_variable, jet_reciprocal_checked, levi_civita_full, orthonormalize_base, orthonormalizing_frame, random_chart_metric,
                       random_curvature_tables, real_metric, ricci_frame_sum,
                       ricci_traces_loop, riemannian_parallel_torsion, sectional_closed_form,
                       sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
                       transform_tensor, wallach_metric_values, wirtinger_fd)
-from btpgeo import charts
+from btpgeo import charts, cli
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.linalg import exact_rank, matrix_inverse
-from btpgeo.scalars import EC, EXACT, FLOAT, FLOAT_TOL, scalar_to_json
+from btpgeo.scalars import EC, EXACT, FLOAT, FLOAT_TOL, exact_scalar, scalar_to_json
 
 
 def _max_abs(*tables):
@@ -1114,8 +1115,23 @@ def test_point_report_leaves_are_the_scalar_writer_s(build, exact, point):
                   riemannian_11=r11, riemannian_20=r20)
     assert sorted(report) == sorted([*tables, "n", "scalar_kind"])
     for name, a in tables.items():
-        assert repr(report[name]) == _leaves_per_scalar(a), name
+        assert report[name].shape == a.shape, name
+        assert repr(expanded(report[name])) == _leaves_per_scalar(a), name
     if not exact and point is not None:
         # off the origin the float tables have {re, im} leaves
-        assert any(isinstance(x, dict) for x in np.ravel(np.array(
-            report["chern_curvature"], dtype=object)))
+        assert any(isinstance(x, dict) for x in report["chern_curvature"].flat)
+
+
+@pytest.mark.parametrize("exact, point", BUILDER_POINTS)
+@pytest.mark.parametrize("build", BUILDERS)
+def test_float_report_off_the_origin_is_written_as_json_dumps(build, exact, point):
+    # no command writes a float table with {re, im} leaves: at a point with
+    # a complex coordinate there are tables of such leaves alone, which fill
+    # a template with a mark per part, and tables that mix them with floats
+    coords = [complex(exact_scalar(x)) for x in point] if exact else point
+    report = charts.point_report(build(coords, False))
+    forms = {frozenset(map(type, report[name].flat)) for name in report
+             if name not in ("n", "scalar_kind")}
+    if any(complex(z).imag for z in coords):
+        assert {frozenset([dict]), frozenset([dict, float])} <= forms
+    assert cli._dumps(report) == json.dumps(expanded(report), indent=2, sort_keys=True)

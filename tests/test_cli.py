@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import _oracles
 from btpgeo import cli, goldens, lie
 from btpgeo.cli import main
-from btpgeo.scalars import EC
+from btpgeo.scalars import EC, JsonTable, table_to_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -561,6 +561,7 @@ def test_the_report_writer_is_json_dumps(value):
 @pytest.mark.parametrize("value", [
     {1: "a", -2: "b"}, {1.5: 0, -0.0: 1, float("nan"): 2, float("inf"): 3},
     {True: 1, False: 2}, {None: []}, {"k": {2 ** 70: ()}}, {(1, 2): 3}, {1: 0, "a": 1},
+    {"k": JsonTable((1,), ({1: 0.5},))}, {"k": JsonTable((2,), ({"re": 0.5}, {2: 0.5}))},
 ])
 def test_a_non_str_key_raises_type_error(value):
     # json.dumps writes these keys as text; no report holds one
@@ -570,9 +571,70 @@ def test_a_non_str_key_raises_type_error(value):
 
 def test_a_float_subclass_leaf_raises_type_error():
     # json.dumps writes an np.float64 as a float; no report holds one
-    for value in (np.float64(0.5), [np.float64(0.5)], {"k": np.float64(0.5)}):
+    for value in (np.float64(0.5), [np.float64(0.5)], {"k": np.float64(0.5)},
+                  JsonTable((2,), (0.5, np.float64(0.5))),
+                  JsonTable((1,), ({"im": 0.5, "re": np.float64(0.5)},)),
+                  JsonTable((2,), (0.5, {"im": 0.5, "re": np.float64(0.5)}))):
         with pytest.raises(TypeError, match="float64 is not JSON serializable"):
             cli._dumps(value)
+
+
+# tables as point_report makes them: real float tables (float leaves, NaN
+# and infinities too), complex ones ({re, im} leaves, alone or among
+# floats) and exact ones ({re, im} leaves of rational text)
+_TABLE_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("nan"),
+                                                         float("inf"), -float("inf")]))
+_NONZERO_FLOATS = _TABLE_FLOATS.filter(bool)
+
+
+@st.composite
+def _tables(draw):
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    size = int(np.prod(shape))
+    form = draw(st.sampled_from(["real", "complex", "mixed", "exact"]))
+    if form == "exact":
+        parts = st.fractions(max_denominator=10 ** 6)
+        a = np.empty(size, object)
+        a[:] = draw(st.lists(st.builds(EC, parts, parts), min_size=size, max_size=size))
+        return a.reshape(shape)
+    floats = st.lists(_TABLE_FLOATS, min_size=size, max_size=size)
+    imag = {"real": st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size),
+            "complex": st.lists(_NONZERO_FLOATS, min_size=size, max_size=size),
+            "mixed": floats}[form]
+    a = np.empty(size, complex)
+    a.real, a.imag = draw(floats), draw(imag)
+    return a.reshape(shape)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tables(), st.integers(0, 3), st.booleans())
+def test_a_table_is_written_as_json_dumps_of_its_nested_lists(a, depth, in_dict):
+    value = table_to_json(a)
+    for level in range(depth):
+        value = {"%k": value, "a": [level]} if in_dict else [value, level]
+    assert cli._dumps(value) == json.dumps(_oracles.expanded(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("table", [
+    JsonTable((2,), ({"%s": 1.0, "a%%": "x"}, {"%s": -0.0, "a%%": "y"})),   # a % in a key
+    JsonTable((2, 1), ({}, {})),
+    JsonTable((2,), ({"re": 1.0}, {"im": 1.0})),                           # keys that differ
+    JsonTable((2,), ({"re": 1.0, "im": 2.0}, {"re": 1.0})),
+    JsonTable((2,), ({"re": 1.0}, {"re": 1.0, "im": 2.0})),
+    JsonTable((3,), (1, True, None)), JsonTable((2,), ("a\u2028", float("nan"))),
+    JsonTable((), (2.5,)), JsonTable((0, 3), ()), JsonTable((3, 0), ()),
+])
+def test_a_hand_made_table_is_written_as_json_dumps(table):
+    for value in (table, {"k": [table]}):
+        assert cli._dumps(value) == json.dumps(_oracles.expanded(value), indent=2,
+                                               sort_keys=True)
+
+
+def test_json_dumps_of_a_bare_table_raises_type_error():
+    t = table_to_json(np.ones((3, 3), complex))
+    for value in (t, [t], {"k": t}):
+        with pytest.raises(TypeError, match="JsonTable is not JSON serializable"):
+            json.dumps(value)
 
 
 # every command's report, exact and float, seeded and swapped
@@ -589,13 +651,21 @@ _WRITER_LEAVES = {str, int, float, bool, type(None)}
 
 
 def _holds_writer_types(value) -> bool:
-    """Whether value is made of dicts with str keys, lists, tuples and leaves
-    of exactly the types in _WRITER_LEAVES."""
+    """Whether value is made of dicts with str keys, lists, tuples, leaves
+    of exactly the types in _WRITER_LEAVES and JsonTables, each with a tuple
+    of as many leaves as its shape holds, every leaf a float or a dict of
+    "re" and "im" parts of one type in _WRITER_LEAVES."""
     kind = type(value)
     if kind is dict:
         return all(type(k) is str and _holds_writer_types(v) for k, v in value.items())
     if kind is list or kind is tuple:
         return all(map(_holds_writer_types, value))
+    if kind is JsonTable:
+        shape, flat = value.shape, value.flat
+        return (type(shape) is tuple and all(type(n) is int for n in shape)
+                and type(flat) is tuple and len(flat) == int(np.prod(shape))
+                and all(type(x) is float or type(x) is dict and sorted(x) == ["im", "re"]
+                        and type(x["re"]) is type(x["im"]) in _WRITER_LEAVES for x in flat))
     return kind in _WRITER_LEAVES
 
 
@@ -617,6 +687,8 @@ def test_every_report_holds_only_the_types_the_writer_takes(monkeypatch, capsys)
     assert len(payloads) == len(written) == 22
     for argv, payload in zip(written, payloads):
         assert _holds_writer_types(payload), argv
+    # each of the three wallach reports holds its seven tables
+    assert sum(type(v) is JsonTable for p in payloads for v in p.values()) == 7 * 3
 
 
 @pytest.mark.parametrize("leaf", [object(), {1, 2}, b"bytes", 1j, Fraction(1, 2), EC(1),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import from_cubes, jet_partial, jet_truncate, jet_variable
+from _oracles import expanded, from_cubes, jet_partial, jet_truncate, jet_variable
 from btpgeo import charts, lie, scalars
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
@@ -185,10 +185,20 @@ def test_table_writer_leaves_equal_the_scalar_writer_s(entries):
     per_scalar = lambda a: repr(np.frompyfunc(scalar_to_json, 1, 1)(a).tolist())
     for shape in ((3,), (3, 1, 1)):
         a = np.array(entries, complex).reshape(shape)
-        assert repr(table_to_json(a)) == per_scalar(a)
+        t = table_to_json(a)
+        assert t.shape == shape and type(t.flat) is tuple
+        assert repr(expanded(t)) == per_scalar(a)
     e = np.array([EC(1, 2), EC(Fraction(-3, 4)), EC.zero()], object)
-    assert table_to_json(e) == [{"re": "1", "im": "2"}, {"re": "-3/4", "im": "0"},
-                                {"re": "0", "im": "0"}]
+    assert expanded(table_to_json(e)) == [{"re": "1", "im": "2"}, {"re": "-3/4", "im": "0"},
+                                          {"re": "0", "im": "0"}]
+
+
+def test_a_json_table_is_read_only():
+    t = table_to_json(np.zeros((2, 2), complex))
+    for name, value in (("shape", (4,)), ("flat", ()), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    assert t.shape == (2, 2) and t.flat == (0.0,) * 4
 
 
 def test_is_zero():

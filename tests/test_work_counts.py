@@ -18,6 +18,11 @@ chart tables of the flag metric at its origin and of one
 ``verify --example wallach`` job, so that a return to dense contraction
 fails without any timing.
 
+The report writer's calls are pinned for a float ``wallach`` report: each
+chart table reaches ``cli._write`` as one ``JsonTable`` and is written in
+one fill of a template, so a return to one writer call per nested list
+fails without any timing.
+
 Torsion, connections, the bracket table and chart tables are ``memoized`` on
 their algebra or metric.  The job tests count the runs of each memoized
 body, which the memo calls as ``__wrapped__``, so a job that asks a question
@@ -120,6 +125,18 @@ def test_verify_wallach_scalar_ops_are_pinned(monkeypatch, capsys):
     assert main(["verify", "--example", "wallach"]) == 1        # criterion 4 stays red
     capsys.readouterr()
     assert calls["ops"] == 1706 + 1230
+
+
+def test_float_wallach_report_takes_one_writer_call_per_table(monkeypatch, capsys):
+    # the report dict, the 7 chart tables and the refs list; one writer call
+    # per nested list and dict leaf took 147 (444 for the exact report)
+    calls = Counter()
+    monkeypatch.setattr(cli, "_write", _counter(calls)("_write", cli._write))
+    for argv in (["wallach", "--float"], ["wallach"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls["_write"] == 9, argv
+    capsys.readouterr()
 
 
 def test_classify_form_work_reaches_the_wedge_kernel(monkeypatch):

@@ -1,21 +1,19 @@
 """Command-line entry point.
 
 ``COMMANDS`` is the command table: classify, verify, wallach, sweep and
-companion, each with its function, its help line and its options.
-``_Parser`` reads argv from that table alone, in the grammar of the standard
-library's option parser but without importing it and its translation
-lookups: ``--opt value`` or ``--opt=value``, a unique prefix of an option,
-``-h`` and ``--help``, the last of a repeated option winning, and a value
-that starts with '-' only in the ``=`` form unless it is a negative number.
-Its errors, in that parser's words and order, exit 3 after the usage line;
-the usage and help are laid out as it lays them out at 80 columns.
-``main`` builds one parser per call, the parser of the command that argv
-starts with.  The top-level parser, which reads the command name and hands
-the rest of argv on, is built only for argv that does not start with a
-command (help and usage errors) and for ``<command> -- ...``, whose ``--`` it
-drops.  No parser outlives the call.  ``btpgeo --help`` lists the commands
-with their help lines, ``btpgeo <command> --help`` the options of one
-command.
+companion, each with its function, its help line and its options.  Every
+command is run with its options spelled in full, as ``--opt value`` or
+``--opt=value``, and ``_read`` reads argv of that form straight from the
+table.  Any other argv (help, a prefix of an option, '--', a value that
+starts with '-', a bad value or a missing option) goes to the standard
+library's argparse, which is built from the same table and imported only
+then: its errors exit 3 after the usage line, and help and usage are laid
+out as at 80 columns, whatever the terminal's width.  ``main`` builds no
+parser for argv that ``_read`` takes, and the top-level parser, which reads
+the command name, only for argv that does not start with a command and for
+``<command> -- ...``; no parser outlives the call.  ``btpgeo --help`` lists
+the commands with their help lines, ``btpgeo <command> --help`` the options
+of one command.
 
 ``charts``, ``goldens`` and numpy are imported inside the commands that use
 them, so the exact Lie commands (``classify`` of exact data, ``sweep``,
@@ -48,7 +46,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from types import SimpleNamespace
@@ -465,155 +463,88 @@ COMMANDS = {
                           _TORSION_A, _OUT)),
 }
 
-_HELP = {"help": "show this help message and exit"}
-# a token that starts with '-' and names no option is a value if it is a
-# negative number by this pattern, or if it holds a space
-_NEGATIVE_RE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 def _dest(flag, kwargs) -> str:
     return kwargs.get("dest") or flag[2:].replace("-", "_")
 
 
-def _invocation(flag, kwargs) -> str:
-    """The option as help lists it: the flag, then the name of its value."""
-    return flag if "action" in kwargs else f"{flag} {_dest(flag, kwargs).upper()}"
-
-
-class _Parser:
-    """The parser of one command's options, or without a name the top-level
-    parser, which reads the command name and hands the rest of argv on,
-    dropping one '--' just before or after it.  Each token before the first
-    '--' is read first as an option, a value or an unknown option (an
-    ambiguous prefix fails here), then in order; a missing required option,
-    then a token left unread, then ``--opt=--`` fail at the end."""
-
-    def __init__(self, name=None):
-        self.name = name
-        self.prog = f"btpgeo {name}" if name else "btpgeo"
-        self.table = COMMANDS[name].options if name else ()
-        self.options = {"-h": _HELP, "--help": _HELP, **dict(self.table)}
-
-    def error(self, message):
-        sys.stderr.write(f"{self.format_usage()}error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-    def format_usage(self) -> str:
-        parts = ["[-h]"] if self.name else ["[-h]", f"{{{','.join(COMMANDS)}}}", "..."]
-        for flag, kw in self.table:
-            inv = _invocation(flag, kw)
-            parts += inv.split() if kw.get("required") else [f"[{inv}]"]
-        lines = ["usage: " + self.prog]
-        for part in parts:
-            if len(lines[-1]) + 1 + len(part) > 78:
-                lines.append(" " * (len(self.prog) + 8) + part)
-            else:
-                lines[-1] += " " + part
-        return "\n".join(lines) + "\n"
-
-    def format_help(self) -> str:
-        rows = [("-h, --help", _HELP["help"])]
-        rows += [(_invocation(flag, kw), kw.get("help", "")) for flag, kw in self.table]
-        pad = min(max(len(inv) for inv, _ in rows), 20) if self.name else 20
-        options = "".join(f"  {inv:<{pad}}  {text}".rstrip() + "\n" for inv, text in rows)
-        if self.name:
-            return f"{self.format_usage()}\noptions:\n{options}"
-        listing = "".join(f"\n  {name:<11}{c.help}" for name, c in COMMANDS.items())
-        return (f"{self.format_usage()}\nverification engine for parallel-Bismut-torsion "
-                f"Hermitian geometry\n\npositional arguments:\n  {{{','.join(COMMANDS)}}}\n"
-                f"{'':24}one of the commands below\n  {'args':<22}the command's options\n"
-                f"\noptions:\n{options}\ncommands:{listing}\n\n"
-                "'btpgeo <command> --help' lists the options of one.\n")
-
-    def _match(self, token):
-        """None for a value, else (flag, the value given with it or None),
-        with flag "" for an unknown option."""
-        if token[:1] != "-" or token == "-":
+def _read(name, argv):
+    """argv's options read straight from the table of the command name, when
+    every token is one of its options spelled in full: ``--opt value`` with a
+    value that does not start with '-', ``--opt=value`` with a value other
+    than '--', or a store_true flag with no '='; each value converts by its
+    type and every required option is given.  The last of a repeated option
+    wins.  None for any other argv."""
+    table = COMMANDS[name].options
+    options = dict(table)
+    values = {_dest(flag, kw): kw.get("default", False if "action" in kw else None)
+              for flag, kw in table}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kw = options.get(flag)
+        if kw is None or ("action" in kw and eq) or value == "--":
             return None
-        if token in self.options:
-            return token, None
-        name, eq, value = token.partition("=")
-        if eq and name in self.options:
-            return name, value
-        if token[1] == "-":
-            found = [flag for flag in self.options if flag.startswith(name)]
-            value = value if eq else None
-        else:
-            found, value = ["-h"] if token[1] == "h" else [], token[2:]
-        if len(found) > 1:
-            self.error(f"ambiguous option: {token} could match {', '.join(found)}")
-        if found:
-            return found[0], value
-        return None if _NEGATIVE_RE.match(token) or " " in token else ("", None)
-
-    def parse_args(self, argv):
-        argv = list(argv)
-        cut = argv.index("--") if "--" in argv else len(argv)
-        kinds = [self._match(token) for token in argv[:cut]]
-        # the top-level parser reads options up to the command name
-        end = cut if self.name or None not in kinds else kinds.index(None)
-        values = {_dest(flag, kw): kw.get("default", False if "action" in kw else None)
-                  for flag, kw in self.table}
-        extras, i = [], 0
-        while i < end:
-            kind, i = kinds[i], i + 1
-            if kind is None or not kind[0]:
-                extras.append(argv[i - 1])
-                continue
-            flag, value = kind
-            kw = self.options[flag]
-            if kw is _HELP:
-                while flag == "-h" and value and value[0] == "h":     # -hh is -h -h
-                    value = value[1:] or None
-                if value is not None:
-                    self.error(f"argument -h/--help: ignored explicit argument {value!r}")
-                sys.stdout.write(self.format_help())
-                raise SystemExit(EXIT_OK)
-            dest = _dest(flag, kw)
-            if "action" in kw:
-                if value is not None:
-                    self.error(f"argument {flag}: ignored explicit argument {value!r}")
-                values[dest] = True
-                continue
-            if value is None:
-                if i == cut or kinds[i] is not None:
-                    self.error(f"argument {flag}: expected one argument")
-                value, i = argv[i], i + 1
-            if "type" in kw and value != "--":
-                try:
-                    value = kw["type"](value)
-                except ValueError:
-                    self.error(f"argument {flag}: invalid {kw['type'].__name__} value: {value!r}")
-            values[dest] = value
-        if self.name is None:
-            end += end == cut       # the name after a '--'
-            if end >= len(argv):
-                self.error("the following arguments are required: command")
-            if argv[end] not in COMMANDS:
-                self.error(f"argument command: invalid choice: {argv[end]!r} (choose from "
-                           f"{', '.join(map(repr, COMMANDS))})")
-            values = {"command": argv[end], "args": argv[end + 1 + (end + 1 == cut):]}
-        else:
-            missing = [flag for flag, kw in self.table
-                       if kw.get("required") and values[_dest(flag, kw)] is None]
-            if missing:
-                self.error(f"the following arguments are required: {', '.join(missing)}")
-            extras += argv[cut:]
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        for dest, value in values.items():
-            if value == "--":       # '--opt=--', read as no value
-                raise CliError(f"--{dest.replace('_', '-')} needs a value", EXIT_USAGE)
-        return SimpleNamespace(**values)
+        if "action" in kw:
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        values[_dest(flag, kw)] = value
+    if any(kw.get("required") and values[_dest(flag, kw)] is None for flag, kw in table):
+        return None
+    return SimpleNamespace(**values)
 
 
-def build_parser() -> _Parser:
-    """The top-level parser: a command of COMMANDS, then that command's argv."""
-    return _Parser()
+def build_parser(name=None):
+    """argparse's parser: without a name the top-level parser, which reads a
+    command of COMMANDS and hands the rest of argv on, dropping a '--' just
+    before or after the command; with one, the parser of that command's
+    options.  Its errors exit 3 after the usage line; help and usage are
+    laid out at width 78, argparse's layout at 80 columns, whatever the
+    terminal's width."""
+    import argparse
+    layout = partial(argparse.RawDescriptionHelpFormatter, width=78)
+    if name:
+        parser = argparse.ArgumentParser(prog=f"btpgeo {name}", formatter_class=layout)
+        for flag, kwargs in COMMANDS[name].options:
+            parser.add_argument(flag, **kwargs)
+    else:
+        listing = "".join(f"\n  {cmd:<11}{c.help}" for cmd, c in COMMANDS.items())
+        parser = argparse.ArgumentParser(
+            prog="btpgeo", formatter_class=layout,
+            description="verification engine for parallel-Bismut-torsion Hermitian geometry",
+            epilog=f"commands:{listing}\n\n'btpgeo <command> --help' lists the options of one.")
+        parser.add_argument("command", choices=COMMANDS, help="one of the commands below")
+        # required=False: a missing command alone is the usage error, as with subparsers
+        parser.add_argument("args", nargs=argparse.REMAINDER,
+                            help="the command's options").required = False
+
+    def error(message):
+        parser.exit(EXIT_USAGE, f"{parser.format_usage()}error: {message}\n")
+    parser.error = error
+    return parser
 
 
-def _command_parser(name: str) -> _Parser:
-    return _Parser(name)
+def _command_parser(name: str):
+    """The parser of one command: ``parse_args(argv)`` is ``_read``'s
+    namespace, or argparse's for argv that ``_read`` does not take, where
+    ``--opt=--``, which argparse reads as an empty list, is an error."""
+    def parse_args(argv):
+        args = _read(name, argv)
+        if args is None:
+            args = build_parser(name).parse_args(argv)
+            for dest, value in vars(args).items():
+                if value == []:
+                    raise CliError(f"--{dest.replace('_', '-')} needs a value", EXIT_USAGE)
+        return args
+    return SimpleNamespace(parse_args=parse_args)
 
 
 def main(argv=None) -> int:

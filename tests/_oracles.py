@@ -1343,9 +1343,10 @@ def is_skew_hermitian(mat, kind):
 
 
 # ---- the command-line parser on argparse ---------------------------------------
-# the argparse parsers that the table-driven cli._Parser replaced, as they were;
-# main read an option given as '--opt=--', which argparse stores as an empty
-# list, as "error: --opt needs a value"
+# the argparse parsers of the command table, laid out at the terminal's width,
+# as cli once built them for every argv; main read an option given as
+# '--opt=--', which argparse stores as an empty list, as
+# "error: --opt needs a value"
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -899,6 +900,32 @@ def test_top_level_help_names_every_command(capsys, monkeypatch):
     assert list(cli.COMMANDS) == list(COMMAND_OPTIONS)
 
 
+def _main_outcome(argv, columns):
+    """Exit code, stdout and stderr of main(argv) with COLUMNS set."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS=columns):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:       # help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in COMMAND_OPTIONS),
+                                  ["frobnicate"], ["verify", "--example", "n3", "--bogus"]],
+                         ids=" ".join)
+def test_help_and_usage_do_not_follow_the_terminal_width(argv):
+    outcomes = {columns: _main_outcome(argv, columns) for columns in ("30", "80", "200")}
+    assert outcomes["30"] == outcomes["80"] == outcomes["200"], argv
+    assert outcomes["80"][0] in (0, 3)
+    # COLUMNS reaches argparse: its own layout follows it
+    with mock.patch.dict(os.environ, COLUMNS="30"):
+        narrow = _oracles.build_parser().format_help()
+    with mock.patch.dict(os.environ, COLUMNS="200"):
+        assert _oracles.build_parser().format_help() != narrow
+
+
 @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["verify", "--example", "n3", "--bogus"]])
 def test_usage_errors_exit_3_without_traceback(argv):
     proc = subprocess.run([sys.executable, "-m", "btpgeo.cli", *argv],
@@ -994,11 +1021,17 @@ def test_no_verify_call_imports_inspect(argv):
 
 @pytest.mark.parametrize("argv", [
     *EXACT_LIE_COMMANDS, ("wallach",), ("wallach", "--float", "--seed", "1", "--samples", "10"),
-    ("classify", "--help"), ("verify", "--example", "n3", "--bogus"),
 ], ids=_argv_id)
 def test_no_command_imports_argparse_or_gettext(argv):
-    # help exits 0 and the usage error 3, through SystemExit
-    assert not _loaded_modules(argv, codes=(0, 1, 2, 3)) & {"argparse", "gettext"}
+    assert not _loaded_modules(argv) & {"argparse", "gettext"}
+
+
+@pytest.mark.parametrize("argv", [("classify", "--help"), ("verify", "--example", "n3", "--bogus")],
+                         ids=_argv_id)
+def test_help_and_usage_errors_load_argparse(argv):
+    # help exits 0 and the usage error 3, through SystemExit; argv that the
+    # direct read does not take goes to argparse
+    assert "argparse" in _loaded_modules(argv, codes=(0, 3))
 
 
 def test_float_and_flag_threefold_commands_load_numpy(tmp_path):
@@ -1012,15 +1045,52 @@ def test_float_and_flag_threefold_commands_load_numpy(tmp_path):
         assert _loads_numpy(argv), argv
 
 
+# ---- the argv that commands are sent ----------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_the_benchmark_and_tools_argv_is_read_without_argparse(tmp_path, monkeypatch):
+    # every argv of the benchmark's workloads at two seeds, of the extra
+    # commands of tools/report_diff.py and of the commands of
+    # tools/fresh_process.py but help and the usage error is read directly,
+    # as argparse reads it
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from btpbench import workloads
+    argvs = [list(job.argv) for workload in workloads.WORKLOADS for seed in (1, 2)
+             for job in workloads.make_jobs(workload, seed, str(tmp_path / f"{workload}{seed}"))]
+    argvs += [argv for group in _tool("report_diff").EXTRA.values() for argv in group]
+    fresh = _tool("fresh_process").COMMANDS
+    argvs += [argv for name, (argv, _) in fresh.items() if name not in ("help", "usage_error")]
+    assert len(argvs) > 250      # 298 at seeds 1 and 2
+    with mock.patch.object(cli, "build_parser", side_effect=AssertionError("argparse built")):
+        for argv in argvs:
+            assert argv[0] in cli.COMMANDS and argv[1:2] != ["--"], argv
+            assert vars(cli._command_parser(argv[0]).parse_args(argv[1:])) == \
+                vars(_oracles._command_parser(argv[0]).parse_args(argv[1:])), argv
+    for name in ("help", "usage_error"):
+        assert cli._read(fresh[name][0][0], fresh[name][0][1:]) is None, name
+
+
 # ---- argv fuzz ------------------------------------------------------------------
 
+# values and stray tokens on the edge between the direct read and argparse:
+# '-', a value starting with a space, an '=' in a value, a bare option, and
+# an '=' form with no value
 _VALUES = st.sampled_from(["", "--", "-1", "0", "1", "2", "1/2", "-1/3", "x", "1,,2", "0,1",
-                           "-1,0,1", "3", "1,3", "2i", "1e-3"])
+                           "-1,0,1", "3", "1,3", "2i", "1e-3", "-", " -1", "a=b"])
 _EXAMPLES = st.sampled_from(["n3", "a_st", "b_zt", "sl2c", "wallach", "vaisman54", "abelian",
                              "bogus", "", "a_st(1,-1)", "a_st(1,,2)", "b_zt(2i,1)", "b_zt(1)",
                              "a_st(1/0,1)"])
 _INPUTS = st.sampled_from([str(p) for p in sorted(DATA.iterdir())] + ["/nonexistent.json"])
-_STRAY = st.sampled_from(["--", "-h", "--bogus", "extra"])
+_STRAY = st.sampled_from(["--", "-h", "--bogus", "extra", "--out", "--float=", "--input="])
 _OUT = st.just("/nonexistent/dir/r.json")     # never a path that can be written
 _OPTIONS = {
     "classify": {"--input": _INPUTS, "--out": _OUT},

@@ -26,12 +26,14 @@ fails without any timing.
 Torsion, connections, the bracket table and chart tables are ``memoized`` on
 their algebra or metric.  The job tests count the runs of each memoized
 body, which the memo calls as ``__wrapped__``, so a job that asks a question
-twice of one structure still builds what it reads once.  A CLI call builds
-two argument parsers, the top-level one and the named command's, and keeps
-neither.
+twice of one structure still builds what it reads once.  A CLI call of
+well-formed argv builds no argparse parser, and no call keeps one.
 """
 
+import argparse
+import gc
 import pathlib
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -271,19 +273,29 @@ def test_wallach_report_builds_no_residuals(monkeypatch, capsys, argv):
                      "ricci_forms_at": 1, "riemannian_curvature_at": 1}
 
 
-def test_each_main_call_builds_only_its_command_parser(monkeypatch, capsys):
-    calls = Counter()
-    monkeypatch.setattr(cli._Parser, "__init__",
-                        _counter(calls)("_Parser", cli._Parser.__init__))
+def test_main_builds_an_argparse_parser_only_for_argv_it_cannot_read(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     argv = ["classify", "--input", str(DATA / "n3.json")]
     assert main(argv) == 0
-    assert calls == {"_Parser": 1}      # the command's parser alone
     assert main(argv) == 0
-    assert calls == {"_Parser": 2}      # none is kept for the next call
-    # the top-level parser reads a '--' right after the command
+    assert built == []      # well-formed argv is read without argparse
+    # the top-level parser reads a '--' right after the command, and the
+    # command's options are then read directly
     assert main(["classify", "--", *argv[1:]]) == 0
+    assert len(built) == 1
+    # a usage error builds the command's parser
+    with pytest.raises(SystemExit):
+        main([*argv, "--bogus"])
     capsys.readouterr()
-    assert calls == {"_Parser": 4}
+    assert len(built) == 2
+    gc.collect()
+    assert [ref() for ref in built] == [None, None]      # none is kept for the next call
 
 
 def test_build_parser_takes_no_arguments():

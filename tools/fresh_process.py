@@ -38,9 +38,9 @@ import subprocess
 import sys
 import time
 
-# the north star's end-to-end commands, a suite given --torsion-a and a usage
-# error (whose stderr the identity check then compares): name -> (argv,
-# accepted exit codes)
+# the north star's end-to-end commands, a suite given --torsion-a, and help
+# and a usage error, which are read by argparse (whose stdout and stderr the
+# identity check then compares): name -> (argv, accepted exit codes)
 COMMANDS = {
     "classify": (["classify", "--input", "tests/data/a_st.json"], (0,)),
     "verify_n3": (["verify", "--example", "n3"], (0,)),
@@ -54,6 +54,7 @@ COMMANDS = {
     "wallach_float_seed": (["wallach", "--float", "--seed", "1"], (0,)),
     "sweep": (["sweep"], (0,)),
     "companion": (["companion", "--example", "n3", "--swap", "2"], (0,)),
+    "help": (["classify", "--help"], (0,)),
     "usage_error": (["verify", "--example", "n3", "--bogus"], (3,)),
 }
 SIDES = ("parent", "change")

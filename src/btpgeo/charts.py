@@ -29,6 +29,8 @@ beta = 1 + |z3|^2 + |f|^2, the Kaehler-Einstein part is
 gtilde = Hess log(alpha beta) and the metric is g = gtilde - sigma, where
 sigma_{i jbar} = (delta_{i1} delta_{j1} |z3|^2 + delta_{i1} delta_{j2} z3
 + delta_{i2} delta_{j1} zbar3 + delta_{i2} delta_{j2}) / (alpha beta).
+Its builder and the Fubini-Study one take a ``Kind`` (``EXACT`` by default)
+and read their arguments by its ``read`` (exactly, or by ``complex``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 # importable from charts only because the benchmark wraps and reads it here
 from .jets import Jet2, _jet, jet_matrix_inverse  # noqa: F401
 from .linalg import matrix_inverse, row_basis, sparse_row
-from .scalars import EXACT, FLOAT, Kind, all_finite, exact_scalar, memoized, table_to_json
+from .scalars import EXACT, Kind, all_finite, memoized, table_to_json
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -232,15 +234,6 @@ def _plan(spec: str):
 # metric builders
 # --------------------------------------------------------------------------
 
-def _builder_kind(exact: bool, values):
-    """The kind an ``exact=`` flag names, and builder arguments as its
-    scalars.  Exact builders read arguments by ``exact_scalar``, so 0.5 and
-    "1/2" are taken exactly."""
-    if exact:
-        return EXACT, [exact_scalar(v) for v in values]
-    return FLOAT, [complex(v) for v in values]
-
-
 def _coords(n: int, point, kind: Kind):
     """Coordinate jets Z_i = p_i + w_i and their conjugates, for a point
     of n scalars of the kind."""
@@ -252,10 +245,9 @@ def _coords(n: int, point, kind: Kind):
     return Z, Zb
 
 
-def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetric:
+def fubini_study_metric(n: int = 3, kind: Kind = EXACT, point=None) -> ChartMetric:
     """g = Hess log(1 + |z|^2): the Kaehler reference case (zero torsion)."""
-    kind, point = _builder_kind(exact, [0] * n if point is None else point)
-    Z, Zb = _coords(n, point, kind)
+    Z, Zb = _coords(n, [kind.read(p) for p in ([0] * n if point is None else point)], kind)
     one = kind.one
     al = Jet2.constant(n, one)
     for k in range(n):
@@ -266,16 +258,14 @@ def fubini_study_metric(n: int = 3, exact: bool = True, point=None) -> ChartMetr
     return ChartMetric(n, g, label="fubini_study")
 
 
-def wallach_metric(point=None, exact: bool = True, sigma_scale=1) -> ChartMetric:
+def wallach_metric(point=None, kind: Kind = EXACT, sigma_scale=1) -> ChartMetric:
     """The flag-threefold metric g = gtilde - sigma as 2-jets at a chart
     point (the origin by default), exact at a point of rational complex
     coordinates or float at any point.  ``sigma_scale`` exists for
     perturbation experiments; the geometric metric is scale 1.
     """
     n = 3
-    if point is None:
-        point = [0, 0, 0]
-    kind, (sscale, *point) = _builder_kind(exact, [sigma_scale, *point])
+    sscale, *point = map(kind.read, [sigma_scale, *([0] * n if point is None else point)])
     Z, Zb = _coords(n, point, kind)
     zero = Jet2(n, kind=kind)
     one = Jet2.constant(n, kind.one)
@@ -436,22 +426,19 @@ def point_report(m: ChartMetric):
 # sectional and Ricci curvature
 # --------------------------------------------------------------------------
 
-_to_exact = np.frompyfunc(EXACT.scalar, 1, 1)
-
-
 def _directions(m: ChartMetric, X):
     """A direction or stack of directions as an (N, n) array of the data's
     scalar kind, and whether it was a single direction.
 
-    Exact data takes ExactComplex, int and Fraction components; anything
-    else raises TypeError.
+    Subtracting the kind's zero leaves float data as it is and makes exact
+    data's int and Fraction components ExactComplex; ``ExactComplex``
+    arithmetic raises TypeError on any other component, a bool too, which
+    a product of two directions would take as an int.
     """
     arr = np.asarray(X, m.kind.dtype)
     if arr.ndim not in (1, 2) or arr.shape[-1] != m.n:
         raise ValueError(f"direction must have {m.n} components")
-    if m.kind.exact:
-        arr = _to_exact(arr)
-    return arr.reshape(-1, m.n), arr.ndim == 1
+    return (arr - m.kind.zero).reshape(-1, m.n), arr.ndim == 1
 
 
 def _planes(m: ChartMetric, X, Y):

@@ -52,7 +52,7 @@ from math import isfinite
 from types import SimpleNamespace
 
 from . import lie, linalg
-from .scalars import EC, DigitLimitError, JsonTable, parse_rational
+from .scalars import EC, EXACT, FLOAT, DigitLimitError, JsonTable, parse_rational
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -344,8 +344,7 @@ def cmd_wallach(args) -> int:
         raise CliError(f"--samples must be at least 1, got {args.samples}", EXIT_USAGE)
     _check_seed(args)
     from . import charts
-    exact = not args.float_mode
-    m = charts.wallach_metric(exact=exact)
+    m = charts.wallach_metric(kind=FLOAT if args.float_mode else EXACT)
     report = charts.point_report(m)
     report["refs"] = [
         "chart metric jets at the origin",
@@ -355,7 +354,7 @@ def cmd_wallach(args) -> int:
     if args.seed is not None:
         import numpy as np
         rng = np.random.default_rng(args.seed)
-        mf = m if not exact else charts.wallach_metric(exact=False)
+        mf = m if m.kind is FLOAT else charts.wallach_metric(kind=FLOAT)
         min_sec = float("inf")
         ric_lo, ric_hi = float("inf"), -float("inf")
         for X, Y in charts.random_planes(rng, args.samples, mf.n):

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import frames, lie
 from .forms import InvariantForm
-from .scalars import EC
+from .scalars import EC, FLOAT
 
 # ---- shared constants ------------------------------------------------------
 
@@ -36,6 +36,7 @@ WALLACH_B_13 = Fraction(-1, 4)            # R_{1 3b 3 1b}
 RICCI_CLAIMED = Fraction(3)               # golden Einstein constant as stated
 RICCI_COMPUTED = Fraction(5, 2)           # trace of the verified table
 TWO_B_MINUS_A = Fraction(1, 4)
+A_ST_SAMPLES = ((1, -1), (Fraction(1, 2), Fraction(1, 3)), (2, -2))   # family_a (s, t)
 
 
 class CheckResult(namedtuple("CheckResult", "name ref passed detail", defaults=("",))):
@@ -174,7 +175,7 @@ def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
 
     if seed is not None:
         rng = np.random.default_rng(seed)
-        mf = charts.wallach_metric(exact=False)
+        mf = charts.wallach_metric(kind=FLOAT)
         worst = float("inf")
         for X, Y in charts.random_planes(rng, 2000, mf.n):
             worst = min(worst, float(charts.sectional_numerator(mf, X, Y).min()))
@@ -249,9 +250,9 @@ def n3_suite(a=Fraction(1)) -> List[CheckResult]:
     return out
 
 
-def a_st_suite(samples=((1, -1), (Fraction(1, 2), Fraction(1, 3)), (2, -2))) -> List[CheckResult]:
+def a_st_suite() -> List[CheckResult]:
     out: List[CheckResult] = []
-    for s, t in samples:
+    for s, t in A_ST_SAMPLES:
         g = lie.family_a(s, t)
         rep = _middle_family_checks(out, g)
         _chk(out, f"{g.label}.calabi_yau", "trivial canonical form iff s + t = 0",

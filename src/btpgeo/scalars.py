@@ -18,8 +18,9 @@ of a scalar: ExactComplex, ``int`` and ``Fraction`` are exact, ``float`` and
 else (``bool`` too) a TypeError; ``common_kind`` reads a collection.
 Objects take their kind once, store their scalars as ``kind.scalar(c)``
 and ask the kind, so which kind, and what counts as zero, is decided here;
-``exact_scalar`` reads a parameter as exact and ``exact_rational`` a real
-one (0.5 and "1/2" alike; a bool raises TypeError).
+``kind.read`` reads a parameter as a scalar of the kind: ``exact_scalar``
+for ``EXACT`` and ``complex`` for ``FLOAT``, and ``exact_rational`` reads a
+real one exactly (0.5 and "1/2" alike; a bool raises TypeError in each).
 ``Terms`` is the immutable sparse map of scalars under forms and jets; it
 carries its kind.
 """
@@ -289,17 +290,41 @@ def _exact(value) -> ExactComplex:
     return _raw(*o)
 
 
+def exact_rational(value) -> Fraction:
+    """A real parameter taken exactly, through ``Fraction``: 0.5 and "1/2"
+    alike, a float as its exact binary value (0.1 is
+    3602879701896397/36028797018963968).  A bool, a complex or an
+    ExactComplex raises TypeError."""
+    if type(value) is bool:
+        raise TypeError(f"a bool is not a parameter: {value!r}")
+    return Fraction(value)
+
+
+def exact_scalar(value) -> ExactComplex:
+    """A parameter taken exactly: an ExactComplex as it is, anything else by
+    ``exact_rational`` (a bool or a complex raises TypeError)."""
+    return value if type(value) is ExactComplex else _exact(exact_rational(value))
+
+
+def _read_float(value) -> complex:
+    """``complex(value)``; a bool raises TypeError, as in ``exact_rational``."""
+    if type(value) is bool:
+        raise TypeError(f"a bool is not a parameter: {value!r}")
+    return complex(value)
+
+
 class Kind:
     """One scalar kind; ``EXACT`` and ``FLOAT`` are the only instances.  Its
     ``name`` is how reports spell it, ``dtype`` the numpy dtype of its arrays,
-    and ``scalar`` takes a Python number (or ExactComplex) to a scalar of the
-    kind.  Its fields are plain slots, read at instance-attribute speed on the
+    ``scalar`` takes a Python number (or ExactComplex) to a scalar of the
+    kind, and ``read`` a parameter (``exact_scalar`` and ``_read_float``).
+    Its fields are plain slots, read at instance-attribute speed on the
     zero tests and coefficient reads; kinds compare and hash by identity."""
-    __slots__ = ("exact", "name", "dtype", "zero", "one", "i", "scalar")
+    __slots__ = ("exact", "name", "dtype", "zero", "one", "i", "scalar", "read")
 
-    def __init__(self, exact, name, dtype, zero, one, i, scalar):
-        self.exact, self.name, self.dtype, self.scalar = exact, name, dtype, scalar
-        self.zero, self.one, self.i = zero, one, i
+    def __init__(self, exact, name, dtype, zero, one, i, scalar, read):
+        self.exact, self.name, self.dtype = exact, name, dtype
+        self.zero, self.one, self.i, self.scalar, self.read = zero, one, i, scalar, read
 
     def negligible(self, c, tol: float = FLOAT_TOL):
         """Whether c counts as zero: exactly zero for the exact kind,
@@ -314,8 +339,9 @@ class Kind:
             return False
 
 
-EXACT = Kind(True, "exact", object, _raw(0, 0, 1), _raw(1, 0, 1), _raw(0, 1, 1), _exact)
-FLOAT = Kind(False, "float", complex, 0j, 1 + 0j, 1j, complex)
+EXACT = Kind(True, "exact", object, _raw(0, 0, 1), _raw(1, 0, 1), _raw(0, 1, 1), _exact,
+             exact_scalar)
+FLOAT = Kind(False, "float", complex, 0j, 1 + 0j, 1j, complex, _read_float)
 _KIND_OF_TYPE = {ExactComplex: EXACT, int: EXACT, Fraction: EXACT, float: FLOAT, complex: FLOAT}
 
 
@@ -338,22 +364,6 @@ def common_kind(values) -> Kind:
     if len(kinds) > 1:
         raise TypeError("mixed scalar kinds in one object")
     return kinds.pop()
-
-
-def exact_rational(value) -> Fraction:
-    """A real parameter taken exactly, through ``Fraction``: 0.5 and "1/2"
-    alike, a float as its exact binary value (0.1 is
-    3602879701896397/36028797018963968).  A bool, a complex or an
-    ExactComplex raises TypeError."""
-    if type(value) is bool:
-        raise TypeError(f"a bool is not a parameter: {value!r}")
-    return Fraction(value)
-
-
-def exact_scalar(value) -> ExactComplex:
-    """A parameter taken exactly: an ExactComplex as it is, anything else by
-    ``exact_rational`` (a bool or a complex raises TypeError)."""
-    return value if type(value) is ExactComplex else _exact(exact_rational(value))
 
 
 def memoized(build):

@@ -83,9 +83,8 @@ def wallach_metric_values(z, sigma_scale: float = 1.0) -> np.ndarray:
     return g - sigma_scale * sig / (al * be)
 
 
-def euclidean_metric(n=3, exact=True):
+def euclidean_metric(n=3, kind=EXACT):
     """The flat metric g_{i jbar} = delta_ij as constant jets of either kind."""
-    kind = EXACT if exact else FLOAT
     return ChartMetric(n, [[Jet2.constant(n, kind.one) if i == j else Jet2(n, kind=kind)
                             for j in range(n)] for i in range(n)], label="euclidean")
 

@@ -1,6 +1,7 @@
 import pytest
 
 from btpgeo import charts
+from btpgeo.scalars import FLOAT
 
 
 @pytest.fixture(scope="session")
@@ -17,4 +18,4 @@ def wallach_pc(wallach_exact):
 
 @pytest.fixture(scope="session")
 def wallach_float_pc():
-    return charts.wallach_metric(exact=False)
+    return charts.wallach_metric(kind=FLOAT)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.linalg import exact_rank, matrix_inverse
 from btpgeo.scalars import EC, EXACT, FLOAT, FLOAT_TOL, exact_scalar, scalar_to_json
+
+
+# the kind a test's ``exact`` parameter names, so test ids keep reading True and False
+KIND = {True: EXACT, False: FLOAT}
 
 
 def _max_abs(*tables):
@@ -112,7 +117,7 @@ def test_fubini_study_torsion_zero():
     # Kaehler reference: symmetric first derivatives kill the torsion
     T = charts.chern_torsion_at(charts.fubini_study_metric(3))
     assert all(T[j][i][k].is_zero() for j in range(3) for i in range(3) for k in range(3))
-    mf = charts.fubini_study_metric(3, exact=False, point=[0.3 + 0.1j, -0.2j, 0.05])
+    mf = charts.fubini_study_metric(3, kind=FLOAT, point=[0.3 + 0.1j, -0.2j, 0.05])
     Tf = charts.chern_torsion_at(mf)
     assert max(abs(complex(Tf[j][i][k])) for j in range(3) for i in range(3)
                for k in range(3)) < 1e-12
@@ -147,7 +152,7 @@ def test_euclidean_curvature_zero():
 
 def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     # the off-diagonal jets are empty, and an empty jet's value is an exact zero
-    m = euclidean_metric(3, exact=False)
+    m = euclidean_metric(3, kind=FLOAT)
     assert m.G.dtype == complex
     assert _identity_base(m)
     assert all(t.dtype == complex for t in charts.riemannian_curvature_at(m))
@@ -222,7 +227,7 @@ def test_scaled_correction_breaks_parallelism():
     assert charts.ricci_curvature(m, units).tolist() == \
         [v for v in SIGMA_HALF_RICCI for _ in range(2)]
     # the float metric in a frame where g(0) = I gives the same values
-    mf = charts.wallach_metric(exact=False, sigma_scale=0.5)
+    mf = charts.wallach_metric(kind=FLOAT, sigma_scale=0.5)
     mo = orthonormalize_base(mf)
     assert _identity_base(mo, tol=1e-12)
     res_h, res_a = charts.btp_residual_at(mo)
@@ -255,13 +260,13 @@ def test_riemannian_curvature_reads_the_jets_once(monkeypatch, exact):
     calls = []
     read = charts._jet_coefficients
     monkeypatch.setattr(charts, "_jet_coefficients", lambda *a: calls.append(a) or read(*a))
-    charts.riemannian_curvature_at(charts.wallach_metric(exact=exact))
+    charts.riemannian_curvature_at(charts.wallach_metric(kind=KIND[exact]))
     assert len(calls) == 1
 
 
 def test_orthonormalize_preserves_geometry():
     # orthonormalizing the untouched metric must not disturb the residuals
-    m = orthonormalize_base(charts.wallach_metric(exact=False))
+    m = orthonormalize_base(charts.wallach_metric(kind=FLOAT))
     res_h, res_a = charts.btp_residual_at(m)
     assert _max_abs(res_h, res_a) < 1e-12
 
@@ -273,7 +278,7 @@ def test_residuals_off_origin_need_no_identity_base():
     # the metric is homogeneous, so its torsion is parallel at every chart
     # point, where the base value is not the identity
     for point in OFF_ORIGIN:
-        m = charts.wallach_metric(exact=False, point=point)
+        m = charts.wallach_metric(kind=FLOAT, point=point)
         assert not _identity_base(m)
         res_h, res_a = charts.btp_residual_at(m)
         assert _max_abs(res_h, res_a) <= 1e-12
@@ -283,7 +288,7 @@ def test_residuals_off_origin_need_no_identity_base():
 def test_orthonormalize_at_non_real_points(point):
     # the metric is homogeneous, so every chart point gives the same geometry,
     # read at the base value there or in a frame where g(0) = I
-    m = charts.wallach_metric(exact=False, point=point)
+    m = charts.wallach_metric(kind=FLOAT, point=point)
     mo = orthonormalize_base(m)
     assert _identity_base(mo, tol=1e-12) and not _identity_base(m)
     rng = np.random.default_rng(5)
@@ -439,8 +444,8 @@ def test_tables_match_the_einsum_oracle(builder, point, sigma_scale):
     # and is handed out as a read-only array of the metric's kind
     for exact in (True, False):
         coords = point if exact else [complex(c) for c in point]
-        m = (charts.wallach_metric(coords, exact, sigma_scale) if builder == "wallach"
-             else charts.fubini_study_metric(3, exact, coords))
+        m = (charts.wallach_metric(coords, KIND[exact], sigma_scale) if builder == "wallach"
+             else charts.fubini_study_metric(3, KIND[exact], coords))
         got, want = _chart_tables(m), chart_tables_einsum(m)
         assert got.keys() == want.keys()
         for name, a in got.items():
@@ -646,8 +651,8 @@ def test_levi_civita_matches_the_parallel_torsion_formula():
     # parallel torsion at g(0) = I, where torsion and Chern curvature determine
     # R; the two routes agree entry for entry in either kind
     for exact in (True, False):
-        for m in (charts.wallach_metric(exact=exact), euclidean_metric(3, exact),
-                  charts.fubini_study_metric(3, exact)):
+        for m in (charts.wallach_metric(kind=KIND[exact]), euclidean_metric(3, KIND[exact]),
+                  charts.fubini_study_metric(3, KIND[exact])):
             assert _identity_base(m)
             got = charts.riemannian_curvature_at(m)
             assert _same_tables(got, riemannian_parallel_torsion(m)), m.label
@@ -768,6 +773,57 @@ def test_exact_directions_reject_float_components(wallach_pc):
         charts.sectional_numerator(wallach_pc, (1.0, 0, 0), (0, 1, 0))
     with pytest.raises(TypeError):
         charts.ricci_curvature(wallach_pc, (1j, 0, 0))
+    # and so do bool, numpy and complex components, in X or in Y: a product of
+    # two bool or int components is an int, so a bool meets no ExactComplex
+    # in sectional_numerator but the kind's zero that _directions subtracts
+    for bad in (True, np.float64(1.0), 1j, np.complex128(1j)):
+        for fn in (lambda c: charts.sectional_numerator(wallach_pc, (c, 0, 0), (0, 1, 0)),
+                   lambda c: charts.sectional_numerator(wallach_pc, (0, 1, 0), (c, 0, 0)),
+                   lambda c: charts.sectional_curvature(wallach_pc, (c, 0, 0), (0, 1, 0)),
+                   lambda c: charts.ricci_curvature(wallach_pc, (c, 0, 0))):
+            with pytest.raises(TypeError):
+                fn(bad)
+
+
+# exact metrics whose directions are spelled three ways: the flag metric at
+# its origin and at a rational point, and the Fubini-Study metric
+DIRECTION_METRICS = {"wallach_origin": lambda: charts.wallach_metric(),
+                     "wallach_rational": lambda: charts.wallach_metric(RATIONAL_POINTS[1][0]),
+                     "fubini_study": lambda: charts.fubini_study_metric(3)}
+
+
+@cache
+def _direction_metric(name):
+    return DIRECTION_METRICS[name]()
+
+
+@st.composite
+def spelled_component(draw):
+    """A rational complex component as an ExactComplex, and as a component
+    of equal value spelled as int (or numpy int64), Fraction or ExactComplex
+    when it is real."""
+    re, im = draw(small_rational), draw(st.one_of(st.just(Fraction(0)), small_rational))
+    c = EC(re, im)
+    if im:
+        return c, c
+    ways = [c, re] + ([int(re), np.int64(re)] if re.denominator == 1 else [])
+    return c, draw(st.sampled_from(ways))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(DIRECTION_METRICS)),
+       st.lists(spelled_component(), min_size=6, max_size=6))
+def test_exact_directions_of_any_exact_spelling_agree(name, comps):
+    # int and Fraction components are not made ExactComplex by hand first:
+    # the sectional numerator and Ricci curvature equal those of the
+    # ExactComplex spelling, as Fractions
+    m = _direction_metric(name)
+    (X, Y), (Xs, Ys) = ([[c[k] for c in comps[i:i + 3]] for i in (0, 3)] for k in (0, 1))
+    got, want = charts.sectional_numerator(m, Xs, Ys), charts.sectional_numerator(m, X, Y)
+    assert type(got) is Fraction and got == want
+    assume(any(X))
+    got, want = charts.ricci_curvature(m, Xs), charts.ricci_curvature(m, X)
+    assert type(got) is Fraction and got == want
 
 
 # ---- normalized sectional curvature ----------------------------------------------------
@@ -844,7 +900,7 @@ def test_jet_coefficients_match_finite_differences(wallach_exact):
 
 def test_float_metric_at_chart_point_matches_direct_values():
     p = [0.3 - 0.2j, 0.1 + 0.05j, -0.4 + 0.25j]
-    m = charts.wallach_metric(point=p, exact=False)
+    m = charts.wallach_metric(point=p, kind=FLOAT)
     direct = wallach_metric_values(p)
     jets = np.array([[complex(m.g[i][j].value()) for j in range(3)] for i in range(3)])
     assert np.max(np.abs(direct - jets)) < 1e-12
@@ -892,7 +948,7 @@ def test_exact_flag_metric_off_origin(point, fpoint):
     assert charts.ricci_curvature(m, dirs + [(1, 2, EC.i())]).tolist() == \
         [Fraction(5, 2)] * 7
     assert not any(r.any() for r in charts.btp_residual_at(m))
-    _assert_kinds_agree(m, charts.wallach_metric(point=fpoint, exact=False), 1e-12)
+    _assert_kinds_agree(m, charts.wallach_metric(point=fpoint, kind=FLOAT), 1e-12)
 
 
 def test_exact_builders_read_real_arguments_exactly():
@@ -1043,9 +1099,9 @@ def test_exact_positivity_matches_sylvester_cofactors(H):
 
 @pytest.mark.parametrize("build", [
     lambda point: charts.wallach_metric(point=point),
-    lambda point: charts.wallach_metric(point=point, exact=False),
+    lambda point: charts.wallach_metric(point=point, kind=FLOAT),
     lambda point: charts.fubini_study_metric(3, point=point),
-    lambda point: charts.fubini_study_metric(3, exact=False, point=point)])
+    lambda point: charts.fubini_study_metric(3, kind=FLOAT, point=point)])
 @pytest.mark.parametrize("point", [[1, 2], [0, 0, 0, 0], []])
 def test_builders_reject_a_point_of_the_wrong_length(build, point):
     with pytest.raises(ValueError, match=f"n=3 has 3 coordinates, not {len(point)}"):
@@ -1059,8 +1115,8 @@ def test_fubini_study_point_length_follows_n():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: charts.wallach_metric(point=[1e308, 0, 0], exact=False),
-    lambda: charts.fubini_study_metric(3, exact=False, point=[1e200, 0, 0])])
+    lambda: charts.wallach_metric(point=[1e308, 0, 0], kind=FLOAT),
+    lambda: charts.fubini_study_metric(3, kind=FLOAT, point=[1e200, 0, 0])])
 def test_chart_metric_rejects_non_finite_jets(build):
     # |z1|^2 overflows, and inf - inf is nan: named as such, not as a
     # failed hermitian test
@@ -1078,8 +1134,8 @@ BUILDER_POINTS = [(False, [0.3 - 0.2j, 1.5 + 0.7j, -0.4 + 1.1j]),
                   (False, [2.0, -1 + 0.5j, 0.25j]),
                   (True, [Fraction(1, 2), EC(0, -1), EC(Fraction(-1, 3), 2)]),
                   (True, ["2", "-3/7", 1])]
-BUILDERS = [lambda point, exact: charts.wallach_metric(point=point, exact=exact),
-            lambda point, exact: charts.fubini_study_metric(3, exact=exact, point=point)]
+BUILDERS = [lambda point, exact: charts.wallach_metric(point=point, kind=KIND[exact]),
+            lambda point, exact: charts.fubini_study_metric(3, kind=KIND[exact], point=point)]
 
 
 @pytest.mark.parametrize("exact, point", BUILDER_POINTS)

@@ -45,7 +45,6 @@ ALLOWED = {
     "scalars.ExactComplex.__abs__": NUMBER_PROTOCOL,
     "scalars.ExactComplex.__hash__": NUMBER_PROTOCOL,
     "scalars.ExactComplex.__pos__": NUMBER_PROTOCOL,
-    "scalars.ExactComplex.__rsub__": NUMBER_PROTOCOL,
     "scalars.ExactComplex.__rtruediv__": NUMBER_PROTOCOL,
     "scalars.ExactComplex.__setattr__": IMMUTABLE,
     "scalars.ExactComplex.abs2": NUMBER_PROTOCOL,

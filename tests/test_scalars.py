@@ -543,6 +543,16 @@ def test_int_and_fraction_coefficients_make_exact_maps():
         InvariantForm.phi(3, 0, True)
 
 
+def test_kind_read_takes_parameters_of_the_kind():
+    assert EXACT.read is exact_scalar
+    assert EXACT.read(0.5) == EC(Fraction(1, 2)) and EXACT.read("1/3") == EC(Fraction(1, 3))
+    for v, want in ((0.5, 0.5 + 0j), ("1+2j", 1 + 2j), (np.float64(2.0), 2 + 0j), (1j, 1j)):
+        got = FLOAT.read(v)
+        assert got == want and type(got) is complex
+    with pytest.raises(TypeError):
+        EXACT.read(1j)
+
+
 def test_exact_scalar_reads_parameters_through_fraction():
     c = EC(1, 2)
     assert exact_scalar(c) is c
@@ -559,8 +569,12 @@ def test_exact_scalar_reads_parameters_through_fraction():
     lambda: lie.family_a(0.1, True), lambda: lie.family_a(True, 0),
     lambda: lie.family_b(1, True), lambda: lie.nilmanifold_n3(True),
     lambda: lie.sl2c(False), lambda: charts.wallach_metric(point=[True, 0, 0]),
+    lambda: FLOAT.read(True), lambda: charts.wallach_metric(point=[True, 0, 0], kind=FLOAT),
+    lambda: charts.wallach_metric(kind=FLOAT, sigma_scale=False),
+    lambda: charts.fubini_study_metric(3, FLOAT, [0, True, 0]),
 ], ids=["exact_scalar", "exact_rational", "family_a_t", "family_a_s", "family_b_t",
-        "nilmanifold_n3", "sl2c", "wallach_metric"])
+        "nilmanifold_n3", "sl2c", "wallach_metric", "float_read", "wallach_metric_float",
+        "wallach_sigma_float", "fubini_study_float"])
 def test_a_bool_parameter_raises(build):
     with pytest.raises(TypeError, match="bool"):
         build()

@@ -41,7 +41,7 @@ import pytest
 
 from btpgeo import charts, cli, forms, lie
 from btpgeo.cli import main
-from btpgeo.scalars import EC
+from btpgeo.scalars import EC, FLOAT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -123,10 +123,12 @@ def test_exact_flag_tables_scalar_ops_are_pinned(monkeypatch):
 
 
 def test_verify_wallach_scalar_ops_are_pinned(monkeypatch, capsys):
+    # multiplies + adds; the adds include one subtraction of the exact zero
+    # per direction component (48), by which charts._directions reads them
     calls = _count_scalar_ops(monkeypatch)
     assert main(["verify", "--example", "wallach"]) == 1        # criterion 4 stays red
     capsys.readouterr()
-    assert calls["ops"] == 1706 + 1230
+    assert calls["ops"] == 1706 + 1278
 
 
 def test_float_wallach_report_takes_one_writer_call_per_table(monkeypatch, capsys):
@@ -326,7 +328,7 @@ def test_cached_chart_tables_are_read_only():
     r11, r20 = charts.riemannian_curvature_at(m)
     again = charts.riemannian_curvature_at(m)
     assert again[0] is r11 and again[1] is r20
-    point = [t for p in (m, charts.wallach_metric(exact=False))
+    point = [t for p in (m, charts.wallach_metric(kind=FLOAT))
              for t in (charts.chern_torsion_at(p), charts.chern_curvature_at(p),
                        *charts.ricci_forms_at(p), *charts.riemannian_curvature_at(p))]
     assert [a.dtype for a in point] == [object] * 7 + [complex] * 7

@@ -9,12 +9,14 @@ tree's ``tests/data``, a few ``sweep`` and ``companion`` commands, and the
 two mixed-kind flag-threefold commands that the benchmark does not run:
 ``wallach --seed 1 --samples 50`` (the exact tables with float sampling) and
 ``verify --example wallach --seed 3`` (the exact suite with its float
-sectional sample).
+sectional sample).  Last come the five scripts in each tree's own
+``demos``, listed as ``demo demos/<name>.py``.
 
 Each tree runs every command in one interpreter of its own, with its ``src``
 first on ``sys.path``: ``btpgeo.cli.main(argv)`` is called in process with
-stdout and stderr captured, as the benchmark does.  A command whose exit
-code, stdout or stderr differs between the trees is listed.
+stdout and stderr captured, as the benchmark does, and a demo is run by
+``runpy`` from the tree's root, exit code 0 if it returns.  A command whose
+exit code, stdout or stderr differs between the trees is listed.
 
 Usage::
 
@@ -49,7 +51,7 @@ EXTRA = {
 # runs in a fresh interpreter per tree: argv lists on stdin, one
 # [exit code, stdout, stderr] per command on stdout
 RUNNER = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, runpy, sys
 sys.path.insert(0, sys.argv[1])
 from btpgeo import cli
 results = []
@@ -57,7 +59,11 @@ for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(list(argv))
+            if argv[0] == "demo":
+                runpy.run_path(argv[1], run_name="__main__")
+                rc = 0
+            else:
+                rc = cli.main(list(argv))
     except SystemExit as exc:
         rc = exc.code if isinstance(exc.code, int) else 1
     except Exception as exc:
@@ -79,6 +85,8 @@ def commands(change: str, seed: int, workdir: str):
         out.append(("tests/data", ["classify", "--input", path]))
     for group, argvs in EXTRA.items():
         out += [(group, argv) for argv in argvs]
+    for path in sorted(glob.glob(os.path.join(change, "demos", "*.py"))):
+        out.append(("demos", ["demo", os.path.relpath(path, change)]))
     return out
 
 

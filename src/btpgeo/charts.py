@@ -43,7 +43,8 @@ import numpy as np
 
 # jet_matrix_inverse is unused here and no command calls it; it stays
 # importable from charts only because the benchmark wraps and reads it here
-from .jets import Jet2, _jet, jet_matrix_inverse  # noqa: F401
+from .jets import (Jet2, _conj_terms, _jet, _reciprocal_terms, _sum,  # noqa: F401
+                   jet_matrix_inverse)
 from .linalg import matrix_inverse, row_basis, sparse_row
 from .scalars import EXACT, Kind, all_finite, memoized, table_to_json
 
@@ -83,14 +84,13 @@ class ChartMetric:
             raise ValueError("metric jets must have finite coefficients")
         for i in range(n):
             for j in range(i, n):
-                d = g[i][j] - g[j][i].conj()
-                if d.is_zero():
+                if (h := g[j][i].conj()).terms == g[i][j].terms:
                     continue
-                # the pair (j, i) has the residual -conj(d), of the same size;
-                # the tolerance scales with the smaller largest coefficient
+                # (j, i) has the conjugate residual; the tolerance scales with the pair
                 size = min(max(map(abs, f.terms.values()), default=0.0)
                            for f in (g[i][j], g[j][i]))
-                if not all(kind.negligible(c, 1e-10 * max(size, 1.0)) for c in d.terms.values()):
+                if not all(kind.negligible(c, 1e-10 * max(size, 1.0))
+                           for c in (g[i][j] - h).terms.values()):
                     raise ValueError("metric jets must be hermitian")
         entries = _jet_coefficients(g, kind)
         G, dg, dgb, hh, ha = arrays = [_array(e, r, n, kind)
@@ -235,26 +235,22 @@ def _plan(spec: str):
 # --------------------------------------------------------------------------
 
 def _coords(n: int, point, kind: Kind):
-    """Coordinate jets Z_i = p_i + w_i and their conjugates, for a point
-    of n scalars of the kind."""
+    """The terms of the coordinate jets Z_i = p_i + w_i and their conjugates at a point."""
     if len(point) != n:
         raise ValueError(f"a chart point for n={n} has {n} coordinates, not {len(point)}")
-    one = kind.one
-    Z = [_jet(n, {(): p, (i,): one}, kind) for i, p in enumerate(point)]
-    Zb = [_jet(n, {(): p.conjugate(), (n + i,): one}, kind) for i, p in enumerate(point)]
+    Z = [_sum((1, {(): p, (i,): kind.one})) for i, p in enumerate(point)]
+    Zb = [_sum((1, {(): p.conjugate(), (n + i,): kind.one})) for i, p in enumerate(point)]
     return Z, Zb
 
 
 def fubini_study_metric(n: int = 3, kind: Kind = EXACT, point=None) -> ChartMetric:
     """g = Hess log(1 + |z|^2): the Kaehler reference case (zero torsion)."""
     Z, Zb = _coords(n, [kind.read(p) for p in ([0] * n if point is None else point)], kind)
-    one = kind.one
-    al = Jet2.constant(n, one)
-    for k in range(n):
-        al = al + Z[k] * Zb[k]
-    alinv = al.reciprocal()
-    g = [[(Jet2.constant(n, one) if i == j else Jet2(n, kind=kind)) * alinv
-          - Zb[i] * Z[j] * alinv * alinv for j in range(n)] for i in range(n)]
+    one = {(): kind.one}
+    alinv = _reciprocal_terms(_sum((1, one), *((1, Z[k], Zb[k]) for k in range(n))), kind)
+    g = [[_jet(n, _sum(*([(1, one, alinv)] if i == j else []),
+                       (-1, _sum((1, _sum((1, Zb[i], Z[j])), alinv)), alinv)), kind)
+          for j in range(n)] for i in range(n)]
     return ChartMetric(n, g, label="fubini_study")
 
 
@@ -267,39 +263,32 @@ def wallach_metric(point=None, kind: Kind = EXACT, sigma_scale=1) -> ChartMetric
     n = 3
     sscale, *point = map(kind.read, [sigma_scale, *([0] * n if point is None else point)])
     Z, Zb = _coords(n, point, kind)
-    zero = Jet2(n, kind=kind)
-    one = Jet2.constant(n, kind.one)
+    one = {(): kind.one}
 
     # alpha = 1 + |z1|^2 + |z2|^2 and beta = 1 + |z3|^2 + |f|^2, f = z2 + z1 z3
-    al = one + Z[0] * Zb[0] + Z[1] * Zb[1]
-    f = Z[1] + Z[0] * Z[2]
-    fb = f.conj()
+    al = _sum((1, one), (1, Z[0], Zb[0]), (1, Z[1], Zb[1]))
+    f = _sum((1, Z[1]), (1, Z[0], Z[2]))
+    fb = _conj_terms(n, f)
     f_d = [Z[2], one, Z[0]]                          # partial_i f
-    z3z3b = Z[2] * Zb[2]
-    be = one + z3z3b + f * fb
-    alinv = al.reciprocal()
-    beinv = be.reciprocal()
-    f_be = [d * beinv for d in f_d]                  # partial_i f / beta
-    u = [Zb[0] * alinv, Zb[1] * alinv, zero]         # partial_i log alpha
-    v = [f_be[i] * fb + (Zb[2] * beinv if i == 2 else zero)
-         for i in range(3)]                          # partial_i log beta
-    ub, vb, f_db = ([x.conj() for x in w] for w in (u, v, f_d))
-    s = (alinv * beinv).scale(sscale)                # sigma_scale / (alpha beta)
-    sigma = {(0, 0): z3z3b, (0, 1): Z[2], (1, 1): one}
+    z3z3b = _sum((1, Z[2], Zb[2]))
+    be = _sum((1, one), (1, z3z3b), (1, f, fb))
+    alinv, beinv = _reciprocal_terms(al, kind), _reciprocal_terms(be, kind)
+    f_be = [_sum((1, d, beinv)) for d in f_d]        # partial_i f / beta
+    u = [_sum((1, Zb[i], alinv)) for i in range(2)]  # u, v: partial_i log alpha (u_2 = 0), beta
+    v = [_sum((1, f_be[i], fb), *([(1, Zb[2], beinv)] if i == 2 else [])) for i in range(3)]
+    ub, vb, f_db = ([_conj_terms(n, x) for x in w] for w in (u, v, f_d))
+    s = {m: x for m, c in _sum((1, alinv, beinv)).items() if (x := c * sscale)}
+    sigma = {(0, 0): z3z3b, (0, 1): Z[2], (1, 1): one}  # sigma_{i jbar} alpha beta, nonzero
 
     # g_{i jbar} = partial_i partial_jbar log(alpha beta) - sigma_{i jbar} s for
-    # i <= j; the metric is hermitian, so g_{j ibar} is its conjugate
-    g = [[zero] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            gij = (f_be[i] * f_db[j] - u[i] * ub[j] - v[i] * vb[j]
-                   - sigma.get((i, j), zero) * s)
-            if i == j:
-                gij = gij + (alinv if i < 2 else beinv)
-            else:
-                g[j][i] = gij.conj()
-            g[i][j] = gij
-    return ChartMetric(3, g, label="wallach")
+    # i <= j, one map each; the metric is hermitian, so g_{j ibar} is its conjugate
+    g = {(i, j): _jet(n, _sum((1, f_be[i], f_db[j]),
+                              *([(-1, u[i], ub[j])] if j < 2 else []), (-1, v[i], vb[j]),
+                              *([(-1, sigma[i, j], s)] if (i, j) in sigma else []),
+                              *([(1, alinv if i < 2 else beinv)] if i == j else [])), kind)
+         for i in range(3) for j in range(i, 3)}
+    return ChartMetric(3, [[g[i, j] if i <= j else g[j, i].conj() for j in range(3)]
+                           for i in range(3)], label="wallach")
 
 
 # --------------------------------------------------------------------------
@@ -430,11 +419,15 @@ def _directions(m: ChartMetric, X):
     """A direction or stack of directions as an (N, n) array of the data's
     scalar kind, and whether it was a single direction.
 
-    Subtracting the kind's zero leaves float data as it is and makes exact
-    data's int and Fraction components ExactComplex; ``ExactComplex``
-    arithmetic raises TypeError on any other component, a bool too, which
-    a product of two directions would take as an int.
+    A bool component raises TypeError (input other than a numeric ndarray is
+    scanned for one).  Subtracting the kind's zero leaves float data as it is
+    and makes exact data's int and Fraction components ExactComplex, whose
+    arithmetic raises TypeError on any other component.
     """
+    numeric = isinstance(X, np.ndarray) and np.issubdtype(X.dtype, np.number)
+    components = () if numeric else np.asarray(X, object).flat
+    if any(isinstance(c, (bool, np.bool_)) for c in components):
+        raise TypeError("a direction component is a bool")
     arr = np.asarray(X, m.kind.dtype)
     if arr.ndim not in (1, 2) or arr.shape[-1] != m.n:
         raise ValueError(f"direction must have {m.n} components")

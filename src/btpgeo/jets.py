@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from .linalg import matrix_inverse
-from .scalars import Scalar, Terms
+from .scalars import Kind, Scalar, Terms
 
 Mono = Tuple[int, ...]   # (), (v,), or (v, w) with v <= w
 
@@ -42,50 +42,17 @@ class Jet2(Terms):
     # ---- ring operations ---------------------------------------------------
     def __mul__(self, other: "Jet2") -> "Jet2":
         self._check(other)
-        acc: Dict[Mono, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if not m1:
-                    m = m2
-                elif not m2:
-                    m = m1
-                elif len(m1) + len(m2) > 2:
-                    continue
-                else:
-                    v, w = m1[0], m2[0]
-                    m = (v, w) if v <= w else (w, v)
-                c = c1 * c2
-                acc[m] = acc[m] + c if m in acc else c
-        return _jet(self.n, acc, self.kind)
+        return _jet(self.n, _product_terms(self.terms, other.terms), self.kind)
 
     def reciprocal(self) -> "Jet2":
         """1/f by the geometric series; needs a nonzero constant term."""
-        c0 = self.terms.get(())
-        if not c0:
-            raise JetSingularityError("jet has zero constant term")
-        n, kind = self.n, self.kind
-        one = kind.one
-        u = (self - _jet(n, {(): c0}, kind)).scale(one / c0)
-        # 1/(c0 (1+u)) = (1 - u + u^2)/c0
-        out = _jet(n, {(): one}, kind) - u + u * u
-        return out.scale(one / c0)
+        return _jet(self.n, _reciprocal_terms(self.terms, self.kind), self.kind)
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
         return self * other.reciprocal()
 
     def conj(self) -> "Jet2":
-        n = self.n
-        out: Dict[Mono, Scalar] = {}
-        for m, c in self.terms.items():
-            if m:
-                v = m[0] + n if m[0] < n else m[0] - n
-                if len(m) == 1:
-                    m = (v,)
-                else:
-                    w = m[1] + n if m[1] < n else m[1] - n
-                    m = (v, w) if v <= w else (w, v)    # only a z zbar pair swaps order
-            out[m] = c.conjugate()
-        return _jet(n, out, self.kind)
+        return _jet(self.n, _conj_terms(self.n, self.terms), self.kind)
 
     # ---- coefficient extraction ----------------------------------------------
     def value(self) -> Scalar:
@@ -118,6 +85,66 @@ class Jet2(Terms):
 
 
 _jet = Jet2._of       # from canonical monomials (sorted, in range), unchecked
+
+
+def _product_terms(a: Dict[Mono, Scalar], b: Dict[Mono, Scalar]) -> Dict[Mono, Scalar]:
+    """The product kernel: the terms of the truncated product of two jets' terms,
+    summed in the order of a's terms and then b's; a sum that cancels stays a zero."""
+    acc: Dict[Mono, Scalar] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not m1:
+                m = m2
+            elif not m2:
+                m = m1
+            elif len(m1) + len(m2) > 2:
+                continue
+            else:
+                v, w = m1[0], m2[0]
+                m = (v, w) if v <= w else (w, v)
+            c = c1 * c2
+            acc[m] = acc[m] + c if m in acc else c
+    return acc
+
+
+def _sum(*parts) -> Dict[Mono, Scalar]:
+    """The terms of the sum of parts (sign, a) or (sign, a, b), terms a or the product
+    a b added (sign 1) or subtracted (-1) in order, dropped at once when they cancel."""
+    acc: Dict[Mono, Scalar] = {}
+    for sign, a, *b in parts:
+        for m, c in (_product_terms(a, b[0]) if b else a).items():
+            if c := (c if sign > 0 else -c):
+                if v := (acc[m] + c if m in acc else c):
+                    acc[m] = v
+                else:
+                    del acc[m]
+    return acc
+
+
+def _conj_terms(n: int, terms: Dict[Mono, Scalar]) -> Dict[Mono, Scalar]:
+    """The terms of the conjugate jet: z_i and zbar_i swap, coefficients conjugate."""
+    out: Dict[Mono, Scalar] = {}
+    for m, c in terms.items():
+        if m:
+            v = m[0] + n if m[0] < n else m[0] - n
+            if len(m) == 1:
+                m = (v,)
+            else:
+                w = m[1] + n if m[1] < n else m[1] - n
+                m = (v, w) if v <= w else (w, v)    # only a z zbar pair swaps order
+        out[m] = c.conjugate()
+    return out
+
+
+def _reciprocal_terms(terms: Dict[Mono, Scalar], kind: Kind) -> Dict[Mono, Scalar]:
+    """The terms of 1/f = (1 - u + u^2)/c0, u = (f - c0)/c0, the series one map."""
+    c0 = terms.get(())
+    if not c0:
+        raise JetSingularityError("jet has zero constant term")
+    inv = kind.one / c0
+    u = {m: x for m, c in _sum((1, terms), (-1, {(): c0})).items() if (x := c * inv)}
+    return {m: x for m, c in _sum((1, {(): kind.one}), (-1, u), (1, u, u)).items()
+            if (x := c * inv)}
 
 
 def jet_matrix_inverse(g):

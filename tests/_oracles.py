@@ -3,7 +3,8 @@ flag metric evaluated directly, closed forms, the flat reference metric, the
 jet route to point curvature, the chart tables by numpy.einsum on the
 metric's arrays, the reciprocal and coordinate jets built through the
 validating jet constructor and the conjugate with a generator per monomial,
-two routes to the Levi-Civita curvature, sectional and Ricci curvature by
+the flag and Fubini-Study metric jets by chains of jet operations, two
+routes to the Levi-Civita curvature, sectional and Ricci curvature by
 explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
 n^3 loops, the classify stages by their full computations (the solvability
 series with every spanning vector reduced, each curvature entry as a
@@ -435,6 +436,57 @@ def coords_checked(n, point, kind):
         Z.append(base + jet_variable(n, i, kind))
         Zb.append(base.conj() + jet_variable(n, n + i, kind))
     return Z, Zb
+
+
+def wallach_metric_chain(point=None, kind=EXACT, sigma_scale=1):
+    """The flag metric's jets g_{i jbar} as a 3 x 3 grid, built by a chain of
+    jet operations, each sum, difference and product its own jet, from the
+    coordinate, conjugate and reciprocal jets of the validating route
+    (``coords_checked``, ``jet_conj_checked``, ``jet_reciprocal_checked``).
+    ``charts.wallach_metric`` builds every quantity as one map of
+    coefficients over the jet kernels instead."""
+    n = 3
+    sscale, *point = map(kind.read, [sigma_scale, *([0] * n if point is None else point)])
+    Z, Zb = coords_checked(n, point, kind)
+    zero = Jet2(n, kind=kind)
+    one = Jet2.constant(n, kind.one)
+    al = one + Z[0] * Zb[0] + Z[1] * Zb[1]
+    f = Z[1] + Z[0] * Z[2]
+    fb = jet_conj_checked(f)
+    f_d = [Z[2], one, Z[0]]
+    z3z3b = Z[2] * Zb[2]
+    be = one + z3z3b + f * fb
+    alinv, beinv = jet_reciprocal_checked(al), jet_reciprocal_checked(be)
+    f_be = [d * beinv for d in f_d]
+    u = [Zb[0] * alinv, Zb[1] * alinv, zero]
+    v = [f_be[i] * fb + (Zb[2] * beinv if i == 2 else zero) for i in range(3)]
+    ub, vb, f_db = ([jet_conj_checked(x) for x in w] for w in (u, v, f_d))
+    s = (alinv * beinv).scale(sscale)
+    sigma = {(0, 0): z3z3b, (0, 1): Z[2], (1, 1): one}
+    g = [[zero] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            gij = (f_be[i] * f_db[j] - u[i] * ub[j] - v[i] * vb[j]
+                   - sigma.get((i, j), zero) * s)
+            if i == j:
+                gij = gij + (alinv if i < 2 else beinv)
+            else:
+                g[j][i] = jet_conj_checked(gij)
+            g[i][j] = gij
+    return g
+
+
+def fubini_study_chain(n=3, kind=EXACT, point=None):
+    """The Fubini-Study jets g_{i jbar} = Hess log(1 + |z|^2) as an n x n grid,
+    built by a chain of jet operations as ``wallach_metric_chain``."""
+    Z, Zb = coords_checked(n, [kind.read(p) for p in ([0] * n if point is None else point)],
+                           kind)
+    al = Jet2.constant(n, kind.one)
+    for k in range(n):
+        al = al + Z[k] * Zb[k]
+    alinv = jet_reciprocal_checked(al)
+    return [[(Jet2.constant(n, kind.one) if i == j else Jet2(n, kind=kind)) * alinv
+             - Zb[i] * Z[j] * alinv * alinv for j in range(n)] for i in range(n)]
 
 
 # ---- the frame route: change the chart frame, extract, transform back ---------

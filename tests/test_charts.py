@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chart_tables_einsum,
-                      chern_curvature_loop, euclidean_metric, expanded,
-                      coords_checked, frame_route, jet_coefficients_loop, jet_conj_checked,
-                      jet_norm_inf, jet_variable, jet_reciprocal_checked, levi_civita_full, orthonormalize_base, orthonormalizing_frame, random_chart_metric,
-                      random_curvature_tables, real_metric, ricci_frame_sum,
-                      ricci_traces_loop, riemannian_parallel_torsion, sectional_closed_form,
-                      sectional_numerator_loop, sylvester_positive_definite, torsion_loop,
-                      transform_tensor, wallach_metric_values, wirtinger_fd)
+                      chern_curvature_loop, euclidean_metric, expanded, fubini_study_chain,
+                      frame_route, jet_coefficients_loop, jet_norm_inf, jet_variable,
+                      levi_civita_full, orthonormalize_base, orthonormalizing_frame,
+                      random_chart_metric, random_curvature_tables, real_metric,
+                      ricci_frame_sum, ricci_traces_loop, riemannian_parallel_torsion,
+                      sectional_closed_form, sectional_numerator_loop,
+                      sylvester_positive_definite, torsion_loop, transform_tensor,
+                      wallach_metric_chain, wallach_metric_values, wirtinger_fd)
 from btpgeo import charts, cli
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
@@ -393,6 +394,38 @@ def test_float_extraction_at_any_base_matches_frame_route(seed):
 small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 small_exact = st.builds(EC, small_rational, small_rational)
 
+
+def _same_jets(got, want):
+    """Whether two grids of jets hold the same terms in the same order, float
+    coefficients bit for bit (signed zeros included)."""
+    return (repr([[list(f.terms.items()) for f in row] for row in got])
+            == repr([[list(f.terms.items()) for f in row] for row in want]))
+
+
+float_part = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(EXACT), st.none() | st.lists(small_exact, min_size=3, max_size=3),
+              st.just(1) | st.fractions(-3, 1, max_denominator=7)),
+    st.tuples(st.just(FLOAT),
+              st.none() | st.lists(st.builds(complex, float_part, float_part),
+                                   min_size=3, max_size=3),
+              st.just(1) | st.floats(-3, 1, allow_nan=False))))
+@example((EXACT, None, 1))
+@example((FLOAT, None, 1))
+@example((FLOAT, [-0.0 + 0.5j, 1.5, -0.25j], 1))
+def test_chart_builders_equal_the_operator_chain(case):
+    # each entry is one map of coefficients, summed in the order of the chain
+    # of jet operations it replaces, so no coefficient and no float bit moves
+    kind, point, scale = case
+    assert _same_jets(charts.wallach_metric(point, kind=kind, sigma_scale=scale).g,
+                      wallach_metric_chain(point, kind, scale))
+    assert _same_jets(charts.fubini_study_metric(3, kind=kind, point=point).g,
+                      fubini_study_chain(3, kind, point))
+
+
 # a rational frame change z = A z' that is not unitary
 EXACT_FRAME = [[EC(1), EC(Fraction(1, 2), Fraction(1, 3)), EC(0)],
                [EC(0), EC(2), EC(Fraction(-1, 4))],
@@ -768,6 +801,25 @@ def test_exact_non_real_sectional_value_raises():
         charts.ricci_curvature(tables, x)
 
 
+def test_float_directions_reject_bool_components(wallach_float_pc):
+    # complex128 reads a bool as 1, so a bool component, in X or in Y, of any
+    # input but a numeric ndarray is caught before the conversion
+    m = wallach_float_pc
+    for bad in (True, np.bool_(True), np.array([True, False, False])):
+        d = bad if isinstance(bad, np.ndarray) else (bad, 0, 0)
+        for fn in (lambda d: charts.sectional_numerator(m, d, (0, 1, 0)),
+                   lambda d: charts.sectional_numerator(m, (0, 1, 0), d),
+                   lambda d: charts.sectional_curvature(m, d, (0, 1, 0)),
+                   lambda d: charts.ricci_curvature(m, d)):
+            with pytest.raises(TypeError):
+                fn(d)
+    # numeric spellings, numpy integers too, are read as before
+    for d in (np.array([1, 0, 0]), [np.int64(1), 0, 0], np.array([[1 + 0j, 0, 0]])):
+        assert np.all(charts.sectional_numerator(m, d, (0, 1, 0))
+                      == charts.sectional_numerator(m, (1, 0, 0), (0, 1, 0)))
+        assert np.all(charts.ricci_curvature(m, d) == charts.ricci_curvature(m, (1, 0, 0)))
+
+
 def test_exact_directions_reject_float_components(wallach_pc):
     with pytest.raises(TypeError):
         charts.sectional_numerator(wallach_pc, (1.0, 0, 0), (0, 1, 0))
@@ -1136,22 +1188,20 @@ BUILDER_POINTS = [(False, [0.3 - 0.2j, 1.5 + 0.7j, -0.4 + 1.1j]),
                   (True, ["2", "-3/7", 1])]
 BUILDERS = [lambda point, exact: charts.wallach_metric(point=point, kind=KIND[exact]),
             lambda point, exact: charts.fubini_study_metric(3, kind=KIND[exact], point=point)]
+CHAINS = dict(zip(BUILDERS, [lambda point, exact: wallach_metric_chain(point, KIND[exact]),
+                             lambda point, exact: fubini_study_chain(3, KIND[exact], point)]))
 
 
 @pytest.mark.parametrize("exact, point", BUILDER_POINTS)
 @pytest.mark.parametrize("build", BUILDERS)
-def test_metric_jets_equal_the_validating_route(monkeypatch, build, exact, point):
+def test_metric_jets_equal_the_validating_route(build, exact, point):
     # every jet term, bit for bit and in the same key order, as when the
     # coordinate, conjugate and reciprocal jets are built through the
-    # validating constructor
-    terms = lambda m: repr([[list(f.terms.items()) for f in row] for row in m.g])
+    # validating constructor and every operation makes a jet of its own
     got = build(point, exact)
-    monkeypatch.setattr(charts, "_coords", coords_checked)
-    monkeypatch.setattr(Jet2, "conj", jet_conj_checked)
-    monkeypatch.setattr(Jet2, "reciprocal", jet_reciprocal_checked)
-    want = build(point, exact)
-    assert got.kind is want.kind is (EXACT if exact else FLOAT)
-    assert terms(got) == terms(want)
+    want = CHAINS[build](point, exact)
+    assert got.kind is (EXACT if exact else FLOAT)
+    assert _same_jets(got.g, want)
 
 
 def _leaves_per_scalar(a):

@@ -28,6 +28,8 @@ REPR = "a repr, for interactive use"
 BENCH = "wrapped or read by the benchmark (bench/), which no command calls"
 ACCEPTANCE = "called by tests/test_acceptance.py, which no command calls"
 REFERENCE = "a reference metric for the chart tests, built from the private chart builders"
+JET_API = ("the jet API (ring operations, constants and the key check of the validating "
+           "constructor) over the term-map kernels and canonical keys the chart builders use")
 
 ALLOWED = {
     "charts.ChartMetric.__setattr__": IMMUTABLE,
@@ -36,7 +38,11 @@ ALLOWED = {
     "forms.CoframeContext.__setattr__": IMMUTABLE,
     "jets.Jet2.__repr__": REPR,
     "jets.Jet2.__repr__.<locals>.vname": REPR,
+    "jets.Jet2.__mul__": BENCH,
     "jets.Jet2.__truediv__": NUMBER_PROTOCOL,
+    "jets.Jet2._key": JET_API,
+    "jets.Jet2.constant": JET_API,
+    "jets.Jet2.reciprocal": JET_API,
     "jets.Jet2.deriv": ACCEPTANCE,
     "jets.jet_matrix_inverse": BENCH,
     "jets.jet_matrix_inverse.<locals>.matmul": BENCH,

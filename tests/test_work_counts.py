@@ -16,7 +16,8 @@ the Lie-side tables read the nonzero entries of C, D and T, so a table that
 walks the dense n^3 cube changes the count.  So are those of the five exact
 chart tables of the flag metric at its origin and of one
 ``verify --example wallach`` job, so that a return to dense contraction
-fails without any timing.
+fails without any timing, and so are the jets one flag metric builds, so
+that a return to a jet per sum, difference and product fails too.
 
 The report writer's calls are pinned for a float ``wallach`` report: each
 chart table reaches ``cli._write`` as one ``JsonTable`` and is written in
@@ -39,9 +40,9 @@ from fractions import Fraction
 
 import pytest
 
-from btpgeo import charts, cli, forms, lie
+from btpgeo import charts, cli, forms, lie, scalars
 from btpgeo.cli import main
-from btpgeo.scalars import EC, FLOAT
+from btpgeo.scalars import EC, EXACT, FLOAT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -124,11 +125,31 @@ def test_exact_flag_tables_scalar_ops_are_pinned(monkeypatch):
 
 def test_verify_wallach_scalar_ops_are_pinned(monkeypatch, capsys):
     # multiplies + adds; the adds include one subtraction of the exact zero
-    # per direction component (48), by which charts._directions reads them
+    # per direction component (48), by which charts._directions reads them.
+    # The flag metric's hermitian check subtracts no pair whose terms are
+    # equal, and each reciprocal's series is summed without taking c0 - c0:
+    # the chain of jet operations took 1706 + 1278
     calls = _count_scalar_ops(monkeypatch)
     assert main(["verify", "--example", "wallach"]) == 1        # criterion 4 stays red
     capsys.readouterr()
-    assert calls["ops"] == 1706 + 1278
+    assert calls["ops"] == 1706 + 1265
+
+
+# The flag metric is built as maps of coefficients over the jet kernels, and
+# only its entries become jets: 6 for i <= j, 3 conjugates for i > j, and the
+# hermitian check of ChartMetric conjugates each of the 6 pairs once; a chain
+# of jet operations, each its own jet, built 116.
+@pytest.mark.parametrize("kind", [EXACT, FLOAT], ids=lambda k: k.name)
+def test_flag_metric_jet_objects_are_pinned(monkeypatch, kind):
+    built = Counter()
+    new = scalars._new              # each Terms._of takes its object from it
+
+    def counted(cls):
+        built[cls.__name__] += 1
+        return new(cls)
+    monkeypatch.setattr(scalars, "_new", counted)
+    charts.wallach_metric(kind=kind)
+    assert built["Jet2"] == 6 + 3 + 6
 
 
 def test_float_wallach_report_takes_one_writer_call_per_table(monkeypatch, capsys):

@@ -5,12 +5,15 @@ The commands are the benchmark's own argv lists, read (never changed) from
 (``lie_exact``, ``lie_float``, ``verify_suites``, ``float_sampling``), with
 the classify inputs written once to a temporary directory that both trees
 read.  Added to them: ``classify --input`` of every JSON file in the change
-tree's ``tests/data``, a few ``sweep`` and ``companion`` commands, and the
-two mixed-kind flag-threefold commands that the benchmark does not run:
+tree's ``tests/data``, a few ``sweep`` and ``companion`` commands, and four
+flag-threefold commands that the benchmark does not run: the mixed-kind
 ``wallach --seed 1 --samples 50`` (the exact tables with float sampling) and
 ``verify --example wallach --seed 3`` (the exact suite with its float
-sectional sample).  Last come the five scripts in each tree's own
-``demos``, listed as ``demo demos/<name>.py``.
+sectional sample), the float report ``wallach --float`` alone, and
+``wallach --float --seed 7 --samples 2000``, whose sample takes two blocks
+of ``charts.SAMPLE_BLOCK`` planes where every benchmark job takes one.  Last
+come the five scripts in each tree's own ``demos``, listed as
+``demo demos/<name>.py``.
 
 Each tree runs every command in one interpreter of its own, with its ``src``
 first on ``sys.path``: ``btpgeo.cli.main(argv)`` is called in process with
@@ -46,6 +49,9 @@ EXTRA = {
                   ["companion", "--example", "a_st", "--swap", "1,2"]],
     "mixed_kind": [["wallach", "--seed", "1", "--samples", "50"],
                    ["verify", "--example", "wallach", "--seed", "3"]],
+    # the float report alone, and a sample of two SAMPLE_BLOCKs
+    "float": [["wallach", "--float"],
+              ["wallach", "--float", "--seed", "7", "--samples", "2000"]],
 }
 
 # runs in a fresh interpreter per tree: argv lists on stdin, one

@@ -29,8 +29,8 @@ beta = 1 + |z3|^2 + |f|^2, the Kaehler-Einstein part is
 gtilde = Hess log(alpha beta) and the metric is g = gtilde - sigma, where
 sigma_{i jbar} = (delta_{i1} delta_{j1} |z3|^2 + delta_{i1} delta_{j2} z3
 + delta_{i2} delta_{j1} zbar3 + delta_{i2} delta_{j2}) / (alpha beta).
-Its builder and the Fubini-Study one take a ``Kind`` (``EXACT`` by default)
-and read their arguments by its ``read`` (exactly, or by ``complex``).
+Its builder takes a ``Kind`` (``EXACT`` by default) and reads its arguments
+by its ``read`` (exactly, or by ``complex``).
 """
 
 from __future__ import annotations
@@ -241,17 +241,6 @@ def _coords(n: int, point, kind: Kind):
     Z = [_sum((1, {(): p, (i,): kind.one})) for i, p in enumerate(point)]
     Zb = [_sum((1, {(): p.conjugate(), (n + i,): kind.one})) for i, p in enumerate(point)]
     return Z, Zb
-
-
-def fubini_study_metric(n: int = 3, kind: Kind = EXACT, point=None) -> ChartMetric:
-    """g = Hess log(1 + |z|^2): the Kaehler reference case (zero torsion)."""
-    Z, Zb = _coords(n, [kind.read(p) for p in ([0] * n if point is None else point)], kind)
-    one = {(): kind.one}
-    alinv = _reciprocal_terms(_sum((1, one), *((1, Z[k], Zb[k]) for k in range(n))), kind)
-    g = [[_jet(n, _sum(*([(1, one, alinv)] if i == j else []),
-                       (-1, _sum((1, _sum((1, Zb[i], Z[j])), alinv)), alinv)), kind)
-          for j in range(n)] for i in range(n)]
-    return ChartMetric(n, g, label="fubini_study")
 
 
 def wallach_metric(point=None, kind: Kind = EXACT, sigma_scale=1) -> ChartMetric:

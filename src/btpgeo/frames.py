@@ -14,7 +14,11 @@ Dense n x n x n tables are built by ``dense`` from (j, i, k, c) entries, as
 nested lists of their scalar kind; ``summed`` gives the nonzero cells of such
 a table as entries in index order, as ``lie.HermitianLieAlgebra`` takes them.
 The frame change ``transform_torsion`` and the special-frame routines work
-on complex128 arrays.  numpy is imported only by the routines that work on
+on complex128 arrays, of one torsion or of a stack of them over leading
+axes: ``build_special_frame`` normalizes a stack in one pass, one Takagi
+factorization and four transforms of the whole stack, with every check run
+per torsion.  A single torsion is a stack of one, whose U is (3, 3) and
+whose a is a tuple.  numpy is imported only by the routines that work on
 arrays, so that ``lie`` builds its tables and matches its torsion patterns
 (``diagonal_entries``) without it.
 """
@@ -77,71 +81,69 @@ def diagonal_entries(n: int, a, signs):
     return antisymmetric((i, i, n - 1, s * a) for i, s in enumerate(signs))
 
 
-def _array(T: list, kind: Kind) -> np.ndarray:
-    import numpy as np
-    return np.array(T, kind.dtype)
-
-
-def cyclic_torsion(a) -> np.ndarray:
-    """The special-frame torsion of a triple a: T^i_{jk} = -T^i_{kj} = a_i
-    for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
-    kind, a = _scalars(a)
-    return _array(dense(3, antisymmetric((*c, x) for c, x in zip(_CYCLES, a)), kind), kind)
-
-
 def diagonal_torsion(n: int, a, signs) -> np.ndarray:
     """The torsion of ``diagonal_entries(n, a, signs)``, zero elsewhere, as
     an array of a's kind."""
+    import numpy as np
     kind, (a,) = _scalars((a,))
-    return _array(dense(n, diagonal_entries(n, a, signs), kind), kind)
+    return np.array(dense(n, diagonal_entries(n, a, signs), kind), kind.dtype)
 
 
-_LAW = "ia,jb,kc,abc->ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
+_LAW = "...ia,...jb,...kc,...abc->...ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc
 
 def transform_torsion(T, P) -> np.ndarray:
     """Torsion under the frame change e'_i = sum_s P_{is} e_s (P unitary):
 
         T'^i_{jk} = sum conj(P_{i a}) P_{j b} P_{k c} T^a_{bc}.
 
-    T and P of either kind are read as complex128, P must be unitary within
-    1e-10, and the result is a complex128 array.
+    T and P of either kind are read as complex128, each P must be unitary
+    within 1e-10, and the result is a complex128 array.  T (..., n, n, n)
+    and P (..., n, n) may be stacks over leading axes, which broadcast
+    against each other: one torsion and a stack of unitaries give the stack
+    of its transforms.
     """
     import numpy as np
     arrT, arrP = np.asarray(T, complex), np.asarray(P, complex)
-    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
+    gram = arrP @ arrP.conj().swapaxes(-1, -2) - np.eye(arrP.shape[-1])
+    if np.max(np.abs(gram)) > 1e-10:
         raise ValueError("P must be unitary within tolerance")
     return np.einsum(_LAW, arrP.conj(), arrP, arrP, arrT)
 
 
 def gauduchon_components(T) -> np.ndarray:
-    """eta_i = sum_s T^s_{si} for a float torsion array."""
+    """eta_i = sum_s T^s_{si} for a float torsion array, or (..., n) for a stack."""
     import numpy as np
-    return np.einsum('ssi->i', np.asarray(T, complex))
+    return np.einsum('...ssi->...i', np.asarray(T, complex))
+
+
+_I, _J, _K = (list(c) for c in zip(*_CYCLES))     # T^I_{JK} are the cyclic entries
 
 
 def torsion_to_cyclic(T) -> np.ndarray:
-    """The triple (T^1_{23}, T^2_{31}, T^3_{12})."""
+    """The triple (T^1_{23}, T^2_{31}, T^3_{12}), or (..., 3) for a stack."""
     import numpy as np
-    arr = np.asarray(T, complex)
-    return np.array([arr[i][j][k] for i, j, k in _CYCLES])
+    return np.asarray(T, complex)[..., _I, _J, _K]
 
 
 # composite frame change U (complex128, read-only) and the sorted torsion triple a
 SpecialFrameResult = namedtuple("SpecialFrameResult", "U a")
 
 
-def _phase_fix(arr: np.ndarray) -> np.ndarray:
-    """Diagonal unitary making the cyclic torsion entries real nonnegative.
+def _phase_fix(cyc: np.ndarray) -> np.ndarray:
+    """Diagonal unitaries making cyclic torsion entries real nonnegative, one
+    (3, 3) matrix per row of the (N, 3) cyclic values cyc.
 
     For current cyclic values a_i, the diagonal phases theta_i =
     (arg a_i - sum_j arg a_j)/2; zero entries keep phase 0 by convention.
     """
     import numpy as np
-    cyc = torsion_to_cyclic(arr)
-    scale = max(np.max(np.abs(cyc)), 1.0)
-    args = np.array([np.angle(c) if abs(c) > 1e-14 * scale else 0.0 for c in cyc])
-    theta = (args - np.sum(args)) / 2.0
-    return np.diag(np.exp(1j * theta))
+    mag = np.abs(cyc)
+    scale = np.maximum(mag.max(axis=1, keepdims=True), 1.0)
+    args = np.where(mag > 1e-14 * scale, np.angle(cyc), 0.0)
+    theta = (args - args.sum(axis=1, keepdims=True)) / 2.0
+    D = np.zeros(cyc.shape + (3,), complex)
+    D[:, _I, _I] = np.exp(1j * theta)
+    return D
 
 
 def build_special_frame(T) -> SpecialFrameResult:
@@ -150,41 +152,53 @@ def build_special_frame(T) -> SpecialFrameResult:
     The returned U is the composite unitary: feeding it to
     transform_torsion(T, U) produces torsion with T^i_{ij} = 0 and
     nonnegative sorted cyclic entries equal to ``a``.
+
+    T may be a stack (..., 3, 3, 3), normalized in one pass: one Takagi
+    factorization and four transforms of the whole stack.  Balance and the
+    special-frame invariants are checked per torsion against its own
+    bound, and any one failing raises.  A stack gives U (..., 3, 3) and a
+    (..., 3), both read-only arrays; a single torsion is a stack of one,
+    returned as U (3, 3) and the tuple a.
     """
     import numpy as np
     arr = np.asarray(T, complex)
-    if arr.shape != (3, 3, 3):
+    if arr.shape[-3:] != (3, 3, 3):
         raise DimensionError("special frames are a threefold construction")
-    eta = gauduchon_components(arr)
-    bound = 1e-9 * max(np.max(np.abs(arr)), 1.0)
-    if np.max(np.abs(eta)) > bound:
-        raise NotBalancedError(f"torsion is not balanced: |eta| = {np.max(np.abs(eta)):.3e}")
+    shape = arr.shape[:-3]
+    arr = arr.reshape(-1, 3, 3, 3)
+    eta = np.abs(gauduchon_components(arr)).max(axis=1)
+    bound = 1e-9 * np.maximum(np.abs(arr).max(axis=(1, 2, 3)), 1.0)
+    if (eta > bound).any():
+        raise NotBalancedError(f"torsion is not balanced: |eta| = {eta[eta > bound][0]:.3e}")
 
     # A_{i alpha} = T^alpha_{jk}, (i j k) cyclic; balancedness makes A symmetric
-    A = np.array([arr[:, j, k] for _, j, k in _CYCLES])
+    A = np.moveaxis(arr, 1, 3)[:, _J, _K]
     U1 = takagi_factorize(A, tol=1e-9).U
     cur = transform_torsion(arr, U1)
 
-    U2 = _phase_fix(cur)
+    U2 = _phase_fix(torsion_to_cyclic(cur))
     cur = transform_torsion(cur, U2)
 
     # the permutation that sorts the cyclic entries in descending order
-    P = np.identity(3)[np.argsort(-torsion_to_cyclic(cur).real, kind="stable")]
+    P = np.identity(3)[np.argsort(-torsion_to_cyclic(cur).real, axis=1, kind="stable")]
     cur = transform_torsion(cur, P)
 
-    U4 = _phase_fix(cur)   # an odd permutation flips all cyclic signs
+    U4 = _phase_fix(torsion_to_cyclic(cur))   # an odd permutation flips all cyclic signs
     cur = transform_torsion(cur, U4)
 
     U = U4 @ P @ U2 @ U1
     cyc = torsion_to_cyclic(cur)
-    a = tuple(float(x) for x in cyc.real)
-    # invariants of the special frame
-    offpattern = cur - cyclic_torsion(cyc)
-    if np.max(np.abs(offpattern)) > bound or min(a) < -bound \
-            or not (a[0] >= a[1] - bound >= a[2] - 2 * bound):
+    a = cyc.real
+    # invariants of the special frame: the cyclic pattern of cyc, a sorted, nonnegative
+    pattern = np.zeros_like(cur)
+    pattern[:, _I, _J, _K], pattern[:, _I, _K, _J] = cyc, -cyc
+    off = np.abs(cur - pattern).max(axis=(1, 2, 3))
+    in_order = (a[:, 0] >= a[:, 1] - bound) & (a[:, 1] - bound >= a[:, 2] - 2 * bound)
+    if ((off > bound) | (a.min(axis=1) < -bound) | ~in_order).any():
         raise RuntimeError("special-frame normalization failed its invariants")
-    U.flags.writeable = False
-    return SpecialFrameResult(U, a)
+    U, a = U.reshape(*shape, 3, 3), a.reshape(*shape, 3)
+    U.flags.writeable = a.flags.writeable = False
+    return SpecialFrameResult(U, tuple(a.tolist()) if not shape else a)
 
 
 def _admissible_u() -> np.ndarray:

@@ -10,7 +10,9 @@ by ``sparse_row``.  Its float branch ranks by singular values.  One inverse,
 ``matrix_inverse``, serves the constant matrices of both kinds; its exact
 branch is two passes of ``row_basis``.  Takagi factorization is float-only:
 the inputs that need it are generic unitary-scrambled torsion data, never
-golden rational values.
+golden rational values.  It takes one matrix or a stack of them over leading
+axes, factorized in one pass with every check per matrix; a single matrix is
+a stack of one, whose d is a tuple.
 
 numpy is imported by the routines that build arrays (the float branches,
 ``matrix_inverse`` and Takagi), so exact ranks run without it.  A numpy
@@ -151,14 +153,17 @@ def hermitian_rank(B, kind: Kind) -> int:
 # --------------------------------------------------------------------------
 
 class TakagiResult(namedtuple("TakagiResult", "U d")):
-    """Unitary U (complex128, read-only) and the nonnegative tuple d with
-    conj(U) @ A @ conj(U).T = diag(d)."""
+    """Unitary U (complex128, read-only) and the nonnegative d with
+    conj(U) @ A @ conj(U).T = diag(d): for one matrix a tuple, for a stack
+    the read-only array of shape A.shape[:-1]."""
     __slots__ = ()
 
     def reconstruction_residual(self, A) -> float:
+        """The largest |conj(U) A conj(U)^T - diag(d)| entry, over the stack."""
         import numpy as np
-        lhs = self.U.conj() @ np.asarray(A, complex) @ self.U.conj().T
-        return float(np.max(np.abs(lhs - np.diag(self.d))))
+        U = self.U.conj()
+        lhs = U @ np.asarray(A, complex) @ U.swapaxes(-1, -2)
+        return float(np.max(np.abs(lhs - np.asarray(self.d)[..., None] * np.eye(U.shape[-1]))))
 
 
 def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
@@ -171,51 +176,51 @@ def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
     the mirrored negative spectrum).  Null directions come from the complex
     SVD.  This stays backward-stable even for clustered singular values,
     where SVD-phase repairs break down.  Singular values are returned
-    sorted descending.  A is a square array of either scalar kind.
+    sorted descending.
+
+    A is a square array of either scalar kind, or a stack of them over
+    leading axes, factorized in one pass: one SVD, one eigh and the null
+    completion only of the matrices whose rank is below n, each rank's in
+    one pass.  Finiteness, symmetry (against each matrix's own size), the
+    reconstruction residual and unitarity are checked per matrix.  A single
+    matrix is a stack of one, returned as U of shape (n, n) and the tuple d.
     """
     import numpy as np
     a = np.asarray(A, complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError("takagi_factorize needs a square matrix")
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
     if not np.all(np.isfinite(a)):
         raise NumericError("non-finite entries")
-    if np.max(np.abs(a - a.T)) > max(tol, 1e-12) * max(1.0, np.max(np.abs(a))):
+    aT = a.swapaxes(1, 2)
+    size = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    if (np.abs(a - aT).max(axis=(1, 2)) > max(tol, 1e-12) * size).any():
         raise ShapeError("matrix is not symmetric within tolerance")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
+    a = (a + aT) / 2.0
     s = np.linalg.svd(a, compute_uv=False)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    zero_thresh = 1e-12 * scale
-    rank = int(np.sum(s > zero_thresh))
+    rank = np.sum(s > 1e-12 * np.maximum(s[:, :1], 1.0), axis=1)
 
-    B = np.block([[a.real, a.imag], [a.imag, -a.real]])
-    w, V = np.linalg.eigh(B)
-    order = np.argsort(-w, kind="stable")[:rank]   # largest eigenvalues = sigma > 0
-    cols = []
-    d = []
-    for idx in order:
-        u = V[:n, idx] + 1j * V[n:, idx]
-        cols.append(u)
-        d.append(float(w[idx]))
-    if rank < n:
-        _, _, Vh = np.linalg.svd(a)
-        for k in range(rank, n):
-            # a conj(u) = 0 needs conj(u) in ker(a): u is a conjugated
-            # null right-singular vector, i.e. a plain row of Vh
-            cols.append(Vh[k])
-            d.append(0.0)
-    Q = np.column_stack(cols)
-    if rank < n:
-        # re-orthonormalize the null block against the positive block
-        Qpos = Q[:, :rank]
-        null = Q[:, rank:]
-        null = null - Qpos @ (Qpos.conj().T @ null)
-        null, _ = np.linalg.qr(null)
-        Q = np.column_stack([Qpos, null])
-    U = Q.T
+    w, V = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
+    order = np.argsort(-w, axis=1, kind="stable")[:, :n]   # largest eigenvalues = sigma > 0
+    d = np.take_along_axis(w, order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    Q = V[:, :n] + 1j * V[:, n:]                           # columns u
+    for r in np.unique(rank[rank < n]):
+        k = rank == r
+        # a conj(u) = 0 needs conj(u) in ker(a): u is a conjugated null
+        # right-singular vector, i.e. a plain row of Vh; re-orthonormalize
+        # the null block against the positive block
+        Q[k, :, r:] = np.linalg.svd(a[k])[2][:, r:].swapaxes(1, 2)
+        pos, null = Q[k, :, :r], Q[k, :, r:]
+        Q[k, :, r:] = np.linalg.qr(null - pos @ (pos.conj().swapaxes(1, 2) @ null))[0]
+        d[k, r:] = 0.0
+    U = Q.swapaxes(1, 2).reshape(shape)
     U.flags.writeable = False
-    res = TakagiResult(U, tuple(d))
+    d = d.reshape(shape[:-1])
+    d.flags.writeable = False
+    res = TakagiResult(U, tuple(d.tolist()) if len(shape) == 2 else d)
     if res.reconstruction_residual(A) > tol or \
-            np.max(np.abs(U @ U.conj().T - np.eye(n))) > tol:
+            np.max(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(n))) > tol:
         raise NumericError("Takagi residual exceeded tolerance")
     return res

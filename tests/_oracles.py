@@ -1,18 +1,19 @@
 """Independent oracles shared by the test modules: finite differences, the
-flag metric evaluated directly, closed forms, the flat reference metric, the
-jet route to point curvature, the chart tables by numpy.einsum on the
-metric's arrays, the reciprocal and coordinate jets built through the
-validating jet constructor and the conjugate with a generator per monomial,
-the flag and Fubini-Study metric jets by chains of jet operations, two
-routes to the Levi-Civita curvature, sectional and Ricci curvature by
-explicit sums, the tuple-keyed form kernel, the Lie-side tables by dense
-n^3 loops, the classify stages by their full computations (the solvability
-series with every spanning vector reduced, each curvature entry as a
-difference of forms), the row reduction and solvability series on dense
-vectors, direct sums of algebras, algebras built from dense cubes of
-structure constants, the form wire-format reader, jet derivatives and
-truncation, the command-line parser built on argparse, and report tables
-expanded to the nested lists they stand for."""
+flag metric evaluated directly, closed forms, the flat and the Fubini-Study
+reference metrics, the jet route to point curvature, the chart tables by
+numpy.einsum on the metric's arrays, the reciprocal and coordinate jets
+built through the validating jet constructor and the conjugate with a
+generator per monomial, the flag and Fubini-Study metric jets by chains of
+jet operations, two routes to the Levi-Civita curvature, sectional and
+Ricci curvature by explicit sums, the tuple-keyed form kernel, the special
+frame, Takagi factorization and frame change of one torsion or matrix at a
+time, the Lie-side tables by dense n^3 loops, the classify stages by their
+full computations (the solvability series with every spanning vector
+reduced, each curvature entry as a difference of forms), the row reduction
+and solvability series on dense vectors, direct sums of algebras, algebras
+built from dense cubes of structure constants, the form wire-format reader,
+jet derivatives and truncation, the command-line parser built on argparse,
+and report tables expanded to the nested lists they stand for."""
 
 import argparse
 import itertools
@@ -23,14 +24,16 @@ import numpy as np
 
 from btpgeo import lie
 from btpgeo.cli import COMMANDS, EXIT_USAGE
-from btpgeo.charts import (ChartMetric, chern_curvature_at, chern_torsion_at,
+from btpgeo.charts import (ChartMetric, _coords, chern_curvature_at, chern_torsion_at,
                            riemannian_curvature_at)
 from btpgeo.forms import InvariantForm, exterior_d
-from btpgeo.frames import FramePatternError, _admissible_u
-from btpgeo.jets import Jet2, JetSingularityError, jet_matrix_inverse
+from btpgeo.frames import (FramePatternError, NotBalancedError, _admissible_u, antisymmetric,
+                           dense)
+from btpgeo.jets import (Jet2, JetSingularityError, _jet, _reciprocal_terms, _sum,
+                         jet_matrix_inverse)
 from btpgeo.linalg import NumericError, ShapeError, matrix_inverse
-from btpgeo.scalars import (EC, EXACT, FLOAT, JsonTable, common_kind, scalar_from_json,
-                            scalar_to_json)
+from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, JsonTable, common_kind,
+                            scalar_from_json, scalar_to_json)
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -88,6 +91,19 @@ def euclidean_metric(n=3, kind=EXACT):
     """The flat metric g_{i jbar} = delta_ij as constant jets of either kind."""
     return ChartMetric(n, [[Jet2.constant(n, kind.one) if i == j else Jet2(n, kind=kind)
                             for j in range(n)] for i in range(n)], label="euclidean")
+
+
+def fubini_study_metric(n=3, kind=EXACT, point=None):
+    """g = Hess log(1 + |z|^2), the Kaehler reference case (zero torsion),
+    built as ``charts.wallach_metric`` builds the flag metric: one map of
+    coefficients per entry over the jet kernels, at a point read by the kind."""
+    Z, Zb = _coords(n, [kind.read(p) for p in ([0] * n if point is None else point)], kind)
+    one = {(): kind.one}
+    alinv = _reciprocal_terms(_sum((1, one), *((1, Z[k], Zb[k]) for k in range(n))), kind)
+    g = [[_jet(n, _sum(*([(1, one, alinv)] if i == j else []),
+                       (-1, _sum((1, _sum((1, Zb[i], Z[j])), alinv)), alinv)), kind)
+          for j in range(n)] for i in range(n)]
+    return ChartMetric(n, g, label="fubini_study")
 
 
 def sectional_closed_form(X, Y):
@@ -1066,6 +1082,107 @@ def admissible_pattern_loop(T):
     return bool(a) and all(
         not T[j][i][k] - pattern.get((j, i, k), 0)
         for j in range(3) for i in range(3) for k in range(3))
+
+
+# ---- the special frame one torsion at a time ------------------------------------
+# ``frames.build_special_frame``, ``frames.transform_torsion`` and
+# ``linalg.takagi_factorize`` take stacks over leading axes.  The bodies below
+# are the ones they replaced, which took one torsion or matrix: a list
+# comprehension per cyclic entry, a Python loop over the Takagi columns, and
+# the closing check against the special-frame torsion of the recovered triple.
+
+_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def transform_torsion_one(T, P):
+    """``frames.transform_torsion`` of one torsion and one unitary."""
+    arrT, arrP = np.asarray(T, complex), np.asarray(P, complex)
+    if np.max(np.abs(arrP @ arrP.conj().T - np.eye(len(arrP)))) > 1e-10:
+        raise ValueError("P must be unitary within tolerance")
+    return np.einsum("ia,jb,kc,abc->ijk", arrP.conj(), arrP, arrP, arrT)
+
+
+def takagi_factorize_one(A, tol=1e-10):
+    """(U, d) of ``linalg.takagi_factorize`` for one square matrix."""
+    a = np.asarray(A, complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError("takagi_factorize needs a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise NumericError("non-finite entries")
+    if np.max(np.abs(a - a.T)) > max(tol, 1e-12) * max(1.0, np.max(np.abs(a))):
+        raise ShapeError("matrix is not symmetric within tolerance")
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    s = np.linalg.svd(a, compute_uv=False)
+    scale = max(s[0], 1.0) if len(s) else 1.0
+    rank = int(np.sum(s > 1e-12 * scale))
+    w, V = np.linalg.eigh(np.block([[a.real, a.imag], [a.imag, -a.real]]))
+    cols, d = [], []
+    for idx in np.argsort(-w, kind="stable")[:rank]:
+        cols.append(V[:n, idx] + 1j * V[n:, idx])
+        d.append(float(w[idx]))
+    if rank < n:
+        _, _, Vh = np.linalg.svd(a)
+        for k in range(rank, n):
+            cols.append(Vh[k])
+            d.append(0.0)
+    Q = np.column_stack(cols)
+    if rank < n:
+        Qpos, null = Q[:, :rank], Q[:, rank:]
+        null, _ = np.linalg.qr(null - Qpos @ (Qpos.conj().T @ null))
+        Q = np.column_stack([Qpos, null])
+    U = Q.T
+    lhs = U.conj() @ np.asarray(A, complex) @ U.conj().T
+    if np.max(np.abs(lhs - np.diag(d))) > tol or np.max(np.abs(U @ U.conj().T - np.eye(n))) > tol:
+        raise NumericError("Takagi residual exceeded tolerance")
+    return U, tuple(d)
+
+
+def cyclic_torsion(a):
+    """The special-frame torsion of a triple a: T^i_{jk} = -T^i_{kj} = a_i
+    for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
+    kind = common_kind(a)
+    entries = antisymmetric((*c, kind.scalar(x)) for c, x in zip(_CYCLES, a))
+    return np.array(dense(3, entries, kind), kind.dtype)
+
+
+def _cyclic_one(arr):
+    return np.array([arr[i][j][k] for i, j, k in _CYCLES])
+
+
+def _phase_fix_one(arr):
+    cyc = _cyclic_one(arr)
+    scale = max(np.max(np.abs(cyc)), 1.0)
+    args = np.array([np.angle(c) if abs(c) > 1e-14 * scale else 0.0 for c in cyc])
+    theta = (args - np.sum(args)) / 2.0
+    return np.diag(np.exp(1j * theta))
+
+
+def build_special_frame_one(T):
+    """(U, a) of ``frames.build_special_frame`` for one torsion."""
+    arr = np.asarray(T, complex)
+    if arr.shape != (3, 3, 3):
+        raise DimensionError("special frames are a threefold construction")
+    eta = np.einsum("ssi->i", arr)
+    bound = 1e-9 * max(np.max(np.abs(arr)), 1.0)
+    if np.max(np.abs(eta)) > bound:
+        raise NotBalancedError(f"torsion is not balanced: |eta| = {np.max(np.abs(eta)):.3e}")
+    A = np.array([arr[:, j, k] for _, j, k in _CYCLES])
+    U1 = takagi_factorize_one(A, tol=1e-9)[0]
+    cur = transform_torsion_one(arr, U1)
+    U2 = _phase_fix_one(cur)
+    cur = transform_torsion_one(cur, U2)
+    P = np.identity(3)[np.argsort(-_cyclic_one(cur).real, kind="stable")]
+    cur = transform_torsion_one(cur, P)
+    U4 = _phase_fix_one(cur)
+    cur = transform_torsion_one(cur, U4)
+    U = U4 @ P @ U2 @ U1
+    cyc = _cyclic_one(cur)
+    a = tuple(float(x) for x in cyc.real)
+    if np.max(np.abs(cur - cyclic_torsion(cyc))) > bound or min(a) < -bound \
+            or not (a[0] >= a[1] - bound >= a[2] - 2 * bound):
+        raise RuntimeError("special-frame normalization failed its invariants")
+    return U, a
 
 
 # ---- the Lie-side tables by dense n^3 loops ----------------------------------------------

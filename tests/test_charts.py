@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chart_tables_einsum,
                       chern_curvature_loop, euclidean_metric, expanded, fubini_study_chain,
+                      fubini_study_metric,
                       frame_route, jet_coefficients_loop, jet_norm_inf, jet_variable,
                       levi_civita_full, orthonormalize_base, orthonormalizing_frame,
                       random_chart_metric, random_curvature_tables, real_metric,
@@ -116,9 +117,9 @@ def test_euclidean_torsion_zero():
 
 def test_fubini_study_torsion_zero():
     # Kaehler reference: symmetric first derivatives kill the torsion
-    T = charts.chern_torsion_at(charts.fubini_study_metric(3))
+    T = charts.chern_torsion_at(fubini_study_metric(3))
     assert all(T[j][i][k].is_zero() for j in range(3) for i in range(3) for k in range(3))
-    mf = charts.fubini_study_metric(3, kind=FLOAT, point=[0.3 + 0.1j, -0.2j, 0.05])
+    mf = fubini_study_metric(3, kind=FLOAT, point=[0.3 + 0.1j, -0.2j, 0.05])
     Tf = charts.chern_torsion_at(mf)
     assert max(abs(complex(Tf[j][i][k])) for j in range(3) for i in range(3)
                for k in range(3)) < 1e-12
@@ -422,7 +423,7 @@ def test_chart_builders_equal_the_operator_chain(case):
     kind, point, scale = case
     assert _same_jets(charts.wallach_metric(point, kind=kind, sigma_scale=scale).g,
                       wallach_metric_chain(point, kind, scale))
-    assert _same_jets(charts.fubini_study_metric(3, kind=kind, point=point).g,
+    assert _same_jets(fubini_study_metric(3, kind=kind, point=point).g,
                       fubini_study_chain(3, kind, point))
 
 
@@ -478,7 +479,7 @@ def test_tables_match_the_einsum_oracle(builder, point, sigma_scale):
     for exact in (True, False):
         coords = point if exact else [complex(c) for c in point]
         m = (charts.wallach_metric(coords, KIND[exact], sigma_scale) if builder == "wallach"
-             else charts.fubini_study_metric(3, KIND[exact], coords))
+             else fubini_study_metric(3, KIND[exact], coords))
         got, want = _chart_tables(m), chart_tables_einsum(m)
         assert got.keys() == want.keys()
         for name, a in got.items():
@@ -685,7 +686,7 @@ def test_levi_civita_matches_the_parallel_torsion_formula():
     # R; the two routes agree entry for entry in either kind
     for exact in (True, False):
         for m in (charts.wallach_metric(kind=KIND[exact]), euclidean_metric(3, KIND[exact]),
-                  charts.fubini_study_metric(3, KIND[exact])):
+                  fubini_study_metric(3, KIND[exact])):
             assert _identity_base(m)
             got = charts.riemannian_curvature_at(m)
             assert _same_tables(got, riemannian_parallel_torsion(m)), m.label
@@ -841,7 +842,7 @@ def test_exact_directions_reject_float_components(wallach_pc):
 # its origin and at a rational point, and the Fubini-Study metric
 DIRECTION_METRICS = {"wallach_origin": lambda: charts.wallach_metric(),
                      "wallach_rational": lambda: charts.wallach_metric(RATIONAL_POINTS[1][0]),
-                     "fubini_study": lambda: charts.fubini_study_metric(3)}
+                     "fubini_study": lambda: fubini_study_metric(3)}
 
 
 @cache
@@ -1007,8 +1008,8 @@ def test_exact_builders_read_real_arguments_exactly():
     for m in (charts.wallach_metric(sigma_scale=0.5),
               charts.wallach_metric(sigma_scale="1/2")):
         assert m.g == charts.wallach_metric(sigma_scale=Fraction(1, 2)).g
-    fs = charts.fubini_study_metric(point=[0.5, 0, 0])
-    assert fs.g == charts.fubini_study_metric(point=["1/2", 0, 0]).g
+    fs = fubini_study_metric(point=[0.5, 0, 0])
+    assert fs.g == fubini_study_metric(point=["1/2", 0, 0]).g
     assert fs.G[0][0] == Fraction(16, 25)    # 1 / (1 + 1/4)^2
 
 
@@ -1152,8 +1153,8 @@ def test_exact_positivity_matches_sylvester_cofactors(H):
 @pytest.mark.parametrize("build", [
     lambda point: charts.wallach_metric(point=point),
     lambda point: charts.wallach_metric(point=point, kind=FLOAT),
-    lambda point: charts.fubini_study_metric(3, point=point),
-    lambda point: charts.fubini_study_metric(3, kind=FLOAT, point=point)])
+    lambda point: fubini_study_metric(3, point=point),
+    lambda point: fubini_study_metric(3, kind=FLOAT, point=point)])
 @pytest.mark.parametrize("point", [[1, 2], [0, 0, 0, 0], []])
 def test_builders_reject_a_point_of_the_wrong_length(build, point):
     with pytest.raises(ValueError, match=f"n=3 has 3 coordinates, not {len(point)}"):
@@ -1161,14 +1162,14 @@ def test_builders_reject_a_point_of_the_wrong_length(build, point):
 
 
 def test_fubini_study_point_length_follows_n():
-    assert charts.fubini_study_metric(2, point=[1, "1/2"]).n == 2
+    assert fubini_study_metric(2, point=[1, "1/2"]).n == 2
     with pytest.raises(ValueError, match="n=2 has 2 coordinates, not 3"):
-        charts.fubini_study_metric(2, point=[1, 0, 0])
+        fubini_study_metric(2, point=[1, 0, 0])
 
 
 @pytest.mark.parametrize("build", [
     lambda: charts.wallach_metric(point=[1e308, 0, 0], kind=FLOAT),
-    lambda: charts.fubini_study_metric(3, kind=FLOAT, point=[1e200, 0, 0])])
+    lambda: fubini_study_metric(3, kind=FLOAT, point=[1e200, 0, 0])])
 def test_chart_metric_rejects_non_finite_jets(build):
     # |z1|^2 overflows, and inf - inf is nan: named as such, not as a
     # failed hermitian test
@@ -1187,7 +1188,7 @@ BUILDER_POINTS = [(False, [0.3 - 0.2j, 1.5 + 0.7j, -0.4 + 1.1j]),
                   (True, [Fraction(1, 2), EC(0, -1), EC(Fraction(-1, 3), 2)]),
                   (True, ["2", "-3/7", 1])]
 BUILDERS = [lambda point, exact: charts.wallach_metric(point=point, kind=KIND[exact]),
-            lambda point, exact: charts.fubini_study_metric(3, kind=KIND[exact], point=point)]
+            lambda point, exact: fubini_study_metric(3, kind=KIND[exact], point=point)]
 CHAINS = dict(zip(BUILDERS, [lambda point, exact: wallach_metric_chain(point, KIND[exact]),
                              lambda point, exact: fubini_study_chain(3, KIND[exact], point)]))
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import b_rank_type_two_path, special_to_admissible_two_path
-from btpgeo import frames, lie
+import _oracles
+from _oracles import (b_rank_type_two_path, build_special_frame_one, special_to_admissible_two_path,
+                      takagi_factorize_one, transform_torsion_one)
+from btpgeo import frames, goldens, lie
+from btpgeo.linalg import ShapeError, takagi_factorize
 from btpgeo.scalars import EC
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -75,12 +78,14 @@ def _nonzero(T):
     return {idx: T[idx] for idx in np.ndindex(T.shape) if T[idx] != 0}
 
 
+# the special-frame torsion of a triple, built since stacks came in only by
+# the oracle of the one-at-a-time special frame, for its closing check
 def test_cyclic_torsion_entries_and_kind():
-    T = frames.cyclic_torsion((Fraction(3), 2, EC(1, 1)))
+    T = _oracles.cyclic_torsion((Fraction(3), 2, EC(1, 1)))
     assert T.dtype == object and all(type(c) is EC for c in T.flat)
     assert _nonzero(T) == {(0, 1, 2): EC(3), (0, 2, 1): EC(-3), (1, 2, 0): EC(2),
                            (1, 0, 2): EC(-2), (2, 0, 1): EC(1, 1), (2, 1, 0): EC(-1, -1)}
-    Tf = frames.cyclic_torsion((2.0, 1.0, 0.5))
+    Tf = _oracles.cyclic_torsion((2.0, 1.0, 0.5))
     assert Tf.dtype == complex and np.array_equal(Tf, cyclic_torsion(2.0, 1.0, 0.5))
 
 
@@ -145,6 +150,126 @@ def test_not_balanced_rejected():
     T[0][2][0] = -1.0
     with pytest.raises(frames.NotBalancedError):
         frames.build_special_frame(T)
+
+
+# ---- stacks: one pass, the same bits as one torsion at a time ---------------------
+# A stack is normalized in one pass; the oracles are the bodies that took one
+# torsion or matrix.  Scrambled torsions of each rank pattern, at scales
+# 1e-6..1e6, must come out with every U, a and Takagi d equal bit for bit.
+
+def _bits(x):
+    x = np.ascontiguousarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@st.composite
+def _scrambled(draw):
+    """A torsion (a, a, a), (a, a, 0), (a, 0, 0), a_1 > a_2 > a_3 > 0 or 0
+    at a scale in 1e-6..1e6, and a seeded unitary to scramble it by."""
+    pattern = draw(st.sampled_from(["aaa", "aa0", "a00", "generic", "zero"]))
+    a = {"aaa": (1, 1, 1), "aa0": (1, 1, 0), "a00": (1, 0, 0), "zero": (0, 0, 0)}.get(pattern)
+    if a is None:
+        a2 = draw(st.floats(0.05, 0.95))
+        a = (1, a2, draw(st.floats(0.01, 0.95)) * a2)
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    M = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=(2, 3, 3))
+    return cyclic_torsion(*(scale * x for x in a)), np.linalg.qr(M[0] + 1j * M[1])[0]
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:        # the class is compared with the stack's
+        return type(exc)
+
+
+def _cyclic_matrix(T):
+    """A_{i alpha} = T^alpha_{jk}, (i j k) cyclic: the matrix Takagi factorizes."""
+    return np.array([T[:, j, k] for _, j, k in CYCLES])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_scrambled(), min_size=1, max_size=12))
+def test_stacked_special_frames_equal_the_one_at_a_time_bodies(items):
+    special, Q = (np.array(x) for x in zip(*items))
+    stack = frames.transform_torsion(special, Q)
+    scrambled = [transform_torsion_one(T, P) for T, P in items]
+    assert [_bits(T) for T in stack] == [_bits(T) for T in scrambled]
+
+    A = np.array([_cyclic_matrix(T) for T in scrambled])
+    want = [_result_or_error(takagi_factorize_one, a, 1e-9) for a in A]
+    failed = {w for w in want if isinstance(w, type)}
+    if failed:      # the absolute 1e-9 residual bound fails some at scale 1e6
+        with pytest.raises(tuple(failed)):
+            takagi_factorize(A, tol=1e-9)
+    else:
+        got = takagi_factorize(A, tol=1e-9)
+        assert [_bits(U) for U in got.U] == [_bits(U) for U, _ in want]
+        assert [_bits(d) for d in got.d] == [_bits(np.array(d)) for _, d in want]
+
+    want = [_result_or_error(build_special_frame_one, T) for T in scrambled]
+    failed = {w for w in want if isinstance(w, type)}
+    if failed:
+        with pytest.raises(tuple(failed)):
+            frames.build_special_frame(stack)
+        return
+    got = frames.build_special_frame(stack)
+    assert [_bits(U) for U in got.U] == [_bits(U) for U, _ in want]
+    assert [_bits(a) for a in got.a] == [_bits(np.array(a)) for _, a in want]
+    assert not got.U.flags.writeable and not got.a.flags.writeable
+    one = frames.build_special_frame(stack[0])        # a stack of one, as a single torsion
+    assert _bits(one.U) == _bits(want[0][0]) and one.a == want[0][1]
+
+
+def _unbalanced():
+    T = np.zeros((3, 3, 3), dtype=complex)
+    T[0][0][2], T[0][2][0] = 1.0, -1.0      # T^1_{13}: eta_3 != 0
+    return T
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_scrambled(), min_size=1, max_size=11), st.data())
+def test_one_bad_item_raises_as_it_does_alone(items, data):
+    at = data.draw(st.integers(0, len(items)))
+    torsions = [transform_torsion_one(T, P) for T, P in items]
+    unitaries = [P for _, P in items]
+    matrices = [_cyclic_matrix(T) for T in torsions]
+    for fn, good, bad, error in (
+            (frames.build_special_frame, torsions, _unbalanced(), frames.NotBalancedError),
+            (lambda P: frames.transform_torsion(cyclic_torsion(1, 1, 1), P), unitaries,
+             np.diag([2.0, 1, 1]), ValueError),
+            (takagi_factorize, matrices, np.array([[0, 1.0, 0], [0, 0, 0], [0, 0, 1]]),
+             ShapeError)):
+        assert _result_or_error(fn, bad) is error
+        assert _result_or_error(fn, np.array(good[:at] + [bad] + good[at:])) is error
+
+
+def test_a_single_input_keeps_its_shapes():
+    scr = transform_torsion_one(cyclic_torsion(1.0, 0.5, 0.0), random_unitary(np.random.default_rng(9)))
+    res = frames.build_special_frame(scr)
+    assert res.U.shape == (3, 3) and not res.U.flags.writeable
+    assert type(res.a) is tuple and all(type(x) is float for x in res.a)
+    t = takagi_factorize(_cyclic_matrix(scr))
+    assert t.U.shape == (3, 3) and not t.U.flags.writeable and type(t.d) is tuple
+    assert frames.torsion_to_cyclic(scr).shape == (3,)
+    assert frames.gauduchon_components(scr).shape == (3,)
+    # stacks over several leading axes keep them
+    stack = np.array([[scr] * 3] * 2)
+    res2 = frames.build_special_frame(stack)
+    assert res2.U.shape == (2, 3, 3, 3) and res2.a.shape == (2, 3, 3)
+    assert _bits(res2.U[1, 2]) == _bits(res.U) and tuple(res2.a[1, 2].tolist()) == res.a
+
+
+# frames.recovery of goldens.sl2c_suite(seed), recorded when each of the ten
+# scrambles was recovered on its own
+SL2C_RECOVERY = {0: "1.33e-15", 1: "1.11e-15", 2: "1.33e-15", 3: "7.77e-16", 4: "8.88e-16",
+                 5: "9.99e-16", 6: "8.88e-16", 7: "5.55e-16", 8: "6.66e-16", 9: "7.77e-16"}
+
+
+@pytest.mark.parametrize("seed", sorted(SL2C_RECOVERY))
+def test_sl2c_recovery_detail_is_pinned(seed):
+    check, = (c for c in goldens.sl2c_suite(seed) if c.name == "frames.recovery")
+    assert check.passed and check.detail == f"max deviation {SL2C_RECOVERY[seed]}"
 
 
 # ---- admissible frames -----------------------------------------------------------
@@ -277,10 +402,10 @@ def test_special_to_admissible_agrees_with_two_path_oracle(v, d, as_ec):
 
 def test_a_triple_is_read_through_one_kind():
     # ints and Fractions are exact; a triple that mixes kinds raises
-    assert frames.cyclic_torsion((1, Fraction(1, 2), 0)).dtype == object
+    assert _oracles.cyclic_torsion((1, Fraction(1, 2), 0)).dtype == object
     assert frames.b_rank_type((1, 1, 0)) == "rank2"
     assert frames.diagonal_torsion(3, 1, (1, -1))[0, 0, 2] == EC(1)
     for mixed in ((EC(1), 1.0, 0.0), (1, 1.0, 0), (1.0, 1.0, 0)):
-        for fn in (frames.cyclic_torsion, frames.b_rank_type, frames.special_to_admissible):
+        for fn in (_oracles.cyclic_torsion, frames.b_rank_type, frames.special_to_admissible):
             with pytest.raises(TypeError, match="mixed scalar kinds"):
                 fn(mixed)

@@ -27,13 +27,11 @@ IMMUTABLE = "an immutability guard: raises on any write"
 REPR = "a repr, for interactive use"
 BENCH = "wrapped or read by the benchmark (bench/), which no command calls"
 ACCEPTANCE = "called by tests/test_acceptance.py, which no command calls"
-REFERENCE = "a reference metric for the chart tests, built from the private chart builders"
 JET_API = ("the jet API (ring operations, constants and the key check of the validating "
            "constructor) over the term-map kernels and canonical keys the chart builders use")
 
 ALLOWED = {
     "charts.ChartMetric.__setattr__": IMMUTABLE,
-    "charts.fubini_study_metric": REFERENCE,
     "charts.sectional_curvature": ACCEPTANCE,
     "forms.CoframeContext.__setattr__": IMMUTABLE,
     "jets.Jet2.__repr__": REPR,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import expanded, from_cubes, jet_partial, jet_truncate, jet_variable
+from _oracles import (expanded, from_cubes, fubini_study_metric, jet_partial, jet_truncate,
+                      jet_variable)
 from btpgeo import charts, lie, scalars
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
@@ -571,7 +572,7 @@ def test_exact_scalar_reads_parameters_through_fraction():
     lambda: lie.sl2c(False), lambda: charts.wallach_metric(point=[True, 0, 0]),
     lambda: FLOAT.read(True), lambda: charts.wallach_metric(point=[True, 0, 0], kind=FLOAT),
     lambda: charts.wallach_metric(kind=FLOAT, sigma_scale=False),
-    lambda: charts.fubini_study_metric(3, FLOAT, [0, True, 0]),
+    lambda: fubini_study_metric(3, FLOAT, [0, True, 0]),
 ], ids=["exact_scalar", "exact_rational", "family_a_t", "family_a_s", "family_b_t",
         "nilmanifold_n3", "sl2c", "wallach_metric", "float_read", "wallach_metric_float",
         "wallach_sigma_float", "fubini_study_float"])

@@ -40,7 +40,9 @@ from fractions import Fraction
 
 import pytest
 
-from btpgeo import charts, cli, forms, lie, scalars
+import numpy as np
+
+from btpgeo import charts, cli, forms, frames, lie, scalars
 from btpgeo.cli import main
 from btpgeo.scalars import EC, EXACT, FLOAT
 
@@ -294,6 +296,21 @@ def test_wallach_report_builds_no_residuals(monkeypatch, capsys, argv):
     # parallel-torsion check first; the float run samples that same metric
     assert calls == {"_jet_coefficients": 1, "chern_torsion_at": 1, "chern_curvature_at": 1,
                      "ricci_forms_at": 1, "riemannian_curvature_at": 1}
+
+
+def test_verify_sl2c_recovers_its_ten_frames_in_one_pass(monkeypatch, capsys):
+    # the ten scrambled torsions are one stack: one QR of the ten unitaries,
+    # one transform by them, one special-frame pass with one Takagi
+    # factorization and four transforms; one at a time took 10, 10, 10 and 50
+    calls = Counter()
+    counted = _counter(calls)
+    for name in ("build_special_frame", "takagi_factorize", "transform_torsion"):
+        monkeypatch.setattr(frames, name, counted(name, getattr(frames, name)))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    assert main(["verify", "--example", "sl2c"]) == 0
+    capsys.readouterr()
+    assert calls == {"build_special_frame": 1, "takagi_factorize": 1, "qr": 1,
+                     "transform_torsion": 5}
 
 
 def test_main_builds_an_argparse_parser_only_for_argv_it_cannot_read(monkeypatch, capsys):

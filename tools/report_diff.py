@@ -11,7 +11,9 @@ flag-threefold commands that the benchmark does not run: the mixed-kind
 ``verify --example wallach --seed 3`` (the exact suite with its float
 sectional sample), the float report ``wallach --float`` alone, and
 ``wallach --float --seed 7 --samples 2000``, whose sample takes two blocks
-of ``charts.SAMPLE_BLOCK`` planes where every benchmark job takes one.  Last
+of ``charts.SAMPLE_BLOCK`` planes where every benchmark job takes one, and
+``verify --example sl2c`` at seeds 1, 5 and 9, whose ten scrambled special
+frames differ from those of the default seed the benchmark runs.  Last
 come the five scripts in each tree's own ``demos``, listed as
 ``demo demos/<name>.py``.
 
@@ -52,6 +54,8 @@ EXTRA = {
     # the float report alone, and a sample of two SAMPLE_BLOCKs
     "float": [["wallach", "--float"],
               ["wallach", "--float", "--seed", "7", "--samples", "2000"]],
+    # the sl2c special-frame recovery at seeds other than the default
+    "frames": [["verify", "--example", "sl2c", "--seed", seed] for seed in ("1", "5", "9")],
 }
 
 # runs in a fresh interpreter per tree: argv lists on stdin, one

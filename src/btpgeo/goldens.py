@@ -196,6 +196,8 @@ def sl2c_suite(seed: int = 0) -> List[CheckResult]:
     rep = lie.classify(g)
     _chk(out, "classify.flat", "rank-three algebras are Chern flat",
          rep.type_label == "chern_flat" and rep.balanced and rep.btp)
+    _chk(out, "solvability", "sl(2, C) is simple: neither nilpotent nor solvable",
+         rep.nilpotent_steps is None and rep.solvable_steps is None)
     B = lie.b_tensor(g)
     _chk(out, "b_tensor", "B = 2*identity with rank 3",
          B == ((2, 0, 0), (0, 2, 0), (0, 0, 2)) and rep.b_rank == 3)

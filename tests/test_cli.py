@@ -314,6 +314,16 @@ def test_verify_sl2c_passes(capsys):
     assert rep["refs"]
 
 
+def test_verify_sl2c_fails_when_its_derived_series_stops(monkeypatch, capsys):
+    # sl(2, C) is simple; a derived series reported to stop after two steps
+    # fails the shipped suite, not only the tests
+    monkeypatch.setattr(lie, "solvability_profile", lambda g: (None, 2))
+    code, out, _ = run_cli(capsys, "verify", "--example", "sl2c")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["solvability"]
+
+
 def test_verify_unknown_example(capsys):
     code, _, err = run_cli(capsys, "verify", "--example", "bogus")
     assert code == 3
@@ -775,8 +785,9 @@ EXACT_REPORT_SHA256 = {
         "ba2abad65bcd8c4a69fd0652e7cddba7a71bdcf15c7f69b98748dd595dd54611",
     ("verify", "--example", "b_zt"):
         "aa31dab8d73adbf6914915c1da4a1fb31a92f930aa6d82571c357aab8ecfd2a5",
+    # with the check that sl(2, C) is simple (6bd91ee0... before it)
     ("verify", "--example", "sl2c"):
-        "6bd91ee068f2638e7553f0a4896a0b123e24c9dedca26c00b57a6a7275b87a13",
+        "63376ec1b66c058001497765b55b393ffa2ad1fc560b4fc4db98ba18896e10a4",
     # the a = 1 report plus a "torsion_a" field that echoes a
     ("verify", "--example", "n3", "--torsion-a", "38029750/1000001"):
         "9e68ec78f1c04f5a479afdbc7d1c3addb1f186cac6de0c7b4640a40f3f8707d2",

@@ -179,9 +179,9 @@ def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
     sorted descending.
 
     A is a square array of either scalar kind, or a stack of them over
-    leading axes, factorized in one pass: one SVD, one eigh and the null
-    completion only of the matrices whose rank is below n, each rank's in
-    one pass.  Finiteness, symmetry (against each matrix's own size), the
+    leading axes, factorized in one pass: one SVD and one eigh of the stack,
+    and the null completion only of the matrices whose rank is below n, one
+    pass per rank.  Finiteness, symmetry (against each matrix's own size), the
     reconstruction residual and unitarity are checked per matrix.  A single
     matrix is a stack of one, returned as U of shape (n, n) and the tuple d.
     """

@@ -78,8 +78,8 @@ def _nonzero(T):
     return {idx: T[idx] for idx in np.ndindex(T.shape) if T[idx] != 0}
 
 
-# the special-frame torsion of a triple, built since stacks came in only by
-# the oracle of the one-at-a-time special frame, for its closing check
+# the special-frame torsion of a triple, an oracle: only the closing check of
+# the one-at-a-time special frame builds it
 def test_cyclic_torsion_entries_and_kind():
     T = _oracles.cyclic_torsion((Fraction(3), 2, EC(1, 1)))
     assert T.dtype == object and all(type(c) is EC for c in T.flat)
@@ -245,7 +245,8 @@ def test_one_bad_item_raises_as_it_does_alone(items, data):
 
 
 def test_a_single_input_keeps_its_shapes():
-    scr = transform_torsion_one(cyclic_torsion(1.0, 0.5, 0.0), random_unitary(np.random.default_rng(9)))
+    rng = np.random.default_rng(9)
+    scr = transform_torsion_one(cyclic_torsion(1.0, 0.5, 0.0), random_unitary(rng))
     res = frames.build_special_frame(scr)
     assert res.U.shape == (3, 3) and not res.U.flags.writeable
     assert type(res.a) is tuple and all(type(x) is float for x in res.a)

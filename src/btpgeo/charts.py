@@ -8,9 +8,15 @@ and so are the sectional and Ricci curvature.
 
 The constructor reads the jet coefficients once (ChartMetric).  Each table is
 written once, as einsums of them, built once per metric (scalars.memoized)
-and handed out as the same read-only array of the kind on every call.  The
-kind supplies the einsum: np.einsum on complex128, or for exact metrics a
-join over the maps {index tuple: nonzero ExactComplex} read from the jets.
+and handed out as the same read-only table on every call.  The metric's
+engine supplies the einsum and the other primitives that differ by kind: a
+float metric (``_Dense``) holds complex128 arrays and contracts them with
+np.einsum; an exact metric (``_Sparse``) holds every quantity, from its jet
+coefficients to its direction stacks, as a map {index tuple: nonzero
+ExactComplex} and contracts by ``tensor.ein``, and its tables are handed out
+as read-only views of those maps.  numpy is imported only by the float
+engine and the float positivity test; ``random_planes`` draws from the
+numpy generator its caller passes.
 
 Sectional numerators and Ricci curvature run through the same contractions
 for both scalar kinds.  The Ricci curvature of x = X + conj(X) traces the
@@ -21,7 +27,8 @@ leaves the closed form
     num(X) = Re sum_{a,d} X_a Xb_d (8 sum r11[a,l,i,d] g^{lbar i}
                                     - 4 sum r11[a,d,i,j] g^{jbar i})
              - 8 Re sum_{a,c} X_a X_c sum r20[a,i,c,l] g^{lbar i},
-and Ricci(x) = num / 2 / |x|^2 with |x|^2 = 2 X G conj(X).
+and Ricci(x) = num / 2 / |x|^2 with |x|^2 = 2 X G conj(X); the two inner
+sums are the metric's Ricci form, built once per metric.
 
 The built-in metric is the homogeneous metric on the flag threefold sitting
 inside P^2 x P^2: with alpha = 1 + |z1|^2 + |z2|^2, f = z2 + z1 z3,
@@ -36,17 +43,16 @@ by its ``read`` (exactly, or by ``complex``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from operator import itemgetter
-
-import numpy as np
+from operator import truediv
+from types import MappingProxyType
 
 # jet_matrix_inverse is unused here and no command calls it; it stays
 # importable from charts only because the benchmark wraps and reads it here
 from .jets import (Jet2, _conj_terms, _jet, _reciprocal_terms, _sum,  # noqa: F401
                    jet_matrix_inverse)
 from .linalg import matrix_inverse, row_basis, sparse_row
-from .scalars import EXACT, Kind, all_finite, memoized, table_to_json
+from .scalars import EXACT, Kind, all_finite, entries_to_json, memoized, table_to_json
+from .tensor import Map, conj, ein
 
 # Planes drawn per block by random_planes; bounds the memory of the stacked
 # sectional and Ricci evaluation whatever the sample count.
@@ -60,8 +66,9 @@ class DegeneratePlaneError(ValueError):
 class ChartMetric:
     """Hermitian metric components g_{i jbar} as 2-jets at a base point.
 
-    The constructor reads the jets once, into read-only arrays of the
-    metric's kind: G[i,j] = g_{i jbar} and its inverse Ginv[l,j] = g^{lbar j},
+    The constructor reads the jets once, into read-only tables of the
+    metric's engine (complex128 arrays, or maps {index tuple: nonzero
+    ExactComplex}): G[i,j] = g_{i jbar} and its inverse Ginv[l,j] = g^{lbar j},
     dg[i,j,k] = partial_k g_{i jbar}, dgb[i,j,k] = partial_kbar g_{i jbar},
     hh[i,j,k,m] = partial_k partial_m g_{i jbar} (doubled on the diagonal,
     as Jet2.deriv), ha[i,j,k,l] = partial_k partial_lbar g_{i jbar} and the
@@ -92,9 +99,7 @@ class ChartMetric:
                 if not all(kind.negligible(c, 1e-10 * max(size, 1.0))
                            for c in (g[i][j] - h).terms.values()):
                     raise ValueError("metric jets must be hermitian")
-        entries = _jet_coefficients(g, kind)
-        G, dg, dgb, hh, ha = arrays = [_array(e, r, n, kind)
-                                       for e, r in zip(entries, (2, 3, 3, 4, 4))]
+        G = [[f.value() for f in r] for r in g]
         if kind.exact:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
@@ -102,34 +107,25 @@ class ChartMetric:
             rows = row_basis(map(sparse_row, G), kind)
             positive = len(rows) == n and all(k in r and r[k].im == 0 and r[k].re > 0
                                               for k, r in enumerate(rows))
-            tensors, operands = _Sparse, entries
+            engine = _Sparse
         else:
-            positive = np.linalg.eigvalsh(G).min() > 0
-            tensors, operands = _Dense, arrays
+            import numpy as np
+            positive = np.linalg.eigvalsh(np.array(G)).min() > 0
+            engine = _Dense
         if not positive:
             raise ValueError("metric must be positive definite at the base point")
-        Ginv = _readonly(matrix_inverse(G, kind))
-        t = tensors(n, operands, Ginv)
-        for name, value in zip(self.__slots__, (n, g, label, kind, G, Ginv, dg, dgb, hh, ha,
-                                                t.array(t.gam, 3), t, {})):
+        t = engine(n, _jet_coefficients(g, kind), matrix_inverse(G, kind))
+        for name, value in zip(self.__slots__, (n, g, label, kind, t.G, t.Ginv, t.dg, t.dgb,
+                                                t.hh, t.ha, t.table(t.gam), t, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a):
     a.flags.writeable = False
     return a
-
-
-def _array(entries, rank: int, n: int, kind: Kind) -> np.ndarray:
-    """The read-only (n,) * rank array of a map's entries, the kind's zero elsewhere."""
-    a = np.empty((n,) * rank, kind.dtype)
-    a.fill(kind.zero)
-    for k, c in entries.items():
-        a[k] = c
-    return _readonly(a)
 
 
 def _jet_coefficients(g, kind: Kind):
@@ -155,79 +151,111 @@ def _jet_coefficients(g, kind: Kind):
     return G, dg, dgb, hh, ha
 
 
-class _Dense:
-    """A float metric's operands (as on ChartMetric) and tables T and Rc, as complex128."""
+class _Sparse:
+    """An exact metric's engine: its operands, tables and direction stacks
+    as maps {index tuple: nonzero ExactComplex}, contracted by ``tensor.ein``.
 
-    def __init__(self, n: int, operands, Ginv):
-        self.n, (self.G, self.dg, self.dgb, self.hh, self.ha) = n, operands
-        self.Ginv = self.form(Ginv)
+    A stack of N directions is the map {(m, a): X_ma} with its count N, and
+    a contraction over the stack is the map {(m,): value}; ``real`` reads it
+    as the list of N Fractions, which ``each`` maps entry by entry.
+    """
+
+    ein = staticmethod(ein)
+    conj = staticmethod(conj)
+    table = staticmethod(MappingProxyType)           # the table handed out
+
+    def __init__(self, n: int, entries, Ginv):
+        self.n = n
+        self.G, self.dg, self.dgb, self.hh, self.ha = map(self.operand, entries, (2, 3, 3, 4, 4))
+        self.Ginv = self.matrix(Ginv)
         self.gam = self.ein("lsi,sr->lri", self.dg, self.Ginv)
 
-    form = staticmethod(lambda a: a)
-    ein = staticmethod(np.einsum)
-    conj = staticmethod(np.conj)
-    array = staticmethod(lambda t, rank: _readonly(t))   # the table handed out
-
-
-class _Sparse(_Dense):
-    """An exact metric's operands and tables as maps {index tuple: nonzero entry}."""
-
-    form = staticmethod(lambda a: {k: c for k, c in np.ndenumerate(a) if c})
-    conj = staticmethod(lambda t: {k: c.conjugate() for k, c in t.items()})
+    operand = staticmethod(lambda entries, rank: MappingProxyType(entries))
 
     @staticmethod
-    def ein(spec, first, *ops):
-        """np.einsum on maps, none with a repeated index: each row of bound
-        indices, with its product, joins the next operand's agreeing entries."""
-        steps, out = _plan(spec)
-        rows = first.items()
-        for (at, old, new), op in zip(steps, ops):
-            index = {}
-            for k, v in op.items():
-                index.setdefault(tuple(k[p] for p in old), []).append(
-                    (tuple(k[p] for p in new), v))
-            rows = [(r + k, x * v) for r, x in rows
-                    for k, v in index.get(tuple(r[p] for p in at), ())]
-        acc = {}
-        for r, x in rows:
-            key = out(r)
-            acc[key] = acc[key] + x if key in acc else x
-        return _Map({k: v for k, v in acc.items() if v})
+    def matrix(rows):
+        return MappingProxyType({(i, j): c for i, r in enumerate(rows)
+                                 for j, c in enumerate(r) if c})
 
-    def array(self, t, rank: int) -> np.ndarray:
-        return _array(t, rank, self.n, EXACT)
+    json = lambda self, t, rank: entries_to_json((self.n,) * rank, t)   # noqa: E731
 
+    def directions(self, X):
+        """A direction or a sequence of directions as a stack: (the map, the
+        count, whether it was a single direction).  Subtracting the exact zero
+        makes int and Fraction components ExactComplex, and raises TypeError on
+        any other (a bool, float or complex among them)."""
+        rows = list(X)
+        single = not rows or not hasattr(rows[0], "__len__")
+        rows = [rows] if single else rows
+        if any(len(r) != self.n for r in rows):
+            raise ValueError(f"direction must have {self.n} components")
+        zero = EXACT.zero
+        return (Map({(m, a): v for m, r in enumerate(rows) for a, c in enumerate(r)
+                     if (v := c - zero)}), len(rows), single)
 
-class _Map(dict):
-    """An exact table {index tuple: nonzero entry} under the sums, negation
-    and scalar multiples that the table formulas take of einsum results."""
+    pairs = lambda self, A, B: self.ein("ma,mb->mab", A, B)        # noqa: E731
+    apply = lambda self, P, R: self.ein("mab,abcd->mcd", P, R)     # noqa: E731
+    dot = lambda self, L, Q: self.ein("mcd,mcd->m", L, Q)          # noqa: E731
 
-    __neg__ = lambda self: _Map({k: -v for k, v in self.items()})      # noqa: E731
-    __sub__ = lambda self, other: self + -other                         # noqa: E731
-    __mul__ = lambda self, c: _Map({k: v * c for k, v in self.items()})  # noqa: E731
+    @staticmethod
+    def real(a, count: int):
+        """The real parts of a stack's values as Fractions; a nonzero
+        imaginary part raises ArithmeticError."""
+        vals = [a.get((m,), EXACT.zero) for m in range(count)]
+        if any(v.im for v in vals):
+            raise ArithmeticError("expected a real exact value")
+        return [v.re for v in vals]
 
-    def __add__(self, other):
-        out = _Map(self)
-        for k, v in other.items():
-            v = out.pop(k) + v if k in out else v
-            if v:
-                out[k] = v
-        return out
+    each = staticmethod(lambda f, *cols: [f(*v) for v in zip(*cols)])
+    result = staticmethod(lambda vals, single: vals[0] if single else vals)
 
 
-@cache
-def _plan(spec: str):
-    """How ``_Sparse.ein`` joins a spec's operands: per operand after the first, the row
-    places of its bound indices, their places in it and the places of its new
-    ones; then the getter of the output indices (two or more) from a row."""
-    first, *inputs = spec.replace("->", ",").split(",")
-    row, steps = first, []
-    for op in inputs[:-1]:
-        old = [p for p, c in enumerate(op) if c in row]
-        steps.append(([row.index(op[p]) for p in old], old,
-                      [p for p, c in enumerate(op) if c not in row]))
-        row += "".join(c for c in op if c not in row)
-    return steps, itemgetter(*map(row.index, inputs[-1]))
+class _Dense(_Sparse):
+    """A float metric's engine: the same quantities as complex128 arrays,
+    contracted by np.einsum, a stack of N directions as an (N, n) array."""
+
+    def __init__(self, n: int, entries, Ginv):
+        import numpy as np
+        self.np, self.ein, self.conj = np, np.einsum, np.conj
+        super().__init__(n, entries, Ginv)
+
+    table = staticmethod(_readonly)
+
+    def operand(self, entries, rank: int):
+        """The read-only (n,) * rank array of a map's entries, 0j elsewhere."""
+        a = self.np.zeros((self.n,) * rank, complex)
+        for k, c in entries.items():
+            a[k] = c
+        return _readonly(a)
+
+    matrix = table
+    json = staticmethod(lambda t, rank: table_to_json(t))
+
+    def directions(self, X):
+        """A direction or stack of directions as an (N, n) complex128 array,
+        its count and whether it was a single direction.  A bool component
+        raises TypeError (input other than a numeric ndarray is scanned for
+        one)."""
+        np = self.np
+        numeric = isinstance(X, np.ndarray) and np.issubdtype(X.dtype, np.number)
+        components = () if numeric else np.asarray(X, object).flat
+        if any(isinstance(c, (bool, np.bool_)) for c in components):
+            raise TypeError("a direction component is a bool")
+        arr = np.asarray(X, complex)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.n:
+            raise ValueError(f"direction must have {self.n} components")
+        single, arr = arr.ndim == 1, (arr - 0j).reshape(-1, self.n)
+        return arr, len(arr), single
+
+    # row-wise outer products A_a B_b flattened to (N, n^2); with each
+    # curvature table flattened to an (n^2, n^2) matrix, every term of the
+    # sectional expansion is a bilinear pairing of two of them
+    pairs = staticmethod(lambda A, B: (A[:, :, None] * B[:, None, :]).reshape(len(A), -1))
+    apply = staticmethod(lambda P, R: P @ R.reshape(P.shape[1], -1))
+    dot = lambda self, L, Q: self.np.einsum("mq,mq->m", L, Q)      # noqa: E731
+    real = staticmethod(lambda a, count: a.real)
+    each = staticmethod(lambda f, *cols: f(*cols))
+    result = staticmethod(lambda vals, single: vals.tolist()[0] if single else vals)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +328,7 @@ def chern_torsion_at(m: ChartMetric):
     """T^j_{ik} = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
     t = m._t
     t.T = t.ein("kli,lj->jik", t.dg, t.Ginv) - t.ein("ilk,lj->jik", t.dg, t.Ginv)
-    return t.array(t.T, 3)
+    return t.table(t.T)
 
 
 @memoized
@@ -309,7 +337,7 @@ def chern_curvature_at(m: ChartMetric):
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
     t = m._t
     t.Rc = t.ein("iqk,jql->klij", t.gam, t.conj(t.dg)) - t.ein("ijkl->klij", t.ha)
-    return t.array(t.Rc, 4)
+    return t.table(t.Rc)
 
 
 @memoized
@@ -325,7 +353,7 @@ def ricci_forms_at(m: ChartMetric):
     """
     chern_curvature_at(m)                        # kept as m._t.Rc
     t = m._t
-    return tuple(t.array(t.ein(spec, t.Rc, t.Ginv), 2)
+    return tuple(t.table(t.ein(spec, t.Rc, t.Ginv))
                  for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj"))
 
 
@@ -351,7 +379,7 @@ def btp_residual_at(m: ChartMetric):
              - t.ein("lrk,jir->lijk", t.gam, t.T) + t.ein("ljr,rik->lijk", t.gam, t.T))
     res_a = (_torsion_derivative(t, t.dgb, t.ha) - t.ein("jir,rlk->lijk", t.T, A)
              + t.ein("jkr,rli->lijk", t.T, A) + t.ein("rik,jlr->lijk", t.T, A))
-    return t.array(res_h, 4), t.array(res_a, 4)
+    return t.table(res_h), t.table(res_a)
 
 
 @memoized
@@ -385,7 +413,7 @@ def riemannian_curvature_at(m: ChartMetric):
     r11 = (t.ein("qlj,qki->klij", V, P) - t.ein("pil,pjk->klij", Q, U)
            - t.ein("qli,qkj->klij", U, Q)
            - (t.ein("kjil->klij", t.ha) + t.ein("ilkj->klij", t.ha)) * half)
-    return t.array(r11, 4), t.array(r20, 4)
+    return t.table(r11), t.table(r20)
 
 
 def point_report(m: ChartMetric):
@@ -393,89 +421,48 @@ def point_report(m: ChartMetric):
     of m at its base point, as JSON, each table a ``JsonTable``."""
     ric1, ric2, ric3 = ricci_forms_at(m)
     r11, r20 = riemannian_curvature_at(m)
-    tables = {"torsion": chern_torsion_at(m), "chern_curvature": chern_curvature_at(m),
-              "chern_ricci_1": ric1, "chern_ricci_2": ric2, "chern_ricci_3": ric3,
-              "riemannian_11": r11, "riemannian_20": r20}
+    tables = {"torsion": (chern_torsion_at(m), 3), "chern_curvature": (chern_curvature_at(m), 4),
+              "chern_ricci_1": (ric1, 2), "chern_ricci_2": (ric2, 2), "chern_ricci_3": (ric3, 2),
+              "riemannian_11": (r11, 4), "riemannian_20": (r20, 4)}
     return {"n": m.n, "scalar_kind": m.kind.name,
-            **{name: table_to_json(a) for name, a in tables.items()}}
+            **{name: m._t.json(*table) for name, table in tables.items()}}
 
 
 # --------------------------------------------------------------------------
 # sectional and Ricci curvature
 # --------------------------------------------------------------------------
 
-def _directions(m: ChartMetric, X):
-    """A direction or stack of directions as an (N, n) array of the data's
-    scalar kind, and whether it was a single direction.
-
-    A bool component raises TypeError (input other than a numeric ndarray is
-    scanned for one).  Subtracting the kind's zero leaves float data as it is
-    and makes exact data's int and Fraction components ExactComplex, whose
-    arithmetic raises TypeError on any other component.
-    """
-    numeric = isinstance(X, np.ndarray) and np.issubdtype(X.dtype, np.number)
-    components = () if numeric else np.asarray(X, object).flat
-    if any(isinstance(c, (bool, np.bool_)) for c in components):
-        raise TypeError("a direction component is a bool")
-    arr = np.asarray(X, m.kind.dtype)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != m.n:
-        raise ValueError(f"direction must have {m.n} components")
-    return (arr - m.kind.zero).reshape(-1, m.n), arr.ndim == 1
-
-
 def _planes(m: ChartMetric, X, Y):
-    X, single = _directions(m, X)
-    Y, _ = _directions(m, Y)
-    if X.shape != Y.shape:
+    """Two direction stacks of m's engine, their count and whether X was a single direction."""
+    (X, count, single), (Y, other, _) = m._t.directions(X), m._t.directions(Y)
+    if count != other:
         raise ValueError("X and Y must hold the same number of directions")
-    return X, Y, single
+    return X, Y, count, single
 
 
-def _real(a):
-    """The real values of a 1-d array whose entries are real: floats from
-    complex128, where the imaginary part is rounding residue, and Fractions
-    from ExactComplex, where a nonzero imaginary part raises ArithmeticError."""
-    if a.dtype != object:
-        return a.real
-    if any(v.im for v in a):
-        raise ArithmeticError("expected a real exact value")
-    return np.array([v.re for v in a], object)
-
-
-def _result(vals, single: bool):
-    """One Python float or Fraction for a single direction, else the array."""
-    return vals.tolist()[0] if single else vals
-
-
-def _inner(m: ChartMetric, X, Y):
+def _inner(t, X, Y):
     """X G conj(Y) of each pair of rows; g(x, y) is twice its real part."""
-    return np.einsum("ma,ab,mb->m", X, m.G, Y.conj())
+    return t.ein("ma,ab,mb->m", X, t.G, t.conj(Y))
 
 
-def _pairs(A, B):
-    """Row-wise outer products A_a B_b, flattened to shape (N, n^2)."""
-    return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
-
-
-def _sectional_stack(r11, r20, X, Y):
+def _sectional_stack(t, r11, r20, X, Y):
     """Sectional numerators of the planes spanned by the rows of X, Y, from
-    the Levi-Civita tables r11 and r20.
+    the Levi-Civita tables r11 and r20, before their real parts are read.
 
-    With each curvature table flattened to an (n^2, n^2) matrix, every term
-    of the expansion is a bilinear pairing (A (x) B) R (C (x) D) of two
-    row-wise outer products, so the whole stack is contracted at once.  The
-    real parts 2 Re z are taken as z + conj(z), in the data's scalar kind.
+    Every term of the expansion pairs a row-wise outer product of two
+    directions with a curvature table and another such product (the
+    engine's ``pairs``, ``apply`` and ``dot``), so the whole stack is
+    contracted at once.  The real parts 2 Re z are taken as z + conj(z), in
+    the data's scalar kind.
     """
-    nn = X.shape[1] ** 2
-    r11, r20 = r11.reshape(nn, nn), r20.reshape(nn, nn)
-    Xb, Yb = X.conj(), Y.conj()
-    XYb, YXb = _pairs(X, Yb), _pairs(Y, Xb)
-    left = XYb @ r11
-    t1 = np.einsum("mq,mq->m", _pairs(X, Xb) @ r11, _pairs(Y, Yb))
-    t2 = np.einsum("mq,mq->m", left, YXb)
-    t3 = np.einsum("mq,mq->m", left, XYb)
-    e = np.einsum("mq,mq->m", _pairs(X, Y) @ r20, XYb - YXb)
-    return _real(-2 * t1 + 4 * t2 - (t3 + t3.conj()) - 2 * (e + e.conj()))
+    Xb, Yb = t.conj(X), t.conj(Y)
+    XYb, YXb = t.pairs(X, Yb), t.pairs(Y, Xb)
+    left = t.apply(XYb, r11)
+    t1 = t.dot(t.apply(t.pairs(X, Xb), r11), t.pairs(Y, Yb))
+    t2 = t.dot(left, YXb)
+    t3 = t.dot(left, XYb)
+    e = t.dot(t.apply(t.pairs(X, Y), r20), XYb - YXb)
+    return -2 * t1 + 4 * t2 - (t3 + t.conj(t3)) - 2 * (e + t.conj(e))
 
 
 def sectional_numerator(m: ChartMetric, X, Y):
@@ -488,11 +475,13 @@ def sectional_numerator(m: ChartMetric, X, Y):
 
     X and Y are single directions or stacks of directions of shape (N, n).
     A single pair gives a float (float data) or a Fraction (exact data), a
-    stack gives a length-N array of them.  An exact value that is not real
-    raises ArithmeticError.
+    stack gives a length-N array of floats or a list of Fractions.  An exact
+    value that is not real raises ArithmeticError.
     """
-    X, Y, single = _planes(m, X, Y)
-    return _result(_sectional_stack(*riemannian_curvature_at(m), X, Y), single)
+    t = m._t
+    X, Y, count, single = _planes(m, X, Y)
+    return t.result(t.real(_sectional_stack(t, *riemannian_curvature_at(m), X, Y), count),
+                    single)
 
 
 def sectional_curvature(m: ChartMetric, X, Y):
@@ -503,16 +492,18 @@ def sectional_curvature(m: ChartMetric, X, Y):
     1e-14 |x|^2 |y|^2 (float data), a bound that does not depend on the
     scale of x and y.
     """
-    X, Y, single = _planes(m, X, Y)
-    x2, y2 = 2 * _real(_inner(m, X, X)), 2 * _real(_inner(m, Y, Y))
-    w = _inner(m, X, Y)
-    xy = _real(w + w.conj())
-    den = x2 * y2 - xy * xy
+    t = m._t
+    X, Y, count, single = _planes(m, X, Y)
+    x2, y2 = (t.each(lambda v: 2 * v, t.real(_inner(t, V, V), count)) for V in (X, Y))
+    w = _inner(t, X, Y)
+    xy = t.real(w + t.conj(w), count)
+    den = t.each(lambda a, b, c: a * b - c * c, x2, y2, xy)
     # the float bound only: exact data stays rational
-    tol = None if m.kind.exact else 1e-14 * x2 * y2
-    if m.kind.negligible(den, tol).any():
+    tol = t.each(lambda a, b: None if m.kind.exact else 1e-14 * a * b, x2, y2)
+    if True in t.each(m.kind.negligible, den, tol):
         raise DegeneratePlaneError("x and y span a degenerate plane")
-    return _result(_sectional_stack(*riemannian_curvature_at(m), X, Y) / den, single)
+    stack = t.real(_sectional_stack(t, *riemannian_curvature_at(m), X, Y), count)
+    return t.result(t.each(truediv, stack, den), single)
 
 
 def random_planes(rng: np.random.Generator, count: int, n: int):
@@ -527,21 +518,33 @@ def random_planes(rng: np.random.Generator, count: int, n: int):
         yield d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
 
 
+@memoized
+def _ricci_form(m: ChartMetric):
+    """(H, S): a quarter of num(X) of the module docstring is
+    X H conj(X) - 2 Re X S X, with H[a,d] = 2 sum r11[a,l,i,d] g^{lbar i}
+    - sum r11[a,d,i,j] g^{jbar i} and S[a,c] = sum r20[a,i,c,l] g^{lbar i}."""
+    t = m._t
+    r11, r20 = riemannian_curvature_at(m)
+    return (2 * t.ein("alid,li->ad", r11, t.Ginv) - t.ein("adij,ji->ad", r11, t.Ginv),
+            t.ein("aicl,li->ac", r20, t.Ginv))
+
+
 def ricci_curvature(m: ChartMetric, X):
     """Ricci curvature of the real direction x = X + conj(X).
 
     The trace of the sectional numerators over a g-orthonormal frame
     {f_s, i f_s}, divided by |x|^2, in closed form (see the module
     docstring).  X is a single direction or a stack of shape (N, n); a
-    single direction gives a float or a Fraction, a stack an array.
+    single direction gives a float or a Fraction, a stack an array of
+    floats or a list of Fractions.
     """
-    X, single = _directions(m, X)
-    x2 = _real(_inner(m, X, X))
-    if (x2 == 0).any():
+    t = m._t
+    X, count, single = t.directions(X)
+    x2 = t.real(_inner(t, X, X), count)
+    if 0 in x2:
         raise DegeneratePlaneError("zero direction")
-    r11, r20 = riemannian_curvature_at(m)
-    # a quarter of num(X) of the module docstring, over X G conj(X) = |x|^2 / 2
-    H = 2 * np.einsum("alid,li->ad", r11, m.Ginv) - np.einsum("adij,ji->ad", r11, m.Ginv)
-    s = np.einsum("ma,ac,mc->m", X, np.einsum("aicl,li->ac", r20, m.Ginv), X)
-    num = np.einsum("ma,ad,md->m", X, H, X.conj()) - (s + s.conj())
-    return _result(_real(num) / x2, single)
+    H, S = _ricci_form(m)
+    # a quarter of num(X), over X G conj(X) = |x|^2 / 2
+    s = t.ein("ma,ac,mc->m", X, S, X)
+    num = t.ein("ma,ad,md->m", X, H, t.conj(X)) - (s + t.conj(s))
+    return t.result(t.each(truediv, t.real(num, count), x2), single)

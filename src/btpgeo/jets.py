@@ -157,7 +157,7 @@ def jet_matrix_inverse(g):
     n = len(g)
     jn, kind = g[0][0].n, g[0][0].kind
     c0 = [[gij.value() for gij in row] for row in g]
-    c0inv = matrix_inverse(c0, kind).tolist()
+    c0inv = matrix_inverse(c0, kind)
     const_inv = [[Jet2.constant(jn, c0inv[i][j]) for j in range(n)] for i in range(n)]
     # E = c0inv @ (g - c0) has no constant term
     higher = [[g[i][j] - Jet2.constant(jn, c0[i][j]) for j in range(n)] for i in range(n)]

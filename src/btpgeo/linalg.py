@@ -8,14 +8,14 @@ and the dense callers (the rank of the B tensor, the Sylvester test of chart
 metrics, which reads its pivots, and the exact inverse) convert their rows
 by ``sparse_row``.  Its float branch ranks by singular values.  One inverse,
 ``matrix_inverse``, serves the constant matrices of both kinds; its exact
-branch is two passes of ``row_basis``.  Takagi factorization is float-only:
-the inputs that need it are generic unitary-scrambled torsion data, never
-golden rational values.  It takes one matrix or a stack of them over leading
+branch is two passes of ``row_basis`` and returns nested lists.  Takagi
+factorization is float-only: the inputs that need it are generic
+unitary-scrambled torsion data, never golden rational values.  It takes one matrix or a stack of them over leading
 axes, factorized in one pass with every check per matrix; a single matrix is
 a stack of one, whose d is a tuple.
 
-numpy is imported by the routines that build arrays (the float branches,
-``matrix_inverse`` and Takagi), so exact ranks run without it.  A numpy
+numpy is imported by the routines that build arrays (the float branches
+and Takagi), so exact ranks and inverses run without it.  A numpy
 linear-algebra failure in a float rank is raised as ``NumericError``.
 """
 
@@ -101,22 +101,21 @@ def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
     return len(row_basis(map(sparse_row, rows), EXACT))
 
 
-def matrix_inverse(mat, kind: Kind) -> np.ndarray:
-    """Inverse of a square matrix of scalars of the given kind, as an array
-    of that kind.  Floats go to numpy.  Exact rows of [A | I] are reduced by
-    ``row_basis``, which leaves every pivot in the A block iff A is invertible
-    (else ShapeError); reduced again in falling pivot order, each pivot
-    column is cleared, and row k over its pivot at column k is row k of A^-1
-    in its I block."""
-    import numpy as np
+def matrix_inverse(mat, kind: Kind):
+    """Inverse of a square matrix of scalars of the given kind: nested lists
+    of exact scalars, or a complex128 array.  Floats go to numpy.  Exact rows
+    of [A | I] are reduced by ``row_basis``, which leaves every pivot in the
+    A block iff A is invertible (else ShapeError); reduced again in falling
+    pivot order, each pivot column is cleared, and row k over its pivot at
+    column k is row k of A^-1 in its I block.  No numpy is imported for it."""
     if kind.exact:
         n = len(mat)
         rows = row_basis(({**sparse_row(r), n + i: kind.one} for i, r in enumerate(mat)), kind)
         if any(min(r) >= n for r in rows):
             raise ShapeError("singular matrix")
         rows = sorted(row_basis(sorted(rows, key=min, reverse=True), kind), key=min)
-        return np.array([[r.get(n + j, kind.zero) / r[k] for j in range(n)]
-                         for k, r in enumerate(rows)], object)
+        return [[r.get(n + j, kind.zero) / r[k] for j in range(n)] for k, r in enumerate(rows)]
+    import numpy as np
     return np.linalg.inv(np.array(mat, dtype=complex))
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import gcd, inf, isfinite
+from math import gcd, inf, isfinite, prod
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -524,6 +524,19 @@ def table_to_json(a) -> JsonTable:
     if a.dtype == complex and not a.imag.any():
         return JsonTable(a.shape, tuple(a.real.ravel().tolist()))
     return JsonTable(a.shape, tuple(map(scalar_to_json, a.ravel().tolist())))
+
+
+def entries_to_json(shape: tuple, entries) -> JsonTable:
+    """An exact table given by its shape and its map {index tuple: nonzero
+    scalar} as a ``JsonTable``: each absent entry is the exact zero's leaf,
+    written once, and each present one its ``scalar_to_json`` leaf."""
+    flat = [scalar_to_json(EXACT.zero)] * prod(shape)
+    for k, c in entries.items():
+        at = 0
+        for i, size in zip(k, shape):
+            at = at * size + i
+        flat[at] = scalar_to_json(c)
+    return JsonTable(shape, tuple(flat))
 
 
 _set_shape = JsonTable.shape.__set__

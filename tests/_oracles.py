@@ -19,10 +19,11 @@ import argparse
 import itertools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
-from btpgeo import lie
+from btpgeo import charts, lie
 from btpgeo.cli import COMMANDS, EXIT_USAGE
 from btpgeo.charts import (ChartMetric, _coords, chern_curvature_at, chern_torsion_at,
                            riemannian_curvature_at)
@@ -34,6 +35,40 @@ from btpgeo.jets import (Jet2, JetSingularityError, _jet, _reciprocal_terms, _su
 from btpgeo.linalg import NumericError, ShapeError, matrix_inverse
 from btpgeo.scalars import (EC, EXACT, FLOAT, DimensionError, JsonTable, common_kind,
                             scalar_from_json, scalar_to_json)
+
+
+# ---- chart tables as arrays ----------------------------------------------------
+# A float chart metric holds complex128 arrays; an exact one holds maps
+# {index tuple: nonzero ExactComplex}.  The oracles and tests below read
+# either as an array of the metric's kind.
+
+def as_array(t, rank, n=3):
+    """A chart table as an array of its kind: a float array as it is, an exact
+    map {index tuple: nonzero entry} filled into an object array of exact zeros."""
+    if isinstance(t, np.ndarray):
+        return t
+    a = np.full((n,) * rank, EC.zero(), object)
+    for k, c in t.items():
+        a[k] = c
+    return a
+
+
+_RANKS = {"chern_torsion_at": 3, "chern_curvature_at": 4, "ricci_forms_at": 2,
+          "btp_residual_at": 4, "riemannian_curvature_at": 4}
+
+
+def arrays(fn, m):
+    """fn(m) for one of the chart table functions, each table ``as_array``."""
+    got, rank = fn(m), _RANKS[fn.__name__]
+    if isinstance(got, tuple):
+        return tuple(as_array(t, rank, m.n) for t in got)
+    return as_array(got, rank, m.n)
+
+
+def metric_arrays(m):
+    """G, Ginv, dg, dgb, hh, ha and gam of a chart metric, each ``as_array``."""
+    return SimpleNamespace(**{name: as_array(getattr(m, name), rank, m.n) for name, rank in (
+        ("G", 2), ("Ginv", 2), ("dg", 3), ("dgb", 3), ("hh", 4), ("ha", 4), ("gam", 3))})
 
 
 def wirtinger_fd(fn, z0, holo=(), anti=(), h=1e-4):
@@ -182,7 +217,7 @@ def torsion_loop(m):
     """T[j][i][k], summed entry by entry with the inverse base metric."""
     n = m.n
     dg = _first_derivs_loop(m)
-    ginv = matrix_inverse(m.G, m.kind)
+    ginv = matrix_inverse(jet_coefficients_loop(m)[0], m.kind)
     T = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for i in range(n):
@@ -199,7 +234,7 @@ def chern_curvature_loop(m):
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
     n = m.n
     dg = _first_derivs_loop(m)
-    ginv = matrix_inverse(m.G, m.kind)
+    ginv = matrix_inverse(jet_coefficients_loop(m)[0], m.kind)
     Rc = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):
@@ -219,8 +254,8 @@ def btp_residual_loop(m):
     A[r][l][i] = sum_{p,s} g_{i pbar} conj(T^p_{ls}) g^{sbar r}."""
     n = m.n
     dg = _first_derivs_loop(m)
-    g0 = m.G
-    ginv = matrix_inverse(m.G, m.kind)
+    g0 = jet_coefficients_loop(m)[0]
+    ginv = matrix_inverse(g0, m.kind)
     tj = torsion_jets(m)
     T = [[[m.kind.scalar(tj[j][i][k].value()) for k in range(n)]
           for i in range(n)] for j in range(n)]
@@ -256,7 +291,7 @@ def ricci_traces_loop(m, Rc):
     Rc[k][l][i][j] g^{lbar k} and ric3[k][j] = sum Rc[k][l][i][j] g^{lbar i},
     summed entry by entry."""
     n = m.n
-    ginv = matrix_inverse(m.G, m.kind)
+    ginv = matrix_inverse(jet_coefficients_loop(m)[0], m.kind)
     zero = m.kind.zero
     rng = range(n)
     ric1 = [[sum((Rc[k][l][i][p] * ginv[p][i] for i in rng for p in rng), zero)
@@ -274,12 +309,12 @@ def _skew(d):
     return d.transpose(2, 0, 1, *rest) - d.transpose(0, 2, 1, *rest)
 
 
-def _torsion_derivative_einsum(m, d, h):
+def _torsion_derivative_einsum(a, d, h):
     """D[j,i,k,m] = partial_m T^j_{ik} = sum_l (h_{k l i m} - h_{i l k m})
     g^{lbar j} + sum_l (g_{k lbar, i} - g_{i lbar, k}) partial_m g^{lbar j}."""
-    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", m.Ginv, d), m.Ginv)
-    return (np.einsum("iklm,lj->jikm", _skew(h), m.Ginv)
-            + np.einsum("ikl,ljm->jikm", _skew(m.dg), dginv))
+    dginv = -np.einsum("lbm,bj->ljm", np.einsum("la,abm->lbm", a.Ginv, d), a.Ginv)
+    return (np.einsum("iklm,lj->jikm", _skew(h), a.Ginv)
+            + np.einsum("ikl,ljm->jikm", _skew(a.dg), dginv))
 
 
 def chart_tables_einsum(m):
@@ -288,27 +323,28 @@ def chart_tables_einsum(m):
     arrays: gam, the torsion T, the Chern curvature Rc, the Ricci tensors
     ric1, ric2, ric3, the residuals res_h, res_a and the Levi-Civita pair
     r11, r20, with the index layouts of the library's tables."""
-    gam = np.einsum("lsi,sr->lri", m.dg, m.Ginv)
-    T = np.einsum("ikl,lj->jik", _skew(m.dg), m.Ginv)
-    Rc = np.einsum("iqk,jql->klij", gam, np.conj(m.dg)) - m.ha.transpose(2, 3, 0, 1)
-    ric = [np.einsum(spec, Rc, m.Ginv) for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj")]
-    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", m.G, np.conj(T)), m.Ginv)
-    res_h = (np.einsum("jikl->lijk", _torsion_derivative_einsum(m, m.dg, m.hh))
+    a = metric_arrays(m)
+    gam = np.einsum("lsi,sr->lri", a.dg, a.Ginv)
+    T = np.einsum("ikl,lj->jik", _skew(a.dg), a.Ginv)
+    Rc = np.einsum("iqk,jql->klij", gam, np.conj(a.dg)) - a.ha.transpose(2, 3, 0, 1)
+    ric = [np.einsum(spec, Rc, a.Ginv) for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj")]
+    A = np.einsum("ils,sr->rli", np.einsum("ip,pls->ils", a.G, np.conj(T)), a.Ginv)
+    res_h = (np.einsum("jikl->lijk", _torsion_derivative_einsum(a, a.dg, a.hh))
              - np.einsum("lri,jrk->lijk", gam, T) - np.einsum("lrk,jir->lijk", gam, T)
              + np.einsum("ljr,rik->lijk", gam, T))
-    res_a = (np.einsum("jikl->lijk", _torsion_derivative_einsum(m, m.dgb, m.ha))
+    res_a = (np.einsum("jikl->lijk", _torsion_derivative_einsum(a, a.dgb, a.ha))
              - np.einsum("jir,rlk->lijk", T, A) + np.einsum("jkr,rli->lijk", T, A)
              + np.einsum("rik,jlr->lijk", T, A))
     half = m.kind.scalar(Fraction(1, 2))
-    P = (np.einsum("kpi->pik", m.dg) + np.einsum("ipk->pik", m.dg)) * half
-    Q = (np.einsum("ipk->pik", m.dgb) - np.einsum("ikp->pik", m.dgb)) * half
-    U = np.einsum("qp,plj->qlj", m.Ginv, np.conj(Q))
-    V = np.einsum("qp,plj->qlj", m.Ginv, np.conj(P))
+    P = (np.einsum("kpi->pik", a.dg) + np.einsum("ipk->pik", a.dg)) * half
+    Q = (np.einsum("ipk->pik", a.dgb) - np.einsum("ikp->pik", a.dgb)) * half
+    U = np.einsum("qp,plj->qlj", a.Ginv, np.conj(Q))
+    V = np.einsum("qp,plj->qlj", a.Ginv, np.conj(P))
     r20 = (np.einsum("qlj,qik->ijkl", U, P) - np.einsum("pjk,pli->ijkl", P, U)
-           - (np.einsum("iljk->ijkl", m.hh) - np.einsum("jlik->ijkl", m.hh)) * half)
+           - (np.einsum("iljk->ijkl", a.hh) - np.einsum("jlik->ijkl", a.hh)) * half)
     r11 = (np.einsum("qlj,qki->klij", V, P) - np.einsum("pil,pjk->klij", Q, U)
            - np.einsum("qli,qkj->klij", U, Q)
-           - (np.einsum("kjil->klij", m.ha) + np.einsum("ilkj->klij", m.ha)) * half)
+           - (np.einsum("kjil->klij", a.ha) + np.einsum("ilkj->klij", a.ha)) * half)
     return {"gam": gam, "T": T, "Rc": Rc, "ric1": ric[0], "ric2": ric[1], "ric3": ric[2],
             "res_h": res_h, "res_a": res_a, "r11": r11, "r20": r20}
 
@@ -352,8 +388,8 @@ def levi_civita_full(m):
 
 def real_metric(m):
     """The 2n x 2n matrix of the real metric in the coordinates (z, zbar)."""
-    zero = np.full((m.n, m.n), m.kind.zero, m.kind.dtype)
-    return np.block([[zero, m.G], [m.G.T, zero]])
+    zero, G = np.full((m.n, m.n), m.kind.zero, m.kind.dtype), metric_arrays(m).G
+    return np.block([[zero, G], [G.T, zero]])
 
 
 def riemannian_parallel_torsion(m):
@@ -363,7 +399,7 @@ def riemannian_parallel_torsion(m):
     R_{k lbar i jbar} = 1/2 ( R^c_{i lbar k jbar} + R^c_{k jbar i lbar} )
         + 1/4 sum_r ( T^r_{ik} conj(T^r_{jl}) - T^j_{kr} conj(T^i_{lr})
                       - T^l_{ir} conj(T^k_{jr}) )."""
-    T, Rc = chern_torsion_at(m), chern_curvature_at(m)
+    T, Rc = arrays(chern_torsion_at, m), arrays(chern_curvature_at, m)
     Tc = np.conj(T)
     quarter, half = m.kind.scalar(Fraction(1, 4)), m.kind.scalar(Fraction(1, 2))
     r20 = (np.einsum("lri,rjk->ijkl", T, T) - np.einsum("lrj,rik->ijkl", T, T)) * quarter
@@ -565,7 +601,7 @@ def change_frame(m, A):
 def orthonormalizing_frame(m):
     """A with A^T g(0) conj(A) = identity, from the Cholesky factor of the
     float base value g(0)."""
-    g0 = np.array([[complex(e) for e in r] for r in m.G])
+    g0 = np.array([[complex(e) for e in r] for r in metric_arrays(m).G])
     return np.linalg.inv(np.linalg.cholesky(g0)).T.tolist()
 
 
@@ -628,7 +664,7 @@ def sectional_numerator_loop(m, X, Y):
     - 4 Re ( R_{X Y X Yb} - R_{X Y Y Xb} ) of m's Levi-Civita tables for one
     pair of directions given as scalars of the data's kind: a float, or a
     Fraction, where an exact value that is not real raises ArithmeticError."""
-    r11, r20 = riemannian_curvature_at(m)
+    r11, r20 = arrays(riemannian_curvature_at, m)
     Xb = [x.conjugate() for x in X]
     Yb = [y.conjugate() for y in Y]
     t1 = _contract(r11, X, Xb, Y, Yb)
@@ -664,13 +700,19 @@ class TablesAtIdentity:
     whose Levi-Civita pair is the given (r11, r20): the pair is put in the
     memo that ``scalars.memoized`` reads, so ``charts.riemannian_curvature_at``
     hands it out, and the sectional and Ricci curvature read it, as they
-    would a metric's."""
+    would a metric's, through the engine of the kind (exact tables as maps
+    of their nonzero entries)."""
 
     def __init__(self, r11, r20, kind):
-        self.n, self.kind = len(r11), kind
-        self.G = self.Ginv = np.array([[kind.one if a == b else kind.zero
-                                        for b in range(self.n)] for a in range(self.n)],
-                                      kind.dtype)
+        n = self.n = len(r11)
+        self.kind = kind
+        eye = np.array([[kind.one if a == b else kind.zero for b in range(n)]
+                        for a in range(n)], kind.dtype)
+        engine = charts._Sparse if kind.exact else charts._Dense
+        self._t = engine(n, ({(a, a): kind.one for a in range(n)}, {}, {}, {}, {}), eye)
+        self.G, self.Ginv = self._t.G, self._t.Ginv
+        if kind.exact:
+            r11, r20 = ({k: c for k, c in np.ndenumerate(t) if c} for t in (r11, r20))
         self._memo = {riemannian_curvature_at: (r11, r20)}
 
 

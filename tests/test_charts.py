@@ -2,17 +2,19 @@
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import (TENSOR_TYPES, btp_residual_loop, change_frame, chart_tables_einsum,
+from _oracles import (TENSOR_TYPES, arrays, as_array, btp_residual_loop, change_frame, chart_tables_einsum,
                       chern_curvature_loop, euclidean_metric, expanded, fubini_study_chain,
                       fubini_study_metric,
                       frame_route, jet_coefficients_loop, jet_norm_inf, jet_variable,
-                      levi_civita_full, orthonormalize_base, orthonormalizing_frame,
+                      levi_civita_full, metric_arrays, orthonormalize_base,
+                      orthonormalizing_frame,
                       random_chart_metric, random_curvature_tables, real_metric,
                       ricci_frame_sum, ricci_traces_loop, riemannian_parallel_torsion,
                       sectional_closed_form, sectional_numerator_loop,
@@ -41,7 +43,7 @@ def _same_tables(got, want):
 
 def _identity_base(m, tol=FLOAT_TOL):
     """Whether the base value G is the identity, within tol for float data."""
-    return bool(m.kind.negligible(m.G - np.identity(m.n, int), tol).all())
+    return bool(m.kind.negligible(metric_arrays(m).G - np.identity(m.n, int), tol).all())
 
 
 # ---- golden metric jets -------------------------------------------------------
@@ -98,7 +100,7 @@ def test_wallach_hermitian_jets(wallach_exact):
 # ---- torsion -------------------------------------------------------------------
 
 def test_wallach_torsion(wallach_exact):
-    T = charts.chern_torsion_at(wallach_exact)
+    T = arrays(charts.chern_torsion_at, wallach_exact)
     for j in range(3):
         for i in range(3):
             for k in range(3):
@@ -111,16 +113,16 @@ def test_wallach_torsion(wallach_exact):
 
 
 def test_euclidean_torsion_zero():
-    T = charts.chern_torsion_at(euclidean_metric(3))
+    T = arrays(charts.chern_torsion_at, euclidean_metric(3))
     assert all(T[j][i][k].is_zero() for j in range(3) for i in range(3) for k in range(3))
 
 
 def test_fubini_study_torsion_zero():
     # Kaehler reference: symmetric first derivatives kill the torsion
-    T = charts.chern_torsion_at(fubini_study_metric(3))
+    T = arrays(charts.chern_torsion_at, fubini_study_metric(3))
     assert all(T[j][i][k].is_zero() for j in range(3) for i in range(3) for k in range(3))
     mf = fubini_study_metric(3, kind=FLOAT, point=[0.3 + 0.1j, -0.2j, 0.05])
-    Tf = charts.chern_torsion_at(mf)
+    Tf = arrays(charts.chern_torsion_at, mf)
     assert max(abs(complex(Tf[j][i][k])) for j in range(3) for i in range(3)
                for k in range(3)) < 1e-12
 
@@ -128,7 +130,7 @@ def test_fubini_study_torsion_zero():
 # ---- Chern curvature ------------------------------------------------------------
 
 def test_wallach_chern_curvature_table(wallach_exact):
-    Rc = charts.chern_curvature_at(wallach_exact)
+    Rc = arrays(charts.chern_curvature_at, wallach_exact)
     for k in range(3):
         for l in range(3):
             for i in range(3):
@@ -138,7 +140,7 @@ def test_wallach_chern_curvature_table(wallach_exact):
 
 
 def test_chern_curvature_hermitian_pairing(wallach_exact):
-    Rc = charts.chern_curvature_at(wallach_exact)
+    Rc = arrays(charts.chern_curvature_at, wallach_exact)
     for k in range(3):
         for l in range(3):
             for i in range(3):
@@ -147,7 +149,7 @@ def test_chern_curvature_hermitian_pairing(wallach_exact):
 
 
 def test_euclidean_curvature_zero():
-    Rc = charts.chern_curvature_at(euclidean_metric(3))
+    Rc = arrays(charts.chern_curvature_at, euclidean_metric(3))
     assert all(Rc[k][l][i][j].is_zero() for k in range(3) for l in range(3)
                for i in range(3) for j in range(3))
 
@@ -155,22 +157,22 @@ def test_euclidean_curvature_zero():
 def test_float_euclidean_metric_reads_its_empty_jets_as_float_zeros():
     # the off-diagonal jets are empty, and an empty jet's value is an exact zero
     m = euclidean_metric(3, kind=FLOAT)
-    assert m.G.dtype == complex
+    assert m.G.dtype == complex and m.Ginv.dtype == complex
     assert _identity_base(m)
-    assert all(t.dtype == complex for t in charts.riemannian_curvature_at(m))
+    assert all(t.dtype == complex for t in arrays(charts.riemannian_curvature_at, m))
     assert charts.sectional_numerator(m, [1, 0, 0], [0, 1j, 0]) == 0.0
-    res_h, res_a = charts.btp_residual_at(m)
+    res_h, res_a = arrays(charts.btp_residual_at, m)
     assert _max_abs(res_h, res_a) == 0
 
 
 def test_euclidean_ricci_tensors_vanish():
-    ric1, ric2, ric3 = charts.ricci_forms_at(euclidean_metric(3))
+    ric1, ric2, ric3 = arrays(charts.ricci_forms_at, euclidean_metric(3))
     for r in (ric1, ric2, ric3):
         assert all(r[a][b].is_zero() for a in range(3) for b in range(3))
 
 
 def test_wallach_ricci_tensors(wallach_exact):
-    ric1, ric2, ric3 = charts.ricci_forms_at(wallach_exact)
+    ric1, ric2, ric3 = arrays(charts.ricci_forms_at, wallach_exact)
     omega_tilde = [1, 2, 1]
     for a in range(3):
         for b in range(3):
@@ -182,7 +184,7 @@ def test_wallach_ricci_tensors(wallach_exact):
 def test_wallach_bisectional_sum_of_squares(wallach_exact):
     # contraction against the quadratic-form expansion of the bisectional
     # curvature, sampled over 10^4 random pairs (vectorized)
-    Rc = charts.chern_curvature_at(wallach_exact)
+    Rc = arrays(charts.chern_curvature_at, wallach_exact)
     R = np.array([[[[complex(Rc[a][b][c][d]) for d in range(3)] for c in range(3)]
                    for b in range(3)] for a in range(3)])
     rng = np.random.default_rng(2)
@@ -203,13 +205,13 @@ def test_wallach_bisectional_sum_of_squares(wallach_exact):
 # ---- parallel-torsion residuals ---------------------------------------------------
 
 def test_wallach_btp_residuals_zero(wallach_exact):
-    res_h, res_a = charts.btp_residual_at(wallach_exact)
+    res_h, res_a = arrays(charts.btp_residual_at, wallach_exact)
     assert (res_h == 0).all()
     assert (res_a == 0).all()
 
 
 def test_euclidean_btp_residuals_zero():
-    res_h, res_a = charts.btp_residual_at(euclidean_metric(3))
+    res_h, res_a = arrays(charts.btp_residual_at, euclidean_metric(3))
     assert (res_h == 0).all() and (res_a == 0).all()
 
 
@@ -222,17 +224,17 @@ def test_scaled_correction_breaks_parallelism():
     # parallel-torsion identities, which are read at the base diag(1, 3/2, 1);
     # the Levi-Civita curvature needs neither
     m = charts.wallach_metric(sigma_scale=Fraction(1, 2))
-    assert np.array_equal(m.G, np.diag([1, Fraction(3, 2), 1]))
-    res_h, res_a = charts.btp_residual_at(m)
+    assert m.G == {(0, 0): 1, (1, 1): Fraction(3, 2), (2, 2): 1}
+    res_h, res_a = arrays(charts.btp_residual_at, m)
     assert _max_abs(res_h, res_a) > 0
     units = [[u if k == i else 0 for k in range(3)] for i in range(3) for u in (1, EC.i())]
-    assert charts.ricci_curvature(m, units).tolist() == \
+    assert charts.ricci_curvature(m, units) == \
         [v for v in SIGMA_HALF_RICCI for _ in range(2)]
     # the float metric in a frame where g(0) = I gives the same values
     mf = charts.wallach_metric(kind=FLOAT, sigma_scale=0.5)
     mo = orthonormalize_base(mf)
     assert _identity_base(mo, tol=1e-12)
-    res_h, res_a = charts.btp_residual_at(mo)
+    res_h, res_a = arrays(charts.btp_residual_at, mo)
     assert _max_abs(res_h, res_a) > 1e-3
     # a direction X of the chart is inv(A) X in the frame z = A z'
     X = np.linalg.solve(np.array(orthonormalizing_frame(mf)), np.identity(3)).T
@@ -249,7 +251,7 @@ def test_sigma_pencil_is_parallel_only_at_kaehler_and_normal_metric():
     # the largest |residual|^2 of g~ - sigma s is (sigma (1 - sigma) / (2 - sigma))^2,
     # exactly, so the torsion is parallel at sigma in {0, 1} and nowhere else
     for sigma in SIGMA_GRID:
-        res = charts.btp_residual_at(charts.wallach_metric(sigma_scale=sigma))
+        res = arrays(charts.btp_residual_at, charts.wallach_metric(sigma_scale=sigma))
         worst = max(c.re ** 2 + c.im ** 2 for r in res for a in r for b in a for x in b
                     for c in x)
         assert worst == (sigma * (1 - sigma) / (2 - sigma)) ** 2, sigma
@@ -262,14 +264,14 @@ def test_riemannian_curvature_reads_the_jets_once(monkeypatch, exact):
     calls = []
     read = charts._jet_coefficients
     monkeypatch.setattr(charts, "_jet_coefficients", lambda *a: calls.append(a) or read(*a))
-    charts.riemannian_curvature_at(charts.wallach_metric(kind=KIND[exact]))
+    arrays(charts.riemannian_curvature_at, charts.wallach_metric(kind=KIND[exact]))
     assert len(calls) == 1
 
 
 def test_orthonormalize_preserves_geometry():
     # orthonormalizing the untouched metric must not disturb the residuals
     m = orthonormalize_base(charts.wallach_metric(kind=FLOAT))
-    res_h, res_a = charts.btp_residual_at(m)
+    res_h, res_a = arrays(charts.btp_residual_at, m)
     assert _max_abs(res_h, res_a) < 1e-12
 
 
@@ -282,7 +284,7 @@ def test_residuals_off_origin_need_no_identity_base():
     for point in OFF_ORIGIN:
         m = charts.wallach_metric(kind=FLOAT, point=point)
         assert not _identity_base(m)
-        res_h, res_a = charts.btp_residual_at(m)
+        res_h, res_a = arrays(charts.btp_residual_at, m)
         assert _max_abs(res_h, res_a) <= 1e-12
 
 
@@ -314,13 +316,18 @@ def test_coefficient_arrays_match_jet_derivatives(exact, on_base):
     # hh is doubled on its diagonal, as Jet2.deriv; the random jets carry
     # every monomial, so each entry of each array is pinned
     base = (EXACT_BASE if exact else FLOAT_BASE) if on_base else None
+    # exact coefficients are held as maps of their nonzero entries
     m = random_chart_metric(np.random.default_rng(4), exact, base=base)
     for got, want in zip((m.G, m.dg, m.dgb, m.hh, m.ha), jet_coefficients_loop(m)):
-        assert got.dtype == m.kind.dtype
-        assert np.array_equal(got, np.array(want, m.kind.dtype))
+        if exact:
+            assert all(type(c) is EC and c for c in got.values())
+        else:
+            assert got.dtype == m.kind.dtype
+        assert np.array_equal(as_array(got, np.ndim(want)), np.array(want, m.kind.dtype))
     assert _identity_base(m) != on_base
     if exact:
-        assert np.array_equal(m.Ginv @ m.G, np.identity(3, int))
+        a = metric_arrays(m)
+        assert np.array_equal(a.Ginv @ a.G, np.identity(3, int))
 
 
 def _assert_close(got, want, rel=1e-12):
@@ -333,19 +340,19 @@ def _assert_close(got, want, rel=1e-12):
 def test_float_extraction_matches_jet_route(seed):
     rng = np.random.default_rng(seed)
     m = random_chart_metric(rng, exact=False)
-    _assert_close(charts.chern_torsion_at(m), torsion_loop(m))
-    _assert_close(charts.chern_curvature_at(m), chern_curvature_loop(m))
+    _assert_close(arrays(charts.chern_torsion_at, m), torsion_loop(m))
+    _assert_close(arrays(charts.chern_curvature_at, m), chern_curvature_loop(m))
     want = btp_residual_loop(m)
     # a generic metric: the residuals are far from zero
     assert min(map(_max_abs, want)) > 0.1
-    for got, w in zip(charts.btp_residual_at(m), want):
+    for got, w in zip(arrays(charts.btp_residual_at, m), want):
         _assert_close(got, w)
     m = random_chart_metric(rng, exact=False, base=FLOAT_BASE)
-    _assert_close(charts.chern_torsion_at(m), torsion_loop(m))
-    _assert_close(charts.chern_curvature_at(m), chern_curvature_loop(m))
-    for got, w in zip(charts.btp_residual_at(m), btp_residual_loop(m)):
+    _assert_close(arrays(charts.chern_torsion_at, m), torsion_loop(m))
+    _assert_close(arrays(charts.chern_curvature_at, m), chern_curvature_loop(m))
+    for got, w in zip(arrays(charts.btp_residual_at, m), btp_residual_loop(m)):
         _assert_close(got, w)
-    for got, w in zip(charts.ricci_forms_at(m), ricci_traces_loop(m, chern_curvature_loop(m))):
+    for got, w in zip(arrays(charts.ricci_forms_at, m), ricci_traces_loop(m, chern_curvature_loop(m))):
         _assert_close(got, w)
 
 
@@ -353,30 +360,31 @@ def test_float_extraction_matches_jet_route(seed):
 def test_exact_extraction_matches_jet_route(seed):
     rng = np.random.default_rng(seed)
     m = random_chart_metric(rng, exact=True)
-    T = charts.chern_torsion_at(m)
+    T = arrays(charts.chern_torsion_at, m)
     assert all(type(c) is EC for a in T for b in a for c in b)
     assert np.array_equal(T, torsion_loop(m))
-    assert np.array_equal(charts.chern_curvature_at(m), chern_curvature_loop(m))
+    assert np.array_equal(arrays(charts.chern_curvature_at, m), chern_curvature_loop(m))
     res_h, res_a = btp_residual_loop(m)
     assert _max_abs(res_h) > 0 and _max_abs(res_a) > 0
-    assert _same_tables(charts.btp_residual_at(m), (res_h, res_a))
+    assert _same_tables(arrays(charts.btp_residual_at, m), (res_h, res_a))
     m = random_chart_metric(rng, exact=True, base=EXACT_BASE)
-    assert np.array_equal(charts.chern_torsion_at(m), torsion_loop(m))
-    assert np.array_equal(charts.chern_curvature_at(m), chern_curvature_loop(m))
-    assert _same_tables(charts.btp_residual_at(m), btp_residual_loop(m))
-    assert _same_tables(charts.ricci_forms_at(m), ricci_traces_loop(m, chern_curvature_loop(m)))
+    assert np.array_equal(arrays(charts.chern_torsion_at, m), torsion_loop(m))
+    assert np.array_equal(arrays(charts.chern_curvature_at, m), chern_curvature_loop(m))
+    assert _same_tables(arrays(charts.btp_residual_at, m), btp_residual_loop(m))
+    assert _same_tables(arrays(charts.ricci_forms_at, m), ricci_traces_loop(m, chern_curvature_loop(m)))
 
 
 # ---- any base value: the frame route as an oracle -------------------------------------
 
 def _chern_table(m):
-    return (charts.chern_curvature_at(m),)
+    return (arrays(charts.chern_curvature_at, m),)
 
 
 # each extraction that works at any base, with the index types of its tensors
-EXTRACTIONS = ((charts.btp_residual_at, (TENSOR_TYPES["res_h"], TENSOR_TYPES["res_a"])),
+EXTRACTIONS = ((partial(arrays, charts.btp_residual_at),
+                (TENSOR_TYPES["res_h"], TENSOR_TYPES["res_a"])),
                (_chern_table, (TENSOR_TYPES["chern"],)),
-               (charts.ricci_forms_at, (TENSOR_TYPES["ricci"],) * 3))
+               (partial(arrays, charts.ricci_forms_at), (TENSOR_TYPES["ricci"],) * 3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -473,9 +481,10 @@ def _chart_tables(m):
 @example("wallach", [EC(0)] * 3, Fraction(1, 2))
 @example("fubini_study", [EC(0)] * 3, 1)
 def test_tables_match_the_einsum_oracle(builder, point, sigma_scale):
-    # exact tables are contracted over their nonzero entries, float ones by
-    # numpy.einsum; either way each equals the einsum of the metric's arrays
-    # and is handed out as a read-only array of the metric's kind
+    # exact tables are contracted over their nonzero entries and handed out
+    # as read-only maps of them, float ones by numpy.einsum as read-only
+    # complex128 arrays; either way each equals the einsum of the metric's
+    # operands as arrays
     for exact in (True, False):
         coords = point if exact else [complex(c) for c in point]
         m = (charts.wallach_metric(coords, KIND[exact], sigma_scale) if builder == "wallach"
@@ -483,19 +492,20 @@ def test_tables_match_the_einsum_oracle(builder, point, sigma_scale):
         got, want = _chart_tables(m), chart_tables_einsum(m)
         assert got.keys() == want.keys()
         for name, a in got.items():
-            assert a.dtype == m.kind.dtype and not a.flags.writeable, name
-            assert a.shape == want[name].shape, name
             if exact:
-                assert all(type(c) is EC for c in a.flat), name
-                assert np.array_equal(a, want[name]), name
+                assert type(a) is MappingProxyType, name
+                assert all(type(c) is EC and c for c in a.values()), name
+                assert np.array_equal(as_array(a, want[name].ndim), want[name]), name
             else:
+                assert a.dtype == complex and not a.flags.writeable, name
+                assert a.shape == want[name].shape, name
                 assert np.allclose(a, want[name], rtol=1e-12, atol=1e-12), name
 
 
 # ---- Levi-Civita side ---------------------------------------------------------------
 
 def test_wallach_riemannian_table(wallach_pc):
-    r11, r20 = charts.riemannian_curvature_at(wallach_pc)
+    r11, r20 = arrays(charts.riemannian_curvature_at, wallach_pc)
     for k in range(3):
         for l in range(3):
             for i in range(3):
@@ -506,7 +516,7 @@ def test_wallach_riemannian_table(wallach_pc):
 
 
 def test_riemannian_pair_symmetry(wallach_pc):
-    r11, _ = charts.riemannian_curvature_at(wallach_pc)
+    r11, _ = arrays(charts.riemannian_curvature_at, wallach_pc)
     for k in range(3):
         for l in range(3):
             for i in range(3):
@@ -515,7 +525,7 @@ def test_riemannian_pair_symmetry(wallach_pc):
 
 
 def test_pair_relations(wallach_pc):
-    r11, _ = charts.riemannian_curvature_at(wallach_pc)
+    r11, _ = arrays(charts.riemannian_curvature_at, wallach_pc)
     for i in range(3):
         for k in range(3):
             if i == k:
@@ -652,7 +662,7 @@ def test_kaehler_einstein_end_of_the_pencil_has_ricci_two():
     m = charts.wallach_metric(sigma_scale=0)
     assert not _identity_base(m)
     dirs = [(1, 0, 0), (0, EC.i(), 0), (0, 0, 1), (EC(1), EC(2, -1), EC(0, 3))]
-    assert charts.ricci_curvature(m, dirs).tolist() == [2] * 4
+    assert charts.ricci_curvature(m, dirs) == [2] * 4
 
 
 # ---- the Levi-Civita route against its two oracles ------------------------------------
@@ -671,7 +681,7 @@ def test_levi_civita_matches_the_full_formula(exact, on_base):
     base = (EXACT_BASE if exact else FLOAT_BASE) if on_base else None
     for seed in (0, 1):
         m = random_chart_metric(np.random.default_rng(seed), exact, base=base)
-        got = charts.riemannian_curvature_at(m)
+        got = arrays(charts.riemannian_curvature_at, m)
         want = _full_blocks(m)
         assert min(map(_max_abs, want)) > 0.1
         if exact:
@@ -688,7 +698,7 @@ def test_levi_civita_matches_the_parallel_torsion_formula():
         for m in (charts.wallach_metric(kind=KIND[exact]), euclidean_metric(3, KIND[exact]),
                   fubini_study_metric(3, KIND[exact])):
             assert _identity_base(m)
-            got = charts.riemannian_curvature_at(m)
+            got = arrays(charts.riemannian_curvature_at, m)
             assert _same_tables(got, riemannian_parallel_torsion(m)), m.label
             assert got[0].dtype == m.kind.dtype
 
@@ -968,8 +978,8 @@ def test_float_metric_at_chart_point_matches_direct_values():
 
 def _point_tables(m):
     """Torsion, Chern curvature, the three Ricci tensors, r11 and r20 of m."""
-    return (charts.chern_torsion_at(m), charts.chern_curvature_at(m),
-            *charts.ricci_forms_at(m), *charts.riemannian_curvature_at(m))
+    return (arrays(charts.chern_torsion_at, m), arrays(charts.chern_curvature_at, m),
+            *arrays(charts.ricci_forms_at, m), *arrays(charts.riemannian_curvature_at, m))
 
 
 def _assert_kinds_agree(exact_metric, float_metric, tol):
@@ -998,9 +1008,9 @@ def test_exact_flag_metric_off_origin(point, fpoint):
     m = charts.wallach_metric(point=point)
     assert m.kind is EXACT and not _identity_base(m)
     dirs = [[u if k == i else 0 for k in range(3)] for i in range(3) for u in (1, EC.i())]
-    assert charts.ricci_curvature(m, dirs + [(1, 2, EC.i())]).tolist() == \
+    assert charts.ricci_curvature(m, dirs + [(1, 2, EC.i())]) == \
         [Fraction(5, 2)] * 7
-    assert not any(r.any() for r in charts.btp_residual_at(m))
+    assert not any(r.any() for r in arrays(charts.btp_residual_at, m))
     _assert_kinds_agree(m, charts.wallach_metric(point=fpoint, kind=FLOAT), 1e-12)
 
 
@@ -1010,7 +1020,7 @@ def test_exact_builders_read_real_arguments_exactly():
         assert m.g == charts.wallach_metric(sigma_scale=Fraction(1, 2)).g
     fs = fubini_study_metric(point=[0.5, 0, 0])
     assert fs.g == fubini_study_metric(point=["1/2", 0, 0]).g
-    assert fs.G[0][0] == Fraction(16, 25)    # 1 / (1 + 1/4)^2
+    assert fs.G[0, 0] == Fraction(16, 25)    # 1 / (1 + 1/4)^2
 
 
 def test_exact_normalized_sectional_stays_rational_at_any_scale():
@@ -1109,7 +1119,7 @@ def test_chart_metric_checks_the_dimension_of_its_jets():
         with pytest.raises(ValueError, match="grid of jets"):
             charts.ChartMetric(n, g)
     g11 = one + jet_variable(2, 0) * jet_variable(2, 2)
-    Rc = charts.chern_curvature_at(charts.ChartMetric(2, [[g11, zero], [zero, one]]))
+    Rc = arrays(charts.chern_curvature_at, charts.ChartMetric(2, [[g11, zero], [zero, one]]))
     assert (Rc[0, 0, 0, 0], Rc[0, 1, 0, 0]) == (-1, 0)
 
 
@@ -1214,11 +1224,11 @@ def _leaves_per_scalar(a):
 def test_point_report_leaves_are_the_scalar_writer_s(build, exact, point):
     m = build(point, exact)
     report = charts.point_report(m)
-    r11, r20 = charts.riemannian_curvature_at(m)
+    r11, r20 = arrays(charts.riemannian_curvature_at, m)
     tables = dict(zip(("chern_ricci_1", "chern_ricci_2", "chern_ricci_3"),
-                      charts.ricci_forms_at(m)),
-                  torsion=charts.chern_torsion_at(m),
-                  chern_curvature=charts.chern_curvature_at(m),
+                      arrays(charts.ricci_forms_at, m)),
+                  torsion=arrays(charts.chern_torsion_at, m),
+                  chern_curvature=arrays(charts.chern_curvature_at, m),
                   riemannian_11=r11, riemannian_20=r20)
     assert sorted(report) == sorted([*tables, "n", "scalar_kind"])
     for name, a in tables.items():

@@ -1046,14 +1046,34 @@ def test_help_and_usage_errors_load_argparse(argv):
 
 
 def test_float_and_flag_threefold_commands_load_numpy(tmp_path):
-    # float classify ranks by singular values, and the flag-threefold
-    # commands and the sl2c frame recovery work on numpy arrays
+    # float classify ranks by singular values, the float flag metric and the
+    # float sectional sample of the wallach suite work on numpy arrays, and
+    # so does the sl2c frame recovery; the exact flag-threefold commands do
+    # not (below)
     doc = _scaled_float_doc(lie.family_a(Fraction(1, 2), Fraction(1, 3)), 1.0)
     path = tmp_path / "float.json"
     path.write_text(json.dumps(doc))
-    for argv in (("classify", "--input", str(path)), ("wallach",),
-                 ("verify", "--example", "wallach"), ("verify", "--example", "sl2c")):
+    for argv in (("classify", "--input", str(path)), ("wallach", "--float", "--seed", "1"),
+                 ("verify", "--example", "wallach", "--seed", "3"),
+                 ("verify", "--example", "sl2c")):
         assert _loads_numpy(argv), argv
+
+
+@pytest.mark.parametrize("argv", [("wallach",), ("verify", "--example", "wallach")],
+                         ids=_argv_id)
+def test_exact_flag_threefold_commands_run_without_numpy(argv):
+    # the exact chart tables, golden checks and direction stacks are maps of
+    # nonzero entries, contracted by btpgeo.tensor
+    assert not _loads_numpy(argv)
+
+
+@pytest.mark.parametrize("module", ["btpgeo.charts", "btpgeo.tensor", "btpgeo.goldens"])
+def test_chart_modules_import_without_numpy(module):
+    proc = subprocess.run([sys.executable, "-c", f"import sys, {module}; "
+                           "print('numpy' in sys.modules)"], capture_output=True, text=True,
+                          env=SOURCE_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # ---- the argv that commands are sent ----------------------------------------------

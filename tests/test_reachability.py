@@ -52,6 +52,7 @@ ALLOWED = {
     "scalars.ExactComplex.__rtruediv__": NUMBER_PROTOCOL,
     "scalars.ExactComplex.__setattr__": IMMUTABLE,
     "scalars.ExactComplex.abs2": NUMBER_PROTOCOL,
+    "scalars.ExactComplex.is_zero": ACCEPTANCE,
     "scalars.JsonTable.__setattr__": IMMUTABLE,
     "scalars.Terms.__hash__": NUMBER_PROTOCOL,
     "scalars.Terms.__neg__": NUMBER_PROTOCOL,

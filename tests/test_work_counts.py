@@ -37,6 +37,7 @@ import pathlib
 import weakref
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -127,14 +128,17 @@ def test_exact_flag_tables_scalar_ops_are_pinned(monkeypatch):
 
 def test_verify_wallach_scalar_ops_are_pinned(monkeypatch, capsys):
     # multiplies + adds; the adds include one subtraction of the exact zero
-    # per direction component (48), by which charts._directions reads them.
+    # per direction component (48), by which the exact engine reads them.
     # The flag metric's hermitian check subtracts no pair whose terms are
     # equal, and each reciprocal's series is summed without taking c0 - c0:
-    # the chain of jet operations took 1706 + 1278
+    # the chain of jet operations took 1706 + 1278.  The golden checks
+    # compare maps of nonzero entries, and the direction stacks are
+    # contracted against the nonzero entries of r11, r20 and the Ricci form:
+    # the einsums over dense object arrays took 1706 + 1265
     calls = _count_scalar_ops(monkeypatch)
     assert main(["verify", "--example", "wallach"]) == 1        # criterion 4 stays red
     capsys.readouterr()
-    assert calls["ops"] == 1706 + 1265
+    assert calls["ops"] == 338 + 188
 
 
 # The flag metric is built as maps of coefficients over the jet kernels, and
@@ -366,16 +370,20 @@ def test_cached_chart_tables_are_read_only():
     r11, r20 = charts.riemannian_curvature_at(m)
     again = charts.riemannian_curvature_at(m)
     assert again[0] is r11 and again[1] is r20
-    point = [t for p in (m, charts.wallach_metric(kind=FLOAT))
-             for t in (charts.chern_torsion_at(p), charts.chern_curvature_at(p),
-                       *charts.ricci_forms_at(p), *charts.riemannian_curvature_at(p))]
-    assert [a.dtype for a in point] == [object] * 7 + [complex] * 7
-    # the metric's arrays and the public functions' tables are the cached
-    # arrays themselves; a write to any of them raises
-    cached = [m.G, m.Ginv, m.dg, m.dgb, m.hh, m.ha, m.gam, charts.chern_torsion_at(m),
-              charts.chern_curvature_at(m), *charts.ricci_forms_at(m),
-              *charts.btp_residual_at(m), *point]
-    for a in cached:
+    mf = charts.wallach_metric(kind=FLOAT)
+    exact, flt = ([t for t in (charts.chern_torsion_at(p), charts.chern_curvature_at(p),
+                               *charts.ricci_forms_at(p), *charts.riemannian_curvature_at(p))]
+                  for p in (m, mf))
+    # exact tables are read-only maps of their nonzero entries, float ones
+    # read-only complex128 arrays
+    assert all(type(t) is MappingProxyType for t in exact)
+    assert [a.dtype for a in flt] == [complex] * 7
+    # the metric's tables and the public functions' tables are the cached
+    # tables themselves; a write to any of them raises
+    for a in [m.G, m.Ginv, m.dg, m.dgb, m.hh, m.ha, m.gam, *charts.btp_residual_at(m), *exact]:
+        with pytest.raises(TypeError):
+            a[(0,) * 4] = 1
+    for a in [mf.G, mf.Ginv, mf.dg, mf.dgb, mf.hh, mf.ha, mf.gam, *flt]:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     assert charts.chern_torsion_at(m)[1, 0, 2] == 1

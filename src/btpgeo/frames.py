@@ -16,8 +16,9 @@ a table as entries in index order, as ``lie.HermitianLieAlgebra`` takes them.
 The frame change ``transform_torsion`` and the special-frame routines work
 on complex128 arrays, of one torsion or of a stack of them over leading
 axes: ``build_special_frame`` normalizes a stack in one pass, one Takagi
-factorization and four transforms of the whole stack, with every check run
-per torsion.  A single torsion is a stack of one, whose U is (3, 3) and
+factorization and one transform of the whole stack by its unitaries, then
+the diagonal phase fixes as one product of each entry with its three phases
+and the sort as an index gather, with every check run per torsion.  A single torsion is a stack of one, whose U is (3, 3) and
 whose a is a tuple.  numpy is imported only by the routines that work on
 arrays, so that ``lie`` builds its tables and matches its torsion patterns
 (``diagonal_entries``) without it.
@@ -146,6 +147,9 @@ def _phase_fix(cyc: np.ndarray) -> np.ndarray:
     return D
 
 
+_PHASES = "...i,...j,...k,...ijk->...ijk"   # transform_torsion by diag(d): conj(d_i) d_j d_k T^i_jk
+
+
 def build_special_frame(T) -> SpecialFrameResult:
     """Rotate balanced threefold torsion into a special frame.
 
@@ -154,7 +158,9 @@ def build_special_frame(T) -> SpecialFrameResult:
     nonnegative sorted cyclic entries equal to ``a``.
 
     T may be a stack (..., 3, 3, 3), normalized in one pass: one Takagi
-    factorization and four transforms of the whole stack.  Balance and the
+    factorization and one transform of the whole stack, two phase fixes
+    and one sort, each the diagonal or permutation frame change applied
+    entry by entry.  Balance and the
     special-frame invariants are checked per torsion against its own
     bound, and any one failing raises.  A stack gives U (..., 3, 3) and a
     (..., 3), both read-only arrays; a single torsion is a stack of one,
@@ -177,16 +183,20 @@ def build_special_frame(T) -> SpecialFrameResult:
     cur = transform_torsion(arr, U1)
 
     U2 = _phase_fix(torsion_to_cyclic(cur))
-    cur = transform_torsion(cur, U2)
+    d = U2[:, _I, _I]
+    cur = np.einsum(_PHASES, d.conj(), d, d, cur)
 
-    # the permutation that sorts the cyclic entries in descending order
-    P = np.identity(3)[np.argsort(-torsion_to_cyclic(cur).real, axis=1, kind="stable")]
-    cur = transform_torsion(cur, P)
+    # the permutation p that sorts the cyclic entries in descending order; as
+    # the frame change P = identity[p], it takes T^i_{jk} to T^{p_i}_{p_j p_k}
+    p = np.argsort(-torsion_to_cyclic(cur).real, axis=1, kind="stable")
+    cur = cur[np.arange(len(p))[:, None, None, None], p[:, :, None, None],
+              p[:, None, :, None], p[:, None, None, :]]
 
     U4 = _phase_fix(torsion_to_cyclic(cur))   # an odd permutation flips all cyclic signs
-    cur = transform_torsion(cur, U4)
+    d = U4[:, _I, _I]
+    cur = np.einsum(_PHASES, d.conj(), d, d, cur)
 
-    U = U4 @ P @ U2 @ U1
+    U = U4 @ np.identity(3)[p] @ U2 @ U1
     cyc = torsion_to_cyclic(cur)
     a = cyc.real
     # invariants of the special frame: the cyclic pattern of cyc, a sorted, nonnegative

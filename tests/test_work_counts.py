@@ -305,7 +305,9 @@ def test_wallach_report_builds_no_residuals(monkeypatch, capsys, argv):
 def test_verify_sl2c_recovers_its_ten_frames_in_one_pass(monkeypatch, capsys):
     # the ten scrambled torsions are one stack: one QR of the ten unitaries,
     # one transform by them, one special-frame pass with one Takagi
-    # factorization and four transforms; one at a time took 10, 10, 10 and 50
+    # factorization and one transform by its unitaries, the phase fixes and
+    # the sort being applied as diagonal and permutation frame changes
+    # directly (four transforms before); one at a time took 10, 10, 10 and 50
     calls = Counter()
     counted = _counter(calls)
     for name in ("build_special_frame", "takagi_factorize", "transform_torsion"):
@@ -314,7 +316,7 @@ def test_verify_sl2c_recovers_its_ten_frames_in_one_pass(monkeypatch, capsys):
     assert main(["verify", "--example", "sl2c"]) == 0
     capsys.readouterr()
     assert calls == {"build_special_frame": 1, "takagi_factorize": 1, "qr": 1,
-                     "transform_torsion": 5}
+                     "transform_torsion": 2}
 
 
 def test_main_builds_an_argparse_parser_only_for_argv_it_cannot_read(monkeypatch, capsys):

@@ -180,8 +180,9 @@ def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
     A is a square array of either scalar kind, or a stack of them over
     leading axes, factorized in one pass: one SVD and one eigh of the stack,
     and the null completion only of the matrices whose rank is below n, one
-    pass per rank.  Finiteness, symmetry (against each matrix's own size), the
-    reconstruction residual and unitarity are checked per matrix.  A single
+    pass per rank.  Finiteness, symmetry and the reconstruction residual
+    (each against tol times the matrix's own size, max(1, max|A_k|)) and
+    unitarity (against tol) are checked per matrix.  A single
     matrix is a stack of one, returned as U of shape (n, n) and the tuple d.
     """
     import numpy as np
@@ -192,7 +193,7 @@ def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
     a = a.reshape(-1, n, n)
     if not np.all(np.isfinite(a)):
         raise NumericError("non-finite entries")
-    aT = a.swapaxes(1, 2)
+    raw, aT = a, a.swapaxes(1, 2)
     size = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
     if (np.abs(a - aT).max(axis=(1, 2)) > max(tol, 1e-12) * size).any():
         raise ShapeError("matrix is not symmetric within tolerance")
@@ -214,12 +215,15 @@ def takagi_factorize(A, tol: float = 1e-10) -> TakagiResult:
         pos, null = Q[k, :, :r], Q[k, :, r:]
         Q[k, :, r:] = np.linalg.qr(null - pos @ (pos.conj().swapaxes(1, 2) @ null))[0]
         d[k, r:] = 0.0
+    # each matrix's reconstruction residual against tol times its own size,
+    # as the symmetry test; unitarity against tol itself
+    Uc = Q.swapaxes(1, 2).conj()
+    residual = np.abs(Uc @ raw @ Uc.swapaxes(1, 2) - d[:, :, None] * np.eye(n)).max(axis=(1, 2))
     U = Q.swapaxes(1, 2).reshape(shape)
+    if (residual > tol * size).any() or \
+            np.max(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(n))) > tol:
+        raise NumericError("Takagi residual exceeded tolerance")
     U.flags.writeable = False
     d = d.reshape(shape[:-1])
     d.flags.writeable = False
-    res = TakagiResult(U, tuple(d.tolist()) if len(shape) == 2 else d)
-    if res.reconstruction_residual(A) > tol or \
-            np.max(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(n))) > tol:
-        raise NumericError("Takagi residual exceeded tolerance")
-    return res
+    return TakagiResult(U, tuple(d.tolist()) if len(shape) == 2 else d)

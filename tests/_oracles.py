@@ -1174,8 +1174,10 @@ def takagi_factorize_one(A, tol=1e-10):
         null, _ = np.linalg.qr(null - Qpos @ (Qpos.conj().T @ null))
         Q = np.column_stack([Qpos, null])
     U = Q.T
-    lhs = U.conj() @ np.asarray(A, complex) @ U.conj().T
-    if np.max(np.abs(lhs - np.diag(d))) > tol or np.max(np.abs(U @ U.conj().T - np.eye(n))) > tol:
+    raw = np.asarray(A, complex)
+    lhs = U.conj() @ raw @ U.conj().T
+    if np.max(np.abs(lhs - np.diag(d))) > tol * max(1.0, np.max(np.abs(raw))) \
+            or np.max(np.abs(U @ U.conj().T - np.eye(n))) > tol:
         raise NumericError("Takagi residual exceeded tolerance")
     return U, tuple(d)
 

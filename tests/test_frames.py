@@ -199,7 +199,7 @@ def test_stacked_special_frames_equal_the_one_at_a_time_bodies(items):
     A = np.array([_cyclic_matrix(T) for T in scrambled])
     want = [_result_or_error(takagi_factorize_one, a, 1e-9) for a in A]
     failed = {w for w in want if isinstance(w, type)}
-    if failed:      # the absolute 1e-9 residual bound fails some at scale 1e6
+    if failed:      # an item the one-at-a-time body rejects fails the stack
         with pytest.raises(tuple(failed)):
             takagi_factorize(A, tol=1e-9)
     else:
@@ -219,6 +219,22 @@ def test_stacked_special_frames_equal_the_one_at_a_time_bodies(items):
     assert not got.U.flags.writeable and not got.a.flags.writeable
     one = frames.build_special_frame(stack[0])        # a stack of one, as a single torsion
     assert _bits(one.U) == _bits(want[0][0]) and one.a == want[0][1]
+
+
+@pytest.mark.parametrize("pattern", [(1, 1, 1), (1, 1, 0), (1, 0, 0), (1, 0.5, 0.25), (0, 0, 0)])
+def test_scrambles_at_scale_1e6_recover(pattern):
+    # Takagi's reconstruction residual is bounded by tol times each matrix's
+    # size; with the absolute bound 1e-9, 6 of these 100 raised NumericError
+    want = sorted((1e6 * x for x in pattern), reverse=True)
+    scrambled = []
+    for seed in range(20):
+        M = np.random.default_rng(seed).normal(size=(2, 3, 3))
+        scrambled.append(transform_torsion_one(cyclic_torsion(*(1e6 * x for x in pattern)),
+                                               np.linalg.qr(M[0] + 1j * M[1])[0]))
+    for T in scrambled:
+        assert np.allclose(frames.build_special_frame(T).a, want, rtol=1e-9, atol=1e-6)
+    assert np.allclose(frames.build_special_frame(np.array(scrambled)).a, [want] * 20,
+                       rtol=1e-9, atol=1e-6)
 
 
 def _unbalanced():

@@ -110,7 +110,8 @@ class ChartMetric:
             engine = _Sparse
         else:
             import numpy as np
-            positive = np.linalg.eigvalsh(np.array(G)).min() > 0
+            G = np.array(G)
+            positive = np.linalg.eigvalsh(G).min() > 0
             engine = _Dense
         if not positive:
             raise ValueError("metric must be positive definite at the base point")

@@ -177,9 +177,23 @@ def wallach_suite(seed: Optional[int] = None) -> List[CheckResult]:
 
     frame = [[u if k == i else EC.zero() for k in range(n)]
              for i in range(n) for u in (EC.one(), -EC.one(), EC.i(), -EC.i())]
-    frame_vals = set(charts.ricci_curvature(m, frame))
+    ricci = charts.ricci_curvature(m, frame)
+    frame_vals = set(ricci)
     _chk(out, "ricci.constant", "Ricci curvature is constant over the frame directions",
          len(frame_vals) == 1, f"values {sorted(frame_vals)}")
+
+    # a second route, in Fractions, from the verified table: with r20 = 0 the
+    # Ricci curvature of e_a is (2 sum r11[a,l,i,a] g^{lbar i}
+    # - sum r11[a,a,i,j] g^{jbar i}) / g_{a abar}
+    R = {ix: _frac(c) for ix, c in r11.items()}
+    ginv = {ix: _frac(c) for ix, c in m.Ginv.items()}
+    traced = [(2 * sum(R.get((a, l, i, a), 0) * g for (l, i), g in ginv.items())
+               - sum(R.get((a, a, i, j), 0) * g for (j, i), g in ginv.items()))
+              / _frac(m.G[a, a]) for a in range(n)]
+    _chk(out, "ricci.from_table",
+         "frame Ricci curvature equals the G^-1 trace of the verified Levi-Civita table",
+         not r20 and all(v == traced[k // 4] for k, v in enumerate(ricci)),
+         f"trace along e_1, e_2, e_3: {', '.join(map(str, traced))}")
     val = frame_vals.pop() if len(frame_vals) == 1 else None
     _chk(out, "ricci.einstein_constant",
          f"Einstein constant equals the golden value {RICCI_CLAIMED}",

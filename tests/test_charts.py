@@ -20,7 +20,7 @@ from _oracles import (TENSOR_TYPES, arrays, as_array, btp_residual_loop, change_
                       sectional_closed_form, sectional_numerator_loop,
                       sylvester_positive_definite, torsion_loop, transform_tensor,
                       wallach_metric_chain, wallach_metric_values, wirtinger_fd)
-from btpgeo import charts, cli
+from btpgeo import charts, cli, goldens
 from btpgeo.jets import Jet2
 from btpgeo.goldens import expected_wallach_r11, expected_wallach_rc
 from btpgeo.linalg import exact_rank, matrix_inverse
@@ -503,6 +503,21 @@ def test_tables_match_the_einsum_oracle(builder, point, sigma_scale):
 
 
 # ---- Levi-Civita side ---------------------------------------------------------------
+
+def test_ricci_from_table_fails_when_the_frame_ricci_moves(monkeypatch):
+    # the stated Einstein constant is red whatever Ricci curvature is computed;
+    # the derived check is green at 5/2 and red at 5/3, the frame Ricci that
+    # a broken ExactComplex subtraction once produced, while every table
+    # check still passes
+    checks = {c.name: c.passed for c in goldens.wallach_suite()}
+    assert [name for name, ok in checks.items() if not ok] == ["ricci.einstein_constant"]
+    ricci = charts.ricci_curvature
+    monkeypatch.setattr(charts, "ricci_curvature",
+                        lambda m, X: [v * Fraction(2, 3) for v in ricci(m, X)])
+    checks = {c.name: c.passed for c in goldens.wallach_suite()}
+    assert [name for name, ok in checks.items() if not ok] == ["ricci.from_table",
+                                                               "ricci.einstein_constant"]
+
 
 def test_wallach_riemannian_table(wallach_pc):
     r11, r20 = arrays(charts.riemannian_curvature_at, wallach_pc)

@@ -771,8 +771,9 @@ def test_negative_seed_exits_3(capsys, argv):
 # (the rest); exact reports are promised to be byte-stable
 EXACT_REPORT_SHA256 = {
     ("wallach",): "a66fa3fddda9332d973706f7ef310830a00b44d339f6d74c3eafa93fb6c36dd8",
+    # with the green check ricci.from_table (fe3ed450... before it)
     ("verify", "--example", "wallach"):
-        "fe3ed450f05cfa08add284834678135d5ecb7f0f69e3e3b36290596ed9c60861",
+        "186e40bfd911557436242c695451a309d4d45a6401d1b621e44558039b922cbf",
     ("classify", "--input", str(DATA / "n3.json")):
         "e5ab18b0b6785fb5051f009f23ca5c8374ee73c9dcc399dc309369feae4cacc0",
     ("classify", "--input", str(DATA / "sl2c.json")):
@@ -802,9 +803,10 @@ EXACT_REPORT_SHA256 = {
     ("sweep", "--grid=-1,0,1/2"):
         "8613221ac0b0ef27320f5b4926e9957d5e016fd8924a320a56474234ec0a5b2d",
     # the exact suite with a float sampled minimum, recorded before the exact
-    # sectional and Ricci curvature moved onto the shared contractions
+    # sectional and Ricci curvature moved onto the shared contractions, and
+    # again with the green check ricci.from_table (5787f9dd... before it)
     ("verify", "--example", "wallach", "--seed", "3"):
-        "5787f9dd15281a1a3d30bb07175ae3e26b9c0facee71906f8e67d86d13f51563",
+        "191c01f00edbe2b1602283937403af74f3efd6477fe831cbb14d8dc882c9e97e",
     # recorded before the solvability series, the Bismut Ricci form and the
     # parallel-torsion residuals were computed from their least parts:
     # vaisman54 at a = 10^-6 (a nonzero Bismut Ricci form), a_st(1/2, 1/3)

@@ -8,6 +8,7 @@ forms     invariant differential forms with the Lie structure equation
 jets      truncated Wirtinger-Taylor expansions (2-jets)
 lie       Hermitian Lie algebras: torsion, connections, classification
 frames    special and admissible frame normalization of torsion data
+tensor    sparse tables as maps of nonzero entries, and einsum over them
 charts    coordinate-chart metrics as Wirtinger 2-jets; the flag threefold
 goldens   golden-value suites for the built-in examples
 cli       command-line interface (classify / verify / wallach / sweep / companion)

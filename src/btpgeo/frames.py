@@ -18,10 +18,11 @@ on complex128 arrays, of one torsion or of a stack of them over leading
 axes: ``build_special_frame`` normalizes a stack in one pass, one Takagi
 factorization and one transform of the whole stack by its unitaries, then
 the diagonal phase fixes as one product of each entry with its three phases
-and the sort as an index gather, with every check run per torsion.  A single torsion is a stack of one, whose U is (3, 3) and
-whose a is a tuple.  numpy is imported only by the routines that work on
-arrays, so that ``lie`` builds its tables and matches its torsion patterns
-(``diagonal_entries``) without it.
+and the sort as an index gather, with every check run per torsion.  A single
+torsion is a stack of one, whose U is (3, 3) and whose a is a tuple.  numpy
+is imported only by the routines that work on arrays, so that ``lie`` builds
+its tables and matches its torsion patterns (``diagonal_entries``) without
+it.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def _phase_fix(cyc: np.ndarray) -> np.ndarray:
     return D
 
 
-_PHASES = "...i,...j,...k,...ijk->...ijk"   # transform_torsion by diag(d): conj(d_i) d_j d_k T^i_jk
+# transform_torsion by diag(d): T'^i_{jk} = conj(d_i) d_j d_k T^i_{jk}
+_PHASES = "...i,...j,...k,...ijk->...ijk"
 
 
 def build_special_frame(T) -> SpecialFrameResult:
@@ -160,11 +162,10 @@ def build_special_frame(T) -> SpecialFrameResult:
     T may be a stack (..., 3, 3, 3), normalized in one pass: one Takagi
     factorization and one transform of the whole stack, two phase fixes
     and one sort, each the diagonal or permutation frame change applied
-    entry by entry.  Balance and the
-    special-frame invariants are checked per torsion against its own
-    bound, and any one failing raises.  A stack gives U (..., 3, 3) and a
-    (..., 3), both read-only arrays; a single torsion is a stack of one,
-    returned as U (3, 3) and the tuple a.
+    entry by entry.  Balance and the special-frame invariants are checked
+    per torsion against its own bound, and any one failing raises.  A
+    stack gives U (..., 3, 3) and a (..., 3), both read-only arrays; a
+    single torsion is a stack of one, returned as U (3, 3) and the tuple a.
     """
     import numpy as np
     arr = np.asarray(T, complex)

@@ -10,9 +10,10 @@ by ``sparse_row``.  Its float branch ranks by singular values.  One inverse,
 ``matrix_inverse``, serves the constant matrices of both kinds; its exact
 branch is two passes of ``row_basis`` and returns nested lists.  Takagi
 factorization is float-only: the inputs that need it are generic
-unitary-scrambled torsion data, never golden rational values.  It takes one matrix or a stack of them over leading
-axes, factorized in one pass with every check per matrix; a single matrix is
-a stack of one, whose d is a tuple.
+unitary-scrambled torsion data, never golden rational values.  It takes one
+matrix or a stack of them over leading axes, factorized in one pass with
+every check per matrix; a single matrix is a stack of one, whose d is a
+tuple.
 
 numpy is imported by the routines that build arrays (the float branches
 and Takagi), so exact ranks and inverses run without it.  A numpy

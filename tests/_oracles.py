@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules: finite differences, the
 flag metric evaluated directly, closed forms, the flat and the Fubini-Study
-reference metrics, the jet route to point curvature, the chart tables by
-numpy.einsum on the metric's arrays, the reciprocal and coordinate jets
+reference metrics, chart tables and operands read as arrays, the jet route
+to point curvature, the chart tables by numpy.einsum on the metric's
+operands as arrays, the reciprocal and coordinate jets
 built through the validating jet constructor and the conjugate with a
 generator per monomial, the flag and Fubini-Study metric jets by chains of
 jet operations, two routes to the Levi-Civita curvature, sectional and
@@ -318,8 +319,9 @@ def _torsion_derivative_einsum(a, d, h):
 
 
 def chart_tables_einsum(m):
-    """Every chart table of m by ``numpy.einsum`` on the metric's arrays
-    (object arrays of ExactComplex for an exact metric), as a dict of
+    """Every chart table of m by ``numpy.einsum`` on the metric's operands
+    as arrays (``metric_arrays``: object arrays of ExactComplex for an exact
+    metric), as a dict of
     arrays: gam, the torsion T, the Chern curvature Rc, the Ricci tensors
     ric1, ric2, ric3, the residuals res_h, res_a and the Levi-Civita pair
     r11, r20, with the index layouts of the library's tables."""

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import (TENSOR_TYPES, arrays, as_array, btp_residual_loop, change_frame, chart_tables_einsum,
+from _oracles import (TENSOR_TYPES, arrays, as_array, btp_residual_loop, change_frame,
+                      chart_tables_einsum,
                       chern_curvature_loop, euclidean_metric, expanded, fubini_study_chain,
                       fubini_study_metric,
                       frame_route, jet_coefficients_loop, jet_norm_inf, jet_variable,
@@ -352,7 +353,8 @@ def test_float_extraction_matches_jet_route(seed):
     _assert_close(arrays(charts.chern_curvature_at, m), chern_curvature_loop(m))
     for got, w in zip(arrays(charts.btp_residual_at, m), btp_residual_loop(m)):
         _assert_close(got, w)
-    for got, w in zip(arrays(charts.ricci_forms_at, m), ricci_traces_loop(m, chern_curvature_loop(m))):
+    for got, w in zip(arrays(charts.ricci_forms_at, m),
+                      ricci_traces_loop(m, chern_curvature_loop(m))):
         _assert_close(got, w)
 
 
@@ -371,7 +373,8 @@ def test_exact_extraction_matches_jet_route(seed):
     assert np.array_equal(arrays(charts.chern_torsion_at, m), torsion_loop(m))
     assert np.array_equal(arrays(charts.chern_curvature_at, m), chern_curvature_loop(m))
     assert _same_tables(arrays(charts.btp_residual_at, m), btp_residual_loop(m))
-    assert _same_tables(arrays(charts.ricci_forms_at, m), ricci_traces_loop(m, chern_curvature_loop(m)))
+    assert _same_tables(arrays(charts.ricci_forms_at, m),
+                        ricci_traces_loop(m, chern_curvature_loop(m)))
 
 
 # ---- any base value: the frame route as an oracle -------------------------------------

@@ -23,7 +23,8 @@ print("   reconstruction residual:",
       f"{res.reconstruction_residual(A):.2e}")
 
 print("\nround-trip a fully symmetric torsion through random unitary frames:")
-T = np.array(lie.chern_torsion(lie.sl2c(1)), complex)
+g = lie.sl2c(1)
+T = frames.dense(g.n, lie.chern_torsion(g), g.kind)
 for trial in range(3):
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     Q, _ = np.linalg.qr(M)

@@ -189,47 +189,35 @@ def _wedge_terms(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar
     return acc
 
 
-def _cube(n: int, entries, zero) -> tuple:
-    """n x n x n nested tuples T[j][i][k]: zero, or the c of the (j, i, k, c)
-    entry at that index, as given (``frames.dense`` adds it to the kind's
-    zero, which turns a float -0.0 part into 0.0)."""
-    T = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for j, i, k, c in entries:
-        T[j][i][k] = c
-    return tuple(tuple(map(tuple, l)) for l in T)
-
-
 class CoframeContext:
     """Structure constants C^j_{ik}, D^j_{ik} driving the exterior derivative.
 
-    Built from n, the scalar kind and the nonzero entries of C and D as
-    (j, i, k, c), scalars of that kind in index order, C's mirrors among
-    them (``frames.summed`` gives them so); these are kept as ``C_entries``
-    and ``D_entries``, and every table built from the structure constants
-    reads them.  C must be antisymmetric in its lower indices; no
-    integrability condition is imposed here (see d_squared_residual).  The
-    dense tables ``C`` and ``D`` are indexed [j][i][k], 0-based.
+    Built from n, the scalar kind and C and D, each held once as the
+    read-only map {(j, i, k): nonzero scalar of that kind} in index order,
+    0-based, C's mirrors among its entries (``frames.summed`` gives them
+    so); every table built from the structure constants reads these maps.
+    C must be antisymmetric in its lower indices; no integrability
+    condition is imposed here (see d_squared_residual).
     """
 
-    __slots__ = ("n", "C", "D", "C_entries", "D_entries", "kind", "_d")
+    __slots__ = ("n", "C", "D", "kind", "_d")
 
-    def __init__(self, n: int, kind: Kind, C_entries, D_entries):
-        C, D = (_cube(n, X, kind.zero) for X in (C_entries, D_entries))
+    def __init__(self, n: int, kind: Kind, C, D):
         # a pair of zeros is antisymmetric, so each nonzero entry is checked
         # against its mirror (within 1e-12 for float data)
-        if not all(kind.negligible(c + C[j][k][i], 1e-12) for j, i, k, c in C_entries):
+        if not all(kind.negligible(c + C.get((j, k, i), kind.zero), 1e-12)
+                   for (j, i, k), c in C.items()):
             raise ValueError("C must be antisymmetric in its lower indices")
-        for name, value in (("n", n), ("C", C), ("D", D), ("C_entries", C_entries),
-                            ("D_entries", D_entries), ("kind", kind)):
+        for name, value in (("n", n), ("C", C), ("D", D), ("kind", kind)):
             object.__setattr__(self, name, value)
         # d phi_i: -1/2 (C^i_{jk} phi_j phi_k + C^i_{kj} phi_k phi_j) for j < k
         # and -conj(D^j_{ik}) phi_j phibar_k, in (j, k) order with the C term
         # first, the order in which exterior_d adds them into float sums
         terms = [[] for _ in range(n)]
-        for i, j, k, c in C_entries:
+        for (i, j, k), c in C.items():
             if j < k:
                 terms[i].append((j, k, 1 << j | 1 << k, -c))
-        for j, i, k, c in D_entries:
+        for (j, i, k), c in D.items():
             terms[i].append((j, k, 1 << j | 1 << (n + k), -c.conjugate()))
         dphi = [_form(n, {m: c for *_, m, c in sorted(t)}, kind) for t in terms]
         # d of the basis 1-form of each bit: phi_i at bit i, phibar_i at n+i

@@ -10,9 +10,10 @@ by a Takagi factorization of the symmetric matrix A_{i alpha} = T^alpha_{jk}
 resulting triple is (a, a, 0) a further constant unitary produces the
 *admissible frame* with T^1_{13} = -T^2_{23} = a.
 
-Dense n x n x n tables are built by ``dense`` from (j, i, k, c) entries, as
-nested lists of their scalar kind; ``summed`` gives the nonzero cells of such
-a table as entries in index order, as ``lie.HermitianLieAlgebra`` takes them.
+A structure constant or torsion tensor is held as the read-only map
+{(j, i, k): nonzero scalar} in index order: ``summed`` builds it from
+(j, i, k, c) entries, as ``lie.HermitianLieAlgebra`` takes C and D, and
+``dense`` is the one route from such a map to an n x n x n array of its kind.
 The frame change ``transform_torsion`` and the special-frame routines work
 on complex128 arrays, of one torsion or of a stack of them over leading
 axes: ``build_special_frame`` normalizes a stack in one pass, one Takagi
@@ -21,13 +22,14 @@ the diagonal phase fixes as one product of each entry with its three phases
 and the sort as an index gather, with every check run per torsion.  A single
 torsion is a stack of one, whose U is (3, 3) and whose a is a tuple.  numpy
 is imported only by the routines that work on arrays, so that ``lie`` builds
-its tables and matches its torsion patterns (``diagonal_entries``) without
-it.
+its maps (``summed``) and matches its torsion patterns (``diagonal_entries``)
+without it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from .linalg import DimensionError, takagi_factorize
 from .scalars import Kind, common_kind
@@ -50,23 +52,24 @@ def _scalars(values):
     return kind, [kind.scalar(x) for x in values]
 
 
-def dense(n: int, entries, kind: Kind) -> list:
-    """Nested lists T[j][i][k]: the kind's zero plus the c of each
-    (j, i, k, c) in entries."""
-    T = [[[kind.zero] * n for _ in range(n)] for _ in range(n)]
-    for j, i, k, c in entries:
-        T[j][i][k] = T[j][i][k] + c
+def dense(n: int, t, kind: Kind) -> np.ndarray:
+    """The map t {(j, i, k): c} as an n x n x n array of kind: the kind's
+    zero plus each c, zero elsewhere."""
+    import numpy as np
+    T = np.full((n,) * 3, kind.zero, kind.dtype)
+    for key, c in t.items():
+        T[key] = kind.zero + c
     return T
 
 
-def summed(entries, kind: Kind) -> tuple:
-    """The nonzero entries of ``dense(n, entries, kind)`` as (j, i, k, c), in
-    index order: each c the kind's zero plus the c of its (j, i, k), summed
-    in the order of entries."""
+def summed(entries, kind: Kind) -> MappingProxyType:
+    """The read-only map {(j, i, k): c} of the nonzero sums of (j, i, k, c)
+    entries, in index order: each c the kind's zero plus the c of its
+    (j, i, k), summed in the order of entries."""
     acc = {}
     for j, i, k, c in entries:
         acc[j, i, k] = acc.get((j, i, k), kind.zero) + c
-    return tuple((j, i, k, c) for (j, i, k), c in sorted(acc.items()) if c)
+    return MappingProxyType({key: c for key, c in sorted(acc.items()) if c})
 
 
 def antisymmetric(entries):
@@ -86,9 +89,8 @@ def diagonal_entries(n: int, a, signs):
 def diagonal_torsion(n: int, a, signs) -> np.ndarray:
     """The torsion of ``diagonal_entries(n, a, signs)``, zero elsewhere, as
     an array of a's kind."""
-    import numpy as np
     kind, (a,) = _scalars((a,))
-    return np.array(dense(n, diagonal_entries(n, a, signs), kind), kind.dtype)
+    return dense(n, summed(diagonal_entries(n, a, signs), kind), kind)
 
 
 _LAW = "...ia,...jb,...kc,...abc->...ijk"    # T'^i_{jk} = sum conj(P_ia) P_jb P_kc T^a_bc

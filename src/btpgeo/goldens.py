@@ -8,11 +8,12 @@ carries a descriptive ``ref`` string naming the identity it pins down.
 The flag-threefold suite imports ``charts`` where it runs.  It reads each
 exact table as the map {index tuple: nonzero ExactComplex} the metric holds
 and compares it with the golden nonzero entries, so it runs without numpy
-unless ``--seed`` asks for its float sectional sample.  The sl2c suite
-imports numpy; the other suites are exact and run without it.  The sl2c
-suite scrambles the special frame of its torsion by ten seeded
-random unitaries and recovers the triple (1, 1, 1) from all ten as one
-stack: one QR of the ten unitaries, one transform and one
+unless ``--seed`` asks for its float sectional sample.  The Lie-side suites
+read C, D and T as the maps their algebra holds.  The sl2c suite imports
+numpy; the other suites are exact and run without it.  The sl2c suite reads
+its torsion map as an array by ``frames.dense``, scrambles its special frame
+by ten seeded random unitaries and recovers the triple (1, 1, 1) from all ten
+as one stack: one QR of the ten unitaries, one transform and one
 ``frames.build_special_frame``.
 
 One check is expected to stay red: the Einstein constant of the flag-
@@ -231,7 +232,7 @@ def sl2c_suite(seed: int = 0) -> List[CheckResult]:
     # seed matrix are drawn in turn, and each triple is recovered in one pass
     M = np.random.default_rng(seed).normal(size=(10, 2, 3, 3))
     Q, _ = np.linalg.qr(M[:, 0] + 1j * M[:, 1])
-    T = np.array(lie.chern_torsion(g), complex)
+    T = frames.dense(g.n, lie.chern_torsion(g), g.kind)
     res = frames.build_special_frame(frames.transform_torsion(T, Q))
     worst = float(np.max(np.abs(res.a - 1.0)))
     _chk(out, "frames.recovery", "special frame recovers torsion (1,1,1) after scrambles",

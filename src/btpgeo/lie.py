@@ -6,21 +6,22 @@ brackets).  From these the module computes the Chern torsion and connection,
 the Bismut connection theta^b = theta + gamma, curvature matrices Theta =
 d theta - theta ^ theta, the sparse bracket table of the underlying real
 algebra, and the predicate vector used to sort algebras into the flat /
-rank-one / middle-type landscape.  Each table is plain data: T is nested
-tuples of the algebra's scalar kind, a connection or curvature matrix n x n
+rank-one / middle-type landscape.  Each table is plain data: C, D and T are
+each held once, as the read-only map {(j, i, k): nonzero scalar of the
+algebra's kind} in index order, and a connection or curvature matrix is n x n
 nested tuples of invariant forms.  Each is built once per algebra, straight
-from the nonzero structure constants (``C_entries`` and ``D_entries`` of the
-coframe context) and the nonzero entries of T (``torsion_entries``): theta^b
-is linear in them, the connection of D + T.
+from the entries of C and D (the maps of the coframe context) and of T
+(``chern_torsion``): theta^b is linear in them, the connection of D + T.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from .forms import (CoframeContext, InvariantForm, _form, _wedge_terms,
                     d_squared_residual, dolbeault_split, exterior_d)
-from .frames import antisymmetric, dense, diagonal_entries, summed
+from .frames import antisymmetric, diagonal_entries, summed
 from .linalg import NumericError, hermitian_rank, row_basis
 from .scalars import (EC, EXACT, FLOAT, Kind, SchemaError, all_finite, exact_rational,
                       exact_scalar, kind_of, memoized, scalar_from_json, scalar_to_json)
@@ -38,7 +39,8 @@ class PatternError(ValueError):
     """Torsion does not match the pattern required by an operation."""
 
 
-# The largest n an algebra JSON may give; the tables are dense n x n x n.
+# The largest n an algebra JSON may give: the d^2 check, the connections and
+# the curvature are n x n matrices of forms.
 MAX_JSON_N = 16
 
 
@@ -53,22 +55,22 @@ def _all_negligible(kind: Kind, values) -> bool:
 # --------------------------------------------------------------------------
 
 class HermitianLieAlgebra(CoframeContext):
-    """The coframe context of dimension n, scalar kind and nonzero entries
-    of C and D, with a label; validated on construction.
+    """The coframe context of dimension n, scalar kind and maps C and D,
+    with a label; validated on construction.
 
-    The entries are those of ``CoframeContext``; ``from_json``, the
-    built-ins and ``conjugate_swap`` give them by ``frames.summed``.
-    ``C[j][i][k]`` holds C^j_{ik} (antisymmetric in i, k) and ``D[j][i][k]``
-    holds D^j_{ik}; all 0-based.  Construction rejects non-integrable data
-    unless validate is false: every d^2 phi_i must vanish (NumericError if a
-    float one is not finite).  Derived tables are ``memoized`` on it.
+    C and D are the maps of ``CoframeContext``; ``from_json``, the
+    built-ins and ``conjugate_swap`` build them by ``frames.summed``.
+    ``C[j, i, k]`` holds a nonzero C^j_{ik} (antisymmetric in i, k) and
+    ``D[j, i, k]`` a nonzero D^j_{ik}; all 0-based.  Construction rejects
+    non-integrable data unless validate is false: every d^2 phi_i must
+    vanish (NumericError if a float one is not finite).  Derived tables are
+    ``memoized`` on it.
     """
 
     __slots__ = ("label", "_memo")
 
-    def __init__(self, n: int, kind: Kind, C_entries, D_entries, label: str = "",
-                 validate: bool = True):
-        super().__init__(n, kind, C_entries, D_entries)
+    def __init__(self, n: int, kind: Kind, C, D, label: str = "", validate: bool = True):
+        super().__init__(n, kind, C, D)
         if validate:
             residuals = d_squared_residual(self)
             bad = [i for i, r in enumerate(residuals)
@@ -87,10 +89,10 @@ class HermitianLieAlgebra(CoframeContext):
 
     # ---- JSON wire format (entries with i >= k rejected for C) ----------
     def to_json(self):
-        def dump(entries, anti):
+        def dump(X, anti):
             return [{"j": j + 1, "i": i + 1, "k": k + 1, "coef": scalar_to_json(c)}
-                    for j, i, k, c in entries if not (anti and i >= k)]
-        return {"n": self.n, "C": dump(self.C_entries, True), "D": dump(self.D_entries, False),
+                    for (j, i, k), c in X.items() if not (anti and i >= k)]
+        return {"n": self.n, "C": dump(self.C, True), "D": dump(self.D, False),
                 "label": self.label}
 
     @staticmethod
@@ -128,7 +130,7 @@ class HermitianLieAlgebra(CoframeContext):
                 raise SchemaError(f"C entry must have i < k (antisymmetry implied): "
                                   f"{c_in[pos]!r}")
         C, D = summed(antisymmetric(parsed[:ncr]), kind), summed(parsed[ncr:], kind)
-        if not all_finite(c for *_, c in C + D):       # float sums can overflow
+        if not all_finite((*C.values(), *D.values())):     # float sums can overflow
             raise SchemaError("a summed structure constant is not a finite number")
         label = obj.get("label", "")
         if not isinstance(label, str):
@@ -195,31 +197,24 @@ def vaisman_nilmanifold(a=1) -> HermitianLieAlgebra:
 # --------------------------------------------------------------------------
 
 @memoized
-def torsion_entries(g: HermitianLieAlgebra):
-    """The nonzero entries (j, i, k, T^j_{ik}) of g's Chern torsion, in index
-    order, with T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} for i < k and
-    T^j_{ki} = -T^j_{ik}: only the pairs where C or D has an entry are read."""
-    C, D = g.C, g.D
-    out = []
-    for j, i, k in {(j, min(i, k), max(i, k)) for j, i, k, _ in g.C_entries + g.D_entries
-                    if i != k}:
-        v = -C[j][i][k] - D[j][i][k] + D[j][k][i]
+def chern_torsion(g: HermitianLieAlgebra) -> MappingProxyType:
+    """g's Chern torsion as the read-only map {(j, i, k): nonzero T^j_{ik}} in
+    index order, with T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} for i < k and
+    T^j_{ki} = -T^j_{ik}: only the pairs where C or D has an entry are read.
+    ``frames.dense`` makes an array of it."""
+    C, D, zero = g.C, g.D, g.kind.zero
+    out = {}
+    for j, i, k in {(j, min(i, k), max(i, k)) for j, i, k in C.keys() | D.keys() if i != k}:
+        v = -C.get((j, i, k), zero) - D.get((j, i, k), zero) + D.get((j, k, i), zero)
         if v:
-            out += [(j, i, k, v), (j, k, i, -v)]
-    return tuple(sorted(out))
-
-
-@memoized
-def chern_torsion(g: HermitianLieAlgebra):
-    """T^j_{ik} as nested tuples of g's kind, antisymmetric in (i, k) as C
-    is, built from ``torsion_entries``."""
-    return tuple(tuple(map(tuple, layer)) for layer in dense(g.n, torsion_entries(g), g.kind))
+            out[j, i, k], out[j, k, i] = v, -v
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 def _connection_from(g: HermitianLieAlgebra, *tensors):
     """theta_{ij} = sum_k ( X^j_{ik} phi_k - conj(X^i_{jk}) phibar_k ) summed
-    over the given tensors X, each the nonzero entries (j, i, k, X^j_{ik}) of
-    a tensor of g's kind, as n x n nested tuples of invariant 1-forms,
+    over the given tensors X, each a map {(j, i, k): X^j_{ik}} of g's kind,
+    as n x n nested tuples of invariant 1-forms,
     skew-hermitian: theta_{ij} = -conj(theta_{ji}).  Each entry is one dict
     of masks, summed in the order of the tensors and, within one, of k, the
     phi_k term before the phibar_k term, so that float sums and the order of
@@ -227,7 +222,7 @@ def _connection_from(g: HermitianLieAlgebra, *tensors):
     n = g.n
     terms = [[[] for _ in range(n)] for _ in range(n)]
     for t, X in enumerate(tensors):
-        for j, i, k, x in X:
+        for (j, i, k), x in X.items():
             terms[i][j].append((t, k, 0, x))                 # in theta_{ij}
             terms[j][i].append((t, k, 1, -x.conjugate()))    # in theta_{ji}
 
@@ -243,13 +238,13 @@ def _connection_from(g: HermitianLieAlgebra, *tensors):
 @memoized
 def chern_connection(g: HermitianLieAlgebra):
     """theta_{ij} = sum_k ( D^j_{ik} phi_k - conj(D^i_{jk}) phibar_k )."""
-    return _connection_from(g, g.D_entries)
+    return _connection_from(g, g.D)
 
 
 @memoized
 def bismut_connection(g: HermitianLieAlgebra):
     """theta^b = theta + gamma, the connection of D + T."""
-    return _connection_from(g, g.D_entries, torsion_entries(g))
+    return _connection_from(g, g.D, chern_torsion(g))
 
 
 def trace(theta) -> InvariantForm:
@@ -303,7 +298,7 @@ def b_tensor(g: HermitianLieAlgebra):
     running over the entries of T^j; hermitian nonnegative, rows (nested
     tuples) of g's kind."""
     rows = [{} for _ in range(g.n)]
-    for j, r, s, c in torsion_entries(g):
+    for (j, r, s), c in chern_torsion(g).items():
         rows[j][r, s] = c
     conj = [{rs: c.conjugate() for rs, c in row.items()} for row in rows]
     return tuple(tuple(sum((c * ci[rs] for rs, c in tj.items() if rs in ci), g.kind.zero)
@@ -313,7 +308,7 @@ def b_tensor(g: HermitianLieAlgebra):
 def gauduchon_eta(g: HermitianLieAlgebra) -> InvariantForm:
     """eta = sum_i ( sum_s T^s_{si} ) phi_i of g's torsion; balanced <=> eta = 0."""
     eta = {}
-    for s, r, i, c in torsion_entries(g):
+    for (s, r, i), c in chern_torsion(g).items():
         if s == r:
             eta[1 << i] = eta.get(1 << i, g.kind.zero) + c
     return _form(g.n, eta, g.kind)
@@ -328,8 +323,8 @@ def _btp_residuals_from(X, tb):
     for all (i, j, k).  T is antisymmetric in its lower indices, so
     R_{kji} = -R_{ijk} and R_{iji} = 0, and the R_{ijk} with i < k decide
     the rest.  They are returned as a map keyed (i, j, k), for torsion X,
-    its nonzero entries (j, i, k, c), and connection tb, nested tuples, each
-    summed into one dict of coefficients, entry by entry of X."""
+    the map {(j, i, k): c} of its nonzero entries, and connection tb, nested
+    tuples, each summed into one dict of coefficients, entry by entry of X."""
     n, kind = len(tb), tb[0][0].kind
     half = {(i, j, k): {} for i in range(n) for k in range(i + 1, n) for j in range(n)}
 
@@ -338,7 +333,7 @@ def _btp_residuals_from(X, tb):
         for m, v in f.terms.items():
             v = v * c
             acc[m] = acc[m] + v if m in acc else v
-    for a, b, c, x in X:
+    for (a, b, c), x in X.items():
         for i in range(c):              # T^a_{bc} theta^b_{ib} in R_{iac}
             add((i, a, c), x, tb[i][b])
         for k in range(b + 1, n):       # T^a_{bc} theta^b_{kc} in R_{bak}
@@ -352,8 +347,8 @@ def _btp_residuals_from(X, tb):
 def check_unimodular(g: HermitianLieAlgebra) -> bool:
     """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i, each sum taken over k
     with C^k_{ki} before D^k_{ki}."""
-    traces = sorted((i, k, t, c) for t, X in enumerate((g.C_entries, g.D_entries))
-                    for k, kk, i, c in X if k == kk)
+    traces = sorted((i, k, t, c) for t, X in enumerate((g.C, g.D))
+                    for (k, kk, i), c in X.items() if k == kk)
     sums = {}
     for i, _, _, c in traces:
         sums[i] = sums.get(i, g.kind.zero) + c
@@ -365,7 +360,7 @@ def _diagonal_torsion_constant(g: HermitianLieAlgebra, signs):
     ``frames.diagonal_entries(n, a, signs)``, by g's zero test, else None;
     read over the entries of T and of the pattern."""
     zero = g.kind.zero
-    have = {(j, i, k): c for j, i, k, c in torsion_entries(g)}
+    have = chern_torsion(g)
     a = have.get((0, 0, g.n - 1), zero)
     want = {(j, i, k): c for j, i, k, c in diagonal_entries(g.n, a, signs)}
     matches = _all_negligible(g.kind, (have.get(key, zero) - want.get(key, zero)
@@ -405,10 +400,10 @@ def real_bracket_table(g: HermitianLieAlgebra):
     """
     n, dim = g.n, 2 * g.n
     table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for j, i, k, c in g.C_entries:
+    for (j, i, k), c in g.C.items():
         table[i][k][j] = c
         table[n + i][n + k][n + j] = c.conjugate()
-    for j, i, k, c in g.D_entries:      # in [e_j, ebar_k] and [e_k, ebar_j]
+    for (j, i, k), c in g.D.items():    # in [e_j, ebar_k] and [e_k, ebar_j]
         table[j][n + k][i] = c.conjugate()
         table[k][n + j][n + i] = -c
     for x in range(n):
@@ -542,7 +537,7 @@ def pluriclosed_obstruction(g: HermitianLieAlgebra) -> InvariantForm:
     constant a.  A zero torsion is vacuously allowed and returns 0; any
     other pattern raises PatternError.
     """
-    torsion_free = _all_negligible(g.kind, (c for *_, c in torsion_entries(g)))
+    torsion_free = _all_negligible(g.kind, chern_torsion(g).values())
     if not torsion_free:
         if g.n != 3:
             raise PatternError("middle-type obstruction needs n = 3")
@@ -593,7 +588,7 @@ def classify(g: HermitianLieAlgebra) -> ClassificationReport:
     balanced = vanishes(eta)
     theta = chern_connection(g)
     theta_b = bismut_connection(g)
-    btp = all(map(vanishes, _btp_residuals_from(torsion_entries(g), theta_b).values()))
+    btp = all(map(vanishes, _btp_residuals_from(chern_torsion(g), theta_b).values()))
     unimod = check_unimodular(g)
     b_rank = hermitian_rank(b_tensor(g), g.kind)
     diagonal = [_curvature_entry(g, theta, i, i) for i in range(n)]

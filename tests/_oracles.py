@@ -20,7 +20,7 @@ import argparse
 import itertools
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from btpgeo.charts import (ChartMetric, _coords, chern_curvature_at, chern_torsi
                            riemannian_curvature_at)
 from btpgeo.forms import InvariantForm, exterior_d
 from btpgeo.frames import (FramePatternError, NotBalancedError, _admissible_u, antisymmetric,
-                           dense)
+                           dense, summed)
 from btpgeo.jets import (Jet2, JetSingularityError, _jet, _reciprocal_terms, _sum,
                          jet_matrix_inverse)
 from btpgeo.linalg import NumericError, ShapeError, matrix_inverse
@@ -822,6 +822,7 @@ def transform_frame_loop(g, P):
     mirrored below, and D'^j_{ik} = sum P_{it} conj(P_{jb}) P_{kc} D^b_{tc}."""
     n = g.n
     zero = g.kind.zero
+    gC, gD = cube(g, g.C), cube(g, g.D)
     C = [[[zero] * n for _ in range(n)] for _ in range(n)]
     D = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
@@ -831,8 +832,8 @@ def transform_frame_loop(g, P):
                 for t in range(n):
                     for b in range(n):
                         for c in range(n):
-                            acc_c = acc_c + P[j][t].conjugate() * P[i][b] * P[k][c] * g.C[t][b][c]
-                            acc_d = acc_d + P[i][t] * P[j][b].conjugate() * P[k][c] * g.D[b][t][c]
+                            acc_c = acc_c + P[j][t].conjugate() * P[i][b] * P[k][c] * gC[t][b][c]
+                            acc_d = acc_d + P[i][t] * P[j][b].conjugate() * P[k][c] * gD[b][t][c]
                 if i < k:
                     C[j][i][k] = acc_c
                     C[j][k][i] = -acc_c
@@ -849,8 +850,8 @@ def regauge(g, P):
     The result is validated (d^2 = 0) on construction."""
     P = np.array(P, g.kind.dtype)
     Q = matrix_inverse(P, g.kind)
-    C = np.einsum("ia,abc,bj,ck->ijk", P, np.array(g.C, g.kind.dtype), Q, Q, optimize=True)
-    Dbar = np.einsum("ia,bac,bj,ck->jik", P, np.conj(np.array(g.D, g.kind.dtype)), Q,
+    C = np.einsum("ia,abc,bj,ck->ijk", P, cube(g, g.C), Q, Q, optimize=True)
+    Dbar = np.einsum("ia,bac,bj,ck->jik", P, np.conj(cube(g, g.D)), Q,
                      np.conj(Q), optimize=True)
     return from_cubes(g.n, C.tolist(), np.conj(Dbar).tolist(), label=f"{g.label}~regauged")
 
@@ -1189,7 +1190,7 @@ def cyclic_torsion(a):
     for (i j k) cyclic and zero elsewhere, as an array of a's kind."""
     kind = common_kind(a)
     entries = antisymmetric((*c, kind.scalar(x)) for c, x in zip(_CYCLES, a))
-    return np.array(dense(3, entries, kind), kind.dtype)
+    return dense(3, summed(entries, kind), kind)
 
 
 def _cyclic_one(arr):
@@ -1232,34 +1233,41 @@ def build_special_frame_one(T):
 
 
 # ---- the Lie-side tables by dense n^3 loops ----------------------------------------------
-# The library reads the nonzero entries of C and D (``C_entries``,
-# ``D_entries``) and of T (``lie.torsion_entries``); these walk every index
-# of the dense tensors and add in the same order.
+# The library holds C, D and T as maps of their nonzero entries and reads
+# those alone; these walk every index of the dense tensors, read through
+# ``cube``, and add in the same order.
 
-def _cube(n):
+def _cells(n):
     return itertools.product(range(n), repeat=3)
 
 
+def cube(g, X):
+    """The map X of g (g.C, g.D or lie.chern_torsion(g)) as dense n x n x n
+    nested lists of g's scalars, by ``frames.dense``."""
+    return dense(g.n, X, g.kind).tolist()
+
+
 def nonzero_entries(X):
-    """The nonzero (j, i, k, X^j_{ik}) of a dense n x n x n tensor, in index order."""
-    return tuple((j, i, k, X[j][i][k]) for j, i, k in _cube(len(X)) if X[j][i][k])
+    """The map {(j, i, k): X^j_{ik}} of the nonzero cells of a dense
+    n x n x n tensor, in index order."""
+    return {(j, i, k): X[j][i][k] for j, i, k in _cells(len(X)) if X[j][i][k]}
 
 
 def from_cubes(n, C, D, label="", validate=True):
     """The algebra of dense n x n x n cubes C[j][i][k] and D[j][i][k], C
     antisymmetric in (i, k): their one scalar kind (``common_kind``, so
-    cubes of two kinds raise TypeError), and their nonzero entries as
-    scalars of it, in index order, given to ``lie.HermitianLieAlgebra``."""
+    cubes of two kinds raise TypeError), and the read-only maps of their
+    nonzero cells as scalars of it, in index order, given to
+    ``lie.HermitianLieAlgebra``."""
     kind = common_kind([c for X in (C, D) for layer in X for r in layer for c in r])
-    C_entries, D_entries = (tuple((j, i, k, kind.scalar(c)) for j, i, k, c in nonzero_entries(X))
-                            for X in (C, D))
-    return lie.HermitianLieAlgebra(n, kind, C_entries, D_entries, label=label,
-                                   validate=validate)
+    C, D = (MappingProxyType({key: kind.scalar(c) for key, c in nonzero_entries(X).items()})
+            for X in (C, D))
+    return lie.HermitianLieAlgebra(n, kind, C, D, label=label, validate=validate)
 
 
 def d_phi_dense(g):
     """d phi_i by the structure equation, every (j, k) in turn."""
-    n, C, D = g.n, g.C, g.D
+    n, C, D = g.n, cube(g, g.C), cube(g, g.D)
     out = []
     for i in range(n):
         t = {}
@@ -1276,11 +1284,11 @@ def d_phi_dense(g):
 def chern_torsion_dense(g):
     """T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki} for every j and i < k, and
     T^j_{ki} = -T^j_{ik}, as nested tuples."""
-    n = g.n
+    n, C, D = g.n, cube(g, g.C), cube(g, g.D)
     T = [[[g.kind.zero] * n for _ in range(n)] for _ in range(n)]
-    for j, i, k in _cube(n):
+    for j, i, k in _cells(n):
         if i < k:
-            v = -g.C[j][i][k] - g.D[j][i][k] + g.D[j][k][i]
+            v = -C[j][i][k] - D[j][i][k] + D[j][k][i]
             T[j][i][k], T[j][k][i] = v, -v
     return tuple(tuple(map(tuple, layer)) for layer in T)
 
@@ -1319,10 +1327,11 @@ def gauduchon_eta_dense(T, kind):
 
 def check_unimodular_dense(g):
     """sum_k ( C^k_{ki} + D^k_{ki} ) = 0 for every i, every k in turn."""
+    C, D = cube(g, g.C), cube(g, g.D)
     for i in range(g.n):
         acc = g.kind.zero
         for k in range(g.n):
-            acc = acc + g.C[k][k][i] + g.D[k][k][i]
+            acc = acc + C[k][k][i] + D[k][k][i]
         if not g.kind.negligible(acc):
             return False
     return True
@@ -1332,8 +1341,9 @@ def algebra_json_dense(g):
     """``HermitianLieAlgebra.to_json`` over every index: C with i < k, all of D."""
     def dump(T, anti):
         return [{"j": j + 1, "i": i + 1, "k": k + 1, "coef": scalar_to_json(T[j][i][k])}
-                for j, i, k in _cube(g.n) if T[j][i][k] and not (anti and i >= k)]
-    return {"n": g.n, "C": dump(g.C, True), "D": dump(g.D, False), "label": g.label}
+                for j, i, k in _cells(g.n) if T[j][i][k] and not (anti and i >= k)]
+    return {"n": g.n, "C": dump(cube(g, g.C), True), "D": dump(cube(g, g.D), False),
+            "label": g.label}
 
 
 # ---- classify stages by their full computations ------------------------------------------
@@ -1346,15 +1356,15 @@ def algebra_json_dense(g):
 def real_bracket_table_dense(g):
     """Brackets of the basis (e_1..e_n, ebar_1..ebar_n) as dense coefficient
     vectors: table[x][y] is the tuple expanding [b_x, b_y]."""
-    n = g.n
+    n, C, D = g.n, cube(g, g.C), cube(g, g.D)
     zeros = (g.kind.zero,) * n
     table = [[None] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            table[i][j] = tuple(g.C[k][i][j] for k in range(n)) + zeros
-            table[n + i][n + j] = zeros + tuple(g.C[k][i][j].conjugate() for k in range(n))
-            table[i][n + j] = (tuple(g.D[i][k][j].conjugate() for k in range(n))
-                               + tuple(-g.D[j][k][i] for k in range(n)))
+            table[i][j] = tuple(C[k][i][j] for k in range(n)) + zeros
+            table[n + i][n + j] = zeros + tuple(C[k][i][j].conjugate() for k in range(n))
+            table[i][n + j] = (tuple(D[i][k][j].conjugate() for k in range(n))
+                               + tuple(-D[j][k][i] for k in range(n)))
             table[n + j][i] = tuple(-c for c in table[i][n + j])
     return tuple(map(tuple, table))
 
@@ -1498,8 +1508,9 @@ def direct_sum(g1, g2):
     constants shifted by g1.n, after g1's, so still in index order; no
     bracket between the summands."""
     n1 = g1.n
-    C, D = (X1 + tuple((n1 + j, n1 + i, n1 + k, c) for j, i, k, c in X2)
-            for X1, X2 in ((g1.C_entries, g2.C_entries), (g1.D_entries, g2.D_entries)))
+    C, D = (MappingProxyType({**X1, **{(n1 + j, n1 + i, n1 + k): c
+                                       for (j, i, k), c in X2.items()}})
+            for X1, X2 in ((g1.C, g2.C), (g1.D, g2.D)))
     return lie.HermitianLieAlgebra(n1 + g2.n, g1.kind, C, D, label=f"{g1.label}+{g2.label}")
 
 

@@ -19,7 +19,7 @@ from btpgeo.goldens import (RICCI_CLAIMED, expected_wallach_r11,
 from btpgeo.linalg import takagi_factorize
 from btpgeo.scalars import EC
 
-from _oracles import arrays, as_array, wallach_metric_values, wirtinger_fd
+from _oracles import arrays, as_array, cube, wallach_metric_values, wirtinger_fd
 
 GRID = [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
 
@@ -171,7 +171,7 @@ def test_criterion_6_rank_three_case():
     rep = lie.classify(g)
     traces = lie.trace(lie.chern_connection(g)).is_zero()
     rng = np.random.default_rng(99)
-    T = np.array(lie.chern_torsion(g), complex)
+    T = np.array(cube(g, lie.chern_torsion(g)), complex)
     worst = 0.0
     for _ in range(100):
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -210,7 +210,7 @@ def test_criterion_8_pluriclosed_obstruction():
             cases.append(lie.family_a(p, -p, a))
             cases.append(lie.family_b(p, Fraction(1, 3), a))
     for g in cases:
-        a = lie.chern_torsion(g)[0][0][2]
+        a = cube(g, lie.chern_torsion(g))[0][0][2]
         want = p11.wedge(p22).scale(EC(2) * a * a)
         ok = ok and lie.pluriclosed_obstruction(g) == want
     assert report(8, ok, f"{len(cases)} middle-type samples, coefficient 2a^2 exact") and ok

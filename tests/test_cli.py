@@ -473,7 +473,7 @@ def test_sweep_origin_compares_c_as_well_as_d(capsys, monkeypatch):
         g = n3(a)
         C = [[[EC(0)] * 3 for _ in range(3)] for _ in range(3)]
         C[2][0][1], C[2][1][0] = EC(1), EC(-1)
-        return _oracles.from_cubes(3, C, g.D, label="n3+C")
+        return _oracles.from_cubes(3, C, _oracles.cube(g, g.D), label="n3+C")
     monkeypatch.setattr(lie, "nilmanifold_n3", n3_with_c)
     code, out, _ = run_cli(capsys, "sweep", "--grid=0,1")
     claims = json.loads(out)["claims"]
@@ -695,7 +695,7 @@ def test_every_report_holds_only_the_types_the_writer_takes(monkeypatch, capsys)
         if main(list(argv)) in (0, 1):
             written.append(argv)
     capsys.readouterr()
-    assert len(payloads) == len(written) == 22
+    assert len(payloads) == len(written) == 23
     for argv, payload in zip(written, payloads):
         assert _holds_writer_types(payload), argv
     # each of the three wallach reports holds its seven tables

@@ -180,13 +180,20 @@ def test_dolbeault_rejects_mixed_bidegree():
         dolbeault_split(lie.abelian(3), phi(0) + phi(0).wedge(phibar(1)))
 
 
+@pytest.mark.parametrize("I, J", [((1, 0), (0,)), ((0,), (2, 1))], ids=["phi", "phibar"])
+def test_monomial_rejects_one_index_list_out_of_order(I, J):
+    # either list out of order is enough, the other one in order
+    with pytest.raises(ValueError, match="strictly increasing"):
+        InvariantForm.monomial(3, I, J, EC.one())
+
+
 # ---- d^2 residual ---------------------------------------------------------------
 
 def bracket_jacobi_oracle(ctx):
     """Brute-force Jacobi test on the complexified 2n-dimensional bracket."""
     n = ctx.n
     dim = 2 * n
-    alg = lie.HermitianLieAlgebra(n, ctx.kind, ctx.C_entries, ctx.D_entries, validate=False)
+    alg = lie.HermitianLieAlgebra(n, ctx.kind, ctx.C, ctx.D, validate=False)
     table = real_bracket_table_dense(alg)
 
     def brk(u, v):
@@ -222,7 +229,7 @@ def test_d_squared_zero_on_builtins():
 
 
 def test_d_squared_heisenberg():
-    ctx = CoframeContext(3, EXACT, ((2, 0, 1, EC(1)), (2, 1, 0, EC(-1))), ())
+    ctx = CoframeContext(3, EXACT, {(2, 0, 1): EC(1), (2, 1, 0): EC(-1)}, {})
     assert all(r.is_zero() for r in d_squared_residual(ctx))
     assert bracket_jacobi_oracle(ctx)
 
@@ -250,7 +257,7 @@ def test_d_squared_generic_nonzero_matches_bracket_oracle():
 
 def test_c_antisymmetry_enforced():
     with pytest.raises(ValueError):     # the mirror entry is missing
-        CoframeContext(3, EXACT, ((0, 1, 2, EC(1)),), ())
+        CoframeContext(3, EXACT, {(0, 1, 2): EC(1)}, {})
 
 
 def test_form_json_roundtrip():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from _oracles import (b_rank_type_two_path, build_special_frame_one, special_to_admissible_two_path,
-                      takagi_factorize_one, transform_torsion_one)
+from _oracles import (b_rank_type_two_path, build_special_frame_one, cube,
+                      special_to_admissible_two_path, takagi_factorize_one, transform_torsion_one)
 from btpgeo import frames, goldens, lie
 from btpgeo.linalg import ShapeError, takagi_factorize
 from btpgeo.scalars import EC
@@ -111,7 +111,8 @@ def test_special_frame_fixed_point():
 
 def test_special_frame_recovers_sl2c():
     rng = np.random.default_rng(3)
-    T = np.array(lie.chern_torsion(lie.sl2c(1)), complex)
+    g = lie.sl2c(1)
+    T = np.array(cube(g, lie.chern_torsion(g)), complex)
     for _ in range(20):
         scr = frames.transform_torsion(T, random_unitary(rng))
         res = frames.build_special_frame(scr)

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (admissible_pattern_loop, algebra_json_dense, b_tensor_dense,
                       bismut_trace_full_curvature, btp_residuals_triple_loop,
-                      check_unimodular_dense, chern_torsion_dense, connection_dense,
-                      curvature_by_form_differences, d_phi_dense, first_chern_ricci,
+                      check_unimodular_dense, chern_torsion_dense, connection_dense, cube,
+                      curvature_by_form_differences, d_phi_dense, direct_sum, first_chern_ricci,
                       from_cubes, gauduchon_eta_dense, is_skew_hermitian, nonzero_entries,
-                      real_bracket_table_dense, regauge, solvability_profile_all_pairs,
+                      real_bracket_table_dense, regauge, so_complex, solvability_profile_all_pairs,
                       solvability_profile_dense, solvability_profile_full_reduction,
                       transform_frame_loop, transform_tensor,
                       vaisman_torsion_pattern_loop)
@@ -46,7 +47,7 @@ def _gamma(g):
 
 def _half_residuals(g):
     """The parallel-torsion residuals R_ijk with i < k that classify sums."""
-    return lie._btp_residuals_from(lie.torsion_entries(g), lie.bismut_connection(g))
+    return lie._btp_residuals_from(lie.chern_torsion(g), lie.bismut_connection(g))
 
 
 BUILTINS = lambda: (lie.nilmanifold_n3(1), lie.family_a(1, -1),
@@ -58,21 +59,21 @@ BUILTINS = lambda: (lie.nilmanifold_n3(1), lie.family_a(1, -1),
 # ---- torsion ---------------------------------------------------------------
 
 def test_sl2c_torsion_cyclic():
-    T = lie.chern_torsion(lie.sl2c(1))
+    g = lie.sl2c(1)
+    T = cube(g, lie.chern_torsion(g))
     assert T[0][1][2] == EC(1) and T[1][2][0] == EC(1) and T[2][0][1] == EC(1)
     assert T[0][0][1].is_zero() and T[2][1][0] == EC(-1)
 
 
 def test_abelian_torsion_zero():
-    assert all(c.is_zero() for layer in lie.chern_torsion(lie.abelian(3))
-               for r in layer for c in r)
+    assert lie.chern_torsion(lie.abelian(3)) == {}
 
 
-def test_torsion_is_nested_tuples_of_the_algebra_kind():
+def test_torsion_is_a_read_only_map_of_the_algebra_kind():
     for g in (lie.nilmanifold_n3(1), _float_algebra(lie.sl2c(1))):
         T = lie.chern_torsion(g)
-        assert type(T) is tuple and all(type(r) is tuple for layer in T for r in layer)
-        assert {type(c) for layer in T for r in layer for c in r} == {type(g.kind.zero)}
+        assert type(T) is MappingProxyType and list(T) == sorted(T)
+        assert {type(c) for c in T.values()} == {type(g.kind.zero)}
 
 
 def test_n3_torsion_from_structure_equation():
@@ -83,7 +84,7 @@ def test_n3_torsion_from_structure_equation():
     # coefficient of phi_j ^ phibar_k in d phi_3 is -conj(D^j_{3k})
     a = -d3.coeff((0,), (0,)).conjugate()
     assert a == EC(Fraction(2, 3))        # reads back D^1_{31}
-    T = lie.chern_torsion(g)
+    T = cube(g, lie.chern_torsion(g))
     assert T[0][0][2] == EC(Fraction(2, 3)) and T[1][1][2] == EC(Fraction(-2, 3))
     nz = [(j, i, k) for j in range(3) for i in range(3) for k in range(3)
           if not T[j][i][k].is_zero()]
@@ -95,9 +96,9 @@ def test_mixed_scalar_kinds_are_rejected_on_construction():
     # and fail later, inside classify, on ExactComplex - complex; the
     # library's constructor takes its kind, and cubes are read for theirs
     g = lie.nilmanifold_n3()
-    D = [[[complex(c) for c in r] for r in l] for l in g.D]
+    D = [[[complex(c) for c in r] for r in l] for l in cube(g, g.D)]
     with pytest.raises(TypeError, match="mixed scalar kinds"):
-        from_cubes(3, g.C, D)
+        from_cubes(3, cube(g, g.C), D)
 
 
 # ---- connections -------------------------------------------------------------
@@ -259,7 +260,7 @@ def test_b_tensor_zero():
 
 def test_b_tensor_middle_brute_force():
     g = lie.nilmanifold_n3(3)
-    T = lie.chern_torsion(g)
+    T = cube(g, lie.chern_torsion(g))
     B = lie.b_tensor(g)
     # independent summation over all (r, s)
     for i in range(3):
@@ -287,9 +288,9 @@ def test_btp_examples():
 
 def _perturbed_n3():
     g = lie.nilmanifold_n3(1)
-    D = [list(map(list, layer)) for layer in g.D]
+    D = cube(g, g.D)
     D[0][1][0] = EC(Fraction(1, 10))      # perturb D^1_{21}
-    return from_cubes(3, g.C, D, label="n3~perturbed", validate=False)
+    return from_cubes(3, cube(g, g.C), D, label="n3~perturbed", validate=False)
 
 
 def test_btp_broken_by_perturbation():
@@ -302,9 +303,9 @@ def test_unimodular_examples():
     assert lie.check_unimodular(lie.nilmanifold_n3(1))
     assert lie.check_unimodular(lie.abelian(3))
     g = lie.family_b(1, 1)
-    D = [list(map(list, layer)) for layer in g.D]
+    D = cube(g, g.D)
     D[1][1][1] = EC(1)                    # D^2_{22} = 1 breaks the trace condition
-    h = from_cubes(3, g.C, D, label="b~broken", validate=False)
+    h = from_cubes(3, cube(g, g.C), D, label="b~broken", validate=False)
     assert not lie.check_unimodular(h)
 
 
@@ -413,7 +414,7 @@ def test_pluriclosed_pattern_agrees_with_loop(T):
     # with D = 0 the Chern torsion is -C; validation is off since random C
     # need not satisfy Jacobi, which the pattern test does not read
     for g in (_torsion_algebra(T), _torsion_algebra(np.array(T, complex).tolist())):
-        assert _pluriclosed_accepts(g) == admissible_pattern_loop(lie.chern_torsion(g))
+        assert _pluriclosed_accepts(g) == admissible_pattern_loop(cube(g, lie.chern_torsion(g)))
 
 
 PATTERN_ALGEBRAS = [lie.nilmanifold_n3(Fraction(3, 2)), lie.family_a(Fraction(1, 2), -1),
@@ -427,16 +428,16 @@ def test_regauged_patterns_agree_with_loops(g, P):
     gP = regauge(g, np.conj(P))
     for h in (gP, _float_algebra(gP)):
         assert lie.vaisman_torsion_pattern(h) == vaisman_torsion_pattern_loop(h)
-        assert _pluriclosed_accepts(h) == admissible_pattern_loop(lie.chern_torsion(h))
+        assert _pluriclosed_accepts(h) == admissible_pattern_loop(cube(h, lie.chern_torsion(h)))
     json.dumps(lie.classify(_float_algebra(gP)).to_json())
 
 
 def test_pluriclosed_float_pattern_uses_the_kind_zero_test():
     # a float copy of the nilmanifold with roundoff-sized torsion noise
     g = _float_algebra(lie.nilmanifold_n3(1))
-    D = np.array(g.D)
+    D = np.array(cube(g, g.D))
     D[0, 2, 0] += 1e-13
-    gn = from_cubes(3, g.C, D.tolist())
+    gn = from_cubes(3, cube(g, g.C), D.tolist())
     ob = lie.pluriclosed_obstruction(gn)
     assert abs(ob.coeff((0, 1), (0, 1)) + 2) < 1e-9
 
@@ -446,15 +447,15 @@ def test_pluriclosed_float_pattern_uses_the_kind_zero_test():
 def test_torsion_equivariant_under_frame_change():
     rng = np.random.default_rng(23)
     g0 = lie.family_a(1, -1)
-    Texact = np.array(lie.chern_torsion(g0), object)
-    Cf = [[[complex(c) for c in r] for r in layer] for layer in g0.C]
-    Df = [[[complex(c) for c in r] for r in layer] for layer in g0.D]
+    Texact = np.array(cube(g0, lie.chern_torsion(g0)), object)
+    Cf = [[[complex(c) for c in r] for r in layer] for layer in cube(g0, g0.C)]
+    Df = [[[complex(c) for c in r] for r in layer] for layer in cube(g0, g0.D)]
     gf = from_cubes(3, Cf, Df, label="a~float")
     for _ in range(5):
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         Q, _ = np.linalg.qr(M)
         gP = regauge(gf, np.conj(Q))
-        T1 = np.array(lie.chern_torsion(gP), complex)
+        T1 = np.array(cube(gP, lie.chern_torsion(gP)), complex)
         T2 = frames.transform_torsion(Texact, Q)
         assert np.max(np.abs(T1 - T2)) < 1e-9
 
@@ -463,8 +464,8 @@ def test_classify_invariant_under_frame_change():
     # every predicate in the report is frame-covariant
     rng = np.random.default_rng(31)
     for g0 in (lie.nilmanifold_n3(1), lie.vaisman_nilmanifold(1), lie.sl2c(1)):
-        Cf = [[[complex(c) for c in r] for r in layer] for layer in g0.C]
-        Df = [[[complex(c) for c in r] for r in layer] for layer in g0.D]
+        Cf = [[[complex(c) for c in r] for r in layer] for layer in cube(g0, g0.C)]
+        Df = [[[complex(c) for c in r] for r in layer] for layer in cube(g0, g0.D)]
         gf = from_cubes(3, Cf, Df, label=g0.label + "~float")
         base = lie.classify(gf)
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -485,7 +486,7 @@ EXACT_UNITARIES = [
 
 def _float_algebra(g):
     to_float = lambda T: [[[complex(c) for c in r] for r in layer] for layer in T]
-    return from_cubes(g.n, to_float(g.C), to_float(g.D), label=g.label)
+    return from_cubes(g.n, to_float(cube(g, g.C)), to_float(cube(g, g.D)), label=g.label)
 
 
 @settings(max_examples=20, deadline=None)
@@ -495,8 +496,8 @@ def test_transform_frame_matches_loop_law_exactly(g, P):
     gP = regauge(g, np.conj(P))
     C, D = transform_frame_loop(g, P)
     assert gP.kind.exact
-    assert [[list(r) for r in layer] for layer in gP.C] == C
-    assert [[list(r) for r in layer] for layer in gP.D] == D
+    assert cube(gP, gP.C) == C
+    assert cube(gP, gP.D) == D
 
 
 @settings(max_examples=30, deadline=None)
@@ -507,16 +508,17 @@ def test_transform_frame_matches_loop_law_in_float(g, seed):
     gf = _float_algebra(g)
     gP = regauge(gf, np.conj(Q))
     C, D = transform_frame_loop(gf, Q.tolist())
-    assert np.max(np.abs(np.array(gP.C) - np.array(C))) <= 1e-12
-    assert np.max(np.abs(np.array(gP.D) - np.array(D))) <= 1e-12
+    assert np.max(np.abs(np.array(cube(gP, gP.C)) - np.array(C))) <= 1e-12
+    assert np.max(np.abs(np.array(cube(gP, gP.D)) - np.array(D))) <= 1e-12
 
 
 def test_transform_frame_requires_unitary():
     # exact torsion and an exact frame change are read as complex128
+    g = lie.sl2c(1)
     with pytest.raises(ValueError):
-        frames.transform_torsion(lie.chern_torsion(lie.sl2c(1)), [[EC(2), EC(0), EC(0)],
-                                                                  [EC(0), EC(1), EC(0)],
-                                                                  [EC(0), EC(0), EC(1)]])
+        frames.transform_torsion(cube(g, lie.chern_torsion(g)), [[EC(2), EC(0), EC(0)],
+                                                                 [EC(0), EC(1), EC(0)],
+                                                                 [EC(0), EC(0), EC(1)]])
 
 
 # ---- classify -------------------------------------------------------------------------
@@ -557,6 +559,15 @@ def test_classify_rank_one_pattern():
     # the torsion is not parallel, so this is not the fano_pattern case
     assert rep.balanced and rep.b_rank == 1
     assert rep.type_label == "chern_flat" and not rep.btp
+
+
+def test_classify_balanced_without_parallel_torsion_is_other():
+    # b_zt(0, 1) in a non-unitary coframe: balanced and of B-rank 2, but its
+    # torsion is not parallel, so neither the middle nor the fano_pattern arm
+    P = [[EC(1), EC(0), EC(0)], [EC(1), EC(1, 1), EC(0)], [EC(0), EC(0), EC(1)]]
+    rep = lie.classify(regauge(lie.family_b(0, 1), P))
+    assert rep.balanced and not rep.btp and rep.b_rank == 2
+    assert rep.type_label == "other"
 
 
 def test_report_invariants():
@@ -645,7 +656,7 @@ def _assert_stages_agree_with_oracles(g):
     assert lie.solvability_profile(g) == solvability_profile_all_pairs(g)
     assert lie.solvability_profile(g) == solvability_profile_full_reduction(g)
     assert lie.solvability_profile(g) == solvability_profile_dense(g)
-    T, tb = lie.chern_torsion(g), lie.bismut_connection(g)
+    T, tb = cube(g, lie.chern_torsion(g)), lie.bismut_connection(g)
     want = btp_residuals_triple_loop(T, tb)
     # classify sums only the residuals with i < k
     assert _half_residuals(g) == {(i, j, k): f for (i, j, k), f in want.items() if i < k}
@@ -733,17 +744,22 @@ def test_classify_stages_agree_with_oracles_on_family_members(g):
 
 
 # ---- the sparse Lie kernels against their dense loops ------------------------------------
-# Every Lie-side table is built from the nonzero entries of C, D and T; the
-# oracles walk the dense n^3 cube and add in the same order, so the two agree
-# exactly for either scalar kind.
+# Every Lie-side table is built from the maps of the nonzero entries of C, D
+# and T; the oracles walk the dense n^3 cube and add in the same order, so
+# the two agree exactly for either scalar kind.
+
+def _assert_is_nonzero_cells(X, cube):
+    """X is the read-only map of the nonzero cells of cube, in index order."""
+    assert type(X) is MappingProxyType
+    assert list(X.items()) == list(nonzero_entries(cube).items())
+
 
 def _assert_sparse_kernels_match_dense(g):
     T = chern_torsion_dense(g)
-    assert g.C_entries == nonzero_entries(g.C) and g.D_entries == nonzero_entries(g.D)
+    _assert_is_nonzero_cells(lie.chern_torsion(g), T)
     assert [g.d_phi(i) for i in range(g.n)] == d_phi_dense(g)
-    assert lie.chern_torsion(g) == T and lie.torsion_entries(g) == nonzero_entries(T)
-    assert lie.chern_connection(g) == connection_dense(g.kind, g.D)
-    assert lie.bismut_connection(g) == connection_dense(g.kind, g.D, T)
+    assert lie.chern_connection(g) == connection_dense(g.kind, cube(g, g.D))
+    assert lie.bismut_connection(g) == connection_dense(g.kind, cube(g, g.D), T)
     assert lie.b_tensor(g) == b_tensor_dense(T, g.kind)
     assert lie.gauduchon_eta(g) == gauduchon_eta_dense(T, g.kind)
     assert lie.check_unimodular(g) is check_unimodular_dense(g)
@@ -771,8 +787,11 @@ REGAUGE_FRAMES = ([[EC(1), EC(1), EC(0)], [EC(0), EC(1), EC(0)], [EC(0), EC(0), 
                          ids=lambda g: g.label)
 def test_sparse_kernels_match_dense_loops(g):
     _assert_sparse_kernels_match_dense(g)
-    C, D = (np.array(T, complex).tolist() for T in (g.C, g.D))
-    _assert_sparse_kernels_match_dense(from_cubes(g.n, C, D, validate=False))
+    C, D = (np.array(cube(g, X), complex).tolist() for X in (g.C, g.D))
+    h = from_cubes(g.n, C, D, validate=False)
+    _assert_is_nonzero_cells(h.C, C)
+    _assert_is_nonzero_cells(h.D, D)
+    _assert_sparse_kernels_match_dense(h)
 
 
 @settings(max_examples=200, deadline=None)
@@ -790,6 +809,33 @@ def test_float_tables_agree_with_oracles_on_builtins_and_sweep_grid():
         # the dense one laid out at full width
         assert lie.solvability_profile(_float_algebra(g)) == solvability_profile_dense(
             _float_algebra(g)), g.label
+
+
+# ---- storage: C, D and T held once, as read-only maps ---------------------------------------
+
+STORED = (BUILTINS() + tuple(so_complex(m) for m in (3, 4, 5))
+          + (direct_sum(lie.family_a(Fraction(1, 2), Fraction(1, 3)), lie.sl2c(1)),
+             direct_sum(lie.nilmanifold_n3(2), lie.vaisman_nilmanifold(1)),
+             _float_algebra(lie.family_b(EC(1, Fraction(1, 2)), Fraction(1, 3)))))
+
+
+def _is_cube(x, n) -> bool:
+    """Whether x is an n x n x n nested tuple."""
+    return (type(x) is tuple and len(x) == n and all(
+        type(r) is tuple and len(r) == n and all(type(c) is tuple and len(c) == n for c in r)
+        for r in x))
+
+
+@pytest.mark.parametrize("g", STORED, ids=lambda g: g.label)
+def test_c_d_and_torsion_are_read_only_maps_of_nonzero_entries(g):
+    T = lie.chern_torsion(g)
+    for X, want in ((g.C, cube(g, g.C)), (g.D, cube(g, g.D)), (T, chern_torsion_dense(g))):
+        _assert_is_nonzero_cells(X, want)
+        with pytest.raises(TypeError):
+            X[0, 0, 0] = g.kind.one
+    lie.classify(g)         # fills the memo
+    assert lie.chern_torsion(g) is T
+    assert not any(_is_cube(v, g.n) for v in g._memo.values())
 
 
 # ---- JSON -------------------------------------------------------------------------------
@@ -812,8 +858,8 @@ def test_json_rejects_bad_schema():
 
 
 def test_constructor_rejects_non_integrable():
-    C = ((2, 0, 1, EC(1)), (2, 1, 0, EC(-1)))
-    D = ((0, 0, 1, EC(1)),)     # spoils the Jacobi identity
+    C = {(2, 0, 1): EC(1), (2, 1, 0): EC(-1)}
+    D = {(0, 0, 1): EC(1)}      # spoils the Jacobi identity
     with pytest.raises(lie.IntegrabilityError) as exc:
         lie.HermitianLieAlgebra(3, EXACT, C, D)
     assert "d^2 phi" in str(exc.value)
@@ -840,10 +886,10 @@ def _plain(c):
 ], ids=["n3", "sl2c", "vaisman54", "a_st", "b_zt", "abelian"])
 def test_an_int_built_algebra_classifies_as_its_exact_twin(make):
     g = make()
-    plain = [[[[_plain(c) for c in r] for r in layer] for layer in T] for T in (g.C, g.D)]
+    plain = [[[[_plain(c) for c in r] for r in layer] for layer in cube(g, X)]
+             for X in (g.C, g.D)]
     h = from_cubes(g.n, *plain, label=g.label)
-    assert h.kind is g.kind and all(type(c) is EC for T in (h.C, h.D)
-                                    for layer in T for r in layer for c in r)
+    assert h.kind is g.kind and all(type(c) is EC for X in (h.C, h.D) for c in X.values())
     assert (h.C, h.D) == (g.C, g.D)
     assert json.dumps(lie.classify(h).to_json(), sort_keys=True) == \
         json.dumps(lie.classify(g).to_json(), sort_keys=True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import (ad_gram, cayley_unitary, direct_sum, killing_form, power_traces,
+from _oracles import (ad_gram, cayley_unitary, cube, direct_sum, killing_form, power_traces,
                       regauge, so_complex, solvability_profile_dense,
                       solvability_profile_full_reduction, transform_frame_loop)
 from btpgeo import lie
@@ -68,8 +68,8 @@ def test_unitary_regauge_is_the_frame_change():
         U = cayley_unitary(A)
         for g in ALGEBRAS.values():
             h, (C, D) = regauge(g, U), transform_frame_loop(g, np.conj(U))
-            assert [[list(r) for r in layer] for layer in h.C] == C, g.label
-            assert [[list(r) for r in layer] for layer in h.D] == D, g.label
+            assert cube(h, h.C) == C, g.label
+            assert cube(h, h.D) == D, g.label
 
 
 def test_classify_is_invariant_under_cayley_unitaries():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import (expanded, from_cubes, fubini_study_metric, jet_partial, jet_truncate,
-                      jet_variable)
+from _oracles import (cube, expanded, from_cubes, fubini_study_metric, jet_partial,
+                      jet_truncate, jet_variable)
 from btpgeo import charts, lie, scalars
 from btpgeo.forms import BidegreeError, InvariantForm, dolbeault_split, exterior_d
 from btpgeo.jets import Jet2, jet_matrix_inverse
@@ -161,6 +161,20 @@ def test_exact_json_parts_at_the_digit_bound():
     assert c._d == 21 and c._r == 3 * top
     assert scalar_to_json(c) == {"re": f"{top}/7", "im": "1/3"}
     assert scalar_to_json(EC(0, top)) == {"re": "0", "im": str(top)}
+
+
+def test_parse_rational_raises_from_the_digit_bound_on():
+    # the exponent counts toward the bound: 1e4298 has MAX_DIGITS - 1 digits
+    assert MAX_DIGITS == 4300
+    assert parse_rational("1e4298") == 10 ** 4298
+    with pytest.raises(DigitLimitError):
+        parse_rational("1e4299")
+
+
+def test_json_scalar_object_without_im_is_real():
+    assert scalar_from_json({"re": "1/2"}) == EC(Fraction(1, 2))
+    z = scalar_from_json({"re": 1.5})
+    assert z == 1.5 + 0j and type(z) is complex
 
 
 def test_json_roundtrip_float():
@@ -471,7 +485,7 @@ def _ctx(kind):
     if kind.exact:
         return g
     to_float = lambda T: [[[complex(c) for c in r] for r in layer] for layer in T]
-    return from_cubes(3, to_float(g.C), to_float(g.D))
+    return from_cubes(3, to_float(cube(g, g.C)), to_float(cube(g, g.D)))
 
 
 @given(st.sampled_from([EXACT, FLOAT]).flatmap(lambda k: st.tuples(

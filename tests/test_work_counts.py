@@ -104,7 +104,7 @@ def _count_scalar_ops(monkeypatch):
 
 @pytest.mark.parametrize("g, ops", SCALAR_OPS, ids=[g.label for g, _ in SCALAR_OPS])
 def test_classify_scalar_ops_are_pinned(monkeypatch, g, ops):
-    g = lie.HermitianLieAlgebra(g.n, g.kind, g.C_entries, g.D_entries, label=g.label)  # no tables
+    g = lie.HermitianLieAlgebra(g.n, g.kind, g.C, g.D, label=g.label)  # no tables
     calls = _count_scalar_ops(monkeypatch)
     lie.classify(g)
     assert calls["ops"] == ops
@@ -232,15 +232,15 @@ def _count_bodies(monkeypatch, calls, *memoized):
 
 def test_verify_n3_builds_torsion_and_connections_once(monkeypatch, capsys):
     calls = Counter()
-    _count_bodies(monkeypatch, calls, lie.torsion_entries, lie.chern_torsion)
+    _count_bodies(monkeypatch, calls, lie.chern_torsion)
     monkeypatch.setattr(lie, "_connection_from",
                         _counter(calls)("_connection_from", lie._connection_from))
     assert main(["verify", "--example", "n3"]) == 0
     capsys.readouterr()
     # classify, the Bismut curvature and the pluriclosed obstruction share
-    # one list of torsion entries, and none reads the dense T;
+    # one map of the torsion;
     # _connection_from builds the Chern and the Bismut connection
-    assert calls == {"torsion_entries": 1, "_connection_from": 2}
+    assert calls == {"chern_torsion": 1, "_connection_from": 2}
 
 
 def test_companion_builds_one_bismut_connection_per_algebra(monkeypatch, capsys):
@@ -353,7 +353,7 @@ def test_build_parser_takes_no_arguments():
 def test_memo_lives_on_its_object():
     g, h = lie.nilmanifold_n3(1), lie.nilmanifold_n3(1)
     assert g.C == h.C and g.D == h.D
-    for fn in (lie.torsion_entries, lie.chern_torsion, lie.chern_connection,
+    for fn in (lie.chern_torsion, lie.chern_connection,
                lie.bismut_connection, lie.real_bracket_table):
         assert fn(g) is fn(g)
         assert fn(g) is not fn(h)       # equal data built apart share nothing

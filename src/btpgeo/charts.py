@@ -8,15 +8,17 @@ and so are the sectional and Ricci curvature.
 
 The constructor reads the jet coefficients once (ChartMetric).  Each table is
 written once, as einsums of them, built once per metric (scalars.memoized)
-and handed out as the same read-only table on every call.  The metric's
-engine supplies the einsum and the other primitives that differ by kind: a
-float metric (``_Dense``) holds complex128 arrays and contracts them with
-np.einsum; an exact metric (``_Sparse``) holds every quantity, from its jet
-coefficients to its direction stacks, as a map {index tuple: nonzero
-ExactComplex} and contracts by ``tensor.ein``, and its tables are handed out
-as read-only views of those maps.  numpy is imported only by the float
-engine and the float positivity test; ``random_planes`` draws from the
-numpy generator its caller passes.
+and handed out as the same read-only table on every call.  The metric is its
+own engine: it supplies the einsum and the other primitives that differ by
+kind.  A float metric (``_Dense``) holds complex128 arrays and contracts them
+with the np.einsum it binds; an exact metric (``_Sparse``) holds every
+quantity, from its jet coefficients to its direction stacks, as a map {index
+tuple: nonzero ExactComplex} and contracts by ``tensor.ein``, and its tables
+are handed out as read-only views of those maps.  A table built from others
+(the Ricci forms, the parallel-torsion residuals) reads them by calling their
+builders, so a metric gains nothing after construction but memo entries.
+numpy is imported only by the float metric's constructor; ``random_planes``
+draws from the numpy generator its caller passes.
 
 Sectional numerators and Ricci curvature run through the same contractions
 for both scalar kinds.  The Ricci curvature of x = X + conj(X) traces the
@@ -66,19 +68,21 @@ class DegeneratePlaneError(ValueError):
 class ChartMetric:
     """Hermitian metric components g_{i jbar} as 2-jets at a base point.
 
-    The constructor reads the jets once, into read-only tables of the
-    metric's engine (complex128 arrays, or maps {index tuple: nonzero
+    The constructor reads the jets once and returns a metric of their kind,
+    ``_Sparse`` (exact) or ``_Dense`` (float), which is its own engine.  It
+    holds read-only tables (complex128 arrays, or maps {index tuple: nonzero
     ExactComplex}): G[i,j] = g_{i jbar} and its inverse Ginv[l,j] = g^{lbar j},
     dg[i,j,k] = partial_k g_{i jbar}, dgb[i,j,k] = partial_kbar g_{i jbar},
     hh[i,j,k,m] = partial_k partial_m g_{i jbar} (doubled on the diagonal,
     as Jet2.deriv), ha[i,j,k,l] = partial_k partial_lbar g_{i jbar} and the
     Chern Christoffel symbols gam[l,r,i] = sum_s g_{l sbar, i} g^{sbar r}.
+    It supplies the primitives that differ by kind (``ein``, ``conj``,
+    ``table``, ``directions``, ...).  Only ``_memo`` changes after construction.
     """
 
-    __slots__ = ("n", "g", "label", "kind", "G", "Ginv", "dg", "dgb", "hh", "ha", "gam",
-                 "_t", "_memo")
+    __slots__ = ("n", "g", "label", "kind", "G", "Ginv", "dg", "dgb", "hh", "ha", "gam", "_memo")
 
-    def __init__(self, n: int, g, label: str = ""):
+    def __new__(cls, n: int, g, label: str = ""):
         g = tuple(tuple(r) for r in g)
         if [len(r) for r in g] != [n] * n or any(not isinstance(f, Jet2) or f.n != n
                                                  for r in g for f in r):
@@ -99,29 +103,37 @@ class ChartMetric:
                 if not all(kind.negligible(c, 1e-10 * max(size, 1.0))
                            for c in (g[i][j] - h).terms.values()):
                     raise ValueError("metric jets must be hermitian")
-        G = [[f.value() for f in r] for r in g]
+        base = [[f.value() for f in r] for r in g]
         if kind.exact:
             # Sylvester: every leading principal minor D_k is positive iff row
             # reduction keeps n rows and row k holds D_k / D_(k-1) > 0 at
             # column k (then, row by row, that entry is its pivot)
-            rows = row_basis(map(sparse_row, G), kind)
+            rows = row_basis(map(sparse_row, base), kind)
             positive = len(rows) == n and all(k in r and r[k].im == 0 and r[k].re > 0
                                               for k, r in enumerate(rows))
-            engine = _Sparse
+            m, ops = object.__new__(_Sparse), {}
         else:
             import numpy as np
-            G = np.array(G)
-            positive = np.linalg.eigvalsh(G).min() > 0
-            engine = _Dense
+            base = np.array(base)
+            positive = np.linalg.eigvalsh(base).min() > 0
+            m, ops = object.__new__(_Dense), {"np": np, "ein": np.einsum, "conj": np.conj}
         if not positive:
             raise ValueError("metric must be positive definite at the base point")
-        t = engine(n, _jet_coefficients(g, kind), matrix_inverse(G, kind))
-        for name, value in zip(self.__slots__, (n, g, label, kind, t.G, t.Ginv, t.dg, t.dgb,
-                                                t.hh, t.ha, t.table(t.gam), t, {})):
-            object.__setattr__(self, name, value)
+        _put(m, n=n, g=g, label=label, kind=kind, _memo={}, **ops)
+        G, dg, dgb, hh, ha = map(m.operand, _jet_coefficients(g, kind), (2, 3, 3, 4, 4))
+        Ginv = m.matrix(matrix_inverse(base, kind))
+        _put(m, G=G, Ginv=Ginv, dg=dg, dgb=dgb, hh=hh, ha=ha,
+             gam=m.table(m.ein("lsi,sr->lri", dg, Ginv)))
+        return m
 
     def __setattr__(self, *_):
         raise AttributeError("ChartMetric is immutable")
+
+
+def _put(m: ChartMetric, **fields):
+    """Set the fields of a metric under construction (``__setattr__`` raises)."""
+    for name, value in fields.items():
+        object.__setattr__(m, name, value)
 
 
 def _readonly(a):
@@ -152,25 +164,19 @@ def _jet_coefficients(g, kind: Kind):
     return G, dg, dgb, hh, ha
 
 
-class _Sparse:
-    """An exact metric's engine: its operands, tables and direction stacks
-    as maps {index tuple: nonzero ExactComplex}, contracted by ``tensor.ein``.
+class _Sparse(ChartMetric):
+    """An exact metric: its operands, tables and direction stacks as maps
+    {index tuple: nonzero ExactComplex}, contracted by ``tensor.ein``.
 
     A stack of N directions is the map {(m, a): X_ma} with its count N, and
     a contraction over the stack is the map {(m,): value}; ``real`` reads it
     as the list of N Fractions, which ``each`` maps entry by entry.
     """
 
+    __slots__ = ()
     ein = staticmethod(ein)
     conj = staticmethod(conj)
     table = staticmethod(MappingProxyType)           # the table handed out
-
-    def __init__(self, n: int, entries, Ginv):
-        self.n = n
-        self.G, self.dg, self.dgb, self.hh, self.ha = map(self.operand, entries, (2, 3, 3, 4, 4))
-        self.Ginv = self.matrix(Ginv)
-        self.gam = self.ein("lsi,sr->lri", self.dg, self.Ginv)
-
     operand = staticmethod(lambda entries, rank: MappingProxyType(entries))
 
     @staticmethod
@@ -211,16 +217,13 @@ class _Sparse:
     result = staticmethod(lambda vals, single: vals[0] if single else vals)
 
 
-class _Dense(_Sparse):
-    """A float metric's engine: the same quantities as complex128 arrays,
-    contracted by np.einsum, a stack of N directions as an (N, n) array."""
+class _Dense(ChartMetric):
+    """A float metric: the same quantities as complex128 arrays, contracted
+    by numpy's einsum, which it binds with conj and numpy itself; a stack of
+    N directions is an (N, n) array."""
 
-    def __init__(self, n: int, entries, Ginv):
-        import numpy as np
-        self.np, self.ein, self.conj = np, np.einsum, np.conj
-        super().__init__(n, entries, Ginv)
-
-    table = staticmethod(_readonly)
+    __slots__ = ("np", "ein", "conj")
+    table = matrix = staticmethod(_readonly)
 
     def operand(self, entries, rank: int):
         """The read-only (n,) * rank array of a map's entries, 0j elsewhere."""
@@ -229,7 +232,6 @@ class _Dense(_Sparse):
             a[k] = c
         return _readonly(a)
 
-    matrix = table
     json = staticmethod(lambda t, rank: table_to_json(t))
 
     def directions(self, X):
@@ -253,7 +255,7 @@ class _Dense(_Sparse):
     # sectional expansion is a bilinear pairing of two of them
     pairs = staticmethod(lambda A, B: (A[:, :, None] * B[:, None, :]).reshape(len(A), -1))
     apply = staticmethod(lambda P, R: P @ R.reshape(P.shape[1], -1))
-    dot = lambda self, L, Q: self.np.einsum("mq,mq->m", L, Q)      # noqa: E731
+    dot = lambda self, L, Q: self.ein("mq,mq->m", L, Q)            # noqa: E731
     real = staticmethod(lambda a, count: a.real)
     each = staticmethod(lambda f, *cols: f(*cols))
     result = staticmethod(lambda vals, single: vals.tolist()[0] if single else vals)
@@ -313,32 +315,28 @@ def wallach_metric(point=None, kind: Kind = EXACT, sigma_scale=1) -> ChartMetric
 # pointwise extraction
 # --------------------------------------------------------------------------
 
-def _torsion_derivative(t, d, h):
+def _torsion_derivative(m: ChartMetric, d, h):
     """D[l,i,j,k] = partial_l T^j_{ik}, with d and h the derivatives of g_{i jbar}
     and g_{i jbar, k} along l (dg and hh for z_l, dgb and ha for zbar_l):
     D = sum_s ( h_{k s i l} - h_{i s k l} ) g^{sbar j}
         + sum_s ( g_{k sbar, i} - g_{i sbar, k} ) partial_l g^{sbar j},
     where partial_l G^{-1} = -G^{-1} (partial_l G) G^{-1}."""
-    dginv = -t.ein("sa,abl,bj->sjl", t.Ginv, d, t.Ginv)
-    return (t.ein("ksil,sj->lijk", h, t.Ginv) - t.ein("iskl,sj->lijk", h, t.Ginv)
-            + t.ein("ksi,sjl->lijk", t.dg, dginv) - t.ein("isk,sjl->lijk", t.dg, dginv))
+    dginv = -m.ein("sa,abl,bj->sjl", m.Ginv, d, m.Ginv)
+    return (m.ein("ksil,sj->lijk", h, m.Ginv) - m.ein("iskl,sj->lijk", h, m.Ginv)
+            + m.ein("ksi,sjl->lijk", m.dg, dginv) - m.ein("isk,sjl->lijk", m.dg, dginv))
 
 
 @memoized
 def chern_torsion_at(m: ChartMetric):
     """T^j_{ik} = sum_l ( g_{k lbar, i} - g_{i lbar, k} ) g^{lbar j}."""
-    t = m._t
-    t.T = t.ein("kli,lj->jik", t.dg, t.Ginv) - t.ein("ilk,lj->jik", t.dg, t.Ginv)
-    return t.table(t.T)
+    return m.table(m.ein("kli,lj->jik", m.dg, m.Ginv) - m.ein("ilk,lj->jik", m.dg, m.Ginv))
 
 
 @memoized
 def chern_curvature_at(m: ChartMetric):
     """R^c_{k lbar i jbar} = -g_{i jbar, k lbar}
     + sum_{p,q} g_{i pbar, k} conj(g_{j qbar, l}) g^{pbar q}."""
-    t = m._t
-    t.Rc = t.ein("iqk,jql->klij", t.gam, t.conj(t.dg)) - t.ein("ijkl->klij", t.ha)
-    return t.table(t.Rc)
+    return m.table(m.ein("iqk,jql->klij", m.gam, m.conj(m.dg)) - m.ein("ijkl->klij", m.ha))
 
 
 @memoized
@@ -352,9 +350,8 @@ def ricci_forms_at(m: ChartMetric):
     ric2[i][j] = sum_{k,l} Rc[k][l][i][j] g^{lbar k},
     ric3[k][j] = sum_{l,i} Rc[k][l][i][j] g^{lbar i}.
     """
-    chern_curvature_at(m)                        # kept as m._t.Rc
-    t = m._t
-    return tuple(t.table(t.ein(spec, t.Rc, t.Ginv))
+    Rc = chern_curvature_at(m)
+    return tuple(m.table(m.ein(spec, Rc, m.Ginv))
                  for spec in ("klip,pi->kl", "klij,lk->ij", "klij,li->kj"))
 
 
@@ -373,14 +370,13 @@ def btp_residual_at(m: ChartMetric):
     Both vanish identically iff the Bismut torsion is parallel at the point.
     res_h and res_a are indexed [l][i][j][k] and transform as tensors under
     a linear change of chart."""
-    chern_torsion_at(m)                          # kept as m._t.T
-    t = m._t
-    A = t.ein("ip,pls,sr->rli", t.G, t.conj(t.T), t.Ginv)
-    res_h = (_torsion_derivative(t, t.dg, t.hh) - t.ein("lri,jrk->lijk", t.gam, t.T)
-             - t.ein("lrk,jir->lijk", t.gam, t.T) + t.ein("ljr,rik->lijk", t.gam, t.T))
-    res_a = (_torsion_derivative(t, t.dgb, t.ha) - t.ein("jir,rlk->lijk", t.T, A)
-             + t.ein("jkr,rli->lijk", t.T, A) + t.ein("rik,jlr->lijk", t.T, A))
-    return t.table(res_h), t.table(res_a)
+    T = chern_torsion_at(m)
+    A = m.ein("ip,pls,sr->rli", m.G, m.conj(T), m.Ginv)
+    res_h = (_torsion_derivative(m, m.dg, m.hh) - m.ein("lri,jrk->lijk", m.gam, T)
+             - m.ein("lrk,jir->lijk", m.gam, T) + m.ein("ljr,rik->lijk", m.gam, T))
+    res_a = (_torsion_derivative(m, m.dgb, m.ha) - m.ein("jir,rlk->lijk", T, A)
+             + m.ein("jkr,rli->lijk", T, A) + m.ein("rik,jlr->lijk", T, A))
+    return m.table(res_h), m.table(res_a)
 
 
 @memoized
@@ -404,17 +400,17 @@ def riemannian_curvature_at(m: ChartMetric):
         R_{k lbar i jbar} = sum V[q,l,j] P[q,k,i] - sum Q[p,i,l] U[p,j,k]
             - sum U[q,l,i] Q[q,k,j] - 1/2 (g_{k jbar, i lbar} + g_{i lbar, k jbar}).
     """
-    t, half = m._t, m.kind.scalar(Fraction(1, 2))
-    P = (t.ein("kpi->pik", t.dg) + t.ein("ipk->pik", t.dg)) * half
-    Q = (t.ein("ipk->pik", t.dgb) - t.ein("ikp->pik", t.dgb)) * half
-    U = t.ein("qp,plj->qlj", t.Ginv, t.conj(Q))
-    V = t.ein("qp,plj->qlj", t.Ginv, t.conj(P))
-    r20 = (t.ein("qlj,qik->ijkl", U, P) - t.ein("pjk,pli->ijkl", P, U)
-           - (t.ein("iljk->ijkl", t.hh) - t.ein("jlik->ijkl", t.hh)) * half)
-    r11 = (t.ein("qlj,qki->klij", V, P) - t.ein("pil,pjk->klij", Q, U)
-           - t.ein("qli,qkj->klij", U, Q)
-           - (t.ein("kjil->klij", t.ha) + t.ein("ilkj->klij", t.ha)) * half)
-    return t.table(r11), t.table(r20)
+    half = m.kind.scalar(Fraction(1, 2))
+    P = (m.ein("kpi->pik", m.dg) + m.ein("ipk->pik", m.dg)) * half
+    Q = (m.ein("ipk->pik", m.dgb) - m.ein("ikp->pik", m.dgb)) * half
+    U = m.ein("qp,plj->qlj", m.Ginv, m.conj(Q))
+    V = m.ein("qp,plj->qlj", m.Ginv, m.conj(P))
+    r20 = (m.ein("qlj,qik->ijkl", U, P) - m.ein("pjk,pli->ijkl", P, U)
+           - (m.ein("iljk->ijkl", m.hh) - m.ein("jlik->ijkl", m.hh)) * half)
+    r11 = (m.ein("qlj,qki->klij", V, P) - m.ein("pil,pjk->klij", Q, U)
+           - m.ein("qli,qkj->klij", U, Q)
+           - (m.ein("kjil->klij", m.ha) + m.ein("ilkj->klij", m.ha)) * half)
+    return m.table(r11), m.table(r20)
 
 
 def point_report(m: ChartMetric):
@@ -426,7 +422,7 @@ def point_report(m: ChartMetric):
               "chern_ricci_1": (ric1, 2), "chern_ricci_2": (ric2, 2), "chern_ricci_3": (ric3, 2),
               "riemannian_11": (r11, 4), "riemannian_20": (r20, 4)}
     return {"n": m.n, "scalar_kind": m.kind.name,
-            **{name: m._t.json(*table) for name, table in tables.items()}}
+            **{name: m.json(*table) for name, table in tables.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -434,36 +430,36 @@ def point_report(m: ChartMetric):
 # --------------------------------------------------------------------------
 
 def _planes(m: ChartMetric, X, Y):
-    """Two direction stacks of m's engine, their count and whether X was a single direction."""
-    (X, count, single), (Y, other, _) = m._t.directions(X), m._t.directions(Y)
+    """Two direction stacks of m, their count and whether X was a single direction."""
+    (X, count, single), (Y, other, _) = m.directions(X), m.directions(Y)
     if count != other:
         raise ValueError("X and Y must hold the same number of directions")
     return X, Y, count, single
 
 
-def _inner(t, X, Y):
+def _inner(m: ChartMetric, X, Y):
     """X G conj(Y) of each pair of rows; g(x, y) is twice its real part."""
-    return t.ein("ma,ab,mb->m", X, t.G, t.conj(Y))
+    return m.ein("ma,ab,mb->m", X, m.G, m.conj(Y))
 
 
-def _sectional_stack(t, r11, r20, X, Y):
+def _sectional_stack(m: ChartMetric, r11, r20, X, Y):
     """Sectional numerators of the planes spanned by the rows of X, Y, from
     the Levi-Civita tables r11 and r20, before their real parts are read.
 
     Every term of the expansion pairs a row-wise outer product of two
     directions with a curvature table and another such product (the
-    engine's ``pairs``, ``apply`` and ``dot``), so the whole stack is
+    metric's ``pairs``, ``apply`` and ``dot``), so the whole stack is
     contracted at once.  The real parts 2 Re z are taken as z + conj(z), in
     the data's scalar kind.
     """
-    Xb, Yb = t.conj(X), t.conj(Y)
-    XYb, YXb = t.pairs(X, Yb), t.pairs(Y, Xb)
-    left = t.apply(XYb, r11)
-    t1 = t.dot(t.apply(t.pairs(X, Xb), r11), t.pairs(Y, Yb))
-    t2 = t.dot(left, YXb)
-    t3 = t.dot(left, XYb)
-    e = t.dot(t.apply(t.pairs(X, Y), r20), XYb - YXb)
-    return -2 * t1 + 4 * t2 - (t3 + t.conj(t3)) - 2 * (e + t.conj(e))
+    Xb, Yb = m.conj(X), m.conj(Y)
+    XYb, YXb = m.pairs(X, Yb), m.pairs(Y, Xb)
+    left = m.apply(XYb, r11)
+    t1 = m.dot(m.apply(m.pairs(X, Xb), r11), m.pairs(Y, Yb))
+    t2 = m.dot(left, YXb)
+    t3 = m.dot(left, XYb)
+    e = m.dot(m.apply(m.pairs(X, Y), r20), XYb - YXb)
+    return -2 * t1 + 4 * t2 - (t3 + m.conj(t3)) - 2 * (e + m.conj(e))
 
 
 def sectional_numerator(m: ChartMetric, X, Y):
@@ -479,9 +475,8 @@ def sectional_numerator(m: ChartMetric, X, Y):
     stack gives a length-N array of floats or a list of Fractions.  An exact
     value that is not real raises ArithmeticError.
     """
-    t = m._t
     X, Y, count, single = _planes(m, X, Y)
-    return t.result(t.real(_sectional_stack(t, *riemannian_curvature_at(m), X, Y), count),
+    return m.result(m.real(_sectional_stack(m, *riemannian_curvature_at(m), X, Y), count),
                     single)
 
 
@@ -493,18 +488,17 @@ def sectional_curvature(m: ChartMetric, X, Y):
     1e-14 |x|^2 |y|^2 (float data), a bound that does not depend on the
     scale of x and y.
     """
-    t = m._t
     X, Y, count, single = _planes(m, X, Y)
-    x2, y2 = (t.each(lambda v: 2 * v, t.real(_inner(t, V, V), count)) for V in (X, Y))
-    w = _inner(t, X, Y)
-    xy = t.real(w + t.conj(w), count)
-    den = t.each(lambda a, b, c: a * b - c * c, x2, y2, xy)
+    x2, y2 = (m.each(lambda v: 2 * v, m.real(_inner(m, V, V), count)) for V in (X, Y))
+    w = _inner(m, X, Y)
+    xy = m.real(w + m.conj(w), count)
+    den = m.each(lambda a, b, c: a * b - c * c, x2, y2, xy)
     # the float bound only: exact data stays rational
-    tol = t.each(lambda a, b: None if m.kind.exact else 1e-14 * a * b, x2, y2)
-    if True in t.each(m.kind.negligible, den, tol):
+    tol = m.each(lambda a, b: None if m.kind.exact else 1e-14 * a * b, x2, y2)
+    if True in m.each(m.kind.negligible, den, tol):
         raise DegeneratePlaneError("x and y span a degenerate plane")
-    stack = t.real(_sectional_stack(t, *riemannian_curvature_at(m), X, Y), count)
-    return t.result(t.each(truediv, stack, den), single)
+    stack = m.real(_sectional_stack(m, *riemannian_curvature_at(m), X, Y), count)
+    return m.result(m.each(truediv, stack, den), single)
 
 
 def random_planes(rng: np.random.Generator, count: int, n: int):
@@ -524,10 +518,9 @@ def _ricci_form(m: ChartMetric):
     """(H, S): a quarter of num(X) of the module docstring is
     X H conj(X) - 2 Re X S X, with H[a,d] = 2 sum r11[a,l,i,d] g^{lbar i}
     - sum r11[a,d,i,j] g^{jbar i} and S[a,c] = sum r20[a,i,c,l] g^{lbar i}."""
-    t = m._t
     r11, r20 = riemannian_curvature_at(m)
-    return (2 * t.ein("alid,li->ad", r11, t.Ginv) - t.ein("adij,ji->ad", r11, t.Ginv),
-            t.ein("aicl,li->ac", r20, t.Ginv))
+    return (2 * m.ein("alid,li->ad", r11, m.Ginv) - m.ein("adij,ji->ad", r11, m.Ginv),
+            m.ein("aicl,li->ac", r20, m.Ginv))
 
 
 def ricci_curvature(m: ChartMetric, X):
@@ -539,13 +532,12 @@ def ricci_curvature(m: ChartMetric, X):
     single direction gives a float or a Fraction, a stack an array of
     floats or a list of Fractions.
     """
-    t = m._t
-    X, count, single = t.directions(X)
-    x2 = t.real(_inner(t, X, X), count)
+    X, count, single = m.directions(X)
+    x2 = m.real(_inner(m, X, X), count)
     if 0 in x2:
         raise DegeneratePlaneError("zero direction")
     H, S = _ricci_form(m)
     # a quarter of num(X), over X G conj(X) = |x|^2 / 2
-    s = t.ein("ma,ac,mc->m", X, S, X)
-    num = t.ein("ma,ad,md->m", X, H, t.conj(X)) - (s + t.conj(s))
-    return t.result(t.each(truediv, t.real(num, count), x2), single)
+    s = m.ein("ma,ac,mc->m", X, S, X)
+    num = m.ein("ma,ad,md->m", X, H, m.conj(X)) - (s + m.conj(s))
+    return m.result(m.each(truediv, m.real(num, count), x2), single)

@@ -317,14 +317,10 @@ def cmd_verify(args) -> int:
         kwargs["seed"] = args.seed
     if args.torsion_a is not None:
         kwargs["a"] = _parse_rational(args.torsion_a)
-    if kwargs:
-        fn = suite
-        while hasattr(fn, "__wrapped__"):       # read the parameters of what a wrapper wraps
-            fn = fn.__wrapped__
-        takes = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-        for name, flag in (("seed", "--seed"), ("a", "--torsion-a")):
-            if name in kwargs and name not in takes:
-                raise CliError(f"{flag} does not apply to --example {args.example}", EXIT_USAGE)
+    takes = goldens.SUITE_PARAMETERS.get(args.example, ())
+    for name, flag in (("seed", "--seed"), ("a", "--torsion-a")):
+        if name in kwargs and name not in takes:
+            raise CliError(f"{flag} does not apply to --example {args.example}", EXIT_USAGE)
     checks = suite(**kwargs)
     ok = all(c.passed for c in checks)
     report = {

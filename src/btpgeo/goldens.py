@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import frames, lie
 from .forms import InvariantForm
@@ -345,3 +345,8 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
     "wallach": wallach_suite,
     "vaisman54": vaisman54_suite,
 }
+
+# the keyword parameters each suite takes, which ``verify --torsion-a`` (a)
+# and ``verify --seed`` (seed) are checked against; the other suites take none
+SUITE_PARAMETERS: Dict[str, Tuple[str, ...]] = {
+    "n3": ("a",), "vaisman54": ("a",), "sl2c": ("seed",), "wallach": ("seed",)}

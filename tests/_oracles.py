@@ -24,7 +24,7 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
-from btpgeo import charts, lie
+from btpgeo import lie
 from btpgeo.cli import COMMANDS, EXIT_USAGE
 from btpgeo.charts import (ChartMetric, _coords, chern_curvature_at, chern_torsion_at,
                            riemannian_curvature_at)
@@ -697,29 +697,11 @@ def ricci_frame_sum(m, X):
     return total / 2 / x2
 
 
-class TablesAtIdentity:
-    """Stands in for a chart metric whose base value G is the identity and
-    whose Levi-Civita pair is the given (r11, r20): the pair is put in the
-    memo that ``scalars.memoized`` reads, so ``charts.riemannian_curvature_at``
-    hands it out, and the sectional and Ricci curvature read it, as they
-    would a metric's, through the engine of the kind (exact tables as maps
-    of their nonzero entries)."""
-
-    def __init__(self, r11, r20, kind):
-        n = self.n = len(r11)
-        self.kind = kind
-        eye = np.array([[kind.one if a == b else kind.zero for b in range(n)]
-                        for a in range(n)], kind.dtype)
-        engine = charts._Sparse if kind.exact else charts._Dense
-        self._t = engine(n, ({(a, a): kind.one for a in range(n)}, {}, {}, {}, {}), eye)
-        self.G, self.Ginv = self._t.G, self._t.Ginv
-        if kind.exact:
-            r11, r20 = ({k: c for k, c in np.ndenumerate(t) if c} for t in (r11, r20))
-        self._memo = {riemannian_curvature_at: (r11, r20)}
-
-
 def random_curvature_tables(rng, exact, hermitian, n=3):
-    """Random r11 and r20 tables as arrays, in a ``TablesAtIdentity``.
+    """The euclidean metric (G the identity) with random r11 and r20 tables
+    seeded in the memo that ``scalars.memoized`` reads, so
+    ``charts.riemannian_curvature_at`` hands them out and the sectional and
+    Ricci curvature read them as they would a metric's own pair.
 
     Entries are complex Gaussians (float kind) or small rationals (exact
     kind), so no index symmetry relates them.  ``hermitian`` symmetrizes r11
@@ -740,7 +722,11 @@ def random_curvature_tables(rng, exact, hermitian, n=3):
     if hermitian:
         r11 = (r11 + r11.transpose(1, 0, 3, 2).conj() + r11.transpose(3, 2, 1, 0).conj()
                + r11.transpose(2, 3, 0, 1))
-    return TablesAtIdentity(r11, r20, EXACT if exact else FLOAT)
+    m = euclidean_metric(n, EXACT if exact else FLOAT)
+    if exact:       # as an exact metric's tables: maps of their nonzero entries
+        r11, r20 = ({k: c for k, c in np.ndenumerate(t) if c} for t in (r11, r20))
+    m._memo[riemannian_curvature_at] = (r11, r20)
+    return m
 
 
 # ---- exact rank, inverse, positivity and the frame-change law by loops -------

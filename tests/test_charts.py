@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from functools import cache, partial
-from types import MappingProxyType
+from types import MappingProxyType, ModuleType
 
 import numpy as np
 import pytest
@@ -1048,6 +1048,43 @@ def test_exact_normalized_sectional_stays_rational_at_any_scale():
     assert charts.sectional_curvature(m, [big, 0, 0], [0, big, 0]) == 0
     with pytest.raises(charts.DegeneratePlaneError):
         charts.sectional_curvature(m, [big, 0, 0], [2 * big, 0, 0])
+
+
+def _held(m):
+    """What each slot of m but ``_memo`` holds, next to a copy of its state:
+    an array's bytes, a map's entries, a jet's terms, the attributes of any
+    other object with a ``__dict__`` but a module."""
+    def state(v):
+        if isinstance(v, np.ndarray):
+            return v.tobytes(), v.flags.writeable
+        if isinstance(v, (dict, MappingProxyType)):
+            return dict(v)
+        if isinstance(v, tuple):
+            return tuple(map(state, v))
+        if isinstance(v, Jet2):
+            return dict(v.terms)
+        return dict(vars(v)) if hasattr(v, "__dict__") and not isinstance(v, ModuleType) else v
+    names = {n for c in type(m).__mro__ for n in getattr(c, "__slots__", ())} - {"_memo"}
+    return {n: (getattr(m, n), state(getattr(m, n))) for n in sorted(names)}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_chart_tables_change_nothing_the_metric_holds_but_its_memo(exact):
+    # the metric is its own engine: no side object, and every table, the
+    # dependent ones too, lands in the memo alone
+    m = charts.wallach_metric() if exact else \
+        charts.wallach_metric((0.1, 0.2j, -0.3 + 0.1j), kind=FLOAT)
+    assert isinstance(m, charts.ChartMetric) and not hasattr(m, "__dict__")
+    assert not hasattr(m, "_t")
+    before = _held(m)
+    X, Y = [(1, 0, 0), (0, 1, 1), (1, 2, 0)], [(0, 1, 0), (1, 0, 2), (0, 0, 1)]
+    charts.point_report(m)
+    charts.btp_residual_at(m)
+    charts.sectional_numerator(m, X, Y)
+    charts.sectional_curvature(m, X, Y)
+    charts.ricci_curvature(m, X)
+    assert _held(m) == before
+    assert charts.btp_residual_at in m._memo and charts.ricci_forms_at in m._memo
 
 
 def test_chart_metric_validation():

@@ -1028,8 +1028,19 @@ def test_exact_lie_commands_import_no_dataclasses_or_inspect(argv):
 ], ids=_argv_id)
 def test_no_verify_call_imports_inspect(argv):
     # the suite's parameters, which --seed and --torsion-a are checked
-    # against, come from its code object
+    # against, come from the goldens.SUITE_PARAMETERS table
     assert "inspect" not in _loaded_modules(argv, codes=(0, 3))
+
+
+def test_suite_parameter_table_matches_each_suite_signature():
+    # the table verify reads mirrors the suites' own signatures, so it
+    # cannot go stale; the suites stay plain functions
+    import inspect
+    for name, suite in goldens.SUITES.items():
+        assert inspect.isfunction(suite)
+        assert tuple(inspect.signature(suite).parameters) == \
+            goldens.SUITE_PARAMETERS.get(name, ()), name
+    assert set(goldens.SUITE_PARAMETERS) <= set(goldens.SUITES)
 
 
 @pytest.mark.parametrize("argv", [

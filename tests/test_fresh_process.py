@@ -15,7 +15,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_fresh_process_script_times_one_command(tmp_path):
     # three runs a side, so that the floor is compared with the command by
-    # medians: a single run of either can stray by more than their gap
+    # their fastest runs: a single run of either, and on a loaded host a
+    # median of three, can stray by more than their gap
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"change": "kept"}))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fresh_process.py"),
@@ -35,7 +36,8 @@ def test_fresh_process_script_times_one_command(tmp_path):
     # the interpreter floor: timed like the commands, and below each of them
     for side in ("parent", "change"):
         floor = block["floor"][side]
-        assert len(floor["runs_ms"]) == 3 and 0 < floor["median_ms"] < row[side]["median_ms"]
+        assert len(floor["runs_ms"]) == 3 and floor["median_ms"] > 0
+        assert 0 < min(floor["runs_ms"]) < min(row[side]["runs_ms"])
     table = proc.stdout.splitlines()
     assert table[1].startswith("floor") and table[2].startswith("classify")
 

@@ -13,7 +13,9 @@ sectional sample), the float report ``wallach --float`` alone, and
 ``wallach --float --seed 7 --samples 2000``, whose sample takes two blocks
 of ``charts.SAMPLE_BLOCK`` planes where every benchmark job takes one, and
 ``verify --example sl2c`` at seeds 1, 5 and 9, whose ten scrambled special
-frames differ from those of the default seed the benchmark runs.  Last
+frames differ from those of the default seed the benchmark runs, and five
+``verify`` commands with a ``--seed`` or ``--torsion-a`` that the suite's
+parameters accept or reject (exit 3).  Last
 come the five scripts in each tree's own ``demos``, listed as
 ``demo demos/<name>.py``.
 
@@ -56,6 +58,13 @@ EXTRA = {
               ["wallach", "--float", "--seed", "7", "--samples", "2000"]],
     # the sl2c special-frame recovery at seeds other than the default
     "frames": [["verify", "--example", "sl2c", "--seed", seed] for seed in ("1", "5", "9")],
+    # verify flags whose outcome the suite's parameters decide: four exit 3,
+    # the last is accepted
+    "verify_parameters": [["verify", "--example", "n3", "--seed", "3"],
+                          ["verify", "--example", "a_st", "--torsion-a", "2"],
+                          ["verify", "--example", "wallach", "--torsion-a", "2"],
+                          ["verify", "--example", "sl2c", "--torsion-a", "1"],
+                          ["verify", "--example", "vaisman54", "--torsion-a", "3"]],
 }
 
 # runs in a fresh interpreter per tree: argv lists on stdin, one
